@@ -202,19 +202,51 @@ def run_benchmark(
     and metrics registry, RSS sampler thread), solution GDSII
     serialization included in the measured time as in the contest; the
     resulting :class:`BenchRecord` carries the Eqn. (3) score card
-    computed with the run's own wall clock and peak RSS.
+    computed with the run's own wall clock and peak RSS, and the stage
+    clocks of the run's ``engine.run`` span.
+
+    ``stream-smoke`` fills the ``smoke`` case through the out-of-core
+    :func:`repro.core.stream_fill` path instead (bands > 1, so the
+    spill path is exercised), so the trajectory gates the streamed
+    stage clocks and peak RSS alongside the in-memory ones.  Scores
+    are computed on the re-parsed streamed output — byte-identical to
+    the in-memory result by construction, so quality metrics must match
+    ``smoke`` exactly.
     """
     from .contest import CONTEST_ETA
 
     if config is None:
         config = FillConfig(eta=CONTEST_ETA)
-    if name == "stream-smoke":
-        return _run_stream_benchmark(config=config, worst_k=worst_k)
-    layout, grid, weights = _load_case(name)
+    streamed = name == "stream-smoke"
+    layout, grid, weights = _load_case("smoke" if streamed else name)
+    config_dict: Dict[str, Any] = {
+        **asdict(config),
+        "windows": [grid.cols, grid.rows],
+        "bench": name,
+    }
+    if streamed:
+        raw = gdsii_bytes(layout)
+        config_dict["bands"] = _STREAM_SMOKE_BANDS
     with obs.record_run(label=f"bench {name}") as recorder:
-        DummyFillEngine(config, weights=weights).run(layout, grid)
-        with obs.span("io.write"):
-            gds = gdsii_bytes(layout)
+        if streamed:
+            out = io.BytesIO()
+            stream_fill(
+                raw,
+                out,
+                layout.rules,
+                cols=grid.cols,
+                rows=grid.rows,
+                config=config,
+                weights=weights,
+                bands=_STREAM_SMOKE_BANDS,
+            )
+            gds = out.getvalue()
+        else:
+            DummyFillEngine(config, weights=weights).run(layout, grid)
+            with obs.span("io.write"):
+                gds = gdsii_bytes(layout)
+    if streamed:
+        layout = layout_from_gdsii(gds, layout.rules)
     record = recorder.record
     assert record is not None
     seconds = float(record.summary["seconds"])
@@ -228,11 +260,6 @@ def run_benchmark(
         runtime=seconds,
         memory=peak_mb,
     )
-    config_dict: Dict[str, Any] = {
-        **asdict(config),
-        "windows": [grid.cols, grid.rows],
-        "bench": name,
-    }
     return BenchRecord(
         bench=name,
         git_sha=record.meta.get("git_sha"),
@@ -247,74 +274,6 @@ def run_benchmark(
         num_fills=layout.num_fills,
         gds_bytes=len(gds),
         worst_windows=worst_windows(layout, grid, k=worst_k),
-        label=record.label,
-    )
-
-
-def _run_stream_benchmark(
-    *, config: FillConfig, worst_k: int
-) -> BenchRecord:
-    """The ``stream-smoke`` case: the smoke layout through the
-    out-of-core :func:`repro.core.stream_fill` path.
-
-    Same geometry, grid and calibrated weights as ``smoke``, but the
-    unfilled layout is serialised to GDSII first and filled via the
-    banded streaming pipeline (bands > 1 so the spill path is
-    exercised), so the trajectory gates the streamed stage clocks and
-    peak RSS alongside the in-memory ones.  Scores are computed on the
-    re-parsed streamed output — byte-identical to the in-memory result
-    by construction, so quality metrics must match ``smoke`` exactly.
-    """
-    layout, grid, weights = _load_case("smoke")
-    raw = gdsii_bytes(layout)
-    rules = _SMOKE_SPEC.rules
-    with obs.record_run(label="bench stream-smoke") as recorder:
-        out = io.BytesIO()
-        stream_fill(
-            raw,
-            out,
-            rules,
-            cols=grid.cols,
-            rows=grid.rows,
-            config=config,
-            weights=weights,
-            bands=_STREAM_SMOKE_BANDS,
-        )
-    gds = out.getvalue()
-    record = recorder.record
-    assert record is not None
-    seconds = float(record.summary["seconds"])
-    peak = record.summary.get("peak_rss_mb")
-    peak_mb = float(peak) if peak is not None else 0.0
-    filled = layout_from_gdsii(gds, rules)
-    card = score_layout(
-        filled,
-        grid,
-        weights,
-        file_size=file_size_mb(len(gds)),
-        runtime=seconds,
-        memory=peak_mb,
-    )
-    config_dict: Dict[str, Any] = {
-        **asdict(config),
-        "windows": [grid.cols, grid.rows],
-        "bands": _STREAM_SMOKE_BANDS,
-        "bench": "stream-smoke",
-    }
-    return BenchRecord(
-        bench="stream-smoke",
-        git_sha=record.meta.get("git_sha"),
-        created_at=_utc_now(),
-        config=config_dict,
-        config_hash=_config_digest(config_dict),
-        scores=card.as_row(),
-        raw=asdict(card.raw),
-        stage_seconds=record.stage_seconds("stream.run"),
-        seconds=seconds,
-        peak_rss_mb=peak_mb,
-        num_fills=filled.num_fills,
-        gds_bytes=len(gds),
-        worst_windows=worst_windows(filled, grid, k=worst_k),
         label=record.label,
     )
 

@@ -34,14 +34,15 @@ import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import obs
 from .bench.generator import LayoutSpec, generate_layout
 from .bench.suite import calibrate_weights
-from .core import DummyFillEngine, FillConfig
+from .core import DummyFillEngine, FillConfig, stream_fill
 from .density import compute_metrics, metal_density_map, score_layout, wire_density_map
 from .gdsii import file_size_mb, gdsii_bytes, layout_from_gdsii
+from .geometry import Rect
 from .layout import DrcRules, Layout, WindowGrid
 
 __all__ = ["main", "build_parser"]
@@ -392,29 +393,44 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_stream(
+    args: argparse.Namespace,
+    label: str,
+    eco_wires: Optional[Mapping[int, Sequence[Rect]]] = None,
+) -> int:
+    """``fill``/``eco`` with ``--stream``: the out-of-core driver."""
+    with _observed(args, label=label):
+        report = stream_fill(
+            str(args.input),
+            str(args.output),
+            _rules_from(args),
+            cols=args.windows,
+            rows=args.windows,
+            config=_config_from(args),
+            memory_budget=args.memory_budget,
+            bands=args.bands,
+            eco_wires=eco_wires,
+            output_format=args.format,
+        )
+        print(report.summary())
+        print(
+            f"streamed {report.bands} bands: kept {report.kept_fills} input fills, "
+            f"removed {report.removed_fills}, spilled {report.bytes_spilled} bytes "
+            f"in {report.chunks} chunks"
+        )
+        print(
+            f"wrote {args.output}: {report.kept_fills + report.num_fills} fills, "
+            f"{report.bytes_written} bytes, {len(report.violations)} DRC violations"
+        )
+    return 0 if not report.violations else 2
+
+
 def _cmd_fill(args: argparse.Namespace) -> int:
     if args.stream:
         if args.report is not None:
             print("--report is not supported with --stream", file=sys.stderr)
             return 2
-        with _observed(args, label="repro fill"):
-            report = DummyFillEngine(_config_from(args)).run_streaming(
-                str(args.input),
-                str(args.output),
-                _rules_from(args),
-                cols=args.windows,
-                rows=args.windows,
-                memory_budget=args.memory_budget,
-                bands=args.bands,
-                output_format=args.format,
-            )
-            print(report.summary())
-            print(
-                f"wrote {args.output}: {report.num_fills} fills, "
-                f"{args.output.stat().st_size} bytes, "
-                f"{len(report.violations)} DRC violations"
-            )
-        return 0 if not report.violations else 2
+        return _cmd_stream(args, "repro fill")
     with _observed(args, label="repro fill"):
         with obs.span("io.read"):
             layout = layout_from_gdsii(args.input.read_bytes(), _rules_from(args))
@@ -423,7 +439,7 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         with obs.span("drc"):
             violations = layout.check_drc()
         with obs.span("io.write"):
-            args.output.write_bytes(_serialised(layout, args.format))
+            size = args.output.write_bytes(_serialised(layout, args.format))
         print(report.summary())
         if args.report is not None:
             from .report import render_report
@@ -432,7 +448,7 @@ def _cmd_fill(args: argparse.Namespace) -> int:
             print(f"wrote report {args.report}")
         print(
             f"wrote {args.output}: {layout.num_fills} fills, "
-            f"{args.output.stat().st_size} bytes, {len(violations)} DRC violations"
+            f"{size} bytes, {len(violations)} DRC violations"
         )
     return 0 if not violations else 2
 
@@ -483,27 +499,9 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     if args.stream:
         from .eco import wires_from_json
 
-        new_wires = wires_from_json(json.loads(args.wires.read_text()))
-        with _observed(args, label="repro eco"):
-            report = DummyFillEngine(_config_from(args)).run_streaming(
-                str(args.input),
-                str(args.output),
-                _rules_from(args),
-                cols=args.windows,
-                rows=args.windows,
-                memory_budget=args.memory_budget,
-                bands=args.bands,
-                eco_wires=new_wires,
-                output_format=args.format,
-            )
-            print(report.summary())
-            print(
-                f"wrote {args.output}: kept {report.kept_fills} + "
-                f"{report.num_fills} new fills, "
-                f"{args.output.stat().st_size} bytes, "
-                f"{len(report.violations)} DRC violations"
-            )
-        return 0 if not report.violations else 2
+        return _cmd_stream(
+            args, "repro eco", wires_from_json(json.loads(args.wires.read_text()))
+        )
     with _observed(args, label="repro eco"):
         from .eco import apply_eco, wires_from_json
 
@@ -515,11 +513,11 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         with obs.span("drc"):
             violations = layout.check_drc()
         with obs.span("io.write"):
-            args.output.write_bytes(_serialised(layout, args.format))
+            size = args.output.write_bytes(_serialised(layout, args.format))
         print(report.summary())
         print(
             f"wrote {args.output}: {layout.num_fills} fills, "
-            f"{args.output.stat().st_size} bytes, {len(violations)} DRC violations"
+            f"{size} bytes, {len(violations)} DRC violations"
         )
     return 0 if not violations else 2
 

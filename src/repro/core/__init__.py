@@ -12,7 +12,7 @@ from .config import FillConfig
 from .engine import DummyFillEngine, FillReport, insert_fills
 from .planner import DensityPlan, LayerPlan, PlannerObjective, plan_targets
 from .sizing import SizingStats, size_fills, size_window
-from .stream import StreamReport, resolve_bands, stream_fill
+from .stream import resolve_bands, stream_fill
 
 __all__ = [
     "CandidatePlan",
@@ -32,7 +32,6 @@ __all__ = [
     "SizingStats",
     "size_fills",
     "size_window",
-    "StreamReport",
     "resolve_bands",
     "stream_fill",
 ]

@@ -509,6 +509,23 @@ def build_wire_indexes(layout: Layout) -> Dict[int, GridIndex[int]]:
     return out
 
 
+def _wire_indexes_for(
+    layout: Layout, wire_indexes: Optional[Dict[int, GridIndex[int]]]
+) -> Dict[int, GridIndex[int]]:
+    """Prebuilt wire indexes after a staleness check, or a fresh build."""
+    if wire_indexes is None:
+        return build_wire_indexes(layout)
+    for layer in layout.layers:
+        index = wire_indexes.get(layer.number)
+        if index is None or len(index) != layer.num_wires:
+            have = "missing" if index is None else f"{len(index)} wires"
+            raise ValueError(
+                f"stale wire index for layer {layer.number}: {have}, "
+                f"layer has {layer.num_wires}"
+            )
+    return wire_indexes
+
+
 def generate_candidates(
     layout: Layout,
     grid: WindowGrid,
@@ -540,23 +557,12 @@ def generate_candidates(
     if config is None:
         config = FillConfig()
     numbers = tuple(layout.layer_numbers)
-    if wire_indexes is None:
-        wire_indexes = build_wire_indexes(layout)
-    else:
-        for layer in layout.layers:
-            index = wire_indexes.get(layer.number)
-            if index is None or len(index) != layer.num_wires:
-                have = "missing" if index is None else f"{len(index)} wires"
-                raise ValueError(
-                    f"stale wire index for layer {layer.number}: {have}, "
-                    f"layer has {layer.num_wires}"
-                )
     shared = _SharedState(
         rules=layout.rules,
         config=config,
         numbers=numbers,
         num_layers=layout.num_layers,
-        wire_indexes=wire_indexes,
+        wire_indexes=_wire_indexes_for(layout, wire_indexes),
     )
     selected_windows = set(windows) if windows is not None else None
     tasks: List[_WindowTask] = []

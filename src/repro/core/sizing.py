@@ -40,7 +40,7 @@ from ..contracts import check_drc_params
 from ..geometry import GridIndex, Rect
 from ..layout import DrcRules, Layout, WindowGrid
 from ..netflow import DifferentialLP, LPInfeasibleError, solve_dual_mcf, solve_linprog
-from .candidates import CandidatePlan
+from .candidates import CandidatePlan, _wire_indexes_for
 from .config import FillConfig
 
 __all__ = ["SizingStats", "size_window", "size_fills"]
@@ -704,17 +704,22 @@ def size_fills(
     layout: Layout,
     grid: WindowGrid,
     candidates: CandidatePlan,
-    target_fill_area: Mapping[WindowKey, Mapping[int, float]],
+    target_fill_area: Mapping[int, np.ndarray],
     config: Optional[FillConfig] = None,
+    *,
+    wire_indexes: Optional[Dict[int, GridIndex[int]]] = None,
 ) -> Tuple[Dict[WindowKey, Dict[int, List[Rect]]], SizingStats]:
-    """Size candidates across all windows of a layout.
+    """Size the candidates of every window in ``candidates``.
 
+    ``target_fill_area`` maps each layer to a ``(cols, rows)`` array of
+    the fill area each window should keep — ``dt(l)·aw`` of Eqn. (9b).
     Windows are independent problems (the paper sizes per window),
     processed in deterministic order.  With ``config.workers != 1``
     the non-empty windows are sharded contiguously in grid order onto
     the :mod:`repro.parallel` backend; per-window results and solver
     statistics merge in shard order, so the outcome is identical for
-    every worker count.
+    every worker count.  ``wire_indexes`` supplies prebuilt per-layer
+    wire indexes, as for :func:`repro.core.generate_candidates`.
     """
     if config is None:
         config = FillConfig()
@@ -723,21 +728,12 @@ def size_fills(
         rules.max_fill_width, rules.max_fill_height
     )
     total = SizingStats()
-
-    cell = max(64, min(layout.die.width, layout.die.height) // 16)
-    wire_indexes: Dict[int, GridIndex[int]] = {}
-    for layer in layout.layers:
-        idx: GridIndex[int] = GridIndex(cell)
-        for k, w in enumerate(layer.wires):
-            idx.insert(w, k)
-        wire_indexes[layer.number] = idx
-
     shared = _SharedSizing(
         rules=rules,
         config=config,
         margin=margin,
         layer_numbers=tuple(layout.layer_numbers),
-        wire_indexes=wire_indexes,
+        wire_indexes=_wire_indexes_for(layout, wire_indexes),
     )
     tasks: List[_SizingTask] = []
     for i, j, window in grid:
@@ -750,7 +746,7 @@ def size_fills(
                 key=key,
                 window=window,
                 candidates=cands,
-                targets=dict(target_fill_area.get(key, {})),
+                targets={n: float(area[i, j]) for n, area in target_fill_area.items()},
             )
         )
 
@@ -787,7 +783,7 @@ def size_fills(
         key = (i, j)
         if key in sized_by_key:
             result[key] = sized_by_key[key]
-        else:
-            result[key] = {l: [] for l in candidates.get(key, {})}
+        elif key in candidates:
+            result[key] = {l: [] for l in candidates[key]}
     obs.metrics.counter("sizing.dropped_fills").inc(total.dropped_fills)
     return result, total

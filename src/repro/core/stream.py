@@ -1,59 +1,40 @@
 """Out-of-core streaming fill: bounded-memory end-to-end flow.
 
 The in-memory engine (:mod:`repro.core.engine`) loads the whole layout,
-so peak RSS grows with die size.  This driver runs the same Fig. 3 flow
-without ever materialising the layout: shapes stream from the GDSII
-record iterator (:mod:`repro.gdsii.stream`) into per-band spill files
-(:mod:`repro.layout.spill`), every engine stage sweeps the bands one at
-a time with only one band's geometry resident, and the output streams
-through the incremental writers (:class:`~repro.gdsii.GdsiiStreamWriter`
-/ :class:`~repro.oasis.OasisStreamWriter`).
+so peak RSS grows with die size.  This driver runs the same band sweep
+(:meth:`~repro.core.DummyFillEngine.sweep`) without ever materialising
+the layout: shapes stream from the GDSII record iterator
+(:mod:`repro.gdsii.stream`) into per-band spill files
+(:mod:`repro.layout.spill`), :class:`SpillBands` hands the sweep one
+band's geometry at a time and parks each band's analysis and
+candidates on disk between stages, and the output streams through the
+incremental writers (:class:`~repro.gdsii.GdsiiStreamWriter` /
+:class:`~repro.oasis.OasisStreamWriter`).
 
-Output parity is exact, not approximate: each stage reuses the
-in-memory engine's own per-window bodies
-(:func:`repro.density.analysis._analyze_window`,
-:func:`repro.core.candidates._generate_shard`,
-:func:`repro.core.sizing._size_shard`) on band-local wire indexes whose
-query answers are identical to a global index — bands carry a routing
-halo equal to the widest query reach, and band-local insertion order is
-the input order restricted to the band.  Windows are visited in grid
+Output parity is exact, not approximate: bands carry a routing halo
+equal to the widest query reach of any stage, and band-local insertion
+order is the input order restricted to the band, so every band-local
+query returns what the global one would.  Windows are visited in grid
 order (bands are contiguous column ranges), so the streamed GDSII and
-OASIS bytes equal the in-memory path's bytes at any worker count.
-
-The one deliberate divergence is DRC: violations are checked per band
-(owned fills against band wires), which sees every fill-to-wire pair
-but not fill-to-fill pairs whose owners land in different bands.  The
-window-margin construction keeps independently generated fills legal
-across window (hence band) boundaries, so the streamed check is only
-blind to pre-existing cross-band fill conflicts in the *input*.
+OASIS bytes equal the in-memory path's bytes at any band and worker
+count.  The fill DRC is exact as well (:func:`_band_drc`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import shutil
 import tempfile
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import (
-    BinaryIO,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from .. import obs
-from ..contracts import check_density, check_drc_params, check_rect
-from ..density.analysis import LayerDensity, _analyze_window, window_area_map
+from ..contracts import check_drc_params, check_rect
+from ..density.analysis import window_area_map
 from ..density.scoring import ScoreWeights
 from ..gdsii import (
     DIE_LAYER,
@@ -67,6 +48,7 @@ from ..layout import (
     BandPlan,
     DrcRules,
     DrcViolation,
+    Layout,
     LayerSpool,
     ShapeSpill,
     WindowGrid,
@@ -74,14 +56,14 @@ from ..layout import (
 )
 from ..netflow import release_solver_caches
 from ..oasis import OasisStreamWriter
-from .candidates import _SharedState, _WindowTask, _generate_shard
+from .candidates import build_wire_indexes
 from .config import FillConfig
-from .planner import DensityPlan, PlannerObjective, plan_targets
-from .sizing import SizingStats, _SharedSizing, _SizingTask, _size_shard
+from .engine import BandSource, DummyFillEngine, FillReport, SizedFills, engine_span
+from .sizing import SizingStats
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
-    "StreamReport",
+    "SpillBands",
     "resolve_bands",
     "stream_fill",
 ]
@@ -115,41 +97,6 @@ def _flush_records(memory_budget: Optional[int]) -> int:
     return max(16, min(4096, budget // (16 * _BYTES_PER_BUFFERED_RECORD)))
 
 
-@dataclass
-class StreamReport:
-    """Everything the streaming driver learned during one run."""
-
-    num_wires: int
-    kept_fills: int
-    removed_fills: int
-    num_candidates: int
-    num_fills: int
-    bands: int
-    bytes_spilled: int
-    chunks: int
-    bytes_written: int
-    initial_plan: Optional[DensityPlan]
-    final_plan: Optional[DensityPlan]
-    sizing: SizingStats
-    violations: List[DrcViolation] = field(default_factory=list)
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
-
-    def summary(self) -> str:
-        stages = ", ".join(
-            f"{name}={secs:.2f}s" for name, secs in self.stage_seconds.items()
-        )
-        return (
-            f"fills={self.num_fills} (from {self.num_candidates} candidates), "
-            f"kept={self.kept_fills}, removed={self.removed_fills}, "
-            f"bands={self.bands}, spilled {self.bytes_spilled} bytes "
-            f"in {self.chunks} chunks; {stages}"
-        )
-
-
 def resolve_bands(
     num_shapes: int,
     cols: int,
@@ -176,45 +123,129 @@ def resolve_bands(
     return max(1, min(cols, -(-estimated // budget)))
 
 
-def _band_wires(
-    spill: ShapeSpill, band: int, numbers: Sequence[int]
-) -> Dict[int, List[Rect]]:
-    """The band's wires per layer, in spill (= input) order."""
-    per: Dict[int, List[Rect]] = {n: [] for n in numbers}
-    for layer, _datatype, rect in spill.read(band):
-        per[layer].append(rect)
-    return per
+class SpillBands(BandSource):
+    """The spill band source: one band's geometry resident at a time.
 
-
-def _band_indexes(
-    per: Mapping[int, List[Rect]], die: Rect
-) -> Dict[int, GridIndex[int]]:
-    """Band-local per-layer wire indexes.
-
-    Same cell size and insertion order as the global indexes the
-    in-memory stages build, so every in-band query returns the same
-    hits in the same order.
+    A band's layout is rebuilt from the halo-routed wire spill when the
+    sweep first asks for it, and dropped when it moves to another band.
+    Whatever a stage keeps for the next one is pickled to the work
+    directory.  Each band's sized fills go to their own spool (grid
+    order, for the write) and into the DRC fill spill.
     """
-    cell = max(64, min(die.width, die.height) // 16)
-    out: Dict[int, GridIndex[int]] = {}
-    for n, rects in per.items():
-        index: GridIndex[int] = GridIndex(cell)
-        for k, rect in enumerate(rects):
-            index.insert(rect, k)
-        out[n] = index
-    return out
+
+    def __init__(
+        self,
+        plan: BandPlan,
+        wires: ShapeSpill,
+        fills: ShapeSpill,
+        rules: DrcRules,
+        num_layers: int,
+        kept_area: Mapping[int, np.ndarray],
+        workdir: str,
+        flush: int,
+    ):
+        super().__init__(plan)
+        self._wires = wires
+        self._fills = fills
+        self._rules = rules
+        self._num_layers = num_layers
+        self._kept_area = kept_area
+        self._workdir = workdir
+        self._flush = flush
+        self._resident: Optional[Tuple[int, Layout]] = None
+        self._indexes: Optional[Dict[int, GridIndex[int]]] = None
+        #: per-band spools of the new fills, in band order
+        self.new_fills: List[LayerSpool] = []
+        self.num_fills = 0
+
+    def layout(self, band: int) -> Layout:
+        if self._resident is None or self._resident[0] != band:
+            self.release()
+            layout = Layout(self.plan.grid.die, self._num_layers, self._rules)
+            for n, _datatype, rect in self._wires.read(band):
+                layout.layer(n).add_wire(rect)
+            self._resident = (band, layout)
+        return self._resident[1]
+
+    def wire_indexes(self, band: int) -> Dict[int, GridIndex[int]]:
+        layout = self.layout(band)
+        if self._indexes is None:
+            self._indexes = build_wire_indexes(layout)
+        return self._indexes
+
+    def release(self) -> None:
+        """Drop the resident band."""
+        self._resident = None
+        self._indexes = None
+
+    def _path(self, what: str, band: int) -> str:
+        return os.path.join(self._workdir, f"{what}-band{band:04d}.pkl")
+
+    def keep(self, what: str, band: int, value: Any) -> None:
+        with open(self._path(what, band), "wb") as handle:
+            pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def take(self, what: str, band: int) -> Any:
+        path = self._path(what, band)
+        with open(path, "rb") as handle:
+            value = pickle.load(handle)
+        os.remove(path)
+        return value
+
+    def fill_density(self) -> Dict[int, np.ndarray]:
+        area = window_area_map(self.plan.grid)
+        return {n: kept / area for n, kept in self._kept_area.items()}
+
+    def commit(self, band: int, sized: SizedFills) -> None:
+        spool = LayerSpool(self._workdir, f"new-band{band:04d}", flush_records=self._flush)
+        before = self.num_fills
+        for per_layer in sized.values():
+            for n, rects in per_layer.items():
+                for rect in rects:
+                    spool.add(n, FILL_DATATYPE, check_rect(rect, name=f"fill on layer {n}"))
+                    self._fills.route(n, FILL_DATATYPE, rect, self._rules.min_spacing)
+                self.num_fills += len(rects)
+        spool.finish()
+        self.new_fills.append(spool)
+        obs.count("engine.fills", self.num_fills - before)
+        release_solver_caches()
 
 
-def _band_window_keys(
-    plan: BandPlan, band: int, affected: Optional[Set[WindowKey]]
-) -> Iterator[WindowKey]:
-    """The band's window keys in grid order, restricted to ``affected``."""
-    for i in plan.columns(band):
-        for j in range(plan.grid.rows):
-            key = (i, j)
-            if affected is not None and key not in affected:
+def _band_drc(
+    plan: BandPlan,
+    wires: ShapeSpill,
+    fills: ShapeSpill,
+    numbers: Sequence[int],
+    rules: DrcRules,
+) -> List[DrcViolation]:
+    """Fill DRC of the written layout, one band resident at a time.
+
+    ``fills`` holds every output fill routed with a ``min_spacing``
+    halo, so a band sees each fill close enough to violate against one
+    of its own, whichever band owns it.  A violation belongs to the
+    band holding the larger ``xl`` of its shapes; both shapes are
+    resident there (wires carry a wider halo), so across the bands
+    every violation :meth:`Layout.check_drc` finds on the written
+    layout is reported exactly once, fill-fill pairs across a band
+    boundary included.  Per layer, a band lists its fills in output
+    order, so each pair also keeps ``check_drc``'s orientation.
+    """
+    violations: List[DrcViolation] = []
+    for band in range(plan.num_bands):
+        band_wires: Dict[int, List[Rect]] = {n: [] for n in numbers}
+        band_fills: Dict[int, List[Rect]] = {n: [] for n in numbers}
+        for n, _datatype, rect in wires.read(band):
+            band_wires[n].append(rect)
+        for n, _datatype, rect in fills.read(band):
+            band_fills[n].append(rect)
+        for n in numbers:
+            if not band_fills[n]:
                 continue
-            yield key
+            for v in check_fills(band_fills[n], band_wires[n], rules):
+                anchor = v.shape.xl if v.other is None else max(v.shape.xl, v.other.xl)
+                if plan.band_of_x(anchor) == band:
+                    violations.append(v)
+    return violations
 
 
 def stream_fill(
@@ -225,7 +256,6 @@ def stream_fill(
     cols: int,
     rows: int,
     config: Optional[FillConfig] = None,
-    objective: Optional[PlannerObjective] = None,
     weights: Optional[ScoreWeights] = None,
     memory_budget: Optional[int] = None,
     bands: Optional[int] = None,
@@ -233,7 +263,7 @@ def stream_fill(
     output_format: str = "gdsii",
     include_wires: bool = True,
     work_dir: Optional[str] = None,
-) -> StreamReport:
+) -> FillReport:
     """Run the full fill flow out-of-core; bounded peak memory.
 
     ``source`` is a GDSII path, byte string or binary stream;
@@ -245,548 +275,177 @@ def stream_fill(
     the die is swept in; each sweep keeps only one band's geometry
     resident.  ``eco_wires`` switches to the incremental ECO mode:
     the wires are committed, fills in dirtied windows are ripped up,
-    and only those windows are re-filled — mirroring
-    :func:`repro.eco.apply_eco` byte for byte.
+    and only those windows are re-filled — by the rules of
+    :mod:`repro.eco`, so the bytes match :func:`repro.eco.apply_eco`.
+
+    The report's ``stage_seconds`` are the children of the run's
+    ``engine.run`` span: ``scan`` and ``bucket``, the sweep's stages,
+    then ``drc`` and ``io.write``.
 
     Note the OASIS writer buffers one (layer, datatype) group at a
     time for repetition extraction, so only the GDSII format is fully
     streaming on the output side.
     """
+    # repro.eco imports repro.core, so its rules are imported at call time
+    from ..eco import affected_windows, check_new_wires, eco_halo, rips_up
+
     if config is None:
         config = FillConfig()
     if output_format not in _FORMATS:
         raise ValueError(f"output_format must be one of {_FORMATS}")
-    if objective is None:
-        objective = (
-            PlannerObjective.from_score_weights(weights)
-            if weights is not None
-            else PlannerObjective()
-        )
     rules = check_drc_params(rules, name="rules")
     if memory_budget is None:
         memory_budget = config.memory_budget
-
-    workdir = work_dir if work_dir is not None else tempfile.mkdtemp(
-        prefix="repro-stream-"
-    )
-    if work_dir is not None:
-        os.makedirs(workdir, exist_ok=True)
-    try:
-        with obs.span("stream.run") as run_span:
-            report = _stream_fill(
-                source,
-                output,
-                rules,
-                cols=cols,
-                rows=rows,
-                config=config,
-                objective=objective,
-                memory_budget=memory_budget,
-                bands=bands,
-                eco_wires=eco_wires,
-                output_format=output_format,
-                include_wires=include_wires,
-                workdir=workdir,
-            )
-        report.stage_seconds = {c.name: c.seconds for c in run_span.children}
-        return report
-    finally:
-        if work_dir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
-
-
-def _stream_fill(
-    source: Union[str, "os.PathLike[str]", bytes, bytearray, BinaryIO],
-    output: Union[str, "os.PathLike[str]", BinaryIO],
-    rules: DrcRules,
-    *,
-    cols: int,
-    rows: int,
-    config: FillConfig,
-    objective: PlannerObjective,
-    memory_budget: Optional[int],
-    bands: Optional[int],
-    eco_wires: Optional[Mapping[int, Sequence[Rect]]],
-    output_format: str,
-    include_wires: bool,
-    workdir: str,
-) -> StreamReport:
+    engine = DummyFillEngine(config, weights)
     flush = _flush_records(memory_budget)
-    # ------------------------------------------------------------------
-    # Pass 1 — scan: die, layer count, per-layer spools in input order.
-    with obs.span("scan"):
-        spool = LayerSpool(workdir, "shapes", flush_records=flush)
-        die_rects: List[Rect] = []
-        everything: List[Rect] = []  # only grown via bounding_box; O(1)
-        max_layer = 0
-        num_shapes = 0
-        num_wires = 0
-        with GdsiiStreamReader(source) as reader:
-            for layer, datatype, rect in reader.shapes():
-                num_shapes += 1
-                box = bounding_box(everything + [rect])
-                everything = [box] if box is not None else []
-                if layer == DIE_LAYER:
-                    if datatype == WIRE_DATATYPE:
-                        die_rects.append(rect)
-                    continue
-                max_layer = max(max_layer, layer)
-                if datatype in (WIRE_DATATYPE, FILL_DATATYPE):
-                    spool.add(layer, datatype, rect)
-                    if datatype == WIRE_DATATYPE:
-                        num_wires += 1
 
-        if die_rects:
-            die = die_rects[0]
-            if len(die_rects) > 1:
-                box = bounding_box(die_rects)
-                assert box is not None
-                die = box
-                obs.events.emit(
-                    "gdsii.multiple_die_outlines",
-                    level="warning",
-                    count=len(die_rects),
-                    die=str(die),
-                )
+    with contextlib.ExitStack() as cleanup, engine_span() as run_span:
+        if work_dir is None:
+            workdir = tempfile.mkdtemp(prefix="repro-stream-")
+            cleanup.callback(shutil.rmtree, workdir, ignore_errors=True)
         else:
-            box = bounding_box(everything)
-            if box is None:
-                raise ValueError("GDSII stream contains no geometry")
-            die = box
-        num_layers = max_layer if max_layer else 1
-        numbers = tuple(range(1, num_layers + 1))
-        grid = WindowGrid(die, cols, rows)
+            workdir = work_dir
+            os.makedirs(workdir, exist_ok=True)
 
-        # ECO mode: commit the new wires (append to the wire spools in
-        # sorted layer order, exactly as apply_eco commits them) and
-        # work out which windows they dirty.
-        affected: Optional[Set[WindowKey]] = None
-        if eco_wires is not None:
-            from ..eco import affected_windows
+        # --------------------------------------------------------------
+        # Pass 1 — scan: die, layer count, per-layer spools in input order.
+        with obs.span("scan"):
+            spool = LayerSpool(workdir, "shapes", flush_records=flush)
+            die_rects: List[Rect] = []
+            everything: List[Rect] = []  # only grown via bounding_box; O(1)
+            max_layer = 0
+            num_shapes = 0
+            with GdsiiStreamReader(source) as reader:
+                for layer, datatype, rect in reader.shapes():
+                    num_shapes += 1
+                    box = bounding_box(everything + [rect])
+                    everything = [box] if box is not None else []
+                    if layer == DIE_LAYER:
+                        if datatype == WIRE_DATATYPE:
+                            die_rects.append(rect)
+                        continue
+                    max_layer = max(max_layer, layer)
+                    if datatype in (WIRE_DATATYPE, FILL_DATATYPE):
+                        spool.add(layer, datatype, rect)
 
-            for number in sorted(eco_wires, key=int):
-                if number not in numbers:
-                    raise KeyError(
-                        f"layer {number} not in layout (has {list(numbers)})"
+            if die_rects:
+                die = die_rects[0]
+                if len(die_rects) > 1:
+                    box = bounding_box(die_rects)
+                    assert box is not None
+                    die = box
+                    obs.events.emit(
+                        "gdsii.multiple_die_outlines",
+                        level="warning",
+                        count=len(die_rects),
+                        die=str(die),
                     )
-                for rect in eco_wires[number]:
-                    if not die.contains(rect):
-                        raise ValueError(f"new wire {rect} escapes the die")
-                    spool.add(number, WIRE_DATATYPE, rect)
-                    num_wires += 1
-            eco_halo = rules.min_spacing + config.effective_margin(
-                rules.min_spacing
+            else:
+                box = bounding_box(everything)
+                if box is None:
+                    raise ValueError("GDSII stream contains no geometry")
+                die = box
+            num_layers = max_layer if max_layer else 1
+            numbers = tuple(range(1, num_layers + 1))
+            grid = WindowGrid(die, cols, rows)
+
+            # ECO mode: commit the new wires (appended to the wire spools
+            # in layer order, as apply_eco commits them) and work out
+            # which windows they dirty.
+            affected: Optional[Set[WindowKey]] = None
+            if eco_wires is not None:
+                check_new_wires(die, numbers, eco_wires)
+                for number in sorted(eco_wires, key=int):
+                    for rect in eco_wires[number]:
+                        spool.add(number, WIRE_DATATYPE, rect)
+                affected = affected_windows(grid, eco_wires, eco_halo(rules, config))
+            spool.finish()
+            obs.count("stream.shapes", num_shapes)
+
+        plan = BandPlan(grid, resolve_bands(num_shapes, grid.cols, memory_budget, bands))
+        obs.count("stream.bands", plan.num_bands)
+
+        # --------------------------------------------------------------
+        # Pass 2 — bucket: route wires into band chunks with the widest
+        # query reach of any stage as halo (candidate generation looks
+        # ``min_spacing`` around a window, sizing ``min_spacing + step``);
+        # decide each input fill's fate (ECO rip-up), route the kept
+        # ones for the DRC and accumulate their area per window.
+        with obs.span("bucket"):
+            halo = rules.min_spacing + config.effective_step(
+                rules.max_fill_width, rules.max_fill_height
             )
-            affected = affected_windows(grid, eco_wires, eco_halo)
-        spool.finish()
-        obs.count("stream.shapes", num_shapes)
-
-    # Re-fill runs unless this is an ECO whose wires dirty nothing.
-    run_pipeline = eco_wires is None or bool(affected)
-    rip_up = eco_wires is not None and bool(affected)
-
-    num_bands = resolve_bands(num_shapes, grid.cols, memory_budget, bands)
-    plan = BandPlan(grid, num_bands)
-    obs.count("stream.bands", plan.num_bands)
-
-    # The widest query reach of any stage: candidate generation looks
-    # ``min_spacing`` around a window, sizing ``min_spacing + step``.
-    halo = rules.min_spacing + config.effective_step(
-        rules.max_fill_width, rules.max_fill_height
-    )
-    margin = config.effective_margin(rules.min_spacing)
-
-    # ------------------------------------------------------------------
-    # Pass 2 — bucket: route wires into halo'd band chunks; decide each
-    # input fill's fate (ECO rip-up) and accumulate kept-fill area.
-    with obs.span("bucket"):
-        wires_spill = ShapeSpill(plan, workdir, "wires", flush_records=flush)
-        owned_spill = ShapeSpill(
-            plan, workdir, "ownedfills", flush_records=flush
-        )
-        kept_spool = LayerSpool(workdir, "kept", flush_records=flush)
-        kept_area: Dict[int, np.ndarray] = {}
-        kept_counts: Dict[int, int] = {n: 0 for n in numbers}
-        kept_fills = 0
-        removed_fills = 0
-        for n in numbers:
-            for rect in spool.read(n, WIRE_DATATYPE):
-                wires_spill.route(n, WIRE_DATATYPE, rect, halo)
-            for rect in spool.read(n, FILL_DATATYPE):
-                if rip_up:
-                    assert affected is not None
-                    # expanded(1) turns the rip-up's closed-box window
-                    # touch into the positive overlap windows_touching
-                    # tests — identical on integer coordinates.
-                    doomed = any(
-                        key in affected
-                        for key in grid.windows_touching(rect.expanded(1))
-                    )
-                    if doomed:
+            wires = ShapeSpill(plan, workdir, "wires", flush_records=flush)
+            fills = ShapeSpill(plan, workdir, "fills", flush_records=flush)
+            kept_spool = LayerSpool(workdir, "kept", flush_records=flush)
+            kept_area: Dict[int, np.ndarray] = {}
+            kept_fills = 0
+            removed_fills = 0
+            for n in numbers:
+                for rect in spool.read(n, WIRE_DATATYPE):
+                    wires.route(n, WIRE_DATATYPE, rect, halo)
+                for rect in spool.read(n, FILL_DATATYPE):
+                    if affected and rips_up(grid, affected, rect):
                         removed_fills += 1
                         continue
-                kept_spool.add(n, FILL_DATATYPE, rect)
-                owned_spill.add(
-                    plan.band_of_x(rect.xl), n, FILL_DATATYPE, rect
-                )
-                kept_fills += 1
-                kept_counts[n] += 1
-                area = kept_area.setdefault(
-                    n, np.zeros((grid.cols, grid.rows), dtype=np.int64)
-                )
-                for i, j in grid.windows_touching(rect):
-                    area[i, j] += rect.intersection_area(grid.window(i, j))
-        wires_spill.finish()
-        owned_spill.finish()
-        kept_spool.finish()
-
-    initial_plan: Optional[DensityPlan] = None
-    final_plan: Optional[DensityPlan] = None
-    total_sizing = SizingStats()
-    num_candidates = 0
-    num_fills = 0
-    new_spools: List[LayerSpool] = []
-    workers = config.effective_workers()
-
-    if run_pipeline:
-        # --------------------------------------------------------------
-        # Sweep A — density analysis, band by band into global maps.
-        with obs.span("analysis"):
-            lower = {
-                n: np.zeros((grid.cols, grid.rows), dtype=np.float64)
-                for n in numbers
-            }
-            upper = {
-                n: np.zeros((grid.cols, grid.rows), dtype=np.float64)
-                for n in numbers
-            }
-            for band in range(plan.num_bands):
-                indexes = _band_indexes(
-                    _band_wires(wires_spill, band, numbers), die
-                )
-                for i in plan.columns(band):
-                    for j in range(grid.rows):
-                        win = grid.window(i, j)
-                        win_area = grid.window_area(i, j)
-                        for n in numbers:
-                            lo, up, _ = _analyze_window(
-                                indexes[n], win, win_area, rules, margin
-                            )
-                            lower[n][i, j] = lo
-                            upper[n][i, j] = up
-            for n in numbers:
-                check_density(
-                    lower[n], name=f"layer {n} lower density l(i,j)"
-                )
-                check_density(
-                    upper[n], name=f"layer {n} upper density u(i,j)"
-                )
-            analysis = {
-                n: LayerDensity(n, lower[n], upper[n], {}) for n in numbers
-            }
-            obs.count("engine.layers", len(analysis))
-            obs.count("engine.windows", grid.num_windows)
-
-        with obs.span("planning"):
-            initial_plan = plan_targets(
-                analysis, objective, td_step=config.td_step
-            )
+                    kept_spool.add(n, FILL_DATATYPE, rect)
+                    fills.route(n, FILL_DATATYPE, rect, rules.min_spacing)
+                    kept_fills += 1
+                    area = kept_area.setdefault(
+                        n, np.zeros((grid.cols, grid.rows), dtype=np.int64)
+                    )
+                    for i, j in grid.windows_touching(rect):
+                        area[i, j] += rect.intersection_area(grid.window(i, j))
+            wires.finish()
+            kept_spool.finish()
 
         # --------------------------------------------------------------
-        # Sweep B — candidate generation (Alg. 1) per band; candidate
-        # area feeds the replan, the candidates themselves spill to
-        # disk until the sizing sweep needs them.
-        with obs.span("candidates"):
-            cand_area = {
-                n: np.zeros((grid.cols, grid.rows), dtype=np.float64)
-                for n in numbers
-            }
-            cand_paths: List[str] = []
-            windows_selected = 0
-            for band in range(plan.num_bands):
-                indexes = _band_indexes(
-                    _band_wires(wires_spill, band, numbers), die
-                )
-                shared = _SharedState(
-                    rules=rules,
-                    config=config,
-                    numbers=numbers,
-                    num_layers=num_layers,
-                    wire_indexes=indexes,
-                )
-                tasks: List[_WindowTask] = []
-                for i, j in _band_window_keys(plan, band, affected):
-                    win = grid.window(i, j)
-                    win_area = grid.window_area(i, j)
-                    regions: Dict[int, List[Rect]] = {}
-                    for n in numbers:
-                        _, _, region = _analyze_window(
-                            indexes[n], win, win_area, rules, margin
-                        )
-                        regions[n] = region
-                    tasks.append(
-                        _WindowTask(
-                            key=(i, j),
-                            window=win,
-                            area=win_area,
-                            regions=regions,
-                            wire_density={
-                                n: float(lower[n][i, j]) for n in numbers
-                            },
-                            targets={
-                                n: float(initial_plan.target(n)[i, j])
-                                for n in numbers
-                            },
-                        )
-                    )
-                windows_selected += len(tasks)
-                if workers == 1 or len(tasks) <= 1:
-                    pairs = _generate_shard(shared, tasks)
-                else:
-                    from ..parallel import run_sharded, shard_items
-
-                    shards = shard_items(tasks, workers)
-                    pairs = [
-                        pair
-                        for shard_pairs in run_sharded(
-                            _generate_shard,
-                            shared,
-                            shards,
-                            workers=workers,
-                            backend=config.parallel,
-                            label="candidates.shard",
-                            sanitize=config.sanitize,
-                        )
-                        for pair in shard_pairs
-                    ]
-                band_cands = dict(pairs)
-                for (i, j), per_layer in band_cands.items():
-                    for n, rects in per_layer.items():
-                        cand_area[n][i, j] = float(
-                            sum(r.area for r in rects)
-                        )
-                        num_candidates += len(rects)
-                path = os.path.join(workdir, f"cands-band{band:04d}.pkl")
-                with open(path, "wb") as handle:
-                    pickle.dump(
-                        band_cands, handle, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                cand_paths.append(path)
-            obs.count("candidates.windows_selected", windows_selected)
-            obs.count("engine.candidates", num_candidates)
-
-        # --------------------------------------------------------------
-        # Replanning — candidate-limited upper bounds, as _replan does:
-        # kept fill counts as deliverable density in untouched windows.
-        with obs.span("replanning"):
-            warea_int = window_area_map(grid)
-            warea = warea_int.astype(np.float64)
-            updated: Dict[int, LayerDensity] = {}
-            for n, ld in analysis.items():
-                existing = (
-                    kept_area[n] / warea_int if kept_counts[n] else 0.0
-                )
-                up = np.minimum(
-                    1.0, ld.lower + existing + cand_area[n] / warea
-                )
-                updated[n] = LayerDensity(
-                    layer_number=n,
-                    lower=ld.lower,
-                    upper=up,
-                    fill_regions=ld.fill_regions,
-                )
-            final_plan = plan_targets(
-                updated, objective, td_step=config.td_step
-            )
-            per_layer_target = {
-                n: np.maximum(0.0, final_plan.target(n) - analysis[n].lower)
-                * warea_int
-                for n in numbers
-            }
-
-        # --------------------------------------------------------------
-        # Sweep C — sizing per band; new fills spill per band per layer
-        # in grid order, which is exactly the insertion order of the
-        # in-memory engine.
-        with obs.span("sizing"):
-            sizing_margin = halo
-            for band in range(plan.num_bands):
-                with open(cand_paths[band], "rb") as handle:
-                    band_cands = pickle.load(handle)
-                indexes = _band_indexes(
-                    _band_wires(wires_spill, band, numbers), die
-                )
-                shared_sizing = _SharedSizing(
-                    rules=rules,
-                    config=config,
-                    margin=sizing_margin,
-                    layer_numbers=numbers,
-                    wire_indexes=indexes,
-                )
-                sizing_tasks: List[_SizingTask] = []
-                for key in _band_window_keys(plan, band, None):
-                    cands = band_cands.get(key, {})
-                    if not any(cands.values()):
-                        continue
-                    i, j = key
-                    sizing_tasks.append(
-                        _SizingTask(
-                            key=key,
-                            window=grid.window(i, j),
-                            candidates=cands,
-                            targets={
-                                n: float(per_layer_target[n][i, j])
-                                for n in numbers
-                            },
-                        )
-                    )
-                if workers == 1 or len(sizing_tasks) <= 1:
-                    triples = _size_shard(shared_sizing, sizing_tasks)
-                else:
-                    from ..parallel import run_sharded, shard_items
-
-                    shards = shard_items(sizing_tasks, workers)
-                    triples = [
-                        triple
-                        for shard_triples in run_sharded(
-                            _size_shard,
-                            shared_sizing,
-                            shards,
-                            workers=workers,
-                            backend=config.parallel,
-                            label="sizing.shard",
-                            sanitize=config.sanitize,
-                        )
-                        for triple in shard_triples
-                    ]
-                sized_by_key: Dict[WindowKey, Dict[int, List[Rect]]] = {}
-                for key, sized, stats in triples:
-                    sized_by_key[key] = sized
-                    total_sizing.merge(stats)
-                band_spool = LayerSpool(
-                    workdir, f"new-band{band:04d}", flush_records=flush
-                )
-                for key in _band_window_keys(plan, band, None):
-                    sized = sized_by_key.get(key)
-                    if not sized:
-                        continue
-                    for n, rects in sized.items():
-                        for rect in rects:
-                            band_spool.add(
-                                n,
-                                FILL_DATATYPE,
-                                check_rect(
-                                    rect, name=f"fill on layer {n}"
-                                ),
-                            )
-                        num_fills += len(rects)
-                band_spool.finish()
-                new_spools.append(band_spool)
-                release_solver_caches()
-            obs.metrics.counter("sizing.dropped_fills").inc(
-                total_sizing.dropped_fills
-            )
-            obs.count("engine.lp_solves", total_sizing.lp_solves)
-            obs.count("engine.dropped_fills", total_sizing.dropped_fills)
-            obs.count("engine.fills", num_fills)
-
-    # ------------------------------------------------------------------
-    # DRC — per band: every fill the band owns against the band's wires.
-    with obs.span("drc"):
-        violations: List[DrcViolation] = []
-        for band in range(plan.num_bands):
-            band_wires = _band_wires(wires_spill, band, numbers)
-            owned: Dict[int, List[Rect]] = {n: [] for n in numbers}
-            for n, _datatype, rect in owned_spill.read(band):
-                owned[n].append(rect)
-            for n in numbers:
-                fills = owned[n]
-                if new_spools:
-                    fills = fills + list(
-                        new_spools[band].read(n, FILL_DATATYPE)
-                    )
-                if not fills:
-                    continue
-                violations.extend(
-                    check_fills(fills, band_wires[n], rules)
-                )
-
-    # ------------------------------------------------------------------
-    # Write — stream the filled layout out: die outline, then per layer
-    # wires (input order, ECO wires appended), kept fills (input
-    # order), new fills (grid order via ascending bands).
-    with obs.span("io.write"):
-        own_stream = isinstance(output, (str, os.PathLike))
-        stream: BinaryIO = (
-            open(output, "wb") if own_stream else output  # type: ignore[arg-type]
+        # The band sweep, unless this is an ECO whose wires dirty nothing.
+        bands_source = SpillBands(
+            plan, wires, fills, rules, num_layers, kept_area, workdir, flush
         )
-        try:
-            if output_format == "gdsii":
-                writer = GdsiiStreamWriter(stream)
-                writer.boundary(DIE_LAYER, WIRE_DATATYPE, die)
-                for n in numbers:
-                    if include_wires:
-                        for rect in spool.read(n, WIRE_DATATYPE):
-                            writer.boundary(n, WIRE_DATATYPE, rect)
-                    for rect in kept_spool.read(n, FILL_DATATYPE):
-                        writer.boundary(n, FILL_DATATYPE, rect)
-                    for band_spool in new_spools:
-                        for rect in band_spool.read(n, FILL_DATATYPE):
-                            writer.boundary(n, FILL_DATATYPE, rect)
-                bytes_written = writer.close()
-            else:
-                oasis_writer = OasisStreamWriter(stream)
-                oasis_writer.rectangle(DIE_LAYER, WIRE_DATATYPE, die)
-                for n in numbers:
-                    if include_wires:
-                        oasis_writer.rectangles(
-                            n, WIRE_DATATYPE, spool.read(n, WIRE_DATATYPE)
-                        )
-                    oasis_writer.rectangles(
-                        n,
-                        FILL_DATATYPE,
-                        chain(
-                            kept_spool.read(n, FILL_DATATYPE),
-                            *(
-                                band_spool.read(n, FILL_DATATYPE)
-                                for band_spool in new_spools
-                            ),
-                        ),
-                    )
-                bytes_written = oasis_writer.close()
-        finally:
-            if own_stream:
-                stream.close()
+        report = FillReport(None, None, 0, 0, SizingStats())
+        if affected is None or affected:
+            report = engine.sweep(bands_source, windows=affected)
+        bands_source.release()
+        fills.finish()
 
-    bytes_spilled = (
-        spool.bytes_spilled
-        + wires_spill.bytes_spilled
-        + owned_spill.bytes_spilled
-        + kept_spool.bytes_spilled
-        + sum(s.bytes_spilled for s in new_spools)
-    )
-    chunks = (
-        spool.chunks
-        + wires_spill.chunks
-        + owned_spill.chunks
-        + kept_spool.chunks
-        + sum(s.chunks for s in new_spools)
-    )
-    obs.metrics.counter("stream.bytes_spilled").inc(bytes_spilled)
-    obs.metrics.counter("stream.chunks").inc(chunks)
+        with obs.span("drc"):
+            report.violations = _band_drc(plan, wires, fills, numbers, rules)
 
-    return StreamReport(
-        num_wires=num_wires,
-        kept_fills=kept_fills,
-        removed_fills=removed_fills,
-        num_candidates=num_candidates,
-        num_fills=num_fills,
-        bands=plan.num_bands,
-        bytes_spilled=bytes_spilled,
-        chunks=chunks,
-        bytes_written=bytes_written,
-        initial_plan=initial_plan,
-        final_plan=final_plan,
-        sizing=total_sizing,
-        violations=violations,
-    )
+        # --------------------------------------------------------------
+        # Write — stream the filled layout out: die outline, then per
+        # layer wires (input order, ECO wires appended), kept fills
+        # (input order), new fills (grid order via ascending bands).
+        with obs.span("io.write"), contextlib.ExitStack() as stack:
+            stream: BinaryIO = (
+                stack.enter_context(open(output, "wb"))
+                if isinstance(output, (str, os.PathLike))
+                else output
+            )
+            writer: Union[GdsiiStreamWriter, OasisStreamWriter] = (
+                GdsiiStreamWriter(stream) if output_format == "gdsii" else OasisStreamWriter(stream)
+            )
+            writer.rectangles(DIE_LAYER, WIRE_DATATYPE, [die])
+            for n in numbers:
+                if include_wires:
+                    writer.rectangles(n, WIRE_DATATYPE, spool.read(n, WIRE_DATATYPE))
+                new_fills = (
+                    band_fills.read(n, FILL_DATATYPE) for band_fills in bands_source.new_fills
+                )
+                writer.rectangles(
+                    n, FILL_DATATYPE, chain(kept_spool.read(n, FILL_DATATYPE), *new_fills)
+                )
+            report.bytes_written = writer.close()
+
+    spills = [spool, wires, fills, kept_spool, *bands_source.new_fills]
+    report.bytes_spilled = sum(s.bytes_spilled for s in spills)
+    report.chunks = sum(s.chunks for s in spills)
+    obs.metrics.counter("stream.bytes_spilled").inc(report.bytes_spilled)
+    obs.metrics.counter("stream.chunks").inc(report.chunks)
+    report.num_fills = bands_source.num_fills
+    report.bands = plan.num_bands
+    report.kept_fills = kept_fills
+    report.removed_fills = removed_fills
+    report.stage_seconds = {c.name: c.seconds for c in run_span.children}
+    return report

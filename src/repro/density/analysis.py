@@ -173,9 +173,10 @@ def _analyze_window(
 
     The single per-window analysis body: ``l`` (wire density), ``u``
     (wire density plus usable free space) and the feasible fill region.
-    Both the full analysis (:func:`analyze_layer`) and the incremental
-    path (:func:`refresh_analysis`) call this, so the two cannot drift;
-    the raster kernel replaces it wholesale with array passes that
+    The full analysis, its window-restricted form (a band of the fill
+    engine) and the incremental path (:func:`refresh_analysis`) all
+    reach it through :func:`analyze_layer`, so they cannot drift; the
+    raster kernel replaces it wholesale with array passes that
     reproduce its results bit for bit.
     """
     hits = index.query_overlapping(win)
@@ -233,6 +234,7 @@ def analyze_layer(
     window_margin: int = 0,
     *,
     kernel: str = "rect",
+    windows: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> LayerDensity:
     """Run density analysis for one layer.
 
@@ -240,18 +242,24 @@ def analyze_layer(
     rect-set oracle (one :func:`_analyze_window` call per window),
     ``"raster"`` the vectorized occupancy-grid kernel
     (:mod:`repro.density.raster`) whose output is bit-identical.
+
+    ``windows`` restricts the analysis to those window keys: only their
+    ``lower``/``upper`` entries are computed (the rest stay zero) and
+    only they get a fill region.  The layer then needs only the wires
+    within spacing reach of those windows.
     """
     if kernel == "raster":
         from .raster import raster_analyze_layer
 
-        return raster_analyze_layer(layer, grid, rules, window_margin)
+        return raster_analyze_layer(layer, grid, rules, window_margin, keys=windows)
     index = _shape_index(layer.wires, grid.die)
     lower = np.zeros((grid.cols, grid.rows), dtype=np.float64)
     upper = np.zeros((grid.cols, grid.rows), dtype=np.float64)
     regions: Dict[Tuple[int, int], List[Rect]] = {}
-    for i, j, win in grid:
+    keys = windows if windows is not None else [(i, j) for i, j, _ in grid]
+    for i, j in keys:
         lo, up, region = _analyze_window(
-            index, win, grid.window_area(i, j), rules, window_margin
+            index, grid.window(i, j), grid.window_area(i, j), rules, window_margin
         )
         lower[i, j] = lo
         upper[i, j] = up
@@ -275,6 +283,7 @@ class _AnalysisShared:
     rules: DrcRules
     window_margin: int
     kernel: str = "rect"
+    windows: Optional[Tuple[Tuple[int, int], ...]] = None
 
 
 def _analyze_shard(
@@ -296,6 +305,7 @@ def _analyze_shard(
                 shared.rules,
                 shared.window_margin,
                 kernel=shared.kernel,
+                windows=shared.windows,
             )
         )
         obs.metrics.counter("analysis.layers").inc()
@@ -311,6 +321,7 @@ def analyze_layout(
     parallel: str = "process",
     sanitize: Optional[bool] = None,
     kernel: str = "rect",
+    windows: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Dict[int, LayerDensity]:
     """Density analysis for every layer of a layout.
 
@@ -326,10 +337,16 @@ def analyze_layout(
     sanitizer (see :func:`repro.parallel.run_sharded`).  ``kernel``
     selects the per-layer implementation (see :func:`analyze_layer`);
     both produce identical results, so it composes freely with any
-    worker count.
+    worker count.  ``windows`` restricts every layer's analysis to
+    those window keys (see :func:`analyze_layer`) — how the fill
+    engine analyzes one window-column band of a larger die.
     """
     shared = _AnalysisShared(
-        grid=grid, rules=layout.rules, window_margin=window_margin, kernel=kernel
+        grid=grid,
+        rules=layout.rules,
+        window_margin=window_margin,
+        kernel=kernel,
+        windows=tuple(windows) if windows is not None else None,
     )
     layers = list(layout.layers)
     from ..parallel import resolve_workers, run_sharded, shard_items
@@ -392,27 +409,16 @@ def refresh_analysis(
         if n not in changed or not keys:
             out[n] = ld
             continue
-        layer = layout.layer(n)
+        fresh = analyze_layer(
+            layout.layer(n), grid, rules, window_margin, kernel=kernel, windows=keys
+        )
         lower = ld.lower.copy()
         upper = ld.upper.copy()
         regions = dict(ld.fill_regions)
-        if kernel == "raster":
-            from .raster import raster_refresh_layer
-
-            raster_refresh_layer(
-                layer, grid, rules, window_margin, keys, lower, upper, regions
-            )
-        else:
-            index = _shape_index(layer.wires, grid.die)
-            for i, j in keys:
-                lo, up, region = _analyze_window(
-                    index, grid.window(i, j), grid.window_area(i, j), rules, window_margin
-                )
-                lower[i, j] = lo
-                upper[i, j] = up
-                regions[(i, j)] = region
-        check_density(lower, name=f"layer {n} lower density l(i,j)")
-        check_density(upper, name=f"layer {n} upper density u(i,j)")
+        for key in keys:
+            lower[key] = fresh.lower[key]
+            upper[key] = fresh.upper[key]
+            regions[key] = fresh.fill_regions[key]
         refreshed_layers += 1
         out[n] = LayerDensity(n, lower, upper, regions)
     # One refresh = one count of the dirtied windows, however many

@@ -41,7 +41,6 @@ __all__ = [
     "raster_area_map",
     "raster_fill_regions",
     "raster_analyze_layer",
-    "raster_refresh_layer",
     "raster_overlay_map",
 ]
 
@@ -173,55 +172,37 @@ def _usable_map(
 
 
 def raster_analyze_layer(
-    layer: Layer, grid: WindowGrid, rules: DrcRules, window_margin: int = 0
+    layer: Layer,
+    grid: WindowGrid,
+    rules: DrcRules,
+    window_margin: int = 0,
+    keys: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> "LayerDensity":
     """Density analysis for one layer on the raster kernel.
 
     Produces a :class:`~repro.density.analysis.LayerDensity` that is
     bit-identical to ``analyze_layer(..., kernel="rect")``: the int64
     window areas match exactly, and the density divisions use the same
-    operand values, hence the same IEEE-754 results.
+    operand values, hence the same IEEE-754 results.  ``keys``
+    restricts the work to the window-column strips holding those
+    windows; every other window stays zero, as on the rect kernel.
     """
     from .analysis import LayerDensity, window_area_map
 
     aw = window_area_map(grid)
-    lower = raster_area_map(layer.wires, grid, exact_union=True) / aw
-    regions = raster_fill_regions(layer, grid, rules, window_margin)
+    cols = None if keys is None else sorted({i for i, _ in keys})
+    areas = raster_area_map(layer.wires, grid, exact_union=True, cols=cols)
+    if keys is not None:
+        wanted = np.zeros(areas.shape, dtype=bool)
+        for key in keys:
+            wanted[key] = True
+        areas[~wanted] = 0
+    lower = areas / aw
+    regions = raster_fill_regions(layer, grid, rules, window_margin, keys=keys)
     upper = np.minimum(1.0, lower + _usable_map(regions, grid, rules) / aw)
     check_density(lower, name=f"layer {layer.number} lower density l(i,j)")
     check_density(upper, name=f"layer {layer.number} upper density u(i,j)")
     return LayerDensity(layer.number, lower, upper, regions)
-
-
-def raster_refresh_layer(
-    layer: Layer,
-    grid: WindowGrid,
-    rules: DrcRules,
-    window_margin: int,
-    keys: Sequence[Tuple[int, int]],
-    lower: "np.ndarray",
-    upper: "np.ndarray",
-    regions: Dict[Tuple[int, int], List[Rect]],
-) -> None:
-    """Sliced raster update of the dirtied windows, in place.
-
-    Only the window-column strips containing dirty windows are
-    rasterized, and only the dirty cells of ``lower``/``upper``/
-    ``regions`` are written — everything else carries over, which is
-    what keeps the incremental result bit-identical to a fresh global
-    analysis.
-    """
-    cols = sorted({i for i, _ in keys})
-    areas = raster_area_map(layer.wires, grid, exact_union=True, cols=cols)
-    fresh = raster_fill_regions(layer, grid, rules, window_margin, keys=keys)
-    from .analysis import usable_fill_area
-
-    for i, j in keys:
-        win_area = grid.window_area(i, j)
-        lower[i, j] = areas[i, j] / win_area
-        region = fresh[(i, j)]
-        regions[(i, j)] = region
-        upper[i, j] = min(1.0, lower[i, j] + usable_fill_area(region, rules) / win_area)
 
 
 def raster_overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> "np.ndarray":

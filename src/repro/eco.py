@@ -15,6 +15,13 @@ instead patch incrementally:
 window-restricted mode.  Everything outside the affected windows is
 byte-identical before and after (the stability the tests assert).
 
+The ECO rules themselves — which new wires are legal
+(:func:`check_new_wires`), how far a change reaches (:func:`eco_halo`,
+:func:`affected_windows`) and which fills it rips up
+(:func:`rips_up`) — live here alone; the out-of-core driver
+(:func:`repro.core.stream_fill`) applies the same functions to its
+streamed shapes.
+
 For a one-shot call the function rescans the layout; a caller holding a
 loaded session (:mod:`repro.service`) instead passes its cached
 per-layer density ``analysis``, ``wire_indexes`` and ``fill_indexes``,
@@ -35,13 +42,16 @@ from .core import DummyFillEngine, FillConfig
 from .density.analysis import LayerDensity, refresh_analysis
 from .density.scoring import ScoreWeights
 from .geometry import GridIndex, Rect
-from .layout import Layout, WindowGrid
+from .layout import DrcRules, Layout, WindowGrid
 
 __all__ = [
     "EcoReport",
     "apply_eco",
     "affected_windows",
     "build_fill_indexes",
+    "check_new_wires",
+    "eco_halo",
+    "rips_up",
     "wires_from_json",
 ]
 
@@ -74,6 +84,36 @@ class EcoReport:
             f"fills in {len(self.affected_windows)} windows, "
             f"re-inserted {self.new_fills} ({self.seconds:.2f}s)"
         )
+
+
+def check_new_wires(
+    die: Rect, layer_numbers: Sequence[int], new_wires: Mapping[int, Sequence[Rect]]
+) -> None:
+    """Reject a wire change naming an unknown layer or leaving the die."""
+    for number in sorted(new_wires, key=int):
+        if number not in layer_numbers:
+            raise KeyError(
+                f"layer {number} not in layout (has {list(layer_numbers)})"
+            )
+        for rect in new_wires[number]:
+            if not die.contains(rect):
+                raise ValueError(f"new wire {rect} escapes the die")
+
+
+def eco_halo(rules: DrcRules, config: FillConfig) -> int:
+    """Reach of a new wire: the spacing rule plus the window-edge inset."""
+    return rules.min_spacing + config.effective_margin(rules.min_spacing)
+
+
+def rips_up(grid: WindowGrid, affected: Set[WindowKey], fill: Rect) -> bool:
+    """The rip-up rule: a fill goes when it touches an affected window.
+
+    Touching is closed-box contact, as the fill-index query of
+    :func:`apply_eco` tests it; ``windows_touching`` asks for positive
+    overlap, which on integer coordinates is the same test once the
+    fill grows by one dbu.
+    """
+    return any(key in affected for key in grid.windows_touching(fill.expanded(1)))
 
 
 def affected_windows(
@@ -208,6 +248,7 @@ def apply_eco(
         if config is None:
             config = FillConfig()
         rules = layout.rules
+        check_new_wires(layout.die, layout.layer_numbers, new_wires)
         changed_layers = sorted(n for n, rects in new_wires.items() if rects)
         if wire_indexes is not None:
             _checked_indexes(
@@ -219,9 +260,6 @@ def apply_eco(
         num_new = 0
         for number in sorted(new_wires, key=int):
             rects = new_wires[number]
-            for rect in rects:
-                if not layout.die.contains(rect):
-                    raise ValueError(f"new wire {rect} escapes the die")
             layer = layout.layer(number)
             if wire_indexes is not None and rects:
                 index = wire_indexes[number]
@@ -230,13 +268,13 @@ def apply_eco(
             layer.add_wires(rects)
             num_new += len(rects)
 
-        halo = rules.min_spacing + config.effective_margin(rules.min_spacing)
-        affected = affected_windows(grid, new_wires, halo)
+        affected = affected_windows(grid, new_wires, eco_halo(rules, config))
         sp.count("eco.affected_windows", len(affected))
         sp.count("eco.changed_layers", len(changed_layers))
 
-        # Rip up every fill whose footprint touches an affected window —
-        # located by index query, not an all-fills × all-windows scan.
+        # Rip up every fill whose footprint touches an affected window
+        # (the rips_up rule), located by index query rather than an
+        # all-fills × all-windows scan.
         removed = 0
         if affected:
             with obs.span("eco.ripup"):

@@ -22,7 +22,7 @@ sequence.
 from __future__ import annotations
 
 import io
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 from ..geometry import Rect
 from ..layout import Layout
@@ -140,6 +140,12 @@ class GdsiiStreamWriter:
         if self._closed:
             raise ValueError("writer is closed")
         self._write(_boundary_bytes(layer, datatype, rect))
+
+    def rectangles(self, layer: int, datatype: int, rects: Iterable[Rect]) -> None:
+        """One BOUNDARY per rectangle, in order — the call shape of
+        :meth:`repro.oasis.OasisStreamWriter.rectangles`."""
+        for rect in rects:
+            self.boundary(layer, datatype, rect)
 
     def close(self) -> int:
         """Write the ENDSTR/ENDLIB trailer; returns total bytes written."""

@@ -90,9 +90,11 @@ def render_report(
     lines.append("")
     lines.append("| Layer | Initial plan td | Final plan td | Case |")
     lines.append("|---|---|---|---|")
-    for n in sorted(report.final_plan.layers):
-        initial = report.initial_plan.layers[n]
-        final = report.final_plan.layers[n]
+    initial_plan, final_plan = report.initial_plan, report.final_plan
+    assert initial_plan is not None and final_plan is not None  # every run() plans
+    for n in sorted(final_plan.layers):
+        initial = initial_plan.layers[n]
+        final = final_plan.layers[n]
         lines.append(
             f"| {n} | {initial.td:.3f} | {final.td:.3f} | {final.case} |"
         )

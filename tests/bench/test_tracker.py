@@ -121,7 +121,10 @@ class TestStreamSmokeBenchmark:
         assert stream_record.gds_bytes == smoke_record.gds_bytes
 
     def test_stage_seconds_from_stream_span_tree(self, stream_record):
-        for stage in ("scan", "bucket", "analysis", "sizing", "io.write"):
+        # the streamed run roots at engine.run like the in-memory one:
+        # its I/O passes sit next to the shared engine stages
+        for stage in ("scan", "bucket", "analysis", "candidates", "replanning", "sizing",
+                      "io.write"):
             assert stage in stream_record.stage_seconds
 
     def test_record_identity(self, stream_record):
