@@ -1,4 +1,4 @@
-"""Ablation A2: dual-MCF backends vs the general LP solver (§3.3.3).
+"""Ablation A2: dual MCF vs the general LP solver (§3.3.3).
 
 The paper's core performance claim: the relaxed sizing problem "is able
 to achieve further speedup with dual min-cost flow" over solving the
@@ -6,13 +6,11 @@ ILP directly.  This bench times identical differential-constraint
 instances (chains shaped like a window's sizing pass) on:
 
 * ``ssp``      — dual MCF via successive shortest paths (ours, default),
-* ``simplex``  — dual MCF via primal network simplex (ours),
-* ``cost-scaling`` — dual MCF via Goldberg-Tarjan cost scaling (ours),
 * ``scipy``    — ``scipy.optimize.linprog`` (HiGHS), the §3.3.2
   reference standing in for the ILP solver,
 
 and the end-to-end engine on benchmark ``s`` with each backend.
-All backends are asserted to return the same optimum.
+Both backends are asserted to return the same optimum.
 """
 
 import random
@@ -46,12 +44,7 @@ def windows_lp(num_fills, seed=1):
     return lp
 
 
-_SOLVE = {
-    "ssp": lambda lp: solve_dual_mcf(lp, "ssp"),
-    "simplex": lambda lp: solve_dual_mcf(lp, "simplex"),
-    "cost-scaling": lambda lp: solve_dual_mcf(lp, "cost-scaling"),
-    "scipy": solve_linprog,
-}
+_SOLVE = {"ssp": solve_dual_mcf, "scipy": solve_linprog}
 
 @pytest.mark.parametrize("backend", list(_SOLVE))
 @pytest.mark.parametrize("size", [100, 400])
@@ -68,7 +61,7 @@ def test_chain_lp_backend(benchmark, backend):
     lp = chain_lp(300, seed=3)
     reference = solve_linprog(lp).objective
     if backend == "ssp":
-        sol = benchmark(lambda: solve_dual_mcf(lp, "ssp", decompose=False))
+        sol = benchmark(lambda: solve_dual_mcf(lp, decompose=False))
     else:
         sol = benchmark(lambda: solve_linprog(lp))
     assert sol.objective == reference
@@ -77,9 +70,7 @@ def test_chain_lp_backend(benchmark, backend):
 _engine_secs = {}
 
 
-@pytest.mark.parametrize(
-    "solver", ["mcf-ssp", "mcf-simplex", "mcf-costscaling", "lp"]
-)
+@pytest.mark.parametrize("solver", ["mcf-ssp", "lp"])
 def test_engine_backend(benchmark, benchmarks_cache, solver):
     bench = benchmarks_cache("s")
 

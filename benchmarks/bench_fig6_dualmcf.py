@@ -6,8 +6,9 @@ The paper walks one instance through the Eqn. (15)/(16) transformation:
     s.t. x1 - x2 >= 5,  x4 - x3 >= 6,  0 <= x <= 10, x in Z
 
 with solution graph Fig. 6(b) yielding x = (5, 0, 0, 6).  This bench
-reproduces the instance exactly on every solver backend and times them,
-plus scaled-up random instances of the same shape.
+reproduces the instance exactly through the dual MCF and the scipy LP
+reference and times both, plus scaled-up random instances of the same
+shape.
 """
 
 import random
@@ -47,9 +48,8 @@ def chain_lp(n, seed=0):
     return lp
 
 
-@pytest.mark.parametrize("solver", ["ssp", "simplex"])
-def test_fig6_exact(benchmark, solver):
-    sol = benchmark(lambda: solve_dual_mcf(fig6_lp(), solver))
+def test_fig6_exact(benchmark):
+    sol = benchmark(lambda: solve_dual_mcf(fig6_lp()))
     assert sol.x == [5, 0, 0, 6]
     assert sol.objective == 29
 
@@ -66,13 +66,13 @@ def test_chain_ssp(benchmark, n):
         reference = solve_linprog(lp).objective
     except Exception:
         pytest.skip("random chain infeasible")
-    sol = benchmark(lambda: solve_dual_mcf(lp, "ssp", decompose=False))
+    sol = benchmark(lambda: solve_dual_mcf(lp, decompose=False))
     assert sol.objective == reference
 
 
 def test_fig6_report(benchmark, results_dir):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    sol = solve_dual_mcf(fig6_lp(), "ssp")
+    sol = solve_dual_mcf(fig6_lp())
     net = fig6_lp().to_flow_network()
     table = TableArtifact(
         "fig6",

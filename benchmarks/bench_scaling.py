@@ -112,7 +112,7 @@ def test_scaling_report(benchmark, results_dir):
         f"MC {_rows[('mc', largest)][0]:.1f}s"
     )
     table.note(
-        "ours-raster runs the numpy occupancy-grid kernel "
+        "ours-raster runs the raster density-analysis kernel "
         "(--kernel raster); fills are identical to the rect path "
         "(asserted above, byte-gated in CI) and serial fill beats the "
         "Monte Carlo baseline at every die size."

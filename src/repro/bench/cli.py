@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--parallel",
-        choices=("process", "thread", "serial"),
+        choices=("process", "serial"),
         default="process",
         help="execution backend when --workers != 1 (default: process)",
     )
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=("rect", "raster"),
         default="rect",
-        help="geometry/density kernel for the engine hot paths "
+        help="density-analysis kernel "
         "(recorded in the config hash; default: rect)",
     )
 

@@ -159,7 +159,7 @@ class ShardWorkerPurityRule(Rule):
 
     ``run_sharded`` ships ``shared`` to each pool worker *once* (pool
     initializer) and reuses it across that worker's shards — and under
-    the thread/serial backends it is not copied at all.  A worker that
+    the serial backend it is not copied at all.  A worker that
     mutates it therefore sees different state depending on which
     shards ran before it on the same worker, which is exactly the
     nondeterminism class PR 5 fixed by hand.  The rule follows every

@@ -63,7 +63,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--gamma", type=float, default=1.0)
     group.add_argument(
         "--solver",
-        choices=("mcf-ssp", "mcf-simplex", "mcf-costscaling", "lp"),
+        choices=("mcf-ssp", "lp"),
         default="mcf-ssp",
     )
     group.add_argument(
@@ -77,7 +77,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--parallel",
-        choices=("process", "thread", "serial"),
+        choices=("process", "serial"),
         default="process",
         help="execution backend when --workers != 1 (default: process)",
     )
@@ -93,10 +93,11 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--kernel",
         choices=("rect", "raster"),
         default="rect",
-        help="geometry/density kernel for the per-window hot paths: "
-        "'rect' (scanline rect sets, the oracle) or 'raster' "
-        "(vectorized occupancy grids + integral images); both produce "
-        "byte-identical GDSII — raster is purely faster",
+        help="density-analysis kernel (analysis, ECO refresh, replanning "
+        "fill density): 'rect' (scanline rect sets, the oracle) or "
+        "'raster' (vectorized occupancy grids + integral images); both "
+        "produce byte-identical GDSII, and neither is faster on every "
+        "layout",
     )
 
 

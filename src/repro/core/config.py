@@ -14,8 +14,8 @@ from typing import Any, Dict, Mapping, Optional
 
 __all__ = ["FillConfig"]
 
-_SOLVERS = ("mcf-ssp", "mcf-simplex", "mcf-costscaling", "lp")
-_BACKENDS = ("process", "thread", "serial")
+_SOLVERS = ("mcf-ssp", "lp")
+_BACKENDS = ("process", "serial")
 _KERNELS = ("rect", "raster")
 
 
@@ -47,9 +47,8 @@ class FillConfig:
         maximum fill size.
     solver:
         ``"mcf-ssp"`` (dual min-cost flow via successive shortest paths,
-        the paper's fast path), ``"mcf-simplex"`` (dual MCF via network
-        simplex), ``"mcf-costscaling"`` (dual MCF via Goldberg-Tarjan
-        cost scaling), or ``"lp"`` (scipy HiGHS — the §3.3.2 reference).
+        the paper's fast path) or ``"lp"`` (scipy HiGHS — the §3.3.2
+        reference the dual-MCF path is checked against).
     window_margin:
         Inset applied to each window when extracting fill regions so
         fills in adjacent windows keep legal spacing across window
@@ -75,8 +74,7 @@ class FillConfig:
     parallel:
         Execution backend used when ``workers != 1``: ``"process"``
         (a process pool — the fast path for the pure-Python shard
-        bodies), ``"thread"`` (a thread pool; GIL-bound but cheap to
-        start), or ``"serial"`` (shard and merge without any pool —
+        bodies) or ``"serial"`` (shard and merge without any pool —
         the reference the determinism tests compare against).
     sanitize:
         Arm the runtime shard sanitizer: pickle-digest the shared state
@@ -87,13 +85,15 @@ class FillConfig:
         it off.  Costs one pickle round per shard when armed, nothing
         when off.
     kernel:
-        Geometry/density kernel for the per-window hot paths:
-        ``"rect"`` (the scanline rect-set oracle) or ``"raster"``
-        (coordinate-compressed numpy occupancy grids + integral images,
-        :mod:`repro.density.raster`).  Both produce bit-identical
-        GDSII — the raster kernel is exact, not an approximation — so
-        this is purely a speed knob; the rect path stays as the oracle
-        the CI kernel-parity gate compares against.
+        Density-analysis kernel — the analysis stage, the ECO refresh
+        and the replanning fill density: ``"rect"`` (the scanline
+        rect-set oracle) or ``"raster"`` (coordinate-compressed numpy
+        occupancy grids + integral images, :mod:`repro.density.raster`).
+        Both produce bit-identical GDSII — the raster kernel is exact,
+        not an approximation — so this is purely a speed knob, and
+        neither wins on every layout (docs/PERFORMANCE.md); the rect
+        path stays as the oracle the CI kernel-parity gate compares
+        against.
     memory_budget:
         Byte budget for the out-of-core streaming driver
         (:func:`repro.core.stream.stream_fill`): the die is swept in

@@ -82,11 +82,7 @@ class _Fill:
 
 def _solver_fn(solver: str) -> Callable[[DifferentialLP], object]:
     if solver == "mcf-ssp":
-        return lambda lp: solve_dual_mcf(lp, "ssp")
-    if solver == "mcf-simplex":
-        return lambda lp: solve_dual_mcf(lp, "simplex")
-    if solver == "mcf-costscaling":
-        return lambda lp: solve_dual_mcf(lp, "cost-scaling")
+        return solve_dual_mcf
     if solver == "lp":
         return solve_linprog
     raise ValueError(f"unknown solver {solver!r}")

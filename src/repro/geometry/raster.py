@@ -16,9 +16,6 @@ an array operation:
   at the window cut lines,
 * overlay between two rect sets via elementwise AND of occupancies on a
   shared grid,
-* arbitrary (edge-unaligned) box queries via the core + strips +
-  corners decomposition of the integral image, still exact because the
-  count is constant inside each cell,
 * canonical free-region recovery via maximal-run extraction and
   vertical merging, matching the scanline oracle's output rect list.
 
@@ -41,11 +38,6 @@ IntArray = np.ndarray[Any, np.dtype[np.int64]]
 BoolArray = np.ndarray[Any, np.dtype[np.bool_]]
 
 _I64 = np.int64
-
-
-def _as_edges(values: Sequence[int]) -> IntArray:
-    """Sorted distinct int64 edge coordinates."""
-    return np.unique(np.asarray(list(values), dtype=_I64))
 
 
 def _span(lo: IntArray, hi: IntArray, extra: Sequence[int]) -> Tuple[int, int]:
@@ -78,30 +70,6 @@ class Raster:
         self.xs = xs
         self.ys = ys
         self.counts = counts
-
-    @classmethod
-    def from_rects(
-        cls,
-        rects: Sequence[Rect],
-        extra_x: Sequence[int] = (),
-        extra_y: Sequence[int] = (),
-    ) -> "Raster":
-        """Rasterize ``rects`` onto their own coordinate grid.
-
-        ``extra_x``/``extra_y`` add cut lines (e.g. window boundaries)
-        so later window aggregation lands exactly on cell boundaries.
-        """
-        n = len(rects)
-        x0: IntArray = np.empty(n, dtype=_I64)
-        y0: IntArray = np.empty(n, dtype=_I64)
-        x1: IntArray = np.empty(n, dtype=_I64)
-        y1: IntArray = np.empty(n, dtype=_I64)
-        for k, r in enumerate(rects):
-            x0[k] = r.xl
-            y0[k] = r.yl
-            x1[k] = r.xh
-            y1[k] = r.yh
-        return cls.from_arrays(x0, y0, x1, y1, extra_x, extra_y)
 
     @classmethod
     def from_arrays(
@@ -185,7 +153,7 @@ class Raster:
         """Block sums of a per-cell array between consecutive cut lines.
 
         ``x_cuts``/``y_cuts`` must be existing edge coordinates (pass
-        the window boundaries to :meth:`from_rects` as ``extra_*``).
+        the window boundaries to :meth:`from_arrays` as ``extra_*``).
         Returns a ``(len(x_cuts)-1, len(y_cuts)-1)`` int64 array.
         """
         nwx = max(0, len(x_cuts) - 1)
@@ -207,87 +175,6 @@ class Raster:
             return np.zeros((max(0, len(x_cuts) - 1), max(0, len(y_cuts) - 1)), dtype=_I64)
         occ_area: IntArray = self.occupancy().astype(_I64) * self.cell_areas()
         return self.window_sums(occ_area, x_cuts, y_cuts)
-
-    # ------------------------------------------------------------------
-    def weighted_area_sums(
-        self, qx0: IntArray, qy0: IntArray, qx1: IntArray, qy1: IntArray
-    ) -> IntArray:
-        """``Σ counts · overlap_area`` for a batch of arbitrary boxes.
-
-        For each query box this equals ``Σ_r area(box ∩ r)`` over the
-        input rectangles — intersection *with multiplicity*, the
-        quantity the Eqn. (8) overlay term sums shape by shape.  Boxes
-        need not be aligned to raster edges; they are clipped to the
-        raster span.  The decomposition is core (whole cells, via the
-        area-weighted integral image) + partial-width column strips +
-        partial-height row strips + corner cells, all exact int64.
-        """
-        nq = len(qx0)
-        zero: IntArray = np.zeros(nq, dtype=_I64)
-        if self.num_cells == 0 or nq == 0:
-            return zero
-        xs, ys, c = self.xs, self.ys, self.counts
-        nx, ny = c.shape
-        x0 = np.clip(np.asarray(qx0, dtype=_I64), xs[0], xs[-1])
-        y0 = np.clip(np.asarray(qy0, dtype=_I64), ys[0], ys[-1])
-        x1 = np.clip(np.asarray(qx1, dtype=_I64), xs[0], xs[-1])
-        y1 = np.clip(np.asarray(qy1, dtype=_I64), ys[0], ys[-1])
-        valid = (x1 > x0) & (y1 > y0)
-        if not bool(valid.any()):
-            return zero
-        dx = self.cell_widths()
-        dy = self.cell_heights()
-        area_pref: IntArray = np.zeros((nx + 1, ny + 1), dtype=_I64)
-        area_pref[1:, 1:] = (c * np.outer(dx, dy)).cumsum(axis=0).cumsum(axis=1)
-        # Per-column prefix along y of c*dy, and per-row prefix along x
-        # of c*dx, for the partial strips.
-        col_pref: IntArray = np.zeros((nx, ny + 1), dtype=_I64)
-        col_pref[:, 1:] = (c * dy[np.newaxis, :]).cumsum(axis=1)
-        row_pref: IntArray = np.zeros((nx + 1, ny), dtype=_I64)
-        row_pref[1:, :] = (c * dx[:, np.newaxis]).cumsum(axis=0)
-        # Cell indices of the columns/rows containing each query edge.
-        i0 = np.clip(np.searchsorted(xs, x0, side="right") - 1, 0, nx - 1)
-        i1 = np.clip(np.searchsorted(xs, x1, side="left") - 1, 0, nx - 1)
-        j0 = np.clip(np.searchsorted(ys, y0, side="right") - 1, 0, ny - 1)
-        j1 = np.clip(np.searchsorted(ys, y1, side="left") - 1, 0, ny - 1)
-        left_part = xs[i0] < x0  # column i0 only partially covered
-        right_part = xs[i1 + 1] > x1
-        bot_part = ys[j0] < y0
-        top_part = ys[j1 + 1] > y1
-        # When the box lives in a single partial column, the left strip
-        # already spans the whole x-overlap; ditto single partial row.
-        right_act = right_part & ~((i1 == i0) & left_part)
-        top_act = top_part & ~((j1 == j0) & bot_part)
-        # Interior (whole-cell) ranges [ia, ib) x [ja, jb).
-        ia = i0 + left_part
-        ib = i1 + 1 - right_part
-        ja = j0 + bot_part
-        jb = j1 + 1 - top_part
-        core_x = ib > ia
-        core_y = jb > ja
-        core = np.where(
-            core_x & core_y,
-            area_pref[ib, jb] - area_pref[ia, jb] - area_pref[ib, ja] + area_pref[ia, ja],
-            0,
-        )
-        # Partial-column overlap widths / partial-row overlap heights.
-        ox_l = np.minimum(x1, xs[i0 + 1]) - x0
-        ox_r = x1 - np.maximum(x0, xs[i1])
-        oy_b = np.minimum(y1, ys[j0 + 1]) - y0
-        oy_t = y1 - np.maximum(y0, ys[j1])
-        left = np.where(left_part & core_y, ox_l * (col_pref[i0, jb] - col_pref[i0, ja]), 0)
-        right = np.where(right_act & core_y, ox_r * (col_pref[i1, jb] - col_pref[i1, ja]), 0)
-        bottom = np.where(bot_part & core_x, oy_b * (row_pref[ib, j0] - row_pref[ia, j0]), 0)
-        top = np.where(top_act & core_x, oy_t * (row_pref[ib, j1] - row_pref[ia, j1]), 0)
-        corners = (
-            np.where(left_part & bot_part, c[i0, j0] * ox_l * oy_b, 0)
-            + np.where(left_part & top_act, c[i0, j1] * ox_l * oy_t, 0)
-            + np.where(right_act & bot_part, c[i1, j0] * ox_r * oy_b, 0)
-            + np.where(right_act & top_act, c[i1, j1] * ox_r * oy_t, 0)
-        )
-        total = core + left + right + bottom + top + corners
-        result: IntArray = np.where(valid, total, 0).astype(_I64)
-        return result
 
     # ------------------------------------------------------------------
     def free_rects_in(self, i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> List[Rect]:

@@ -15,8 +15,6 @@ from .graph import (
     InfeasibleFlowError,
     UnboundedFlowError,
 )
-from .cost_scaling import solve_cost_scaling
-from .network_simplex import solve_network_simplex
 from .ssp import solve_min_cost_flow
 
 __all__ = [
@@ -26,8 +24,6 @@ __all__ = [
     "InfeasibleFlowError",
     "UnboundedFlowError",
     "solve_min_cost_flow",
-    "solve_network_simplex",
-    "solve_cost_scaling",
     "DifferentialLP",
     "DualMcfSolution",
     "LPInfeasibleError",

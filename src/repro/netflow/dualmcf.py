@@ -30,18 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from .graph import (
-    FlowNetwork,
-    FlowResult,
-    InfeasibleFlowError,
-    UnboundedFlowError,
-)
+from .graph import FlowNetwork, InfeasibleFlowError, UnboundedFlowError
 from .ssp import solve_min_cost_flow
-from .network_simplex import solve_network_simplex
-from .cost_scaling import solve_cost_scaling
 
 __all__ = [
     "DifferentialLP",
@@ -159,17 +152,11 @@ class DualMcfSolution:
         return iter(self.x)
 
 
-def solve_dual_mcf(
-    lp: DifferentialLP,
-    solver: str = "ssp",
-    *,
-    decompose: bool = True,
-) -> DualMcfSolution:
+def solve_dual_mcf(lp: DifferentialLP, *, decompose: bool = True) -> DualMcfSolution:
     """Solve Eqn. (14) exactly through the Eqn. (15)/(16) dual MCF.
 
-    ``solver`` selects the flow engine: ``"ssp"`` (successive shortest
-    paths, default), ``"simplex"`` (network simplex), or
-    ``"cost-scaling"`` (Goldberg-Tarjan push-relabel).
+    The flow engine is successive shortest paths
+    (:func:`~repro.netflow.ssp.solve_min_cost_flow`).
 
     With ``decompose=True`` (default) the LP is first split into the
     connected components of its constraint graph, each solved on its
@@ -188,36 +175,25 @@ def solve_dual_mcf(
             x: List[int] = [0] * lp.num_variables
             total_obj = 0
             total_cost = 0
-            fast = solver == "ssp"
             for members, cons in split:
-                if fast:
-                    fx = _solve_small(lp, members, cons)
-                    if fx is not None:
-                        for v, value in zip(members, fx):
-                            x[v] = value
-                            part = lp.costs[v] * value
-                            total_obj += part
-                            total_cost -= part
-                        continue
+                fx = _solve_small(lp, members, cons)
+                if fx is not None:
+                    for v, value in zip(members, fx):
+                        x[v] = value
+                        part = lp.costs[v] * value
+                        total_obj += part
+                        total_cost -= part
+                    continue
                 sub, back = _sub_lp(lp, members, cons)
-                sol = solve_dual_mcf(sub, solver, decompose=False)
+                sol = solve_dual_mcf(sub, decompose=False)
                 for local, value in enumerate(sol.x):
                     x[back[local]] = value
                 total_obj += sol.objective
                 total_cost += sol.flow_cost
             return DualMcfSolution(x=x, objective=total_obj, flow_cost=total_cost)
     net = lp.to_flow_network()
-    engines: Dict[str, Callable[[FlowNetwork], FlowResult]] = {
-        "ssp": solve_min_cost_flow,
-        "simplex": solve_network_simplex,
-        "cost-scaling": solve_cost_scaling,
-    }
     try:
-        engine = engines[solver]
-    except KeyError:
-        raise ValueError(f"unknown flow solver {solver!r}") from None
-    try:
-        result = engine(net)
+        result = solve_min_cost_flow(net)
     except (InfeasibleFlowError, UnboundedFlowError) as exc:
         raise LPInfeasibleError(
             f"differential constraint system is infeasible: {exc}"

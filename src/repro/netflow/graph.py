@@ -4,9 +4,9 @@ The paper offloads its per-window sizing LPs to LEMON's min-cost-flow
 solvers (§3.3.3, ref. [21]).  This package is the pure-Python
 substitute: :class:`FlowNetwork` models a directed transshipment
 network with node supplies, arc capacities and arc costs, and the
-solver modules (:mod:`~repro.netflow.ssp`,
-:mod:`~repro.netflow.network_simplex`) compute optimal flows and the
-node potentials (LP duals) that the dual-MCF transformation consumes.
+successive-shortest-path solver (:mod:`~repro.netflow.ssp`) computes
+optimal flows and the node potentials (LP duals) that the dual-MCF
+transformation consumes.
 
 Conventions:
 

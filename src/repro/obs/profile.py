@@ -233,10 +233,21 @@ def publish(collector: ProfileCollector, tracer: Optional[Tracer] = None) -> Non
     ``record_run`` reads ``tracer.profile`` when closing the record
     and stores it as the record's ``profile`` event.  Publishing twice
     (per-request profiles on a service tracer) merges counts.
+
+    A record's folded profile holds only stacks rooted at one of the
+    tracer's root spans.  Samples taken while no span was open are
+    keyed by Python frames instead; they still count towards
+    ``samples`` but are not folded.
     """
     if tracer is None:
         tracer = active_tracer()
     payload = collector.as_dict()
+    roots = {sp.name for sp in list(tracer.roots)}
+    payload["folded"] = {
+        key: n
+        for key, n in payload["folded"].items()
+        if key.split(";", 1)[0] in roots
+    }
     with _PUBLISH_LOCK:
         existing: Optional[Dict[str, Any]] = getattr(tracer, "profile", None)
         if existing is None:

@@ -12,9 +12,8 @@ results back in list order.  This package is that execution layer:
 * :func:`~repro.parallel.shard.shard_items` — deterministic contiguous
   sharding of an ordered work list,
 * :func:`~repro.parallel.executor.run_sharded` — run a picklable
-  ``fn(shared, shard)`` over every shard on a process pool (or a
-  thread pool / inline, per the backend), returning shard results in
-  shard order.
+  ``fn(shared, shard)`` over every shard on a process pool (or
+  inline, per the backend), returning shard results in shard order.
 
 Workers capture their own :mod:`repro.obs` spans and metrics on a
 fresh tracer/registry, ship them back with the shard result, and

@@ -2,20 +2,17 @@
 
 :func:`run_sharded` is the one entry point: it runs a picklable
 ``fn(shared, shard)`` over every shard and returns the results in
-shard order.  Three backends:
+shard order.  Two backends:
 
 * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`;
   ``shared`` is shipped to each worker **once** (pool initializer), so
   large read-only state (per-layer wire indexes) is not re-pickled per
   shard.  Falls back to the serial backend when the pool cannot start
   (restricted sandboxes without working semaphores).
-* ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor`.
-  Pure-Python shard bodies serialize on the GIL, so this backend is
-  for I/O-bound shard functions and for exercising the merge path
-  without process startup; results are still deterministic.
 * ``"serial"`` — runs shards inline, in order.  Same sharding, same
-  span/metric capture and merge as the pools — the reference the
-  determinism tests compare the pools against.
+  span/metric capture and merge as the pool — the reference the
+  determinism tests compare the pool against, and the fallback when
+  the pool cannot start.
 
 Every shard executes under a fresh :class:`repro.obs.Tracer` and
 :class:`repro.obs.MetricsRegistry`, wrapped in one ``<label>[k]`` span
@@ -32,7 +29,7 @@ import hashlib
 import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +49,7 @@ __all__ = [
 ]
 
 #: recognised execution backends
-BACKENDS = ("process", "thread", "serial")
+BACKENDS = ("process", "serial")
 
 #: environment switch for the shard sanitizer (``REPRO_SANITIZE=shard``)
 _SANITIZE_ENV = "REPRO_SANITIZE"
@@ -71,12 +68,11 @@ class ShardMutationError(RuntimeError):
     ``run_sharded``'s contract says ``shared`` is read-only: on the
     process backend each worker holds its own copy, so a mutation is
     *silently dropped* there but becomes real cross-shard interference
-    on the thread and serial backends — the worst kind of
-    backend-dependent bug.  The shard sanitizer pickles ``shared``
-    before and after each shard and raises this error on any digest
-    change, on every backend, so the mutation is caught where it
-    happens instead of surfacing as a bit-identity diff three stages
-    later.
+    on the serial backend — the worst kind of backend-dependent bug.
+    The shard sanitizer pickles ``shared`` before and after each shard
+    and raises this error on any digest change, on every backend, so
+    the mutation is caught where it happens instead of surfacing as a
+    bit-identity diff three stages later.
     """
 
 
@@ -147,8 +143,8 @@ def _execute(
     """Run one shard under a fresh tracer/registry and capture both.
 
     ``profile_ms`` arms a worker-local sampling profiler for the
-    shard's duration (pool backends only — the serial path runs in the
-    caller's thread, which the caller's own sampler already covers);
+    shard's duration (process backend only — the serial path runs in
+    the caller's thread, which the caller's own sampler already covers);
     its folded counts ship back on the outcome for shard-order merge.
     """
     tracer = Tracer()
@@ -249,26 +245,6 @@ def _map_serial(
     ]
 
 
-def _map_thread(
-    fn: ShardFn,
-    shared: Any,
-    shards: Sequence[Sequence[Any]],
-    workers: int,
-    label: str,
-    sanitize: bool,
-    profile_ms: Optional[float],
-) -> List[ShardOutcome]:
-    with ThreadPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-        return list(
-            pool.map(
-                lambda task: _execute(
-                    fn, shared, task[0], task[1], label, sanitize, profile_ms
-                ),
-                [(k, shard) for k, shard in enumerate(shards)],
-            )
-        )
-
-
 def run_sharded(
     fn: ShardFn,
     shared: Any,
@@ -326,10 +302,6 @@ def run_sharded(
             ]
             with pool:
                 outcomes = list(pool.map(_run_in_worker, tasks))
-    elif backend == "thread" and workers > 1:
-        outcomes = _map_thread(
-            fn, shared, shards, workers, label, sanitizing, profile_ms
-        )
     else:
         outcomes = _map_serial(fn, shared, shards, label, sanitizing)
     registry = obs.active_registry()

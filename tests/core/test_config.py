@@ -40,8 +40,9 @@ class TestValidation:
             FillConfig(sizing_step=0)
 
     def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            FillConfig(solver="gurobi")
+        for solver in ("gurobi", "mcf-simplex", "mcf-costscaling"):
+            with pytest.raises(ValueError):
+                FillConfig(solver=solver)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):

@@ -299,8 +299,9 @@ class TestConfigValidation:
             FillConfig(workers=-1)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            FillConfig(parallel="gpu")
+        for backend in ("gpu", "thread"):
+            with pytest.raises(ValueError):
+                FillConfig(parallel=backend)
 
     def test_effective_workers(self):
         assert FillConfig(workers=5).effective_workers() == 5

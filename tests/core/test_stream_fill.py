@@ -84,7 +84,7 @@ class TestFillParity:
 
     def test_gdsii_byte_identity_workers_4(self):
         raw = _unfilled_bytes()
-        config = FillConfig(workers=4, parallel="thread", kernel=self.kernel)
+        config = FillConfig(workers=4, parallel="process", kernel=self.kernel)
         expected = gdsii_bytes(_reference_filled(raw, config))
         buf = io.BytesIO()
         stream_fill(raw, buf, RULES, cols=4, rows=4, config=config, bands=3)

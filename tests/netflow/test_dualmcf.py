@@ -32,9 +32,8 @@ def fig6_lp() -> DifferentialLP:
 class TestFig6:
     """Exact reproduction of the paper's worked example."""
 
-    @pytest.mark.parametrize("solver", ["ssp", "simplex"])
-    def test_solution_matches_paper(self, solver):
-        sol = solve_dual_mcf(fig6_lp(), solver)
+    def test_solution_matches_paper(self):
+        sol = solve_dual_mcf(fig6_lp())
         assert sol.x == [5, 0, 0, 6]  # the paper's stated solution
         assert sol.objective == 29
 
@@ -98,24 +97,22 @@ class TestDifferentialLP:
 
 
 class TestInfeasibility:
-    @pytest.mark.parametrize("solver", ["ssp", "simplex"])
-    def test_contradictory_chain(self, solver):
+    def test_contradictory_chain(self):
         lp = DifferentialLP()
         lp.add_variable(0, 0, 100)
         lp.add_variable(0, 0, 100)
         lp.add_constraint(0, 1, 5)  # x0 >= x1 + 5
         lp.add_constraint(1, 0, 5)  # x1 >= x0 + 5
         with pytest.raises(LPInfeasibleError):
-            solve_dual_mcf(lp, solver)
+            solve_dual_mcf(lp)
 
-    @pytest.mark.parametrize("solver", ["ssp", "simplex"])
-    def test_constraint_exceeds_bounds(self, solver):
+    def test_constraint_exceeds_bounds(self):
         lp = DifferentialLP()
         lp.add_variable(0, 0, 10)
         lp.add_variable(0, 0, 10)
         lp.add_constraint(0, 1, 25)  # impossible within [0,10] boxes
         with pytest.raises(LPInfeasibleError):
-            solve_dual_mcf(lp, solver)
+            solve_dual_mcf(lp)
 
     def test_scipy_agrees_on_infeasible(self):
         lp = DifferentialLP()
@@ -147,7 +144,7 @@ class TestRandomCrossValidation:
     @settings(max_examples=80, deadline=None)
     def test_dual_mcf_matches_scipy(self, lp):
         try:
-            mcf = solve_dual_mcf(lp, "ssp")
+            mcf = solve_dual_mcf(lp)
         except LPInfeasibleError:
             with pytest.raises(LPInfeasibleError):
                 solve_linprog(lp)
@@ -158,24 +155,14 @@ class TestRandomCrossValidation:
 
     @given(random_diff_lps())
     @settings(max_examples=40, deadline=None)
-    def test_simplex_backend_matches(self, lp):
-        try:
-            ssp = solve_dual_mcf(lp, "ssp")
-        except LPInfeasibleError:
-            return
-        simplex = solve_dual_mcf(lp, "simplex")
-        assert simplex.objective == ssp.objective
-
-    @given(random_diff_lps())
-    @settings(max_examples=40, deadline=None)
     def test_decomposed_matches_monolithic(self, lp):
         try:
-            whole = solve_dual_mcf(lp, "ssp", decompose=False)
+            whole = solve_dual_mcf(lp, decompose=False)
         except LPInfeasibleError:
             with pytest.raises(LPInfeasibleError):
-                solve_dual_mcf(lp, "ssp", decompose=True)
+                solve_dual_mcf(lp, decompose=True)
             return
-        parts = solve_dual_mcf(lp, "ssp", decompose=True)
+        parts = solve_dual_mcf(lp, decompose=True)
         assert parts.objective == whole.objective
         assert lp.is_feasible(parts.x)
 
@@ -184,11 +171,12 @@ class TestRandomCrossValidation:
     def test_solutions_are_integral_vertices(self, lp):
         # Eqn. (14) requires x in Z; dual-MCF guarantees it exactly.
         try:
-            sol = solve_dual_mcf(lp, "ssp")
+            sol = solve_dual_mcf(lp)
         except LPInfeasibleError:
             return
         assert all(isinstance(v, int) for v in sol.x)
 
     def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            solve_dual_mcf(fig6_lp(), "cplex")
+        # solve_dual_mcf has no solver argument: SSP is its only engine.
+        with pytest.raises(TypeError):
+            solve_dual_mcf(fig6_lp(), "simplex")

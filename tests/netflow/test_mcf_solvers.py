@@ -1,8 +1,8 @@
-"""Tests for the min-cost-flow solvers (SSP and network simplex).
+"""Tests for the successive-shortest-path min-cost-flow solver.
 
-Both engines are cross-checked against each other, against
-``networkx.network_simplex``, and against the reduced-cost optimality
-certificate of :meth:`FlowResult.verify`.
+The engine is cross-checked against ``networkx.network_simplex`` and
+against the reduced-cost optimality certificate of
+:meth:`FlowResult.verify`.
 """
 
 import networkx as nx
@@ -15,10 +15,9 @@ from repro.netflow import (
     InfeasibleFlowError,
     UnboundedFlowError,
     solve_min_cost_flow,
-    solve_network_simplex,
 )
 
-SOLVERS = [solve_min_cost_flow, solve_network_simplex]
+SOLVERS = [solve_min_cost_flow]
 
 
 def networkx_cost(net: FlowNetwork):
@@ -226,19 +225,6 @@ class TestCrossValidation:
         assert oracle != "infeasible"
         assert result.cost == oracle
         assert result.verify(net)
-
-    @given(random_networks())
-    @settings(max_examples=60, deadline=None)
-    def test_simplex_matches_ssp(self, net):
-        try:
-            ssp = solve_min_cost_flow(net)
-        except InfeasibleFlowError:
-            with pytest.raises(InfeasibleFlowError):
-                solve_network_simplex(net)
-            return
-        simplex = solve_network_simplex(net)
-        assert simplex.cost == ssp.cost
-        assert simplex.verify(net)
 
 
 class TestVerifyCertificate:

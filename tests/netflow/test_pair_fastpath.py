@@ -52,7 +52,7 @@ class TestSolvePair:
         a, b, l0, u0, l1, u1, w = params
         lp = pair_lp(a, b, l0, u0, l1, u1, w)
         try:
-            generic = solve_dual_mcf(lp, "ssp", decompose=False)
+            generic = solve_dual_mcf(lp, decompose=False)
         except LPInfeasibleError:
             with pytest.raises(LPInfeasibleError):
                 _solve_pair(a, b, l0, u0, l1, u1, w)
@@ -71,7 +71,7 @@ class TestSolvePair:
 
     def test_decomposed_pair_routes_through_fast_path(self):
         lp = pair_lp(7, -3, 2, 9, 5, 40, 10)
-        assert solve_dual_mcf(lp, "ssp", decompose=True).x == [2, 40]
+        assert solve_dual_mcf(lp, decompose=True).x == [2, 40]
 
 
 class TestSolveSingle:
@@ -85,7 +85,7 @@ class TestSolveSingle:
         hi = lo + span
         lp = DifferentialLP()
         lp.add_variable(c, lo, hi)
-        generic = solve_dual_mcf(lp, "ssp", decompose=False)
+        generic = solve_dual_mcf(lp, decompose=False)
         assert [_solve_single(c, lo, hi)] == generic.x
 
     def test_zero_cost_clamps_origin_into_box(self):
@@ -152,7 +152,7 @@ class TestComponentSplitFastPath:
     def test_solutions_identical_with_and_without_decompose(self, seed):
         rng = random.Random(seed)
         lp = width_only_lp([rng.randrange(5, 60) for _ in range(12)])
-        whole = solve_dual_mcf(lp, "ssp", decompose=False)
-        parts = solve_dual_mcf(lp, "ssp", decompose=True)
+        whole = solve_dual_mcf(lp, decompose=False)
+        parts = solve_dual_mcf(lp, decompose=True)
         assert parts.x == whole.x
         assert parts.objective == whole.objective

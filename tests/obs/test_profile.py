@@ -152,14 +152,29 @@ class TestContextPlumbing:
 
     def test_publish_sets_tracer_profile(self):
         tracer = Tracer()
+        tracer.finish(tracer.start("a"))
         c = ProfileCollector(period_ms=5.0)
         c.add("a;b")
         publish(c, tracer=tracer)
         assert tracer.profile["samples"] == 1
         assert tracer.profile["folded"] == {"a;b": 1}
 
+    def test_publish_folds_only_span_rooted_stacks(self):
+        # A sample taken between spans is keyed by Python frames; it
+        # counts as a sample but never reaches the folded profile.
+        tracer = Tracer()
+        tracer.finish(tracer.start("engine.run"))
+        c = ProfileCollector(period_ms=1.0)
+        c.add("engine.run;repro.core.engine.run")
+        c.add("repro.cli.main;repro.cli._cmd_fill")
+        publish(c, tracer=tracer)
+        assert tracer.profile["samples"] == 2
+        assert tracer.profile["folded"] == {"engine.run;repro.core.engine.run": 1}
+
     def test_publish_twice_merges(self):
         tracer = Tracer()
+        for name in ("a", "b"):
+            tracer.finish(tracer.start(name))
         c1 = ProfileCollector(period_ms=5.0)
         c1.add("a")
         c2 = ProfileCollector(period_ms=5.0)
@@ -174,7 +189,7 @@ class TestContextPlumbing:
         tracer = Tracer()
         restore = obs.set_tracer(tracer)
         try:
-            with profiled(period_ms=1.0) as collector:
+            with profiled(period_ms=1.0) as collector, obs.span("work"):
                 deadline = time.monotonic() + 2.0
                 while collector.samples < 3 and time.monotonic() < deadline:
                     sum(range(500))

@@ -59,6 +59,13 @@ class TestControlOps:
         with pytest.raises(JobError, match="unknown rules keys"):
             open_session(client, gds_bytes, rules={"min_gap": 3})
 
+    def test_removed_solver_rejected(self, client, gds_bytes):
+        with pytest.raises(JobError, match="solver must be one of"):
+            open_session(client, gds_bytes, config={"solver": "mcf-simplex"})
+        # the failed request leaves the service serving
+        sid = open_session(client, gds_bytes)
+        assert client.request("fill", session=sid)["num_fills"] > 0
+
     def test_rules_from_mapping_defaults(self):
         rules = rules_from_mapping({})
         assert rules.min_spacing == 10
@@ -75,6 +82,22 @@ class TestComputeOps:
         # the session now holds the filled layout
         listing = client.request("sessions")["sessions"]
         assert listing[0]["fills"] == result["num_fills"]
+
+    def test_session_analysis_honours_kernel(self, client, gds_bytes, monkeypatch):
+        from repro.density import raster
+
+        calls = []
+        real = raster.raster_analyze_layer
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].number)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(raster, "raster_analyze_layer", counting)
+        config = {**CONFIG_MAPPING, "kernel": "raster"}
+        sid = open_session(client, gds_bytes, config=config)
+        assert client.request("fill", session=sid)["num_fills"] > 0
+        assert sorted(calls) == [1, 2]  # one raster analysis per layer
 
     def test_fill_is_replayable(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)

@@ -34,10 +34,14 @@ class TestParser:
         assert args.parallel == "process"
 
     def test_fill_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["fill", "a.gds", "b.gds", "--parallel", "gpu"]
-            )
+        for flag in (
+            ["--parallel", "gpu"],
+            ["--parallel", "thread"],
+            ["--solver", "mcf-simplex"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["fill", "a.gds", "b.gds", *flag])
+            assert exc_info.value.code == 2
 
 
 class TestGenerate:
