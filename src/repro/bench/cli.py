@@ -86,13 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="process",
         help="execution backend when --workers != 1 (default: process)",
     )
-    run.add_argument(
-        "--kernel",
-        choices=("rect", "raster"),
-        default="rect",
-        help="density-analysis kernel "
-        "(recorded in the config hash; default: rect)",
-    )
 
     gate = sub.add_parser(
         "gate", help="fail when the newest record regressed past thresholds"
@@ -153,7 +146,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         eta=CONTEST_ETA,
         workers=args.workers,
         parallel=args.parallel,
-        kernel=args.kernel,
     )
     header = f"{'bench':<8}{'score':>8}{'quality':>9}{'seconds':>9}{'rss MB':>8}{'fills':>8}"
     print(header)

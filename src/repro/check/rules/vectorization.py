@@ -1,14 +1,13 @@
 """Vectorization rule: REP015 — density hot paths stay on the numpy kernel.
 
-PR 9 replaced the per-window Python loops of the density layer with
-the raster kernel (:mod:`repro.density.raster`): coordinate-compressed
-occupancy grids, one array pass per window-column strip.  The rect-set
-scanline path survives in ``analysis.py`` as the byte-identity oracle
-the CI ``kernel-parity`` job compares against — but any *new*
-per-window Python loop added elsewhere under ``repro/density/`` quietly
-reintroduces the O(windows) interpreter overhead the kernel removed,
-and nothing else would catch it (the parity gate only proves equality,
-not speed).
+The raster kernel (:mod:`repro.density.raster`) computes the density
+analysis with coordinate-compressed occupancy grids, one array pass per
+window-column strip.  The rect-set scanline path in ``analysis.py`` is
+its byte-identity oracle and the kernel the analysis picks on layers
+where it is faster — but any *new* per-window Python loop added
+elsewhere under ``repro/density/`` quietly reintroduces the O(windows)
+interpreter overhead the raster kernel avoids, and nothing else would
+catch it (the parity tests only prove equality, not speed).
 
 The rule flags the two shapes the migration removed:
 
@@ -83,18 +82,18 @@ def _accumulates(body: ast.AST, skip: Optional[ast.AST] = None) -> bool:
 class PerWindowLoopRule(Rule):
     """Per-window Python loops in the density layer.
 
-    The raster kernel computes every per-window quantity as an array
-    pass; a scalar window-by-window loop under ``repro/density/``
-    belongs either in the rect oracle (``analysis.py``, exempt) or
-    behind an explicit ``# repro: noqa[REP015]`` waiver.  Same shape
-    as REP014's one diagnostics channel: one density kernel.
+    The raster kernel computes the per-window analysis quantities as
+    array passes; a scalar window-by-window loop under
+    ``repro/density/`` belongs either in the rect oracle
+    (``analysis.py``, exempt) or behind an explicit
+    ``# repro: noqa[REP015]`` waiver.
     """
 
     code = "REP015"
     summary = "per-window Python loop in repro/density/ outside the rect oracle"
     default_severity = Severity.WARNING
     scopes = ("repro/density/",)
-    #: the scanline rect-set path — kept as the kernel-parity oracle
+    #: the scanline rect-set path — the raster kernel's parity oracle
     oracle_basenames = ("analysis.py",)
 
     def applies_to(self, ctx: ModuleContext) -> bool:

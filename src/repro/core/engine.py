@@ -181,12 +181,10 @@ class _ResidentBand(BandSource):
         self,
         layout: Layout,
         grid: WindowGrid,
-        kernel: str,
         wire_indexes: Optional[Dict[int, GridIndex[int]]],
     ):
         super().__init__(BandPlan(grid, 1))
         self._layout = layout
-        self._kernel = kernel
         self._indexes = wire_indexes
         self.sized: SizedFills = {}
 
@@ -201,7 +199,7 @@ class _ResidentBand(BandSource):
     def fill_density(self) -> Dict[int, np.ndarray]:
         grid = self.plan.grid
         return {
-            layer.number: fill_density_map(layer, grid, kernel=self._kernel)
+            layer.number: fill_density_map(layer, grid)
             for layer in self._layout.layers
             if layer.num_fills
         }
@@ -300,10 +298,7 @@ class DummyFillEngine:
         check_drc_params(layout.rules, name="layout.rules")
         with engine_span() as run_span:
             source = _ResidentBand(
-                layout,
-                grid,
-                self.config.kernel,
-                dict(wire_indexes) if wire_indexes else None,
+                layout, grid, dict(wire_indexes) if wire_indexes else None
             )
             report = self.sweep(source, windows=windows, analysis=analysis)
             with obs.span("insertion"):
@@ -341,7 +336,6 @@ class DummyFillEngine:
             raise ValueError("a precomputed analysis needs a one-band source")
 
         with obs.span("analysis") as analysis_span:
-            analysis_span.annotate(kernel=config.kernel)
             if analysis is None:
                 lower: Dict[int, np.ndarray] = {}
                 upper: Dict[int, np.ndarray] = {}
@@ -354,7 +348,6 @@ class DummyFillEngine:
                         workers=config.effective_workers(),
                         parallel=config.parallel,
                         sanitize=config.sanitize,
-                        kernel=config.kernel,
                         windows=source.windows(band),
                     )
                     # windows outside the band are zero: adding merges exactly

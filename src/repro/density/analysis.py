@@ -68,32 +68,19 @@ def _area_map(shapes: Sequence[Rect], grid: WindowGrid, *, exact_union: bool) ->
     return areas
 
 
-def _kernel_area_map(
-    shapes: Sequence[Rect], grid: WindowGrid, *, exact_union: bool, kernel: str
-) -> np.ndarray:
-    if kernel == "raster":
-        from .raster import raster_area_map
-
-        return raster_area_map(shapes, grid, exact_union=exact_union)
-    return _area_map(shapes, grid, exact_union=exact_union)
-
-
-def wire_density_map(layer: Layer, grid: WindowGrid, *, kernel: str = "rect") -> np.ndarray:
+def wire_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Wire density ``d_w(i, j)`` per window — the lower bound l(i, j)."""
-    areas = _kernel_area_map(layer.wires, grid, exact_union=True, kernel=kernel)
-    return _to_density(areas, grid)
+    return _to_density(_area_map(layer.wires, grid, exact_union=True), grid)
 
 
-def fill_density_map(layer: Layer, grid: WindowGrid, *, kernel: str = "rect") -> np.ndarray:
+def fill_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Dummy-fill density per window."""
-    areas = _kernel_area_map(layer.fills, grid, exact_union=False, kernel=kernel)
-    return _to_density(areas, grid)
+    return _to_density(_area_map(layer.fills, grid, exact_union=False), grid)
 
 
-def metal_density_map(layer: Layer, grid: WindowGrid, *, kernel: str = "rect") -> np.ndarray:
+def metal_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Total layout density d(i, j): wires plus fills."""
-    areas = _kernel_area_map(layer.shapes, grid, exact_union=True, kernel=kernel)
-    return _to_density(areas, grid)
+    return _to_density(_area_map(layer.shapes, grid, exact_union=True), grid)
 
 
 def window_area_map(grid: WindowGrid) -> np.ndarray:
@@ -227,31 +214,61 @@ class LayerDensity:
         return bool((self.upper < self.max_lower - 1e-12).any())
 
 
+def _choose_kernel(
+    layer: Layer, grid: WindowGrid, windows: Optional[Sequence[Tuple[int, int]]]
+) -> str:
+    """The density kernel :func:`analyze_layer` runs when none is named.
+
+    The raster kernel rasterizes whole window-column strips, so it is
+    chosen only when the requested windows are whole columns (the full
+    die or a band) and most of the layer's wires run along those
+    columns (taller than wide).  Everything else runs on rect: layers
+    routed across the columns, and every partial-column request such
+    as the ECO refresh of a few dirtied windows.  docs/PERFORMANCE.md
+    ("Raster kernel") has the measurements behind the rule.  The two
+    kernels are bit-identical, so the choice only moves the clock; it
+    reads nothing but the layer and the window set.
+    """
+    if windows is not None:
+        columns = {i for i, _ in windows}
+        if len(set(windows)) != len(columns) * grid.rows:
+            return "rect"
+    wires = layer.wires
+    vertical = sum(1 for r in wires if r.height > r.width)
+    return "raster" if 2 * vertical > len(wires) else "rect"
+
+
 def analyze_layer(
     layer: Layer,
     grid: WindowGrid,
     rules: DrcRules,
     window_margin: int = 0,
     *,
-    kernel: str = "rect",
+    kernel: Optional[str] = None,
     windows: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> LayerDensity:
     """Run density analysis for one layer.
 
-    ``kernel`` selects the implementation: ``"rect"`` is the scanline
-    rect-set oracle (one :func:`_analyze_window` call per window),
-    ``"raster"`` the vectorized occupancy-grid kernel
-    (:mod:`repro.density.raster`) whose output is bit-identical.
+    Two kernels compute bit-identical results: ``"rect"`` is the
+    scanline rect-set oracle (one :func:`_analyze_window` call per
+    window), ``"raster"`` the vectorized occupancy-grid kernel
+    (:mod:`repro.density.raster`).  ``kernel=None`` lets
+    :func:`_choose_kernel` pick one from the layer's routing direction
+    and the window set; naming one is for parity tests and per-kernel
+    measurements.  The span counters ``analysis.rect_layers`` and
+    ``analysis.raster_layers`` record which one ran.
 
     ``windows`` restricts the analysis to those window keys: only their
     ``lower``/``upper`` entries are computed (the rest stay zero) and
     only they get a fill region.  The layer then needs only the wires
     within spacing reach of those windows.
     """
-    if kernel == "raster":
+    if (kernel or _choose_kernel(layer, grid, windows)) == "raster":
+        obs.count("analysis.raster_layers")
         from .raster import raster_analyze_layer
 
         return raster_analyze_layer(layer, grid, rules, window_margin, keys=windows)
+    obs.count("analysis.rect_layers")
     index = _shape_index(layer.wires, grid.die)
     lower = np.zeros((grid.cols, grid.rows), dtype=np.float64)
     upper = np.zeros((grid.cols, grid.rows), dtype=np.float64)
@@ -282,7 +299,7 @@ class _AnalysisShared:
     grid: WindowGrid
     rules: DrcRules
     window_margin: int
-    kernel: str = "rect"
+    kernel: Optional[str] = None
     windows: Optional[Tuple[Tuple[int, int], ...]] = None
 
 
@@ -291,9 +308,9 @@ def _analyze_shard(
 ) -> List[LayerDensity]:
     """Worker entry point: density analysis over one shard of layers.
 
-    Raster state never crosses the shard boundary: with
-    ``kernel="raster"`` each worker rasterizes its own layers locally,
-    so only the plain :class:`_AnalysisShared` inputs and the resulting
+    Raster state never crosses the shard boundary: a worker that runs
+    the raster kernel rasterizes its own layers locally, so only the
+    plain :class:`_AnalysisShared` inputs and the resulting
     :class:`LayerDensity` values are ever pickled.
     """
     out: List[LayerDensity] = []
@@ -320,7 +337,7 @@ def analyze_layout(
     workers: int = 1,
     parallel: str = "process",
     sanitize: Optional[bool] = None,
-    kernel: str = "rect",
+    kernel: Optional[str] = None,
     windows: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Dict[int, LayerDensity]:
     """Density analysis for every layer of a layout.
@@ -335,11 +352,10 @@ def analyze_layout(
     serial run for any worker count and backend.  ``workers=0`` means
     one worker per available core.  ``sanitize`` arms the shard
     sanitizer (see :func:`repro.parallel.run_sharded`).  ``kernel``
-    selects the per-layer implementation (see :func:`analyze_layer`);
-    both produce identical results, so it composes freely with any
-    worker count.  ``windows`` restricts every layer's analysis to
-    those window keys (see :func:`analyze_layer`) — how the fill
-    engine analyzes one window-column band of a larger die.
+    is passed to every :func:`analyze_layer` call; the default lets
+    each layer pick its own.  ``windows`` restricts every layer's
+    analysis to those window keys (see :func:`analyze_layer`) — how
+    the fill engine analyzes one window-column band of a larger die.
     """
     shared = _AnalysisShared(
         grid=grid,
@@ -380,7 +396,6 @@ def refresh_analysis(
     *,
     layers: Optional[Sequence[int]] = None,
     window_margin: int = 0,
-    kernel: str = "rect",
 ) -> Dict[int, LayerDensity]:
     """Recompute a cached analysis for a subset of windows and layers.
 
@@ -409,9 +424,7 @@ def refresh_analysis(
         if n not in changed or not keys:
             out[n] = ld
             continue
-        fresh = analyze_layer(
-            layout.layer(n), grid, rules, window_margin, kernel=kernel, windows=keys
-        )
+        fresh = analyze_layer(layout.layer(n), grid, rules, window_margin, windows=keys)
         lower = ld.lower.copy()
         upper = ld.upper.copy()
         regions = dict(ld.fill_regions)
@@ -445,9 +458,7 @@ def overlay_area(lower: Layer, upper: Layer) -> int:
     return fills_vs_wires + wires_vs_fills + fills_vs_fills
 
 
-def overlay_map(
-    lower: Layer, upper: Layer, grid: WindowGrid, *, kernel: str = "rect"
-) -> np.ndarray:
+def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
     """Per-window fill-induced overlay area between two adjacent layers.
 
     Splits :func:`overlay_area` over the fixed dissection: each window
@@ -458,10 +469,6 @@ def overlay_map(
     the largest cells are the ones a regressed Overlay* score points
     at.
     """
-    if kernel == "raster":
-        from .raster import raster_overlay_map
-
-        return raster_overlay_map(lower, upper, grid)
     from ..geometry import intersection_area
 
     pairs = (

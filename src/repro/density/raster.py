@@ -1,12 +1,15 @@
-"""Vectorized raster density kernel (``FillConfig.kernel = "raster"``).
+"""Vectorized raster density kernel for the §3.1 ``l(i, j)``/``u(i, j)`` analysis.
 
-Array implementations of the per-window density quantities, built on
+Array implementations of the per-window analysis quantities, built on
 :class:`repro.geometry.Raster` (coordinate-compressed occupancy grids +
 integral images).  Every function here is an exact, bit-identical
 replacement for its scanline counterpart in
-:mod:`repro.density.analysis` — the rect-set path stays in the tree as
-the oracle, and the CI ``kernel-parity`` job ``cmp``'s the GDSII bytes
-of both kernels on every PR.
+:mod:`repro.density.analysis`, which stays in the tree as the oracle.
+:func:`~repro.density.analysis.analyze_layer` runs this kernel on whole
+window columns of a layer whose wires mostly run along them, and the
+rect path everywhere else, so a fill of a layout with both routing
+directions runs both kernels; the parity tests force each kernel alone
+and compare.
 
 Why this is exact and not an approximation: the raster grid is the
 coordinate grid *induced by the shapes themselves* (plus the window cut
@@ -41,7 +44,6 @@ __all__ = [
     "raster_area_map",
     "raster_fill_regions",
     "raster_analyze_layer",
-    "raster_overlay_map",
 ]
 
 _I64 = np.int64
@@ -77,17 +79,15 @@ def raster_area_map(
     shapes: Sequence[Rect],
     grid: WindowGrid,
     *,
-    exact_union: bool,
     cols: Optional[Sequence[int]] = None,
 ) -> "np.ndarray":
     """Per-window covered area of ``shapes`` — raster twin of
-    ``analysis._area_map``.
+    ``analysis._area_map(..., exact_union=True)``.
 
-    ``exact_union=True`` counts each point once however many shapes
-    cover it (occupancy x cell area); ``False`` sums per-shape clipped
-    areas (multiplicity x cell area).  ``cols`` restricts the work to a
-    subset of window columns (the incremental-refresh path); other
-    columns stay zero.
+    Each point counts once however many shapes cover it (occupancy x
+    cell area).  ``cols`` restricts the work to a subset of window
+    columns (a band or a window-restricted analysis); other columns
+    stay zero.
     """
     x_cuts, y_cuts = window_cuts(grid)
     out = np.zeros((grid.cols, grid.rows), dtype=_I64)
@@ -102,11 +102,7 @@ def raster_area_map(
         ras = Raster.from_arrays(
             x0[m], y0[m], x1[m], y1[m], extra_x=[sx0, sx1], extra_y=y_cuts
         )
-        if exact_union:
-            out[i, :] = ras.covered_window_areas([sx0, sx1], y_cuts)[0]
-        else:
-            weighted = ras.counts * ras.cell_areas()
-            out[i, :] = ras.window_sums(weighted, [sx0, sx1], y_cuts)[0]
+        out[i, :] = ras.covered_window_areas([sx0, sx1], y_cuts)[0]
     return out
 
 
@@ -181,7 +177,7 @@ def raster_analyze_layer(
     """Density analysis for one layer on the raster kernel.
 
     Produces a :class:`~repro.density.analysis.LayerDensity` that is
-    bit-identical to ``analyze_layer(..., kernel="rect")``: the int64
+    bit-identical to the rect kernel's ``analyze_layer``: the int64
     window areas match exactly, and the density divisions use the same
     operand values, hence the same IEEE-754 results.  ``keys``
     restricts the work to the window-column strips holding those
@@ -191,7 +187,7 @@ def raster_analyze_layer(
 
     aw = window_area_map(grid)
     cols = None if keys is None else sorted({i for i, _ in keys})
-    areas = raster_area_map(layer.wires, grid, exact_union=True, cols=cols)
+    areas = raster_area_map(layer.wires, grid, cols=cols)
     if keys is not None:
         wanted = np.zeros(areas.shape, dtype=bool)
         for key in keys:
@@ -204,51 +200,3 @@ def raster_analyze_layer(
     check_density(upper, name=f"layer {layer.number} upper density u(i,j)")
     return LayerDensity(layer.number, lower, upper, regions)
 
-
-def raster_overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> "np.ndarray":
-    """Per-window overlay between adjacent layers — raster twin of
-    ``analysis.overlay_map``.
-
-    For each of the three fill-induced pair terms, both rect sets are
-    rasterized per window-column strip onto a *shared* edge set (each
-    side contributes its clipped coordinates to the other's cut lines),
-    so the pairwise intersection is the elementwise AND of the two
-    occupancies and the per-window charge is one windowed sum.
-    """
-    pairs = (
-        (lower.fills, upper.wires),
-        (lower.wires, upper.fills),
-        (lower.fills, upper.fills),
-    )
-    x_cuts, y_cuts = window_cuts(grid)
-    y_cuts_arr = np.asarray(y_cuts, dtype=_I64)
-    out = np.zeros((grid.cols, grid.rows), dtype=_I64)
-    for shapes_a, shapes_b in pairs:
-        if not shapes_a or not shapes_b:
-            continue
-        ax0, ay0, ax1, ay1 = _coords(shapes_a)
-        bx0, by0, bx1, by1 = _coords(shapes_b)
-        for i in range(grid.cols):
-            sx0, sx1 = x_cuts[i], x_cuts[i + 1]
-            ma = (ax0 < sx1) & (ax1 > sx0)
-            if not bool(ma.any()):
-                continue
-            mb = (bx0 < sx1) & (bx1 > sx0)
-            if not bool(mb.any()):
-                continue
-            strip = np.asarray([sx0, sx1], dtype=_I64)
-            ex = np.concatenate(
-                [
-                    strip,
-                    np.clip(ax0[ma], sx0, sx1),
-                    np.clip(ax1[ma], sx0, sx1),
-                    np.clip(bx0[mb], sx0, sx1),
-                    np.clip(bx1[mb], sx0, sx1),
-                ]
-            )
-            ey = np.concatenate([y_cuts_arr, ay0[ma], ay1[ma], by0[mb], by1[mb]])
-            ras_a = Raster.from_arrays(ax0[ma], ay0[ma], ax1[ma], ay1[ma], ex, ey)
-            ras_b = Raster.from_arrays(bx0[mb], by0[mb], bx1[mb], by1[mb], ex, ey)
-            both = (ras_a.occupancy() & ras_b.occupancy()).astype(_I64)
-            out[i, :] += ras_a.window_sums(both * ras_a.cell_areas(), [sx0, sx1], y_cuts)[0]
-    return out

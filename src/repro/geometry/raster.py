@@ -14,8 +14,6 @@ an array operation:
   the cell areas,
 * per-window aggregation via 2-D prefix sums (integral images) sampled
   at the window cut lines,
-* overlay between two rect sets via elementwise AND of occupancies on a
-  shared grid,
 * canonical free-region recovery via maximal-run extraction and
   vertical merging, matching the scanline oracle's output rect list.
 

@@ -126,7 +126,7 @@ class FillSession:
         """Build the wire indexes and density analysis if absent.
 
         Call inside :meth:`ordered`.  The analysis is computed with the
-        session config's margin, worker and kernel settings — exactly
+        session config's margin and worker settings — exactly
         the parameters the engine would use internally, so passing the
         cache back into :meth:`~repro.core.DummyFillEngine.run` is
         bit-identical to letting it analyze from scratch.
@@ -144,7 +144,6 @@ class FillSession:
                 workers=config.effective_workers(),
                 parallel=config.parallel,
                 sanitize=config.sanitize,
-                kernel=config.kernel,
             )
 
     def describe(self) -> Dict[str, Any]:

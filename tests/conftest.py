@@ -35,3 +35,19 @@ def _no_silent_pool_fallback(monkeypatch):
 
     monkeypatch.setattr(executor, "_start_pool", strict_start)
     yield
+
+
+@pytest.fixture
+def force_kernel(monkeypatch):
+    """Pin the density kernel ``analyze_layer`` picks when none is named.
+
+    ``force_kernel("raster")`` (or ``"rect"``) replaces the per-layer
+    choice for the rest of the test.  Process-pool workers fork from
+    the patched parent, so sharded analyses run the forced kernel too.
+    """
+    from repro.density import analysis
+
+    def force(kernel):
+        monkeypatch.setattr(analysis, "_choose_kernel", lambda layer, grid, windows: kernel)
+
+    return force

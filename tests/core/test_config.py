@@ -48,6 +48,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             FillConfig(window_margin=-1)
 
+    def test_removed_kernel_field_rejected(self):
+        # the analysis picks the density kernel per layer
+        with pytest.raises(TypeError):
+            FillConfig(kernel="raster")
+        with pytest.raises(ValueError, match="'kernel'"):
+            FillConfig.from_mapping({"kernel": "raster"})
+
 
 class TestDerivedKnobs:
     def test_effective_margin_default_half_spacing(self):

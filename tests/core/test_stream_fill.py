@@ -63,15 +63,23 @@ class TestResolveBands:
 
 
 class TestFillParity:
-    """Streamed bytes equal the in-memory engine's, on the rect kernel
-    here and on the raster kernel in :class:`TestFillParityRaster`."""
+    """Streamed bytes equal the in-memory engine's, with each layer on the
+    density kernel the analysis picks for it here (raster on the
+    vertically routed layer 2, rect on layers 1 and 3), and with every
+    layer forced onto the raster kernel in :class:`TestFillParityRaster`."""
 
-    kernel = "rect"
+    #: the kernel forced on every layer; ``None`` keeps the per-layer choice
+    kernel = None
+
+    @pytest.fixture(autouse=True)
+    def _forced_kernel(self, force_kernel):
+        if self.kernel is not None:
+            force_kernel(self.kernel)
 
     @pytest.mark.parametrize("bands", [1, 2, 4])
     def test_gdsii_byte_identity_serial(self, bands):
         raw = _unfilled_bytes()
-        config = FillConfig(kernel=self.kernel)
+        config = FillConfig()
         expected = gdsii_bytes(_reference_filled(raw, config))
         buf = io.BytesIO()
         report = stream_fill(
@@ -84,7 +92,7 @@ class TestFillParity:
 
     def test_gdsii_byte_identity_workers_4(self):
         raw = _unfilled_bytes()
-        config = FillConfig(workers=4, parallel="process", kernel=self.kernel)
+        config = FillConfig(workers=4, parallel="process")
         expected = gdsii_bytes(_reference_filled(raw, config))
         buf = io.BytesIO()
         stream_fill(raw, buf, RULES, cols=4, rows=4, config=config, bands=3)
@@ -92,7 +100,7 @@ class TestFillParity:
 
     def test_oasis_byte_identity(self):
         raw = _unfilled_bytes()
-        config = FillConfig(kernel=self.kernel)
+        config = FillConfig()
         expected = oasis_bytes(_reference_filled(raw, config))
         buf = io.BytesIO()
         stream_fill(
@@ -116,7 +124,6 @@ class TestFillParity:
             RULES,
             cols=4,
             rows=4,
-            config=FillConfig(kernel=self.kernel),
             memory_budget=1024,
         )
         assert report.bands > 1
@@ -124,9 +131,7 @@ class TestFillParity:
     def test_report_counts_and_stages(self):
         raw = _unfilled_bytes()
         buf = io.BytesIO()
-        report = stream_fill(
-            raw, buf, RULES, cols=4, rows=4, config=FillConfig(kernel=self.kernel), bands=2
-        )
+        report = stream_fill(raw, buf, RULES, cols=4, rows=4, bands=2)
         assert report.num_fills > 0
         assert report.num_candidates >= report.num_fills
         assert not report.violations
@@ -135,22 +140,49 @@ class TestFillParity:
         assert f"fills={report.num_fills}" in report.summary()
 
     def test_analysis_runs_requested_kernel(self):
-        with obs.record_run(sample_rss=False) as recorder:
-            stream_fill(
-                _unfilled_bytes(),
-                io.BytesIO(),
-                RULES,
-                cols=4,
-                rows=4,
-                config=FillConfig(kernel=self.kernel),
-                bands=2,
-            )
-        spans = [s for s in recorder.record.spans if s["name"] == "analysis"]
-        assert [s["attrs"]["kernel"] for s in spans] == [self.kernel]
+        # two bands of three layers: six layer analyses per run
+        expected = {self.kernel: 6} if self.kernel else {"raster": 2, "rect": 4}
+        for workers in (1, 2):
+            with obs.record_run(sample_rss=False) as recorder:
+                stream_fill(
+                    _unfilled_bytes(),
+                    io.BytesIO(),
+                    RULES,
+                    cols=4,
+                    rows=4,
+                    config=FillConfig(workers=workers),
+                    bands=2,
+                )
+            counts = Counter()
+            for span in recorder.record.spans:
+                counts.update(span.get("counters", {}))
+            ran = {k: counts[f"analysis.{k}_layers"] for k in ("rect", "raster")}
+            assert {k: n for k, n in ran.items() if n} == expected, workers
 
 
 class TestFillParityRaster(TestFillParity):
     kernel = "raster"
+
+
+class TestKernelParity:
+    """Each density kernel alone reproduces the bytes of the per-layer
+    choice: a fill at workers 1 and 4, and an ECO patch on top of it."""
+
+    @pytest.mark.parametrize("kernel", ["rect", "raster"])
+    def test_fill_and_eco_bytes(self, kernel, force_kernel):
+        raw = _unfilled_bytes()
+        new_wires = {1: [Rect(200, 200, 700, 260)]}
+
+        def fill_then_eco(workers):
+            layout = _reference_filled(raw, FillConfig(workers=workers))
+            filled = gdsii_bytes(layout)
+            apply_eco(layout, WindowGrid(layout.die, 4, 4), new_wires)
+            return filled, gdsii_bytes(layout)
+
+        expected = fill_then_eco(1)
+        force_kernel(kernel)
+        assert fill_then_eco(1) == expected
+        assert fill_then_eco(4) == expected
 
 
 class TestDrc:
@@ -280,7 +312,7 @@ class TestEcoParity:
 
 
 class TestEngineEntryPoint:
-    def test_cli_fill_and_eco_stream(self, tmp_path, capsys):
+    def test_cli_fill_and_eco_stream(self, tmp_path, capsys, force_kernel):
         src = tmp_path / "in.gds"
         src.write_bytes(_unfilled_bytes())
         wires = tmp_path / "eco.json"
@@ -289,8 +321,11 @@ class TestEngineEntryPoint:
         stream = ["--windows", "4", "--stream", "--bands", "2"]
 
         assert main(["fill", str(src), path["mem"], "--windows", "4"]) == 0
-        assert main(["fill", str(src), path["s"], "--kernel", "raster", *stream]) == 0
         assert main(["eco", path["mem"], str(wires), path["mem-eco"], "--windows", "4"]) == 0
+        # the streamed runs on the raster kernel alone, against the
+        # in-memory runs' per-layer choice
+        force_kernel("raster")
+        assert main(["fill", str(src), path["s"], *stream]) == 0
         assert main(["eco", path["mem"], str(wires), path["s-eco"], *stream]) == 0
         read = {name: open(p, "rb").read() for name, p in path.items()}
         assert read["s"] == read["mem"]

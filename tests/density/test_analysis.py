@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.generator import LayoutSpec, generate_layout
 from repro.density import (
     analyze_layer,
     analyze_layout,
@@ -14,6 +15,7 @@ from repro.density import (
     usable_fill_area,
     wire_density_map,
 )
+from repro.density.analysis import _choose_kernel
 from repro.geometry import Rect, union_area
 from repro.layout import DrcRules, Layout, WindowGrid
 
@@ -146,6 +148,47 @@ class TestBounds:
         layout, grid = make_layout()
         result = analyze_layout(layout, grid)
         assert sorted(result) == [1, 2]
+
+
+VERTICAL = [Rect(10, 0, 20, 300), Rect(50, 0, 60, 300), Rect(0, 0, 100, 10)]
+HORIZONTAL = [Rect(0, 10, 300, 20), Rect(0, 50, 300, 60), Rect(0, 0, 10, 100)]
+
+
+class TestKernelChoice:
+    """Which kernel ``analyze_layer`` runs when none is named."""
+
+    @pytest.mark.parametrize(
+        "wires, windows, expected",
+        [
+            pytest.param(VERTICAL, None, "raster", id="vertical"),
+            pytest.param(VERTICAL, [(1, 0), (1, 1)], "raster", id="vertical-band"),
+            pytest.param(HORIZONTAL, None, "rect", id="horizontal"),
+            pytest.param(VERTICAL, [(0, 0), (1, 1)], "rect", id="partial-columns"),
+            pytest.param([], None, "rect", id="empty"),
+        ],
+    )
+    def test_choice(self, wires, windows, expected):
+        layout, grid = make_layout()
+        layout.layer(1).add_wires(wires)
+        assert _choose_kernel(layout.layer(1), grid, windows) == expected
+
+    def test_default_analysis_rasters_the_vertical_layer_only(self, monkeypatch):
+        from repro.density import raster
+
+        calls = []
+        real = raster.raster_analyze_layer
+
+        def counting(layer, *args, **kwargs):
+            calls.append(layer.number)
+            return real(layer, *args, **kwargs)
+
+        monkeypatch.setattr(raster, "raster_analyze_layer", counting)
+        # the generator routes odd layers horizontally, even ones vertically
+        spec = LayoutSpec(name="k", die_size=1600, seed=7, num_cell_rects=120, rules=RULES)
+        layout = generate_layout(spec)
+        assert layout.num_layers == 3
+        analyze_layout(layout, WindowGrid(layout.die, 4, 4))
+        assert calls == [2]
 
 
 class TestOverlay:

@@ -1,12 +1,14 @@
 """Raster kernel vs rect oracle: exact-equality property tests.
 
-The raster kernel (``FillConfig.kernel = "raster"``) promises *bit
-identity* with the rect-set scanline path, not approximation — the CI
-``kernel-parity`` job ``cmp``'s whole GDSII files, and these tests pin
-the same contract at the function level on randomized layouts:
-density maps, l/u bounds, fill regions, usable areas, overlay maps and
-the incremental refresh must all match the oracle exactly
-(``np.array_equal``, no tolerances).
+The density analysis runs the raster kernel on some layers and the
+rect-set scanline path on the others, so the raster kernel promises
+*bit identity* with the rect path, not approximation.  These tests pin
+the contract at the function level on randomized layouts: wire density
+maps, l/u bounds, fill regions, usable areas and the incremental
+refresh must all match the oracle exactly (``np.array_equal``, no
+tolerances); ``tests/core/test_stream_fill.py`` forces each kernel
+alone through whole fills and compares GDSII bytes.  The overlay map
+has no raster twin; it is checked against a 1-dbu bitmap here.
 """
 
 import random
@@ -18,17 +20,16 @@ from repro.density.analysis import (
     analyze_layer,
     analyze_layout,
     compute_fill_regions,
-    fill_density_map,
-    metal_density_map,
     overlay_map,
     refresh_analysis,
     usable_fill_area,
+    window_area_map,
     wire_density_map,
 )
 from repro.density.raster import (
     raster_analyze_layer,
+    raster_area_map,
     raster_fill_regions,
-    raster_overlay_map,
     window_cuts,
 )
 from repro.geometry import Rect
@@ -94,16 +95,14 @@ class TestDensityMapParity:
         layout, grid = random_layout(seed, odd=odd)
         for n in layout.layer_numbers:
             layer = layout.layer(n)
-            for fn in (wire_density_map, fill_density_map, metal_density_map):
-                rect = fn(layer, grid, kernel="rect")
-                ras = fn(layer, grid, kernel="raster")
-                assert np.array_equal(rect, ras), (fn.__name__, n)
+            ras = raster_area_map(layer.wires, grid) / window_area_map(grid)
+            assert np.array_equal(wire_density_map(layer, grid), ras), n
 
     def test_empty_layer_zero(self):
         layout, grid = random_layout(2)
         top = layout.layer(max(layout.layer_numbers))
         assert not top.wires and not top.fills
-        assert np.all(metal_density_map(top, grid, kernel="raster") == 0.0)
+        assert np.all(raster_area_map(top.shapes, grid) == 0)
 
 
 class TestAnalyzeParity:
@@ -168,6 +167,31 @@ class TestFillRegionParity:
         assert all(v == [] for v in got.values())
 
 
+def _bitmap(rects, die):
+    """1-dbu occupancy of ``rects``, indexed ``[x, y]`` from the die corner."""
+    out = np.zeros((die.width, die.height), dtype=bool)
+    for r in rects:
+        out[r.xl - die.xl : r.xh - die.xl, r.yl - die.yl : r.yh - die.yl] = True
+    return out
+
+
+def _bitmap_overlay_map(lower, upper, grid):
+    """Per-window overlay counted pixel by pixel: the three fill-induced
+    terms of ``overlay_area`` summed over each window's pixels."""
+    die = grid.die
+    lo_wires, lo_fills = _bitmap(lower.wires, die), _bitmap(lower.fills, die)
+    hi_wires, hi_fills = _bitmap(upper.wires, die), _bitmap(upper.fills, die)
+    per_pixel = (
+        (lo_fills & hi_wires).astype(np.int64)
+        + (lo_wires & hi_fills)
+        + (lo_fills & hi_fills)
+    )
+    xs, ys = window_cuts(grid)
+    starts_x = [x - die.xl for x in xs[:-1]]
+    starts_y = [y - die.yl for y in ys[:-1]]
+    return np.add.reduceat(np.add.reduceat(per_pixel, starts_x, axis=0), starts_y, axis=1)
+
+
 class TestOverlayParity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("odd", [False, True])
@@ -175,25 +199,25 @@ class TestOverlayParity:
         layout, grid = random_layout(seed, odd=odd)
         numbers = layout.layer_numbers
         for lo, hi in zip(numbers, numbers[1:]):
-            rect = overlay_map(
-                layout.layer(lo), layout.layer(hi), grid, kernel="rect"
-            )
-            ras = raster_overlay_map(layout.layer(lo), layout.layer(hi), grid)
-            assert np.array_equal(rect, ras), (lo, hi)
+            lower, upper = layout.layer(lo), layout.layer(hi)
+            got = overlay_map(lower, upper, grid)
+            assert np.array_equal(got, _bitmap_overlay_map(lower, upper, grid)), (lo, hi)
+            if hi != numbers[-1]:  # the top layer is empty on purpose
+                assert got.any()
 
     def test_empty_side_zero(self):
         layout, grid = random_layout(7)
         top = max(layout.layer_numbers)
-        out = raster_overlay_map(layout.layer(top - 1), layout.layer(top), grid)
-        oracle = overlay_map(
-            layout.layer(top - 1), layout.layer(top), grid, kernel="rect"
+        out = overlay_map(layout.layer(top - 1), layout.layer(top), grid)
+        assert not out.any()
+        assert np.array_equal(
+            out, _bitmap_overlay_map(layout.layer(top - 1), layout.layer(top), grid)
         )
-        assert np.array_equal(out, oracle)
 
 
 class TestRefreshParity:
     @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_incremental_refresh_matches_fresh_analysis(self, seed):
+    def test_incremental_refresh_matches_fresh_analysis(self, seed, force_kernel):
         layout, grid = random_layout(seed, odd=True)
         margin = 5
         cached = analyze_layout(
@@ -204,14 +228,9 @@ class TestRefreshParity:
         y = rng.randrange(0, layout.die.yh - 200)
         layout.layer(1).add_wire(Rect(x, y, x + 150, y + 40))
         dirty = sorted(grid.windows_touching(Rect(x, y, x + 150, y + 40).expanded(20)))
+        force_kernel("raster")  # a partial-column refresh would pick rect
         refreshed = refresh_analysis(
-            layout,
-            grid,
-            cached,
-            dirty,
-            layers=[1],
-            window_margin=margin,
-            kernel="raster",
+            layout, grid, cached, dirty, layers=[1], window_margin=margin
         )
         fresh = analyze_layout(
             layout, grid, window_margin=margin, kernel="rect"

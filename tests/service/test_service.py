@@ -62,7 +62,10 @@ class TestControlOps:
     def test_removed_solver_rejected(self, client, gds_bytes):
         with pytest.raises(JobError, match="solver must be one of"):
             open_session(client, gds_bytes, config={"solver": "mcf-simplex"})
-        # the failed request leaves the service serving
+        with pytest.raises(JobError, match=r"unknown config keys \['kernel'\]") as exc_info:
+            open_session(client, gds_bytes, config={**CONFIG_MAPPING, "kernel": "raster"})
+        assert exc_info.value.error_type == "ValueError"
+        # the failed requests leave the service serving
         sid = open_session(client, gds_bytes)
         assert client.request("fill", session=sid)["num_fills"] > 0
 
@@ -82,22 +85,6 @@ class TestComputeOps:
         # the session now holds the filled layout
         listing = client.request("sessions")["sessions"]
         assert listing[0]["fills"] == result["num_fills"]
-
-    def test_session_analysis_honours_kernel(self, client, gds_bytes, monkeypatch):
-        from repro.density import raster
-
-        calls = []
-        real = raster.raster_analyze_layer
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].number)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(raster, "raster_analyze_layer", counting)
-        config = {**CONFIG_MAPPING, "kernel": "raster"}
-        sid = open_session(client, gds_bytes, config=config)
-        assert client.request("fill", session=sid)["num_fills"] > 0
-        assert sorted(calls) == [1, 2]  # one raster analysis per layer
 
     def test_fill_is_replayable(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)

@@ -38,6 +38,7 @@ class TestParser:
             ["--parallel", "gpu"],
             ["--parallel", "thread"],
             ["--solver", "mcf-simplex"],
+            ["--kernel", "raster"],
         ):
             with pytest.raises(SystemExit) as exc_info:
                 main(["fill", "a.gds", "b.gds", *flag])
