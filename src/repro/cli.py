@@ -100,7 +100,6 @@ def _config_from(args: argparse.Namespace) -> "FillConfig":
         workers=args.workers,
         parallel=args.parallel,
         sanitize=args.sanitize,
-        memory_budget=getattr(args, "memory_budget", None),
     )
 
 

@@ -83,12 +83,6 @@ class FillConfig:
         ``REPRO_SANITIZE=shard`` in the environment; ``False`` forces
         it off.  Costs one pickle round per shard when armed, nothing
         when off.
-    memory_budget:
-        Byte budget for the out-of-core streaming driver
-        (:func:`repro.core.stream.stream_fill`): the die is swept in
-        enough window-column bands that one band's estimated resident
-        geometry fits the budget.  ``None`` (the default) defers to
-        the driver's own default; the in-memory engine ignores it.
     """
 
     lambda_factor: float = 1.1
@@ -104,7 +98,6 @@ class FillConfig:
     workers: int = 1
     parallel: str = "process"
     sanitize: Optional[bool] = None
-    memory_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.lambda_factor < 1.0:
@@ -127,8 +120,6 @@ class FillConfig:
             raise ValueError("workers cannot be negative (0 means one per core)")
         if self.parallel not in _BACKENDS:
             raise ValueError(f"parallel must be one of {_BACKENDS}")
-        if self.memory_budget is not None and self.memory_budget < 1:
-            raise ValueError("memory_budget must be a positive byte count")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "FillConfig":

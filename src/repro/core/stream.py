@@ -28,7 +28,8 @@ import pickle
 import shutil
 import tempfile
 from itertools import chain
-from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, BinaryIO, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple, Union)
 
 import numpy as np
 
@@ -36,23 +37,21 @@ from .. import obs
 from ..contracts import check_drc_params, check_rect
 from ..density.analysis import window_area_map
 from ..density.scoring import ScoreWeights
-from ..gdsii import (
-    DIE_LAYER,
+from ..gdsii import GdsiiStreamReader, GdsiiStreamWriter
+from ..geometry import GridIndex, Rect
+from ..layout import (
     FILL_DATATYPE,
     WIRE_DATATYPE,
-    GdsiiStreamReader,
-    GdsiiStreamWriter,
-)
-from ..geometry import GridIndex, Rect, bounding_box
-from ..layout import (
     BandPlan,
     DrcRules,
     DrcViolation,
     Layout,
     LayerSpool,
+    ShapeCensus,
     ShapeSpill,
     WindowGrid,
     check_fills,
+    shape_groups,
 )
 from ..netflow import release_solver_caches
 from ..oasis import OasisStreamWriter
@@ -70,7 +69,7 @@ __all__ = [
 
 WindowKey = Tuple[int, int]
 
-#: default spill budget when neither the call nor the config names one
+#: default spill budget when the call names none
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 
 #: rough resident footprint of one shape across index + task state —
@@ -261,8 +260,6 @@ def stream_fill(
     bands: Optional[int] = None,
     eco_wires: Optional[Mapping[int, Sequence[Rect]]] = None,
     output_format: str = "gdsii",
-    include_wires: bool = True,
-    work_dir: Optional[str] = None,
 ) -> FillReport:
     """Run the full fill flow out-of-core; bounded peak memory.
 
@@ -294,58 +291,24 @@ def stream_fill(
     if output_format not in _FORMATS:
         raise ValueError(f"output_format must be one of {_FORMATS}")
     rules = check_drc_params(rules, name="rules")
-    if memory_budget is None:
-        memory_budget = config.memory_budget
     engine = DummyFillEngine(config, weights)
     flush = _flush_records(memory_budget)
 
     with contextlib.ExitStack() as cleanup, engine_span() as run_span:
-        if work_dir is None:
-            workdir = tempfile.mkdtemp(prefix="repro-stream-")
-            cleanup.callback(shutil.rmtree, workdir, ignore_errors=True)
-        else:
-            workdir = work_dir
-            os.makedirs(workdir, exist_ok=True)
+        workdir = tempfile.mkdtemp(prefix="repro-stream-")
+        cleanup.callback(shutil.rmtree, workdir, ignore_errors=True)
 
         # --------------------------------------------------------------
-        # Pass 1 — scan: die, layer count, per-layer spools in input order.
+        # Pass 1 — scan: die and layer count by the shape-stream rules
+        # every reader shares, wires and fills spooled in input order.
         with obs.span("scan"):
             spool = LayerSpool(workdir, "shapes", flush_records=flush)
-            die_rects: List[Rect] = []
-            everything: List[Rect] = []  # only grown via bounding_box; O(1)
-            max_layer = 0
-            num_shapes = 0
+            census = ShapeCensus("GDSII")
             with GdsiiStreamReader(source) as reader:
-                for layer, datatype, rect in reader.shapes():
-                    num_shapes += 1
-                    box = bounding_box(everything + [rect])
-                    everything = [box] if box is not None else []
-                    if layer == DIE_LAYER:
-                        if datatype == WIRE_DATATYPE:
-                            die_rects.append(rect)
-                        continue
-                    max_layer = max(max_layer, layer)
-                    if datatype in (WIRE_DATATYPE, FILL_DATATYPE):
-                        spool.add(layer, datatype, rect)
-
-            if die_rects:
-                die = die_rects[0]
-                if len(die_rects) > 1:
-                    box = bounding_box(die_rects)
-                    assert box is not None
-                    die = box
-                    obs.events.emit(
-                        "gdsii.multiple_die_outlines",
-                        level="warning",
-                        count=len(die_rects),
-                        die=str(die),
-                    )
-            else:
-                box = bounding_box(everything)
-                if box is None:
-                    raise ValueError("GDSII stream contains no geometry")
-                die = box
-            num_layers = max_layer if max_layer else 1
+                for layer, datatype, rect in census.scan(reader.shapes()):
+                    spool.add(layer, datatype, rect)
+            die = census.die()
+            num_layers = census.num_layers
             numbers = tuple(range(1, num_layers + 1))
             grid = WindowGrid(die, cols, rows)
 
@@ -360,9 +323,9 @@ def stream_fill(
                         spool.add(number, WIRE_DATATYPE, rect)
                 affected = affected_windows(grid, eco_wires, eco_halo(rules, config))
             spool.finish()
-            obs.count("stream.shapes", num_shapes)
+            obs.count("stream.shapes", census.num_shapes)
 
-        plan = BandPlan(grid, resolve_bands(num_shapes, grid.cols, memory_budget, bands))
+        plan = BandPlan(grid, resolve_bands(census.num_shapes, grid.cols, memory_budget, bands))
         obs.count("stream.bands", plan.num_bands)
 
         # --------------------------------------------------------------
@@ -414,9 +377,16 @@ def stream_fill(
             report.violations = _band_drc(plan, wires, fills, numbers, rules)
 
         # --------------------------------------------------------------
-        # Write — stream the filled layout out: die outline, then per
-        # layer wires (input order, ECO wires appended), kept fills
-        # (input order), new fills (grid order via ascending bands).
+        # Write — stream the filled layout out in the shared file order:
+        # die outline, then per layer wires (input order, ECO wires
+        # appended) and fills: kept (input order), then new (grid order
+        # via ascending bands).
+        def layers() -> Iterator[Tuple[int, Iterable[Rect], Iterable[Rect]]]:
+            for n in numbers:
+                new_fills = (band.read(n, FILL_DATATYPE) for band in bands_source.new_fills)
+                fills = chain(kept_spool.read(n, FILL_DATATYPE), *new_fills)
+                yield n, spool.read(n, WIRE_DATATYPE), fills
+
         with obs.span("io.write"), contextlib.ExitStack() as stack:
             stream: BinaryIO = (
                 stack.enter_context(open(output, "wb"))
@@ -426,16 +396,8 @@ def stream_fill(
             writer: Union[GdsiiStreamWriter, OasisStreamWriter] = (
                 GdsiiStreamWriter(stream) if output_format == "gdsii" else OasisStreamWriter(stream)
             )
-            writer.rectangles(DIE_LAYER, WIRE_DATATYPE, [die])
-            for n in numbers:
-                if include_wires:
-                    writer.rectangles(n, WIRE_DATATYPE, spool.read(n, WIRE_DATATYPE))
-                new_fills = (
-                    band_fills.read(n, FILL_DATATYPE) for band_fills in bands_source.new_fills
-                )
-                writer.rectangles(
-                    n, FILL_DATATYPE, chain(kept_spool.read(n, FILL_DATATYPE), *new_fills)
-                )
+            for group in shape_groups(die, layers()):
+                writer.rectangles(*group)
             report.bytes_written = writer.close()
 
     spills = [spool, wires, fills, kept_spool, *bands_source.new_fills]

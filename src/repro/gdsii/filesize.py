@@ -13,7 +13,6 @@ that cost explicit.
 from __future__ import annotations
 
 from ..layout import Layout
-from .writer import gdsii_bytes
 
 __all__ = [
     "BYTES_PER_BOUNDARY",
@@ -27,13 +26,22 @@ __all__ = [
 #: BOUNDARY(4) + LAYER(6) + DATATYPE(6) + XY(4 + 10*4) + ENDEL(4).
 BYTES_PER_BOUNDARY = 4 + 6 + 6 + (4 + 40) + 4
 
-#: Library/structure framing emitted once per file.
-HEADER_OVERHEAD_BYTES = 6 + 28 + 6 + 20 + 28 + 8 + 4 + 4
+#: Library/structure framing emitted once per file: HEADER(6) +
+#: BGNLIB(28) + LIBNAME "FILL"(8) + UNITS(20) + BGNSTR(28) +
+#: STRNAME "TOP"(8) + ENDSTR(4) + ENDLIB(4).
+HEADER_OVERHEAD_BYTES = 6 + 28 + 8 + 20 + 28 + 8 + 4 + 4
 
 
 def measure_file_size(layout: Layout, *, include_wires: bool = True) -> int:
-    """Exact GDSII byte size of a layout (by serialising it)."""
-    return len(gdsii_bytes(layout, include_wires=include_wires))
+    """Exact byte size of :func:`~repro.gdsii.gdsii_bytes` of a layout.
+
+    Every shape — the die outline, each fill and, unless
+    ``include_wires`` is false, each wire — is one fixed-size
+    BOUNDARY element, so the size follows from the shape counts
+    without serialising anything.
+    """
+    boundaries = 1 + layout.num_fills + (layout.num_wires if include_wires else 0)
+    return HEADER_OVERHEAD_BYTES + BYTES_PER_BOUNDARY * boundaries
 
 
 def predict_fill_bytes(num_fills: int) -> int:

@@ -1,109 +1,22 @@
 """GDSII reader: rebuild a :class:`~repro.layout.Layout` from a stream.
 
-Parses the record subset the writer emits (plus tolerant skipping of
-unknown elements) and reconstructs layers, wires and fills.  Rectangle
-boundaries are recognised directly; non-rectangular rectilinear
-boundaries are decomposed through Gourley–Green, mirroring the
-"convert polygons to rectangles" front end of the paper's flow (Fig. 3).
-
-The record iteration and element-to-geometry conversions live in
-:mod:`repro.gdsii.stream`; this module is the materializing front end
-(everything in one :class:`GdsiiLibrary`), the streaming reader is the
-bounded-memory one.  Both share one state machine, so they agree on
-every parse decision byte for byte.
+The shapes come from :class:`~repro.gdsii.stream.GdsiiStreamReader`,
+which recognises rectangle boundaries directly and decomposes other
+rectilinear boundaries through Gourley–Green, mirroring the "convert
+polygons to rectangles" front end of the paper's flow (Fig. 3).  The
+die, layer count and wire/fill split follow the shape-stream rules of
+:mod:`repro.layout.shapes`, the same ones the OASIS reader and the
+out-of-core :func:`~repro.core.stream_fill` scan apply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
-from .. import obs
-from ..geometry import Rect, RectilinearPolygon, bounding_box, polygon_to_rects
-from ..layout import DrcRules, Layout
-from .stream import GdsiiStreamReader, element_loops, loop_as_rect, path_to_loops
-from .writer import DIE_LAYER, FILL_DATATYPE, WIRE_DATATYPE
+from ..layout import DrcRules, Layout, layout_from_shapes
+from .stream import GdsiiStreamReader
 
-__all__ = ["GdsiiLibrary", "read_gdsii", "layout_from_gdsii"]
-
-
-@dataclass
-class GdsiiLibrary:
-    """Raw parse result: library metadata plus boundaries per (layer, datatype)."""
-
-    name: str = ""
-    user_unit: float = 1e-3
-    db_unit_meters: float = 1e-9
-    structure_names: List[str] = field(default_factory=list)
-    boundaries: Dict[Tuple[int, int], List[List[Tuple[int, int]]]] = field(
-        default_factory=dict
-    )
-
-    def rects(self, layer: int, datatype: int) -> List[Rect]:
-        """All boundaries on (layer, datatype) as rectangles.
-
-        Rectangular loops convert directly; other rectilinear loops are
-        decomposed with Gourley–Green.
-        """
-        out: List[Rect] = []
-        for loop in self.boundaries.get((layer, datatype), []):
-            rect = _loop_as_rect(loop)
-            if rect is not None:
-                out.append(rect)
-            else:
-                out.extend(polygon_to_rects(RectilinearPolygon(loop)))
-        return out
-
-    @property
-    def layer_numbers(self) -> List[int]:
-        return sorted({layer for layer, _ in self.boundaries if layer != DIE_LAYER})
-
-
-# Shared with the streaming reader; re-exported under the historical
-# names for callers that reached into this module directly.
-_loop_as_rect = loop_as_rect
-_path_to_loops = path_to_loops
-
-
-def read_gdsii(data: bytes) -> GdsiiLibrary:
-    """Parse a GDSII byte stream into a :class:`GdsiiLibrary`.
-
-    Handles BOUNDARY elements (what the writer emits) and Manhattan
-    PATH elements (common in industrial inputs), which are expanded to
-    per-segment rectangles.  Unknown element types are skipped.
-    """
-    lib = GdsiiLibrary()
-    reader = GdsiiStreamReader(data)
-    for element in reader.elements():
-        loops = lib.boundaries.setdefault((element.layer, element.datatype), [])
-        loops.extend(element_loops(element))
-    lib.name = reader.name
-    lib.user_unit = reader.user_unit
-    lib.db_unit_meters = reader.db_unit_meters
-    lib.structure_names = reader.structure_names
-    return lib
-
-
-def _die_from_rects(die_rects: List[Rect]) -> Rect:
-    """The die outline from the DIE_LAYER boundaries.
-
-    A single outline is taken as-is; multiple outlines (abutted
-    partition frames, doubled-up exports) merge into their bounding
-    box — picking ``die_rects[0]`` would make the die depend on
-    element order in the file.  The merge is reported on the events
-    channel because it usually signals a malformed export.
-    """
-    if len(die_rects) == 1:
-        return die_rects[0]
-    die = bounding_box(die_rects)
-    assert die is not None  # die_rects is non-empty
-    obs.events.emit(
-        "gdsii.multiple_die_outlines",
-        level="warning",
-        count=len(die_rects),
-        die=str(die),
-    )
-    return die
+__all__ = ["layout_from_gdsii"]
 
 
 def layout_from_gdsii(
@@ -111,28 +24,12 @@ def layout_from_gdsii(
 ) -> Layout:
     """Reconstruct a :class:`Layout` from GDSII bytes.
 
-    The die is taken from the reserved outline boundary on
-    :data:`~repro.gdsii.writer.DIE_LAYER` when present (the bounding
-    box of all such outlines when there are several), otherwise from
-    the bounding box of all geometry.
+    The die is the outline boundary on
+    :data:`~repro.layout.shapes.DIE_LAYER` when present (the bounding
+    box of all such outlines when there are several), otherwise the
+    bounding box of all geometry.
     """
-    lib = read_gdsii(data)
-    die_rects = lib.rects(DIE_LAYER, WIRE_DATATYPE)
-    if die_rects:
-        die = _die_from_rects(die_rects)
-    else:
-        everything = [
-            r
-            for key in lib.boundaries
-            for r in lib.rects(*key)
-        ]
-        die = bounding_box(everything)
-        if die is None:
-            raise ValueError("GDSII stream contains no geometry")
-    layers = lib.layer_numbers
-    num_layers = max(layers) if layers else 1
-    layout = Layout(die, num_layers, rules, name=lib.name or "gdsii")
-    for number in layers:
-        layout.layer(number).add_wires(lib.rects(number, WIRE_DATATYPE))
-        layout.layer(number).add_fills(lib.rects(number, FILL_DATATYPE))
+    reader = GdsiiStreamReader(data)
+    layout = layout_from_shapes(reader.shapes(), rules, source="GDSII")
+    layout.name = reader.name or "gdsii"
     return layout

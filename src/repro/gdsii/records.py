@@ -14,18 +14,18 @@ A GDSII file is a flat sequence of records::
 where ``length`` includes the 4 header bytes.  Payload encodings used
 here: 2-byte integers, 4-byte integers, ASCII (padded to even length),
 and the 8-byte excess-64 base-16 floating-point format unique to GDSII.
+Records are read back by :func:`repro.gdsii.stream.iter_stream_records`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence
 
 __all__ = [
     "RecordType",
     "DataType",
     "pack_record",
-    "iter_records",
     "encode_real8",
     "decode_real8",
     "encode_int2",
@@ -158,26 +158,3 @@ def pack_record(rec_type: int, data_type: int, payload: bytes = b"") -> bytes:
     if length > 0xFFFF:
         raise ValueError("record payload too large for GDSII framing")
     return struct.pack(">HBB", length, rec_type, data_type) + payload
-
-
-def iter_records(data: bytes) -> Iterator[Tuple[int, int, bytes]]:
-    """Yield ``(rec_type, data_type, payload)`` for each record.
-
-    Stops at the ENDLIB record or at zero-padding (GDSII files are
-    commonly padded to a 2048-byte multiple with nulls).
-    """
-    offset = 0
-    size = len(data)
-    while offset + 4 <= size:
-        length, rec_type, data_type = struct.unpack_from(">HBB", data, offset)
-        if length == 0:
-            return  # trailing null padding
-        if length < 4 or offset + length > size:
-            raise ValueError(f"corrupt record at byte {offset}")
-        payload = data[offset + 4 : offset + length]
-        yield rec_type, data_type, payload
-        if rec_type == RecordType.ENDLIB:
-            return
-        offset += length
-    if offset != size:
-        raise ValueError("truncated GDSII stream")

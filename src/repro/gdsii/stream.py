@@ -1,21 +1,19 @@
-"""Streaming GDSII reader: record iterator over a file-like source.
+"""GDSII reader: one record iterator, one element state machine.
 
-:func:`read_gdsii` materializes every boundary of the library before a
-caller sees the first shape; on a multi-GB contest-class design that
-is the peak-RSS wall the runtime/memory score term of the paper
-(Eqn. (3)) grades.  This module is the out-of-core front end: a
-buffered record iterator (:func:`iter_stream_records`) that never holds
-more than one record plus one read-ahead chunk, and a
-:class:`GdsiiStreamReader` that replays the exact element state machine
-of :func:`~repro.gdsii.reader.read_gdsii` but *yields* elements and
-shapes one at a time instead of building a
-:class:`~repro.gdsii.reader.GdsiiLibrary`.
+:func:`iter_stream_records` frames records off a file-like source and
+never holds more than one record plus one read-ahead chunk, so peak
+memory is bounded by the largest record, not the file — on a
+multi-GB contest-class design that is what the runtime/memory score
+term of the paper (Eqn. (3)) grades.  :class:`GdsiiStreamReader` runs
+the element state machine over those records and yields elements, or
+``(layer, datatype, Rect)`` shapes, one at a time.  Every GDSII input
+is read this way: :func:`~repro.gdsii.reader.layout_from_gdsii` builds
+a layout from :meth:`GdsiiStreamReader.shapes`, and the out-of-core
+fill (:func:`~repro.core.stream_fill`) spools the same shapes to disk.
 
 The element-to-rectangle conversions live here (``path_to_loops``,
-``loop_as_rect``, ``element_rects``) and the in-memory reader is
-rebased on them, so both paths share one set of geometry semantics —
-including the exact-width asymmetric PATH expansion and the odd-XY
-validation the streaming bucketer relies on.
+``loop_as_rect``, ``element_rects``), including the exact-width
+asymmetric PATH expansion and the odd-XY validation.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .records import (
 __all__ = [
     "GdsiiElement",
     "GdsiiStreamReader",
-    "element_loops",
     "element_points",
     "element_rects",
     "iter_stream_records",
@@ -66,13 +63,14 @@ def iter_stream_records(
 ) -> Iterator[Tuple[int, int, int, bytes]]:
     """Yield ``(offset, rec_type, data_type, payload)`` from a stream.
 
-    The streaming counterpart of
-    :func:`~repro.gdsii.records.iter_records`: same framing, same
-    termination (ENDLIB or zero-length padding), same error classes —
-    but reads the source in ``chunk_size`` slices, so memory use is
+    Each record is framed by :func:`~repro.gdsii.records.pack_record`'s
+    layout; iteration ends at ENDLIB or at zero-length padding (GDSII
+    files are commonly padded to a 2048-byte multiple with nulls).
+    The source is read in ``chunk_size`` slices, so memory use is
     bounded by the largest single record, not the file.  The yielded
     ``offset`` is the byte position of the record header in the
-    stream, for error attribution by downstream consumers.
+    stream; a truncated or corrupt record raises a ``ValueError``
+    naming it.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
@@ -206,24 +204,17 @@ def loop_as_rect(loop: List[Tuple[int, int]]) -> Optional[Rect]:
     return Rect(xs[0], ys[0], xs[1], ys[1])
 
 
-def element_loops(element: GdsiiElement) -> List[List[Tuple[int, int]]]:
-    """The element's geometry as point loops (one per rectangle)."""
-    points = element_points(element)
-    if element.kind == "path":
-        return path_to_loops(points, element.width)
-    return [points]
-
-
 def element_rects(element: GdsiiElement) -> List[Rect]:
     """The element's geometry as rectangles.
 
+    A PATH expands into one loop per segment (:func:`path_to_loops`).
     Rectangular loops convert directly; other rectilinear loops are
-    decomposed with Gourley–Green — the same conversion
-    :meth:`GdsiiLibrary.rects` applies, so streamed shapes match the
-    in-memory parse rect for rect.
+    decomposed with Gourley–Green.
     """
+    points = element_points(element)
+    loops = path_to_loops(points, element.width) if element.kind == "path" else [points]
     out: List[Rect] = []
-    for loop in element_loops(element):
+    for loop in loops:
         rect = loop_as_rect(loop)
         if rect is not None:
             out.append(rect)
@@ -265,10 +256,10 @@ class GdsiiStreamReader:
     def elements(self) -> Iterator[GdsiiElement]:
         """Yield geometry elements in stream order.
 
-        The same record subset and tolerance as
-        :func:`~repro.gdsii.reader.read_gdsii` (BOUNDARY and Manhattan
-        PATH; unknown elements skipped), with the element's byte
-        offset attached for error attribution.
+        BOUNDARY elements (what the writer emits) and Manhattan PATH
+        elements (common in industrial inputs) are parsed; unknown
+        element types are skipped.  Each element carries its byte
+        offset for error attribution.
         """
         element_layer: Optional[int] = None
         element_datatype: Optional[int] = None
@@ -331,10 +322,8 @@ class GdsiiStreamReader:
     def shapes(self) -> Iterator[Tuple[int, int, Rect]]:
         """Yield ``(layer, datatype, rect)`` in stream order.
 
-        For each ``(layer, datatype)`` key the rect sequence equals
-        :meth:`GdsiiLibrary.rects` of the in-memory parse — elements
-        appear in file order and each element expands in the same
-        loop-to-rect order.
+        Elements appear in file order and each expands into its
+        rectangles by :func:`element_rects`.
         """
         for element in self.elements():
             for rect in element_rects(element):

@@ -1,8 +1,10 @@
-"""Layout model: layers, DRC rules, window dissection."""
+"""Layout model: layers, DRC rules, window dissection, shape streams."""
 
 from .drc import DrcRules, DrcViolation, check_fills
 from .layer import Layer
 from .layout import Layout
+from .shapes import (DIE_LAYER, FILL_DATATYPE, WIRE_DATATYPE, ShapeCensus,
+                     layout_from_shapes, shape_groups)
 from .spill import BandPlan, LayerSpool, ShapeSpill
 from .window import WindowGrid
 
@@ -12,6 +14,12 @@ __all__ = [
     "check_fills",
     "Layer",
     "Layout",
+    "DIE_LAYER",
+    "FILL_DATATYPE",
+    "WIRE_DATATYPE",
+    "ShapeCensus",
+    "layout_from_shapes",
+    "shape_groups",
     "BandPlan",
     "LayerSpool",
     "ShapeSpill",

@@ -19,7 +19,9 @@ band by band as fixed-size binary records.
   for pass-through geometry (input wires and kept fills) that must
   re-emit in input order.
 
-All record framing is fixed-size big-endian (:data:`SHAPE_RECORD`,
+Both keep one chunk file per key (a band, or a (layer, datatype)) and
+share one buffer/flush/finish/read implementation.  All record
+framing is fixed-size big-endian (:data:`SHAPE_RECORD`,
 :data:`RECT_RECORD`); a trailing partial record raises a
 ``ValueError`` naming the file, mirroring the reader-side error
 discipline of the stream parsers.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Hashable, Iterator, List, Tuple
 
 from ..geometry import Rect
 from ..parallel.shard import shard_bounds
@@ -47,29 +49,6 @@ DEFAULT_FLUSH_RECORDS = 4096
 
 #: file-read granularity, in records
 _READ_RECORDS = 4096
-
-
-def _read_records(
-    path: str, record: struct.Struct
-) -> Iterator[Tuple[int, ...]]:
-    """Yield fixed-size records from ``path``; loud on a partial tail."""
-    block = record.size * _READ_RECORDS
-    with open(path, "rb") as handle:
-        carry = b""
-        while True:
-            data = handle.read(block)
-            if not data:
-                break
-            data = carry + data
-            whole = len(data) - len(data) % record.size
-            for values in record.iter_unpack(data[:whole]):
-                yield values
-            carry = data[whole:]
-        if carry:
-            raise ValueError(
-                f"corrupt spill chunk {path}: {len(carry)} trailing bytes "
-                f"(record size {record.size})"
-            )
 
 
 class BandPlan:
@@ -125,13 +104,6 @@ class BandPlan:
             if lo <= xh and hi >= xl
         ]
 
-    def band_of_column(self, col: int) -> int:
-        """The band owning window column ``col``."""
-        for band, (c0, c1) in enumerate(self._bounds):
-            if c0 <= col < c1:
-                return band
-        raise ValueError(f"column {col} outside the {self.grid.cols}-column grid")
-
     def band_of_x(self, x: int) -> int:
         """The band owning coordinate ``x`` (clamped to the die)."""
         for band, (xl, xh) in enumerate(self._x_ranges):
@@ -140,104 +112,17 @@ class BandPlan:
         return self.num_bands - 1
 
 
-class ShapeSpill:
-    """Per-band shape chunk files with halo routing.
+class _Spill:
+    """Append buffers flushed to one chunk file per key.
 
-    Shapes append through small in-memory buffers; each buffer flush
+    Records append through small in-memory buffers; each buffer flush
     is one *chunk* write.  ``bytes_spilled``/``records``/``chunks``
-    feed the ``stream.*`` observability counters.
+    feed the ``stream.*`` observability counters.  A spill is written,
+    then finished (:meth:`finish`), then read.
     """
 
-    def __init__(
-        self,
-        plan: BandPlan,
-        directory: str,
-        name: str,
-        *,
-        flush_records: int = DEFAULT_FLUSH_RECORDS,
-    ):
-        if flush_records < 1:
-            raise ValueError("flush_records must be at least 1")
-        self.plan = plan
-        self._paths: List[str] = [
-            os.path.join(directory, f"{name}-band{band:04d}.bin")
-            for band in range(plan.num_bands)
-        ]
-        self._buffers: List[List[bytes]] = [[] for _ in self._paths]
-        self._handles: List[Optional[BinaryIO]] = [None] * len(self._paths)
-        self._flush_records = flush_records
-        self._finished = False
-        self.bytes_spilled = 0
-        self.records = 0
-        self.chunks = 0
-
-    def _flush(self, band: int) -> None:
-        buffer = self._buffers[band]
-        if not buffer:
-            return
-        handle = self._handles[band]
-        if handle is None:
-            handle = open(self._paths[band], "wb")
-            self._handles[band] = handle
-        data = b"".join(buffer)
-        handle.write(data)
-        buffer.clear()
-        self.bytes_spilled += len(data)
-        self.chunks += 1
-
-    def add(self, band: int, layer: int, datatype: int, rect: Rect) -> None:
-        """Append one shape to one band."""
-        if self._finished:
-            raise ValueError("spill is finished")
-        self._buffers[band].append(
-            SHAPE_RECORD.pack(layer, datatype, rect.xl, rect.yl, rect.xh, rect.yh)
-        )
-        self.records += 1
-        if len(self._buffers[band]) >= self._flush_records:
-            self._flush(band)
-
-    def route(
-        self, layer: int, datatype: int, rect: Rect, halo: int
-    ) -> List[int]:
-        """Append the shape to every band it can influence within ``halo``."""
-        bands = self.plan.bands_touching(rect, halo)
-        for band in bands:
-            self.add(band, layer, datatype, rect)
-        return bands
-
-    def finish(self) -> None:
-        """Flush buffers and close handles; the spill becomes read-only."""
-        if self._finished:
-            return
-        for band in range(len(self._paths)):
-            self._flush(band)
-            handle = self._handles[band]
-            if handle is not None:
-                handle.close()
-                self._handles[band] = None
-        self._finished = True
-
-    def read(self, band: int) -> Iterator[Tuple[int, int, Rect]]:
-        """Yield ``(layer, datatype, rect)`` of ``band`` in spill order."""
-        if not self._finished:
-            raise ValueError("spill must be finished before reading")
-        path = self._paths[band]
-        if not os.path.exists(path):
-            return
-        for layer, datatype, xl, yl, xh, yh in _read_records(
-            path, SHAPE_RECORD
-        ):
-            yield layer, datatype, Rect(xl, yl, xh, yh)
-
-
-class LayerSpool:
-    """Order-preserving per-(layer, datatype) rectangle spools.
-
-    The write phase re-emits input wires and surviving fills in their
-    original order; spooling them to disk during the scan pass keeps
-    the pass-through geometry out of memory without disturbing that
-    order.
-    """
+    #: the fixed-size record of one entry
+    _record: struct.Struct
 
     def __init__(
         self,
@@ -251,12 +136,130 @@ class LayerSpool:
         self._directory = directory
         self._name = name
         self._flush_records = flush_records
-        self._buffers: Dict[Tuple[int, int], List[bytes]] = {}
-        self._handles: Dict[Tuple[int, int], BinaryIO] = {}
-        self._counts: Dict[Tuple[int, int], int] = {}
+        self._buffers: Dict[Hashable, List[bytes]] = {}
+        self._handles: Dict[Hashable, BinaryIO] = {}
+        self._counts: Dict[Hashable, int] = {}
         self._finished = False
         self.bytes_spilled = 0
         self.chunks = 0
+
+    def _path(self, key: Any) -> str:
+        raise NotImplementedError
+
+    @property
+    def records(self) -> int:
+        return sum(self._counts.values())
+
+    def _append(self, key: Hashable, record: bytes) -> None:
+        if self._finished:
+            raise ValueError("spill is finished")
+        buffer = self._buffers.setdefault(key, [])
+        buffer.append(record)
+        self._counts[key] = self._counts.get(key, 0) + 1
+        if len(buffer) >= self._flush_records:
+            self._flush(key)
+
+    def _flush(self, key: Hashable) -> None:
+        buffer = self._buffers[key]
+        if not buffer:
+            return
+        handle = self._handles.get(key)
+        if handle is None:
+            handle = self._handles[key] = open(self._path(key), "wb")
+        data = b"".join(buffer)
+        handle.write(data)
+        buffer.clear()
+        self.bytes_spilled += len(data)
+        self.chunks += 1
+
+    def finish(self) -> None:
+        """Flush buffers and close handles; the spill becomes read-only."""
+        if self._finished:
+            return
+        for key in self._buffers:
+            self._flush(key)
+        for handle in self._handles.values():
+            handle.close()
+        self._handles.clear()
+        self._finished = True
+
+    def _read(self, key: Hashable) -> Iterator[Tuple[int, ...]]:
+        """Yield the key's records in the order they were added.
+
+        A partial record at the end of the chunk file raises a
+        ``ValueError`` naming the file.
+        """
+        if not self._finished:
+            raise ValueError("spill must be finished before reading")
+        if key not in self._counts:
+            return
+        path = self._path(key)
+        record = self._record
+        with open(path, "rb") as handle:
+            carry = b""
+            while True:
+                data = handle.read(record.size * _READ_RECORDS)
+                if not data:
+                    break
+                data = carry + data
+                whole = len(data) - len(data) % record.size
+                yield from record.iter_unpack(data[:whole])
+                carry = data[whole:]
+            if carry:
+                raise ValueError(
+                    f"corrupt spill chunk {path}: {len(carry)} trailing bytes "
+                    f"(record size {record.size})"
+                )
+
+
+class ShapeSpill(_Spill):
+    """Per-band shape chunk files with halo routing."""
+
+    _record = SHAPE_RECORD
+
+    def __init__(
+        self,
+        plan: BandPlan,
+        directory: str,
+        name: str,
+        *,
+        flush_records: int = DEFAULT_FLUSH_RECORDS,
+    ):
+        super().__init__(directory, name, flush_records=flush_records)
+        self.plan = plan
+
+    def _path(self, band: int) -> str:
+        return os.path.join(self._directory, f"{self._name}-band{band:04d}.bin")
+
+    def add(self, band: int, layer: int, datatype: int, rect: Rect) -> None:
+        """Append one shape to one band."""
+        self._append(band, SHAPE_RECORD.pack(layer, datatype, rect.xl, rect.yl, rect.xh, rect.yh))
+
+    def route(
+        self, layer: int, datatype: int, rect: Rect, halo: int
+    ) -> List[int]:
+        """Append the shape to every band it can influence within ``halo``."""
+        bands = self.plan.bands_touching(rect, halo)
+        for band in bands:
+            self.add(band, layer, datatype, rect)
+        return bands
+
+    def read(self, band: int) -> Iterator[Tuple[int, int, Rect]]:
+        """Yield ``(layer, datatype, rect)`` of ``band`` in spill order."""
+        for layer, datatype, xl, yl, xh, yh in self._read(band):
+            yield layer, datatype, Rect(xl, yl, xh, yh)
+
+
+class LayerSpool(_Spill):
+    """Order-preserving per-(layer, datatype) rectangle spools.
+
+    The write phase re-emits input wires and surviving fills in their
+    original order; spooling them to disk during the scan pass keeps
+    the pass-through geometry out of memory without disturbing that
+    order.
+    """
+
+    _record = RECT_RECORD
 
     def _path(self, key: Tuple[int, int]) -> str:
         layer, datatype = key
@@ -264,29 +267,8 @@ class LayerSpool:
             self._directory, f"{self._name}-l{layer:04d}-d{datatype:02d}.bin"
         )
 
-    def _flush(self, key: Tuple[int, int]) -> None:
-        buffer = self._buffers.get(key)
-        if not buffer:
-            return
-        handle = self._handles.get(key)
-        if handle is None:
-            handle = open(self._path(key), "wb")
-            self._handles[key] = handle
-        data = b"".join(buffer)
-        handle.write(data)
-        buffer.clear()
-        self.bytes_spilled += len(data)
-        self.chunks += 1
-
     def add(self, layer: int, datatype: int, rect: Rect) -> None:
-        if self._finished:
-            raise ValueError("spool is finished")
-        key = (layer, datatype)
-        buffer = self._buffers.setdefault(key, [])
-        buffer.append(RECT_RECORD.pack(rect.xl, rect.yl, rect.xh, rect.yh))
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if len(buffer) >= self._flush_records:
-            self._flush(key)
+        self._append((layer, datatype), RECT_RECORD.pack(rect.xl, rect.yl, rect.xh, rect.yh))
 
     def count(self, layer: int, datatype: int) -> int:
         return self._counts.get((layer, datatype), 0)
@@ -295,22 +277,7 @@ class LayerSpool:
         """Spooled (layer, datatype) keys, sorted."""
         return sorted(self._counts)
 
-    def finish(self) -> None:
-        if self._finished:
-            return
-        for key in sorted(self._buffers):
-            self._flush(key)
-        for handle in self._handles.values():
-            handle.close()
-        self._handles.clear()
-        self._finished = True
-
     def read(self, layer: int, datatype: int) -> Iterator[Rect]:
         """Yield the key's rectangles in the order they were added."""
-        if not self._finished:
-            raise ValueError("spool must be finished before reading")
-        key = (layer, datatype)
-        if key not in self._counts:
-            return
-        for xl, yl, xh, yh in _read_records(self._path(key), RECT_RECORD):
+        for xl, yl, xh, yh in self._read((layer, datatype)):
             yield Rect(xl, yl, xh, yh)

@@ -221,11 +221,6 @@ def solve_dual_mcf(lp: DifferentialLP, *, decompose: bool = True) -> DualMcfSolu
     )
 
 
-def _components(lp: DifferentialLP) -> List[List[int]]:
-    """Connected components of the constraint graph (union-find)."""
-    return [members for members, _ in _component_split(lp)]
-
-
 def _component_split(
     lp: DifferentialLP,
 ) -> List[Tuple[List[int], List[Tuple[int, int, int]]]]:

@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .geometry import Rect, bounding_box
-from .layout import DrcRules, Layout
+from .geometry import Rect
+from .layout import DrcRules, Layout, layout_from_shapes, shape_groups
 
 __all__ = [
     "OasisStreamWriter",
@@ -69,11 +69,6 @@ _START = 1
 _END = 2
 _CELL_NAME = 14
 _RECTANGLE = 25
-
-#: Datatype conventions shared with the GDSII module.
-WIRE_DATATYPE = 0
-FILL_DATATYPE = 1
-DIE_LAYER = 0
 
 #: Repetition shapes (subset-local type numbering, see module docstring).
 _REP_GRID = 1
@@ -370,14 +365,6 @@ class OasisStreamWriter:
     def bytes_written(self) -> int:
         return self._bytes_written
 
-    def rectangle(self, layer: int, datatype: int, rect: Rect) -> None:
-        """Emit one rectangle with no repetition (e.g. the die outline)."""
-        if self._closed:
-            raise ValueError("writer is closed")
-        out = bytearray()
-        _emit_rectangle(out, self._modal, layer, datatype, rect)
-        self._write(out)
-
     def rectangles(
         self, layer: int, datatype: int, rects: Iterable[Rect]
     ) -> None:
@@ -428,12 +415,9 @@ def oasis_bytes(
     """Serialise a layout as an OASIS-subset byte stream."""
     buf = io.BytesIO()
     writer = OasisStreamWriter(buf, cell_name=cell_name)
-    # Die outline first (layer 0), mirroring the GDSII writer.
-    writer.rectangle(DIE_LAYER, WIRE_DATATYPE, layout.die)
-    for layer in layout.layers:
-        if include_wires:
-            writer.rectangles(layer.number, WIRE_DATATYPE, layer.wires)
-        writer.rectangles(layer.number, FILL_DATATYPE, layer.fills)
+    layers = ((layer.number, layer.wires, layer.fills) for layer in layout.layers)
+    for group in shape_groups(layout.die, layers, include_wires=include_wires):
+        writer.rectangles(*group)
     writer.close()
     return buf.getvalue()
 
@@ -476,12 +460,14 @@ def _repetition_positions(
     raise ValueError(f"unsupported repetition type {rep_type}")
 
 
-def read_oasis(data: bytes) -> OasisCell:
-    """Parse an OASIS-subset stream back into rectangles."""
+def _shapes(data: bytes, cell: OasisCell) -> Iterator[Tuple[int, int, Rect]]:
+    """Yield the stream's ``(layer, datatype, rect)`` in file order.
+
+    The cell's name and unit are set as their records go past.
+    """
     if not data.startswith(MAGIC):
         raise ValueError("not an OASIS stream (bad magic)")
     cur = _Cursor(data, len(MAGIC))
-    cell = OasisCell()
     modal = _Modal()
     while cur.pos < len(data):
         record = cur.byte()
@@ -522,45 +508,32 @@ def read_oasis(data: bytes) -> OasisCell:
             positions = [(x, y)]
             if info & 0x04:
                 positions = _repetition_positions(cur, x, y)
-            key = (modal.layer, modal.datatype)
-            bucket = cell.rects.setdefault(key, [])
             for px, py in positions:
-                bucket.append(
-                    Rect(px, py, px + modal.width, py + modal.height)
-                )
+                rect = Rect(px, py, px + modal.width, py + modal.height)
+                yield modal.layer, modal.datatype, rect
         elif record == _END:
             break
         else:
             raise ValueError(f"unsupported OASIS record {record}")
+
+
+def read_oasis(data: bytes) -> OasisCell:
+    """Parse an OASIS-subset stream back into rectangles."""
+    cell = OasisCell()
+    for layer, datatype, rect in _shapes(data, cell):
+        cell.rects.setdefault((layer, datatype), []).append(rect)
     return cell
 
 
 def layout_from_oasis(
     data: bytes, rules: Optional[DrcRules] = None
 ) -> Layout:
-    """Reconstruct a :class:`Layout` from an OASIS-subset stream."""
-    cell = read_oasis(data)
-    die_rects = cell.rects.get((DIE_LAYER, WIRE_DATATYPE), [])
-    if die_rects:
-        # Multiple outlines merge into their bounding box, matching
-        # repro.gdsii.reader: element order must not pick the die.
-        die = die_rects[0] if len(die_rects) == 1 else bounding_box(die_rects)
-        assert die is not None
-    else:
-        everything = [r for rects in cell.rects.values() for r in rects]
-        die = bounding_box(everything)
-        if die is None:
-            raise ValueError("OASIS stream contains no geometry")
-    layer_numbers = sorted(
-        {layer for layer, _ in cell.rects if layer != DIE_LAYER}
-    )
-    num_layers = max(layer_numbers) if layer_numbers else 1
-    layout = Layout(die, num_layers, rules, name=cell.name or "oasis")
-    for number in layer_numbers:
-        layout.layer(number).add_wires(
-            cell.rects.get((number, WIRE_DATATYPE), [])
-        )
-        layout.layer(number).add_fills(
-            cell.rects.get((number, FILL_DATATYPE), [])
-        )
+    """Reconstruct a :class:`Layout` from an OASIS-subset stream.
+
+    The die, layer count and wire/fill split follow the shape-stream
+    rules of :mod:`repro.layout.shapes`, exactly as for GDSII.
+    """
+    cell = OasisCell()
+    layout = layout_from_shapes(_shapes(data, cell), rules, source="OASIS")
+    layout.name = cell.name or "oasis"
     return layout

@@ -49,11 +49,13 @@ class TestValidation:
             FillConfig(window_margin=-1)
 
     def test_removed_kernel_field_rejected(self):
-        # the analysis picks the density kernel per layer
-        with pytest.raises(TypeError):
-            FillConfig(kernel="raster")
-        with pytest.raises(ValueError, match="'kernel'"):
-            FillConfig.from_mapping({"kernel": "raster"})
+        # the analysis picks the density kernel per layer, and the spill
+        # budget is a stream_fill argument
+        for field, value in (("kernel", "raster"), ("memory_budget", 1 << 20)):
+            with pytest.raises(TypeError):
+                FillConfig(**{field: value})
+            with pytest.raises(ValueError, match=f"'{field}'"):
+                FillConfig.from_mapping({field: value})
 
 
 class TestDerivedKnobs:

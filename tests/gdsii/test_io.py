@@ -7,16 +7,24 @@ import pytest
 from repro.gdsii import (
     BYTES_PER_BOUNDARY,
     HEADER_OVERHEAD_BYTES,
+    GdsiiStreamReader,
     file_size_mb,
     gdsii_bytes,
     layout_from_gdsii,
     measure_file_size,
     predict_fill_bytes,
-    read_gdsii,
     write_gdsii,
 )
 from repro.geometry import Rect
 from repro.layout import Layout
+
+
+def shapes_by_key(data):
+    """The stream's rectangles per (layer, datatype), in file order."""
+    by_key = {}
+    for layer, datatype, rect in GdsiiStreamReader(data).shapes():
+        by_key.setdefault((layer, datatype), []).append(rect)
+    return by_key
 
 
 def sample_layout():
@@ -42,25 +50,26 @@ class TestRoundTrip:
 
     def test_wires_and_fills_distinguished_by_datatype(self):
         data = gdsii_bytes(sample_layout())
-        lib = read_gdsii(data)
-        assert lib.rects(1, 0)  # wires, datatype 0
-        assert lib.rects(1, 1)  # fills, datatype 1
-        assert lib.rects(3, 1)
+        by_key = shapes_by_key(data)
+        assert by_key[1, 0]  # wires, datatype 0
+        assert by_key[1, 1]  # fills, datatype 1
+        assert by_key[3, 1]
 
     def test_fill_only_output(self):
         layout = sample_layout()
         data = gdsii_bytes(layout, include_wires=False)
-        lib = read_gdsii(data)
-        assert lib.rects(1, 0) == []
-        assert lib.rects(1, 1)
+        by_key = shapes_by_key(data)
+        assert (1, 0) not in by_key
+        assert by_key[1, 1]
 
     def test_library_metadata(self):
         data = gdsii_bytes(sample_layout(), library_name="MYLIB",
                            structure_name="CHIP")
-        lib = read_gdsii(data)
-        assert lib.name == "MYLIB"
-        assert lib.structure_names == ["CHIP"]
-        assert lib.db_unit_meters == pytest.approx(1e-9)
+        reader = GdsiiStreamReader(data)
+        list(reader.shapes())
+        assert reader.name == "MYLIB"
+        assert reader.structure_names == ["CHIP"]
+        assert reader.db_unit_meters == pytest.approx(1e-9)
 
     def test_deterministic_output(self):
         a = gdsii_bytes(sample_layout())
@@ -95,6 +104,15 @@ class TestFileSize:
     def test_measure_matches_bytes(self):
         layout = sample_layout()
         assert measure_file_size(layout) == len(gdsii_bytes(layout))
+        assert measure_file_size(layout, include_wires=False) == len(
+            gdsii_bytes(layout, include_wires=False)
+        )
+
+    def test_header_overhead_constant_is_exact(self):
+        # an empty layout is the framing plus the die outline boundary
+        data = gdsii_bytes(Layout(Rect(0, 0, 100, 100), num_layers=1))
+        assert HEADER_OVERHEAD_BYTES == 106
+        assert len(data) == HEADER_OVERHEAD_BYTES + BYTES_PER_BOUNDARY == 170
 
     def test_boundary_cost_constant_is_exact(self):
         layout = Layout(Rect(0, 0, 100, 100), num_layers=1)
@@ -146,8 +164,7 @@ class TestReaderTolerance:
             + pack_record(RecordType.ENDSTR, DataType.NO_DATA)
             + pack_record(RecordType.ENDLIB, DataType.NO_DATA)
         )
-        lib = read_gdsii(stream)
-        rects = lib.rects(1, 0)
+        rects = shapes_by_key(stream)[1, 0]
         assert sum(r.area for r in rects) == 10 * 4 + 4 * 6
 
     def test_boundary_missing_xy_rejected(self):
@@ -166,4 +183,4 @@ class TestReaderTolerance:
             + pack_record(RecordType.ENDLIB, DataType.NO_DATA)
         )
         with pytest.raises(ValueError):
-            read_gdsii(stream)
+            shapes_by_key(stream)

@@ -1,6 +1,6 @@
 """Tests for GDSII record framing and scalar encodings."""
 
-import math
+import io
 import struct
 
 import pytest
@@ -18,9 +18,9 @@ from repro.gdsii.records import (
     encode_int2,
     encode_int4,
     encode_real8,
-    iter_records,
     pack_record,
 )
+from repro.gdsii.stream import iter_stream_records
 
 
 class TestIntegers:
@@ -112,27 +112,28 @@ class TestFraming:
             + pack_record(RecordType.LIBNAME, DataType.ASCII, encode_ascii("LIB"))
             + pack_record(RecordType.ENDLIB, DataType.NO_DATA)
         )
-        records = list(iter_records(stream))
-        assert [r[0] for r in records] == [
-            RecordType.HEADER,
-            RecordType.LIBNAME,
-            RecordType.ENDLIB,
+        records = list(iter_stream_records(io.BytesIO(stream)))
+        assert [(r[0], r[1]) for r in records] == [
+            (0, RecordType.HEADER),
+            (6, RecordType.LIBNAME),
+            (14, RecordType.ENDLIB),
         ]
+        assert records[1][3] == encode_ascii("LIB")
 
     def test_stops_at_endlib(self):
         stream = (
             pack_record(RecordType.ENDLIB, DataType.NO_DATA) + b"\xff\xff\xff"
         )
-        assert len(list(iter_records(stream))) == 1
+        assert len(list(iter_stream_records(io.BytesIO(stream)))) == 1
 
     def test_null_padding_tolerated(self):
         stream = pack_record(RecordType.ENDLIB, DataType.NO_DATA) + b"\x00" * 64
-        assert len(list(iter_records(stream))) == 1
+        assert len(list(iter_stream_records(io.BytesIO(stream)))) == 1
 
     def test_truncated_stream_rejected(self):
         stream = pack_record(RecordType.HEADER, DataType.INT2, encode_int2([600]))
-        with pytest.raises(ValueError):
-            list(iter_records(stream[:-2] ))
+        with pytest.raises(ValueError, match="at byte 0"):
+            list(iter_stream_records(io.BytesIO(stream[:-2])))
 
     def test_oversize_payload_rejected(self):
         with pytest.raises(ValueError):

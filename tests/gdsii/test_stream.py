@@ -17,7 +17,6 @@ from repro.gdsii import (
     iter_stream_records,
     layout_from_gdsii,
     path_to_loops,
-    read_gdsii,
 )
 from repro.gdsii.stream import GdsiiElement, element_points
 from repro.geometry import Rect
@@ -31,17 +30,21 @@ def _sample_bytes():
 
 class TestStreamReader:
     def test_elements_match_in_memory_parse(self):
-        data = _sample_bytes()
-        lib = read_gdsii(data)
-        with GdsiiStreamReader(data) as reader:
+        layout = generate_layout(
+            LayoutSpec(name="s", die_size=800, seed=3, num_cell_rects=40)
+        )
+        with GdsiiStreamReader(gdsii_bytes(layout)) as reader:
             shapes = list(reader.shapes())
         by_key = {}
         for layer, datatype, rect in shapes:
             by_key.setdefault((layer, datatype), []).append(rect)
-        for key in lib.boundaries:
-            assert by_key[key] == lib.rects(*key)
-        assert reader.name == lib.name
-        assert reader.structure_names == lib.structure_names
+        assert by_key.pop((0, 0)) == [layout.die]
+        for layer in layout.layers:
+            assert by_key.pop((layer.number, 0), []) == layer.wires
+            assert by_key.pop((layer.number, 1), []) == layer.fills
+        assert by_key == {}
+        assert reader.name == "FILL"
+        assert reader.structure_names == ["TOP"]
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1 << 16])
     def test_chunk_size_invariant(self, chunk_size):

@@ -65,6 +65,8 @@ class TestControlOps:
         with pytest.raises(JobError, match=r"unknown config keys \['kernel'\]") as exc_info:
             open_session(client, gds_bytes, config={**CONFIG_MAPPING, "kernel": "raster"})
         assert exc_info.value.error_type == "ValueError"
+        with pytest.raises(JobError, match=r"unknown config keys \['memory_budget'\]"):
+            open_session(client, gds_bytes, config={**CONFIG_MAPPING, "memory_budget": 1 << 20})
         # the failed requests leave the service serving
         sid = open_session(client, gds_bytes)
         assert client.request("fill", session=sid)["num_fills"] > 0

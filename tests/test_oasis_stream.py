@@ -34,7 +34,7 @@ class TestStreamWriterParity:
 
         buf = io.BytesIO()
         writer = OasisStreamWriter(buf)
-        writer.rectangle(0, 0, layout.die)
+        writer.rectangles(0, 0, [layout.die])
         for layer in layout.layers:
             writer.rectangles(layer.number, 0, layer.wires)
             writer.rectangles(layer.number, 1, layer.fills)
@@ -122,7 +122,7 @@ class TestMalformedStreams:
     def test_truncated_stream_names_offset(self):
         buf = io.BytesIO()
         writer = OasisStreamWriter(buf)
-        writer.rectangle(1, 0, Rect(0, 0, 50, 50))
+        writer.rectangles(1, 0, [Rect(0, 0, 50, 50)])
         writer.close()
         data = buf.getvalue()
         with pytest.raises(ValueError, match="at byte"):
