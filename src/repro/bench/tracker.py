@@ -273,7 +273,7 @@ def run_benchmark(
         peak_rss_mb=peak_mb,
         num_fills=layout.num_fills,
         gds_bytes=len(gds),
-        worst_windows=worst_windows(layout, grid, k=worst_k),
+        worst_windows=worst_windows(card.maps, k=worst_k),
         label=record.label,
     )
 

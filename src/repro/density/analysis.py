@@ -21,6 +21,7 @@ from .. import obs
 from ..contracts import check_density
 from ..geometry import GridIndex, Rect, RectSet, rect_set_subtract
 from ..layout import DrcRules, Layer, Layout, WindowGrid
+from .raster import raster_area_map
 
 __all__ = [
     "window_area_map",
@@ -47,40 +48,29 @@ def _shape_index(shapes: Sequence[Rect], die: Rect) -> GridIndex[int]:
     return index
 
 
-def _area_map(shapes: Sequence[Rect], grid: WindowGrid, *, exact_union: bool) -> np.ndarray:
-    """Per-window covered area of ``shapes``.
-
-    ``exact_union=True`` de-duplicates overlapping shapes (needed for
-    wires, which may overlap at connections); fills are disjoint by
-    construction so a plain clipped sum suffices.
-    """
-    areas = np.zeros((grid.cols, grid.rows), dtype=np.int64)
-    index = _shape_index(shapes, grid.die)
-    for i, j, win in grid:
-        hits = index.query_overlapping(win)
-        if not hits:
-            continue
-        if exact_union:
-            clipped = [r.intersection(win) for r, _ in hits]
-            areas[i, j] = RectSet(c for c in clipped if c is not None).area
-        else:
-            areas[i, j] = sum(r.intersection_area(win) for r, _ in hits)
-    return areas
-
-
 def wire_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Wire density ``d_w(i, j)`` per window — the lower bound l(i, j)."""
-    return _to_density(_area_map(layer.wires, grid, exact_union=True), grid)
+    return _to_density(raster_area_map(layer.wires, grid), grid)
 
 
 def fill_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
-    """Dummy-fill density per window."""
-    return _to_density(_area_map(layer.fills, grid, exact_union=False), grid)
+    """Dummy-fill density per window.
+
+    Fills are disjoint by construction, so a plain clipped sum is their
+    covered area.
+    """
+    areas = np.zeros((grid.cols, grid.rows), dtype=np.int64)
+    index = _shape_index(layer.fills, grid.die)
+    for i, j, win in grid:
+        hits = index.query_overlapping(win)
+        if hits:
+            areas[i, j] = sum(r.intersection_area(win) for r, _ in hits)
+    return _to_density(areas, grid)
 
 
 def metal_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
-    """Total layout density d(i, j): wires plus fills."""
-    return _to_density(_area_map(layer.shapes, grid, exact_union=True), grid)
+    """Total layout density d(i, j): wires plus fills, each point once."""
+    return _to_density(raster_area_map(layer.shapes, grid), grid)
 
 
 def window_area_map(grid: WindowGrid) -> np.ndarray:
@@ -447,7 +437,10 @@ def overlay_area(lower: Layer, upper: Layer) -> int:
 
     Counts the overlap between each layer's *fills* and the other
     layer's full metal (wires and fills); the fill-fill overlap region
-    is common to both terms and must not be double counted.
+    is common to both terms and must not be double counted.  This is
+    one die-wide slab sweep per term, with no die clipping; the score
+    reads :func:`overlay_map` instead, and the tests keep this as its
+    oracle.
     """
     from ..geometry import intersection_area
 
@@ -462,12 +455,13 @@ def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
     """Per-window fill-induced overlay area between two adjacent layers.
 
     Splits :func:`overlay_area` over the fixed dissection: each window
-    is charged the part of the overlay region it contains.  The grid
-    windows partition the die and area is additive over a partition, so
-    ``overlay_map(lo, hi, grid).sum() == overlay_area(lo, hi)`` exactly
-    — which makes the map usable as an *attribution*: the windows with
-    the largest cells are the ones a regressed Overlay* score points
-    at.
+    is charged the part of the overlay region it contains, so overlay
+    outside the grid's die is not counted.  The grid windows partition
+    the die and area is additive over a partition, so when every fill
+    lies inside the die, ``overlay_map(lo, hi, grid).sum() ==
+    overlay_area(lo, hi)`` exactly — which makes the map usable as an
+    *attribution*: the windows with the largest cells are the ones a
+    regressed Overlay* score points at.
     """
     from ..geometry import intersection_area
 
@@ -498,9 +492,14 @@ def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
     return out
 
 
-def fill_overlay_area(layout: Layout) -> Dict[Tuple[int, int], int]:
-    """Overlay per adjacent layer pair for a whole layout."""
-    out: Dict[Tuple[int, int], int] = {}
-    for lo, hi in layout.adjacent_pairs():
-        out[(lo.number, hi.number)] = overlay_area(lo, hi)
-    return out
+def fill_overlay_area(layout: Layout, grid: WindowGrid) -> Dict[Tuple[int, int], np.ndarray]:
+    """Per-window overlay (:func:`overlay_map`) of every adjacent layer pair.
+
+    Keyed by ``(lower, upper)`` layer number, in layer order.  Only
+    overlay inside the grid's die counts; each map sums to the pair's
+    :func:`overlay_area` when every fill lies inside the die.
+    """
+    return {
+        (lo.number, hi.number): overlay_map(lo, hi, grid)
+        for lo, hi in layout.adjacent_pairs()
+    }

@@ -1,15 +1,18 @@
 """Vectorized raster density kernel for the §3.1 ``l(i, j)``/``u(i, j)`` analysis.
 
-Array implementations of the per-window analysis quantities, built on
-:class:`repro.geometry.Raster` (coordinate-compressed occupancy grids +
-integral images).  Every function here is an exact, bit-identical
-replacement for its scanline counterpart in
-:mod:`repro.density.analysis`, which stays in the tree as the oracle.
-:func:`~repro.density.analysis.analyze_layer` runs this kernel on whole
-window columns of a layer whose wires mostly run along them, and the
-rect path everywhere else, so a fill of a layout with both routing
-directions runs both kernels; the parity tests force each kernel alone
-and compare.
+Array implementations of the per-window analysis quantities on
+coordinate-compressed occupancy grids.  :func:`raster_area_map` is the
+one covered-area kernel: every wire and total-metal density map of
+:mod:`repro.density.analysis`, and so every score, runs on it.
+:func:`raster_fill_regions` and :func:`raster_analyze_layer` are exact,
+bit-identical replacements for their scanline counterparts in
+:mod:`repro.density.analysis`, which stay in the tree as the rect
+kernel: :func:`~repro.density.analysis.analyze_layer` runs this kernel
+on whole window columns of a layer whose wires mostly run along them,
+and the rect path everywhere else, so a fill of a layout with both
+routing directions runs both kernels; the parity tests force each
+kernel alone and compare, and check the area map against a 1-dbu
+bitmap.
 
 Why this is exact and not an approximation: the raster grid is the
 coordinate grid *induced by the shapes themselves* (plus the window cut
@@ -36,7 +39,7 @@ from ..contracts import check_density
 from ..geometry import IntArray, Raster, Rect
 from ..layout import DrcRules, Layer, WindowGrid
 
-if TYPE_CHECKING:  # analysis imports this module lazily; no cycle at runtime
+if TYPE_CHECKING:  # this module imports analysis lazily; no cycle at runtime
     from .analysis import LayerDensity
 
 __all__ = [
@@ -81,28 +84,54 @@ def raster_area_map(
     *,
     cols: Optional[Sequence[int]] = None,
 ) -> "np.ndarray":
-    """Per-window covered area of ``shapes`` — raster twin of
-    ``analysis._area_map(..., exact_union=True)``.
+    """Per-window covered area of ``shapes`` inside the grid's die.
 
-    Each point counts once however many shapes cover it (occupancy x
-    cell area).  ``cols`` restricts the work to a subset of window
-    columns (a band or a window-restricted analysis); other columns
-    stay zero.
+    Each point counts once however many shapes cover it, so
+    overlapping wires (and fills over wires) are not double counted.
+    ``cols`` restricts the work to a subset of window columns (a band
+    or a window-restricted analysis); other columns stay zero.
+
+    Per window-column strip, the shapes clipped to the strip are
+    rasterized onto the grid of their own edges (plus the window row
+    cuts) as one int32 difference grid, cumulated in place into
+    per-cell multiplicities.  Each y-cell's covered width is then the
+    summed width of its covered x-cells, and a window row's area is
+    the sum of width x height over its y-cells.  All sums are int64.
     """
     x_cuts, y_cuts = window_cuts(grid)
     out = np.zeros((grid.cols, grid.rows), dtype=_I64)
     if not shapes:
         return out
     x0, y0, x1, y1 = _coords(shapes)
+    rows = np.asarray(y_cuts, dtype=_I64)
+    y0 = np.maximum(y0, rows[0])
+    y1 = np.minimum(y1, rows[-1])
+    live = y1 > y0
     for i in (range(grid.cols) if cols is None else cols):
         sx0, sx1 = x_cuts[i], x_cuts[i + 1]
-        m = (x0 < sx1) & (x1 > sx0)
+        m = live & (x0 < sx1) & (x1 > sx0)
         if not bool(m.any()):
             continue
-        ras = Raster.from_arrays(
-            x0[m], y0[m], x1[m], y1[m], extra_x=[sx0, sx1], extra_y=y_cuts
-        )
-        out[i, :] = ras.covered_window_areas([sx0, sx1], y_cuts)[0]
+        cx0 = np.maximum(x0[m], sx0)
+        cx1 = np.minimum(x1[m], sx1)
+        cy0, cy1 = y0[m], y1[m]
+        xs = np.unique(np.concatenate([cx0, cx1, [sx0, sx1]]))
+        ys = np.unique(np.concatenate([cy0, cy1, rows]))
+        i0, i1 = np.searchsorted(xs, cx0), np.searchsorted(xs, cx1)
+        j0, j1 = np.searchsorted(ys, cy0), np.searchsorted(ys, cy1)
+        counts = np.zeros((len(xs), len(ys)), dtype=np.int32)
+        np.add.at(counts, (i0, j0), 1)
+        np.add.at(counts, (i1, j0), -1)
+        np.add.at(counts, (i0, j1), -1)
+        np.add.at(counts, (i1, j1), 1)
+        np.add.accumulate(counts, axis=0, out=counts)
+        np.add.accumulate(counts, axis=1, out=counts)
+        np.minimum(counts, 1, out=counts)  # multiplicity -> occupancy
+        # einsum casts the int32 grid buffer by buffer; a matrix product
+        # would first copy it whole to int64
+        covered_width = np.einsum("i,ij->j", np.diff(xs), counts[:-1, :-1])
+        per_cell = covered_width * np.diff(ys)
+        out[i, :] = np.add.reduceat(per_cell, np.searchsorted(ys, rows[:-1]))
     return out
 
 

@@ -16,6 +16,10 @@ Raw component values follow the paper exactly:
 * file size — bytes of the output GDSII,
 * runtime / memory — wall seconds and peak MB (testcase score only).
 
+The first four are reductions of per-window arrays built once per
+score (:class:`ScoreMaps`): each layer's total-metal density map and
+each adjacent pair's overlay map.
+
 **Testcase Quality** is the weighted sum of the first five (solution
 quality); **Testcase Score** additionally includes runtime and memory —
 the two right-most columns of Table 3.
@@ -23,20 +27,22 @@ the two right-most columns of Table 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from ..layout import Layout, WindowGrid
-from .analysis import fill_overlay_area, metal_density_map, overlay_map
+from .analysis import fill_overlay_area, metal_density_map
 from .metrics import compute_metrics
 
 __all__ = [
     "ScoreWeights",
     "RawComponents",
+    "ScoreMaps",
     "ScoreCard",
     "component_score",
+    "score_maps",
     "measure_raw_components",
     "score_layout",
     "worst_windows",
@@ -99,8 +105,30 @@ class RawComponents:
 
 
 @dataclass(frozen=True)
+class ScoreMaps:
+    """The per-window arrays every raw component is reduced from.
+
+    ``density`` maps each layer number, in layer order, to the layer's
+    total-metal density d(i, j) (wires plus fills, each point once);
+    ``overlay`` maps each adjacent ``(lower, upper)`` pair to its int64
+    fill-induced overlay area per window
+    (:func:`~repro.density.analysis.overlay_map`).  Both count only
+    area inside the grid's die.
+    """
+
+    density: Dict[int, np.ndarray] = field(default_factory=dict)
+    overlay: Dict[Tuple[int, int], np.ndarray] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class ScoreCard:
-    """Per-component scores plus the Table 3 aggregates."""
+    """Per-component scores plus the Table 3 aggregates.
+
+    ``maps`` keeps the per-window arrays :func:`score_layout` reduced
+    the raw components from (:func:`worst_windows` ranks them; a card
+    built by hand has none); it takes no part in :meth:`as_row`,
+    equality or the repr.
+    """
 
     weights: ScoreWeights
     raw: RawComponents
@@ -111,6 +139,7 @@ class ScoreCard:
     size: float
     runtime: float
     memory: float
+    maps: ScoreMaps = field(default_factory=ScoreMaps, compare=False, repr=False)
 
     @property
     def quality(self) -> float:
@@ -154,24 +183,25 @@ class ScoreCard:
         return f"ScoreCard({cells})"
 
 
-def measure_raw_components(layout: Layout, grid: WindowGrid) -> RawComponents:
-    """Measure overlay/variation/line/outlier on a (filled) layout.
+def score_maps(layout: Layout, grid: WindowGrid) -> ScoreMaps:
+    """Build each layer's metal density map and each pair's overlay map once."""
+    return ScoreMaps(
+        density={layer.number: metal_density_map(layer, grid) for layer in layout.layers},
+        overlay=fill_overlay_area(layout, grid),
+    )
 
-    Density metrics are computed on the *total* metal density (wires
-    plus fills) per layer; overlay sums the fill overlay of every
-    adjacent layer pair (§2.1).
-    """
-    total_overlay = float(sum(fill_overlay_area(layout).values()))
+
+def _reduce_maps(maps: ScoreMaps) -> RawComponents:
     sigma_sum = 0.0
     line_sum = 0.0
     outlier_sum = 0.0
-    for layer in layout.layers:
-        metrics = compute_metrics(metal_density_map(layer, grid))
+    for density in maps.density.values():
+        metrics = compute_metrics(density)
         sigma_sum += metrics.sigma
         line_sum += metrics.line
         outlier_sum += metrics.outlier
     return RawComponents(
-        overlay=total_overlay,
+        overlay=float(sum(int(per_window.sum()) for per_window in maps.overlay.values())),
         variation=sigma_sum,
         line=line_sum,
         # Eqn. (3): s_oh = f_oh( Σσ(l) · Σoh(l) )
@@ -179,35 +209,47 @@ def measure_raw_components(layout: Layout, grid: WindowGrid) -> RawComponents:
     )
 
 
-def worst_windows(
-    layout: Layout, grid: WindowGrid, k: int = 5
-) -> Dict[str, List[Dict[str, Any]]]:
+def measure_raw_components(layout: Layout, grid: WindowGrid) -> RawComponents:
+    """Measure overlay/variation/line/outlier on a (filled) layout.
+
+    Density metrics are computed on the *total* metal density (wires
+    plus fills) per layer; overlay sums the fill overlay of every
+    adjacent layer pair (§2.1).  Both are reductions of
+    :func:`score_maps`, so only area inside the grid's die counts:
+    overlay equals the die-wide :func:`~repro.density.analysis.overlay_area`
+    sum when every fill lies inside the die.
+    """
+    return _reduce_maps(score_maps(layout, grid))
+
+
+def worst_windows(maps: ScoreMaps, k: int = 5) -> Dict[str, List[Dict[str, Any]]]:
     """The K worst windows by density deviation and overlay contribution.
 
     A regressed Variation* or Overlay* score is a number; this is the
-    pointer that goes with it.  Returns two ranked lists of plain-JSON
-    entries:
+    pointer that goes with it.  Ranks the arrays of a score's
+    :class:`ScoreMaps` (``ScoreCard.maps``) into two lists of
+    plain-JSON entries:
 
     * ``by_deviation`` — per (layer, window): total metal density, the
       layer mean, and ``|density - mean|``, worst first.  These are the
       windows dragging σ(l) (and usually the outlier product) up.
     * ``by_overlay`` — per (layer pair, window): the window's share of
-      the pair's fill-induced overlay area (:func:`overlay_map`), worst
-      first.  Windows with zero overlay are omitted.
+      the pair's fill-induced overlay area, worst first.  Windows with
+      zero overlay are omitted.
 
     ``k`` bounds each list independently.
     """
     by_deviation: List[Dict[str, Any]] = []
-    for layer in layout.layers:
-        density = metal_density_map(layer, grid)
+    for number, density in maps.density.items():
         mean = float(density.mean())
+        cols, rows = density.shape
         # k-bounded attribution reporting, not a hot path
-        for i in range(grid.cols):  # repro: noqa[REP015]
-            for j in range(grid.rows):
+        for i in range(cols):  # repro: noqa[REP015]
+            for j in range(rows):
                 value = float(density[i, j])
                 by_deviation.append(
                     {
-                        "layer": layer.number,
+                        "layer": number,
                         "window": [i, j],
                         "density": value,
                         "layer_mean": mean,
@@ -217,19 +259,19 @@ def worst_windows(
     by_deviation.sort(key=lambda e: (-e["deviation"], e["layer"], e["window"]))
 
     by_overlay: List[Dict[str, Any]] = []
-    for lo, hi in layout.adjacent_pairs():
-        per_window = overlay_map(lo, hi, grid)
+    for (lo, hi), per_window in maps.overlay.items():
         total = int(per_window.sum())
         if total <= 0:
             continue
-        for i in range(grid.cols):  # repro: noqa[REP015]
-            for j in range(grid.rows):
+        cols, rows = per_window.shape
+        for i in range(cols):  # repro: noqa[REP015]
+            for j in range(rows):
                 area = int(per_window[i, j])
                 if area <= 0:
                     continue
                 by_overlay.append(
                     {
-                        "layers": [lo.number, hi.number],
+                        "layers": [lo, hi],
                         "window": [i, j],
                         "overlay_area": area,
                         "share": area / total,
@@ -253,8 +295,9 @@ def score_layout(
     ``file_size`` is in the same unit as ``beta_size`` (the contest uses
     megabytes), ``runtime`` in seconds, ``memory`` in MB.
     """
+    maps = score_maps(layout, grid)
     raw = replace(
-        measure_raw_components(layout, grid),
+        _reduce_maps(maps),
         file_size=file_size,
         runtime=runtime,
         memory=memory,
@@ -269,4 +312,5 @@ def score_layout(
         size=component_score(raw.file_size, weights.beta_size),
         runtime=component_score(raw.runtime, weights.beta_runtime),
         memory=component_score(raw.memory, weights.beta_memory),
+        maps=maps,
     )

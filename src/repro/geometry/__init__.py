@@ -7,7 +7,7 @@ rectangle sets (:mod:`~repro.geometry.boolean`), rectilinear polygons
 and their rectangle decompositions (:mod:`~repro.geometry.polygon`,
 :mod:`~repro.geometry.poly2rect`), a uniform-grid spatial index
 (:mod:`~repro.geometry.grid`), and coordinate-compressed occupancy
-rasters with exact per-window prefix sums
+rasters with exact free-region recovery
 (:mod:`~repro.geometry.raster`).
 """
 

@@ -1,25 +1,20 @@
-"""Coordinate-compressed occupancy rasters with exact box sums.
+"""Coordinate-compressed occupancy rasters with exact free regions.
 
-The array core under :mod:`repro.density.raster`: a set of integer
-rectangles is rasterized **once** onto the non-uniform grid induced by
-its own edge coordinates (plus any caller-supplied cut lines, e.g.
-window boundaries).  On that grid every input rectangle is a union of
-whole cells, so the raster is *exact* — not an approximation at some
-fixed resolution — while every downstream per-window quantity becomes
-an array operation:
+The array core under :func:`repro.density.raster.raster_fill_regions`:
+a set of integer rectangles is rasterized **once** onto the non-uniform
+grid induced by its own edge coordinates (plus any caller-supplied cut
+lines, e.g. window boundaries).  On that grid every input rectangle is
+a union of whole cells, so the raster is *exact* — not an approximation
+at some fixed resolution:
 
 * multiplicity per cell (``counts``) via a 2-D difference array and two
   cumulative sums,
-* union/covered area via the boolean occupancy (``counts > 0``) times
-  the cell areas,
-* per-window aggregation via 2-D prefix sums (integral images) sampled
-  at the window cut lines,
+* the union view as the boolean occupancy (``counts > 0``),
 * canonical free-region recovery via maximal-run extraction and
   vertical merging, matching the scanline oracle's output rect list.
 
-Everything stays int64; no floating point enters until a caller divides
-by window areas, which keeps the raster path bit-compatible with the
-rect-set oracle in :mod:`repro.geometry.boolean`.
+Everything stays int64, which keeps the raster path bit-compatible with
+the rect-set oracle in :mod:`repro.geometry.boolean`.
 """
 
 from __future__ import annotations
@@ -113,66 +108,9 @@ class Raster:
             counts = diff.cumsum(axis=0).cumsum(axis=1)[:nx, :ny]
         return cls(xs, ys, counts)
 
-    # ------------------------------------------------------------------
-    @property
-    def num_cells(self) -> int:
-        return int(self.counts.size)
-
-    def cell_widths(self) -> IntArray:
-        return np.diff(self.xs)
-
-    def cell_heights(self) -> IntArray:
-        return np.diff(self.ys)
-
-    def cell_areas(self) -> IntArray:
-        """Outer product of cell widths and heights, int64."""
-        return np.outer(self.cell_widths(), self.cell_heights())
-
     def occupancy(self) -> BoolArray:
         """Boolean covered-per-cell (the union view of the rect set)."""
         return self.counts > 0
-
-    # ------------------------------------------------------------------
-    def cut_indices(self, cuts: Sequence[int], *, axis: str = "x") -> IntArray:
-        """Edge indices of ``cuts``, which must be existing edges."""
-        edges = self.xs if axis == "x" else self.ys
-        wanted = np.asarray(list(cuts), dtype=_I64)
-        if len(edges) == 0:
-            raise ValueError("raster has no edges")
-        idx = np.searchsorted(edges, wanted)
-        safe = np.minimum(idx, len(edges) - 1)
-        if bool((idx >= len(edges)).any()) or bool((edges[safe] != wanted).any()):
-            raise ValueError(f"{axis} cuts must be existing raster edge coordinates")
-        return idx.astype(_I64)
-
-    def window_sums(
-        self, values: IntArray, x_cuts: Sequence[int], y_cuts: Sequence[int]
-    ) -> IntArray:
-        """Block sums of a per-cell array between consecutive cut lines.
-
-        ``x_cuts``/``y_cuts`` must be existing edge coordinates (pass
-        the window boundaries to :meth:`from_arrays` as ``extra_*``).
-        Returns a ``(len(x_cuts)-1, len(y_cuts)-1)`` int64 array.
-        """
-        nwx = max(0, len(x_cuts) - 1)
-        nwy = max(0, len(y_cuts) - 1)
-        if self.num_cells == 0 or nwx == 0 or nwy == 0:
-            return np.zeros((nwx, nwy), dtype=_I64)
-        nx, ny = values.shape
-        pref: IntArray = np.zeros((nx + 1, ny + 1), dtype=_I64)
-        pref[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
-        xi = self.cut_indices(x_cuts, axis="x")
-        yj = self.cut_indices(y_cuts, axis="y")
-        block = pref[np.ix_(xi, yj)]
-        result: IntArray = block[1:, 1:] - block[:-1, 1:] - block[1:, :-1] + block[:-1, :-1]
-        return result
-
-    def covered_window_areas(self, x_cuts: Sequence[int], y_cuts: Sequence[int]) -> IntArray:
-        """Exact union area of the rect set inside each window."""
-        if self.num_cells == 0:
-            return np.zeros((max(0, len(x_cuts) - 1), max(0, len(y_cuts) - 1)), dtype=_I64)
-        occ_area: IntArray = self.occupancy().astype(_I64) * self.cell_areas()
-        return self.window_sums(occ_area, x_cuts, y_cuts)
 
     # ------------------------------------------------------------------
     def free_rects_in(self, i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> List[Rect]:

@@ -42,7 +42,7 @@ from ..bench.suite import calibrate_weights
 from ..core import DummyFillEngine, FillConfig
 from ..density import score_layout
 from ..eco import apply_eco, build_fill_indexes, wires_from_json
-from ..gdsii import file_size_mb, gdsii_bytes, layout_from_gdsii
+from ..gdsii import file_size_mb, gdsii_bytes, layout_from_gdsii, measure_file_size
 from ..layout import DrcRules, WindowGrid
 from .jobs import Job, JobError, JobQueue, QueueClosedError, WorkerSupervisor
 from .session import FillSession, SessionStore
@@ -467,7 +467,7 @@ class FillService:
         reference = layout.copy_without_fills()
         ref_grid = WindowGrid(reference.die, grid.cols, grid.rows)
         weights = calibrate_weights(reference, ref_grid, 60.0, 1024.0)
-        size = file_size_mb(len(gdsii_bytes(layout)))
+        size = file_size_mb(measure_file_size(layout))
         card = score_layout(layout, grid, weights, file_size=size)
         return {"scores": dict(card.as_row())}
 

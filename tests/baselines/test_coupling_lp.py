@@ -113,8 +113,8 @@ class TestCouplingLpFill:
         loose_layout, _ = demo_layout()
         tight = coupling_lp_fill(tight_layout, grid, coupling_fraction=0.01)
         loose = coupling_lp_fill(loose_layout, grid, coupling_fraction=0.5)
-        tight_ov = sum(fill_overlay_area(tight_layout).values())
-        loose_ov = sum(fill_overlay_area(loose_layout).values())
+        tight_ov = sum(m.sum() for m in fill_overlay_area(tight_layout, grid).values())
+        loose_ov = sum(m.sum() for m in fill_overlay_area(loose_layout, grid).values())
         assert tight_ov <= loose_ov
 
     def test_zero_budget_zero_wire_coupling(self):

@@ -21,7 +21,7 @@ from repro.bench.tracker import (
     trajectory_path,
 )
 from repro.bench.generator import generate_layout
-from repro.density import overlay_map, overlay_area, worst_windows
+from repro.density import overlay_map, overlay_area, score_maps, worst_windows
 from repro.layout import WindowGrid
 
 
@@ -150,7 +150,7 @@ class TestOverlayAttribution:
 
         layout = generate_layout(dataclasses.replace(_SMOKE_SPEC, name="ww"))
         grid = WindowGrid(layout.die, 4, 4)
-        ww = worst_windows(layout, grid, k=2)
+        ww = worst_windows(score_maps(layout, grid), k=2)
         assert len(ww["by_deviation"]) == 2
         for entry in ww["by_deviation"]:
             assert set(entry) == {

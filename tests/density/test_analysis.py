@@ -228,6 +228,7 @@ class TestOverlay:
         layout = Layout(Rect(0, 0, 400, 400), num_layers=3, rules=RULES)
         layout.layer(1).add_fill(Rect(0, 0, 100, 100))
         layout.layer(2).add_fill(Rect(0, 0, 100, 100))
-        result = fill_overlay_area(layout)
-        assert result[(1, 2)] == 10000
-        assert result[(2, 3)] == 0
+        result = fill_overlay_area(layout, WindowGrid(layout.die, 2, 2))
+        assert list(result) == [(1, 2), (2, 3)]
+        assert result[(1, 2)].tolist() == [[10000, 0], [0, 0]]
+        assert not result[(2, 3)].any()

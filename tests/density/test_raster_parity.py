@@ -3,12 +3,13 @@
 The density analysis runs the raster kernel on some layers and the
 rect-set scanline path on the others, so the raster kernel promises
 *bit identity* with the rect path, not approximation.  These tests pin
-the contract at the function level on randomized layouts: wire density
-maps, l/u bounds, fill regions, usable areas and the incremental
-refresh must all match the oracle exactly (``np.array_equal``, no
-tolerances); ``tests/core/test_stream_fill.py`` forces each kernel
-alone through whole fills and compares GDSII bytes.  The overlay map
-has no raster twin; it is checked against a 1-dbu bitmap here.
+the contract at the function level on randomized layouts: l/u bounds,
+fill regions, usable areas and the incremental refresh must all match
+the oracle exactly (``np.array_equal``, no tolerances);
+``tests/core/test_stream_fill.py`` forces each kernel alone through
+whole fills and compares GDSII bytes.  The covered-area map, the
+overlay map and the score's raw components are checked against
+independent oracles: a 1-dbu bitmap and the die-wide overlay sweep.
 """
 
 import random
@@ -16,15 +17,16 @@ import random
 import numpy as np
 import pytest
 
+from repro.density import MultiWindowGrid, RawComponents, compute_metrics, measure_raw_components
 from repro.density.analysis import (
     analyze_layer,
     analyze_layout,
     compute_fill_regions,
+    overlay_area,
     overlay_map,
     refresh_analysis,
     usable_fill_area,
     window_area_map,
-    wire_density_map,
 )
 from repro.density.raster import (
     raster_analyze_layer,
@@ -88,15 +90,35 @@ class TestWindowCuts:
                 )
 
 
+def _phase_grid(layout):
+    """A phase-shifted multi-window grid whose die is smaller than the
+    layout's, so shapes cross its edge."""
+    base = WindowGrid(layout.die, 5, 5)
+    a, b, grid = list(MultiWindowGrid(base, 2).phases())[-1]
+    assert (a, b) == (1, 1)
+    assert any(r.intersection(grid.die) not in (None, r) for r in layout.layer(1).shapes)
+    return grid
+
+
+def _assert_area_maps_match_bitmap(layout, grid):
+    for n in layout.layer_numbers:
+        layer = layout.layer(n)
+        for shapes in (layer.wires, layer.shapes):
+            got = raster_area_map(shapes, grid)
+            assert np.array_equal(got, _bitmap_area_map(shapes, grid)), n
+
+
 class TestDensityMapParity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("odd", [False, True])
     def test_maps_bit_identical(self, seed, odd):
         layout, grid = random_layout(seed, odd=odd)
-        for n in layout.layer_numbers:
-            layer = layout.layer(n)
-            ras = raster_area_map(layer.wires, grid) / window_area_map(grid)
-            assert np.array_equal(wire_density_map(layer, grid), ras), n
+        _assert_area_maps_match_bitmap(layout, grid)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_phase_grid_maps_bit_identical(self, seed):
+        layout, _ = random_layout(seed)
+        _assert_area_maps_match_bitmap(layout, _phase_grid(layout))
 
     def test_empty_layer_zero(self):
         layout, grid = random_layout(2)
@@ -168,11 +190,28 @@ class TestFillRegionParity:
 
 
 def _bitmap(rects, die):
-    """1-dbu occupancy of ``rects``, indexed ``[x, y]`` from the die corner."""
+    """1-dbu occupancy of ``rects`` inside ``die``, indexed ``[x, y]``
+    from the die corner."""
     out = np.zeros((die.width, die.height), dtype=bool)
     for r in rects:
-        out[r.xl - die.xl : r.xh - die.xl, r.yl - die.yl : r.yh - die.yl] = True
+        c = r.intersection(die)
+        if c is not None:
+            out[c.xl - die.xl : c.xh - die.xl, c.yl - die.yl : c.yh - die.yl] = True
     return out
+
+
+def _window_sums(per_pixel, grid):
+    """Sum a per-pixel array of ``grid.die`` over each window."""
+    die = grid.die
+    xs, ys = window_cuts(grid)
+    starts_x = [x - die.xl for x in xs[:-1]]
+    starts_y = [y - die.yl for y in ys[:-1]]
+    return np.add.reduceat(np.add.reduceat(per_pixel, starts_x, axis=0), starts_y, axis=1)
+
+
+def _bitmap_area_map(rects, grid):
+    """Per-window covered area counted pixel by pixel."""
+    return _window_sums(_bitmap(rects, grid.die).astype(np.int64), grid)
 
 
 def _bitmap_overlay_map(lower, upper, grid):
@@ -186,10 +225,7 @@ def _bitmap_overlay_map(lower, upper, grid):
         + (lo_wires & hi_fills)
         + (lo_fills & hi_fills)
     )
-    xs, ys = window_cuts(grid)
-    starts_x = [x - die.xl for x in xs[:-1]]
-    starts_y = [y - die.yl for y in ys[:-1]]
-    return np.add.reduceat(np.add.reduceat(per_pixel, starts_x, axis=0), starts_y, axis=1)
+    return _window_sums(per_pixel, grid)
 
 
 class TestOverlayParity:
@@ -213,6 +249,28 @@ class TestOverlayParity:
         assert np.array_equal(
             out, _bitmap_overlay_map(layout.layer(top - 1), layout.layer(top), grid)
         )
+
+
+class TestRawComponentsOracle:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_raw_components_match_sweep_and_bitmap(self, seed, odd):
+        # Overlapping wires, fills over wires and over each other: the
+        # score's per-window maps must reduce to exactly what the
+        # die-wide overlay sweep and 1-dbu density maps give.
+        layout, grid = random_layout(seed, odd=odd)
+        overlay = sum(overlay_area(lo, hi) for lo, hi in layout.adjacent_pairs())
+        sigma = line = outlier = 0.0
+        for layer in layout.layers:
+            m = compute_metrics(_bitmap_area_map(layer.shapes, grid) / window_area_map(grid))
+            sigma += m.sigma
+            line += m.line
+            outlier += m.outlier
+        expect = RawComponents(
+            overlay=float(overlay), variation=sigma, line=line, outlier=sigma * outlier
+        )
+        assert overlay > 0
+        assert measure_raw_components(layout, grid) == expect  # field for field
 
 
 class TestRefreshParity:

@@ -8,6 +8,7 @@ from repro.density import (
     ScoreWeights,
     component_score,
     measure_raw_components,
+    overlay_area,
     score_layout,
 )
 from repro.geometry import Rect
@@ -146,6 +147,19 @@ class TestMeasureAndScore:
         card = score_layout(layout, grid, WEIGHTS)
         assert card.raw.overlay == 5000
         assert card.overlay == pytest.approx(0.5)
+
+    def test_overlay_outside_the_die_not_counted(self):
+        # Only the in-die half of the fill-over-wire overlap is scored,
+        # as the density components count only in-die area; the
+        # die-wide sweep sees all of it.
+        layout, grid = self.make_layout()
+        layout.layer(1).add_fill(Rect(350, 0, 450, 100))
+        layout.layer(2).add_wire(Rect(300, 0, 500, 100))
+        assert overlay_area(layout.layer(1), layout.layer(2)) == 10000
+        assert measure_raw_components(layout, grid).overlay == 5000
+        card = score_layout(layout, grid, WEIGHTS)
+        assert card.raw.overlay == 5000
+        assert card.maps.overlay[(1, 2)].tolist() == [[0, 0], [5000, 0]]
 
     def test_outlier_uses_product_form(self):
         layout, grid = self.make_layout()

@@ -5,9 +5,13 @@ import threading
 import pytest
 
 from repro import obs
+from repro.bench.suite import calibrate_weights
+from repro.density import score_layout
+from repro.gdsii import file_size_mb, layout_from_gdsii
+from repro.layout import WindowGrid
 from repro.service import FillService, JobError, ServiceClient, rules_from_mapping
 
-from .conftest import CONFIG_MAPPING, RULES_MAPPING
+from .conftest import CONFIG_MAPPING, RULES, RULES_MAPPING
 
 
 @pytest.fixture
@@ -96,8 +100,17 @@ class TestComputeOps:
 
     def test_score_and_drc_audit(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)
-        client.request("fill", session=sid)
+        gds = client.request("fill", session=sid)["gds"]
         scores = client.request("score", session=sid)["scores"]
+        # The same card the CLI path builds from the served file: weights
+        # calibrated on its wires, file size from its real byte count.
+        layout = layout_from_gdsii(gds, RULES)
+        wires = layout.copy_without_fills()
+        weights = calibrate_weights(wires, WindowGrid(wires.die, 4, 4), 60.0, 1024.0)
+        card = score_layout(
+            layout, WindowGrid(layout.die, 4, 4), weights, file_size=file_size_mb(len(gds))
+        )
+        assert scores == card.as_row()
         assert scores["score"] > 0
         audit = client.request("drc_audit", session=sid)
         assert audit["count"] == 0 and audit["violations"] == []
