@@ -55,8 +55,8 @@ def emit(results_dir: Path, table) -> None:
 
     Writes two renderings of the *same* record: ``<name>.txt`` is
     ``table.render()`` and ``BENCH_<name>.json`` is ``table.to_dict()``
-    with the git sha stamped in — the machine-readable trajectory entry
-    the tracker and CI consume.
+    with the git sha stamped in.  Nothing in the repository reads the
+    JSON; it keeps the table's numbers machine-readable.
     """
     text = table.render()
     print(f"\n===== {table.name} =====\n" + text)

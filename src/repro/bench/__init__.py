@@ -1,4 +1,4 @@
-"""Benchmark generation, the scaled s/b/m suite, contest harness, tracker."""
+"""Benchmark generation, the scaled s/b/m suite, contest harness, BENCH records."""
 
 from .contest import (
     TEAMS,
@@ -19,18 +19,17 @@ from .suite import (
 from .tracker import (
     BENCH_SETS,
     BenchRecord,
+    BenchRecordError,
     Column,
     GateResult,
     MetricDelta,
     TableArtifact,
-    TrajectoryError,
-    append_record,
-    bench_set_names,
     format_gate,
+    gate_dirs,
     gate_records,
-    load_trajectory,
+    load_records,
     run_benchmark,
-    trajectory_path,
+    write_record,
 )
 
 __all__ = [
@@ -49,16 +48,15 @@ __all__ = [
     "load_benchmark",
     "BENCH_SETS",
     "BenchRecord",
+    "BenchRecordError",
     "Column",
     "GateResult",
     "MetricDelta",
     "TableArtifact",
-    "TrajectoryError",
-    "append_record",
-    "bench_set_names",
     "format_gate",
+    "gate_dirs",
     "gate_records",
-    "load_trajectory",
+    "load_records",
     "run_benchmark",
-    "trajectory_path",
+    "write_record",
 ]

@@ -1,4 +1,4 @@
-"""``python -m repro.bench`` dispatches to the trajectory CLI."""
+"""``python -m repro.bench`` dispatches to the BENCH record CLI."""
 
 import sys
 

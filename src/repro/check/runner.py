@@ -118,10 +118,6 @@ class AnalysisResult:
         for code, count in other.suppressed_by_code.items():
             self.suppressed_by_code[code] = self.suppressed_by_code.get(code, 0) + count
 
-    @property
-    def has_errors(self) -> bool:
-        return any(f.severity is Severity.ERROR for f in self.findings)
-
 
 def analyze_source(
     source: str,

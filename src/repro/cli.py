@@ -14,8 +14,8 @@ this CLI exposes the same workflow:
   queue, NDJSON socket protocol (:mod:`repro.service`),
 * ``trace``    — render/diff/export run records written by
   ``--trace-out`` (forwards to ``python -m repro.obs``),
-* ``bench``    — record and gate benchmark score/perf trajectories
-  (forwards to ``python -m repro.bench``).
+* ``bench``    — record the values a fill decides and gate a head
+  against a base (forwards to ``python -m repro.bench``).
 
 Every command reads and writes real GDSII byte streams, so the CLI
 composes with any external layout tooling.  ``generate``, ``fill``,
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="record/gate benchmark trajectories (see `repro bench --help`)",
+        help="record/gate BENCH records (see `repro bench --help`)",
         add_help=False,
     )
     bench.add_argument(

@@ -10,7 +10,7 @@ step, and which LP backend solves each pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 __all__ = ["FillConfig"]
 
@@ -137,10 +137,6 @@ class FillConfig:
                 f"unknown config keys {unknown} (known: {sorted(known)})"
             )
         return cls(**dict(mapping))
-
-    def as_mapping(self) -> Dict[str, Any]:
-        """The config as a JSON-ready dict; inverse of :meth:`from_mapping`."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def effective_margin(self, min_spacing: int) -> int:
         """Window-edge inset: explicit value or ``ceil(sm / 2)``."""

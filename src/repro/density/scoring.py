@@ -237,8 +237,10 @@ def worst_windows(maps: ScoreMaps, k: int = 5) -> Dict[str, List[Dict[str, Any]]
       the pair's fill-induced overlay area, worst first.  Windows with
       zero overlay are omitted.
 
-    ``k`` bounds each list independently.
+    ``k`` bounds each list independently and must be non-negative.
     """
+    if k < 0:
+        raise ValueError(f"worst_windows needs k >= 0, got {k}")
     by_deviation: List[Dict[str, Any]] = []
     for number, density in maps.density.items():
         mean = float(density.mean())

@@ -102,14 +102,6 @@ class Layer:
         return before - len(self._wires)
 
     # ------------------------------------------------------------------
-    def wire_region(self) -> RectSet:
-        """Canonical covered region of the wires."""
-        return RectSet(self._wires)
-
-    def metal_region(self) -> RectSet:
-        """Canonical covered region of wires plus fills."""
-        return RectSet(self.shapes)
-
     def wire_area_in(self, window: Rect) -> int:
         """Exact wire area inside ``window`` (overlaps de-duplicated)."""
         clipped = [

@@ -145,9 +145,6 @@ class FlowResult:
     cost: int
     potentials: List[int]
 
-    def flow_on(self, arc_index: int) -> int:
-        return self.flows[arc_index]
-
     def verify(self, network: FlowNetwork, *, strict: bool = True) -> bool:
         """Check feasibility and reduced-cost optimality of this result.
 

@@ -285,13 +285,12 @@ class TestObservability:
 
 class TestBenchSubcommand:
     def test_bench_run_and_gate_forwarded(self, tmp_path, capsys):
-        out = str(tmp_path)
-        assert main(["bench", "run", "--set", "smoke", "--out", out]) == 0
-        assert main(["bench", "run", "--set", "smoke", "--out", out]) == 0
-        traj = tmp_path / "BENCH_smoke.json"
-        assert traj.exists()
+        base, head = str(tmp_path / "base"), str(tmp_path / "head")
+        assert main(["bench", "run", "--set", "smoke", "--out", base]) == 0
+        assert main(["bench", "run", "--set", "smoke", "--out", head]) == 0
+        assert (tmp_path / "head" / "BENCH_smoke.json").exists()
         capsys.readouterr()
-        assert main(["bench", "gate", str(traj)]) == 0
+        assert main(["bench", "gate", base, head]) == 0
         assert "bench gate: smoke" in capsys.readouterr().out
 
 
