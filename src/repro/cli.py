@@ -70,24 +70,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="parallel workers for the sharded engine stages — density "
-        "analysis (per layer), candidate generation and sizing (per "
-        "window) (1 = serial, 0 = one per core; output is identical "
-        "for any N)",
-    )
-    group.add_argument(
-        "--parallel",
-        choices=("process", "serial"),
-        default="process",
-        help="execution backend when --workers != 1 (default: process)",
-    )
-    group.add_argument(
-        "--sanitize",
-        action="store_true",
-        default=None,
-        help="arm the shard sanitizer: digest shared state around every "
-        "shard worker and fail loudly if a worker mutates it (default: "
-        "follow REPRO_SANITIZE=shard in the environment)",
+        help="process workers of the band sweep: analysis, candidate "
+        "generation and sizing run each band's window columns in up to "
+        "N parts (1 = serial, 0 = one per CPU; output is identical for "
+        "any N)",
     )
 
 
@@ -98,8 +84,6 @@ def _config_from(args: argparse.Namespace) -> "FillConfig":
         gamma=args.gamma,
         solver=args.solver,
         workers=args.workers,
-        parallel=args.parallel,
-        sanitize=args.sanitize,
     )
 
 

@@ -211,11 +211,9 @@ def quality_score(
 class _SharedState:
     """Read-only inputs every window of a generation run shares.
 
-    Built once per :func:`generate_candidates` call and shipped to
-    parallel workers once per worker (pool initializer), so the
-    per-layer wire indexes — which replace the old per-window
-    O(windows x wires) rescan of :func:`_neighbor_shapes` — are
-    constructed and pickled exactly once.
+    Built once per :func:`generate_candidates` call; the per-layer wire
+    indexes replace the old per-window O(windows x wires) rescan of
+    :func:`_neighbor_shapes`.
     """
 
     rules: DrcRules
@@ -223,18 +221,6 @@ class _SharedState:
     numbers: Tuple[int, ...]
     num_layers: int
     wire_indexes: Dict[int, GridIndex[int]]
-
-
-@dataclass(frozen=True)
-class _WindowTask:
-    """One window's slice of the analysis/plan — a unit of shard work."""
-
-    key: WindowKey
-    window: Rect
-    area: int
-    regions: Dict[int, List[Rect]]  # fr(l)
-    wire_density: Dict[int, float]  # dw(l)
-    targets: Dict[int, float]  # dt(l)
 
 
 @dataclass
@@ -323,22 +309,13 @@ def _neighbor_shapes(
 
 
 def _window_candidates(
-    shared: _SharedState, task: _WindowTask
+    shared: _SharedState, ctx: _WindowContext, window: Rect
 ) -> Dict[int, List[Rect]]:
-    """Run Alg. 1 for one window; the unit of (possibly sharded) work."""
+    """Run Alg. 1 for one window, filling ``ctx.selected``."""
     rules = shared.rules
     config = shared.config
     lam = config.lambda_factor
     numbers = shared.numbers
-    window = task.window
-    ctx = _WindowContext(
-        key=task.key,
-        area=task.area,
-        regions=task.regions,
-        wire_density=task.wire_density,
-        targets=task.targets,
-        selected={n: [] for n in numbers},
-    )
     # --- odd layers (Alg. 1 lines 9-19) -------------------------------
     for l in (n for n in numbers if n % 2 == 1):
         dt = ctx.targets[l]
@@ -447,29 +424,11 @@ def _window_candidates(
     return ctx.selected
 
 
-def _generate_shard(
-    shared: _SharedState, tasks: Sequence[_WindowTask]
-) -> List[Tuple[WindowKey, Dict[int, List[Rect]]]]:
-    """Worker entry point: Alg. 1 over one shard of windows, in order."""
-    out: List[Tuple[WindowKey, Dict[int, List[Rect]]]] = []
-    for task in tasks:
-        selected = _window_candidates(shared, task)
-        out.append((task.key, selected))
-        obs.metrics.counter("candidates.windows").inc()
-        for l, chosen in selected.items():
-            if chosen:
-                round_name = "odd" if l % 2 == 1 else "even"
-                obs.metrics.counter(f"candidates.round.{round_name}").inc(
-                    len(chosen)
-                )
-    return out
-
-
 def build_wire_indexes(layout: Layout) -> Dict[int, GridIndex[int]]:
     """One spatial index per layer over its wires, built up front.
 
-    Replaces the per-window full-layer wire scans; shared read-only
-    with parallel workers (pickled once per worker).  Also the cache a
+    Replaces the per-window full-layer wire scans; every part of a
+    band reads the band's indexes.  Also the cache a
     :class:`repro.service` session keeps alive across requests — pass
     it back into :func:`generate_candidates` (or
     :meth:`repro.core.DummyFillEngine.run`) via ``wire_indexes`` to
@@ -520,17 +479,11 @@ def generate_candidates(
     candidate fill rectangles whose total density is at least
     ``λ · td`` (when the free space allows it).
 
-    ``windows`` restricts generation to the given window keys (the ECO
-    flow re-fills only the windows a change touched).
-    ``wire_indexes`` supplies prebuilt per-layer wire indexes (see
-    :func:`build_wire_indexes`); they must cover exactly the layout's
-    current wires.
-
-    Windows are independent by construction, so with
-    ``config.workers != 1`` the window list is sharded contiguously in
-    grid order and the shards run on the :mod:`repro.parallel`
-    backend; results (and worker spans/metrics) merge in shard order,
-    making the output identical for every worker count.
+    ``windows`` restricts generation to the given window keys: one
+    part of a band in the engine's sweep, and only the windows a
+    change touched in the ECO flow.  ``wire_indexes`` supplies prebuilt
+    per-layer wire indexes (see :func:`build_wire_indexes`); they must
+    cover exactly the layout's current wires.
     """
     if config is None:
         config = FillConfig()
@@ -543,48 +496,27 @@ def generate_candidates(
         wire_indexes=_wire_indexes_for(layout, wire_indexes),
     )
     selected_windows = set(windows) if windows is not None else None
-    tasks: List[_WindowTask] = []
+    out: CandidatePlan = {}
     for i, j, window in grid:
         key = (i, j)
         if selected_windows is not None and key not in selected_windows:
             continue
-        tasks.append(
-            _WindowTask(
-                key=key,
-                window=window,
-                area=grid.window_area(i, j),
-                regions={
-                    n: analysis[n].fill_regions.get(key, []) for n in numbers
-                },
-                wire_density={
-                    n: float(analysis[n].lower[i, j]) for n in numbers
-                },
-                targets={n: float(plan.target(n)[i, j]) for n in numbers},
-            )
+        ctx = _WindowContext(
+            key=key,
+            area=grid.window_area(i, j),
+            regions={n: analysis[n].fill_regions.get(key, []) for n in numbers},
+            wire_density={n: float(analysis[n].lower[i, j]) for n in numbers},
+            targets={n: float(plan.target(n)[i, j]) for n in numbers},
+            selected={n: [] for n in numbers},
         )
-
-    obs.count("candidates.windows_selected", len(tasks))
-    workers = config.effective_workers()
-    if workers == 1 or len(tasks) <= 1:
-        pairs = _generate_shard(shared, tasks)
-    else:
-        from ..parallel import run_sharded, shard_items
-
-        shards = shard_items(tasks, workers)
-        pairs = [
-            pair
-            for shard_pairs in run_sharded(
-                _generate_shard,
-                shared,
-                shards,
-                workers=workers,
-                backend=config.parallel,
-                label="candidates.shard",
-                sanitize=config.sanitize,
-            )
-            for pair in shard_pairs
-        ]
-    return dict(pairs)
+        selected = out[key] = _window_candidates(shared, ctx, window)
+        obs.metrics.counter("candidates.windows").inc()
+        for l, chosen in selected.items():
+            if chosen:
+                round_name = "odd" if l % 2 == 1 else "even"
+                obs.metrics.counter(f"candidates.round.{round_name}").inc(len(chosen))
+    obs.count("candidates.windows_selected", len(out))
+    return out
 
 
 def candidate_area_maps(

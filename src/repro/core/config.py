@@ -62,27 +62,18 @@ class FillConfig:
         inside it (Alg. 1 Case I).  Disable to measure the overlay cost
         of ignoring the neighbour layers during candidate generation.
     workers:
-        Worker count for the sharded engine stages: density analysis
-        (sharded over layers, which are independent by construction)
-        and candidate generation and sizing (sharded over windows,
-        likewise independent).  ``1`` (the default) runs serially and
-        is bit-identical to the pre-parallel engine; ``0`` means one
-        worker per available core; any ``N > 1`` shards the work list
-        over ``N`` workers and merges deterministically, so the
-        output is identical for every worker count.
+        Worker count of the band sweep: density analysis, candidate
+        generation and sizing run each band's window columns as
+        ``min(workers, columns)`` contiguous parts, which are
+        independent under the fixed dissection.  ``1`` (the default)
+        runs one part inline; ``0`` means one worker per CPU the
+        process may run on; the parts merge in order, so the output
+        is identical for every worker count.
     parallel:
-        Execution backend used when ``workers != 1``: ``"process"``
-        (a process pool — the fast path for the pure-Python shard
-        bodies) or ``"serial"`` (shard and merge without any pool —
-        the reference the determinism tests compare against).
-    sanitize:
-        Arm the runtime shard sanitizer: pickle-digest the shared state
-        around every shard worker and fail loudly
-        (:class:`repro.parallel.ShardMutationError`) if a worker
-        mutates it.  ``None`` (the default) defers to
-        ``REPRO_SANITIZE=shard`` in the environment; ``False`` forces
-        it off.  Costs one pickle round per shard when armed, nothing
-        when off.
+        Execution backend used for more than one part: ``"process"``
+        (a process pool — the fast path for the pure-Python stage
+        bodies) or ``"serial"`` (the same parts and merge without any
+        pool — the reference the determinism tests compare against).
     """
 
     lambda_factor: float = 1.1
@@ -97,9 +88,15 @@ class FillConfig:
     case1_steering: bool = True
     workers: int = 1
     parallel: str = "process"
-    sanitize: Optional[bool] = None
 
     def __post_init__(self) -> None:
+        # A float, bool or string in an integer field is a malformed
+        # request (JSON has one number type), not a value to truncate.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" or (f.type == "Optional[int]" and value is not None):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.lambda_factor < 1.0:
             raise ValueError("lambda_factor must be >= 1 (Alg. 1: λ ≥ 1)")
         if self.gamma < 0:

@@ -24,6 +24,15 @@ geometry and holds what one stage hands to the next.  A resident
 the out-of-core driver (:func:`repro.core.stream.stream_fill`) feeds
 halo-routed bands from disk, one resident at a time.  Both open the same
 ``engine.run`` span tree.
+
+The sweep is also where the engine goes parallel, and the only place:
+analysis, candidate generation and sizing each run a band's window
+columns as ``min(workers, columns)`` contiguous **parts**, cut by the
+rule that cuts the die into bands (:func:`repro.parallel.shard_bounds`).
+Windows are independent under the fixed dissection, so a run of whole
+columns is a complete unit of work; more than one part runs on the
+:mod:`repro.parallel` backend, and the results merge in part order,
+which is grid order.
 """
 
 from __future__ import annotations
@@ -31,11 +40,12 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
-from .. import obs
+from .. import obs, parallel
 from ..contracts import check_drc_params, check_rect
 from ..density.analysis import (
     LayerDensity,
@@ -147,11 +157,6 @@ class BandSource:
         self.plan = plan
         self._held: Dict[Tuple[str, int], Any] = {}
 
-    def windows(self, band: int) -> List[WindowKey]:
-        """The band's window keys in grid order."""
-        rows = range(self.plan.grid.rows)
-        return [(i, j) for i in self.plan.columns(band) for j in rows]
-
     def keep(self, what: str, band: int, value: Any) -> None:
         self._held[what, band] = value
 
@@ -206,6 +211,76 @@ class _ResidentBand(BandSource):
 
     def commit(self, band: int, sized: SizedFills) -> None:
         self.sized = sized
+
+
+@dataclass(frozen=True)
+class _AnalysisStage:
+    """Density analysis of one band (the shared state of its parts)."""
+
+    layout: Layout
+    grid: WindowGrid
+    margin: int
+
+    def run(self, keys: List[WindowKey]) -> Dict[int, LayerDensity]:
+        return analyze_layout(self.layout, self.grid, self.margin, windows=keys)
+
+
+@dataclass(frozen=True)
+class _CandidateStage:
+    """Alg. 1 over one band; ``selected`` keeps an ECO's windows only."""
+
+    layout: Layout
+    grid: WindowGrid
+    config: FillConfig
+    wire_indexes: Dict[int, GridIndex[int]]
+    plan: DensityPlan
+    analysis: Mapping[int, LayerDensity]
+    selected: Optional[Collection[WindowKey]]
+
+    def run(self, keys: List[WindowKey]) -> CandidatePlan:
+        if self.selected is not None:
+            keys = [key for key in keys if key in self.selected]
+        return generate_candidates(
+            self.layout,
+            self.grid,
+            self.plan,
+            self.analysis,
+            self.config,
+            windows=keys,
+            wire_indexes=self.wire_indexes,
+        )
+
+
+@dataclass(frozen=True)
+class _SizingStage:
+    """Sizing of one band's candidates against the re-planned targets."""
+
+    layout: Layout
+    grid: WindowGrid
+    config: FillConfig
+    wire_indexes: Dict[int, GridIndex[int]]
+    candidates: CandidatePlan
+    targets: Mapping[int, np.ndarray]
+
+    def run(self, keys: List[WindowKey]) -> Tuple[SizedFills, SizingStats]:
+        candidates = {key: self.candidates[key] for key in keys if key in self.candidates}
+        return size_fills(
+            self.layout,
+            self.grid,
+            candidates,
+            self.targets,
+            self.config,
+            wire_indexes=self.wire_indexes,
+        )
+
+
+_Stage = Union[_AnalysisStage, _CandidateStage, _SizingStage]
+
+
+def _run_part(stage: _Stage, columns: range) -> Any:
+    """Shard worker: one stage over one part, a run of whole window columns."""
+    rows = range(stage.grid.rows)
+    return stage.run([(i, j) for i in columns for j in rows])
 
 
 def replan(
@@ -271,6 +346,111 @@ class DummyFillEngine:
             else PlannerObjective()
         )
 
+    def analyze(self, layout: Layout, grid: WindowGrid) -> Dict[int, LayerDensity]:
+        """The global density analysis of a resident layout.
+
+        The sweep's analysis of a one-band source, parts and all: what
+        a :class:`repro.service` session caches and hands back to
+        :meth:`run` as ``analysis``.
+        """
+        return self._analyze_band(layout, grid, range(grid.cols))
+
+    def _over_parts(self, label: str, stage: _Stage, columns: range) -> List[Tuple[range, Any]]:
+        """Run ``stage`` over the parts of a band's ``columns``, in part order.
+
+        The columns are cut into ``min(workers, len(columns))``
+        contiguous parts.  One part runs inline; more run on the
+        ``config.parallel`` backend, one shard per part, under
+        ``<label>.part[k]`` spans.
+        """
+        config = self.config
+        parts = [
+            columns[start:end]
+            for start, end in parallel.shard_bounds(len(columns), config.effective_workers())
+        ]
+        if len(parts) == 1:
+            return [(parts[0], _run_part(stage, parts[0]))]
+        results = parallel.run_sharded(
+            _run_part,
+            stage,
+            parts,
+            workers=len(parts),
+            backend=config.parallel,
+            label=f"{label}.part",
+        )
+        return list(zip(parts, results))
+
+    def _analyze_band(
+        self, layout: Layout, grid: WindowGrid, columns: range
+    ) -> Dict[int, LayerDensity]:
+        """One band's analysis, joined from its parts by copying their columns."""
+        stage = _AnalysisStage(
+            layout, grid, self.config.effective_margin(layout.rules.min_spacing)
+        )
+        joined: Dict[int, LayerDensity] = {}
+        for part, part_analysis in self._over_parts("analysis", stage, columns):
+            cols = slice(part.start, part.stop)
+            for n, ld in part_analysis.items():
+                if n not in joined:
+                    joined[n] = LayerDensity(
+                        n, np.zeros_like(ld.lower), np.zeros_like(ld.upper), {}
+                    )
+                joined[n].lower[cols] = ld.lower[cols]
+                joined[n].upper[cols] = ld.upper[cols]
+                joined[n].fill_regions.update(ld.fill_regions)
+        obs.metrics.counter("analysis.layers").inc(len(joined))
+        return joined
+
+    def _generate_band(
+        self,
+        source: BandSource,
+        band: int,
+        plan: DensityPlan,
+        selected: Optional[Collection[WindowKey]],
+    ) -> CandidatePlan:
+        """One band's candidates, concatenated from its parts.
+
+        The stage lives only for this call, so a streamed band's layout
+        and inputs are freed before the next band loads.
+        """
+        stage = _CandidateStage(
+            source.layout(band),
+            source.plan.grid,
+            self.config,
+            source.wire_indexes(band),
+            plan,
+            source.take("analysis", band),
+            selected,
+        )
+        candidates: CandidatePlan = {}
+        for _, part_candidates in self._over_parts(
+            "candidates", stage, source.plan.columns(band)
+        ):
+            candidates.update(part_candidates)
+        return candidates
+
+    def _size_band(
+        self, source: BandSource, band: int, targets: Mapping[int, np.ndarray]
+    ) -> Tuple[SizedFills, SizingStats]:
+        """One band's sized fills and statistics, merged from its parts
+        (the stage lives only for this call, as in :meth:`_generate_band`)."""
+        stage = _SizingStage(
+            source.layout(band),
+            source.plan.grid,
+            self.config,
+            source.wire_indexes(band),
+            source.take("candidates", band),
+            targets,
+        )
+        sized: SizedFills = {}
+        stats = SizingStats()
+        for _, (part_sized, part_stats) in self._over_parts(
+            "sizing", stage, source.plan.columns(band)
+        ):
+            sized.update(part_sized)
+            stats.merge(part_stats)
+        return sized, stats
+
     def run(
         self,
         layout: Layout,
@@ -322,11 +502,12 @@ class DummyFillEngine:
     ) -> FillReport:
         """Analysis through sizing over every band of ``source``.
 
-        Each stage is one span and one pass over the bands; sized fills
-        go to :meth:`BandSource.commit`, so the report's ``num_fills``
-        is left for the caller to count.  ``windows`` and ``analysis``
-        are :meth:`run`'s; a precomputed analysis needs a one-band
-        source.
+        Each stage is one span and one pass over the bands, each band
+        run in parts (:meth:`_over_parts`) whose results merge in part
+        order; sized fills go to :meth:`BandSource.commit`, so the
+        report's ``num_fills`` is left for the caller to count.
+        ``windows`` and ``analysis`` are :meth:`run`'s; a precomputed
+        analysis needs a one-band source.
         """
         config = self.config
         plan = source.plan
@@ -340,15 +521,8 @@ class DummyFillEngine:
                 lower: Dict[int, np.ndarray] = {}
                 upper: Dict[int, np.ndarray] = {}
                 for band in range(plan.num_bands):
-                    layout = source.layout(band)
-                    band_analysis = analyze_layout(
-                        layout,
-                        grid,
-                        window_margin=config.effective_margin(layout.rules.min_spacing),
-                        workers=config.effective_workers(),
-                        parallel=config.parallel,
-                        sanitize=config.sanitize,
-                        windows=source.windows(band),
+                    band_analysis = self._analyze_band(
+                        source.layout(band), grid, plan.columns(band)
                     )
                     # windows outside the band are zero: adding merges exactly
                     for n, ld in band_analysis.items():
@@ -373,18 +547,7 @@ class DummyFillEngine:
             candidate_area: Dict[int, np.ndarray] = {}
             num_candidates = 0
             for band in range(plan.num_bands):
-                keys = source.windows(band)
-                if selected is not None:
-                    keys = [key for key in keys if key in selected]
-                candidates: CandidatePlan = generate_candidates(
-                    source.layout(band),
-                    grid,
-                    initial_plan,
-                    source.take("analysis", band),
-                    config,
-                    windows=keys,
-                    wire_indexes=source.wire_indexes(band),
-                )
+                candidates = self._generate_band(source, band, initial_plan, selected)
                 for n, area in candidate_area_maps(candidates, grid, list(analysis)).items():
                     candidate_area[n] = candidate_area.get(n, 0.0) + area
                 num_candidates += sum(
@@ -409,14 +572,7 @@ class DummyFillEngine:
         with obs.span("sizing"):
             stats = SizingStats()
             for band in range(plan.num_bands):
-                sized, band_stats = size_fills(
-                    source.layout(band),
-                    grid,
-                    source.take("candidates", band),
-                    targets,
-                    config,
-                    wire_indexes=source.wire_indexes(band),
-                )
+                sized, band_stats = self._size_band(source, band, targets)
                 stats.merge(band_stats)
                 source.commit(band, sized)
             obs.count("engine.lp_solves", stats.lp_solves)

@@ -642,60 +642,6 @@ def _prelegalize_strict(fills: List[_Fill], rules: DrcRules) -> int:
     return dropped
 
 
-@dataclass(frozen=True)
-class _SharedSizing:
-    """Read-only inputs every sizing window shares.
-
-    Shipped to parallel workers once per worker (pool initializer);
-    the per-layer wire indexes answer the "wires near this window"
-    query without rescanning the layer per window.
-    """
-
-    rules: DrcRules
-    config: FillConfig
-    margin: int
-    layer_numbers: Tuple[int, ...]
-    wire_indexes: Dict[int, GridIndex[int]]
-
-
-@dataclass(frozen=True)
-class _SizingTask:
-    """One window's sizing problem — a unit of shard work."""
-
-    key: WindowKey
-    window: Rect
-    candidates: Dict[int, List[Rect]]
-    targets: Dict[int, float]
-
-
-def _size_shard(
-    shared: _SharedSizing, tasks: Sequence[_SizingTask]
-) -> List[Tuple[WindowKey, Dict[int, List[Rect]], SizingStats]]:
-    """Worker entry point: size one shard of windows, in order."""
-    out: List[Tuple[WindowKey, Dict[int, List[Rect]], SizingStats]] = []
-    for task in tasks:
-        obs.metrics.counter("sizing.windows").inc()
-        wires_nearby = {
-            n: [
-                r
-                for r, _ in shared.wire_indexes[n].query_within(
-                    task.window, shared.margin
-                )
-            ]
-            for n in shared.layer_numbers
-        }
-        sized, stats = size_window(
-            task.window,
-            task.candidates,
-            wires_nearby,
-            task.targets,
-            shared.rules,
-            shared.config,
-        )
-        out.append((task.key, sized, stats))
-    return out
-
-
 def size_fills(
     layout: Layout,
     grid: WindowGrid,
@@ -710,12 +656,11 @@ def size_fills(
     ``target_fill_area`` maps each layer to a ``(cols, rows)`` array of
     the fill area each window should keep — ``dt(l)·aw`` of Eqn. (9b).
     Windows are independent problems (the paper sizes per window),
-    processed in deterministic order.  With ``config.workers != 1``
-    the non-empty windows are sharded contiguously in grid order onto
-    the :mod:`repro.parallel` backend; per-window results and solver
-    statistics merge in shard order, so the outcome is identical for
-    every worker count.  ``wire_indexes`` supplies prebuilt per-layer
-    wire indexes, as for :func:`repro.core.generate_candidates`.
+    processed in grid order, which is also the order of the result: a
+    window whose candidates are all empty maps to empty per-layer lists.
+    The per-layer wire indexes answer each window's "wires near this
+    window" query; ``wire_indexes`` supplies prebuilt ones, as for
+    :func:`repro.core.generate_candidates`.
     """
     if config is None:
         config = FillConfig()
@@ -723,63 +668,26 @@ def size_fills(
     margin = rules.min_spacing + config.effective_step(
         rules.max_fill_width, rules.max_fill_height
     )
+    indexes = _wire_indexes_for(layout, wire_indexes)
+    numbers = layout.layer_numbers
     total = SizingStats()
-    shared = _SharedSizing(
-        rules=rules,
-        config=config,
-        margin=margin,
-        layer_numbers=tuple(layout.layer_numbers),
-        wire_indexes=_wire_indexes_for(layout, wire_indexes),
-    )
-    tasks: List[_SizingTask] = []
+    result: Dict[WindowKey, Dict[int, List[Rect]]] = {}
     for i, j, window in grid:
         key = (i, j)
-        cands = candidates.get(key, {})
-        if not any(cands.values()):
+        cands = candidates.get(key)
+        if cands is None:
             continue
-        tasks.append(
-            _SizingTask(
-                key=key,
-                window=window,
-                candidates=cands,
-                targets={n: float(area[i, j]) for n, area in target_fill_area.items()},
-            )
+        if not any(cands.values()):
+            result[key] = {l: [] for l in cands}
+            continue
+        obs.metrics.counter("sizing.windows").inc()
+        wires_nearby = {
+            n: [r for r, _ in indexes[n].query_within(window, margin)] for n in numbers
+        }
+        targets = {n: float(area[i, j]) for n, area in target_fill_area.items()}
+        result[key], stats = size_window(
+            window, cands, wires_nearby, targets, rules, config
         )
-
-    workers = config.effective_workers()
-    if workers == 1 or len(tasks) <= 1:
-        triples = _size_shard(shared, tasks)
-    else:
-        from ..parallel import run_sharded, shard_items
-
-        shards = shard_items(tasks, workers)
-        triples = [
-            triple
-            for shard_triples in run_sharded(
-                _size_shard,
-                shared,
-                shards,
-                workers=workers,
-                backend=config.parallel,
-                label="sizing.shard",
-                sanitize=config.sanitize,
-            )
-            for triple in shard_triples
-        ]
-    sized_by_key: Dict[WindowKey, Dict[int, List[Rect]]] = {}
-    for key, sized, stats in triples:
-        sized_by_key[key] = sized
         total.merge(stats)
-    # Assemble in grid iteration order (empty and sized windows
-    # interleaved exactly as the serial loop produced them), so the
-    # downstream fill insertion order — and hence the GDSII byte
-    # stream — is independent of the sharding.
-    result: Dict[WindowKey, Dict[int, List[Rect]]] = {}
-    for i, j, _ in grid:
-        key = (i, j)
-        if key in sized_by_key:
-            result[key] = sized_by_key[key]
-        elif key in candidates:
-            result[key] = {l: [] for l in candidates[key]}
     obs.metrics.counter("sizing.dropped_fills").inc(total.dropped_fills)
     return result, total

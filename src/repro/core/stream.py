@@ -15,9 +15,11 @@ Output parity is exact, not approximate: bands carry a routing halo
 equal to the widest query reach of any stage, and band-local insertion
 order is the input order restricted to the band, so every band-local
 query returns what the global one would.  Windows are visited in grid
-order (bands are contiguous column ranges), so the streamed GDSII and
-OASIS bytes equal the in-memory path's bytes at any band and worker
-count.  The fill DRC is exact as well (:func:`_band_drc`).
+order (bands are contiguous column ranges, and the sweep runs a
+resident band in contiguous column parts at ``workers > 1``), so the
+streamed GDSII and OASIS bytes equal the in-memory path's bytes at any
+band and worker count.  The fill DRC is exact as well
+(:func:`_band_drc`).
 """
 
 from __future__ import annotations

@@ -276,106 +276,29 @@ def analyze_layer(
     return LayerDensity(layer.number, lower, upper, regions)
 
 
-@dataclass(frozen=True)
-class _AnalysisShared:
-    """Read-only inputs every layer of an analysis run shares.
-
-    Built once per :func:`analyze_layout` call and shipped to parallel
-    workers once per worker (pool initializer), so the grid and DRC
-    rules are pickled exactly once; the layers themselves are the
-    shard items.
-    """
-
-    grid: WindowGrid
-    rules: DrcRules
-    window_margin: int
-    kernel: Optional[str] = None
-    windows: Optional[Tuple[Tuple[int, int], ...]] = None
-
-
-def _analyze_shard(
-    shared: _AnalysisShared, layers: Sequence[Layer]
-) -> List[LayerDensity]:
-    """Worker entry point: density analysis over one shard of layers.
-
-    Raster state never crosses the shard boundary: a worker that runs
-    the raster kernel rasterizes its own layers locally, so only the
-    plain :class:`_AnalysisShared` inputs and the resulting
-    :class:`LayerDensity` values are ever pickled.
-    """
-    out: List[LayerDensity] = []
-    for layer in layers:
-        out.append(
-            analyze_layer(
-                layer,
-                shared.grid,
-                shared.rules,
-                shared.window_margin,
-                kernel=shared.kernel,
-                windows=shared.windows,
-            )
-        )
-        obs.metrics.counter("analysis.layers").inc()
-    return out
-
-
 def analyze_layout(
     layout: Layout,
     grid: WindowGrid,
     window_margin: int = 0,
     *,
-    workers: int = 1,
-    parallel: str = "process",
-    sanitize: Optional[bool] = None,
     kernel: Optional[str] = None,
     windows: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Dict[int, LayerDensity]:
-    """Density analysis for every layer of a layout.
+    """Density analysis for every layer of a layout, in layer order.
 
-    Layers are independent by construction — each window's ``l(i, j)``
-    and ``u(i, j)`` read only that layer's wires — so with
-    ``workers != 1`` the layer list is sharded contiguously in layer
-    order and the shards run on the :mod:`repro.parallel` backend
-    named by ``parallel``; per-layer results (and worker
-    spans/metrics) merge in shard order, so the returned
-    ``{layer_number: LayerDensity}`` dict is bit-identical to the
-    serial run for any worker count and backend.  ``workers=0`` means
-    one worker per available core.  ``sanitize`` arms the shard
-    sanitizer (see :func:`repro.parallel.run_sharded`).  ``kernel``
-    is passed to every :func:`analyze_layer` call; the default lets
-    each layer pick its own.  ``windows`` restricts every layer's
-    analysis to those window keys (see :func:`analyze_layer`) — how
-    the fill engine analyzes one window-column band of a larger die.
+    ``kernel`` is passed to every :func:`analyze_layer` call; the
+    default lets each layer pick its own.  ``windows`` restricts every
+    layer's analysis to those window keys (see :func:`analyze_layer`)
+    — how the fill engine analyzes one part of a window-column band
+    (:meth:`repro.core.DummyFillEngine.sweep`), which is also where
+    the analysis runs on worker processes.
     """
-    shared = _AnalysisShared(
-        grid=grid,
-        rules=layout.rules,
-        window_margin=window_margin,
-        kernel=kernel,
-        windows=tuple(windows) if windows is not None else None,
-    )
-    layers = list(layout.layers)
-    from ..parallel import resolve_workers, run_sharded, shard_items
-
-    workers = resolve_workers(workers)
-    if workers == 1 or len(layers) <= 1:
-        densities = _analyze_shard(shared, layers)
-    else:
-        shards = shard_items(layers, workers)
-        densities = [
-            ld
-            for shard_densities in run_sharded(
-                _analyze_shard,
-                shared,
-                shards,
-                workers=workers,
-                backend=parallel,
-                label="analysis.shard",
-                sanitize=sanitize,
-            )
-            for ld in shard_densities
-        ]
-    return {ld.layer_number: ld for ld in densities}
+    return {
+        layer.number: analyze_layer(
+            layer, grid, layout.rules, window_margin, kernel=kernel, windows=windows
+        )
+        for layer in layout.layers
+    }
 
 
 def refresh_analysis(

@@ -9,8 +9,8 @@ column dissection, written through small append buffers, and read back
 band by band as fixed-size binary records.
 
 * :class:`BandPlan` — contiguous window-column bands, partitioned by
-  the same rule as :func:`repro.parallel.shard_bounds` so band
-  boundaries line up with the shard executor's work split.
+  :func:`repro.parallel.shard_bounds`, the rule that also cuts each
+  band into the parts the engine's stages run in.
 * :class:`ShapeSpill` — halo-aware routing: a shape lands in every
   band whose x-range it touches within the query halo, so band-local
   spatial indexes answer every in-band query exactly as a global
@@ -58,8 +58,7 @@ class BandPlan:
     full die height.  Bands partition the grid's column-major window
     order into contiguous ranges, so concatenating per-band results in
     ascending band order reproduces the grid-order result exactly —
-    the same invariant :func:`repro.parallel.shard_items` gives the
-    sharded engine stages.
+    the same invariant the parts of a band keep.
     """
 
     def __init__(self, grid: WindowGrid, num_bands: int):

@@ -5,9 +5,9 @@
 shard order.  Two backends:
 
 * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`;
-  ``shared`` is shipped to each worker **once** (pool initializer), so
-  large read-only state (per-layer wire indexes) is not re-pickled per
-  shard.  Falls back to the serial backend when the pool cannot start
+  ``shared`` is handed to each worker **once** (pool initializer), so
+  large read-only state (a band's layout and wire indexes) is not
+  re-sent per shard.  Falls back to the serial backend when the pool cannot start
   (restricted sandboxes without working semaphores).
 * ``"serial"`` — runs shards inline, in order.  Same sharding, same
   span/metric capture and merge as the pool — the reference the
@@ -97,24 +97,27 @@ class ShardOutcome:
 
 
 def resolve_workers(workers: int) -> int:
-    """Effective worker count: ``0`` means one per available core."""
+    """Effective worker count: ``0`` means one per CPU this process may run on.
+
+    The CPUs come from the scheduler affinity mask where the platform
+    has one, so a process pinned to one CPU (``taskset``, a container
+    cpuset) resolves ``0`` to 1, not to the host's core count.
+    """
     if workers < 0:
         raise ParallelConfigError("workers cannot be negative")
     if workers == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     return workers
 
 
-def sanitize_enabled(sanitize: Optional[bool] = None) -> bool:
-    """Resolve the sanitizer switch: explicit flag, else the environment.
+def sanitize_enabled() -> bool:
+    """Whether the shard sanitizer is armed: ``REPRO_SANITIZE=shard``.
 
-    ``None`` (the default everywhere) defers to ``REPRO_SANITIZE=shard``
-    so CI can arm the sanitizer for a whole test run without touching
-    call sites; ``True``/``False`` from config or CLI wins over the
-    environment.
+    The environment is the one switch, so CI arms the sanitizer for a
+    whole test run without touching call sites.
     """
-    if sanitize is not None:
-        return sanitize
     return os.environ.get(_SANITIZE_ENV, "") == _SANITIZE_MODE
 
 
@@ -253,7 +256,6 @@ def run_sharded(
     workers: int,
     backend: str = "process",
     label: str = "shard",
-    sanitize: Optional[bool] = None,
 ) -> List[Any]:
     """Run ``fn(shared, shard)`` over every shard; results in shard order.
 
@@ -264,11 +266,11 @@ def run_sharded(
     (see :func:`resolve_workers`); the pool size never exceeds the
     shard count.
 
-    ``sanitize`` arms the shard sanitizer: each worker pickle-digests
-    ``shared`` before and after running and raises
-    :class:`ShardMutationError` on any change, recording input/output
-    digests on the shard's span and :class:`ShardOutcome`.  The default
-    ``None`` defers to ``REPRO_SANITIZE=shard`` in the environment.
+    ``REPRO_SANITIZE=shard`` in the environment arms the shard
+    sanitizer: each worker pickle-digests ``shared`` before and after
+    running and raises :class:`ShardMutationError` on any change,
+    recording input/output digests on the shard's span and
+    :class:`ShardOutcome`.
     """
     if backend not in BACKENDS:
         raise ParallelConfigError(
@@ -277,7 +279,7 @@ def run_sharded(
     if not shards:
         return []
     workers = resolve_workers(workers)
-    sanitizing = sanitize_enabled(sanitize)
+    sanitizing = sanitize_enabled()
     # When a profile collector is armed in this context, pool workers
     # run their own sampler at the same period and ship folded counts
     # back; serial execution stays unprofiled here because it runs in
@@ -311,6 +313,6 @@ def run_sharded(
         registry.merge_from(outcome.metrics)
         if collector is not None and outcome.profile:
             # re-root the worker's stacks under the caller's open span
-            # path, e.g. "engine.run;candidates;candidates.shard[0];..."
+            # path, e.g. "engine.run;candidates;candidates.part[0];..."
             collector.merge_folded(outcome.profile, prefix=prefix)
     return [outcome.value for outcome in outcomes]

@@ -1,30 +1,30 @@
-"""Deterministic sharding of an ordered work list.
+"""Deterministic contiguous partition of an ordered work list.
 
-The engine's work lists are window keys in grid order (column-major,
-the Eqn. (1) order).  Shards must be *contiguous* slices of that
-order: concatenating the shard results then equals the serial result
-exactly, which is what makes ``workers=N`` bit-identical to
-``workers=1``.
+The engine's work list is the window columns in grid order (windows
+are column-major, the Eqn. (1) order).  Bands and the parts a band is
+run in must be *contiguous* runs of that order: concatenating their
+results then equals the serial result exactly, which is what makes
+``workers=N`` and any band count bit-identical to one serial pass.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, TypeVar
+from typing import List, Tuple
 
-__all__ = ["shard_bounds", "shard_items"]
-
-T = TypeVar("T")
+__all__ = ["shard_bounds"]
 
 
 def shard_bounds(total: int, num_shards: int) -> List[Tuple[int, int]]:
     """Half-open ``[start, end)`` index ranges of contiguous shards.
 
-    The partition rule behind :func:`shard_items`, exposed for callers
-    that shard an *implicit* sequence (the streaming pipeline's
-    window-column bands): sizes differ by at most one, the first
-    ``total % num_shards`` shards get the extra item, ranges preserve
-    order and tile ``[0, total)`` exactly.  Empty ranges are never
-    returned; fewer items than shards yields one range per item.
+    The one partition rule of the engine: it cuts the die's window
+    columns into bands (:class:`repro.layout.BandPlan`) and a band's
+    columns into the parts its stages run in
+    (:meth:`repro.core.DummyFillEngine.sweep`).  Sizes differ by at
+    most one, the first ``total % num_shards`` shards get the extra
+    item, ranges preserve order and tile ``[0, total)`` exactly.
+    Empty ranges are never returned; fewer items than shards yields
+    one range per item.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
@@ -40,16 +40,3 @@ def shard_bounds(total: int, num_shards: int) -> List[Tuple[int, int]]:
         start += size
     return out
 
-
-def shard_items(items: Sequence[T], num_shards: int) -> List[List[T]]:
-    """Split ``items`` into at most ``num_shards`` contiguous chunks.
-
-    Chunk sizes differ by at most one (the first ``len % num_shards``
-    chunks get the extra item), chunks preserve the input order, and
-    their concatenation is exactly ``items``.  Empty chunks are never
-    returned: fewer items than shards yields one chunk per item.
-    """
-    return [
-        list(items[start:end])
-        for start, end in shard_bounds(len(items), num_shards)
-    ]

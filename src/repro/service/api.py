@@ -11,8 +11,8 @@ kinds:
   calling thread — they only touch the store and read-only telemetry;
 * **compute ops** (``fill``, ``score``, ``drc_audit``, ``eco_delta``)
   are queued as jobs and executed by worker threads in per-session
-  submission order; the heavy stages inside each job still parallelize
-  through :mod:`repro.parallel` per the session's
+  submission order; the heavy stages inside each job still run the
+  engine's parts on :mod:`repro.parallel` per the session's
   :class:`~repro.core.FillConfig`.
 
 Every job runs under its own ``service.request`` span on the service's
@@ -76,25 +76,33 @@ _RULE_DEFAULTS = {
 }
 
 
+def _integer(key: str, value: Any) -> int:
+    """A request's integer value; a float, bool or string raises, naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def rules_from_mapping(mapping: Mapping[str, Any]) -> DrcRules:
     """Build a rule deck from a request dict, CLI flag defaults applied.
 
     Accepted keys mirror the CLI: ``min_spacing``, ``min_width``,
     ``min_area`` and ``max_fill`` (one edge cap for both dimensions).
-    Unknown keys raise, like :meth:`FillConfig.from_mapping`.
+    Unknown keys raise, like :meth:`FillConfig.from_mapping`, and so
+    does a value that is not an integer.
     """
     unknown = sorted(set(mapping) - set(_RULE_DEFAULTS))
     if unknown:
         raise ValueError(
             f"unknown rules keys {unknown} (known: {sorted(_RULE_DEFAULTS)})"
         )
-    merged = {**_RULE_DEFAULTS, **mapping}
+    merged = {key: _integer(key, value) for key, value in {**_RULE_DEFAULTS, **mapping}.items()}
     return DrcRules(
-        min_spacing=int(merged["min_spacing"]),
-        min_width=int(merged["min_width"]),
-        min_area=int(merged["min_area"]),
-        max_fill_width=int(merged["max_fill"]),
-        max_fill_height=int(merged["max_fill"]),
+        min_spacing=merged["min_spacing"],
+        min_width=merged["min_width"],
+        min_area=merged["min_area"],
+        max_fill_width=merged["max_fill"],
+        max_fill_height=merged["max_fill"],
     )
 
 
@@ -343,7 +351,7 @@ class FillService:
         rules = rules_from_mapping(params.get("rules") or {})
         config = FillConfig.from_mapping(params.get("config") or {})
         layout = layout_from_gdsii(data, rules)
-        windows = int(params.get("windows", 8))
+        windows = _integer("windows", params.get("windows", 8))
         grid = WindowGrid(layout.die, windows, windows)
         session = self.store.open(layout, grid, config)
         self._registry.counter("service.sessions.opened").inc()

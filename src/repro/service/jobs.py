@@ -5,7 +5,7 @@ a :class:`JobQueue` — a bounded FIFO with backpressure (a full queue
 rejects instead of buffering without bound) — and a
 :class:`WorkerSupervisor` runs a fixed pool of worker threads that pop
 and execute jobs.  Heavy per-request computation still flows through
-:mod:`repro.parallel` (the engine's sharded stages); these threads only
+:mod:`repro.parallel` (the engine's band sweep); these threads only
 coordinate.
 
 Two properties matter for determinism:

@@ -31,9 +31,9 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..core import FillConfig, build_wire_indexes
+from ..core import DummyFillEngine, FillConfig, build_wire_indexes
 from ..core.engine import FillReport
-from ..density.analysis import LayerDensity, analyze_layout
+from ..density.analysis import LayerDensity
 from ..geometry import GridIndex
 from ..layout import Layout, WindowGrid
 
@@ -125,26 +125,16 @@ class FillSession:
     def ensure_caches(self) -> None:
         """Build the wire indexes and density analysis if absent.
 
-        Call inside :meth:`ordered`.  The analysis is computed with the
-        session config's margin and worker settings — exactly
-        the parameters the engine would use internally, so passing the
-        cache back into :meth:`~repro.core.DummyFillEngine.run` is
-        bit-identical to letting it analyze from scratch.
+        Call inside :meth:`ordered`.  The analysis is the engine's own
+        (:meth:`~repro.core.DummyFillEngine.analyze`, on the session
+        config's workers), so passing the cache back into
+        :meth:`~repro.core.DummyFillEngine.run` is bit-identical to
+        letting it analyze from scratch.
         """
         if self.wire_indexes is None:
             self.wire_indexes = build_wire_indexes(self.layout)
         if self.analysis is None:
-            config = self.config
-            self.analysis = analyze_layout(
-                self.layout,
-                self.grid,
-                window_margin=config.effective_margin(
-                    self.layout.rules.min_spacing
-                ),
-                workers=config.effective_workers(),
-                parallel=config.parallel,
-                sanitize=config.sanitize,
-            )
+            self.analysis = DummyFillEngine(self.config).analyze(self.layout, self.grid)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-ready summary for the ``sessions`` op."""

@@ -49,13 +49,38 @@ class TestValidation:
             FillConfig(window_margin=-1)
 
     def test_removed_kernel_field_rejected(self):
-        # the analysis picks the density kernel per layer, and the spill
-        # budget is a stream_fill argument
-        for field, value in (("kernel", "raster"), ("memory_budget", 1 << 20)):
+        # the analysis picks the density kernel per layer, the spill
+        # budget is a stream_fill argument, and REPRO_SANITIZE=shard is
+        # the shard sanitizer's one switch
+        for field, value in (
+            ("kernel", "raster"),
+            ("memory_budget", 1 << 20),
+            ("sanitize", True),
+        ):
             with pytest.raises(TypeError):
                 FillConfig(**{field: value})
             with pytest.raises(ValueError, match=f"'{field}'"):
                 FillConfig.from_mapping({field: value})
+
+
+    @pytest.mark.parametrize(
+        "field", ["workers", "sizing_iterations", "sizing_step", "window_margin"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_non_integer_value_rejected(self, field, value):
+        # a float, bool or string in an integer field names the field
+        # instead of being truncated or failing later in the engine
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FillConfig.from_mapping({field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FillConfig(**{field: value})
+
+    def test_integer_fields_accept_ints_and_unset_optionals(self):
+        config = FillConfig.from_mapping(
+            {"workers": 2, "sizing_iterations": 1, "sizing_step": None, "window_margin": 0}
+        )
+        assert (config.workers, config.sizing_iterations) == (2, 1)
+        assert config.sizing_step is None and config.window_margin == 0
 
 
 class TestDerivedKnobs:

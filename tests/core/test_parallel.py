@@ -1,11 +1,11 @@
-"""Determinism tests for the window-sharded parallel pipeline.
+"""Determinism tests for the engine's parallel band sweep.
 
 The contract under test (see ``docs/PERFORMANCE.md``): for any worker
 count and any backend, the engine produces *bit-identical* output —
 same fills in the same order, same ScoreCard, same stage tree shape —
-as the serial ``workers=1`` run.  Sharding is over window keys in grid
-iteration order and results merge in shard order, so parallelism can
-only change wall clock, never bytes.
+as the serial ``workers=1`` run.  Each stage runs a band's window
+columns as contiguous parts and the results merge in part order, so
+parallelism can only change wall clock, never bytes.
 """
 
 import multiprocessing  # repro: noqa[REP008] (exercises the executor's own pool)
@@ -26,7 +26,7 @@ from repro.parallel import (
     ParallelConfigError,
     resolve_workers,
     run_sharded,
-    shard_items,
+    shard_bounds,
 )
 
 #: REPRO_TEST_BACKEND narrows the parametrized suites to one backend
@@ -53,6 +53,11 @@ def demo_layout(num_layers=3, seed=11, die=1200, windows=3):
     return layout, WindowGrid(layout.die, windows, windows)
 
 
+def shard_items(items, num_shards):
+    """``items`` cut into contiguous chunks by the ``shard_bounds`` rule."""
+    return [list(items[start:end]) for start, end in shard_bounds(len(items), num_shards)]
+
+
 def fills_by_layer(layout):
     return {n: list(layout.layer(n).fills) for n in layout.layer_numbers}
 
@@ -64,6 +69,8 @@ def run_filled(config, seed=11):
 
 
 class TestShardItems:
+    """The partition rule that cuts columns into bands and bands into parts."""
+
     def test_partition_preserves_order(self):
         items = list(range(10))
         shards = shard_items(items, 3)
@@ -91,6 +98,16 @@ class TestResolveWorkers:
 
     def test_zero_means_cpu_count(self):
         assert resolve_workers(0) >= 1
+
+    def test_zero_counts_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # pinned to one CPU of an eight-core host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(0) == 1
+        assert FillConfig(workers=0).effective_workers() == 1
+        # platforms without an affinity mask fall back to the core count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers(0) == 8
 
     def test_negative_rejected(self):
         with pytest.raises(ParallelConfigError):
@@ -224,6 +241,18 @@ class TestEngineDeterminism:
         assert report.num_fills == base_report.num_fills
         assert report.num_candidates == base_report.num_candidates
 
+    @pytest.mark.parametrize("backend", TEST_BACKENDS)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_fills_identical_for_any_worker_count(self, backend, workers):
+        # nonzero window margin; more workers than the 2 window columns
+        def fill(config):
+            layout, grid = demo_layout(seed=5, windows=2)
+            DummyFillEngine(config).run(layout, grid)
+            return fills_by_layer(layout)
+
+        base = fill(FillConfig(window_margin=7))
+        assert fill(FillConfig(window_margin=7, workers=workers, parallel=backend)) == base
+
     def test_scorecard_identical(self, serial_run):
         base_layout, base_grid, _ = serial_run
         layout, grid, _ = run_filled(FillConfig(workers=4))
@@ -250,9 +279,9 @@ class TestEngineDeterminism:
         analysis_children = [c.name for c in stages["analysis"].children]
         cand_children = [c.name for c in stages["candidates"].children]
         sizing_children = [c.name for c in stages["sizing"].children]
-        assert analysis_children == ["analysis.shard[0]", "analysis.shard[1]"]
-        assert cand_children == ["candidates.shard[0]", "candidates.shard[1]"]
-        assert sizing_children == ["sizing.shard[0]", "sizing.shard[1]"]
+        assert analysis_children == ["analysis.part[0]", "analysis.part[1]"]
+        assert cand_children == ["candidates.part[0]", "candidates.part[1]"]
+        assert sizing_children == ["sizing.part[0]", "sizing.part[1]"]
         for child in (
             stages["analysis"].children
             + stages["candidates"].children

@@ -1,7 +1,6 @@
 """Runtime shard-sanitizer tests.
 
-The sanitizer (``run_sharded(..., sanitize=True)`` /
-``REPRO_SANITIZE=shard`` / ``FillConfig(sanitize=True)``) is the
+The sanitizer (``REPRO_SANITIZE=shard``, its one switch) is the
 dynamic half of the REP009 purity contract: it pickle-digests the
 shared state around every shard worker and fails loudly when a worker
 mutates it — on every backend, including the process pool where the
@@ -22,6 +21,16 @@ from .test_parallel import TEST_BACKENDS, fills_by_layer, run_filled
 SHARDS = [[1, 2], [3, 4], [5]]
 
 
+@pytest.fixture
+def sanitizer(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "shard")
+
+
+@pytest.fixture
+def no_sanitizer(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+
 def pure_worker(shared, shard):
     """Reads shared state, returns per-shard results; never writes."""
     return [x * shared["scale"] for x in shard]
@@ -38,6 +47,7 @@ def rebinding_worker(shared, shared_shard):
     return len(shared_shard)
 
 
+@pytest.mark.usefixtures("sanitizer")
 class TestSanitizerCatchesMutation:
     @pytest.mark.parametrize("backend", TEST_BACKENDS)
     def test_mutating_worker_fails_loudly(self, backend):
@@ -48,7 +58,6 @@ class TestSanitizerCatchesMutation:
                 SHARDS,
                 workers=2,
                 backend=backend,
-                sanitize=True,
             )
 
     @pytest.mark.parametrize("backend", TEST_BACKENDS)
@@ -60,7 +69,6 @@ class TestSanitizerCatchesMutation:
                 SHARDS,
                 workers=2,
                 backend=backend,
-                sanitize=True,
             )
 
     def test_error_names_worker_and_shard(self):
@@ -72,7 +80,6 @@ class TestSanitizerCatchesMutation:
                 workers=1,
                 backend="serial",
                 label="work",
-                sanitize=True,
             )
 
     @pytest.mark.parametrize("backend", TEST_BACKENDS)
@@ -83,20 +90,18 @@ class TestSanitizerCatchesMutation:
             SHARDS,
             workers=2,
             backend=backend,
-            sanitize=True,
         )
         assert out == [[10, 20], [30, 40], [50]]
 
 
 class TestSanitizerDisabled:
-    def test_mutation_not_checked_when_off(self):
+    def test_mutation_not_checked_when_off(self, no_sanitizer):
         out = run_sharded(
             mutating_worker,
             {"seen": []},
             SHARDS,
             workers=2,
             backend="serial",
-            sanitize=False,
         )
         assert out == [[1, 2], [3, 4], [5]]
 
@@ -123,9 +128,8 @@ class TestSanitizerDisabled:
 
 
 class TestSanitizerSwitch:
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "shard")
-        assert sanitize_enabled(None) is True
+    def test_env_enables(self, sanitizer):
+        assert sanitize_enabled() is True
         with pytest.raises(ShardMutationError):
             run_sharded(
                 mutating_worker, {"seen": []}, SHARDS, workers=1, backend="serial"
@@ -133,26 +137,12 @@ class TestSanitizerSwitch:
 
     def test_env_other_value_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "everything")
-        assert sanitize_enabled(None) is False
+        assert sanitize_enabled() is False
 
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "shard")
-        assert sanitize_enabled(False) is False
-        out = run_sharded(
-            mutating_worker,
-            {"seen": []},
-            SHARDS,
-            workers=1,
-            backend="serial",
-            sanitize=False,
-        )
-        assert out == [[1, 2], [3, 4], [5]]
+    def test_default_off_without_env(self, no_sanitizer):
+        assert sanitize_enabled() is False
 
-    def test_default_off_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert sanitize_enabled(None) is False
-
-    def test_unpicklable_shared_reported_as_sanitizer_error(self):
+    def test_unpicklable_shared_reported_as_sanitizer_error(self, sanitizer):
         with pytest.raises(ShardMutationError, match="could not pickle"):
             run_sharded(
                 pure_worker,
@@ -160,21 +150,17 @@ class TestSanitizerSwitch:
                 SHARDS,
                 workers=1,
                 backend="serial",
-                sanitize=True,
             )
 
 
+@pytest.mark.usefixtures("sanitizer")
 class TestEngineWithSanitizer:
     """The fill pipeline is sanitizer-clean: its workers really are pure."""
 
     @pytest.mark.parametrize("backend", TEST_BACKENDS)
     def test_fill_bit_identical_with_sanitizer(self, backend):
-        serial_layout, _, serial_report = run_filled(
-            FillConfig(workers=1, sanitize=False)
-        )
-        layout, _, report = run_filled(
-            FillConfig(workers=4, parallel=backend, sanitize=True)
-        )
+        serial_layout, _, serial_report = run_filled(FillConfig(workers=1))
+        layout, _, report = run_filled(FillConfig(workers=4, parallel=backend))
         assert fills_by_layer(layout) == fills_by_layer(serial_layout)
         assert report.num_fills == serial_report.num_fills
         assert report.num_candidates == serial_report.num_candidates
@@ -183,7 +169,7 @@ class TestEngineWithSanitizer:
         tracer = obs.Tracer()
         restore = obs.set_tracer(tracer)
         try:
-            run_filled(FillConfig(workers=2, parallel="serial", sanitize=True))
+            run_filled(FillConfig(workers=2, parallel="serial"))
         finally:
             restore()
         digests = [
@@ -192,10 +178,6 @@ class TestEngineWithSanitizer:
             if "input_digest" in span.attrs
         ]
         assert digests, "sanitized run recorded no shard digests"
-
-    def test_config_validation_accepts_sanitize(self):
-        assert FillConfig(sanitize=True).sanitize is True
-        assert FillConfig().sanitize is None
 
 
 def _walk_spans(roots):

@@ -6,16 +6,20 @@ satisfy the structural guarantees the engine relies on:
 * fills only shrink (each output fill sits inside its candidate),
 * the output is DRC-clean,
 * total fill area never exceeds the candidate area,
-* the pass is deterministic.
+* the pass is deterministic,
+* both LP backends reach the same optimum on every pass's LP.
 """
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FillConfig
+from repro.core import FillConfig, sizing
 from repro.core.sizing import size_window
 from repro.geometry import Rect
 from repro.layout import DrcRules, check_fills
+from repro.netflow import LPInfeasibleError, solve_dual_mcf, solve_linprog
 
 RULES = DrcRules(
     min_spacing=10,
@@ -69,6 +73,26 @@ def window_instances(draw):
     return candidates, wires, targets
 
 
+SOLVERS = {"mcf-ssp": solve_dual_mcf, "lp": solve_linprog}
+
+
+def _optimum(solve, lp):
+    try:
+        return lp.objective(solve(lp).x)
+    except LPInfeasibleError:
+        return None
+
+
+def _recording_solver(name, optima):
+    """The ``name`` pass solver, recording each LP's optimum under both backends."""
+
+    def solve(lp):
+        optima.append(tuple(_optimum(backend, lp) for backend in SOLVERS.values()))
+        return SOLVERS[name](lp)
+
+    return solve
+
+
 class TestSizingInvariants:
     @given(window_instances())
     @settings(max_examples=40, deadline=None)
@@ -112,18 +136,32 @@ class TestSizingInvariants:
         assert a == b
 
     @given(window_instances())
+    @example(
+        (
+            {
+                1: [Rect(0, 0, 20, 20), Rect(0, 100, 41, 121), Rect(100, 0, 120, 20)],
+                2: [Rect(100, 0, 120, 28)],
+            },
+            {1: [Rect(42, 0, 102, 400)], 2: []},
+            {1: 555.25, 2: 555.25},
+        )
+    )
     @settings(max_examples=20, deadline=None)
     def test_solver_backends_equivalent_objective(self, instance):
+        # Both backends solve each pass exactly, so each pass's LP has
+        # one optimal objective under either.  An LP can have several
+        # optimal points, and the two backends may pick different ones
+        # (the pinned example does so on its first pass), after which
+        # their later passes and final areas diverge.  So each pass's
+        # LP is solved by both, along either backend's own trajectory.
         candidates, wires, targets = instance
-        ssp, _ = size_window(
-            WINDOW, candidates, wires, targets, RULES, FillConfig(solver="mcf-ssp")
-        )
-        lp, _ = size_window(
-            WINDOW, candidates, wires, targets, RULES, FillConfig(solver="lp")
-        )
-        # Both backends solve each pass exactly; identical LPs can have
-        # multiple optima, but the realised fill AREA per layer matches.
-        for layer in candidates:
-            assert sum(f.area for f in ssp.get(layer, [])) == sum(
-                f.area for f in lp.get(layer, [])
-            )
+        for name in SOLVERS:
+            optima = []
+            with mock.patch.object(
+                sizing, "_solver_fn", lambda solver: _recording_solver(solver, optima)
+            ):
+                size_window(
+                    WINDOW, candidates, wires, targets, RULES, FillConfig(solver=name)
+                )
+            for ssp, lp in optima:
+                assert ssp == lp

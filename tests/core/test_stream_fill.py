@@ -140,9 +140,11 @@ class TestFillParity:
         assert f"fills={report.num_fills}" in report.summary()
 
     def test_analysis_runs_requested_kernel(self):
-        # two bands of three layers: six layer analyses per run
-        expected = {self.kernel: 6} if self.kernel else {"raster": 2, "rect": 4}
+        # two bands of three layers: six layer analyses per run at one
+        # worker; at two, each two-column band runs in two parts
+        per_part = {self.kernel: 6} if self.kernel else {"raster": 2, "rect": 4}
         for workers in (1, 2):
+            expected = {k: n * workers for k, n in per_part.items()}
             with obs.record_run(sample_rss=False) as recorder:
                 stream_fill(
                     _unfilled_bytes(),

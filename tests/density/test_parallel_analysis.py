@@ -1,10 +1,12 @@
-"""Parity tests for layer-sharded density analysis.
+"""Parity tests for the engine's column-part density analysis.
 
-The contract (see ``docs/PERFORMANCE.md``): ``analyze_layout(...,
-workers=N)`` is *bit-identical* to the serial run for every worker
-count and backend — same layer key order, equal ``lower``/``upper``
-arrays down to the bit, equal per-window fill regions — because layers
-shard contiguously in layer order and per-layer results merge in shard
+The contract (see ``docs/PERFORMANCE.md``): the engine's analysis
+(:meth:`DummyFillEngine.analyze`, the sweep's analysis stage) is
+*bit-identical* to one serial :func:`analyze_layout` of the whole die
+for every worker count and backend — same layer key order, equal
+``lower``/``upper`` arrays down to the bit, equal per-window fill
+regions — because the parts are contiguous runs of whole window
+columns and each part's columns are copied into the result in part
 order.
 """
 
@@ -47,6 +49,10 @@ def wired_layout(num_layers=4, seed=5, die=1200, windows=3, empty_layers=()):
     return layout, WindowGrid(layout.die, windows, windows)
 
 
+def serial_analysis(layout, grid, config):
+    return analyze_layout(layout, grid, config.effective_margin(RULES.min_spacing))
+
+
 def assert_same_analysis(result, base):
     assert list(result) == list(base)  # same layers, same key order
     for n in base:
@@ -56,43 +62,67 @@ def assert_same_analysis(result, base):
         assert result[n].fill_regions == base[n].fill_regions
 
 
+def part_names(config, layout, grid):
+    """Span names of the parts one engine analysis ran in."""
+    tracer = obs.Tracer()
+    restore = obs.set_tracer(tracer)
+    try:
+        DummyFillEngine(config).analyze(layout, grid)
+    finally:
+        restore()
+    return [span.name for span in tracer.roots]
+
+
 class TestAnalyzeLayoutParity:
     @pytest.mark.parametrize("backend", TEST_BACKENDS)
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bit_identical_for_any_worker_count(self, backend, workers):
         layout, grid = wired_layout()
-        base = analyze_layout(layout, grid)
-        result = analyze_layout(layout, grid, workers=workers, parallel=backend)
+        config = FillConfig(workers=workers, parallel=backend)
+        base = serial_analysis(layout, grid, config)
+        result = DummyFillEngine(config).analyze(layout, grid)
         assert_same_analysis(result, base)
 
     @pytest.mark.parametrize("backend", TEST_BACKENDS)
     def test_nonzero_window_margin(self, backend):
         layout, grid = wired_layout(seed=8)
+        config = FillConfig(window_margin=7, workers=3, parallel=backend)
         base = analyze_layout(layout, grid, window_margin=7)
-        result = analyze_layout(
-            layout, grid, window_margin=7, workers=3, parallel=backend
-        )
+        result = DummyFillEngine(config).analyze(layout, grid)
         assert_same_analysis(result, base)
 
     @pytest.mark.parametrize("backend", TEST_BACKENDS)
     def test_empty_layer(self, backend):
         layout, grid = wired_layout(empty_layers={2})
-        base = analyze_layout(layout, grid)
-        result = analyze_layout(layout, grid, workers=4, parallel=backend)
+        config = FillConfig(workers=4, parallel=backend)
+        base = serial_analysis(layout, grid, config)
+        result = DummyFillEngine(config).analyze(layout, grid)
         assert_same_analysis(result, base)
         assert np.all(base[2].lower == 0.0)
 
     @pytest.mark.parametrize("backend", TEST_BACKENDS)
     def test_single_layer_fewer_layers_than_workers(self, backend):
         layout, grid = wired_layout(num_layers=1)
-        base = analyze_layout(layout, grid)
-        result = analyze_layout(layout, grid, workers=4, parallel=backend)
+        config = FillConfig(workers=4, parallel=backend)
+        base = serial_analysis(layout, grid, config)
+        result = DummyFillEngine(config).analyze(layout, grid)
         assert_same_analysis(result, base)
+
+    @pytest.mark.parametrize("backend", TEST_BACKENDS)
+    def test_fewer_columns_than_workers(self, backend):
+        layout, grid = wired_layout(windows=2)
+        config = FillConfig(workers=4, parallel=backend)
+        base = serial_analysis(layout, grid, config)
+        result = DummyFillEngine(config).analyze(layout, grid)
+        assert_same_analysis(result, base)
+        # one part per column, never an empty part
+        assert part_names(config, layout, grid) == ["analysis.part[0]", "analysis.part[1]"]
 
     def test_workers_zero_means_per_core(self):
         layout, grid = wired_layout(seed=2)
-        base = analyze_layout(layout, grid)
-        result = analyze_layout(layout, grid, workers=0, parallel="serial")
+        config = FillConfig(workers=0, parallel="serial")
+        base = serial_analysis(layout, grid, config)
+        result = DummyFillEngine(config).analyze(layout, grid)
         assert_same_analysis(result, base)
 
 
@@ -110,8 +140,9 @@ class TestAnalysisSharding:
         (run_root,) = [r for r in tracer.roots if r.name == "engine.run"]
         analysis = run_root.child("analysis")
         names = [c.name for c in analysis.children]
-        assert names == ["analysis.shard[0]", "analysis.shard[1]"]
-        assert [c.attrs["items"] for c in analysis.children] == [2, 2]
+        assert names == ["analysis.part[0]", "analysis.part[1]"]
+        # three window columns: two in the first part, one in the second
+        assert [c.attrs["items"] for c in analysis.children] == [2, 1]
 
     def test_stage_seconds_worker_agnostic(self):
         layout, grid = wired_layout()
@@ -126,7 +157,7 @@ class TestAnalysisSharding:
         registry = obs.MetricsRegistry()
         restore = obs.set_registry(registry)
         try:
-            analyze_layout(layout, grid, workers=2, parallel="serial")
+            DummyFillEngine(FillConfig(workers=2, parallel="serial")).analyze(layout, grid)
         finally:
             restore()
         assert registry.counter("analysis.layers").value == layout.num_layers

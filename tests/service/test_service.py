@@ -80,6 +80,23 @@ class TestControlOps:
         assert rules.min_spacing == 10
         assert rules.max_fill_width == 150
 
+    @pytest.mark.parametrize("value", [10.9, 10.0, "12", True])
+    def test_non_integer_rule_rejected(self, value):
+        # a float is not truncated, a string not parsed
+        with pytest.raises(ValueError, match="min_spacing must be an integer"):
+            rules_from_mapping({"min_spacing": value})
+
+    def test_non_integer_request_values_rejected(self, client, gds_bytes):
+        with pytest.raises(JobError, match="windows must be an integer") as exc_info:
+            open_session(client, gds_bytes, windows=8.9)
+        assert exc_info.value.error_type == "ValueError"
+        with pytest.raises(JobError, match="max_fill must be an integer"):
+            open_session(client, gds_bytes, rules={**RULES_MAPPING, "max_fill": "150"})
+        for key, value in (("workers", 2.5), ("sizing_iterations", 1.5)):
+            with pytest.raises(JobError, match=f"{key} must be an integer"):
+                open_session(client, gds_bytes, config={**CONFIG_MAPPING, key: value})
+        assert client.request("sessions")["sessions"] == []
+
 
 class TestComputeOps:
     def test_fill_reports_and_commits(self, client, gds_bytes):

@@ -31,12 +31,14 @@ class TestParser:
         assert args.solver == "mcf-ssp"
         assert args.windows == 8
         assert args.workers == 1
-        assert args.parallel == "process"
 
     def test_fill_rejects_unknown_backend(self):
+        # --kernel, --parallel and --sanitize are removed flags
         for flag in (
             ["--parallel", "gpu"],
             ["--parallel", "thread"],
+            ["--parallel", "process"],
+            ["--sanitize"],
             ["--solver", "mcf-simplex"],
             ["--kernel", "raster"],
         ):
