@@ -3,8 +3,9 @@
 Collects every tunable the paper names — λ (Alg. 1 over-generation),
 γ (Eqn. (8) quality weight), η (Eqn. (9a) overlay weight) — plus the
 engineering knobs of the iterative sizing loop (§3.3.2): the number of
-alternating horizontal/vertical passes, the per-iteration trust-region
-step, and which LP backend solves each pass.
+alternating horizontal/vertical passes and which LP backend solves each
+pass.  The per-pass trust-region step is derived from the DRC maximum
+fill size (:meth:`FillConfig.effective_step`).
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class FillConfig:
     sizing_iterations:
         Alternating horizontal/vertical LP rounds (§3.3.2).  Each round
         runs one horizontal and one vertical pass.
-    sizing_step:
-        Trust-region bound per edge per pass, in dbu ("variables are
-        bounded to a certain range"); ``None`` derives it from the DRC
-        maximum fill size.
     solver:
         ``"mcf-ssp"`` (dual min-cost flow via successive shortest paths,
         the paper's fast path) or ``"lp"`` (scipy HiGHS — the §3.3.2
@@ -81,7 +78,6 @@ class FillConfig:
     eta: float = 1.0
     td_step: float = 0.02
     sizing_iterations: int = 3
-    sizing_step: Optional[int] = None
     solver: str = "mcf-ssp"
     window_margin: Optional[int] = None
     stagger_even_layers: bool = True
@@ -107,8 +103,6 @@ class FillConfig:
             raise ValueError("td_step must lie in (0, 0.5]")
         if self.sizing_iterations < 0:
             raise ValueError("sizing_iterations cannot be negative")
-        if self.sizing_step is not None and self.sizing_step < 1:
-            raise ValueError("sizing_step must be at least 1 dbu")
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}")
         if self.window_margin is not None and self.window_margin < 0:
@@ -142,9 +136,9 @@ class FillConfig:
         return -(-min_spacing // 2)
 
     def effective_step(self, max_fill_width: int, max_fill_height: int) -> int:
-        """Trust-region step: explicit value or a quarter of the fill size."""
-        if self.sizing_step is not None:
-            return self.sizing_step
+        """Trust-region bound per edge per sizing pass, in dbu ("variables
+        are bounded to a certain range"): a quarter of the maximum fill
+        size, at least 2."""
         return max(2, min(max_fill_width, max_fill_height) // 4)
 
     def effective_workers(self) -> int:

@@ -55,7 +55,6 @@ from ..layout import (
     check_fills,
     shape_groups,
 )
-from ..netflow import release_solver_caches
 from ..oasis import OasisStreamWriter
 from .candidates import build_wire_indexes
 from .config import FillConfig
@@ -209,7 +208,6 @@ class SpillBands(BandSource):
         spool.finish()
         self.new_fills.append(spool)
         obs.count("engine.fills", self.num_fills - before)
-        release_solver_caches()
 
 
 def _band_drc(

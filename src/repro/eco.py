@@ -89,13 +89,20 @@ class EcoReport:
 def check_new_wires(
     die: Rect, layer_numbers: Sequence[int], new_wires: Mapping[int, Sequence[Rect]]
 ) -> None:
-    """Reject a wire change naming an unknown layer or leaving the die."""
+    """Reject a wire change naming an unknown layer, leaving the die or
+    holding a zero-area wire.
+
+    Callers run it before committing anything, so a rejected change
+    leaves the layout and any cached wire index as they were.
+    """
     for number in sorted(new_wires, key=int):
         if number not in layer_numbers:
             raise KeyError(
                 f"layer {number} not in layout (has {list(layer_numbers)})"
             )
         for rect in new_wires[number]:
+            if rect.is_degenerate:
+                raise ValueError(f"new wire {rect} on layer {number} has zero area")
             if not die.contains(rect):
                 raise ValueError(f"new wire {rect} escapes the die")
 
@@ -167,11 +174,17 @@ def wires_from_json(data: Mapping[str, Any]) -> Dict[int, List[Rect]]:
         {"1": [[100, 100, 400, 140]], "2": [[0, 500, 60, 900]]}
     """
     out: Dict[int, List[Rect]] = {}
+    keys: Dict[int, Any] = {}
     for key in sorted(data, key=str):
         try:
             number = int(key)
         except (TypeError, ValueError):
             raise ValueError(f"layer key {key!r} is not an integer") from None
+        if number in keys:
+            raise ValueError(
+                f"layer keys {keys[number]!r} and {key!r} both name layer {number}"
+            )
+        keys[number] = key
         entries = data[key]
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"layer {number}: expected a list of rects")

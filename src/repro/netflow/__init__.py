@@ -5,7 +5,6 @@ from .dualmcf import (
     DifferentialLP,
     DualMcfSolution,
     LPInfeasibleError,
-    release_solver_caches,
     solve_dual_mcf,
 )
 from .graph import (
@@ -27,7 +26,6 @@ __all__ = [
     "DifferentialLP",
     "DualMcfSolution",
     "LPInfeasibleError",
-    "release_solver_caches",
     "solve_dual_mcf",
     "solve_linprog",
 ]

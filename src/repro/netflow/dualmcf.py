@@ -29,7 +29,6 @@ uncapacitated cycle in the flow network and is reported as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -40,21 +39,8 @@ __all__ = [
     "DifferentialLP",
     "DualMcfSolution",
     "LPInfeasibleError",
-    "release_solver_caches",
     "solve_dual_mcf",
 ]
-
-
-def release_solver_caches() -> None:
-    """Drop the memoised pair-LP solutions.
-
-    The pair cache is value-transparent — clearing it costs speed on
-    repeated coefficient patterns, never changes a result.  The
-    out-of-core driver (:func:`repro.core.stream_fill`) calls this
-    between bands so cached keys cannot accumulate into a resident set
-    proportional to the whole die.
-    """
-    _solve_pair.cache_clear()
 
 
 class LPInfeasibleError(Exception):
@@ -284,28 +270,12 @@ def _sub_lp(
 # ----------------------------------------------------------------------
 # A fill-sizing pass decomposes into thousands of tiny components: one
 # isolated variable, or the (x_lo, x_hi) pair of a single fill coupled
-# only by its width constraint x_hi - x_lo >= w.  Solving each through
-# the generic route — build a sub-LP, transform to a FlowNetwork, run
-# the general SSP engine — spends almost all of its time constructing
-# objects for a 3-node, 5-arc network whose solve trajectory is fixed.
-# `_solve_pair` below IS that trajectory: the successive-shortest-path
-# algorithm of :mod:`repro.netflow.ssp` hand-unrolled onto the fixed
-# topology, replicating its arc order, Bellman-Ford sweep order,
-# Dijkstra tie-breaks (min ``(dist, node)``) and potential updates, so
-# the returned x is identical to the generic path bit for bit — not
-# merely another optimum of the same LP.  The residual arc layout
-# (index = 2*arc for forward, 2*arc+1 for backward, `e ^ 1` pairing):
-#
-#   arc 0: y2 -> y1  cost -w   (the width constraint x1 - x0 >= w)
-#   arc 1: y1 -> y0  cost -l0  |  arc 2: y0 -> y1  cost u0   (x0 box)
-#   arc 3: y2 -> y0  cost -l1  |  arc 4: y0 -> y2  cost u1   (x1 box)
-#
-# Supplies are (-(a+b), a, b); every forward arc starts with the same
-# finite stand-in capacity ``max(1, positive supply)`` the generic
-# path derives in ``FlowNetwork.finite_capacities``.
-_PAIR_HEAD = (1, 2, 0, 1, 1, 0, 0, 2, 2, 0)
-_PAIR_TAIL = (2, 1, 1, 0, 0, 1, 2, 0, 0, 2)
-_PAIR_ADJ = ((3, 4, 7, 8), (1, 2, 5), (0, 6, 9))
+# only by its width constraint x_hi - x_lo >= w.  Both have closed-form
+# optima.  Where the LP has several, the closed forms pick the one the
+# generic route returns: SSP starts from zero potentials, so its choice
+# among tied optima depends on where the origin lies.  Keeping that
+# choice keeps every sized fill, and so every output byte, identical
+# whichever route solves a component.
 _INFEASIBLE_CYCLE_MSG = (
     "differential constraint system is infeasible: negative-cost cycle: "
     "the min-cost flow is unbounded "
@@ -313,122 +283,52 @@ _INFEASIBLE_CYCLE_MSG = (
 )
 
 
-@lru_cache(maxsize=1 << 16)
+def _clamp(v: int, lo: int, hi: int) -> int:
+    return min(max(v, lo), hi)
+
+
 def _solve_pair(
     a: int, b: int, l0: int, u0: int, l1: int, u1: int, w: int
 ) -> Tuple[int, int]:
-    """min a*x0 + b*x1 s.t. x1 - x0 >= w, boxes — exact SSP emulation."""
+    """min a*x0 + b*x1 s.t. x1 - x0 >= w, boxes — the optimum SSP returns.
+
+    Where the optimum is unique this is plain LP reasoning.  Where it is
+    not, the rules pick SSP's choice:
+
+    * a zero-cost variable takes the value nearest ``max(0, other)``
+      its feasible range allows;
+    * on the tie ``a + b = 0`` with ``a < 0``, every ``x0`` from
+      ``max(l0, l1 - w)`` to ``hi0`` is optimal, and SSP takes the one
+      with the smallest ``|x0| + |x1|``, then the smallest ``x0``;
+    * with no costs at all SSP never augments and returns its
+      Bellman-Ford start potentials.
+    """
     if u1 < l0 + w:
         # The only possible negative cycle of the pair network:
         # y0 -> y2 -> y1 -> y0 with cost u1 - w - l0.
         raise LPInfeasibleError(_INFEASIBLE_CYCLE_MSG)
-    s0 = -(a + b)
-    pos = (s0 if s0 > 0 else 0) + (a if a > 0 else 0) + (b if b > 0 else 0)
-    cap_bound = pos if pos > 1 else 1
-    cost = (-w, w, -l0, l0, u0, -u0, -l1, l1, u1, -u1)
-    caps = [cap_bound, 0, cap_bound, 0, cap_bound, 0, cap_bound, 0, cap_bound, 0]
-
-    # Bellman-Ford initial potentials: only forward arcs carry residual
-    # capacity here, relaxed in the generic sweep order (adj of node 0,
-    # then 1, then 2).  Convergence is guaranteed by the feasibility
-    # check above, within the generic engine's n + 1 = 4 rounds.
-    p0 = p1 = p2 = 0
-    for _ in range(4):
-        changed = False
-        nd = p0 + u0  # arc 0 -> 1
-        if nd < p1:
-            p1 = nd
-            changed = True
-        nd = p0 + u1  # arc 0 -> 2
-        if nd < p2:
-            p2 = nd
-            changed = True
-        nd = p1 - l0  # arc 1 -> 0
-        if nd < p0:
-            p0 = nd
-            changed = True
-        nd = p2 - w  # arc 2 -> 1
-        if nd < p1:
-            p1 = nd
-            changed = True
-        nd = p2 - l1  # arc 2 -> 0
-        if nd < p0:
-            p0 = nd
-            changed = True
-        if not changed:
-            break
-    else:  # pragma: no cover - excluded by the feasibility precheck
-        raise LPInfeasibleError(_INFEASIBLE_CYCLE_MSG)
-
-    pi = [p0, p1, p2]
-    excess = [s0, a, b]
-    inf = float("inf")
-    while True:
-        source = -1
-        for u in (0, 1, 2):
-            if excess[u] > 0:
-                source = u
-                break
-        if source < 0:
-            break
-        # Dijkstra on reduced costs, settling in (dist, node) order —
-        # the heap pop order of the generic engine — with early exit
-        # at the first settled deficit node.
-        dist: List[float] = [inf, inf, inf]
-        prev = [-1, -1, -1]
-        settled = [False, False, False]
-        dist[source] = 0
-        target = -1
-        dt = 0
-        while True:
-            u = -1
-            best = inf
-            for v in (0, 1, 2):
-                if not settled[v] and dist[v] < best:
-                    best = dist[v]
-                    u = v
-            if u < 0:
-                break
-            settled[u] = True
-            if excess[u] < 0:
-                target = u
-                dt = int(dist[u])
-                break
-            du = dist[u] + pi[u]
-            for e in _PAIR_ADJ[u]:
-                if caps[e] <= 0:
-                    continue
-                h = _PAIR_HEAD[e]
-                if settled[h]:
-                    continue
-                nd = du + cost[e] - pi[h]
-                if nd < dist[h]:
-                    dist[h] = nd
-                    prev[h] = e
-        if target < 0:  # pragma: no cover - pair network is connected
-            raise LPInfeasibleError(
-                "differential constraint system is infeasible: "
-                "an excess node cannot reach any deficit node"
-            )
-        for u in (0, 1, 2):
-            d = dist[u]
-            pi[u] += int(d) if d < dt else dt
-        push = min(excess[source], -excess[target])
-        v = target
-        while v != source:
-            e = prev[v]
-            if caps[e] < push:
-                push = caps[e]
-            v = _PAIR_TAIL[e]
-        v = target
-        while v != source:
-            e = prev[v]
-            caps[e] -= push
-            caps[e ^ 1] += push
-            v = _PAIR_TAIL[e]
-        excess[source] -= push
-        excess[target] += push
-    return pi[1] - pi[0], pi[2] - pi[0]
+    if a == 0 and b == 0:
+        p0 = min(0, -l0, -l1, -l0 - w)
+        p2 = min(0, p0 + u1)
+        p1 = min(0, p0 + u0, p2 - w)
+        return p1 - p0, p2 - p0
+    if a == 0:
+        x1 = u1 if b < 0 else max(l1, l0 + w)
+        return _clamp(max(0, x1), l0, min(u0, x1 - w)), x1
+    hi0 = min(u0, u1 - w)  # top of x0's feasible range
+    if a > 0:
+        x0 = l0
+    elif b <= 0 or a + b < 0:
+        x0 = hi0
+    elif a + b > 0:
+        x0 = _clamp(l1 - w, l0, hi0)
+    else:
+        x0 = _clamp(min(0, -w), max(l0, l1 - w), hi0)
+    if b < 0:
+        return x0, u1
+    if b > 0:
+        return x0, max(l1, x0 + w)
+    return x0, _clamp(max(0, x0), max(l1, x0 + w), u1)
 
 
 def _solve_single(c: int, lower: int, upper: int) -> int:
@@ -443,11 +343,7 @@ def _solve_single(c: int, lower: int, upper: int) -> int:
         return lower
     if c < 0:
         return upper
-    if upper < 0:
-        return upper
-    if lower > 0:
-        return lower
-    return 0
+    return _clamp(0, lower, upper)
 
 
 def _solve_small(
@@ -462,6 +358,8 @@ def _solve_small(
     if len(members) == 2 and len(cons) == 1:
         lo_v, hi_v = members
         i, j, b = cons[0]
+        # The closed form reads the constraint as x_hi - x_lo >= w; a
+        # reversed pair takes the generic route.
         if i == hi_v and j == lo_v:
             return _solve_pair(
                 lp.costs[lo_v],

@@ -35,10 +35,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FillConfig(sizing_iterations=-1)
 
-    def test_tiny_step_rejected(self):
-        with pytest.raises(ValueError):
-            FillConfig(sizing_step=0)
-
     def test_unknown_solver_rejected(self):
         for solver in ("gurobi", "mcf-simplex", "mcf-costscaling"):
             with pytest.raises(ValueError):
@@ -50,12 +46,14 @@ class TestValidation:
 
     def test_removed_kernel_field_rejected(self):
         # the analysis picks the density kernel per layer, the spill
-        # budget is a stream_fill argument, and REPRO_SANITIZE=shard is
-        # the shard sanitizer's one switch
+        # budget is a stream_fill argument, REPRO_SANITIZE=shard is the
+        # shard sanitizer's one switch, and the sizing step is derived
+        # from the maximum fill size
         for field, value in (
             ("kernel", "raster"),
             ("memory_budget", 1 << 20),
             ("sanitize", True),
+            ("sizing_step", 7),
         ):
             with pytest.raises(TypeError):
                 FillConfig(**{field: value})
@@ -64,7 +62,7 @@ class TestValidation:
 
 
     @pytest.mark.parametrize(
-        "field", ["workers", "sizing_iterations", "sizing_step", "window_margin"]
+        "field", ["workers", "sizing_iterations", "window_margin"]
     )
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
     def test_non_integer_value_rejected(self, field, value):
@@ -77,10 +75,11 @@ class TestValidation:
 
     def test_integer_fields_accept_ints_and_unset_optionals(self):
         config = FillConfig.from_mapping(
-            {"workers": 2, "sizing_iterations": 1, "sizing_step": None, "window_margin": 0}
+            {"workers": 2, "sizing_iterations": 1, "window_margin": None}
         )
         assert (config.workers, config.sizing_iterations) == (2, 1)
-        assert config.sizing_step is None and config.window_margin == 0
+        assert config.window_margin is None
+        assert FillConfig.from_mapping({"window_margin": 0}).window_margin == 0
 
 
 class TestDerivedKnobs:
@@ -97,9 +96,6 @@ class TestDerivedKnobs:
 
     def test_effective_step_floor(self):
         assert FillConfig().effective_step(4, 4) == 2
-
-    def test_effective_step_explicit(self):
-        assert FillConfig(sizing_step=7).effective_step(100, 100) == 7
 
     def test_frozen(self):
         config = FillConfig()

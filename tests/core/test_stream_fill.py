@@ -300,6 +300,21 @@ class TestEcoParity:
                 eco_wires={1: [Rect(-50, 0, 10, 10)]},
             )
 
+    def test_eco_zero_area_wire_rejected_before_bucketing(self):
+        raw = _unfilled_bytes()
+        with obs.record_run(sample_rss=False) as recorder:
+            with pytest.raises(ValueError, match="on layer 2 has zero area"):
+                stream_fill(
+                    raw,
+                    io.BytesIO(),
+                    RULES,
+                    cols=4,
+                    rows=4,
+                    eco_wires={1: [Rect(100, 100, 400, 140)], 2: [Rect(500, 500, 500, 900)]},
+                )
+        names = {span["name"] for span in recorder.record.spans}
+        assert "scan" in names and "bucket" not in names
+
     def test_eco_unknown_layer_rejected(self):
         raw = _unfilled_bytes()
         with pytest.raises(KeyError, match="not in layout"):

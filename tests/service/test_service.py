@@ -144,6 +144,22 @@ class TestComputeOps:
         assert 0 < result["affected_windows"] < 16
         assert client.request("drc_audit", session=sid)["count"] == 0
 
+    def test_eco_delta_zero_area_wire_leaves_session_intact(self, client, gds_bytes):
+        sid = open_session(client, gds_bytes)
+        before = client.request("fill", session=sid)["gds"]
+        bad = {"1": [[100, 100, 400, 140]], "2": [[500, 500, 500, 900]]}
+        with pytest.raises(JobError, match="on layer 2 has zero area"):
+            client.request("eco_delta", session=sid, wires=bad)
+        assert client.request("fill", session=sid)["gds"] == before
+        result = client.request("eco_delta", session=sid, wires={"1": [[100, 100, 400, 140]]})
+        assert result["new_wires"] == 1
+
+    def test_eco_delta_rejects_two_keys_for_one_layer(self, client, gds_bytes):
+        sid = open_session(client, gds_bytes)
+        wires = {"1": [[0, 0, 10, 10]], "01": [[20, 20, 30, 30]]}
+        with pytest.raises(JobError, match="'01' and '1' both name layer 1"):
+            client.request("eco_delta", session=sid, wires=wires)
+
     def test_eco_delta_needs_wires(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)
         with pytest.raises(JobError, match="non-empty"):

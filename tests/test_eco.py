@@ -1,6 +1,7 @@
 """Tests for the ECO incremental re-fill flow."""
 
 import random
+import re
 
 import pytest
 
@@ -239,6 +240,24 @@ class TestCachedEco:
         with pytest.raises(ValueError, match="stale wire index"):
             apply_eco(layout, grid, self.WIRE, config, wire_indexes=wire_indexes)
 
+    def test_zero_area_wire_rejected_before_commit(self):
+        # a degenerate wire on a later layer must fail the change before
+        # the earlier layer's wire reaches the layout or the cached index
+        from repro.gdsii import gdsii_bytes
+
+        config = FillConfig()
+        layout, grid = filled_layout()
+        _, wire_indexes = self._caches(layout, grid, config)
+        before = gdsii_bytes(layout)
+        bad = {1: [Rect(100, 100, 400, 140)], 2: [Rect(500, 500, 500, 900)]}
+        with pytest.raises(ValueError, match=r"\(500,500\)-\(500,900\) on layer 2 has zero area"):
+            apply_eco(layout, grid, bad, config, wire_indexes=wire_indexes)
+        assert gdsii_bytes(layout) == before
+        for layer in layout.layers:
+            assert len(wire_indexes[layer.number]) == layer.num_wires
+        # the caches still pass the staleness check of the next change
+        apply_eco(layout, grid, self.WIRE, config, wire_indexes=wire_indexes)
+
     def test_stale_fill_index_rejected(self):
         from repro.eco import build_fill_indexes
 
@@ -287,6 +306,15 @@ class TestWiresFromJson:
         from repro.eco import wires_from_json
 
         assert wires_from_json({}) == {}
+
+    @pytest.mark.parametrize("alias", ["01", "+1", " 1"])
+    def test_rejects_two_keys_for_one_layer(self, alias):
+        from repro.eco import wires_from_json
+
+        keys = sorted(("1", alias))
+        message = f"layer keys {keys[0]!r} and {keys[1]!r} both name layer 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wires_from_json({"1": [[0, 0, 10, 10]], alias: [[20, 20, 30, 30]]})
 
 
 class TestRefreshMetrics:
