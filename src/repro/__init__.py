@@ -45,7 +45,7 @@ from .geometry import Rect, RectilinearPolygon
 from .layout import DrcRules, Layout, WindowGrid
 
 # Extension modules (imported lazily by attribute in docs/examples):
-# repro.eco, repro.litho, repro.oasis, repro.report, repro.viz, repro.cli
+# repro.eco, repro.litho, repro.oasis, repro.report, repro.cli
 
 __version__ = "1.0.0"
 

@@ -303,26 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
     _configure_serve(serve)
     _add_obs_args(serve)
 
-    trace = sub.add_parser(
+    # listed for `repro --help`; main() forwards their arguments unparsed
+    sub.add_parser(
         "trace",
         help="render or diff run records (see `repro trace --help`)",
         add_help=False,
     )
-    trace.add_argument(
-        "trace_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to `python -m repro.obs`",
-    )
-
-    bench = sub.add_parser(
+    sub.add_parser(
         "bench",
         help="record/gate BENCH records (see `repro bench --help`)",
         add_help=False,
-    )
-    bench.add_argument(
-        "bench_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to `python -m repro.bench`",
     )
 
     return parser
@@ -502,16 +492,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return run_serve(args)
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(argv: Sequence[str]) -> int:
     from .obs.cli import main as obs_main
 
-    return obs_main(args.trace_args)
+    return obs_main(argv)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(argv: Sequence[str]) -> int:
     from .bench.cli import main as bench_main
 
-    return bench_main(args.bench_args)
+    return bench_main(argv)
 
 
 _COMMANDS = {
@@ -522,6 +512,11 @@ _COMMANDS = {
     "drc": _cmd_drc,
     "eco": _cmd_eco,
     "serve": _cmd_serve,
+}
+
+#: commands whose arguments go to another module's CLI as they are (an
+#: ``argparse.REMAINDER`` positional would refuse a leading ``--help``)
+_FORWARDED = {
     "trace": _cmd_trace,
     "bench": _cmd_bench,
 }
@@ -529,6 +524,9 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in _FORWARDED:
+        return _FORWARDED[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

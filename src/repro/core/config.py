@@ -4,14 +4,15 @@ Collects every tunable the paper names — λ (Alg. 1 over-generation),
 γ (Eqn. (8) quality weight), η (Eqn. (9a) overlay weight) — plus the
 engineering knobs of the iterative sizing loop (§3.3.2): the number of
 alternating horizontal/vertical passes and which LP backend solves each
-pass.  The per-pass trust-region step is derived from the DRC maximum
-fill size (:meth:`FillConfig.effective_step`).
+pass.  The per-pass trust-region step and the window-edge inset are
+derived from the rule deck (:meth:`FillConfig.effective_step`,
+:meth:`FillConfig.effective_margin`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 __all__ = ["FillConfig"]
 
@@ -45,10 +46,6 @@ class FillConfig:
         ``"mcf-ssp"`` (dual min-cost flow via successive shortest paths,
         the paper's fast path) or ``"lp"`` (scipy HiGHS — the §3.3.2
         reference the dual-MCF path is checked against).
-    window_margin:
-        Inset applied to each window when extracting fill regions so
-        fills in adjacent windows keep legal spacing across window
-        boundaries; ``None`` derives ``ceil(sm / 2)`` from the rules.
     stagger_even_layers:
         Offset even layers' candidate grids by half a pitch so fills on
         adjacent layers interleave instead of stacking (the Fig. 4(b)
@@ -79,7 +76,6 @@ class FillConfig:
     td_step: float = 0.02
     sizing_iterations: int = 3
     solver: str = "mcf-ssp"
-    window_margin: Optional[int] = None
     stagger_even_layers: bool = True
     case1_steering: bool = True
     workers: int = 1
@@ -90,9 +86,8 @@ class FillConfig:
         # request (JSON has one number type), not a value to truncate.
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" or (f.type == "Optional[int]" and value is not None):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.lambda_factor < 1.0:
             raise ValueError("lambda_factor must be >= 1 (Alg. 1: λ ≥ 1)")
         if self.gamma < 0:
@@ -105,8 +100,6 @@ class FillConfig:
             raise ValueError("sizing_iterations cannot be negative")
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}")
-        if self.window_margin is not None and self.window_margin < 0:
-            raise ValueError("window_margin cannot be negative")
         if self.workers < 0:
             raise ValueError("workers cannot be negative (0 means one per core)")
         if self.parallel not in _BACKENDS:
@@ -130,9 +123,8 @@ class FillConfig:
         return cls(**dict(mapping))
 
     def effective_margin(self, min_spacing: int) -> int:
-        """Window-edge inset: explicit value or ``ceil(sm / 2)``."""
-        if self.window_margin is not None:
-            return self.window_margin
+        """Window-edge inset of the fill regions, ``ceil(sm / 2)``: fills
+        in adjacent windows keep legal spacing across window boundaries."""
         return -(-min_spacing // 2)
 
     def effective_step(self, max_fill_width: int, max_fill_height: int) -> int:

@@ -101,7 +101,7 @@ class FillReport:
     bands: int = 1
     #: fill DRC of the written layout
     violations: List[DrcViolation] = field(default_factory=list)
-    #: input fills written through, and those an ECO ripped up
+    #: input fills written through, and those replaced or ripped up
     kept_fills: int = 0
     removed_fills: int = 0
     bytes_spilled: int = 0
@@ -462,10 +462,12 @@ class DummyFillEngine:
     ) -> FillReport:
         """Execute the Fig. 3 flow; fills are committed to ``layout``.
 
+        A whole-die run replaces any fill the layout already holds.
         ``windows`` restricts candidate generation, sizing and
         insertion to the given window keys while density analysis and
         target planning stay global — the incremental mode the ECO
-        flow (:mod:`repro.eco`) uses to re-fill only changed windows.
+        flow (:mod:`repro.eco`) uses to re-fill only changed windows;
+        fills outside them stay.
 
         ``analysis`` supplies a precomputed global density analysis
         (one that matches the layout's wires and this config's
@@ -476,6 +478,8 @@ class DummyFillEngine:
         is bit-identical to a cold run.
         """
         check_drc_params(layout.rules, name="layout.rules")
+        if windows is None:
+            layout.clear_fills()
         with engine_span() as run_span:
             source = _ResidentBand(
                 layout, grid, dict(wire_indexes) if wire_indexes else None

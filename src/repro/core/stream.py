@@ -270,10 +270,12 @@ def stream_fill(
     grid cannot be built by the caller).  ``memory_budget`` (bytes) or
     an explicit ``bands`` count controls how many window-column bands
     the die is swept in; each sweep keeps only one band's geometry
-    resident.  ``eco_wires`` switches to the incremental ECO mode:
-    the wires are committed, fills in dirtied windows are ripped up,
-    and only those windows are re-filled — by the rules of
-    :mod:`repro.eco`, so the bytes match :func:`repro.eco.apply_eco`.
+    resident.  Without ``eco_wires`` the input's fills are replaced,
+    as :meth:`~repro.core.DummyFillEngine.run` replaces them.
+    ``eco_wires`` switches to the incremental ECO mode: the wires are
+    committed, fills in dirtied windows are ripped up, and only those
+    windows are re-filled — by the rules of :mod:`repro.eco`, so the
+    bytes match :func:`repro.eco.apply_eco`.
 
     The report's ``stage_seconds`` are the children of the run's
     ``engine.run`` span: ``scan`` and ``bucket``, the sweep's stages,
@@ -332,8 +334,9 @@ def stream_fill(
         # Pass 2 — bucket: route wires into band chunks with the widest
         # query reach of any stage as halo (candidate generation looks
         # ``min_spacing`` around a window, sizing ``min_spacing + step``);
-        # decide each input fill's fate (ECO rip-up), route the kept
-        # ones for the DRC and accumulate their area per window.
+        # decide each input fill's fate (all replaced by a whole-die
+        # fill, ECO rip-up otherwise), route the kept ones for the DRC
+        # and accumulate their area per window.
         with obs.span("bucket"):
             halo = rules.min_spacing + config.effective_step(
                 rules.max_fill_width, rules.max_fill_height
@@ -348,7 +351,7 @@ def stream_fill(
                 for rect in spool.read(n, WIRE_DATATYPE):
                     wires.route(n, WIRE_DATATYPE, rect, halo)
                 for rect in spool.read(n, FILL_DATATYPE):
-                    if affected and rips_up(grid, affected, rect):
+                    if affected is None or rips_up(grid, affected, rect):
                         removed_fills += 1
                         continue
                     kept_spool.add(n, FILL_DATATYPE, rect)

@@ -52,6 +52,14 @@ __all__ = [
 
 _HEADER = struct.Struct(">HBB")
 
+#: names of the element records :meth:`GdsiiStreamReader.elements` decodes
+_INT_RECORDS = {
+    RecordType.LAYER: "LAYER",
+    RecordType.DATATYPE: "DATATYPE",
+    RecordType.WIDTH: "WIDTH",
+    RecordType.XY: "XY",
+}
+
 #: read-ahead granularity of the buffered record iterator
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -64,13 +72,14 @@ def iter_stream_records(
     """Yield ``(offset, rec_type, data_type, payload)`` from a stream.
 
     Each record is framed by :func:`~repro.gdsii.records.pack_record`'s
-    layout; iteration ends at ENDLIB or at zero-length padding (GDSII
-    files are commonly padded to a 2048-byte multiple with nulls).
-    The source is read in ``chunk_size`` slices, so memory use is
-    bounded by the largest single record, not the file.  The yielded
-    ``offset`` is the byte position of the record header in the
-    stream; a truncated or corrupt record raises a ``ValueError``
-    naming it.
+    layout; iteration ends at ENDLIB, so whatever follows it (GDSII
+    files are commonly padded to a 2048-byte multiple with nulls) is
+    never read.  The source is read in ``chunk_size`` slices, so memory
+    use is bounded by the largest single record, not the file.  The
+    yielded ``offset`` is the byte position of the record header in
+    the stream; a truncated or corrupt record, and a stream that ends
+    (or turns to zero-length records) before ENDLIB, raise a
+    ``ValueError`` naming it.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
@@ -104,12 +113,12 @@ def iter_stream_records(
         offset = base + pos
         got = refill(_HEADER.size)
         if got == 0:
-            return
+            raise ValueError(f"GDSII stream ends before ENDLIB at byte {offset}")
         if got < _HEADER.size:
             raise ValueError(f"truncated GDSII stream at byte {offset}")
         length, rec_type, data_type = _HEADER.unpack_from(buf, pos)
         if length == 0:
-            return  # tape padding
+            raise ValueError(f"zero-length record before ENDLIB at byte {offset}")
         if length < _HEADER.size:
             raise ValueError(f"corrupt record at byte {offset}")
         if refill(length) < length:
@@ -290,6 +299,11 @@ class GdsiiStreamReader:
                     element_offset = offset
                 elif rec_type == RecordType.LAYER and element_kind:
                     element_layer = decode_int2(payload)[0]
+                    if element_layer < 0:
+                        raise ValueError(
+                            f"{element_kind.upper()} element at byte "
+                            f"{element_offset} has negative LAYER {element_layer}"
+                        )
                 elif rec_type == RecordType.DATATYPE and element_kind:
                     element_datatype = decode_int2(payload)[0]
                 elif rec_type == RecordType.WIDTH and element_kind == "path":
@@ -316,6 +330,12 @@ class GdsiiStreamReader:
                         offset=element_offset,
                     )
                     element_kind = None
+        except (struct.error, IndexError):
+            # an integer payload that is empty or not whole fields
+            raise ValueError(
+                f"{str(element_kind).upper()} element at byte {element_offset} has a "
+                f"malformed {len(payload)}-byte {_INT_RECORDS[rec_type]} payload"
+            ) from None
         finally:
             self.close()
 

@@ -67,6 +67,8 @@ MAGIC = b"%SEMI-OASIS\r\n"
 
 _START = 1
 _END = 2
+#: bytes of the padded END record, record byte included
+_END_RECORD = 256
 _CELL_NAME = 14
 _RECTANGLE = 25
 
@@ -392,7 +394,7 @@ class OasisStreamWriter:
             tail = bytearray()
             # END record padded so the END record itself spans 256 bytes.
             tail.append(_END)
-            pad = 256 - 1 - 1  # minus record byte and validation-scheme byte
+            pad = _END_RECORD - 1 - 1  # minus record byte and validation-scheme byte
             tail.extend(b"\x00" * pad)
             write_uint(tail, 0)  # validation scheme 0: none
             self._write(tail)
@@ -463,13 +465,15 @@ def _repetition_positions(
 def _shapes(data: bytes, cell: OasisCell) -> Iterator[Tuple[int, int, Rect]]:
     """Yield the stream's ``(layer, datatype, rect)`` in file order.
 
-    The cell's name and unit are set as their records go past.
+    The cell's name and unit are set as their records go past.  A
+    stream that ends before its END record, or inside it, raises a
+    ``ValueError`` naming the offset, like any other truncation.
     """
     if not data.startswith(MAGIC):
-        raise ValueError("not an OASIS stream (bad magic)")
+        raise ValueError("not an OASIS stream (bad magic at byte 0)")
     cur = _Cursor(data, len(MAGIC))
     modal = _Modal()
-    while cur.pos < len(data):
+    while True:
         record = cur.byte()
         if record == _START:
             version = cur.string()
@@ -512,7 +516,9 @@ def _shapes(data: bytes, cell: OasisCell) -> Iterator[Tuple[int, int, Rect]]:
                 rect = Rect(px, py, px + modal.width, py + modal.height)
                 yield modal.layer, modal.datatype, rect
         elif record == _END:
-            break
+            if len(data) - cur.pos < _END_RECORD - 1:
+                raise ValueError(f"truncated OASIS END record at byte {cur.pos - 1}")
+            return
         else:
             raise ValueError(f"unsupported OASIS record {record}")
 

@@ -110,16 +110,22 @@ def encode_message(message: Mapping[str, Any]) -> bytes:
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
-    """Parse one wire line back into a dict with raw ``bytes`` payloads."""
+    """Parse one wire line back into a dict with raw ``bytes`` payloads.
+
+    Anything that is not a JSON object line, nesting too deep for the
+    decoder included, raises :class:`ProtocolError`.
+    """
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
     try:
         message = json.loads(line.decode("utf-8"))
+        if not isinstance(message, dict):
+            raise ProtocolError("protocol messages must be JSON objects")
+        decoded: Dict[str, Any] = from_wire(message)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"not a JSON line: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("protocol messages must be JSON objects")
-    decoded: Dict[str, Any] = from_wire(message)
+    except RecursionError:
+        raise ProtocolError("JSON nested too deeply") from None
     return decoded
 
 

@@ -50,6 +50,7 @@ class ServiceServer:
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
+        self._conns: List[socket.socket] = []
         self._lock = threading.Lock()
         self._shutdown = threading.Event()
         self._started = False
@@ -97,9 +98,15 @@ class ServiceServer:
         return self._shutdown.wait(timeout)
 
     def stop(self) -> None:
-        """Close the listener, wake the accept loop, join handlers."""
+        """Shut the listener and every open connection down, join handlers.
+
+        Closing a socket does not wake a thread blocked in ``accept()``
+        or ``readline`` on it (on Linux), so each is shut down first:
+        the accept loop and every connection thread return at once.
+        """
         self._shutdown.set()
         if self._listener is not None:
+            _shut(self._listener)
             try:
                 self._listener.close()
             except OSError:
@@ -107,7 +114,10 @@ class ServiceServer:
         if self._accept_thread is not None:
             self._accept_thread.join(5.0)
         with self._lock:
+            conns = list(self._conns)
             threads = list(self._conn_threads)
+        for conn in conns:
+            _shut(conn)
         for thread in threads:
             thread.join(5.0)
         if self.socket_path is not None and os.path.exists(self.socket_path):
@@ -139,6 +149,7 @@ class ServiceServer:
             )
             with self._lock:
                 self._conn_threads.append(thread)
+                self._conns.append(conn)
             thread.start()
 
     def _handle_connection(self, conn: socket.socket) -> None:
@@ -158,6 +169,8 @@ class ServiceServer:
                     self.request_shutdown()
                     return
         finally:
+            with self._lock:
+                self._conns.remove(conn)
             try:
                 rfile.close()
             finally:
@@ -194,3 +207,11 @@ class ServiceServer:
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
         return {"id": request_id, **body}
+
+
+def _shut(sock: socket.socket) -> None:
+    """Shut both directions down, waking any thread blocked on ``sock``."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not connected, or the peer already left

@@ -51,7 +51,7 @@ class TestRep001:
         assert run("REP001", "r = Rect(0, 0, round(w / 2), h)\n", self.PATH) == []
 
     def test_out_of_scope_file_is_ignored(self):
-        assert run("REP001", "r = Rect(0, 0, 10.5, 20)\n", "src/repro/viz.py") == []
+        assert run("REP001", "r = Rect(0, 0, 10.5, 20)\n", "src/repro/report.py") == []
 
     def test_float_outside_coordinate_call_is_clean(self):
         # floats are fine as long as they never reach a coordinate
@@ -153,7 +153,7 @@ except ValueError:
 
 class TestRep004:
     def test_bare_except_is_error_anywhere(self):
-        findings = run("REP004", _TRY_BARE, "src/repro/viz.py")
+        findings = run("REP004", _TRY_BARE, "src/repro/report.py")
         assert [f.code for f in findings] == ["REP004"]
         assert findings[0].severity is Severity.ERROR
 
@@ -163,7 +163,7 @@ class TestRep004:
         assert findings[0].severity is Severity.WARNING
 
     def test_swallowed_exception_outside_solver_path_is_clean(self):
-        assert run("REP004", _TRY_SWALLOW, "src/repro/viz.py") == []
+        assert run("REP004", _TRY_SWALLOW, "src/repro/report.py") == []
 
     def test_handled_exception_is_clean(self):
         assert run("REP004", _TRY_HANDLED, "src/repro/core/engine.py") == []
@@ -678,7 +678,7 @@ class TestRep011:
 
     def test_out_of_scope_file_ignored(self):
         src = "for x in {1, 2}:\n    emit(x)\n"
-        assert run("REP011", src, "src/repro/viz.py") == []
+        assert run("REP011", src, "src/repro/report.py") == []
 
     def test_noqa_suppresses(self):
         src = "for x in {1, 2}:  # repro: noqa[REP011]\n    emit(x)\n"

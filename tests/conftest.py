@@ -1,18 +1,24 @@
 """Shared test configuration for the suite.
 
 ``REPRO_TEST_BACKEND`` (used by the CI process-pool pass) narrows the
-backend-parametrized parallel suites to a single backend.  When it
-names ``process``, an autouse fixture additionally turns the
-executor's pool-startup fallback into a hard test failure: the point
-of that CI pass is to exercise the *real* process pool, so silently
-degrading to the serial path would make the pass vacuous.
+backend-parametrized parallel suites to a single backend
+(:data:`TEST_BACKENDS`).  When it names ``process``, an autouse
+fixture additionally turns the executor's pool-startup fallback into a
+hard test failure: the point of that CI pass is to exercise the *real*
+process pool, so silently degrading to the serial path would make the
+pass vacuous.
 """
 
 import os
 
 import pytest
 
+from repro.parallel import BACKENDS
+
 FORCED_BACKEND = os.environ.get("REPRO_TEST_BACKEND")
+
+#: the backends the parallel suites parametrize over
+TEST_BACKENDS = (FORCED_BACKEND,) if FORCED_BACKEND else BACKENDS
 
 
 @pytest.fixture(autouse=True)

@@ -40,30 +40,24 @@ class TestValidation:
             with pytest.raises(ValueError):
                 FillConfig(solver=solver)
 
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            FillConfig(window_margin=-1)
-
     def test_removed_kernel_field_rejected(self):
         # the analysis picks the density kernel per layer, the spill
         # budget is a stream_fill argument, REPRO_SANITIZE=shard is the
-        # shard sanitizer's one switch, and the sizing step is derived
-        # from the maximum fill size
+        # shard sanitizer's one switch, the sizing step is derived from
+        # the maximum fill size and the window margin from the spacing
         for field, value in (
             ("kernel", "raster"),
             ("memory_budget", 1 << 20),
             ("sanitize", True),
             ("sizing_step", 7),
+            ("window_margin", 7),
         ):
             with pytest.raises(TypeError):
                 FillConfig(**{field: value})
             with pytest.raises(ValueError, match=f"'{field}'"):
                 FillConfig.from_mapping({field: value})
 
-
-    @pytest.mark.parametrize(
-        "field", ["workers", "sizing_iterations", "window_margin"]
-    )
+    @pytest.mark.parametrize("field", ["workers", "sizing_iterations"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
     def test_non_integer_value_rejected(self, field, value):
         # a float, bool or string in an integer field names the field
@@ -74,21 +68,15 @@ class TestValidation:
             FillConfig(**{field: value})
 
     def test_integer_fields_accept_ints_and_unset_optionals(self):
-        config = FillConfig.from_mapping(
-            {"workers": 2, "sizing_iterations": 1, "window_margin": None}
-        )
+        config = FillConfig.from_mapping({"workers": 2, "sizing_iterations": 1})
         assert (config.workers, config.sizing_iterations) == (2, 1)
-        assert config.window_margin is None
-        assert FillConfig.from_mapping({"window_margin": 0}).window_margin == 0
+        assert FillConfig.from_mapping({"workers": 0}).workers == 0
 
 
 class TestDerivedKnobs:
     def test_effective_margin_default_half_spacing(self):
         assert FillConfig().effective_margin(10) == 5
         assert FillConfig().effective_margin(11) == 6  # ceil
-
-    def test_effective_margin_explicit(self):
-        assert FillConfig(window_margin=3).effective_margin(10) == 3
 
     def test_effective_step_default_quarter_cell(self):
         assert FillConfig().effective_step(100, 100) == 25

@@ -1,11 +1,11 @@
-"""Determinism tests for the engine's parallel band sweep.
+"""Tests for the shard executor and the engine's parallel band sweep.
 
-The contract under test (see ``docs/PERFORMANCE.md``): for any worker
-count and any backend, the engine produces *bit-identical* output —
-same fills in the same order, same ScoreCard, same stage tree shape —
-as the serial ``workers=1`` run.  Each stage runs a band's window
-columns as contiguous parts and the results merge in part order, so
-parallelism can only change wall clock, never bytes.
+Each stage runs a band's window columns as contiguous parts and the
+results merge in part order, so parallelism can only change wall
+clock, never bytes; ``tests/test_differential.py`` pins the bytes at
+every worker count and backend.  These tests pin what the bytes cannot
+show: the partition rule, the executor's error handling, and the part
+spans and worker counters merged into the caller's run record.
 """
 
 import multiprocessing  # repro: noqa[REP008] (exercises the executor's own pool)
@@ -15,27 +15,17 @@ import random
 import pytest
 
 from repro import obs
-from repro.bench.suite import calibrate_weights
 from repro.core import DummyFillEngine, FillConfig
-from repro.density import score_layout
-from repro.eco import apply_eco
 from repro.geometry import Rect
 from repro.layout import DrcRules, Layout, WindowGrid
 from repro.parallel import (
-    BACKENDS,
     ParallelConfigError,
     resolve_workers,
     run_sharded,
     shard_bounds,
 )
 
-#: REPRO_TEST_BACKEND narrows the parametrized suites to one backend
-#: (the CI process-pool pass sets it to "process").
-TEST_BACKENDS = (
-    (os.environ["REPRO_TEST_BACKEND"],)
-    if "REPRO_TEST_BACKEND" in os.environ
-    else BACKENDS
-)
+from ..conftest import TEST_BACKENDS
 
 RULES = DrcRules(
     min_spacing=10, min_width=10, min_area=200, max_fill_width=100, max_fill_height=100
@@ -56,10 +46,6 @@ def demo_layout(num_layers=3, seed=11, die=1200, windows=3):
 def shard_items(items, num_shards):
     """``items`` cut into contiguous chunks by the ``shard_bounds`` rule."""
     return [list(items[start:end]) for start, end in shard_bounds(len(items), num_shards)]
-
-
-def fills_by_layer(layout):
-    return {n: list(layout.layer(n).fills) for n in layout.layer_numbers}
 
 
 def run_filled(config, seed=11):
@@ -227,43 +213,9 @@ class TestShardErrorPropagation:
         assert [x for vals in out for x in vals] == [10 * x for x in range(4)]
 
 
-@pytest.fixture(scope="module")
-def serial_run():
-    return run_filled(FillConfig(workers=1))
-
-
 class TestEngineDeterminism:
-    @pytest.mark.parametrize("backend", TEST_BACKENDS)
-    def test_fills_identical_across_backends(self, serial_run, backend):
-        base_layout, _, base_report = serial_run
-        layout, _, report = run_filled(FillConfig(workers=4, parallel=backend))
-        assert fills_by_layer(layout) == fills_by_layer(base_layout)
-        assert report.num_fills == base_report.num_fills
-        assert report.num_candidates == base_report.num_candidates
-
-    @pytest.mark.parametrize("backend", TEST_BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_fills_identical_for_any_worker_count(self, backend, workers):
-        # nonzero window margin; more workers than the 2 window columns
-        def fill(config):
-            layout, grid = demo_layout(seed=5, windows=2)
-            DummyFillEngine(config).run(layout, grid)
-            return fills_by_layer(layout)
-
-        base = fill(FillConfig(window_margin=7))
-        assert fill(FillConfig(window_margin=7, workers=workers, parallel=backend)) == base
-
-    def test_scorecard_identical(self, serial_run):
-        base_layout, base_grid, _ = serial_run
-        layout, grid, _ = run_filled(FillConfig(workers=4))
-        reference, ref_grid = demo_layout()
-        weights = calibrate_weights(reference, ref_grid, 60.0, 1024.0)
-        base_card = score_layout(base_layout, base_grid, weights)
-        card = score_layout(layout, grid, weights)
-        assert card.as_row() == base_card.as_row()
-
-    def test_stage_tree_shape_unchanged(self, serial_run):
-        _, _, base_report = serial_run
+    def test_stage_tree_shape_unchanged(self):
+        _, _, base_report = run_filled(FillConfig(workers=1))
         _, _, report = run_filled(FillConfig(workers=4))
         assert set(report.stage_seconds) == set(base_report.stage_seconds)
 
@@ -298,28 +250,6 @@ class TestEngineDeterminism:
             restore()
         assert registry.counter("candidates.windows").value == grid.num_windows
         assert registry.counter("analysis.layers").value == layout.num_layers
-
-    def test_workers_zero_uses_cores_and_stays_identical(self, serial_run):
-        base_layout, _, _ = serial_run
-        layout, _, _ = run_filled(FillConfig(workers=0))
-        assert fills_by_layer(layout) == fills_by_layer(base_layout)
-
-
-class TestEcoDeterminism:
-    def _filled(self, workers, backend="serial"):
-        layout, grid = demo_layout(num_layers=2, seed=9, windows=4)
-        config = FillConfig(workers=workers, parallel=backend)
-        DummyFillEngine(config).run(layout, grid)
-        apply_eco(
-            layout, grid, {1: [Rect(320, 320, 420, 360)]}, config=config
-        )
-        return layout
-
-    @pytest.mark.parametrize("backend", TEST_BACKENDS)
-    def test_window_restricted_refill_identical(self, backend):
-        base = self._filled(workers=1)
-        par = self._filled(workers=4, backend=backend)
-        assert fills_by_layer(par) == fills_by_layer(base)
 
 
 class TestConfigValidation:

@@ -16,7 +16,8 @@ from repro.core import FillConfig
 from repro.parallel import ShardMutationError, run_sharded, sanitize_enabled
 from repro.parallel.executor import _execute
 
-from .test_parallel import TEST_BACKENDS, fills_by_layer, run_filled
+from ..conftest import TEST_BACKENDS
+from .test_parallel import run_filled
 
 SHARDS = [[1, 2], [3, 4], [5]]
 
@@ -156,14 +157,6 @@ class TestSanitizerSwitch:
 @pytest.mark.usefixtures("sanitizer")
 class TestEngineWithSanitizer:
     """The fill pipeline is sanitizer-clean: its workers really are pure."""
-
-    @pytest.mark.parametrize("backend", TEST_BACKENDS)
-    def test_fill_bit_identical_with_sanitizer(self, backend):
-        serial_layout, _, serial_report = run_filled(FillConfig(workers=1))
-        layout, _, report = run_filled(FillConfig(workers=4, parallel=backend))
-        assert fills_by_layer(layout) == fills_by_layer(serial_layout)
-        assert report.num_fills == serial_report.num_fills
-        assert report.num_candidates == serial_report.num_candidates
 
     def test_shard_spans_carry_digests(self):
         tracer = obs.Tracer()

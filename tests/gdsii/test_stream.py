@@ -18,6 +18,7 @@ from repro.gdsii import (
     layout_from_gdsii,
     path_to_loops,
 )
+from repro.gdsii.records import DataType, RecordType, encode_int2, encode_int4, pack_record
 from repro.gdsii.stream import GdsiiElement, element_points
 from repro.geometry import Rect
 from repro.layout import DrcRules
@@ -26,6 +27,27 @@ from repro.layout import DrcRules
 def _sample_bytes():
     spec = LayoutSpec(name="s", die_size=800, seed=3, num_cell_rects=40)
     return gdsii_bytes(generate_layout(spec))
+
+
+def _path_stream(layer=encode_int2([1]), datatype=encode_int2([0]), width=encode_int4([11]),
+                 xy=encode_int4([0, 0, 100, 0])):
+    """A one-PATH stream from raw payloads; the PATH record is at byte 40."""
+    records = [(RecordType.HEADER, encode_int2([600])), (RecordType.BGNSTR, bytes(24)),
+               (RecordType.STRNAME, b"T\0"), (RecordType.PATH, b""), (RecordType.LAYER, layer),
+               (RecordType.DATATYPE, datatype), (RecordType.WIDTH, width), (RecordType.XY, xy),
+               (RecordType.ENDEL, b""), (RecordType.ENDSTR, b""), (RecordType.ENDLIB, b"")]
+    return b"".join(pack_record(kind, DataType.NO_DATA, payload) for kind, payload in records)
+
+
+def _middle_record(data):
+    """Byte offset of the stream's middle record."""
+    offsets = [offset for offset, *_ in iter_stream_records(io.BytesIO(data))]
+    return offsets[len(offsets) // 2]
+
+
+def _read_all(data):
+    with GdsiiStreamReader(data) as reader:
+        return list(reader.shapes())
 
 
 class TestStreamReader:
@@ -70,6 +92,37 @@ class TestStreamReader:
         with pytest.raises(ValueError, match="at byte"):
             with GdsiiStreamReader(data[:cut]) as reader:
                 list(reader.shapes())
+
+    def test_cut_at_record_boundary_names_offset(self):
+        # a cut stream must not load as a partial layout
+        data = _sample_bytes()
+        cut = _middle_record(data)
+        with pytest.raises(ValueError, match=f"ends before ENDLIB at byte {cut}$"):
+            _read_all(data[:cut])
+        # nor one missing only its final ENDLIB as a whole one
+        with pytest.raises(ValueError, match=f"at byte {len(data) - 4}$"):
+            _read_all(data[:-4])
+
+    def test_zero_length_record_before_endlib_names_offset(self):
+        data = _sample_bytes()
+        cut = _middle_record(data)
+        with pytest.raises(ValueError, match=f"zero-length record before ENDLIB at byte {cut}$"):
+            _read_all(data[:cut] + bytes(64))
+        # padding after ENDLIB stays accepted
+        assert _read_all(data + bytes(64)) == _read_all(data)
+
+    @pytest.mark.parametrize(
+        "field, size", [("LAYER", 0), ("LAYER", 1), ("DATATYPE", 3), ("WIDTH", 2), ("XY", 14)]
+    )
+    def test_bad_payload_length_names_element(self, field, size):
+        data = _path_stream(**{field.lower(): bytes(size)})
+        match = f"PATH element at byte 40 has a malformed {size}-byte {field} payload"
+        with pytest.raises(ValueError, match=match):
+            _read_all(data)
+
+    def test_negative_layer_names_element(self):
+        with pytest.raises(ValueError, match="byte 40 has negative LAYER -3"):
+            layout_from_gdsii(_path_stream(layer=encode_int2([-3])), DrcRules())
 
     def test_corrupt_record_length_names_offset(self):
         # A record claiming a 2-byte total length is structurally invalid.

@@ -1,89 +1,18 @@
-"""Service acceptance tests: CLI-path byte-equality and incrementality.
+"""Service acceptance test: ``eco_delta`` provably re-processes only the
+windows its wire change dirtied, asserted via the per-request span
+counters in a run record.
 
-The issue's bar: a batch of >= 8 mixed requests against one session must
-produce byte-identical GDSII to fresh one-shot engine invocations on the
-same inputs, at one worker and at four, and ``eco_delta`` must provably
-re-process only the windows its wire change dirtied (asserted via the
-per-request span counters in a run record).
+That a session's ``fill`` and ``eco_delta`` responses are byte-identical
+to the one-shot engine and cold :func:`repro.eco.apply_eco` chain is
+pinned by ``tests/test_differential.py``.
 """
 
-import pytest
-
 from repro import obs
-from repro.core import DummyFillEngine, FillConfig
-from repro.eco import apply_eco
-from repro.gdsii import gdsii_bytes, layout_from_gdsii
-from repro.geometry import Rect
-from repro.layout import WindowGrid
 from repro.service import FillService, ServiceClient
 
-from .conftest import CONFIG_MAPPING, RULES, RULES_MAPPING
+from .conftest import CONFIG_MAPPING, RULES_MAPPING
 
 ECO_1 = {"1": [[50, 50, 250, 90]]}
-ECO_2 = {"1": [[700, 700, 800, 760]], "2": [[100, 700, 200, 760]]}
-
-
-def _reference_chain(gds_bytes):
-    """The serial one-shot path: fill, then two cold ECOs, no caches."""
-    config = FillConfig.from_mapping(CONFIG_MAPPING)
-    layout = layout_from_gdsii(gds_bytes, RULES)
-    grid = WindowGrid(layout.die, 4, 4)
-    DummyFillEngine(config).run(layout, grid)
-    fill_gds = gdsii_bytes(layout)
-    apply_eco(
-        layout, grid, {1: [Rect(50, 50, 250, 90)]}, config
-    )
-    eco1_gds = gdsii_bytes(layout)
-    apply_eco(
-        layout,
-        grid,
-        {1: [Rect(700, 700, 800, 760)], 2: [Rect(100, 700, 200, 760)]},
-        config,
-    )
-    eco2_gds = gdsii_bytes(layout)
-    return fill_gds, eco1_gds, eco2_gds
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_mixed_batch_matches_serial_cli_path(gds_bytes, workers):
-    fill_ref, eco1_ref, eco2_ref = _reference_chain(gds_bytes)
-
-    with FillService(workers=workers, queue_size=32) as svc:
-        client = ServiceClient(svc)
-        sid = client.request(
-            "open_session",
-            gds=gds_bytes,
-            windows=4,
-            rules=RULES_MAPPING,
-            config=CONFIG_MAPPING,
-        )["session"]
-        responses = client.batch(
-            [
-                {"op": "fill", "session": sid},
-                {"op": "score", "session": sid},
-                {"op": "drc_audit", "session": sid},
-                {"op": "eco_delta", "session": sid, "wires": ECO_1},
-                {"op": "score", "session": sid},
-                {"op": "drc_audit", "session": sid},
-                {"op": "eco_delta", "session": sid, "wires": ECO_2},
-                {"op": "drc_audit", "session": sid},
-            ]
-        )
-
-    assert len(responses) == 8
-    assert all(r["ok"] for r in responses)
-    results = [r["result"] for r in responses]
-
-    assert results[0]["gds"] == fill_ref
-    assert results[3]["gds"] == eco1_ref
-    assert results[6]["gds"] == eco2_ref
-    # DRC stays clean through the whole chain
-    assert results[2]["count"] == 0
-    assert results[5]["count"] == 0
-    assert results[7]["count"] == 0
-    # scores moved (the ECO changed the layout) but both computed fine
-    assert results[1]["scores"]["score"] > 0
-    assert results[4]["scores"]["score"] > 0
 
 
 def _request_span_counters(record, op):

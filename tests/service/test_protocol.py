@@ -59,3 +59,8 @@ class TestMessageFraming:
     def test_decode_rejects_non_object(self):
         with pytest.raises(ProtocolError, match="objects"):
             decode_message(b"[1, 2, 3]\n")
+
+    def test_decode_rejects_deep_nesting(self):
+        # a RecursionError would escape the server's connection thread
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            decode_message(b"[" * 200000)

@@ -1,6 +1,7 @@
 """Tests for the NDJSON socket server and its reference client."""
 
 import socket
+import time
 
 import pytest
 
@@ -88,6 +89,17 @@ class TestUnixSocket:
         with SocketClient(**server.client_args()) as client:
             assert client.shutdown() == {"stopping": True}
         assert server.wait_shutdown(10.0)
+
+    def test_stop_with_open_client_returns_at_once(self, tmp_path):
+        # closing a socket wakes neither accept() nor readline(): stop()
+        # shuts them down, so it needs no join timeout to return
+        with FillService(workers=1) as svc:
+            server = ServiceServer(svc, socket_path=str(tmp_path / "repro.sock")).start()
+            with SocketClient(**server.client_args()) as client:
+                assert client.request("ping")["pong"] is True
+                start = time.perf_counter()
+                server.stop()
+                assert time.perf_counter() - start < 1.0
 
 
 class TestTcpSocket:

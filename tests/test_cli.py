@@ -295,6 +295,15 @@ class TestBenchSubcommand:
         assert main(["bench", "gate", base, head]) == 0
         assert "bench gate: smoke" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, usage", [("bench", "usage: repro.bench"), ("trace", "usage: repro.obs")]
+    )
+    def test_help_is_the_sub_clis(self, command, usage, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
 
 class TestEcoCommand:
     def _filled(self, demo_gds, tmp_path):

@@ -128,6 +128,15 @@ class TestMalformedStreams:
         with pytest.raises(ValueError, match="at byte"):
             read_oasis(data[: len(data) - 260])
 
+    def test_missing_end_record_names_offset(self):
+        # a cut stream must not load as a partial layout
+        data = oasis_bytes(generate_layout(LayoutSpec(name="o", die_size=800, seed=11)))
+        end = len(data) - 256
+        with pytest.raises(ValueError, match=f"truncated OASIS stream at byte {end}$"):
+            read_oasis(data[:end])
+        with pytest.raises(ValueError, match=f"truncated OASIS END record at byte {end}$"):
+            read_oasis(data[:-10])
+
     def test_truncated_string_names_offset(self):
         # START record whose cell-name string claims more bytes than exist.
         data = MAGIC + bytes([14, 50])
