@@ -42,7 +42,7 @@ def main(argv=None):
 
     with SocketClient(socket_path=args.socket) as client:
         pong = client.request("ping")
-        print(f"connected: {pong['workers']} workers, {pong['sessions']} sessions")
+        print(f"connected: {pong['sessions']} sessions open")
 
         session = client.request(
             "open_session",

@@ -22,10 +22,10 @@ state dispatched through them:
 * **REP013** — thread ownership: long-lived ``threading.Thread`` /
   ``queue.Queue`` machinery lives only in the modules built to
   supervise it — ``repro/parallel`` (executor backends),
-  ``repro/service`` (job queue + worker supervisor + socket server)
-  and ``repro/obs`` (RSS sampler).  Compute code that wants
-  concurrency goes through ``run_sharded`` or the service, where
-  spans/metrics are adopted and crashes are supervised.
+  ``repro/service`` (the socket server's accept and connection
+  threads) and ``repro/obs`` (RSS sampler).  Compute code that wants
+  concurrency goes through ``run_sharded``, where spans/metrics are
+  adopted and worker failures propagate.
 """
 
 from __future__ import annotations
@@ -542,12 +542,13 @@ class ThreadOwnershipRule(Rule):
     An ad-hoc ``threading.Thread`` in compute code escapes every
     contract the repo's concurrency machinery provides: its spans and
     metrics land on the thread's default tracer instead of the run
-    record, nothing respawns it when it dies, and its timing leaks
+    record, nothing reports it when it dies, and its timing leaks
     into results in completion order.  The supervised homes —
-    ``repro/parallel`` (executor backends), ``repro/service`` (job
-    queue, worker supervisor, socket server) and ``repro/obs`` (RSS
-    sampler) — install tracers/registries on their threads and own
-    their lifecycle; everything else dispatches through them.
+    ``repro/parallel`` (executor backends), ``repro/service`` (socket
+    server, whose connection threads install the service's tracer and
+    registry for every request) and ``repro/obs`` (RSS sampler) —
+    own their threads' lifecycle; compute code dispatches through
+    ``run_sharded``.
     Synchronisation primitives (locks, conditions, events) are fine
     anywhere — only thread *spawning* and work *queues* are scoped.
     """
@@ -571,8 +572,7 @@ class ThreadOwnershipRule(Rule):
                     ctx,
                     node,
                     f"raw {resolved}() outside a supervising module; "
-                    "dispatch through repro.parallel.run_sharded or the "
-                    "repro.service worker pool",
+                    "dispatch through repro.parallel.run_sharded",
                 )
 
 

@@ -10,8 +10,8 @@ this CLI exposes the same workflow:
 * ``drc``      — check the fills of a GDSII for rule violations,
 * ``eco``      — commit new wires to a filled GDSII and incrementally
   re-fill only the windows the change dirtied (:mod:`repro.eco`),
-* ``serve``    — run the persistent fill service: sessions, batch job
-  queue, NDJSON socket protocol (:mod:`repro.service`),
+* ``serve``    — run the persistent fill service: sessions, batch
+  requests, NDJSON socket protocol (:mod:`repro.service`),
 * ``trace``    — render/diff/export run records written by
   ``--trace-out`` (forwards to ``python -m repro.obs``),
 * ``bench``    — record the values a fill decides and gate a head

@@ -9,11 +9,12 @@ attributes ride along under ``args`` so the viewer's selection panel
 shows them.
 
 Run records store a *flat pre-order* span list with a ``depth`` per
-span — concurrency is implicit (service worker spans become sibling
-roots that overlap in time).  The exporter reconstructs lanes: root
-spans are greedily packed onto synthetic "tracks" (one ``tid`` per
-track) so overlapping requests render side by side while sequential
-stages share a row, exactly how a flame chart should read.
+span — concurrency is implicit (requests served on separate
+connections become sibling roots that overlap in time).  The exporter
+reconstructs lanes: root spans are greedily packed onto synthetic
+"tracks" (one ``tid`` per track) so overlapping requests render side
+by side while sequential stages share a row, exactly how a flame
+chart should read.
 
 :func:`folded_stacks` exports the same record in the folded-stack
 format flamegraph.pl consumes (``outer;inner;leaf count`` lines).

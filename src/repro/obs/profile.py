@@ -128,7 +128,7 @@ class ProfileCollector:
 
 
 #: frames at which the outward stack walk stops: everything below a
-#: shard worker's entry point, a service worker's request executor, or
+#: shard worker's entry point, the service's request executor, or
 #: the CLI dispatcher is interpreter / thread / fork bootstrap noise
 #: (runpy, threading._bootstrap, multiprocessing spawn) that would make
 #: every flamegraph root meaninglessly deep

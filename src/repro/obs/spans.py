@@ -279,8 +279,8 @@ def current_offset(tracer: Optional[Tracer] = None) -> float:
 
     The value ``start_offset`` of a span opened right now would get;
     used to rebase externally captured span trees on adoption, and by
-    the fill service to timestamp queue entry/exit against the service
-    tracer from threads where a different tracer may be active.
+    the fill service to time a request's wait for its session's turn
+    and its own uptime against the service tracer.
     """
     if tracer is None:
         tracer = active_tracer()

@@ -1,14 +1,11 @@
-"""``repro.service`` — persistent fill sessions behind a job queue.
+"""``repro.service`` — persistent fill sessions served over a socket.
 
 The production-facing layer over the one-shot engine: load a layout
 once into an indexed :class:`FillSession`, then serve many requests
 against it — full ``fill``, ``score``, ``drc_audit``, and ``eco_delta``
 patches that re-analyze and re-fill only the windows a wire change
-dirtied.  Requests flow through a bounded :class:`JobQueue` with
-backpressure and atomic batch submission, executed by a supervised
-worker pool in per-session submission order (so results are
-deterministic — byte-identical to serial CLI runs — at any worker
-count).
+dirtied.  Each request runs on the thread that received it, one at a
+time per session, so results are byte-identical to serial CLI runs.
 
 Two front doors:
 
@@ -27,14 +24,7 @@ from .api import (
     ServiceClient,
     rules_from_mapping,
 )
-from .jobs import (
-    Job,
-    JobError,
-    JobQueue,
-    QueueClosedError,
-    QueueFullError,
-    WorkerSupervisor,
-)
+from .jobs import JobError
 from .protocol import (
     ProtocolError,
     ServiceError,
@@ -58,12 +48,7 @@ __all__ = [
     "FillService",
     "ServiceClient",
     "rules_from_mapping",
-    "Job",
     "JobError",
-    "JobQueue",
-    "QueueClosedError",
-    "QueueFullError",
-    "WorkerSupervisor",
     "ProtocolError",
     "ServiceError",
     "SocketClient",

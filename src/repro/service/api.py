@@ -1,26 +1,26 @@
 """The fill service: request handlers, dispatch, in-process client.
 
-:class:`FillService` wires the pieces together: a
-:class:`~repro.service.session.SessionStore`, a
-:class:`~repro.service.jobs.JobQueue` and a
-:class:`~repro.service.jobs.WorkerSupervisor`.  Requests come in two
-kinds:
+:class:`FillService` serves requests against the sessions of a
+:class:`~repro.service.session.SessionStore`.  Every request runs on
+the thread that sent it — the caller of :meth:`FillService.handle`, or
+a ``repro serve`` connection thread.  Requests come in two kinds:
 
 * **control ops** (``ping``, ``open_session``, ``close_session``,
-  ``sessions``, ``stats``, ``metrics``) execute synchronously on the
-  calling thread — they only touch the store and read-only telemetry;
+  ``sessions``, ``stats``, ``metrics``) only touch the store and
+  read-only telemetry;
 * **compute ops** (``fill``, ``score``, ``drc_audit``, ``eco_delta``)
-  are queued as jobs and executed by worker threads in per-session
-  submission order; the heavy stages inside each job still run the
-  engine's parts on :mod:`repro.parallel` per the session's
-  :class:`~repro.core.FillConfig`.
+  take their session's turn (:meth:`FillSession.serving`), so requests
+  on one session run one at a time; the heavy stages inside each
+  still run the engine's parts on :mod:`repro.parallel` per the
+  session's :class:`~repro.core.FillConfig`.
 
-Every job runs under its own ``service.request`` span on the service's
-tracer (the one active when :meth:`FillService.start` ran — a
-``--trace-out`` run record when serving from the CLI) and feeds the
-per-op latency histograms ``service.latency.<op>`` plus
-``service.queue.wait_s``, so ``repro trace summarize`` reads service
-percentiles with no extra plumbing.
+Every compute request runs under its own ``service.request`` span on
+the service's tracer (the one active when :meth:`FillService.start`
+ran — a ``--trace-out`` run record when serving from the CLI) and
+feeds the per-op latency histograms ``service.latency.<op>`` plus
+``service.queue.wait_s`` (the wait for the session's turn), so
+``repro trace summarize`` reads service percentiles with no extra
+plumbing.
 
 Compute semantics are *replayable*: ``fill`` always starts from the
 session's wire geometry (existing fill is replaced), so any number of
@@ -33,9 +33,8 @@ re-fills only the dirtied windows via the session caches
 from __future__ import annotations
 
 import contextlib
-import threading
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from ..bench.suite import calibrate_weights
@@ -44,7 +43,7 @@ from ..density import score_layout
 from ..eco import apply_eco, build_fill_indexes, wires_from_json
 from ..gdsii import file_size_mb, gdsii_bytes, layout_from_gdsii, measure_file_size
 from ..layout import DrcRules, WindowGrid
-from .jobs import Job, JobError, JobQueue, QueueClosedError, WorkerSupervisor
+from .jobs import JobError
 from .session import FillSession, SessionStore
 
 __all__ = [
@@ -55,9 +54,9 @@ __all__ = [
     "rules_from_mapping",
 ]
 
-#: ops executed by worker threads in per-session order
+#: ops that take their session's turn
 COMPUTE_OPS = ("fill", "score", "drc_audit", "eco_delta")
-#: ops executed synchronously on the calling thread
+#: ops that touch only the session store and telemetry
 CONTROL_OPS = (
     "ping",
     "open_session",
@@ -107,36 +106,24 @@ def rules_from_mapping(mapping: Mapping[str, Any]) -> DrcRules:
 
 
 class FillService:
-    """Persistent fill sessions behind an async batch job queue."""
+    """Persistent fill sessions, each request run on the thread that sent it."""
 
     def __init__(
         self,
         *,
-        workers: int = 2,
         max_sessions: int = 8,
-        queue_size: int = 64,
-        request_timeout: Optional[float] = 600.0,
         slow_ms: Optional[float] = None,
         profile_ms: Optional[float] = None,
-        telemetry_window: int = 256,
     ):
         self.store = SessionStore(max_sessions=max_sessions)
-        self.request_timeout = request_timeout
         #: requests slower than this (milliseconds) emit a warning
         #: event carrying the request's span tree inline
         self.slow_ms = slow_ms
-        self._queue = JobQueue(maxsize=queue_size)
-        self._supervisor = WorkerSupervisor(
-            self._queue,
-            self._execute,
-            workers=workers,
-            on_worker_start=self._install_obs,
-        )
         self._tracer = obs.active_tracer()
         self._registry = obs.metrics.active_registry()
-        #: rolling per-op latency quantiles over the last N requests,
+        #: rolling per-op latency quantiles over the last 256 requests,
         #: exposed next to the cumulative histograms on /metrics
-        self.telemetry = obs.RollingQuantiles(window=telemetry_window)
+        self.telemetry = obs.RollingQuantiles()
         #: per-request sampling profiler (one shared collector so the
         #: whole service lifetime folds into a single flamegraph)
         self._profile = (
@@ -144,40 +131,33 @@ class FillService:
             if profile_ms is not None
             else None
         )
-        self._job_lock = threading.Lock()
-        self._jobs_issued = 0
         self._started = False
         self._started_offset = 0.0
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "FillService":
-        """Capture the active tracer/registry and spawn the workers.
+        """Capture the active tracer and registry the requests report to.
 
         Call inside the observation context the service should report
-        into (e.g. a ``record_run``): worker threads do not inherit
-        context variables, so each one explicitly installs the tracer
-        and registry captured here.
+        into (e.g. a ``record_run``): a connection thread does not
+        inherit context variables, so every request installs the
+        tracer and registry captured here.
         """
         if self._started:
             raise RuntimeError("service already started")
         self._tracer = obs.active_tracer()
         self._registry = obs.metrics.active_registry()
         self._started_offset = obs.current_offset(self._tracer)
-        self._supervisor.start()
         self._started = True
         return self
 
     def stop(self) -> None:
-        """Close the queue, fail undrained jobs, join the workers."""
-        drained = self._queue.close()
-        for job in drained:
-            job.fail(QueueClosedError("service stopped before the job ran"))
-        self._supervisor.stop()
+        """Refuse further compute requests and close every session."""
+        self._started = False
         self.store.close_all()
         if self._profile is not None and self._profile.samples:
             # folded request samples land in the service's run record
             obs.profile.publish(self._profile, tracer=self._tracer)
-        self._started = False
 
     def __enter__(self) -> "FillService":
         return self.start()
@@ -185,60 +165,15 @@ class FillService:
     def __exit__(self, *exc: object) -> None:
         self.stop()
 
-    @property
-    def workers(self) -> int:
-        return self._supervisor.workers
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    # -- submission ----------------------------------------------------
-    def submit(self, op: str, params: Dict[str, Any]) -> Job:
-        """Queue one compute op; returns the :class:`Job` to wait on."""
-        return self.submit_many([{"op": op, **params}])[0]
-
-    def submit_many(self, requests: Sequence[Mapping[str, Any]]) -> List[Job]:
-        """Queue a batch of compute ops atomically (all or none).
-
-        Each request is ``{"op": ..., "session": ..., **params}``.
-        Sessions are resolved (and LRU-touched) up front; the queue
-        admits the whole batch or raises
-        :class:`~repro.service.jobs.QueueFullError` untouched.
-        """
-        if not self._started:
-            raise RuntimeError("service is not running")
-        jobs: List[Job] = []
-        for request in requests:
-            op = str(request.get("op"))
-            if op not in COMPUTE_OPS:
-                raise ValueError(
-                    f"unknown compute op {op!r} (one of {COMPUTE_OPS})"
-                )
-            params = {k: v for k, v in request.items() if k not in ("op", "id")}
-            session = self.store.get(str(params.get("session")))
-            with self._job_lock:
-                self._jobs_issued += 1
-                job_id = f"j{self._jobs_issued}"
-            job = Job(job_id, op, params, session)
-            job.enqueued_offset = obs.current_offset(self._tracer)
-            jobs.append(job)
-        self._queue.submit_many(jobs)
-        self._registry.gauge("service.queue.depth").set(len(self._queue))
-        return jobs
-
-    def call(self, op: str, **params: Any) -> Dict[str, Any]:
-        """Submit one compute op and wait for its result."""
-        return self.submit(op, params).wait(self.request_timeout)
-
     # -- protocol entry ------------------------------------------------
     def handle(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        """Execute one decoded request; never raises.
+        """Execute one decoded request on this thread; never raises.
 
         Returns ``{"ok": True, "result": ...}`` or ``{"ok": False,
         "error": {"type": ..., "message": ...}}`` — the body of a
-        protocol response.  ``batch`` fans out to :meth:`submit_many`
-        and reports per-request outcomes in submission order.
+        protocol response.  ``batch`` checks every request's op and
+        session first, then runs them in order and reports each
+        outcome.
         """
         op = str(request.get("op"))
         params = {k: v for k, v in request.items() if k not in ("op", "id")}
@@ -247,10 +182,7 @@ class FillService:
                 return _ok({"responses": self._handle_batch(params)})
             if op in CONTROL_OPS:
                 return _ok(self._control(op, params))
-            job = self.submit(op, params)
-            return _ok(job.wait(self.request_timeout))
-        except JobError as exc:
-            return _err(exc.error_type, exc.message)
+            return self._execute(*self._check(request))
         except Exception as exc:
             return _err(type(exc).__name__, str(exc))
 
@@ -258,24 +190,25 @@ class FillService:
         requests = params.get("requests")
         if not isinstance(requests, (list, tuple)) or not requests:
             raise ValueError("batch needs a non-empty 'requests' list")
-        jobs = self.submit_many(requests)
-        responses: List[Dict[str, Any]] = []
-        for job in jobs:
-            try:
-                responses.append(_ok(job.wait(self.request_timeout)))
-            except JobError as exc:
-                responses.append(_err(exc.error_type, exc.message))
-        return responses
+        checked = [self._check(request) for request in requests]
+        return [self._execute(*request) for request in checked]
+
+    def _check(
+        self, request: Mapping[str, Any]
+    ) -> Tuple[str, FillSession, Dict[str, Any]]:
+        """A compute request's op, session (LRU-touched) and params."""
+        if not self._started:
+            raise RuntimeError("service is not running")
+        op = str(request.get("op"))
+        if op not in COMPUTE_OPS:
+            raise ValueError(f"unknown compute op {op!r} (one of {COMPUTE_OPS})")
+        params = {k: v for k, v in request.items() if k not in ("op", "id")}
+        return op, self.store.get(str(params.get("session"))), params
 
     # -- control ops ---------------------------------------------------
     def _control(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
         if op == "ping":
-            return {
-                "pong": True,
-                "workers": self.workers,
-                "queue_depth": self.queue_depth,
-                "sessions": len(self.store),
-            }
+            return {"pong": True, "sessions": len(self.store)}
         if op == "open_session":
             return self._open_session(params)
         if op == "close_session":
@@ -310,8 +243,6 @@ class FillService:
                 max(0.0, obs.current_offset(self._tracer) - self._started_offset),
                 3,
             ),
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
             "sessions": len(self.store),
             "requests": requests,
             "errors": errors,
@@ -334,8 +265,6 @@ class FillService:
         """The ``/healthz`` body: liveness plus the cheap gauges."""
         return {
             "status": "ok" if self._started else "stopped",
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
             "sessions": len(self.store),
         }
 
@@ -358,58 +287,58 @@ class FillService:
         self._registry.gauge("service.sessions.evicted").set(self.store.evicted)
         return session.describe()
 
-    # -- job execution (worker threads) --------------------------------
-    def _install_obs(self) -> None:
-        """Worker-thread init: adopt the service's tracer and registry.
+    # -- compute execution (the calling thread) ------------------------
+    def _execute(
+        self, op: str, session: FillSession, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Run one checked compute request; returns its response body.
 
-        New threads see the context-variable *defaults*, not whatever
-        ``record_run`` installed in the serving thread — without this,
-        request spans and latency metrics would land in the process-
-        wide fallback instruments and vanish from the run record.
+        The service's tracer and registry are installed for the request:
+        a connection thread starts from the context-variable defaults,
+        and without them its spans and metrics would land in the
+        process-wide fallback instruments, missing the run record.
         """
-        obs.set_tracer(self._tracer)
-        obs.set_registry(self._registry)
-
-    def _execute(self, job: Job) -> None:
-        session = job.session
-        assert session is not None and job.ticket is not None
+        restore_tracer = obs.set_tracer(self._tracer)
+        restore_registry = obs.set_registry(self._registry)
         samples_before = self._profile.samples if self._profile is not None else 0
-        failed = False
-        with obs.span(
-            "service.request", op=job.op, session=session.id, job=job.id
-        ) as sp:
-            wait_s = max(
-                0.0, obs.current_offset(self._tracer) - job.enqueued_offset
-            )
-            self._registry.histogram("service.queue.wait_s").observe(wait_s)
-            sp.annotate(queue_wait_s=round(wait_s, 6))
-            try:
-                with self._maybe_profiled():
-                    with session.ordered(job.ticket):
-                        result = _COMPUTE_HANDLERS[job.op](self, session, job.params)
-            except Exception as exc:
-                failed = True
-                self._registry.counter("service.errors").inc()
-                sp.annotate(error_type=type(exc).__name__)
-                job.fail(exc)
-            else:
-                self._registry.counter(f"service.requests.{job.op}").inc()
-                job.succeed(result)
-        if self._profile is not None:
-            sp.annotate(profile_samples=self._profile.samples - samples_before)
-        self._registry.histogram(f"service.latency.{job.op}").observe(sp.seconds)
-        self._registry.gauge("service.queue.depth").set(len(self._queue))
-        self.telemetry.observe(job.op, sp.seconds)
-        self._report_request(sp, job, session.id, failed)
+        error: Optional[Exception] = None
+        try:
+            with obs.span("service.request", op=op, session=session.id) as sp:
+                asked = taken = obs.current_offset(self._tracer)
+                try:
+                    with self._maybe_profiled(), session.serving():
+                        taken = obs.current_offset(self._tracer)
+                        result = _COMPUTE_HANDLERS[op](self, session, params)
+                except Exception as exc:
+                    error = exc
+                    self._registry.counter("service.errors").inc()
+                    sp.annotate(error_type=type(exc).__name__)
+                else:
+                    self._registry.counter(f"service.requests.{op}").inc()
+                # the wait for the session's turn; the ledger's
+                # service.queue_wait_ms reads this histogram
+                self._registry.histogram("service.queue.wait_s").observe(taken - asked)
+                sp.annotate(queue_wait_s=round(taken - asked, 6))
+            if self._profile is not None:
+                sp.annotate(profile_samples=self._profile.samples - samples_before)
+            self._registry.histogram(f"service.latency.{op}").observe(sp.seconds)
+            self.telemetry.observe(op, sp.seconds)
+            self._report_request(sp, op, session.id, error is not None)
+        finally:
+            restore_registry()
+            restore_tracer()
+        if error is not None:
+            return _err(type(error).__name__, str(error))
+        return _ok(result)
 
     def _maybe_profiled(self) -> Any:
-        """Sampler over this worker thread for one request, if armed."""
+        """Sampler over this thread for one request, if armed."""
         if self._profile is None:
             return contextlib.nullcontext()
         return obs.profile.attached(self._profile)
 
     def _report_request(
-        self, sp: "obs.Span", job: Job, session_id: str, failed: bool
+        self, sp: "obs.Span", op: str, session_id: str, failed: bool
     ) -> None:
         """Emit the request's completion event; escalate slow requests.
 
@@ -424,8 +353,7 @@ class FillService:
             obs.events.emit(
                 "slow_request",
                 level="warning",
-                op=job.op,
-                job=job.id,
+                op=op,
                 session=session_id,
                 seconds=round(seconds, 6),
                 threshold_ms=self.slow_ms,
@@ -436,14 +364,13 @@ class FillService:
             obs.events.emit(
                 "request",
                 level="info",
-                op=job.op,
-                job=job.id,
+                op=op,
                 session=session_id,
                 seconds=round(seconds, 6),
                 failed=failed,
             )
 
-    # -- compute handlers (inside session.ordered) ---------------------
+    # -- compute handlers (inside session.serving) ---------------------
     def _handle_fill(
         self, session: FillSession, params: Dict[str, Any]
     ) -> Dict[str, Any]:
@@ -523,7 +450,6 @@ _COMPUTE_HANDLERS = {
     "drc_audit": FillService._handle_drc_audit,
     "eco_delta": FillService._handle_eco_delta,
 }
-
 
 
 def _ok(result: Dict[str, Any]) -> Dict[str, Any]:

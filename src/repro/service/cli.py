@@ -35,35 +35,11 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="serve on localhost TCP port N instead (0 picks a free port)",
     )
     parser.add_argument(
-        "--serve-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="service worker threads executing queued requests "
-        "(default: 2; per-session order is kept for any N)",
-    )
-    parser.add_argument(
-        "--queue-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="job queue capacity; full queues reject with an error "
-        "response instead of buffering (default: 64)",
-    )
-    parser.add_argument(
         "--max-sessions",
         type=int,
         default=8,
         metavar="N",
         help="open sessions kept before LRU eviction (default: 8)",
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="per-request wait bound before answering with an error "
-        "(default: 600)",
     )
     telemetry = parser.add_argument_group("live telemetry")
     telemetry.add_argument(
@@ -84,7 +60,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--profile-ms",
         type=float,
         metavar="MS",
-        help="sample every request's worker thread at this period; "
+        help="sample the thread running each request at this period; "
         "folded stacks land in the run record (--trace-out) for "
         "`repro trace export --format folded`",
     )
@@ -99,10 +75,7 @@ def run_serve(args: argparse.Namespace) -> int:
         socket_path = "repro.sock"
 
     service = FillService(
-        workers=args.serve_workers,
         max_sessions=args.max_sessions,
-        queue_size=args.queue_size,
-        request_timeout=args.request_timeout,
         slow_ms=args.slow_ms,
         profile_ms=args.profile_ms,
     )
@@ -119,8 +92,7 @@ def run_serve(args: argparse.Namespace) -> int:
             with server:
                 print(
                     f"serving on {server.address} "
-                    f"(workers={service.workers}, queue={args.queue_size}, "
-                    f"sessions<={args.max_sessions}); send op=shutdown to stop",
+                    f"(sessions<={args.max_sessions}); send op=shutdown to stop",
                     flush=True,
                 )
                 if telemetry is not None:

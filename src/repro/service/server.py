@@ -3,9 +3,8 @@
 Listens on a Unix-domain socket (default) or localhost TCP, speaks the
 NDJSON protocol of :mod:`repro.service.protocol`, and forwards every
 decoded request to :meth:`repro.service.api.FillService.handle`.  Each
-connection gets a reader thread; requests on one connection are
-answered in order, while the service's job queue interleaves compute
-across connections.
+connection gets a thread that reads its requests and runs them one at
+a time, in order; separate connections run concurrently.
 
 The ``shutdown`` op is handled here, not in the service: the server
 answers it (so the client sees the acknowledgement), then signals
@@ -20,7 +19,7 @@ import logging
 import os
 import socket
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, BinaryIO, Dict, Optional
 
 from .api import FillService
 from .protocol import MAX_LINE_BYTES, ProtocolError, decode_message, encode_message
@@ -49,8 +48,8 @@ class ServiceServer:
         self.port = port
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
-        self._conns: List[socket.socket] = []
+        #: open connections and the threads serving them
+        self._conns: Dict[socket.socket, threading.Thread] = {}
         self._lock = threading.Lock()
         self._shutdown = threading.Event()
         self._started = False
@@ -114,11 +113,10 @@ class ServiceServer:
         if self._accept_thread is not None:
             self._accept_thread.join(5.0)
         with self._lock:
-            conns = list(self._conns)
-            threads = list(self._conn_threads)
-        for conn in conns:
+            conns = list(self._conns.items())
+        for conn, _ in conns:
             _shut(conn)
-        for thread in threads:
+        for _, thread in conns:
             thread.join(5.0)
         if self.socket_path is not None and os.path.exists(self.socket_path):
             try:
@@ -148,8 +146,7 @@ class ServiceServer:
                 daemon=True,
             )
             with self._lock:
-                self._conn_threads.append(thread)
-                self._conns.append(conn)
+                self._conns[conn] = thread
             thread.start()
 
     def _handle_connection(self, conn: socket.socket) -> None:
@@ -168,9 +165,10 @@ class ServiceServer:
                 if stopping:
                     self.request_shutdown()
                     return
+                _skip_rest_of_line(rfile, line)
         finally:
             with self._lock:
-                self._conns.remove(conn)
+                del self._conns[conn]
             try:
                 rfile.close()
             finally:
@@ -207,6 +205,16 @@ class ServiceServer:
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
         return {"id": request_id, **body}
+
+
+def _skip_rest_of_line(rfile: BinaryIO, chunk: bytes) -> None:
+    """Read past the rest of an oversized line, up to its newline.
+
+    ``chunk`` is what the last ``readline`` returned; a line over the
+    limit was answered once, so its tail must not count as requests.
+    """
+    while len(chunk) > MAX_LINE_BYTES and not chunk.endswith(b"\n"):
+        chunk = rfile.readline(MAX_LINE_BYTES + 1)
 
 
 def _shut(sock: socket.socket) -> None:

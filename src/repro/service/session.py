@@ -9,19 +9,17 @@ bounds and fill regions never read fills), so they survive any number
 of ``fill``/``score``/``drc_audit`` requests and are refreshed
 incrementally — never recomputed — by ``eco_delta``.
 
-Concurrency model: requests against one session execute in submission
-order, enforced by *tickets*.  The job queue issues each session-bound
-job a ticket atomically with enqueueing (see
-:meth:`repro.service.jobs.JobQueue.submit`), and workers enter
-:meth:`FillSession.ordered` with that ticket, which blocks until every
-earlier ticket has finished.  FIFO pop order plus atomic issuance
-guarantees progress for any worker count, including one; requests on
-*different* sessions run concurrently.
+Concurrency model: a request runs on the thread that received it and
+holds the session's *turn* — one lock, taken by
+:meth:`FillSession.serving` — while it reads or changes the session,
+so requests against one session run one at a time while requests on
+*different* sessions run concurrently.  A connection's requests, and a
+batch's, run one after another in the order they arrive.
 
 :class:`SessionStore` owns the sessions with LRU eviction: opening a
-session beyond capacity closes the least-recently-used one, and any
-job still queued against it fails with :class:`SessionClosedError`
-(tickets always advance, so ordering never wedges).
+session beyond capacity closes the least-recently-used one, and a
+request still waiting for its turn on it fails with
+:class:`SessionClosedError`.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ __all__ = [
 
 
 class SessionClosedError(RuntimeError):
-    """The session was closed (or evicted) while the request waited."""
+    """The session was closed (or evicted) while the request waited for it."""
 
 
 class UnknownSessionError(KeyError):
@@ -60,8 +58,8 @@ class FillSession:
     """One loaded layout plus everything derived from it.
 
     Mutable state (``layout``, ``analysis``, ``wire_indexes``,
-    ``last_report``) must only be touched inside :meth:`ordered` —
-    the ticket protocol makes that section exclusive per session.
+    ``last_report``) must only be touched inside :meth:`serving`,
+    which holds the session's turn.
     """
 
     def __init__(
@@ -79,43 +77,26 @@ class FillSession:
         self.wire_indexes: Optional[Dict[int, GridIndex[int]]] = None
         self.last_report: Optional[FillReport] = None
         self.requests_served = 0
-        self._cond = threading.Condition()
-        self._next_ticket = 0
-        self._serving = 0
+        self._turn = threading.Lock()
         self._closed = False
 
-    # -- ticket ordering -----------------------------------------------
-    def issue_ticket(self) -> int:
-        """Reserve the next execution slot; call atomically with enqueue."""
-        with self._cond:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            return ticket
-
     @contextmanager
-    def ordered(self, ticket: int) -> Iterator[None]:
-        """Execute the body when every earlier ticket has finished.
+    def serving(self) -> Iterator[None]:
+        """Hold the session's turn for the body: one request at a time.
 
-        The slot is *always* released on exit — including when the body
-        raises or the session turns out to be closed — so one failed
-        request can never stall the tickets behind it.
+        Raises :class:`SessionClosedError` once the turn is taken if the
+        session was closed or evicted meanwhile.  The turn is released
+        on exit, also when the body raises.
         """
-        with self._cond:
-            self._cond.wait_for(lambda: self._serving == ticket)
-        try:
+        with self._turn:
             if self._closed:
                 raise SessionClosedError(f"session {self.id} is closed")
             yield
             self.requests_served += 1
-        finally:
-            with self._cond:
-                self._serving += 1
-                self._cond.notify_all()
 
     def close(self) -> None:
-        """Mark the session closed; queued requests fail when they run."""
-        with self._cond:
-            self._closed = True
+        """Mark the session closed; requests waiting for it then fail."""
+        self._closed = True
 
     @property
     def closed(self) -> bool:
@@ -125,7 +106,7 @@ class FillSession:
     def ensure_caches(self) -> None:
         """Build the wire indexes and density analysis if absent.
 
-        Call inside :meth:`ordered`.  The analysis is the engine's own
+        Call inside :meth:`serving`.  The analysis is the engine's own
         (:meth:`~repro.core.DummyFillEngine.analyze`, on the session
         config's workers), so passing the cache back into
         :meth:`~repro.core.DummyFillEngine.run` is bit-identical to

@@ -71,7 +71,7 @@ class TestMetricName:
 class TestRenderGrammar:
     def test_every_line_matches_grammar(self, registry):
         obs.metrics.counter("service.requests.fill").inc(3)
-        obs.metrics.gauge("queue.depth").set(2)
+        obs.metrics.gauge("service.sessions.evicted").set(2)
         h = obs.metrics.histogram("lp.solve.seconds")
         for v in [0.004, 0.02, 0.5, 7.0]:
             h.observe(v)

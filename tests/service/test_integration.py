@@ -36,7 +36,7 @@ def _request_span_counters(record, op):
 
 def test_eco_delta_reprocesses_only_dirtied_windows(gds_bytes):
     with obs.record_run(label="eco incrementality") as rec:
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             client = ServiceClient(svc)
             sid = client.request(
                 "open_session",

@@ -1,5 +1,6 @@
 """Tests for the NDJSON socket server and its reference client."""
 
+import json
 import socket
 import time
 
@@ -17,7 +18,7 @@ from .conftest import CONFIG_MAPPING, RULES_MAPPING
 
 @pytest.fixture
 def server(tmp_path):
-    with FillService(workers=2, queue_size=16) as svc:
+    with FillService() as svc:
         with ServiceServer(svc, socket_path=str(tmp_path / "repro.sock")) as srv:
             yield srv
 
@@ -85,6 +86,34 @@ class TestUnixSocket:
         finally:
             raw.close()
 
+    def test_oversized_line_is_answered_once(self, server, monkeypatch):
+        # the server reads a line in chunks of the limit + 1 bytes; the
+        # tail of an oversized line must not count as more requests
+        monkeypatch.setattr("repro.service.server.MAX_LINE_BYTES", 64)
+        monkeypatch.setattr("repro.service.protocol.MAX_LINE_BYTES", 64)
+        long_ping = json.dumps({"id": 1, "op": "ping", "pad": "x" * 170}).encode()
+        assert len(long_ping) > 3 * 65
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(10.0)
+            raw.connect(server.socket_path)
+            with raw.makefile("rb") as replies:
+                raw.sendall(long_ping + b"\n" + b'{"id": 2, "op": "ping"}\n')
+                first = json.loads(replies.readline())
+                assert first["id"] is None
+                assert first["error"]["type"] == "ProtocolError"
+                assert json.loads(replies.readline())["id"] == 2
+                raw.sendall(b'{"id": 3, "op": "ping"}\n')
+                assert json.loads(replies.readline())["id"] == 3
+
+    def test_finished_connections_are_forgotten(self, server):
+        for _ in range(20):
+            with SocketClient(**server.client_args()) as client:
+                assert client.request("ping")["pong"] is True
+        deadline = time.monotonic() + 10.0
+        while server._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server._conns == {}
+
     def test_shutdown_op_signals_serve_loop(self, server):
         with SocketClient(**server.client_args()) as client:
             assert client.shutdown() == {"stopping": True}
@@ -93,7 +122,7 @@ class TestUnixSocket:
     def test_stop_with_open_client_returns_at_once(self, tmp_path):
         # closing a socket wakes neither accept() nor readline(): stop()
         # shuts them down, so it needs no join timeout to return
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             server = ServiceServer(svc, socket_path=str(tmp_path / "repro.sock")).start()
             with SocketClient(**server.client_args()) as client:
                 assert client.request("ping")["pong"] is True
@@ -104,7 +133,7 @@ class TestUnixSocket:
 
 class TestTcpSocket:
     def test_roundtrip_on_ephemeral_port(self, gds_bytes):
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             with ServiceServer(svc, port=0) as server:
                 assert server.port not in (None, 0)
                 with SocketClient(port=server.port) as client:
@@ -114,7 +143,7 @@ class TestTcpSocket:
 
 class TestConstruction:
     def test_exactly_one_transport(self):
-        svc = FillService(workers=1)
+        svc = FillService()
         with pytest.raises(ValueError):
             ServiceServer(svc)
         with pytest.raises(ValueError):
@@ -129,7 +158,7 @@ class TestConstruction:
     def test_stale_socket_file_is_replaced(self, tmp_path):
         path = tmp_path / "stale.sock"
         path.write_bytes(b"")  # a dead socket from a previous run
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             with ServiceServer(svc, socket_path=str(path)) as server:
                 with SocketClient(**server.client_args()) as client:
                     assert client.request("ping")["pong"] is True

@@ -1,4 +1,4 @@
-"""Tests for the in-process fill service: ops, ordering, determinism."""
+"""Tests for the in-process fill service: ops, session turns, determinism."""
 
 import threading
 
@@ -16,7 +16,7 @@ from .conftest import CONFIG_MAPPING, RULES, RULES_MAPPING
 
 @pytest.fixture
 def service():
-    with FillService(workers=2, queue_size=16) as svc:
+    with FillService() as svc:
         yield svc
 
 
@@ -38,9 +38,7 @@ def open_session(client, gds_bytes, **overrides):
 
 class TestControlOps:
     def test_ping(self, client):
-        result = client.request("ping")
-        assert result["pong"] is True
-        assert result["workers"] == 2
+        assert client.request("ping") == {"pong": True, "sessions": 0}
 
     def test_open_and_describe(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)
@@ -199,19 +197,22 @@ class TestBatch:
             client.batch(
                 [{"op": "fill", "session": sid}, {"op": "nope", "session": sid}]
             )
+        # every request is checked before the first one runs
+        assert client.request("sessions")["sessions"][0]["requests_served"] == 0
+
+    def test_unknown_session_runs_none_of_the_batch(self, client, gds_bytes):
+        sid = open_session(client, gds_bytes)
+        with pytest.raises(JobError) as exc_info:
+            client.batch(
+                [{"op": "fill", "session": sid}, {"op": "drc_audit", "session": "s404"}]
+            )
+        assert exc_info.value.error_type == "UnknownSessionError"
+        assert client.request("sessions")["sessions"][0]["requests_served"] == 0
 
 
 class TestBackpressureAndEviction:
-    def test_queue_full_rejects_batch(self, gds_bytes):
-        with FillService(workers=1, queue_size=2) as svc:
-            client = ServiceClient(svc)
-            sid = open_session(client, gds_bytes)
-            with pytest.raises(JobError) as exc_info:
-                client.batch([{"op": "drc_audit", "session": sid}] * 3)
-            assert exc_info.value.error_type == "QueueFullError"
-
     def test_eviction_invalidates_old_session(self, gds_bytes):
-        with FillService(workers=1, max_sessions=1) as svc:
+        with FillService(max_sessions=1) as svc:
             client = ServiceClient(svc)
             first = open_session(client, gds_bytes)
             open_session(client, gds_bytes)
@@ -220,13 +221,51 @@ class TestBackpressureAndEviction:
             assert exc_info.value.error_type == "UnknownSessionError"
 
     def test_stopped_service_rejects_work(self, gds_bytes):
-        svc = FillService(workers=1)
+        svc = FillService()
         svc.start()
         client = ServiceClient(svc)
         sid = open_session(client, gds_bytes)
         svc.stop()
         with pytest.raises(JobError):
             client.request("fill", session=sid)
+
+
+class TestSessionTurns:
+    def test_held_turn_blocks_only_its_own_session(self, gds_bytes):
+        # thread 1 holds session A's turn; a request on B returns, and
+        # one on A from a third thread waits until A's turn is released
+        with obs.record_run(label="session turns") as rec:
+            with FillService() as svc:
+                client = ServiceClient(svc)
+                sid_a, sid_b = open_session(client, gds_bytes), open_session(client, gds_bytes)
+                held, release = threading.Event(), threading.Event()
+                answered = []
+
+                def hold_a():
+                    with svc.store.get(sid_a).serving():
+                        held.set()
+                        release.wait(30.0)
+
+                holder = threading.Thread(target=hold_a)
+                waiter = threading.Thread(
+                    target=lambda: answered.append(client.request("drc_audit", session=sid_a))
+                )
+                holder.start()
+                assert held.wait(30.0)
+                try:
+                    assert client.request("drc_audit", session=sid_b)["count"] == 0
+                    waiter.start()
+                    waiter.join(0.5)
+                    assert waiter.is_alive() and answered == []
+                finally:
+                    release.set()
+                    holder.join(30.0)
+                waiter.join(30.0)
+                assert not waiter.is_alive()
+        assert answered[0]["count"] == 0
+        wait = rec.record.metrics["service.queue.wait_s"]
+        assert wait["count"] == 2
+        assert wait["max"] >= 0.5  # A's request timed its wait for the turn
 
 
 class TestConcurrentDeterminism:
@@ -257,7 +296,7 @@ class TestObservability:
     def test_latency_histograms_in_run_record(self, gds_bytes, tmp_path):
         record_path = tmp_path / "service.jsonl"
         with obs.record_run(record_path, label="service test") as rec:
-            with FillService(workers=2) as svc:
+            with FillService() as svc:
                 client = ServiceClient(svc)
                 sid = open_session(client, gds_bytes)
                 client.request("fill", session=sid)
@@ -284,10 +323,11 @@ class TestObservability:
         ]
         assert all(s["depth"] == 0 for s in request_spans)
         assert all("queue_wait_s" in s["attrs"] for s in request_spans)
+        assert all("job" not in s["attrs"] for s in request_spans)
 
     def test_error_paths_counted(self, gds_bytes):
         with obs.record_run(label="errors") as rec:
-            with FillService(workers=1) as svc:
+            with FillService() as svc:
                 client = ServiceClient(svc)
                 sid = open_session(client, gds_bytes)
                 with pytest.raises(JobError):

@@ -1,6 +1,8 @@
-"""Tests for fill sessions: ticket ordering, caches, LRU store."""
+"""Tests for fill sessions: the session turn, caches, LRU store."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -22,53 +24,53 @@ def _session(session_id="s1"):
     return FillSession(session_id, layout, grid, FillConfig(workers=1))
 
 
-class TestTicketOrdering:
-    def test_tickets_are_sequential(self):
+class TestSessionTurn:
+    def test_failed_request_releases_the_turn(self):
         session = _session()
-        assert [session.issue_ticket() for _ in range(3)] == [0, 1, 2]
-
-    def test_ordered_executes_in_ticket_order(self):
-        session = _session()
-        tickets = [session.issue_ticket() for _ in range(4)]
-        order = []
-
-        def run(ticket):
-            with session.ordered(ticket):
-                order.append(ticket)
-
-        # start the workers in reverse ticket order: the ticket protocol
-        # must still serialize them into issue order
-        threads = [
-            threading.Thread(target=run, args=(t,)) for t in reversed(tickets)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10.0)
-        assert order == tickets
-
-    def test_failed_request_releases_the_slot(self):
-        session = _session()
-        first, second = session.issue_ticket(), session.issue_ticket()
         with pytest.raises(RuntimeError, match="boom"):
-            with session.ordered(first):
+            with session.serving():
                 raise RuntimeError("boom")
-        with session.ordered(second):
-            pass  # would deadlock if the failed slot were not released
+        with session.serving():
+            pass  # would deadlock if the failed request kept the turn
         assert session.requests_served == 1
 
-    def test_closed_session_raises_inside_ordered(self):
+    def test_closed_session_raises_inside_serving(self):
         session = _session()
-        ticket = session.issue_ticket()
         session.close()
         with pytest.raises(SessionClosedError):
-            with session.ordered(ticket):
+            with session.serving():
                 pass
-        # the slot still advanced: a later ticket does not wedge
-        ticket2 = session.issue_ticket()
-        with pytest.raises(SessionClosedError):
-            with session.ordered(ticket2):
-                pass
+        assert session.requests_served == 0
+
+    def test_turns_serialize_concurrent_requests(self):
+        # more threads than cores, a short switch interval and a yield
+        # inside the turn: two requests holding it at once would show
+        session = _session()
+        inside = []
+        overlaps = []
+
+        def run():
+            for _ in range(50):
+                with session.serving():
+                    inside.append(1)
+                    time.sleep(0)
+                    if len(inside) > 1:
+                        overlaps.append(1)
+                    inside.pop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert overlaps == []
+        assert session.requests_served == 8 * 50
 
 
 class TestCaches:

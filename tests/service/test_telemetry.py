@@ -58,12 +58,11 @@ def events_of(buf, name):
 
 class TestStatsOp:
     def test_fresh_service_stats(self, gds_bytes):
-        with FillService(workers=2) as svc:
+        with FillService() as svc:
             client = ServiceClient(svc)
             stats = client.request("stats")
-        assert stats["workers"] == 2
+        assert sorted(stats) == ["errors", "latency", "profiling", "requests", "sessions", "uptime_s"]
         assert stats["sessions"] == 0
-        assert stats["queue_depth"] == 0
         assert stats["requests"] == {}
         assert stats["errors"] == 0.0
         assert stats["latency"] == {}
@@ -71,7 +70,7 @@ class TestStatsOp:
         assert stats["uptime_s"] >= 0.0
 
     def test_stats_after_requests(self, gds_bytes):
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             client = ServiceClient(svc)
             sid = open_session(client, gds_bytes)
             client.request("fill", session=sid)
@@ -87,7 +86,7 @@ class TestStatsOp:
         assert lat["score"]["window"] == 1
 
     def test_stats_does_not_mint_instruments(self, gds_bytes):
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             client = ServiceClient(svc)
             before = set(svc._registry.names())
             client.request("stats")
@@ -97,7 +96,7 @@ class TestStatsOp:
 
 class TestMetricsOp:
     def test_metrics_op_returns_exposition_text(self, gds_bytes):
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             client = ServiceClient(svc)
             sid = open_session(client, gds_bytes)
             client.request("fill", session=sid)
@@ -112,7 +111,7 @@ class TestMetricsOp:
         assert 'repro_fill_window{quantile="0.5"}' in text
 
     def test_render_matches_op(self, gds_bytes):
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             client = ServiceClient(svc)
             sid = open_session(client, gds_bytes)
             client.request("score", session=sid)
@@ -121,24 +120,19 @@ class TestMetricsOp:
 
 class TestHealth:
     def test_health_tracks_lifecycle(self, gds_bytes):
-        svc = FillService(workers=1)
+        svc = FillService()
         with svc:
             client = ServiceClient(svc)
             open_session(client, gds_bytes)
             live = svc.health()
-        assert live == {
-            "status": "ok",
-            "workers": 1,
-            "queue_depth": 0,
-            "sessions": 1,
-        }
+        assert live == {"status": "ok", "sessions": 1}
         assert svc.health()["status"] == "stopped"
 
 
 class TestSlowRequests:
     def test_slow_request_event_carries_span_tree(self, gds_bytes):
         with captured_events(level="info") as buf:
-            with FillService(workers=1, slow_ms=0.0) as svc:
+            with FillService(slow_ms=0.0) as svc:
                 client = ServiceClient(svc)
                 sid = open_session(client, gds_bytes)
                 client.request("fill", session=sid)
@@ -153,16 +147,17 @@ class TestSlowRequests:
 
     def test_fast_requests_emit_info_only(self, gds_bytes):
         with captured_events(level="info") as buf:
-            with FillService(workers=1, slow_ms=60000.0) as svc:
+            with FillService(slow_ms=60000.0) as svc:
                 client = ServiceClient(svc)
                 sid = open_session(client, gds_bytes)
                 client.request("fill", session=sid)
         assert events_of(buf, "slow_request") == []
         (req,) = events_of(buf, "request")
         assert req["op"] == "fill" and req["failed"] is False
+        assert "job" not in req
 
     def test_slow_counter_increments(self, gds_bytes):
-        with FillService(workers=1, slow_ms=0.0) as svc:
+        with FillService(slow_ms=0.0) as svc:
             client = ServiceClient(svc)
             sid = open_session(client, gds_bytes)
             client.request("fill", session=sid)
@@ -171,7 +166,7 @@ class TestSlowRequests:
         assert stats["requests"]["slow"] == 2
 
     def test_no_threshold_no_slow_accounting(self, gds_bytes):
-        with FillService(workers=1) as svc:
+        with FillService() as svc:
             client = ServiceClient(svc)
             sid = open_session(client, gds_bytes)
             client.request("fill", session=sid)
@@ -181,14 +176,14 @@ class TestSlowRequests:
 
 class TestRequestProfiling:
     def test_stats_reports_arming(self, gds_bytes):
-        with FillService(workers=1, profile_ms=5.0) as svc:
+        with FillService(profile_ms=5.0) as svc:
             client = ServiceClient(svc)
             stats = client.request("stats")
         assert stats["profiling"] == {"period_ms": 5.0, "samples": 0}
 
     def test_profile_published_to_service_tracer(self, gds_bytes):
         with obs.record_run(label="profiled service") as rec:
-            svc = FillService(workers=1, profile_ms=1.0)
+            svc = FillService(profile_ms=1.0)
             with svc:
                 client = ServiceClient(svc)
                 sid = open_session(client, gds_bytes)
@@ -211,7 +206,7 @@ class TestRequestProfiling:
 
     def test_disarmed_service_records_no_profile(self, gds_bytes):
         with obs.record_run(label="plain service") as rec:
-            with FillService(workers=1) as svc:
+            with FillService() as svc:
                 client = ServiceClient(svc)
                 sid = open_session(client, gds_bytes)
                 client.request("fill", session=sid)

@@ -80,26 +80,6 @@ class TestFill:
         assert filled.num_fills > 0
         assert "fills=" in capsys.readouterr().out
 
-    def test_fill_workers_bit_identical_output(self, demo_gds, tmp_path):
-        serial = tmp_path / "serial.gds"
-        parallel = tmp_path / "parallel.gds"
-        assert main(["fill", str(demo_gds), str(serial), "--windows", "4"]) == 0
-        assert (
-            main(
-                [
-                    "fill",
-                    str(demo_gds),
-                    str(parallel),
-                    "--windows",
-                    "4",
-                    "--workers",
-                    "4",
-                ]
-            )
-            == 0
-        )
-        assert parallel.read_bytes() == serial.read_bytes()
-
     def test_fill_solver_choice(self, demo_gds, tmp_path):
         out_path = tmp_path / "filled.gds"
         code = main(
@@ -362,8 +342,6 @@ class TestServeParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.socket is None and args.port is None
-        assert args.serve_workers == 2
-        assert args.queue_size == 64
         assert args.max_sessions == 8
 
     def test_serve_rejects_both_transports(self):
@@ -412,23 +390,6 @@ class TestTelemetryFlags:
         )
         assert args.profile is True
         assert args.profile_ms == 2.5
-
-    def test_profiled_parallel_fill_byte_identical(self, demo_gds, tmp_path):
-        """Arming the profiler never changes engine output."""
-        plain = tmp_path / "plain.gds"
-        profiled = tmp_path / "profiled.gds"
-        assert main(["fill", str(demo_gds), str(plain), "--windows", "4"]) == 0
-        assert (
-            main(
-                [
-                    "fill", str(demo_gds), str(profiled),
-                    "--windows", "4", "--workers", "4",
-                    "--profile", "--profile-ms", "10",
-                ]
-            )
-            == 0
-        )
-        assert profiled.read_bytes() == plain.read_bytes()
 
     def test_profiled_fill_records_profile_event(self, demo_gds, tmp_path):
         import json

@@ -286,7 +286,7 @@ def _session_chain(client, case, **config):
 
 
 def test_service_session(case):
-    with FillService(workers=1) as service:
+    with FillService() as service:
         _session_chain(ServiceClient(service), case, workers=2, parallel=TEST_BACKENDS[0])
 
 
@@ -298,14 +298,23 @@ def test_streamed_eco(case):
 
 
 def test_socket_session(tmp_path):
-    with FillService(workers=2) as service:
+    with FillService() as service:
         with ServiceServer(service, socket_path=str(tmp_path / "repro.sock")) as server:
             with SocketClient(**server.client_args()) as client:
                 _session_chain(client, build_case("odd-paths", SEEDS[0]))
 
 
 @pytest.mark.parametrize(
-    "command", ["fill", "fill --stream", "eco", "eco --stream", "fill --format=oasis"]
+    "command",
+    [
+        "fill",
+        "fill --workers=2",
+        "fill --workers=2 --profile",
+        "fill --stream",
+        "eco",
+        "eco --stream",
+        "fill --format=oasis",
+    ],
 )
 def test_cli(command, tmp_path, monkeypatch, capsys):
     case = build_case("odd-paths", SEEDS[0])
@@ -381,7 +390,7 @@ def test_malformed_lines_get_error_responses(tmp_path):
         flipped[rng.randrange(len(line))] ^= 1 << rng.randrange(8)
         if b"\n" not in flipped:
             lines.append(bytes(flipped))
-    with FillService(workers=1) as service:
+    with FillService() as service:
         with ServiceServer(service, socket_path=str(tmp_path / "repro.sock")) as server:
             with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
                 raw.settimeout(30.0)
