@@ -65,6 +65,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--solver",
         choices=("mcf-ssp", "lp"),
         default="mcf-ssp",
+        help="sizing LP backend: mcf-ssp solves each pass through its dual "
+        "min-cost flow (one-fill windows of a column batch in one closed "
+        "form), lp builds every window's LP and solves it with scipy's HiGHS "
+        "(the reference)",
     )
     group.add_argument(
         "--workers",

@@ -43,9 +43,16 @@ class FillConfig:
         Alternating horizontal/vertical LP rounds (§3.3.2).  Each round
         runs one horizontal and one vertical pass.
     solver:
-        ``"mcf-ssp"`` (dual min-cost flow via successive shortest paths,
-        the paper's fast path) or ``"lp"`` (scipy HiGHS — the §3.3.2
-        reference the dual-MCF path is checked against).
+        Backend of the sizing passes' Eqn. (14) LPs.  ``"mcf-ssp"``
+        solves them through their dual min-cost flow (§3.3.3, the
+        paper's fast path): the windows of a column batch whose LP is
+        all one-fill components go to one vectorized closed form, and
+        a window with spacing constraints builds its own LP for
+        successive shortest paths.  ``"lp"`` builds every window's LP
+        and solves it with scipy's HiGHS — the §3.3.2 reference the
+        dual-MCF path is checked against.  Both give the same optimum
+        on every LP; where an LP has several, they may pick different
+        ones.
     stagger_even_layers:
         Offset even layers' candidate grids by half a pitch so fills on
         adjacent layers interleave instead of stacking (the Fig. 4(b)

@@ -26,12 +26,23 @@ paper's relaxation strategy:
 Fills only ever shrink, so same-layer spacing legality is monotone:
 once the pre-legalisation pass and the spacing constraints have
 resolved the candidate-stage violations, no pass can create new ones.
+
+Windows are independent problems, and a window holds a few dozen
+fills, so the windows of one window column are sized together as one
+batch of int64 arrays (:class:`_Batch`).  A pass prices every fill of
+the batch with array expressions; the windows whose LP then splits
+into one-fill components (no spacing constraint this pass) are solved
+together by one :func:`~repro.netflow.solve_dual_mcf` call on a
+:class:`~repro.netflow.PairLP`, and only a window with spacing
+constraints (or every window under ``solver="lp"``) builds its own
+:class:`~repro.netflow.DifferentialLP`.  Each window's result equals
+sizing it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,13 +50,22 @@ from .. import obs
 from ..contracts import check_drc_params
 from ..geometry import GridIndex, Rect
 from ..layout import DrcRules, Layout, WindowGrid
-from ..netflow import DifferentialLP, LPInfeasibleError, solve_dual_mcf, solve_linprog
+from ..netflow import (
+    DifferentialLP,
+    LPInfeasibleError,
+    PairLP,
+    solve_dual_mcf,
+    solve_linprog,
+)
 from .candidates import CandidatePlan, _wire_indexes_for
 from .config import FillConfig
 
 __all__ = ["SizingStats", "size_window", "size_fills"]
 
 WindowKey = Tuple[int, int]
+
+#: most index pairs one :func:`_key_join` chunk materialises
+_JOIN_CHUNK = 1 << 12
 
 
 @dataclass
@@ -66,31 +86,6 @@ class SizingStats:
         self.windows += other.windows
 
 
-def _transpose(rect: Rect) -> Rect:
-    """Swap the axes of a rectangle (vertical pass = transposed horizontal)."""
-    return Rect(rect.yl, rect.xl, rect.yh, rect.xh)
-
-
-@dataclass
-class _Fill:
-    """Mutable working copy of one fill during sizing."""
-
-    layer: int
-    rect: Rect
-    alive: bool = True
-
-
-def _solver_fn(solver: str) -> Callable[[DifferentialLP], object]:
-    if solver == "mcf-ssp":
-        return solve_dual_mcf
-    if solver == "lp":
-        return solve_linprog
-    raise ValueError(f"unknown solver {solver!r}")
-
-
-# ----------------------------------------------------------------------
-# pre-legalisation: drop fills whose spacing can never be repaired
-# ----------------------------------------------------------------------
 def _achievable_gap_x(a: Rect, b: Rect, rules: DrcRules) -> int:
     """Largest horizontal gap reachable by shrinking ``a`` and ``b``."""
     left, right = (a, b) if a.xl <= b.xl else (b, a)
@@ -99,341 +94,527 @@ def _achievable_gap_x(a: Rect, b: Rect, rules: DrcRules) -> int:
     return (right.xh - min_w_right) - (left.xl + min_w_left)
 
 
-def _prelegalize(fills: List[_Fill], rules: DrcRules) -> int:
-    """Drop the smaller fill of every unrepairable close pair.
+def _min_width(rules: DrcRules, height: np.ndarray) -> np.ndarray:
+    """:meth:`DrcRules.min_width_for_height` of every height — Eqn. (12)."""
+    if (height <= 0).any():
+        raise ValueError("height must be positive")
+    return np.maximum(rules.min_width, -(-rules.min_area // height))
 
-    A pair is unrepairable when neither axis can reach the minimum
-    spacing even if both fills shrink to their minimum legal size.
-    Returns the number of dropped fills.
+
+def _key_join(
+    left: np.ndarray, right: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every ``(i, j)`` with ``left[i] == right[j]``; ``right`` is sorted.
+
+    The pairs come ordered by ``i``, then ``j``, in chunks of at most
+    ``_JOIN_CHUNK`` (more only when one ``i`` alone has more matches),
+    so a caller keeps each chunk's few useful pairs before the next
+    chunk is built.
     """
-    dropped, _ = _prelegalize_and_pairs(fills, rules)
-    return dropped
-
-
-def _prelegalize_and_pairs(
-    fills: List[_Fill], rules: DrcRules
-) -> Tuple[int, Dict[int, List[Tuple[int, int]]]]:
-    """Pre-legalise and collect the surviving close pairs in one scan.
-
-    Fills only ever shrink, so every gap measure is monotone
-    non-decreasing over the passes: a pair beyond the minimum spacing
-    now can never come within it later.  The close pairs of the
-    surviving (post-drop) fills are therefore a valid superset for
-    every subsequent pass and for the final spacing sweep — in either
-    axis orientation, since transposition preserves distances.  The
-    pairs come out in the exact order a fresh per-pass index scan over
-    the survivors would visit them (lexicographic by survivor
-    position: survivors keep their relative order, and the index
-    returns hits in insertion order), because the constraint order
-    feeds the flow network's arc order and must not change.
-    """
-    dropped = 0
-    sm = rules.min_spacing
-    by_layer: Dict[int, List[Tuple[int, _Fill]]] = {}
-    for g, f in enumerate(fills):
-        by_layer.setdefault(f.layer, []).append((g, f))
-    raw_pairs: List[Tuple[int, int]] = []
-    for layer_fills in by_layer.values():
-        index: GridIndex[Tuple[int, _Fill]] = GridIndex(
-            max(64, rules.max_fill_width + sm)
+    start = np.searchsorted(right, left, "left")
+    count = np.searchsorted(right, left, "right") - start
+    before = np.zeros(len(left) + 1, np.int64)
+    np.cumsum(count, out=before[1:])
+    i0 = 0
+    while i0 < len(left):
+        i1 = int(np.searchsorted(before, before[i0] + _JOIN_CHUNK, "right")) - 1
+        i1 = min(len(left), max(i1, i0 + 1))
+        rows = np.repeat(np.arange(i0, i1), count[i0:i1])
+        cols = np.repeat(start[i0:i1] - before[i0:i1], count[i0:i1]) + np.arange(
+            before[i0], before[i1]
         )
-        for entry in layer_fills:
-            index.insert(entry[1].rect, entry)
-        seen = set()
-        for g, f in layer_fills:
-            if not f.alive:
-                continue
-            for rect, (h, other) in index.query_within(f.rect, sm):
-                if other is f or not other.alive or not f.alive:
-                    continue
-                if f.rect.euclidean_gap(other.rect) >= sm:
-                    continue
-                key = (g, h) if g < h else (h, g)
-                if key not in seen:
-                    seen.add(key)
-                    raw_pairs.append(key)
-                if f.rect.overlaps(other.rect):
-                    # Same-layer overlap: no pass owns a repair axis for
-                    # it, so resolve it here outright.
-                    victim = f if f.rect.area <= other.rect.area else other
-                    victim.alive = False
-                    dropped += 1
-                    continue
-                gap_x = _achievable_gap_x(f.rect, other.rect, rules)
-                gap_y = _achievable_gap_x(
-                    _transpose(f.rect), _transpose(other.rect), rules
-                )
-                if gap_x < sm and gap_y < sm:
-                    victim = f if f.rect.area <= other.rect.area else other
-                    victim.alive = False
-                    dropped += 1
-    # Map the surviving pairs onto positions in the post-drop live
-    # list (the variable numbering every pass uses).
-    live_pos: Dict[int, int] = {}
-    pos = 0
-    for g, f in enumerate(fills):
-        if f.alive:
-            live_pos[g] = pos
-            pos += 1
-    close_pairs: Dict[int, List[Tuple[int, int]]] = {
-        layer: [] for layer in by_layer
-    }
-    for g, h in raw_pairs:
-        if fills[g].alive and fills[h].alive:
-            close_pairs[fills[g].layer].append((live_pos[g], live_pos[h]))
-    return dropped, close_pairs
+        yield rows, cols
+        i0 = i1
 
 
-# ----------------------------------------------------------------------
-# one directional pass (horizontal; the vertical pass transposes)
-# ----------------------------------------------------------------------
-def _overlay_slopes(
-    fill: Rect, neighbors: Sequence[Rect]
-) -> Tuple[int, int]:
-    """Marginal overlay height at the left and right edges of ``fill``.
-
-    The slope at an edge is the total neighbor height whose overlap
-    width would shrink if that edge moved inward — the left derivative,
-    valid for the shrink-only trust region.
-    """
-    slope_left = 0
-    slope_right = 0
-    for s in neighbors:
-        h_ov = min(fill.yh, s.yh) - max(fill.yl, s.yl)
-        if h_ov <= 0:
-            continue
-        w_ov = min(fill.xh, s.xh) - max(fill.xl, s.xl)
-        if w_ov <= 0:
-            continue
-        if fill.xh <= s.xh:
-            slope_right += h_ov
-        if fill.xl >= s.xl:
-            slope_left += h_ov
-    return slope_left, slope_right
-
-
-#: per-layer neighbor wire coordinates, prepacked as int64 arrays
-#: (xl, xh, yl, yh) — built once per window per axis by
-#: :func:`size_window` and reused across every pass of that axis.
-_WireArrays = Mapping[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-
-
-def _pack_rects(rects: Sequence[Rect]) -> Tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray
-]:
-    """Coordinate arrays of a rect list (the slope-matrix operands)."""
-    m = len(rects)
+def _overlapping(
+    a: Tuple[np.ndarray, ...], b: Tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Positive-area overlap of ``(xl, yl, xh, yh)`` boxes, row by row."""
     return (
-        np.fromiter((s.xl for s in rects), np.int64, m),
-        np.fromiter((s.xh for s in rects), np.int64, m),
-        np.fromiter((s.yl for s in rects), np.int64, m),
-        np.fromiter((s.yh for s in rects), np.int64, m),
+        (np.minimum(a[2], b[2]) > np.maximum(a[0], b[0]))
+        & (np.minimum(a[3], b[3]) > np.maximum(a[1], b[1]))
     )
 
 
-def _batch_overlay_slopes(
-    live: Sequence["_Fill"],
-    wire_arrays: _WireArrays,
-    fill_neighbors: Mapping[int, Sequence[Rect]],
-) -> List[Tuple[int, int]]:
-    """:func:`_overlay_slopes` for every live fill at once.
+class _Batch:
+    """The candidate fills of some windows, sized together as arrays.
 
-    One fills x neighbors coordinate matrix per layer replaces the
-    per-fill Python scan over the neighbor list; the summed int64
-    heights are the exact integers the scalar routine accumulates
-    (which keeps :func:`_overlay_slopes` as its oracle in the tests).
-    The neighbor set is split into frozen wires (prepacked arrays,
-    shared by all passes of an axis) and the adjacent layers' live
-    fills (repacked per pass, since they shrink); the sums are
-    order-independent, so the split changes no value.
+    ``candidates`` and ``targets`` hold one mapping per window (layer
+    to candidate rects, layer to target fill area).  ``wires`` maps a
+    layer to wire rects, of which window ``w`` sees those whose closed
+    box reaches ``reach[0][w] <= y <= reach[1][w]``.
+
+    Fills are numbered window by window, layers ascending, each layer
+    in candidate order: the order in which one window's LP numbers its
+    variables, so every per-window loop here visits fills, pairs and
+    constraints exactly as sizing that window alone would.  A fill's
+    group is its (window, layer); the group keys also index the
+    per-(window, layer) targets.
     """
-    out: List[Tuple[int, int]] = [(0, 0)] * len(live)
-    by_layer: Dict[int, List[int]] = {}
-    for k, f in enumerate(live):
-        by_layer.setdefault(f.layer, []).append(k)
-    for layer, idxs in by_layer.items():
-        wires = wire_arrays.get(layer)
-        fill_neigh = fill_neighbors.get(layer, ())
-        if fill_neigh:
-            fxl_n, fxh_n, fyl_n, fyh_n = _pack_rects(fill_neigh)
-            if wires is not None and len(wires[0]):
-                nxl = np.concatenate([wires[0], fxl_n])
-                nxh = np.concatenate([wires[1], fxh_n])
-                nyl = np.concatenate([wires[2], fyl_n])
-                nyh = np.concatenate([wires[3], fyh_n])
-            else:
-                nxl, nxh, nyl, nyh = fxl_n, fxh_n, fyl_n, fyh_n
-        elif wires is not None and len(wires[0]):
-            nxl, nxh, nyl, nyh = wires
-        else:
-            continue
-        n = len(idxs)
-        fxl = np.fromiter((live[k].rect.xl for k in idxs), np.int64, n)
-        fxh = np.fromiter((live[k].rect.xh for k in idxs), np.int64, n)
-        fyl = np.fromiter((live[k].rect.yl for k in idxs), np.int64, n)
-        fyh = np.fromiter((live[k].rect.yh for k in idxs), np.int64, n)
-        h_ov = np.minimum(fyh[:, None], nyh[None, :]) - np.maximum(
-            fyl[:, None], nyl[None, :]
+
+    def __init__(
+        self,
+        candidates: Sequence[Mapping[int, Sequence[Rect]]],
+        targets: Sequence[Mapping[int, float]],
+        wires: Mapping[int, Sequence[Rect]],
+        reach: Tuple[np.ndarray, np.ndarray],
+        rules: DrcRules,
+        config: FillConfig,
+    ) -> None:
+        self.rules = rules
+        self.config = config
+        self.layer_keys = [sorted(c) for c in candidates]
+        self.nwin = len(candidates)
+        rects: List[Rect] = []
+        layers: List[int] = []
+        wins: List[int] = []
+        for w, (cands, keys) in enumerate(zip(candidates, self.layer_keys)):
+            for layer in keys:
+                rects.extend(cands[layer])
+                layers.extend([layer] * len(cands[layer]))
+                wins.extend([w] * len(cands[layer]))
+        n = len(rects)
+        self._candidates = rects
+        self._start = np.fromiter(
+            (v for r in rects for v in (r.xl, r.yl, r.xh, r.yh)), np.int64, 4 * n
+        ).reshape(n, 4)
+        self.xl, self.yl, self.xh, self.yh = (self._start[:, k].copy() for k in range(4))
+        self.layer = np.array(layers, dtype=np.int64)
+        self.win = np.array(wins, dtype=np.int64)
+        numbers = sorted({layer for keys in self.layer_keys for layer in keys})
+        # Group keys leave room for the layers one above and below, the
+        # overlay neighbours of every candidate layer.
+        self._base = (numbers[0] if numbers else 0) - 1
+        self._span = (numbers[-1] - numbers[0] + 3) if numbers else 1
+        self.grp = self._key(self.win, self.layer)
+        self.target = np.zeros(self.nwin * self._span)
+        for w, per_window in enumerate(targets):
+            for layer in self.layer_keys[w]:
+                self.target[self._key(w, layer)] = float(per_window.get(layer, 0.0))
+        self.alive = np.ones(n, dtype=bool)
+        self.dropped = 0
+        self._prelegalize()
+        self.live = np.flatnonzero(self.alive)
+        self._wire_pairs(wires, *reach)
+        self._fill_pairs()
+
+    def _key(self, win, layer):
+        return win * self._span + (layer - self._base)
+
+    def _box(self, idx) -> Tuple[np.ndarray, ...]:
+        return self.xl[idx], self.yl[idx], self.xh[idx], self.yh[idx]
+
+    def _rect(self, k: int, axis: int = 0) -> Rect:
+        if axis:
+            return Rect(int(self.yl[k]), int(self.xl[k]), int(self.yh[k]), int(self.xh[k]))
+        return Rect(int(self.xl[k]), int(self.yl[k]), int(self.xh[k]), int(self.yh[k]))
+
+    # ------------------------------------------------------------------
+    # pre-legalisation: drop fills whose spacing can never be repaired
+    # ------------------------------------------------------------------
+    def _prelegalize(self) -> None:
+        """Drop the smaller fill of every unrepairable close pair.
+
+        A pair is close when its Euclidean gap is below the minimum
+        spacing, and unrepairable when it overlaps or neither axis can
+        reach the spacing even with both fills at their minimum legal
+        size.  The cascade visits each fill's close partners in fill
+        order, fills in order — both directions of a pair, since the
+        repair test reads its two fills asymmetrically on ties.  The
+        surviving close pairs (each once, lower fill first) feed every
+        pass's spacing constraints and the final sweep: fills only
+        shrink, so no other pair can come within the spacing later.
+        """
+        sm = self.rules.min_spacing
+        firsts, seconds = [], []
+        for i, j in _key_join(self.grp, self.grp):
+            a, b = self._box(i), self._box(j)
+            dx = np.maximum(0, np.maximum(a[0], b[0]) - np.minimum(a[2], b[2]))
+            dy = np.maximum(0, np.maximum(a[1], b[1]) - np.minimum(a[3], b[3]))
+            keep = (i != j) & (dx * dx + dy * dy < sm * sm)
+            firsts.append(i[keep])
+            seconds.append(j[keep])
+        first = np.concatenate(firsts) if firsts else np.zeros(0, np.int64)
+        second = np.concatenate(seconds) if seconds else np.zeros(0, np.int64)
+        alive = self.alive
+        for f, o in zip(first.tolist(), second.tolist()):
+            if not (alive[f] and alive[o]):
+                continue
+            rf, ro = self._rect(f), self._rect(o)
+            if rf.overlaps(ro) or (
+                _achievable_gap_x(rf, ro, self.rules) < sm
+                and _achievable_gap_x(self._rect(f, 1), self._rect(o, 1), self.rules) < sm
+            ):
+                alive[f if rf.area <= ro.area else o] = False
+                self.dropped += 1
+        keep = (first < second) & alive[first] & alive[second]
+        self.pair_lo, self.pair_hi = first[keep], second[keep]
+
+    # ------------------------------------------------------------------
+    # overlay neighbours
+    # ------------------------------------------------------------------
+    def _wire_pairs(
+        self, wires: Mapping[int, Sequence[Rect]], lows: np.ndarray, highs: np.ndarray
+    ) -> None:
+        """Which live fills overlap which wires of the layers around them.
+
+        Window ``w`` sees a wire when the wire's closed box reaches
+        ``[lows[w], highs[w]]`` in y (both sorted by window); in x
+        every wire given reaches every window.  Fills only shrink, so a
+        fill and a wire that do not overlap now never will: these pairs
+        are every pass's fill-vs-wire overlay neighbours.
+        """
+        #: fill x wire overlaps: the fill, then the wire's (xl, yl, xh, yh)
+        self.wire_fill = np.zeros(0, np.int64)
+        self.wire_box: Tuple[np.ndarray, ...] = (self.wire_fill,) * 4
+        numbers = {layer for keys in self.layer_keys for layer in keys}
+        used = [n for n in sorted(wires) if n - 1 in numbers or n + 1 in numbers]
+        rects = [r for n in used for r in wires[n]]
+        if not rects or not self.live.size:
+            return
+        m = len(rects)
+        layer = np.repeat(np.array(used, dtype=np.int64), [len(wires[n]) for n in used])
+        box = np.fromiter(
+            (v for r in rects for v in (r.xl, r.yl, r.xh, r.yh)), np.int64, 4 * m
+        ).reshape(m, 4)
+        first = np.searchsorted(highs, box[:, 1], "left")
+        count = np.maximum(np.searchsorted(lows, box[:, 3], "right") - first, 0)
+        wire = np.repeat(np.arange(m), count)
+        ends = np.cumsum(count)
+        win = np.repeat(first - ends + count, count) + np.arange(ends[-1])
+        keys = self._key(win, layer[wire])
+        order = np.argsort(keys, kind="stable")
+        keys, wire = keys[order], wire[order]
+        live = self.live
+        fill = np.concatenate((live, live))
+        want = np.concatenate(
+            (
+                self._key(self.win[live], self.layer[live] - 1),
+                self._key(self.win[live], self.layer[live] + 1),
+            )
         )
-        w_ov = np.minimum(fxh[:, None], nxh[None, :]) - np.maximum(
-            fxl[:, None], nxl[None, :]
+        fills, boxes = [], []
+        for i, j in _key_join(want, keys):
+            f, b = fill[i], box[wire[j]]
+            keep = _overlapping(self._box(f), (b[:, 0], b[:, 1], b[:, 2], b[:, 3]))
+            fills.append(f[keep])
+            boxes.append(b[keep])
+        if fills:
+            self.wire_fill = np.concatenate(fills)
+            b = np.concatenate(boxes)
+            self.wire_box = (b[:, 0].copy(), b[:, 1].copy(), b[:, 2].copy(), b[:, 3].copy())
+
+    def _fill_pairs(self) -> None:
+        """Even-layer fills x overlapping live fills of the adjacent layers.
+
+        Each Eqn. (9c) overlay term ov(l, l+1) is priced exactly once:
+        fill-vs-wire overlay is charged to the fill's own layer, while
+        fill-vs-fill overlay is charged to the even layer of the pair
+        only (the layer whose candidates Alg. 1 chose against the odd
+        layers).  Charging both sides would double η and make stacked
+        layers shrink-chase each other.
+        """
+        live = self.live
+        even = live[self.layer[live] % 2 == 0]
+        fill = np.concatenate((even, even))
+        want = np.concatenate(
+            (
+                self._key(self.win[even], self.layer[even] - 1),
+                self._key(self.win[even], self.layer[even] + 1),
+            )
         )
+        fills, others = [], []
+        for i, j in _key_join(want, self.grp[live]):
+            f, o = fill[i], live[j]
+            keep = _overlapping(self._box(f), self._box(o))
+            fills.append(f[keep])
+            others.append(o[keep])
+        self.pair_fill = np.concatenate(fills) if fills else np.zeros(0, np.int64)
+        self.pair_other = np.concatenate(others) if others else np.zeros(0, np.int64)
+
+    # ------------------------------------------------------------------
+    # one directional pass (horizontal; the vertical pass swaps the axes)
+    # ------------------------------------------------------------------
+    def _slopes(
+        self, axis: int, active: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Marginal overlay height at the low and high edge of every fill.
+
+        The slope at an edge is the total neighbour height whose overlap
+        width would shrink if that edge moved inward — the left
+        derivative, valid for the shrink-only trust region.
+        """
+        lo, ylo, hi, yhi = self._axes(axis)
+        wsel = active[self.win[self.wire_fill]]
+        psel = active[self.win[self.pair_fill]]
+        other = self.pair_other[psel]
+        box = [c[wsel] for c in self.wire_box]
+        if axis:
+            box = [box[1], box[0], box[3], box[2]]
+        k = np.concatenate((self.wire_fill[wsel], self.pair_fill[psel]))
+        nlo = np.concatenate((box[0], lo[other]))
+        nylo = np.concatenate((box[1], ylo[other]))
+        nhi = np.concatenate((box[2], hi[other]))
+        nyhi = np.concatenate((box[3], yhi[other]))
+        flo, fhi = lo[k], hi[k]
+        h_ov = np.minimum(yhi[k], nyhi) - np.maximum(ylo[k], nylo)
+        w_ov = np.minimum(fhi, nhi) - np.maximum(flo, nlo)
         height = np.where((h_ov > 0) & (w_ov > 0), h_ov, 0)
-        right = (height * (fxh[:, None] <= nxh[None, :])).sum(axis=1)
-        left = (height * (fxl[:, None] >= nxl[None, :])).sum(axis=1)
-        for pos, k in enumerate(idxs):
-            out[k] = (int(left[pos]), int(right[pos]))
-    return out
+        n = len(lo)
+        low = np.bincount(k, height * (flo >= nlo), n).astype(np.int64)
+        high = np.bincount(k, height * (fhi <= nhi), n).astype(np.int64)
+        return low, high
 
+    def _axes(self, axis: int) -> Tuple[np.ndarray, ...]:
+        """(lo, ylo, hi, yhi) coordinate arrays of a pass; the vertical
+        pass is the horizontal one on transposed fills."""
+        if axis:
+            return self.yl, self.xl, self.yh, self.xh
+        return self.xl, self.yl, self.xh, self.yh
 
-def _horizontal_pass(
-    fills: List[_Fill],
-    wire_arrays: _WireArrays,
-    fill_neighbors: Mapping[int, Sequence[Rect]],
-    close_pairs: Mapping[int, Sequence[Tuple[int, int]]],
-    excess_area: Mapping[int, float],
-    layer_height_sum: Mapping[int, int],
-    rules: DrcRules,
-    config: FillConfig,
-    solve: Callable[[DifferentialLP], object],
-    stats: SizingStats,
-) -> bool:
-    """One Eqn. (14) pass over the x coordinates of all live fills.
+    def _spacing(
+        self, axis: int, active: np.ndarray
+    ) -> Dict[int, List[Tuple[int, int, int]]]:
+        """Eqn. (13) constraints of this pass: window -> (left, right, need).
 
-    Returns whether any fill coordinate actually moved — the signal
-    :func:`size_window` uses to stop iterating once a whole x+y round
-    is a fixed point (every later round would see identical inputs and
-    produce the identical no-op solution).
-    """
-    live = [f for f in fills if f.alive]
-    if not live:
-        return False
-    step = config.effective_step(rules.max_fill_width, rules.max_fill_height)
-    lp = DifferentialLP()
-    var_lo: List[int] = []
-    var_hi: List[int] = []
+        Only the current-geometry gap of the close pairs needs
+        re-checking.  A pair is repaired along the axis where it does
+        NOT overlap: a pair stacked with overlapping x-spans separates
+        naturally in y (the transposed pass), and forcing an
+        x-separation instead would carve a whole fill width out of both
+        fills.
+        """
+        sm = self.rules.min_spacing
+        out: Dict[int, List[Tuple[int, int, int]]] = {}
+        sel = active[self.win[self.pair_lo]]
+        for k, m in zip(self.pair_lo[sel].tolist(), self.pair_hi[sel].tolist()):
+            fk, fm = self._rect(k, axis), self._rect(m, axis)
+            if fk.euclidean_gap(fm) >= sm:
+                continue
+            if min(fk.xh, fm.xh) - max(fk.xl, fm.xl) > 0:
+                continue  # the other pass owns this pair
+            if fk.gap_y(fm) > 0 and _achievable_gap_x(fk, fm, self.rules) < sm:
+                continue  # diagonal pair, only repairable in y
+            left, right = (k, m) if fk.xl <= fm.xl else (m, k)
+            gap = (fm.xl - fk.xh) if left == k else (fk.xl - fm.xh)
+            out.setdefault(int(self.win[k]), []).append((left, right, sm - gap))
+        return out
 
-    # Per-layer density shrink budget ("reducing the shrinking steps").
-    budget: Dict[int, int] = {}
-    for layer, excess in excess_area.items():
-        if excess > 0:
-            total_h = max(1, layer_height_sum.get(layer, 1))
-            budget[layer] = max(1, min(step, int(-(-excess // total_h))))
+    def _pass(self, axis: int, active: np.ndarray, stats: SizingStats) -> np.ndarray:
+        """One Eqn. (14) pass over one axis of every active window.
 
-    slopes = _batch_overlay_slopes(live, wire_arrays, fill_neighbors)
-    trivial = True
-    for k, f in enumerate(live):
-        r = f.rect
-        h0 = r.height
-        min_w = rules.min_width_for_height(h0)
-        excess = excess_area.get(f.layer, 0.0)
-        sign = 1 if excess > 0 else -1
-        move = budget.get(f.layer, step) if sign > 0 else step
-        sl, sr = slopes[k]
-        eta = config.eta
+        Returns which windows moved a fill — :meth:`size` stops a
+        window once a whole x+y round is a fixed point (every later
+        round would see identical inputs and produce the identical
+        no-op solution).
+        """
+        rules, config = self.rules, self.config
+        moved = np.zeros(self.nwin, dtype=bool)
+        fills = self.live[active[self.win[self.live]]]
+        if not fills.size:
+            return moved
+        lo_all, ylo_all, hi_all, yhi_all = self._axes(axis)
+        win, grp = self.win[fills], self.grp[fills]
+        lo, hi = lo_all[fills], hi_all[fills]
+        h0 = yhi_all[fills] - ylo_all[fills]
+        step = config.effective_step(rules.max_fill_width, rules.max_fill_height)
+
+        # Per-layer density shrink budget ("reducing the shrinking steps").
+        groups = len(self.target)
+        excess = np.bincount(grp, (hi - lo) * h0, groups) - self.target
+        over = excess > 0
+        total_h = np.maximum(1.0, np.bincount(grp, 2 * h0, groups))
+        budget = np.where(
+            over, np.maximum(1.0, np.minimum(step, -(-excess // total_h))), step
+        )
+        sign = np.where(over[grp], 1, -1)
+        move = budget[grp].astype(np.int64)
+        low, high = self._slopes(axis, active)
         # Coefficients are doubled and biased by one unit toward keeping
         # the current size: when the density loss of shrinking exactly
         # cancels the overlay gain (a fill fully covered by neighbor
         # metal, s·h0 + η·slope == 0) the LP must not resolve the tie by
         # shrinking, or covered fills erode to nothing over the passes.
-        c_xl = int(round(2 * (-sign * h0 - eta * sl))) + 1
-        c_xh = int(round(2 * (sign * h0 + eta * sr))) - 1
-        # Shrink-only trust region: xl may move up, xh down, each by at
+        eta = config.eta
+        c_lo = np.rint(2 * (-sign * h0 - eta * low[fills])).astype(np.int64) + 1
+        c_hi = np.rint(2 * (sign * h0 + eta * high[fills])).astype(np.int64) - 1
+        # Shrink-only trust region: lo may move up, hi down, each by at
         # most `move`, never tighter than the minimum width allows.
-        ub_xl = max(r.xl, min(r.xl + move, r.xh - min_w))
-        lb_xh = min(r.xh, max(r.xh - move, r.xl + min_w))
-        i_xl = lp.add_variable(c_xl, r.xl, ub_xl)
-        i_xh = lp.add_variable(c_xh, lb_xh, r.xh)
-        # Eqn. (12): xh - xl >= max(wm, am/h0).
-        lp.add_constraint(i_xh, i_xl, min_w)
-        var_lo.append(i_xl)
-        var_hi.append(i_xh)
-        if c_xl <= 0 or c_xh >= 0:
-            trivial = False
+        min_w = _min_width(rules, h0)
+        ub_lo = np.maximum(lo, np.minimum(lo + move, hi - min_w))
+        lb_hi = np.minimum(hi, np.maximum(hi - move, lo + min_w))
 
-    # Eqn. (13): spacing constraints for close pairs, per layer.  The
-    # pair lists were computed once per window (`_prelegalize_and_pairs`)
-    # and only the current-geometry gap needs re-checking here.
-    for pairs in close_pairs.values():
-        for k, m in pairs:
-            fk = live[k].rect
-            fm = live[m].rect
-            if fk.euclidean_gap(fm) >= rules.min_spacing:
+        # Route each window.  A window whose every cost pair is
+        # (positive, negative) and that has no spacing constraint is a
+        # no-op: each lo's unique optimum is its lower bound and each
+        # hi's its upper bound, the current edges.  A window with
+        # spacing constraints (or any window under the "lp" solver)
+        # solves its own LP; the rest are one-fill components, solved
+        # together in closed form.  An infeasible width pair (a fill
+        # narrower than its Eqn. (12) width) makes the window's LP
+        # infeasible, and the window keeps its sizes for this pass.
+        spacing = self._spacing(axis, active)
+        solve_lp = np.bincount(win, (c_lo <= 0) | (c_hi >= 0), self.nwin) > 0
+        coupled = np.zeros(self.nwin, dtype=bool)
+        coupled[list(spacing)] = True
+        solve_lp |= coupled
+        counts = np.bincount(win, minlength=self.nwin)
+        solved = np.flatnonzero(solve_lp)
+        variables = 2 * counts[solved]
+        constraints = counts[solved] + np.array(
+            [len(spacing.get(w, ())) for w in solved.tolist()], dtype=np.int64
+        )
+        stats.lp_solves += len(solved)
+        stats.variables += int(variables.sum())
+        stats.constraints += int(constraints.sum())
+        obs.metrics.counter("sizing.lp_solves").inc(len(solved))
+        var_hist = obs.metrics.histogram("sizing.lp.variables")
+        con_hist = obs.metrics.histogram("sizing.lp.constraints")
+        for v, c in zip(variables.tolist(), constraints.tolist()):
+            var_hist.observe(v)
+            con_hist.observe(c)
+        if config.solver == "lp":
+            coupled = solve_lp
+        infeasible = np.bincount(win, hi - lo < min_w, self.nwin) > 0
+        closed = (solve_lp & ~coupled & ~infeasible)[win]
+        if closed.any():
+            x = np.asarray(
+                solve_dual_mcf(
+                    PairLP(
+                        c_lo[closed], c_hi[closed], lo[closed], ub_lo[closed],
+                        lb_hi[closed], hi[closed], min_w[closed],
+                    )
+                ).x
+            )
+            self._write(fills[closed], x[0::2], x[1::2], lo_all, hi_all, moved)
+        bounds = np.searchsorted(win, np.arange(self.nwin + 1))
+        for w in np.flatnonzero(coupled).tolist():
+            # Today's per-window LP: variables (lo, hi) fill by fill, the
+            # width constraints, then the spacing constraints.
+            rows = slice(bounds[w], bounds[w + 1])
+            lo_w, hi_w, mw_w = lo[rows].tolist(), hi[rows].tolist(), min_w[rows].tolist()
+            lp = DifferentialLP(
+                costs=np.column_stack((c_lo[rows], c_hi[rows])).ravel().tolist(),
+                lowers=np.column_stack((lo[rows], lb_hi[rows])).ravel().tolist(),
+                uppers=np.column_stack((ub_lo[rows], hi[rows])).ravel().tolist(),
+                constraints=[(2 * k + 1, 2 * k, mw) for k, mw in enumerate(mw_w)],
+            )
+            local = {f: k for k, f in enumerate(fills[rows].tolist())}
+            for left, right, need in spacing.get(w, ()):
+                kl, kr = local[left], local[right]
+                if need > 0:
+                    # Widen the trust region of the two edges so the
+                    # repair is feasible this pass.
+                    i_hi, i_lo = 2 * kl + 1, 2 * kr
+                    lp.lowers[i_hi] = min(lp.lowers[i_hi], max(lo_w[kl] + mw_w[kl], hi_w[kl] - need))
+                    lp.uppers[i_lo] = max(lp.uppers[i_lo], min(hi_w[kr] - mw_w[kr], lo_w[kr] + need))
+                # x_lo(right) - x_hi(left) >= sm
+                lp.constraints.append((2 * kr, 2 * kl + 1, rules.min_spacing))
+            try:
+                solution = (solve_linprog if config.solver == "lp" else solve_dual_mcf)(lp)
+            except LPInfeasibleError:
+                # Extremely rare residue of diagonal pairs; keep current
+                # sizes — the vertical pass or the final cleanup
+                # resolves the conflict.
                 continue
-            # Repair along the axis where the pair does NOT overlap:
-            # a pair stacked with overlapping x-spans separates
-            # naturally in y (the transposed pass), and forcing an
-            # x-separation instead would carve a whole fill width
-            # out of both fills.
-            x_overlap = min(fk.xh, fm.xh) - max(fk.xl, fm.xl)
-            if x_overlap > 0:
-                continue  # the vertical pass owns this pair
-            if fk.gap_y(fm) > 0 and _achievable_gap_x(fk, fm, rules) < rules.min_spacing:
-                continue  # diagonal pair, only repairable in y
-            left, right = (k, m) if fk.xl <= fm.xl else (m, k)
-            # x_l(right) - x_h(left) >= sm; widen the trust region of
-            # the two variables so the repair is feasible this pass.
-            need = rules.min_spacing - (live[right].rect.xl - live[left].rect.xh)
-            if need > 0:
-                _widen_for_repair(
-                    lp, var_hi[left], need, rules, live[left].rect
-                )
-                _widen_for_repair_up(
-                    lp, var_lo[right], need, rules, live[right].rect
-                )
-            lp.add_constraint(var_lo[right], var_hi[left], rules.min_spacing)
+            x = np.array(solution.x, dtype=np.int64)
+            self._write(fills[rows], x[0::2], x[1::2], lo_all, hi_all, moved)
+        return moved
 
-    if trivial and lp.num_constraints == len(live):
-        # Every cost pair is (positive, negative) — each x_lo's unique
-        # optimum is its lower bound (the current left edge) and each
-        # x_hi's its upper bound (the current right edge) — and with no
-        # spacing constraints every component is one fill whose width
-        # constraint already holds at those bounds.  The solver would
-        # return the current coordinates verbatim; skip it.
-        return False
+    def _write(
+        self,
+        fills: np.ndarray,
+        new_lo: np.ndarray,
+        new_hi: np.ndarray,
+        lo_all: np.ndarray,
+        hi_all: np.ndarray,
+        moved: np.ndarray,
+    ) -> None:
+        """Store a pass's solution and mark the windows it moved."""
+        changed = (new_lo != lo_all[fills]) | (new_hi != hi_all[fills])
+        moved[self.win[fills[changed]]] = True
+        lo_all[fills] = new_lo
+        hi_all[fills] = new_hi
 
-    stats.lp_solves += 1
-    stats.variables += lp.num_variables
-    stats.constraints += lp.num_constraints
-    obs.metrics.counter("sizing.lp_solves").inc()
-    obs.metrics.histogram("sizing.lp.variables").observe(lp.num_variables)
-    obs.metrics.histogram("sizing.lp.constraints").observe(lp.num_constraints)
-    try:
-        solution = solve(lp)
-    except LPInfeasibleError:
-        # Extremely rare residue of diagonal pairs; keep current sizes —
-        # the vertical pass or the final cleanup resolves the conflict.
-        return False
-    x = list(solution.x)
-    changed = False
-    for k, f in enumerate(live):
-        r = f.rect
-        new_xl = x[var_lo[k]]
-        new_xh = x[var_hi[k]]
-        if new_xl != r.xl or new_xh != r.xh:
-            f.rect = Rect(new_xl, r.yl, new_xh, r.yh)
-            changed = True
-    return changed
+    # ------------------------------------------------------------------
+    # the whole run
+    # ------------------------------------------------------------------
+    def size(self, stats: SizingStats) -> List[Dict[int, List[Rect]]]:
+        """Run the passes and the cleanup; returns each window's fills."""
+        stats.dropped_fills += self.dropped
+        active = np.bincount(self.win[self.live], minlength=self.nwin) > 0
+        for _ in range(self.config.sizing_iterations):
+            if not active.any():
+                break
+            moved = self._pass(0, active, stats)
+            moved |= self._pass(1, active, stats)
+            active &= moved
 
+        # Post-sizing cull: where a layer still exceeds its target (the λ
+        # over-generation margin of Alg. 1), deleting whole small fills both
+        # closes the density gap and removes GDSII boundary records — the
+        # file-size objective of Eqn. (3) at zero density cost.  Smallest
+        # first (a stable sort: ties in fill order), while the area culled
+        # so far stays within the excess.  Partial sums are exact int64,
+        # so this is the running-excess loop's test exactly.
+        width = self.xh - self.xl
+        height = self.yh - self.yl
+        area = width * height
+        live = np.flatnonzero(self.alive)
+        live = live[np.lexsort((area[live], self.grp[live]))]
+        grp, fill_area = self.grp[live], area[live]
+        excess = np.bincount(grp, fill_area, len(self.target)) - self.target
+        running = np.cumsum(fill_area)
+        first = np.searchsorted(grp, grp, "left")
+        running -= running[first] - fill_area[first]
+        cull = live[running <= excess[grp]]
+        self.alive[cull] = False
 
-def _widen_for_repair(
-    lp: DifferentialLP, var_hi: int, need: int, rules: DrcRules, rect: Rect
-) -> None:
-    """Lower the trust bound of a left fill's right edge by ``need``."""
-    min_w = rules.min_width_for_height(rect.height)
-    lp.lowers[var_hi] = min(lp.lowers[var_hi], max(rect.xl + min_w, rect.xh - need))
+        # Final cleanup: defensive legality filter, then a spacing sweep
+        # that drops the smaller fill of any pair the passes left
+        # unresolved (possible only for diagonal pairs neither axis could
+        # repair within the iteration budget).
+        rules = self.rules
+        illegal = self.alive & ~(
+            (width >= rules.min_width)
+            & (height >= rules.min_width)
+            & (area >= rules.min_area)
+            & (width <= rules.max_fill_width)
+            & (height <= rules.max_fill_height)
+        )
+        self.alive[illegal] = False
+        stats.dropped_fills += len(cull) + int(illegal.sum())
+        for a, b in zip(self.pair_lo.tolist(), self.pair_hi.tolist()):
+            if not (self.alive[a] and self.alive[b]):
+                continue
+            ra, rb = self._rect(a), self._rect(b)
+            if ra.euclidean_gap(rb) < rules.min_spacing:
+                self.alive[a if ra.area <= rb.area else b] = False
+                stats.dropped_fills += 1
 
-
-def _widen_for_repair_up(
-    lp: DifferentialLP, var_lo: int, need: int, rules: DrcRules, rect: Rect
-) -> None:
-    """Raise the trust bound of a right fill's left edge by ``need``."""
-    min_w = rules.min_width_for_height(rect.height)
-    lp.uppers[var_lo] = max(lp.uppers[var_lo], min(rect.xh - min_w, rect.xl + need))
+        out: List[Dict[int, List[Rect]]] = [
+            {layer: [] for layer in keys} for keys in self.layer_keys
+        ]
+        kept = np.flatnonzero(self.alive)
+        # A fill that never moved is its candidate rect; the moved ones
+        # share one int object per distinct coordinate.
+        rects = [self._candidates[k] for k in kept.tolist()]
+        box = np.column_stack((self.xl, self.yl, self.xh, self.yh))[kept]
+        shrunk = np.flatnonzero((box != self._start[kept]).any(axis=1))
+        values, index = np.unique(box[shrunk], return_inverse=True)
+        values = values.tolist()
+        for pos, (a, b, c, d) in zip(shrunk.tolist(), index.reshape(-1, 4).tolist()):
+            rects[pos] = Rect(values[a], values[b], values[c], values[d])
+        for w, layer, rect in zip(
+            self.win[kept].tolist(), self.layer[kept].tolist(), rects
+        ):
+            out[w][layer].append(rect)
+        return out
 
 
 # ----------------------------------------------------------------------
-# window-level driver
+# entry points
 # ----------------------------------------------------------------------
 def size_window(
     window: Rect,
@@ -445,8 +626,9 @@ def size_window(
 ) -> Tuple[Dict[int, List[Rect]], SizingStats]:
     """Size the candidate fills of one window (Eqn. (9) relaxation).
 
-    ``wires_nearby`` maps each layer to its wire rectangles clipped
-    around the window (used for cross-layer overlay);
+    ``wires_nearby`` maps each layer to its wire rectangles around the
+    window (used for cross-layer overlay: a fill on layer ``l`` is
+    priced against the wires of layers ``l ± 1``);
     ``target_fill_area`` maps each layer to the fill area (dbu²) the
     density plan asks of this window — ``dt(l) · aw`` of Eqn. (9b).
     Returns the final fills per layer plus solver statistics.
@@ -454,192 +636,16 @@ def size_window(
     if config is None:
         config = FillConfig()
     stats = SizingStats(windows=1)
-    fills: List[_Fill] = [
-        _Fill(layer, rect)
-        for layer, rects in sorted(candidates.items())
-        for rect in rects
-    ]
-    # The live-fill list is stable across all passes (fills die only in
-    # pre-legalisation here and in the post-pass cull below), so the
-    # close-pair positions stay valid for the whole iteration loop.
-    dropped, close_pairs = _prelegalize_and_pairs(fills, rules)
-    stats.dropped_fills += dropped
-    live0 = [f for f in fills if f.alive]
-    solve = _solver_fn(config.solver)
-    layer_numbers = sorted(candidates.keys())
-
-    # Cross-layer neighbor *wires*, frozen for the whole window: packed
-    # into coordinate arrays once per axis and reused by every pass.
-    # Each Eqn. (9c) overlay term ov(l, l+1) must be priced exactly
-    # once: fill-vs-wire overlay is charged to the fill's own layer,
-    # while fill-vs-fill overlay is charged to the even layer of the
-    # pair only (the layer whose candidates Alg. 1 chose against the
-    # odd layers).  Charging both sides would double η and make
-    # stacked layers shrink-chase each other.
-    wire_arrays_by_axis: Dict[str, Dict[int, Tuple[np.ndarray, ...]]] = {}
-    for axis in ("x", "y"):
-        per_layer: Dict[int, Tuple[np.ndarray, ...]] = {}
-        for l in layer_numbers:
-            wires: List[Rect] = []
-            for adj in (l - 1, l + 1):
-                if adj in candidates or adj in wires_nearby:
-                    wires.extend(wires_nearby.get(adj, ()))
-            if axis == "y":
-                wires = [_transpose(w) for w in wires]
-            per_layer[l] = _pack_rects(wires)
-        wire_arrays_by_axis[axis] = per_layer
-
-    for _ in range(config.sizing_iterations):
-        iteration_changed = False
-        for axis in ("x", "y"):
-            live = [f for f in fills if f.alive]
-            if not live:
-                break
-            if axis == "y":
-                for f in live:
-                    f.rect = _transpose(f.rect)
-            # One bucketing scan over the live fills feeds both the
-            # per-layer area/height totals and (for even layers) the
-            # adjacent layers' fill rects for the overlay slopes.
-            # Summation order per layer is the live order, exactly as
-            # the per-layer generator sums produced.
-            rects_by_layer: Dict[int, List[Rect]] = {}
-            area_sum: Dict[int, int] = {}
-            h_sum: Dict[int, int] = {}
-            for f in live:
-                r = f.rect
-                rects_by_layer.setdefault(f.layer, []).append(r)
-                area_sum[f.layer] = area_sum.get(f.layer, 0) + r.area
-                h_sum[f.layer] = h_sum.get(f.layer, 0) + 2 * r.height
-            # A layer's live fills exist only when that layer has
-            # candidates, so the adjacency guard of the wire gathering
-            # above is vacuous here.
-            fill_neighbors: Dict[int, List[Rect]] = {
-                l: list(rects_by_layer.get(l - 1, ()))
-                + list(rects_by_layer.get(l + 1, ()))
-                for l in layer_numbers
-                if l % 2 == 0
-            }
-            excess: Dict[int, float] = {}
-            height_sum: Dict[int, int] = {}
-            for l in layer_numbers:
-                excess[l] = area_sum.get(l, 0) - float(
-                    target_fill_area.get(l, 0.0)
-                )
-                height_sum[l] = h_sum.get(l, 0)
-            iteration_changed |= _horizontal_pass(
-                fills,
-                wire_arrays_by_axis[axis],
-                fill_neighbors,
-                close_pairs,
-                excess,
-                height_sum,
-                rules,
-                config,
-                solve,
-                stats,
-            )
-            if axis == "y":
-                for f in fills:
-                    if f.alive:
-                        f.rect = _transpose(f.rect)
-        # A full x+y round that moved nothing is a fixed point: every
-        # remaining round would rebuild the identical LPs and return
-        # the identical no-op solutions.  Skip them.
-        if not iteration_changed:
-            break
-
-    # Post-sizing cull: where a layer still exceeds its target (the λ
-    # over-generation margin of Alg. 1), deleting whole small fills both
-    # closes the density gap and removes GDSII boundary records — the
-    # file-size objective of Eqn. (3) at zero density cost.
-    for l in layer_numbers:
-        live = sorted(
-            (f for f in fills if f.alive and f.layer == l),
-            key=lambda f: f.rect.area,
-        )
-        excess = sum(f.rect.area for f in live) - float(
-            target_fill_area.get(l, 0.0)
-        )
-        for f in live:
-            if f.rect.area > excess:
-                break
-            f.alive = False
-            excess -= f.rect.area
-            stats.dropped_fills += 1
-
-    # Final cleanup: defensive legality filter, then a spacing sweep
-    # that drops the smaller fill of any pair the passes left
-    # unresolved (possible only for diagonal pairs neither axis could
-    # repair within the iteration budget).
-    for f in fills:
-        if f.alive and not rules.is_legal_fill(f.rect):
-            f.alive = False
-            stats.dropped_fills += 1
-    stats.dropped_fills += _strict_sweep_pairs(live0, close_pairs, rules)
-    result: Dict[int, List[Rect]] = {l: [] for l in layer_numbers}
-    for f in fills:
-        if f.alive:
-            result[f.layer].append(f.rect)
-    return result, stats
-
-
-def _strict_sweep_pairs(
-    live0: Sequence[_Fill],
-    close_pairs: Mapping[int, Sequence[Tuple[int, int]]],
-    rules: DrcRules,
-) -> int:
-    """:func:`_prelegalize_strict` replayed over the close-pair lists.
-
-    Gaps only grow, so the still-close pairs at the end of sizing are a
-    subset of the pairs collected up front; visiting them in list order
-    reproduces the index scan's first-visit order (and hence the same
-    victim cascade) without rebuilding any spatial index.
-    """
-    dropped = 0
-    sm = rules.min_spacing
-    for pairs in close_pairs.values():
-        for a, b in pairs:
-            f = live0[a]
-            other = live0[b]
-            if not f.alive or not other.alive:
-                continue
-            if f.rect.euclidean_gap(other.rect) < sm:
-                victim = f if f.rect.area <= other.rect.area else other
-                victim.alive = False
-                dropped += 1
-    return dropped
-
-
-def _prelegalize_strict(fills: List[_Fill], rules: DrcRules) -> int:
-    """Drop the smaller fill of every remaining close pair.
-
-    The index-scan oracle for :func:`_strict_sweep_pairs` (kept for the
-    equivalence tests; the sizing path replays the precomputed pair
-    lists instead of rebuilding an index here).
-    """
-    dropped = 0
-    by_layer: Dict[int, List[_Fill]] = {}
-    for f in fills:
-        if f.alive:
-            by_layer.setdefault(f.layer, []).append(f)
-    for layer_fills in by_layer.values():
-        index: GridIndex[_Fill] = GridIndex(
-            max(64, rules.max_fill_width + rules.min_spacing)
-        )
-        for f in layer_fills:
-            index.insert(f.rect, f)
-        for f in layer_fills:
-            if not f.alive:
-                continue
-            for rect, other in index.query_within(f.rect, rules.min_spacing):
-                if other is f or not other.alive or not f.alive:
-                    continue
-                if f.rect.euclidean_gap(other.rect) < rules.min_spacing:
-                    victim = f if f.rect.area <= other.rect.area else other
-                    victim.alive = False
-                    dropped += 1
-    return dropped
+    everywhere = np.iinfo(np.int64)
+    batch = _Batch(
+        [candidates],
+        [target_fill_area],
+        wires_nearby,
+        (np.array([everywhere.min]), np.array([everywhere.max])),
+        rules,
+        config,
+    )
+    return batch.size(stats)[0], stats
 
 
 def size_fills(
@@ -655,12 +661,13 @@ def size_fills(
 
     ``target_fill_area`` maps each layer to a ``(cols, rows)`` array of
     the fill area each window should keep — ``dt(l)·aw`` of Eqn. (9b).
-    Windows are independent problems (the paper sizes per window),
-    processed in grid order, which is also the order of the result: a
-    window whose candidates are all empty maps to empty per-layer lists.
-    The per-layer wire indexes answer each window's "wires near this
-    window" query; ``wire_indexes`` supplies prebuilt ones, as for
-    :func:`repro.core.generate_candidates`.
+    Windows are independent problems (the paper sizes per window); the
+    windows of one grid column are sized as one batch, and the result
+    is in grid order: a window whose candidates are all empty maps to
+    empty per-layer lists.  A window sees the wires within the sizing
+    margin of it; each column takes its wires with one query per layer
+    of the wire indexes (``wire_indexes`` supplies prebuilt ones, as
+    for :func:`repro.core.generate_candidates`).
     """
     if config is None:
         config = FillConfig()
@@ -671,23 +678,37 @@ def size_fills(
     indexes = _wire_indexes_for(layout, wire_indexes)
     numbers = layout.layer_numbers
     total = SizingStats()
-    result: Dict[WindowKey, Dict[int, List[Rect]]] = {}
+    columns: Dict[int, List[Tuple[WindowKey, Rect, Mapping[int, Sequence[Rect]]]]] = {}
     for i, j, window in grid:
-        key = (i, j)
-        cands = candidates.get(key)
-        if cands is None:
-            continue
-        if not any(cands.values()):
-            result[key] = {l: [] for l in cands}
-            continue
-        obs.metrics.counter("sizing.windows").inc()
-        wires_nearby = {
-            n: [r for r, _ in indexes[n].query_within(window, margin)] for n in numbers
-        }
-        targets = {n: float(area[i, j]) for n, area in target_fill_area.items()}
-        result[key], stats = size_window(
-            window, cands, wires_nearby, targets, rules, config
-        )
-        total.merge(stats)
+        cands = candidates.get((i, j))
+        if cands is not None:
+            columns.setdefault(i, []).append(((i, j), window, cands))
+    result: Dict[WindowKey, Dict[int, List[Rect]]] = {}
+    for column in columns.values():
+        busy = [entry for entry in column if any(entry[2].values())]
+        sized: Dict[WindowKey, Dict[int, List[Rect]]] = {}
+        if busy:
+            obs.metrics.counter("sizing.windows").inc(len(busy))
+            total.windows += len(busy)
+            frame = Rect(
+                busy[0][1].xl, busy[0][1].yl, busy[-1][1].xh, busy[-1][1].yh
+            ).expanded(margin)
+            batch = _Batch(
+                [cands for _, _, cands in busy],
+                [
+                    {n: float(area[key]) for n, area in target_fill_area.items()}
+                    for key, _, _ in busy
+                ],
+                {n: [r for r, _ in indexes[n].query(frame)] for n in numbers},
+                (
+                    np.array([w.yl - margin for _, w, _ in busy], dtype=np.int64),
+                    np.array([w.yh + margin for _, w, _ in busy], dtype=np.int64),
+                ),
+                rules,
+                config,
+            )
+            sized = dict(zip((key for key, _, _ in busy), batch.size(total)))
+        for key, _, cands in column:
+            result[key] = sized[key] if key in sized else {layer: [] for layer in cands}
     obs.metrics.counter("sizing.dropped_fills").inc(total.dropped_fills)
     return result, total

@@ -5,6 +5,7 @@ from .dualmcf import (
     DifferentialLP,
     DualMcfSolution,
     LPInfeasibleError,
+    PairLP,
     solve_dual_mcf,
 )
 from .graph import (
@@ -26,6 +27,7 @@ __all__ = [
     "DifferentialLP",
     "DualMcfSolution",
     "LPInfeasibleError",
+    "PairLP",
     "solve_dual_mcf",
     "solve_linprog",
 ]

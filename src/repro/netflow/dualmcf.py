@@ -29,7 +29,9 @@ uncapacitated cycle in the flow network and is reported as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from .. import obs
 from .graph import FlowNetwork, InfeasibleFlowError, UnboundedFlowError
@@ -39,6 +41,7 @@ __all__ = [
     "DifferentialLP",
     "DualMcfSolution",
     "LPInfeasibleError",
+    "PairLP",
     "solve_dual_mcf",
 ]
 
@@ -127,10 +130,46 @@ class DifferentialLP:
 
 
 @dataclass(frozen=True)
-class DualMcfSolution:
-    """Optimal solution of a :class:`DifferentialLP` via dual MCF."""
+class PairLP:
+    """Independent one-fill LPs as int64 arrays — the sizing passes' batch.
 
-    x: List[int]
+    Row ``k`` is the two-variable LP
+
+        min  a_k x0 + b_k x1
+        s.t. x1 − x0 >= w_k,  l0_k <= x0 <= u0_k,  l1_k <= x1 <= u1_k,
+
+    one fill's (left edge, right edge) pair under its Eqn. (12) width
+    constraint.  As a :class:`DifferentialLP` it is the LP with
+    variables ``2k``, ``2k + 1`` and constraints ``(2k + 1, 2k, w_k)``;
+    :func:`solve_dual_mcf` returns its optimum in that interleaved
+    variable order.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    l0: np.ndarray
+    u0: np.ndarray
+    l1: np.ndarray
+    u1: np.ndarray
+    w: np.ndarray
+
+    @property
+    def num_variables(self) -> int:
+        return 2 * len(self.a)
+
+    @property
+    def num_constraints(self) -> int:
+        return len(self.a)
+
+
+@dataclass(frozen=True)
+class DualMcfSolution:
+    """Optimal solution of a :class:`DifferentialLP` via dual MCF.
+
+    ``x`` is a list, or an int64 array for a :class:`PairLP`.
+    """
+
+    x: Union[List[int], np.ndarray]
     objective: int
     flow_cost: int
 
@@ -138,7 +177,9 @@ class DualMcfSolution:
         return iter(self.x)
 
 
-def solve_dual_mcf(lp: DifferentialLP, *, decompose: bool = True) -> DualMcfSolution:
+def solve_dual_mcf(
+    lp: Union[DifferentialLP, PairLP], *, decompose: bool = True
+) -> DualMcfSolution:
     """Solve Eqn. (14) exactly through the Eqn. (15)/(16) dual MCF.
 
     The flow engine is successive shortest paths
@@ -146,11 +187,23 @@ def solve_dual_mcf(lp: DifferentialLP, *, decompose: bool = True) -> DualMcfSolu
 
     With ``decompose=True`` (default) the LP is first split into the
     connected components of its constraint graph, each solved on its
-    own anchor node.  Fill-sizing LPs decompose into thousands of
-    two-variable components plus a few spacing-coupled chains, so this
-    is a large constant-factor win at identical optima; pass
-    ``decompose=False`` to benchmark the monolithic transformation.
+    own anchor node.  Every one-fill component (a :class:`PairLP` row)
+    has a closed form, and all of them are solved in one vectorized
+    call (:func:`_solve_pairs`); the other components go through SSP.
+    A :class:`PairLP` is all such components and never builds a flow
+    network.  Pass ``decompose=False`` to benchmark the monolithic
+    transformation.
     """
+    if isinstance(lp, PairLP):
+        obs.metrics.counter("netflow.dual_mcf.solves").inc()
+        obs.metrics.histogram("netflow.dual_mcf.components").observe(len(lp.a))
+        x0, x1 = _solve_pairs(lp)
+        objective = int(np.dot(lp.a, x0) + np.dot(lp.b, x1))
+        return DualMcfSolution(
+            x=np.column_stack((x0, x1)).ravel(),
+            objective=objective,
+            flow_cost=-objective,
+        )
     if lp.num_variables == 0:
         return DualMcfSolution(x=[], objective=0, flow_cost=0)
     if decompose:
@@ -160,23 +213,37 @@ def solve_dual_mcf(lp: DifferentialLP, *, decompose: bool = True) -> DualMcfSolu
         if len(split) > 1:
             x: List[int] = [0] * lp.num_variables
             total_obj = 0
-            total_cost = 0
+            pairs = [
+                (members, cons[0][2])
+                for members, cons in split
+                if _is_width_pair(members, cons)
+            ]
+            if pairs:
+                lo_v, hi_v = np.array([members for members, _ in pairs]).T
+                costs, lowers, uppers = (
+                    np.array(column, dtype=np.int64)
+                    for column in (lp.costs, lp.lowers, lp.uppers)
+                )
+                batch = PairLP(
+                    costs[lo_v], costs[hi_v], lowers[lo_v], uppers[lo_v],
+                    lowers[hi_v], uppers[hi_v],
+                    np.array([w for _, w in pairs], dtype=np.int64),
+                )
+                x0, x1 = _solve_pairs(batch)
+                for v, value in zip(
+                    lo_v.tolist() + hi_v.tolist(), x0.tolist() + x1.tolist()
+                ):
+                    x[v] = value
+                total_obj += int(np.dot(batch.a, x0) + np.dot(batch.b, x1))
             for members, cons in split:
-                fx = _solve_small(lp, members, cons)
-                if fx is not None:
-                    for v, value in zip(members, fx):
-                        x[v] = value
-                        part = lp.costs[v] * value
-                        total_obj += part
-                        total_cost -= part
+                if _is_width_pair(members, cons):
                     continue
                 sub, back = _sub_lp(lp, members, cons)
                 sol = solve_dual_mcf(sub, decompose=False)
                 for local, value in enumerate(sol.x):
                     x[back[local]] = value
                 total_obj += sol.objective
-                total_cost += sol.flow_cost
-            return DualMcfSolution(x=x, objective=total_obj, flow_cost=total_cost)
+            return DualMcfSolution(x=x, objective=total_obj, flow_cost=-total_obj)
     net = lp.to_flow_network()
     try:
         result = solve_min_cost_flow(net)
@@ -218,17 +285,7 @@ def _component_split(
     constraint count).  Bucket order preserves the original constraint
     order, keeping the sub-LPs identical to a filtered scan.
     """
-    n = lp.num_variables
-    cons = lp.constraints
-    # The dominant sizing-pass shape: only the per-fill width
-    # constraints (x_hi - x_lo over consecutive variable pairs), no
-    # cross-fill spacing links.  The components are then exactly the
-    # variable pairs in order — union-find would derive the same split.
-    if 2 * len(cons) == n and all(
-        c[0] == 2 * k + 1 and c[1] == 2 * k for k, c in enumerate(cons)
-    ):
-        return [([2 * k, 2 * k + 1], [c]) for k, c in enumerate(cons)]
-    parent = list(range(n))
+    parent = list(range(lp.num_variables))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -265,17 +322,20 @@ def _sub_lp(
     return sub, members
 
 
+
+
 # ----------------------------------------------------------------------
-# fast paths for the dominant component shapes of the sizing LPs
+# the one-fill components in closed form
 # ----------------------------------------------------------------------
-# A fill-sizing pass decomposes into thousands of tiny components: one
-# isolated variable, or the (x_lo, x_hi) pair of a single fill coupled
-# only by its width constraint x_hi - x_lo >= w.  Both have closed-form
-# optima.  Where the LP has several, the closed forms pick the one the
-# generic route returns: SSP starts from zero potentials, so its choice
-# among tied optima depends on where the origin lies.  Keeping that
-# choice keeps every sized fill, and so every output byte, identical
-# whichever route solves a component.
+# A fill-sizing pass decomposes into one component per fill: the
+# (x_lo, x_hi) pair coupled only by its width constraint
+# x_hi - x_lo >= w, plus a few chains where Eqn. (13) spacing
+# constraints link fills.  The pair has a closed-form optimum.  Where
+# it has several, the closed form picks the one the generic route
+# returns: SSP starts from zero potentials, so its choice among tied
+# optima depends on where the origin lies.  Keeping that choice keeps
+# every sized fill, and so every output byte, identical whichever route
+# solves a component.
 _INFEASIBLE_CYCLE_MSG = (
     "differential constraint system is infeasible: negative-cost cycle: "
     "the min-cost flow is unbounded "
@@ -283,91 +343,68 @@ _INFEASIBLE_CYCLE_MSG = (
 )
 
 
-def _clamp(v: int, lo: int, hi: int) -> int:
-    return min(max(v, lo), hi)
+def _is_width_pair(members: List[int], cons: List[Tuple[int, int, int]]) -> bool:
+    """Is the component one ``x_hi − x_lo >= w`` pair (``x_lo`` first)?
+
+    The closed form reads the constraint in that direction; a reversed
+    pair takes the generic route.
+    """
+    return len(members) == 2 and len(cons) == 1 and cons[0][:2] == (members[1], members[0])
 
 
-def _solve_pair(
-    a: int, b: int, l0: int, u0: int, l1: int, u1: int, w: int
-) -> Tuple[int, int]:
-    """min a*x0 + b*x1 s.t. x1 - x0 >= w, boxes — the optimum SSP returns.
+def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(v, lo), hi)
 
-    Where the optimum is unique this is plain LP reasoning.  Where it is
-    not, the rules pick SSP's choice:
+
+def _solve_pairs(lp: PairLP) -> Tuple[np.ndarray, np.ndarray]:
+    """The optimum SSP returns for every row of ``lp``, as ``(x0, x1)``.
+
+    Where a row's optimum is unique this is plain LP reasoning.  Where
+    it is not, the rules pick SSP's choice:
 
     * a zero-cost variable takes the value nearest ``max(0, other)``
       its feasible range allows;
     * on the tie ``a + b = 0`` with ``a < 0``, every ``x0`` from
-      ``max(l0, l1 - w)`` to ``hi0`` is optimal, and SSP takes the one
+      ``max(l0, l1 − w)`` to ``hi0`` is optimal, and SSP takes the one
       with the smallest ``|x0| + |x1|``, then the smallest ``x0``;
     * with no costs at all SSP never augments and returns its
       Bellman-Ford start potentials.
+
+    Raises :class:`LPInfeasibleError` when any row has ``u1 < l0 + w``
+    (the only possible negative cycle of a pair network:
+    ``y0 -> y2 -> y1 -> y0`` with cost ``u1 − w − l0``).
     """
-    if u1 < l0 + w:
-        # The only possible negative cycle of the pair network:
-        # y0 -> y2 -> y1 -> y0 with cost u1 - w - l0.
+    a, b, l0, u0, l1, u1, w = lp.a, lp.b, lp.l0, lp.u0, lp.l1, lp.u1, lp.w
+    if (u1 < l0 + w).any():
         raise LPInfeasibleError(_INFEASIBLE_CYCLE_MSG)
-    if a == 0 and b == 0:
-        p0 = min(0, -l0, -l1, -l0 - w)
-        p2 = min(0, p0 + u1)
-        p1 = min(0, p0 + u0, p2 - w)
-        return p1 - p0, p2 - p0
-    if a == 0:
-        x1 = u1 if b < 0 else max(l1, l0 + w)
-        return _clamp(max(0, x1), l0, min(u0, x1 - w)), x1
-    hi0 = min(u0, u1 - w)  # top of x0's feasible range
-    if a > 0:
-        x0 = l0
-    elif b <= 0 or a + b < 0:
-        x0 = hi0
-    elif a + b > 0:
-        x0 = _clamp(l1 - w, l0, hi0)
-    else:
-        x0 = _clamp(min(0, -w), max(l0, l1 - w), hi0)
-    if b < 0:
-        return x0, u1
-    if b > 0:
-        return x0, max(l1, x0 + w)
-    return x0, _clamp(max(0, x0), max(l1, x0 + w), u1)
-
-
-def _solve_single(c: int, lower: int, upper: int) -> int:
-    """One unconstrained boxed variable, as the SSP potentials pick it.
-
-    The two-node network routes the whole supply over the lower-bound
-    arc (``c > 0``), the upper-bound arc (``c < 0``), or not at all —
-    with zero cost the Bellman-Ford potentials alone fix x at 0 clamped
-    into the box.
-    """
-    if c > 0:
-        return lower
-    if c < 0:
-        return upper
-    return _clamp(0, lower, upper)
-
-
-def _solve_small(
-    lp: DifferentialLP,
-    members: List[int],
-    cons: List[Tuple[int, int, int]],
-) -> Optional[Tuple[int, ...]]:
-    """Dispatch a component to a fast path, or None for the generic route."""
-    if len(members) == 1 and not cons:
-        v = members[0]
-        return (_solve_single(lp.costs[v], lp.lowers[v], lp.uppers[v]),)
-    if len(members) == 2 and len(cons) == 1:
-        lo_v, hi_v = members
-        i, j, b = cons[0]
-        # The closed form reads the constraint as x_hi - x_lo >= w; a
-        # reversed pair takes the generic route.
-        if i == hi_v and j == lo_v:
-            return _solve_pair(
-                lp.costs[lo_v],
-                lp.costs[hi_v],
-                lp.lowers[lo_v],
-                lp.uppers[lo_v],
-                lp.lowers[hi_v],
-                lp.uppers[hi_v],
-                b,
-            )
-    return None
+    hi0 = np.minimum(u0, u1 - w)  # top of x0's feasible range
+    # a != 0: x0 by the sign pattern, then x1 from x0.
+    x0 = np.where(
+        a > 0,
+        l0,
+        np.where(
+            (b <= 0) | (a + b < 0),
+            hi0,
+            np.where(
+                a + b > 0,
+                _clamp(l1 - w, l0, hi0),
+                _clamp(np.minimum(0, -w), np.maximum(l0, l1 - w), hi0),
+            ),
+        ),
+    )
+    floor1 = np.maximum(l1, x0 + w)
+    x1 = np.where(
+        b < 0, u1, np.where(b > 0, floor1, _clamp(np.maximum(0, x0), floor1, u1))
+    )
+    # a == 0 < |b|: x1 by the sign of b, x0 free.
+    x1_b = np.where(b < 0, u1, np.maximum(l1, l0 + w))
+    x0_b = _clamp(np.maximum(0, x1_b), l0, np.minimum(u0, x1_b - w))
+    # a == b == 0: the Bellman-Ford potentials of the pair network.
+    p0 = np.minimum(np.minimum(0, -l0), np.minimum(-l1, -l0 - w))
+    p2 = np.minimum(0, p0 + u1)
+    p1 = np.minimum(np.minimum(0, p0 + u0), p2 - w)
+    free = a == 0
+    idle = free & (b == 0)
+    x0 = np.where(idle, p1 - p0, np.where(free, x0_b, x0))
+    x1 = np.where(idle, p2 - p0, np.where(free, x1_b, x1))
+    return x0, x1

@@ -1,19 +1,23 @@
-"""Equivalence tests: sizing-pass fast paths vs their scalar oracles.
+"""Equivalence tests inside the scalar sizing oracle.
 
-The sizing hot path replaces three per-pass scans with precomputed or
-vectorized forms — close pairs collected once at prelegalize time and
-replayed, overlay slopes computed as one coordinate matrix per layer,
-and the final strict sweep run off the pair lists instead of a fresh
-spatial index.  Each oracle stays in the tree; these tests drive both
-forms over randomized fill sets and require identical output, which is
-the invariant the byte-identical-GDSII CI gate rests on.
+The scalar sizing path (``tests/core/sizing_oracle.py``, the oracle of
+the library's column batches) replaces three per-pass scans with
+precomputed or vectorized forms — close pairs collected once at
+prelegalize time and replayed, overlay slopes computed as one
+coordinate matrix per layer, and the final strict sweep run off the
+pair lists instead of a fresh spatial index.  These tests drive both
+forms over randomized fill sets and require identical output, so the
+oracle itself rests on the plain index scans.
 """
 
 import random
 
 import pytest
 
-from repro.core.sizing import (
+from repro.geometry import Rect
+from repro.layout import DrcRules
+
+from .sizing_oracle import (
     _batch_overlay_slopes,
     _Fill,
     _overlay_slopes,
@@ -23,8 +27,6 @@ from repro.core.sizing import (
     _strict_sweep_pairs,
     _transpose,
 )
-from repro.geometry import Rect
-from repro.layout import DrcRules
 
 RULES = DrcRules(
     min_spacing=10, min_width=10, min_area=200, max_fill_width=100, max_fill_height=100
@@ -90,7 +92,7 @@ class TestClosePairCollection:
     def test_dropped_matches_oracle_wrapper(self):
         # _prelegalize is the wrapper; the merged scan must report the
         # same drop count it always did.
-        from repro.core.sizing import _prelegalize
+        from .sizing_oracle import _prelegalize
 
         fills = random_fills(7, n=80, span=500)  # dense: forces drops
         twin = [_Fill(f.layer, f.rect) for f in fills]

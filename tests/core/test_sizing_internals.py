@@ -1,17 +1,15 @@
-"""Unit tests for sizing-pass internals: slopes, repair bounds, culling."""
+"""Unit tests for the scalar sizing oracle's internals: slopes, repair bounds, culling."""
 
-import pytest
+from repro.geometry import Rect
+from repro.layout import DrcRules
 
-from repro.core import FillConfig
-from repro.core.sizing import (
+from .sizing_oracle import (
     _achievable_gap_x,
     _Fill,
     _overlay_slopes,
     _prelegalize,
     _transpose,
 )
-from repro.geometry import Rect
-from repro.layout import DrcRules
 
 RULES = DrcRules(
     min_spacing=10, min_width=10, min_area=200, max_fill_width=100, max_fill_height=100

@@ -19,7 +19,9 @@ from repro.core import FillConfig, sizing
 from repro.core.sizing import size_window
 from repro.geometry import Rect
 from repro.layout import DrcRules, check_fills
-from repro.netflow import LPInfeasibleError, solve_dual_mcf, solve_linprog
+from repro.netflow import LPInfeasibleError, PairLP, solve_dual_mcf, solve_linprog
+
+from ..netflow.pair_oracle import as_differential
 
 RULES = DrcRules(
     min_spacing=10,
@@ -77,18 +79,24 @@ SOLVERS = {"mcf-ssp": solve_dual_mcf, "lp": solve_linprog}
 
 
 def _optimum(solve, lp):
+    program = as_differential(lp) if isinstance(lp, PairLP) else lp
     try:
-        return lp.objective(solve(lp).x)
+        return program.objective(list(solve(program).x))
     except LPInfeasibleError:
         return None
 
 
-def _recording_solver(name, optima):
-    """The ``name`` pass solver, recording each LP's optimum under both backends."""
+def _recording(backend, optima):
+    """``backend``, recording each LP's optimum under both backends.
+
+    The dual-MCF entry point also receives the closed-form batches of
+    one-fill LPs (a :class:`PairLP`); the LP backend solves each as the
+    equivalent :class:`~repro.netflow.DifferentialLP`.
+    """
 
     def solve(lp):
-        optima.append(tuple(_optimum(backend, lp) for backend in SOLVERS.values()))
-        return SOLVERS[name](lp)
+        optima.append(tuple(_optimum(other, lp) for other in SOLVERS.values()))
+        return backend(lp)
 
     return solve
 
@@ -158,7 +166,9 @@ class TestSizingInvariants:
         for name in SOLVERS:
             optima = []
             with mock.patch.object(
-                sizing, "_solver_fn", lambda solver: _recording_solver(solver, optima)
+                sizing, "solve_dual_mcf", _recording(solve_dual_mcf, optima)
+            ), mock.patch.object(
+                sizing, "solve_linprog", _recording(solve_linprog, optima)
             ):
                 size_window(
                     WINDOW, candidates, wires, targets, RULES, FillConfig(solver=name)

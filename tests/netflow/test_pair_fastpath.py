@@ -1,14 +1,17 @@
-"""The sizing-shape fast paths of the dual-MCF solver vs the generic route.
+"""The one-fill closed form of the dual-MCF solver vs its oracles.
 
-``_solve_single`` / ``_solve_pair`` are closed forms of the one-variable
-and one-fill LPs.  Where such an LP has several optima they promise the
-one the generic successive-shortest-path engine returns — the identical
-integer vector, not merely another optimum.  These tests pin every
-branch of the pair closed form, then compare both fast paths with
-``solve_dual_mcf(..., decompose=False)``, which never enters them, on an
-exhaustive small grid and on wide random instances.
-``_component_split``'s pattern shortcut for the width-constraints-only
-LP is checked against the union-find route the same way.
+``_solve_single`` / ``_solve_pair`` (``tests/netflow/pair_oracle.py``)
+are the scalar closed forms of the one-variable and one-fill LPs.
+Where such an LP has several optima they promise the one the generic
+successive-shortest-path engine returns — the identical integer vector,
+not merely another optimum.  These tests pin every branch of the pair
+closed form, compare both scalar forms with
+``solve_dual_mcf(..., decompose=False)``, which never enters a closed
+form, on an exhaustive small grid and on wide random instances, and
+hold the library's vectorized closed form (``_solve_pairs``, reached
+through a :class:`~repro.netflow.PairLP`) to the scalar one on the same
+grid and on random batches.  ``_component_split`` on width-constraint
+LPs is checked against a plain union-find split.
 
 Notation of the branch cases, for ``min a*x0 + b*x1`` subject to
 ``x1 - x0 >= w``, ``l0 <= x0 <= u0`` and ``l1 <= x1 <= u1``:
@@ -20,17 +23,15 @@ x1's.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netflow import DifferentialLP, LPInfeasibleError, solve_dual_mcf
-from repro.netflow.dualmcf import (
-    _component_split,
-    _solve_pair,
-    _solve_single,
-    _solve_small,
-)
+from repro.netflow import DifferentialLP, LPInfeasibleError, PairLP, solve_dual_mcf
+from repro.netflow.dualmcf import _component_split, _is_width_pair, _solve_pairs
+
+from .pair_oracle import _solve_pair, _solve_single, as_differential, solve_components
 
 
 def pair_lp(a, b, l0, u0, l1, u1, w):
@@ -77,6 +78,22 @@ def pair_params(draw):
     return a, b, l0, u0, l1, u1, w
 
 
+def exhaustive_grid():
+    """costs -2..2, bounds -2..2, w -2..3: every sign pattern, every tie
+    and every box overlap small enough to enumerate."""
+    span = range(-2, 3)
+    boxes = [(lo, hi) for lo in span for hi in span if lo <= hi]
+    for a, b in itertools.product(span, repeat=2):
+        for (l0, u0), (l1, u1) in itertools.product(boxes, repeat=2):
+            for w in range(-2, 4):
+                yield a, b, l0, u0, l1, u1, w
+
+
+def batch(rows):
+    """The rows ``(a, b, l0, u0, l1, u1, w)`` as one :class:`PairLP`."""
+    return PairLP(*np.array(rows, dtype=np.int64).reshape(-1, 7).T)
+
+
 class TestSolvePair:
     @given(pair_params())
     @settings(max_examples=500, deadline=None)
@@ -84,15 +101,8 @@ class TestSolvePair:
         assert closed_form(params) == generic(params)
 
     def test_exhaustive_small_grid(self):
-        # costs -2..2, bounds -2..2, w -2..3: every sign pattern, every
-        # tie and every box overlap small enough to enumerate
-        span = range(-2, 3)
-        boxes = [(lo, hi) for lo in span for hi in span if lo <= hi]
-        for a, b in itertools.product(span, repeat=2):
-            for (l0, u0), (l1, u1) in itertools.product(boxes, repeat=2):
-                for w in range(-2, 4):
-                    params = (a, b, l0, u0, l1, u1, w)
-                    assert closed_form(params) == generic(params), params
+        for params in exhaustive_grid():
+            assert closed_form(params) == generic(params), params
 
     def test_infeasible_when_boxes_cannot_satisfy_width(self):
         # u1 < l0 + w: x1 can never clear x0 by w; the message is the
@@ -171,7 +181,7 @@ class TestSolvePair:
         lp.add_variable(3, -20, 20)
         lp.add_constraint(0, 1, 5)
         lp.add_variable(1, 0, 9)
-        assert _solve_small(lp, [0, 1], lp.constraints) is None
+        assert not _is_width_pair([0, 1], lp.constraints)
         assert solve_dual_mcf(lp).x == solve_dual_mcf(lp, decompose=False).x
 
 
@@ -193,6 +203,83 @@ class TestSolveSingle:
         assert _solve_single(0, 3, 9) == 3
         assert _solve_single(0, -9, -3) == -3
         assert _solve_single(0, -3, 9) == 0
+
+
+class TestVectorizedPairs:
+    """``_solve_pairs`` row for row against the scalar ``_solve_pair``."""
+
+    def test_exhaustive_small_grid(self):
+        rows = list(exhaustive_grid())
+        feasible = [r for r in rows if not isinstance(closed_form(r), str)]
+        assert len(feasible) < len(rows)  # the grid has infeasible rows too
+        x0, x1 = _solve_pairs(batch(feasible))
+        assert list(zip(x0.tolist(), x1.tolist())) == [_solve_pair(*r) for r in feasible]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_batches(self, seed):
+        # 2 x 60k rows: wide and narrow coordinates, costs with many
+        # zeros and a + b = 0 ties
+        rng = np.random.default_rng(seed)
+        n = 60_000
+        a = rng.integers(-5000, 5001, n) * (rng.random(n) < 0.8)
+        b = np.where(rng.random(n) < 0.4, -a, rng.integers(-5000, 5001, n))
+        b *= rng.random(n) < 0.85
+        scale = np.where(rng.random(n) < 0.5, 30, 30000)
+        l0, u0 = np.sort(rng.integers(-scale, scale + 1, (2, n)), axis=0)
+        l1, u1 = np.sort(rng.integers(-scale, scale + 1, (2, n)), axis=0)
+        w = np.where(rng.random(n) < 0.5, rng.integers(-60, 61, n), rng.integers(-30000, 30001, n))
+        rows = np.column_stack((a, b, l0, u0, l1, u1, w))
+        feasible = rows[u1 >= l0 + w]
+        assert len(feasible) > n // 2
+        x0, x1 = _solve_pairs(batch(feasible))
+        expected = [_solve_pair(*r) for r in feasible.tolist()]
+        assert list(zip(x0.tolist(), x1.tolist())) == expected
+
+    def test_any_infeasible_row_fails_the_batch(self):
+        rows = [(7, -3, 2, 9, 5, 40, 10), (1, -1, 0, 10, 0, 5, 8)]
+        with pytest.raises(LPInfeasibleError) as info:
+            solve_dual_mcf(batch(rows))
+        assert str(info.value) == generic(rows[1])
+
+    def test_pair_lp_solution_is_interleaved(self):
+        rows = [(7, -3, 2, 9, 5, 40, 10), (0, 0, 3, 9, -5, 20, 4), (-3, 3, -20, 20, 4, 20, 5)]
+        lp = batch(rows)
+        sol = solve_dual_mcf(lp)
+        reference = solve_components(as_differential(lp))
+        assert sol.x.tolist() == reference.x
+        assert sol.objective == reference.objective == as_differential(lp).objective(reference.x)
+        assert (lp.num_variables, lp.num_constraints) == (6, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_general_lp_components_match_scalar_route(self, seed):
+        # pairs (some reversed), spacing chains and lone variables in
+        # one LP: the vectorized pairs plus the generic rest give the
+        # scalar route's vector
+        rng = random.Random(seed)
+
+        def cost():
+            return rng.choice((0, rng.randint(-9, 9)))
+
+        lp = DifferentialLP()
+        for _ in range(40):
+            shape = rng.choice(("pair", "pair", "reversed", "single", "chain"))
+            base = rng.randint(-200, 200)
+            if shape == "single":
+                lp.add_variable(cost(), base, base + rng.randint(0, 30))
+                continue
+            first = lp.add_variable(cost(), base, base + rng.randint(0, 30))
+            second = lp.add_variable(cost(), base + 5, base + rng.randint(20, 60))
+            if shape == "reversed":
+                lp.add_constraint(first, second, -rng.randint(5, 20))
+            else:
+                lp.add_constraint(second, first, rng.randint(-5, 20))
+            if shape == "chain":
+                third = lp.add_variable(cost(), base + 10, base + 90)
+                lp.add_constraint(third, second, rng.randint(0, 10))
+        expected = solve_components(lp)
+        got = solve_dual_mcf(lp)
+        assert got.x == expected.x
+        assert got.objective == expected.objective
 
 
 def width_only_lp(widths):
