@@ -25,11 +25,7 @@ def _candidate_stats(bench, gamma):
     config = FillConfig(gamma=gamma)
     margin = config.effective_margin(layout.rules.min_spacing)
     analysis = analyze_layout(layout, bench.grid, window_margin=margin)
-    plan = plan_targets(
-        analysis,
-        PlannerObjective.from_score_weights(bench.weights),
-        td_step=config.td_step,
-    )
+    plan = plan_targets(analysis, PlannerObjective.from_score_weights(bench.weights))
     cands = generate_candidates(layout, bench.grid, plan, analysis, config)
     overlay = 0
     count = 0

@@ -67,7 +67,7 @@ def _run_case(case, config=None):
     config = config or FillConfig()
     margin = config.effective_margin(RULES.min_spacing)
     analysis = analyze_layout(layout, grid, window_margin=margin)
-    plan = plan_targets(analysis, td_step=config.td_step)
+    plan = plan_targets(analysis)
     cands = generate_candidates(layout, grid, plan, analysis, config)
     per_layer = cands[(1, 0)]  # the test window (window 0 is the driver)
     fill_fill = intersection_area(per_layer.get(1, []), per_layer.get(2, []))

@@ -34,7 +34,7 @@ _COLUMNS = [Column("design", "<8", "Design"), Column("team", "<12", "Team")] + [
 
 def _run(bench_loader, bench_name, team):
     bench = bench_loader(bench_name)
-    entry = run_team(bench, team, trace_memory=True)
+    entry = run_team(bench, team)
     _results.setdefault(bench_name, {})[team] = entry
     return entry
 

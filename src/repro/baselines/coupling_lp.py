@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..core.candidates import grid_candidates
 from ..core.config import FillConfig
-from ..density.analysis import compute_fill_regions, wire_density_map
+from ..density.analysis import analyze_layer, wire_density_map
 from ..geometry import GridIndex, Rect
 from ..layout import DrcRules, Layout, WindowGrid
 
@@ -132,7 +132,7 @@ def coupling_lp_fill(
         for layer in layout.layers:
             density = wire_density_map(layer, grid)
             target = float(density.max())
-            regions = compute_fill_regions(layer, grid, rules, window_margin=margin)
+            regions = analyze_layer(layer, grid, rules, margin).fill_regions
             for i, j, window in grid:
                 aw = grid.window_area(i, j)
                 need = max(0.0, (target - float(density[i, j])) * aw)

@@ -17,7 +17,7 @@ from typing import Optional
 from .. import obs
 from ..core.candidates import grid_candidates
 from ..core.config import FillConfig
-from ..density.analysis import compute_fill_regions
+from ..density.analysis import analyze_layer
 from ..layout import Layout, WindowGrid
 
 __all__ = ["GreedyReport", "greedy_fill"]
@@ -49,9 +49,7 @@ def greedy_fill(
         margin = config.effective_margin(rules.min_spacing)
         num_fills = 0
         for layer in layout.layers:
-            regions = compute_fill_regions(
-                layer, grid, rules, window_margin=margin
-            )
+            regions = analyze_layer(layer, grid, rules, margin).fill_regions
             for i, j, window in grid:
                 cands = grid_candidates(regions[(i, j)], rules)
                 if density_cap is None:

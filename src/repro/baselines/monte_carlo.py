@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from ..density.analysis import compute_fill_regions, wire_density_map
+from ..density.analysis import analyze_layer, wire_density_map
 from ..geometry import Rect
 from ..layout import DrcRules, Layout, WindowGrid
 
@@ -103,7 +103,7 @@ def monte_carlo_fill(
                 if target_density is None
                 else target_density
             )
-            regions = compute_fill_regions(layer, grid, rules, window_margin=margin)
+            regions = analyze_layer(layer, grid, rules, margin).fill_regions
             # Deficit priority queue: (-deficit, window).
             deficit: Dict[Tuple[int, int], float] = {}
             heap: List[Tuple[float, Tuple[int, int]]] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..density.analysis import compute_fill_regions
+from ..density.analysis import analyze_layer
 from ..geometry import Rect, rect_set_intersect
 from ..layout import DrcRules, Layer, WindowGrid
 
@@ -67,7 +67,7 @@ def build_tile_grid(
     """
     if r < 1:
         raise ValueError("tiles-per-window must be at least 1")
-    regions = compute_fill_regions(layer, grid, rules)
+    regions = analyze_layer(layer, grid, rules).fill_regions
     margin = -(-rules.min_spacing // 2)
     tiles: List[Tile] = []
     for i, j, window in grid:

@@ -59,7 +59,8 @@ class ContestEntry:
         return self.card.as_row()
 
 
-#: η used for contest runs.  The paper's η=1 equates one dbu² of overlay
+#: η used for contest runs, and the default of ``repro fill --eta``.
+#: The paper's η=1 equates one dbu² of overlay
 #: with one dbu² of density gap under its own normalisation; under the
 #: calibrated contest β of this suite, density is worth several times
 #: more per unit area, so the engine runs with the contest-tuned value
@@ -104,26 +105,16 @@ TEAMS: Dict[str, Callable[[Layout, WindowGrid, Benchmark], None]] = {
 }
 
 
-def run_team(
-    benchmark: Benchmark,
-    team: str,
-    *,
-    trace_memory: bool = True,
-    precise_memory: bool = False,
-) -> ContestEntry:
+def run_team(benchmark: Benchmark, team: str) -> ContestEntry:
     """Run one team on one benchmark and score the result.
 
     Timing and peak-memory measurement delegate to
-    :func:`repro.obs.measure`: ``trace_memory`` samples peak RSS on a
-    background thread (cheap, default); ``precise_memory`` switches to
-    tracemalloc's exact Python-heap peak (~6x slower — do not combine
-    with runtime comparisons).
+    :func:`repro.obs.measure`, which samples peak RSS on a background
+    thread.
     """
     filler = TEAMS[team]
     layout = benchmark.fresh_layout()
-    with obs.measure(
-        sample_rss=trace_memory, precise_memory=precise_memory
-    ) as measured, obs.span(f"contest.{team}", benchmark=benchmark.name):
+    with obs.measure() as measured, obs.span(f"contest.{team}", benchmark=benchmark.name):
         filler(layout, benchmark.grid, benchmark)
         # Solution file I/O is part of the measured runtime.
         buf = io.BytesIO()
@@ -151,17 +142,11 @@ def run_team(
 
 
 def run_contest(
-    benchmark: Benchmark,
-    teams: Optional[Sequence[str]] = None,
-    *,
-    trace_memory: bool = True,
+    benchmark: Benchmark, teams: Optional[Sequence[str]] = None
 ) -> Dict[str, ContestEntry]:
     """Run all (or selected) teams on one benchmark."""
     names = list(teams) if teams is not None else list(TEAMS)
-    return {
-        name: run_team(benchmark, name, trace_memory=trace_memory)
-        for name in names
-    }
+    return {name: run_team(benchmark, name) for name in names}
 
 
 _COLUMNS = (

@@ -44,6 +44,7 @@ __all__ = [
     "load_benchmark",
     "benchmark_names",
     "calibrate_weights",
+    "DEFAULT_BETAS",
 ]
 
 _RULES = DrcRules(
@@ -124,6 +125,11 @@ class Benchmark:
     def fresh_layout(self) -> Layout:
         """An unfilled copy — each filler gets its own."""
         return self.layout.copy_without_fills()
+
+
+#: Runtime (s) and memory (MB) β of a layout scored outside the suite:
+#: ``repro score``, the service's ``score`` and the tracker's smoke case.
+DEFAULT_BETAS = (60.0, 1024.0)
 
 
 def calibrate_weights(

@@ -45,7 +45,7 @@ from ..gdsii import file_size_mb, gdsii_bytes, layout_from_gdsii
 from ..layout import Layout, WindowGrid
 from ..obs.record import _git_sha
 from .generator import LayoutSpec, generate_layout
-from .suite import SUITE_SPECS, calibrate_weights, load_benchmark
+from .suite import DEFAULT_BETAS, SUITE_SPECS, calibrate_weights, load_benchmark
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -171,7 +171,6 @@ _SMOKE_SPEC = LayoutSpec(
     rules=SUITE_SPECS["s"][0].rules,
 )
 _SMOKE_WINDOWS = (4, 4)
-_SMOKE_BETAS = (60.0, 1024.0)
 #: bands for the streaming smoke case — >1 so the spill path is exercised
 _STREAM_SMOKE_BANDS = 2
 
@@ -189,7 +188,7 @@ def _load_case(name: str) -> Tuple[Layout, WindowGrid, Any]:
     if name == "smoke":
         layout = generate_layout(_SMOKE_SPEC)
         grid = WindowGrid(layout.die, *_SMOKE_WINDOWS)
-        weights = calibrate_weights(layout, grid, *_SMOKE_BETAS)
+        weights = calibrate_weights(layout, grid, *DEFAULT_BETAS)
         return layout, grid, weights
     bench = load_benchmark(name)
     return bench.fresh_layout(), bench.grid, bench.weights

@@ -14,14 +14,6 @@ See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and the paper
 sections each rule is anchored to.
 """
 
-from .baseline import (
-    BaselineError,
-    apply_baseline,
-    baseline_counts,
-    load_baseline,
-    ratchet_violations,
-    write_baseline,
-)
 from .findings import Finding, Severity, render_github, render_json, render_text
 from .rules import (
     RULE_REGISTRY,
@@ -56,10 +48,4 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "collect_noqa",
-    "BaselineError",
-    "apply_baseline",
-    "baseline_counts",
-    "load_baseline",
-    "ratchet_violations",
-    "write_baseline",
 ]

@@ -7,17 +7,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import (
-    BaselineError,
-    apply_baseline,
-    baseline_counts,
-    load_baseline,
-    ratchet_violations,
-    write_baseline,
-)
 from .findings import render_github, render_json, render_text
 from .rules import RULE_REGISTRY, all_rule_codes, select_rules
 from .runner import analyze_paths
@@ -47,20 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format: text, json, or github (GitHub Actions "
         "::error/::warning workflow commands that render as inline PR "
         "annotations) (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        type=Path,
-        help="ratchet file of known findings ('path::code' -> count); "
-        "baselined findings are waived, anything beyond the baselined "
-        "count fails, and counts may only go down",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline from the current findings; refuses to "
-        "raise any existing key's count (fix new debt, don't baseline it)",
     )
     parser.add_argument(
         "--select",
@@ -108,42 +85,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro.check: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    if args.update_baseline and args.baseline is None:
-        print("repro.check: --update-baseline requires --baseline", file=sys.stderr)
-        return 2
-
     result = analyze_paths(args.paths, rules=rules)
     if result.checked_files == 0:
         print("repro.check: no Python files found", file=sys.stderr)
         return 2
 
     findings = result.findings
-    baselined = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"repro.check: {exc}", file=sys.stderr)
-            return 2
-        current = baseline_counts(findings)
-        if args.update_baseline:
-            regressions = ratchet_violations(current, baseline)
-            if regressions:
-                print(
-                    "repro.check: refusing to loosen the baseline ratchet:",
-                    file=sys.stderr,
-                )
-                for line in regressions:
-                    print(f"  {line}", file=sys.stderr)
-                return 1
-            write_baseline(args.baseline, current)
-            print(
-                f"baseline updated: {len([c for c in current.values() if c])} "
-                f"key(s), {sum(current.values())} finding(s) "
-                f"(was {len(baseline)} key(s), {sum(baseline.values())})"
-            )
-            return 0
-        findings, baselined = apply_baseline(findings, baseline)
 
     if args.format == "json":
         print(
@@ -160,10 +107,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(output)
     else:
         print(render_text(findings))
-        suffix = f", {baselined} baselined" if args.baseline is not None else ""
         print(
             f"checked {result.checked_files} file(s), "
-            f"{result.suppressed} finding(s) suppressed by noqa{suffix}"
+            f"{result.suppressed} finding(s) suppressed by noqa"
         )
         if args.statistics:
             counts: dict = {}

@@ -37,28 +37,31 @@ from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import obs
+from .bench.contest import CONTEST_ETA
 from .bench.generator import LayoutSpec, generate_layout
-from .bench.suite import calibrate_weights
+from .bench.suite import DEFAULT_BETAS, calibrate_weights
 from .core import DummyFillEngine, FillConfig, stream_fill
 from .density import compute_metrics, metal_density_map, score_layout, wire_density_map
 from .gdsii import file_size_mb, gdsii_bytes, layout_from_gdsii
 from .geometry import Rect
 from .layout import DrcRules, Layout, WindowGrid
+from .layout.drc import REQUEST_RULE_DEFAULTS
 
 __all__ = ["main", "build_parser"]
 
 
 def _add_rules_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("DRC rules")
-    group.add_argument("--min-spacing", type=int, default=10)
-    group.add_argument("--min-width", type=int, default=10)
-    group.add_argument("--min-area", type=int, default=400)
-    group.add_argument("--max-fill", type=int, default=150, help="max fill edge")
+    defaults = REQUEST_RULE_DEFAULTS
+    group.add_argument("--min-spacing", type=int, default=defaults["min_spacing"])
+    group.add_argument("--min-width", type=int, default=defaults["min_width"])
+    group.add_argument("--min-area", type=int, default=defaults["min_area"])
+    group.add_argument("--max-fill", type=int, default=defaults["max_fill"], help="max fill edge")
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
-    group.add_argument("--eta", type=float, default=0.2, help="overlay weight")
+    group.add_argument("--eta", type=float, default=CONTEST_ETA, help="overlay weight")
     group.add_argument("--lambda", dest="lambda_factor", type=float, default=1.1)
     group.add_argument("--gamma", type=float, default=1.0)
     group.add_argument(
@@ -441,7 +444,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             reference = layout.copy_without_fills()
         ref_grid = WindowGrid(reference.die, args.windows, args.windows)
         with obs.span("calibrate"):
-            weights = calibrate_weights(reference, ref_grid, 60.0, 1024.0)
+            weights = calibrate_weights(reference, ref_grid, *DEFAULT_BETAS)
         size = file_size_mb(args.input.stat().st_size)
         with obs.span("score"):
             card = score_layout(layout, grid, weights, file_size=size)

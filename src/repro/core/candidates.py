@@ -342,11 +342,7 @@ def _window_candidates(
         if not has_neighbor:
             shared_region = []
         shared_area = sum(r.area for r in shared_region)
-        case_one = (
-            config.case1_steering
-            and bool(shared_region)
-            and shared_area >= dg_sum * ctx.area
-        )
+        case_one = bool(shared_region) and shared_area >= dg_sum * ctx.area
         # Case I (Alg. 1 line 13): both gaps fit in the doubly-free
         # region — shape candidates inside it (Fig. 4(b)) and take
         # the shaped ones first.  Case II: largest fills first
@@ -384,9 +380,7 @@ def _window_candidates(
             if adj in ctx.selected
             for r in ctx.selected[adj]
         )
-        use_stagger = config.stagger_even_layers and need > max(
-            0, region_area - adj_fill_area
-        )
+        use_stagger = need > max(0, region_area - adj_fill_area)
         cands = grid_candidates(
             ctx.regions[l],
             rules,

@@ -4,15 +4,21 @@ Collects every tunable the paper names — λ (Alg. 1 over-generation),
 γ (Eqn. (8) quality weight), η (Eqn. (9a) overlay weight) — plus the
 engineering knobs of the iterative sizing loop (§3.3.2): the number of
 alternating horizontal/vertical passes and which LP backend solves each
-pass.  The per-pass trust-region step and the window-edge inset are
-derived from the rule deck (:meth:`FillConfig.effective_step`,
-:meth:`FillConfig.effective_margin`).
+pass.  The per-pass trust-region step, the window-edge inset and the
+sizing stage's wire reach are derived from the rule deck
+(:meth:`FillConfig.effective_step`, :meth:`FillConfig.effective_margin`,
+:meth:`FillConfig.sizing_reach`).  Case I steering into Region 3
+(Alg. 1), the interleaved even-layer grid (Fig. 4(b)) and the planner's
+td step (§3.1) are part of the method, not knobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
+
+if TYPE_CHECKING:
+    from ..layout import DrcRules
 
 __all__ = ["FillConfig"]
 
@@ -36,9 +42,6 @@ class FillConfig:
     eta:
         η of Eqn. (9a) — weight of overlay against density gap in the
         sizing objective.  The paper uses 1.
-    td_step:
-        Grid-search resolution for Case II target-density planning
-        (§3.1: "search all combinations ... with small steps").
     sizing_iterations:
         Alternating horizontal/vertical LP rounds (§3.3.2).  Each round
         runs one horizontal and one vertical pass.
@@ -53,15 +56,6 @@ class FillConfig:
         dual-MCF path is checked against.  Both give the same optimum
         on every LP; where an LP has several, they may pick different
         ones.
-    stagger_even_layers:
-        Offset even layers' candidate grids by half a pitch so fills on
-        adjacent layers interleave instead of stacking (the Fig. 4(b)
-        zero-overlay arrangement).
-    case1_steering:
-        When a window's doubly-free region (Region 3 of Figs. 4/5) can
-        host both layers' density gaps, shape odd-layer candidates
-        inside it (Alg. 1 Case I).  Disable to measure the overlay cost
-        of ignoring the neighbour layers during candidate generation.
     workers:
         Worker count of the band sweep: density analysis, candidate
         generation and sizing run each band's window columns as
@@ -80,11 +74,8 @@ class FillConfig:
     lambda_factor: float = 1.1
     gamma: float = 1.0
     eta: float = 1.0
-    td_step: float = 0.02
     sizing_iterations: int = 3
     solver: str = "mcf-ssp"
-    stagger_even_layers: bool = True
-    case1_steering: bool = True
     workers: int = 1
     parallel: str = "process"
 
@@ -101,8 +92,6 @@ class FillConfig:
             raise ValueError("gamma must be non-negative")
         if self.eta < 0:
             raise ValueError("eta must be non-negative")
-        if not (0 < self.td_step <= 0.5):
-            raise ValueError("td_step must lie in (0, 0.5]")
         if self.sizing_iterations < 0:
             raise ValueError("sizing_iterations cannot be negative")
         if self.solver not in _SOLVERS:
@@ -139,6 +128,15 @@ class FillConfig:
         are bounded to a certain range"): a quarter of the maximum fill
         size, at least 2."""
         return max(2, min(max_fill_width, max_fill_height) // 4)
+
+    def sizing_reach(self, rules: DrcRules) -> int:
+        """How far around a window sizing reads wires, in dbu: the
+        spacing rule plus one pass's trust-region step.  The streamed
+        flow gives each band the wires within this reach, so a band's
+        sizing sees the wires an in-memory run's does."""
+        return rules.min_spacing + self.effective_step(
+            rules.max_fill_width, rules.max_fill_height
+        )
 
     def effective_workers(self) -> int:
         """Resolved worker count: ``0`` maps to one per available core.

@@ -289,7 +289,6 @@ def replan(
     candidate_area: Mapping[int, np.ndarray],
     fill_density: Mapping[int, np.ndarray],
     objective: PlannerObjective,
-    td_step: float,
 ) -> Tuple[DensityPlan, Dict[int, np.ndarray]]:
     """Second planning round and the fill area each window should keep.
 
@@ -317,7 +316,7 @@ def replan(
             upper=upper,
             fill_regions=ld.fill_regions,
         )
-    plan = plan_targets(updated, objective, td_step=td_step)
+    plan = plan_targets(updated, objective)
     targets = {
         n: np.maximum(0.0, plan.target(n) - analysis[n].lower) * area for n in analysis
     }
@@ -513,7 +512,6 @@ class DummyFillEngine:
         ``windows`` and ``analysis`` are :meth:`run`'s; a precomputed
         analysis needs a one-band source.
         """
-        config = self.config
         plan = source.plan
         grid = plan.grid
         selected = set(windows) if windows is not None else None
@@ -541,7 +539,7 @@ class DummyFillEngine:
             obs.count("engine.windows", grid.num_windows)
 
         with obs.span("planning"):
-            initial_plan = plan_targets(analysis, self.objective, td_step=config.td_step)
+            initial_plan = plan_targets(analysis, self.objective)
         logger.info(
             "planned targets: %s",
             {n: round(p.td, 3) for n, p in initial_plan.layers.items()},
@@ -570,7 +568,6 @@ class DummyFillEngine:
                 candidate_area,
                 source.fill_density(),
                 self.objective,
-                config.td_step,
             )
 
         with obs.span("sizing"):

@@ -672,9 +672,7 @@ def size_fills(
     if config is None:
         config = FillConfig()
     rules = check_drc_params(layout.rules, name="layout.rules")
-    margin = rules.min_spacing + config.effective_step(
-        rules.max_fill_width, rules.max_fill_height
-    )
+    margin = config.sizing_reach(rules)
     indexes = _wire_indexes_for(layout, wire_indexes)
     numbers = layout.layer_numbers
     total = SizingStats()

@@ -333,14 +333,12 @@ def stream_fill(
         # --------------------------------------------------------------
         # Pass 2 — bucket: route wires into band chunks with the widest
         # query reach of any stage as halo (candidate generation looks
-        # ``min_spacing`` around a window, sizing ``min_spacing + step``);
+        # ``min_spacing`` around a window, sizing ``config.sizing_reach``);
         # decide each input fill's fate (all replaced by a whole-die
         # fill, ECO rip-up otherwise), route the kept ones for the DRC
         # and accumulate their area per window.
         with obs.span("bucket"):
-            halo = rules.min_spacing + config.effective_step(
-                rules.max_fill_width, rules.max_fill_height
-            )
+            halo = config.sizing_reach(rules)
             wires = ShapeSpill(plan, workdir, "wires", flush_records=flush)
             fills = ShapeSpill(plan, workdir, "fills", flush_records=flush)
             kept_spool = LayerSpool(workdir, "kept", flush_records=flush)

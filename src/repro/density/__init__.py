@@ -4,7 +4,6 @@ from .analysis import (
     LayerDensity,
     analyze_layer,
     analyze_layout,
-    compute_fill_regions,
     fill_density_map,
     fill_overlay_area,
     metal_density_map,
@@ -42,7 +41,6 @@ __all__ = [
     "LayerDensity",
     "analyze_layer",
     "analyze_layout",
-    "compute_fill_regions",
     "fill_density_map",
     "fill_overlay_area",
     "metal_density_map",

@@ -28,7 +28,6 @@ __all__ = [
     "wire_density_map",
     "fill_density_map",
     "metal_density_map",
-    "compute_fill_regions",
     "usable_fill_area",
     "LayerDensity",
     "analyze_layer",
@@ -89,40 +88,6 @@ def _to_density(areas: np.ndarray, grid: WindowGrid) -> np.ndarray:
     return areas / window_area_map(grid)
 
 
-def compute_fill_regions(
-    layer: Layer,
-    grid: WindowGrid,
-    rules: DrcRules,
-    blockages: Optional[Sequence[Rect]] = None,
-    window_margin: int = 0,
-) -> Dict[Tuple[int, int], List[Rect]]:
-    """Feasible fill region per window: free space at legal spacing.
-
-    The fill region of a window is the window minus every wire (and
-    explicit blockage) bloated by the minimum spacing ``sm`` — exactly
-    the space where a fill may legally sit.  Returned as disjoint
-    rectangles per window.
-
-    ``window_margin`` additionally insets each window edge; the engine
-    passes ``ceil(sm / 2)`` so that fills generated independently in
-    adjacent windows still respect the spacing rule across the window
-    boundary.
-    """
-    regions: Dict[Tuple[int, int], List[Rect]] = {}
-    obstacles = list(layer.wires) + (list(blockages) if blockages else [])
-    index = _shape_index(obstacles, grid.die)
-    margin = rules.min_spacing
-    for i, j, win in grid:
-        inner = win.shrunk(window_margin) if window_margin else win
-        if inner is None:
-            regions[(i, j)] = []
-            continue
-        nearby = index.query_within(inner, margin)
-        bloated = [r.expanded(margin) for r, _ in nearby]
-        regions[(i, j)] = rect_set_subtract([inner], bloated)
-    return regions
-
-
 def usable_fill_area(region: Sequence[Rect], rules: DrcRules) -> int:
     """Area of the region pieces a legal fill could actually occupy.
 
@@ -180,7 +145,10 @@ class LayerDensity:
 
     ``lower`` is ``l(i, j)`` (wire density) and ``upper`` is ``u(i, j)``
     (wire density plus usable free space) — the bounds that drive target
-    density planning (§3.1, Eqn. (5)).
+    density planning (§3.1, Eqn. (5)).  ``fill_regions`` is fr(l) per
+    window: the window, inset by the window margin, minus every wire
+    bloated by the minimum spacing — the disjoint rectangles where a
+    fill may legally sit.
     """
 
     layer_number: int

@@ -142,8 +142,8 @@ def raster_fill_regions(
     window_margin: int = 0,
     keys: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> Dict[Tuple[int, int], List[Rect]]:
-    """Feasible fill region per window — raster twin of
-    ``analysis.compute_fill_regions``.
+    """Feasible fill region per window — raster twin of the regions
+    the rect kernel of ``analysis.analyze_layer`` returns.
 
     Obstacles are bloated by the minimum spacing once, as coordinate
     arithmetic; per window-column strip the bloated set is rasterized

@@ -32,15 +32,14 @@ BYTES_PER_BOUNDARY = 4 + 6 + 6 + (4 + 40) + 4
 HEADER_OVERHEAD_BYTES = 6 + 28 + 8 + 20 + 28 + 8 + 4 + 4
 
 
-def measure_file_size(layout: Layout, *, include_wires: bool = True) -> int:
+def measure_file_size(layout: Layout) -> int:
     """Exact byte size of :func:`~repro.gdsii.gdsii_bytes` of a layout.
 
-    Every shape — the die outline, each fill and, unless
-    ``include_wires`` is false, each wire — is one fixed-size
-    BOUNDARY element, so the size follows from the shape counts
-    without serialising anything.
+    Every shape — the die outline, each wire and each fill — is one
+    fixed-size BOUNDARY element, so the size follows from the shape
+    counts without serialising anything.
     """
-    boundaries = 1 + layout.num_fills + (layout.num_wires if include_wires else 0)
+    boundaries = 1 + layout.num_wires + layout.num_fills
     return HEADER_OVERHEAD_BYTES + BYTES_PER_BOUNDARY * boundaries
 
 

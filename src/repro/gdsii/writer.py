@@ -70,15 +70,7 @@ class GdsiiStreamWriter:
     — the writer holds no state beyond the running byte count.
     """
 
-    def __init__(
-        self,
-        stream: BinaryIO,
-        *,
-        library_name: str = "FILL",
-        structure_name: str = "TOP",
-        user_unit: float = 1e-3,
-        db_unit_meters: float = 1e-9,
-    ):
+    def __init__(self, stream: BinaryIO):
         self._stream = stream
         self._bytes_written = 0
         self._closed = False
@@ -90,16 +82,13 @@ class GdsiiStreamWriter:
                 RecordType.BGNLIB, DataType.INT2, encode_int2(list(_TIMESTAMP * 2))
             )
         )
-        self._write(
-            pack_record(
-                RecordType.LIBNAME, DataType.ASCII, encode_ascii(library_name)
-            )
-        )
+        self._write(pack_record(RecordType.LIBNAME, DataType.ASCII, encode_ascii("FILL")))
         self._write(
             pack_record(
                 RecordType.UNITS,
                 DataType.REAL8,
-                encode_real8(user_unit) + encode_real8(db_unit_meters),
+                # 1 dbu = 1e-3 user units (µm) = 1e-9 m
+                encode_real8(1e-3) + encode_real8(1e-9),
             )
         )
         self._write(
@@ -107,11 +96,7 @@ class GdsiiStreamWriter:
                 RecordType.BGNSTR, DataType.INT2, encode_int2(list(_TIMESTAMP * 2))
             )
         )
-        self._write(
-            pack_record(
-                RecordType.STRNAME, DataType.ASCII, encode_ascii(structure_name)
-            )
-        )
+        self._write(pack_record(RecordType.STRNAME, DataType.ASCII, encode_ascii("TOP")))
 
     def _write(self, data: bytes) -> None:
         self._stream.write(data)
@@ -148,36 +133,17 @@ class GdsiiStreamWriter:
         self.close()
 
 
-def write_gdsii(
-    layout: Layout,
-    stream: BinaryIO,
-    *,
-    library_name: str = "FILL",
-    structure_name: str = "TOP",
-    user_unit: float = 1e-3,
-    db_unit_meters: float = 1e-9,
-    include_wires: bool = True,
-) -> int:
-    """Serialise ``layout`` as GDSII; returns the number of bytes written.
-
-    ``include_wires=False`` emits a fill-only file, matching contest
-    submissions where only inserted geometry is returned.
-    """
-    writer = GdsiiStreamWriter(
-        stream,
-        library_name=library_name,
-        structure_name=structure_name,
-        user_unit=user_unit,
-        db_unit_meters=db_unit_meters,
-    )
+def write_gdsii(layout: Layout, stream: BinaryIO) -> int:
+    """Serialise ``layout`` as GDSII; returns the number of bytes written."""
+    writer = GdsiiStreamWriter(stream)
     layers = ((layer.number, layer.wires, layer.fills) for layer in layout.layers)
-    for group in shape_groups(layout.die, layers, include_wires=include_wires):
+    for group in shape_groups(layout.die, layers):
         writer.rectangles(*group)
     return writer.close()
 
 
-def gdsii_bytes(layout: Layout, **kwargs) -> bytes:
+def gdsii_bytes(layout: Layout) -> bytes:
     """Serialise ``layout`` to an in-memory GDSII byte string."""
     buf = io.BytesIO()
-    write_gdsii(layout, buf, **kwargs)
+    write_gdsii(layout, buf)
     return buf.getvalue()

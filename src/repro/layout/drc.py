@@ -16,11 +16,22 @@ paper's "fix spacing rule violations" step (§3.3.1) guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..geometry import GridIndex, Rect
 
-__all__ = ["DrcRules", "DrcViolation", "check_fills"]
+__all__ = ["DrcRules", "DrcViolation", "REQUEST_RULE_DEFAULTS", "check_fills"]
+
+#: The rule deck of a request that names none, by request key: the
+#: defaults of the CLI's ``--min-spacing``/``--min-width``/``--min-area``/
+#: ``--max-fill`` flags and of a service request's ``rules``
+#: (``max_fill`` caps both fill dimensions).
+REQUEST_RULE_DEFAULTS: Mapping[str, int] = {
+    "min_spacing": 10,
+    "min_width": 10,
+    "min_area": 400,
+    "max_fill": 150,
+}
 
 
 @dataclass(frozen=True)
@@ -102,8 +113,6 @@ def check_fills(
     fills: Sequence[Rect],
     wires: Sequence[Rect],
     rules: DrcRules,
-    *,
-    check_spacing_to_wires: bool = True,
 ) -> List[DrcViolation]:
     """Check a fill solution against the rule deck.
 
@@ -158,7 +167,7 @@ def check_fills(
                             required=rules.min_spacing,
                         )
                     )
-    if check_spacing_to_wires and wires:
+    if wires:
         wire_index: GridIndex[int] = GridIndex(cell)
         for j, w in enumerate(wires):
             wire_index.insert(w, j)

@@ -93,18 +93,11 @@ class Layout:
                     out.append(w)
         return out
 
-    def check_drc(self, *, check_spacing_to_wires: bool = True) -> List[DrcViolation]:
+    def check_drc(self) -> List[DrcViolation]:
         """DRC-check the fills on every layer against the rule deck."""
         violations: List[DrcViolation] = []
         for layer in self.layers:
-            violations.extend(
-                check_fills(
-                    layer.fills,
-                    layer.wires,
-                    self.rules,
-                    check_spacing_to_wires=check_spacing_to_wires,
-                )
-            )
+            violations.extend(check_fills(layer.fills, layer.wires, self.rules))
         return violations
 
     def copy_without_fills(self) -> "Layout":

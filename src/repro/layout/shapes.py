@@ -131,19 +131,14 @@ def layout_from_shapes(
 
 
 def shape_groups(
-    die: Rect,
-    layers: Iterable[Tuple[int, Iterable[Rect], Iterable[Rect]]],
-    *,
-    include_wires: bool = True,
+    die: Rect, layers: Iterable[Tuple[int, Iterable[Rect], Iterable[Rect]]]
 ) -> Iterator[ShapeGroup]:
     """``(layer, datatype, rects)`` groups in file order.
 
     ``layers`` gives ``(number, wires, fills)`` in stack order; the die
     outline comes first, then each layer's wires and its fills.
-    ``include_wires=False`` leaves the wires out (a fill-only file).
     """
     yield DIE_LAYER, WIRE_DATATYPE, (die,)
     for number, wires, fills in layers:
-        if include_wires:
-            yield number, WIRE_DATATYPE, wires
+        yield number, WIRE_DATATYPE, wires
         yield number, FILL_DATATYPE, fills

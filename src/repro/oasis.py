@@ -76,6 +76,13 @@ _RECTANGLE = 25
 _REP_GRID = 1
 _REP_VERTICAL = 2
 _REP_HORIZONTAL = 3
+#: Most copies one repetition may hold.  A count is a varint, so one
+#: flipped bit can claim up to 2^63 copies, and the reader would run out
+#: of memory (about 250 bytes per rectangle) expanding it before it could
+#: fail.  The writer never repeats more than one (layer, datatype, size)
+#: group holds, and it splits longer runs at the cap, so every stream it
+#: writes reads back.
+_MAX_REPEAT = 1 << 20
 
 #: ``("x", count, pitch)`` | ``("y", count, pitch)`` |
 #: ``("grid", nx, ny, px, py)``
@@ -261,7 +268,7 @@ def _runs(rects: List[Rect]) -> List[Tuple[Rect, int, int]]:
             # Longest run of constant pitch from `start`.
             end = start + 1
             pitch = None
-            while end < len(row):
+            while end < len(row) and end - start < _MAX_REPEAT:
                 step = row[end].xl - row[end - 1].xl
                 if pitch is None:
                     pitch = step
@@ -303,7 +310,7 @@ def _repetitions(rects: List[Rect]) -> List[Tuple[Rect, Optional[Repeat]]]:
             # Longest stack of rows at constant y-pitch from `start`.
             end = start + 1
             y_pitch = None
-            while end < len(column):
+            while end < len(column) and (end - start + 1) * signature[1] <= _MAX_REPEAT:
                 step = column[end][0].yl - column[end - 1][0].yl
                 if y_pitch is None:
                     y_pitch = step
@@ -342,7 +349,7 @@ class OasisStreamWriter:
     calls exactly as it does in the one-shot writer.
     """
 
-    def __init__(self, stream: BinaryIO, *, cell_name: str = "TOP"):
+    def __init__(self, stream: BinaryIO):
         self._stream = stream
         self._modal = _Modal()
         self._bytes_written = 0
@@ -356,7 +363,7 @@ class OasisStreamWriter:
         write_uint(head, 1000)
         write_uint(head, 0)  # offset-flag: table offsets in the END record
         head.append(_CELL_NAME)
-        write_string(head, cell_name)
+        write_string(head, "TOP")  # the one cell, named like the GDSII structure
         self._write(head)
 
     def _write(self, data: Union[bytes, bytearray]) -> None:
@@ -408,17 +415,12 @@ class OasisStreamWriter:
         self.close()
 
 
-def oasis_bytes(
-    layout: Layout,
-    *,
-    cell_name: str = "TOP",
-    include_wires: bool = True,
-) -> bytes:
+def oasis_bytes(layout: Layout) -> bytes:
     """Serialise a layout as an OASIS-subset byte stream."""
     buf = io.BytesIO()
-    writer = OasisStreamWriter(buf, cell_name=cell_name)
+    writer = OasisStreamWriter(buf)
     layers = ((layer.number, layer.wires, layer.fills) for layer in layout.layers)
-    for group in shape_groups(layout.die, layers, include_wires=include_wires):
+    for group in shape_groups(layout.die, layers):
         writer.rectangles(*group)
     writer.close()
     return buf.getvalue()
@@ -437,29 +439,30 @@ class OasisCell:
 
 
 def _repetition_positions(
-    cur: _Cursor, x: int, y: int
+    cur: _Cursor, x: int, y: int, record: int
 ) -> List[Tuple[int, int]]:
     """Expand a repetition spec into anchor positions (reader side).
 
     Grid copies enumerate rows-outer, columns-inner — matching the
     writer, which anchors every grid at its lowest-leftmost member.
+    ``record`` is the byte offset of the RECTANGLE record, named when
+    the repetition holds more than :data:`_MAX_REPEAT` copies.
     """
     rep_type = cur.uint()
     if rep_type == _REP_GRID:
-        nx = cur.uint() + 2
-        ny = cur.uint() + 2
-        px = cur.uint()
-        py = cur.uint()
-        return [(x + a * px, y + b * py) for b in range(ny) for a in range(nx)]
-    if rep_type == _REP_VERTICAL:
-        count = cur.uint() + 2
-        pitch = cur.uint()
-        return [(x, y + k * pitch) for k in range(count)]
-    if rep_type == _REP_HORIZONTAL:
-        count = cur.uint() + 2
-        pitch = cur.uint()
-        return [(x + k * pitch, y) for k in range(count)]
-    raise ValueError(f"unsupported repetition type {rep_type}")
+        nx, ny, px, py = cur.uint() + 2, cur.uint() + 2, cur.uint(), cur.uint()
+    elif rep_type == _REP_VERTICAL:
+        nx, ny, px, py = 1, cur.uint() + 2, 0, cur.uint()
+    elif rep_type == _REP_HORIZONTAL:
+        nx, ny, px, py = cur.uint() + 2, 1, cur.uint(), 0
+    else:
+        raise ValueError(f"unsupported repetition type {rep_type}")
+    if nx * ny > _MAX_REPEAT:
+        raise ValueError(
+            f"OASIS repetition of {nx * ny} copies in the RECTANGLE record at "
+            f"byte {record} exceeds {_MAX_REPEAT}"
+        )
+    return [(x + a * px, y + b * py) for b in range(ny) for a in range(nx)]
 
 
 def _shapes(data: bytes, cell: OasisCell) -> Iterator[Tuple[int, int, Rect]]:
@@ -474,6 +477,7 @@ def _shapes(data: bytes, cell: OasisCell) -> Iterator[Tuple[int, int, Rect]]:
     cur = _Cursor(data, len(MAGIC))
     modal = _Modal()
     while True:
+        start = cur.pos
         record = cur.byte()
         if record == _START:
             version = cur.string()
@@ -511,7 +515,7 @@ def _shapes(data: bytes, cell: OasisCell) -> Iterator[Tuple[int, int, Rect]]:
                 raise ValueError("RECTANGLE before modal state established")
             positions = [(x, y)]
             if info & 0x04:
-                positions = _repetition_positions(cur, x, y)
+                positions = _repetition_positions(cur, x, y, start)
             for px, py in positions:
                 rect = Rect(px, py, px + modal.width, py + modal.height)
                 yield modal.layer, modal.datatype, rect

@@ -17,8 +17,8 @@ implementation of those clocks:
   per observed run, written by ``--trace-out`` and read back by
   ``python -m repro.obs summarize`` / ``repro trace``,
 * **memory** (:mod:`repro.obs.rss`) — the only sanctioned home of
-  RSS sampling and tracemalloc (rule REP007 forbids raw
-  ``time.perf_counter()``/``tracemalloc`` elsewhere),
+  RSS sampling (rule REP007 forbids raw
+  ``time.perf_counter()``/``tracemalloc`` outside :mod:`repro.obs`),
 * **live telemetry** — Prometheus exposition + rolling quantiles
   (:mod:`repro.obs.expose`), structured JSON events correlated to
   spans (:mod:`repro.obs.events`, the sanctioned diagnostics channel
@@ -50,7 +50,7 @@ from .record import (
     read_record,
     record_run,
 )
-from .rss import PeakRssSampler, current_rss_bytes, traced_memory
+from .rss import PeakRssSampler, current_rss_bytes
 from .spans import (
     Span,
     Tracer,
@@ -95,7 +95,6 @@ __all__ = [
     "record_run",
     "PeakRssSampler",
     "current_rss_bytes",
-    "traced_memory",
     "Span",
     "Tracer",
     "active_tracer",

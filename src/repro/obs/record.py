@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from .metrics import MetricsRegistry, set_registry
-from .rss import PeakRssSampler, traced_memory
+from .rss import PeakRssSampler
 from .spans import Span, Tracer, set_tracer
 
 __all__ = [
@@ -287,33 +287,23 @@ class Measurement:
 
 
 @contextmanager
-def measure(
-    *, sample_rss: bool = True, precise_memory: bool = False
-) -> Iterator[Measurement]:
+def measure(*, sample_rss: bool = True) -> Iterator[Measurement]:
     """Measure a region's wall time and peak memory, sans event stream.
 
     ``sample_rss`` polls the working set on a background thread
-    (cheap, default); ``precise_memory`` switches to tracemalloc's
-    exact Python-heap peak (~6x slower — do not combine with runtime
-    comparisons).  The yielded :class:`Measurement` is filled in on
+    (cheap, default).  The yielded :class:`Measurement` is filled in on
     exit.
     """
     result = Measurement()
-    heap_mb: List[float] = []
-    sampler = PeakRssSampler() if sample_rss and not precise_memory else None
+    sampler = PeakRssSampler() if sample_rss else None
     start = time.perf_counter()
     try:
-        if precise_memory:
-            with traced_memory(heap_mb):
-                yield result
-        elif sampler is not None:
+        if sampler is not None:
             with sampler:
                 yield result
         else:
             yield result
     finally:
         result.seconds = time.perf_counter() - start
-        if precise_memory:
-            result.peak_rss_mb = heap_mb[0] if heap_mb else 0.0
-        elif sampler is not None:
+        if sampler is not None:
             result.peak_rss_mb = sampler.peak_mb

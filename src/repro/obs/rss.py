@@ -1,27 +1,23 @@
-"""Peak-memory measurement: RSS sampler thread and tracemalloc wrapper.
+"""Peak-memory measurement: an RSS sampler thread.
 
 The contest's Memory* score (Eqn. (3), Table 2) measures peak usage
 during the run.  ``tracemalloc`` would be exact but slows Python ~6x,
-corrupting the simultaneously-measured Run-time* score, so the default
-is a background thread polling ``/proc/self/statm`` every few
+corrupting the simultaneously-measured Run-time* score, so memory is
+measured by a background thread polling ``/proc/self/statm`` every few
 milliseconds — effectively free, and it captures the peak working set
 including numpy/scipy allocations tracemalloc never sees.
 
-This module is the **only** place in the repo allowed to touch
-``tracemalloc`` (rule REP007); everything else measures through
-:class:`PeakRssSampler`, :func:`traced_memory` or
-:func:`repro.obs.record.measure`.
+Code outside :mod:`repro.obs` measures memory through
+:class:`PeakRssSampler` or :func:`repro.obs.record.measure` (rule
+REP007).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import tracemalloc
-from contextlib import contextmanager
-from typing import Iterator, List
 
-__all__ = ["PeakRssSampler", "traced_memory", "current_rss_bytes"]
+__all__ = ["PeakRssSampler", "current_rss_bytes"]
 
 _MB = 1024.0 * 1024.0
 
@@ -72,19 +68,3 @@ class PeakRssSampler:
     @property
     def peak_bytes(self) -> int:
         return max(0, self._peak - self._baseline)
-
-
-@contextmanager
-def traced_memory(out_mb: List[float]) -> Iterator[None]:
-    """Exact Python-heap peak via tracemalloc (~6x slower).
-
-    Appends the peak in MB to ``out_mb`` on exit.  Do not combine with
-    runtime comparisons.
-    """
-    tracemalloc.start()
-    try:
-        yield
-    finally:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        out_mb.append(peak / _MB)

@@ -24,7 +24,6 @@ from .api import (
     ServiceClient,
     rules_from_mapping,
 )
-from .jobs import JobError
 from .protocol import (
     ProtocolError,
     ServiceError,
@@ -48,7 +47,6 @@ __all__ = [
     "FillService",
     "ServiceClient",
     "rules_from_mapping",
-    "JobError",
     "ProtocolError",
     "ServiceError",
     "SocketClient",

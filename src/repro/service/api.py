@@ -37,13 +37,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
-from ..bench.suite import calibrate_weights
+from ..bench.suite import DEFAULT_BETAS, calibrate_weights
 from ..core import DummyFillEngine, FillConfig
 from ..density import score_layout
 from ..eco import apply_eco, build_fill_indexes, wires_from_json
 from ..gdsii import file_size_mb, gdsii_bytes, layout_from_gdsii, measure_file_size
 from ..layout import DrcRules, WindowGrid
-from .jobs import JobError
+from ..layout.drc import REQUEST_RULE_DEFAULTS
+from .protocol import ServiceError
 from .session import FillSession, SessionStore
 
 __all__ = [
@@ -66,14 +67,6 @@ CONTROL_OPS = (
     "metrics",
 )
 
-#: rule-deck defaults shared with the CLI's --min-* flags
-_RULE_DEFAULTS = {
-    "min_spacing": 10,
-    "min_width": 10,
-    "min_area": 400,
-    "max_fill": 150,
-}
-
 
 def _integer(key: str, value: Any) -> int:
     """A request's integer value; a float, bool or string raises, naming ``key``."""
@@ -90,12 +83,14 @@ def rules_from_mapping(mapping: Mapping[str, Any]) -> DrcRules:
     Unknown keys raise, like :meth:`FillConfig.from_mapping`, and so
     does a value that is not an integer.
     """
-    unknown = sorted(set(mapping) - set(_RULE_DEFAULTS))
+    unknown = sorted(set(mapping) - set(REQUEST_RULE_DEFAULTS))
     if unknown:
         raise ValueError(
-            f"unknown rules keys {unknown} (known: {sorted(_RULE_DEFAULTS)})"
+            f"unknown rules keys {unknown} (known: {sorted(REQUEST_RULE_DEFAULTS)})"
         )
-    merged = {key: _integer(key, value) for key, value in {**_RULE_DEFAULTS, **mapping}.items()}
+    merged = {
+        key: _integer(key, value) for key, value in {**REQUEST_RULE_DEFAULTS, **mapping}.items()
+    }
     return DrcRules(
         min_spacing=merged["min_spacing"],
         min_width=merged["min_width"],
@@ -401,7 +396,7 @@ class FillService:
         grid = session.grid
         reference = layout.copy_without_fills()
         ref_grid = WindowGrid(reference.die, grid.cols, grid.rows)
-        weights = calibrate_weights(reference, ref_grid, 60.0, 1024.0)
+        weights = calibrate_weights(reference, ref_grid, *DEFAULT_BETAS)
         size = file_size_mb(measure_file_size(layout))
         card = score_layout(layout, grid, weights, file_size=size)
         return {"scores": dict(card.as_row())}
@@ -472,13 +467,13 @@ class ServiceClient:
         self.service = service
 
     def request(self, op: str, **params: Any) -> Dict[str, Any]:
-        """Execute one op; returns its result or raises :class:`JobError`."""
+        """Execute one op; returns its result or raises :class:`ServiceError`."""
         response = self.service.handle({"op": op, **params})
         if response["ok"]:
             result: Dict[str, Any] = response["result"]
             return result
         error = response["error"]
-        raise JobError(error["type"], error["message"])
+        raise ServiceError(error["type"], error["message"])
 
     def batch(self, requests: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
         """Submit a batch; returns per-request response dicts in order."""

@@ -51,7 +51,8 @@ class ProtocolError(ValueError):
 
 
 class ServiceError(RuntimeError):
-    """The server answered a request with an error response."""
+    """A service request failed: what both clients raise, carrying the
+    original error type name and message."""
 
     def __init__(self, error_type: str, message: str):
         super().__init__(f"{error_type}: {message}")

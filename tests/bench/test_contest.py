@@ -56,7 +56,7 @@ class TestRunTeam:
         }
 
     def test_ours_entry(self, tiny_benchmark):
-        entry = run_team(tiny_benchmark, "ours", trace_memory=False)
+        entry = run_team(tiny_benchmark, "ours")
         assert entry.team == "ours"
         assert entry.num_fills > 0
         assert entry.seconds > 0
@@ -65,12 +65,12 @@ class TestRunTeam:
         assert 0.0 <= entry.card.total <= 1.0
 
     def test_memory_tracing(self, tiny_benchmark):
-        entry = run_team(tiny_benchmark, "greedy(T1)", trace_memory=True)
+        entry = run_team(tiny_benchmark, "greedy(T1)")
         assert entry.memory_mb > 0
 
     def test_benchmark_layout_untouched(self, tiny_benchmark):
         before = tiny_benchmark.layout.num_fills
-        run_team(tiny_benchmark, "greedy(T1)", trace_memory=False)
+        run_team(tiny_benchmark, "greedy(T1)")
         assert tiny_benchmark.layout.num_fills == before
 
 
@@ -78,11 +78,7 @@ class TestContest:
     @pytest.fixture(scope="class")
     def results(self, tiny_benchmark):
         return {
-            "tiny": run_contest(
-                tiny_benchmark,
-                teams=["ours", "greedy(T1)"],
-                trace_memory=False,
-            )
+            "tiny": run_contest(tiny_benchmark, teams=["ours", "greedy(T1)"])
         }
 
     def test_selected_teams_only(self, results):
@@ -101,9 +97,5 @@ class TestContest:
         assert isinstance(s_gain, float)
 
     def test_headline_without_baselines(self, tiny_benchmark):
-        only_ours = {
-            "tiny": run_contest(
-                tiny_benchmark, teams=["ours"], trace_memory=False
-            )
-        }
+        only_ours = {"tiny": run_contest(tiny_benchmark, teams=["ours"])}
         assert headline(only_ours) == (0.0, 0.0)

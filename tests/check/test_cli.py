@@ -171,79 +171,6 @@ def test_github_format_escapes_newlines():
 
 
 # ----------------------------------------------------------------------
-# Baseline ratchet
-# ----------------------------------------------------------------------
-
-
-def test_baseline_update_then_clean_gate(violation_file, tmp_path):
-    base = tmp_path / "baseline.json"
-    code, out = run_cli(
-        [str(violation_file), "--baseline", str(base), "--update-baseline"]
-    )
-    assert code == 0
-    assert base.exists()
-    doc = json.loads(base.read_text())
-    assert doc["baseline"], "baseline captured no findings"
-    assert all("::" in key for key in doc["baseline"])
-
-    code, out = run_cli([str(violation_file), "--baseline", str(base)])
-    assert code == 0
-    assert "baselined" in out
-
-
-def test_baseline_blocks_new_findings(violation_file, tmp_path):
-    base = tmp_path / "baseline.json"
-    run_cli([str(violation_file), "--baseline", str(base), "--update-baseline"])
-    violation_file.write_text(
-        violation_file.read_text() + "\n\ndef another(c={}):\n    return c\n"
-    )
-    code, out = run_cli([str(violation_file), "--baseline", str(base)])
-    assert code == 1
-    assert "REP003" in out
-
-
-def test_update_baseline_refuses_to_loosen(violation_file, tmp_path, capsys):
-    base = tmp_path / "baseline.json"
-    run_cli([str(violation_file), "--baseline", str(base), "--update-baseline"])
-    violation_file.write_text(
-        violation_file.read_text() + "\n\ndef another(c={}):\n    return c\n"
-    )
-    code, _ = run_cli(
-        [str(violation_file), "--baseline", str(base), "--update-baseline"]
-    )
-    assert code == 1
-    assert "refusing to loosen" in capsys.readouterr().err
-
-
-def test_update_baseline_ratchets_down(violation_file, tmp_path):
-    base = tmp_path / "baseline.json"
-    run_cli([str(violation_file), "--baseline", str(base), "--update-baseline"])
-    before = json.loads(base.read_text())["baseline"]
-    # fix the mutable default; the re-update must drop its key
-    fixed = violation_file.read_text().replace("def helper(cache={}):", "def helper(cache=None):")
-    violation_file.write_text(fixed)
-    code, _ = run_cli(
-        [str(violation_file), "--baseline", str(base), "--update-baseline"]
-    )
-    assert code == 0
-    after = json.loads(base.read_text())["baseline"]
-    assert len(after) < len(before)
-    assert not any(key.endswith("REP003") for key in after)
-
-
-def test_update_baseline_without_baseline_is_usage_error(violation_file):
-    code, _ = run_cli([str(violation_file), "--update-baseline"])
-    assert code == 2
-
-
-def test_malformed_baseline_is_usage_error(violation_file, tmp_path):
-    base = tmp_path / "baseline.json"
-    base.write_text("{\"not\": \"a baseline\"}")
-    code, _ = run_cli([str(violation_file), "--baseline", str(base)])
-    assert code == 2
-
-
-# ----------------------------------------------------------------------
 # Suppression accounting
 # ----------------------------------------------------------------------
 

@@ -115,7 +115,7 @@ def run_generation(layout, grid, config=None):
     config = config or FillConfig()
     margin = config.effective_margin(layout.rules.min_spacing)
     analysis = analyze_layout(layout, grid, window_margin=margin)
-    plan = plan_targets(analysis, td_step=config.td_step)
+    plan = plan_targets(analysis)
     return (
         generate_candidates(layout, grid, plan, analysis, config),
         plan,

@@ -25,12 +25,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FillConfig(eta=-1)
 
-    def test_td_step_bounds(self):
-        with pytest.raises(ValueError):
-            FillConfig(td_step=0.0)
-        with pytest.raises(ValueError):
-            FillConfig(td_step=0.6)
-
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             FillConfig(sizing_iterations=-1)
@@ -44,13 +38,18 @@ class TestValidation:
         # the analysis picks the density kernel per layer, the spill
         # budget is a stream_fill argument, REPRO_SANITIZE=shard is the
         # shard sanitizer's one switch, the sizing step is derived from
-        # the maximum fill size and the window margin from the spacing
+        # the maximum fill size and the window margin from the spacing;
+        # the planner's td step, Case I steering and the even-layer
+        # stagger are fixed parts of the method
         for field, value in (
             ("kernel", "raster"),
             ("memory_budget", 1 << 20),
             ("sanitize", True),
             ("sizing_step", 7),
             ("window_margin", 7),
+            ("td_step", 0.05),
+            ("stagger_even_layers", False),
+            ("case1_steering", False),
         ):
             with pytest.raises(TypeError):
                 FillConfig(**{field: value})

@@ -7,7 +7,6 @@ from repro.bench.generator import LayoutSpec, generate_layout
 from repro.density import (
     analyze_layer,
     analyze_layout,
-    compute_fill_regions,
     fill_density_map,
     fill_overlay_area,
     metal_density_map,
@@ -72,13 +71,13 @@ class TestDensityMaps:
 class TestFillRegions:
     def test_empty_window_fully_free(self):
         layout, grid = make_layout()
-        regions = compute_fill_regions(layout.layer(1), grid, RULES)
+        regions = analyze_layer(layout.layer(1), grid, RULES).fill_regions
         assert union_area(regions[(0, 0)]) == 40000
 
     def test_wire_bloated_by_spacing(self):
         layout, grid = make_layout()
         layout.layer(1).add_wire(Rect(50, 50, 150, 150))
-        regions = compute_fill_regions(layout.layer(1), grid, RULES)
+        regions = analyze_layer(layout.layer(1), grid, RULES).fill_regions
         free = union_area(regions[(0, 0)])
         # Window minus wire grown by sm=10 on all sides.
         assert free == 40000 - 120 * 120
@@ -87,22 +86,13 @@ class TestFillRegions:
 
     def test_window_margin_insets(self):
         layout, grid = make_layout()
-        regions = compute_fill_regions(
-            layout.layer(1), grid, RULES, window_margin=5
-        )
+        regions = analyze_layer(layout.layer(1), grid, RULES, 5).fill_regions
         assert union_area(regions[(0, 0)]) == 190 * 190
-
-    def test_blockages_excluded(self):
-        layout, grid = make_layout()
-        regions = compute_fill_regions(
-            layout.layer(1), grid, RULES, blockages=[Rect(0, 0, 200, 200)]
-        )
-        assert regions[(0, 0)] == []
 
     def test_wire_from_next_window_bloats_across(self):
         layout, grid = make_layout()
         layout.layer(1).add_wire(Rect(205, 0, 300, 200))  # window (1,0)
-        regions = compute_fill_regions(layout.layer(1), grid, RULES)
+        regions = analyze_layer(layout.layer(1), grid, RULES).fill_regions
         # Its bloat reaches 5 dbu into window (0,0).
         assert union_area(regions[(0, 0)]) == 40000 - 5 * 200
 

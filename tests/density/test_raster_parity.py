@@ -21,7 +21,6 @@ from repro.density import MultiWindowGrid, RawComponents, compute_metrics, measu
 from repro.density.analysis import (
     analyze_layer,
     analyze_layout,
-    compute_fill_regions,
     overlay_area,
     overlay_map,
     refresh_analysis,
@@ -160,7 +159,7 @@ class TestFillRegionParity:
     def test_regions_canonical_identical(self, seed):
         layout, grid = random_layout(seed, odd=True)
         layer = layout.layer(1)
-        oracle = compute_fill_regions(layer, grid, RULES, window_margin=3)
+        oracle = analyze_layer(layer, grid, RULES, 3, kernel="rect").fill_regions
         got = raster_fill_regions(layer, grid, RULES, window_margin=3)
         # Not just equal areas: the same canonical rect lists in the
         # same order, so candidate tiling downstream is identical.
@@ -170,7 +169,7 @@ class TestFillRegionParity:
     def test_usable_area_identical(self, seed):
         layout, grid = random_layout(seed)
         layer = layout.layer(2)
-        oracle = compute_fill_regions(layer, grid, RULES)
+        oracle = analyze_layer(layer, grid, RULES, kernel="rect").fill_regions
         got = raster_fill_regions(layer, grid, RULES)
         for key in oracle:
             assert usable_fill_area(oracle[key], RULES) == usable_fill_area(
@@ -182,9 +181,7 @@ class TestFillRegionParity:
         # 4x4 over 400 -> 100-dbu windows; a 60-dbu margin leaves
         # nothing (shrunk() underflows to None).
         got = raster_fill_regions(layout.layer(1), grid, RULES, window_margin=60)
-        oracle = compute_fill_regions(
-            layout.layer(1), grid, RULES, window_margin=60
-        )
+        oracle = analyze_layer(layout.layer(1), grid, RULES, 60, kernel="rect").fill_regions
         assert oracle == got
         assert all(v == [] for v in got.values())
 

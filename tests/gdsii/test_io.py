@@ -37,6 +37,15 @@ def sample_layout():
     return layout
 
 
+def fill_only_layout():
+    """:func:`sample_layout` without its wires."""
+    layout = sample_layout()
+    fills_only = Layout(layout.die, layout.num_layers)
+    for n in layout.layer_numbers:
+        fills_only.layer(n).add_fills(layout.layer(n).fills)
+    return fills_only
+
+
 class TestRoundTrip:
     def test_layout_roundtrip(self):
         layout = sample_layout()
@@ -56,19 +65,17 @@ class TestRoundTrip:
         assert by_key[3, 1]
 
     def test_fill_only_output(self):
-        layout = sample_layout()
-        data = gdsii_bytes(layout, include_wires=False)
-        by_key = shapes_by_key(data)
+        # a layout without wires writes no wire records
+        by_key = shapes_by_key(gdsii_bytes(fill_only_layout()))
         assert (1, 0) not in by_key
         assert by_key[1, 1]
 
     def test_library_metadata(self):
-        data = gdsii_bytes(sample_layout(), library_name="MYLIB",
-                           structure_name="CHIP")
-        reader = GdsiiStreamReader(data)
+        reader = GdsiiStreamReader(gdsii_bytes(sample_layout()))
         list(reader.shapes())
-        assert reader.name == "MYLIB"
-        assert reader.structure_names == ["CHIP"]
+        assert reader.name == "FILL"
+        assert reader.structure_names == ["TOP"]
+        assert reader.user_unit == pytest.approx(1e-3)
         assert reader.db_unit_meters == pytest.approx(1e-9)
 
     def test_deterministic_output(self):
@@ -104,9 +111,8 @@ class TestFileSize:
     def test_measure_matches_bytes(self):
         layout = sample_layout()
         assert measure_file_size(layout) == len(gdsii_bytes(layout))
-        assert measure_file_size(layout, include_wires=False) == len(
-            gdsii_bytes(layout, include_wires=False)
-        )
+        fills_only = fill_only_layout()
+        assert measure_file_size(fills_only) == len(gdsii_bytes(fills_only))
 
     def test_header_overhead_constant_is_exact(self):
         # an empty layout is the framing plus the die outline boundary

@@ -5,13 +5,15 @@ another, so a change that moves every mode's bytes alike passes it.
 These pins hold the output itself: the full sha256 of each suite's
 GDSII after a ``FillConfig(eta=0.2)`` fill, and the fill's
 :class:`~repro.core.SizingStats` as ``(lp_solves, variables,
-constraints, dropped_fills, windows)``.
+constraints, dropped_fills, windows)``.  The greedy and coupling-LP
+baselines' fills of suite s are pinned the same way.
 """
 
 import hashlib
 
 import pytest
 
+from repro.baselines import coupling_lp_fill, greedy_fill
 from repro.bench.generator import generate_layout
 from repro.bench.suite import SUITE_SPECS
 from repro.core import DummyFillEngine, FillConfig
@@ -44,4 +46,22 @@ def test_suite_fill_is_pinned(suite):
     s = report.sizing
     digest, stats = PINS[suite]
     assert (s.lp_solves, s.variables, s.constraints, s.dropped_fills, s.windows) == stats
+    assert hashlib.sha256(gdsii_bytes(layout)).hexdigest() == digest
+
+
+BASELINE_PINS = {
+    "greedy": (greedy_fill, "9647bbc370dc39403fbd9f813c29f67508f0e643ee1807d686e133a366d077d6"),
+    "coupling_lp": (
+        coupling_lp_fill,
+        "f853d8123feb6395332d2f989ac1af6e29fb8c38bf67b2ddc7cb71b37e78eeee",
+    ),
+}
+
+
+@pytest.mark.parametrize("baseline", sorted(BASELINE_PINS))
+def test_baseline_fill_is_pinned(baseline):
+    spec, (cols, rows), _, _ = SUITE_SPECS["s"]
+    layout = generate_layout(spec)
+    fill, digest = BASELINE_PINS[baseline]
+    fill(layout, WindowGrid(layout.die, cols, rows))
     assert hashlib.sha256(gdsii_bytes(layout)).hexdigest() == digest

@@ -85,13 +85,6 @@ class TestChecker:
         violations = check_fills(fills, wires, RULES)
         assert any(v.rule == "min_spacing" for v in violations)
 
-    def test_fill_to_wire_check_can_be_disabled(self):
-        fills = [Rect(0, 0, 20, 20)]
-        wires = [Rect(25, 0, 60, 20)]
-        assert (
-            check_fills(fills, wires, RULES, check_spacing_to_wires=False) == []
-        )
-
     def test_each_pair_reported_once(self):
         fills = [Rect(0, 0, 20, 20), Rect(25, 0, 45, 20)]
         violations = [

@@ -99,5 +99,3 @@ class TestShapeGroups:
             (2, 0, []),
             (2, 1, [Rect(20, 20, 30, 30)]),
         ]
-        fills_only = shape_groups(layout.die, layers, include_wires=False)
-        assert [(lay, dt) for lay, dt, _ in fills_only] == [(0, 0), (1, 1), (2, 1)]

@@ -8,10 +8,12 @@ import pytest
 
 from repro.service import (
     FillService,
+    ServiceClient,
     ServiceError,
     ServiceServer,
     SocketClient,
 )
+from repro.service.jobs import JobError
 
 from .conftest import CONFIG_MAPPING, RULES_MAPPING
 
@@ -58,9 +60,14 @@ class TestUnixSocket:
             assert responses[1]["result"]["new_wires"] == 1
 
     def test_error_response_raises(self, server):
+        # one failing request raises the same type through both clients
         with SocketClient(**server.client_args()) as client:
-            with pytest.raises(ServiceError) as exc_info:
+            with pytest.raises(ServiceError) as over_socket:
                 client.request("fill", session="s404")
+        with pytest.raises(ServiceError) as in_process:
+            ServiceClient(server.service).request("fill", session="s404")
+        assert type(over_socket.value) is type(in_process.value) is JobError
+        for exc_info in (over_socket, in_process):
             assert exc_info.value.error_type == "UnknownSessionError"
 
     def test_two_clients_interleave(self, server, gds_bytes):

@@ -9,7 +9,7 @@ from repro.bench.suite import calibrate_weights
 from repro.density import score_layout
 from repro.gdsii import file_size_mb, layout_from_gdsii
 from repro.layout import WindowGrid
-from repro.service import FillService, JobError, ServiceClient, rules_from_mapping
+from repro.service import FillService, ServiceClient, ServiceError, rules_from_mapping
 
 from .conftest import CONFIG_MAPPING, RULES, RULES_MAPPING
 
@@ -49,26 +49,33 @@ class TestControlOps:
     def test_close_session(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)
         assert client.request("close_session", session=sid) == {"closed": sid}
-        with pytest.raises(JobError) as exc_info:
+        with pytest.raises(ServiceError) as exc_info:
             client.request("fill", session=sid)
         assert exc_info.value.error_type == "UnknownSessionError"
 
     def test_open_needs_exactly_one_source(self, client):
-        with pytest.raises(JobError, match="exactly one"):
+        with pytest.raises(ServiceError, match="exactly one"):
             client.request("open_session")
 
     def test_unknown_rules_key_rejected(self, client, gds_bytes):
-        with pytest.raises(JobError, match="unknown rules keys"):
+        with pytest.raises(ServiceError, match="unknown rules keys"):
             open_session(client, gds_bytes, rules={"min_gap": 3})
 
     def test_removed_solver_rejected(self, client, gds_bytes):
-        with pytest.raises(JobError, match="solver must be one of"):
+        with pytest.raises(ServiceError, match="solver must be one of"):
             open_session(client, gds_bytes, config={"solver": "mcf-simplex"})
-        with pytest.raises(JobError, match=r"unknown config keys \['kernel'\]") as exc_info:
+        with pytest.raises(ServiceError, match=r"unknown config keys \['kernel'\]") as exc_info:
             open_session(client, gds_bytes, config={**CONFIG_MAPPING, "kernel": "raster"})
         assert exc_info.value.error_type == "ValueError"
-        with pytest.raises(JobError, match=r"unknown config keys \['memory_budget'\]"):
+        with pytest.raises(ServiceError, match=r"unknown config keys \['memory_budget'\]"):
             open_session(client, gds_bytes, config={**CONFIG_MAPPING, "memory_budget": 1 << 20})
+        for key, value in (
+            ("td_step", 0.05),
+            ("stagger_even_layers", False),
+            ("case1_steering", False),
+        ):
+            with pytest.raises(ServiceError, match=rf"unknown config keys \['{key}'\]"):
+                open_session(client, gds_bytes, config={**CONFIG_MAPPING, key: value})
         # the failed requests leave the service serving
         sid = open_session(client, gds_bytes)
         assert client.request("fill", session=sid)["num_fills"] > 0
@@ -85,13 +92,13 @@ class TestControlOps:
             rules_from_mapping({"min_spacing": value})
 
     def test_non_integer_request_values_rejected(self, client, gds_bytes):
-        with pytest.raises(JobError, match="windows must be an integer") as exc_info:
+        with pytest.raises(ServiceError, match="windows must be an integer") as exc_info:
             open_session(client, gds_bytes, windows=8.9)
         assert exc_info.value.error_type == "ValueError"
-        with pytest.raises(JobError, match="max_fill must be an integer"):
+        with pytest.raises(ServiceError, match="max_fill must be an integer"):
             open_session(client, gds_bytes, rules={**RULES_MAPPING, "max_fill": "150"})
         for key, value in (("workers", 2.5), ("sizing_iterations", 1.5)):
-            with pytest.raises(JobError, match=f"{key} must be an integer"):
+            with pytest.raises(ServiceError, match=f"{key} must be an integer"):
                 open_session(client, gds_bytes, config={**CONFIG_MAPPING, key: value})
         assert client.request("sessions")["sessions"] == []
 
@@ -146,7 +153,7 @@ class TestComputeOps:
         sid = open_session(client, gds_bytes)
         before = client.request("fill", session=sid)["gds"]
         bad = {"1": [[100, 100, 400, 140]], "2": [[500, 500, 500, 900]]}
-        with pytest.raises(JobError, match="on layer 2 has zero area"):
+        with pytest.raises(ServiceError, match="on layer 2 has zero area"):
             client.request("eco_delta", session=sid, wires=bad)
         assert client.request("fill", session=sid)["gds"] == before
         result = client.request("eco_delta", session=sid, wires={"1": [[100, 100, 400, 140]]})
@@ -155,20 +162,20 @@ class TestComputeOps:
     def test_eco_delta_rejects_two_keys_for_one_layer(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)
         wires = {"1": [[0, 0, 10, 10]], "01": [[20, 20, 30, 30]]}
-        with pytest.raises(JobError, match="'01' and '1' both name layer 1"):
+        with pytest.raises(ServiceError, match="'01' and '1' both name layer 1"):
             client.request("eco_delta", session=sid, wires=wires)
 
     def test_eco_delta_needs_wires(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)
-        with pytest.raises(JobError, match="non-empty"):
+        with pytest.raises(ServiceError, match="non-empty"):
             client.request("eco_delta", session=sid, wires={})
 
     def test_unknown_op(self, client):
-        with pytest.raises(JobError, match="unknown compute op"):
+        with pytest.raises(ServiceError, match="unknown compute op"):
             client.request("prophesy", session="s1")
 
     def test_unknown_session(self, client):
-        with pytest.raises(JobError) as exc_info:
+        with pytest.raises(ServiceError) as exc_info:
             client.request("fill", session="s999")
         assert exc_info.value.error_type == "UnknownSessionError"
 
@@ -188,12 +195,12 @@ class TestBatch:
         assert responses[2]["result"]["count"] == 0
 
     def test_empty_batch_rejected(self, client):
-        with pytest.raises(JobError, match="non-empty"):
+        with pytest.raises(ServiceError, match="non-empty"):
             client.request("batch", requests=[])
 
     def test_bad_op_fails_whole_batch_before_queueing(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)
-        with pytest.raises(JobError, match="unknown compute op"):
+        with pytest.raises(ServiceError, match="unknown compute op"):
             client.batch(
                 [{"op": "fill", "session": sid}, {"op": "nope", "session": sid}]
             )
@@ -202,7 +209,7 @@ class TestBatch:
 
     def test_unknown_session_runs_none_of_the_batch(self, client, gds_bytes):
         sid = open_session(client, gds_bytes)
-        with pytest.raises(JobError) as exc_info:
+        with pytest.raises(ServiceError) as exc_info:
             client.batch(
                 [{"op": "fill", "session": sid}, {"op": "drc_audit", "session": "s404"}]
             )
@@ -216,7 +223,7 @@ class TestBackpressureAndEviction:
             client = ServiceClient(svc)
             first = open_session(client, gds_bytes)
             open_session(client, gds_bytes)
-            with pytest.raises(JobError) as exc_info:
+            with pytest.raises(ServiceError) as exc_info:
                 client.request("drc_audit", session=first)
             assert exc_info.value.error_type == "UnknownSessionError"
 
@@ -226,7 +233,7 @@ class TestBackpressureAndEviction:
         client = ServiceClient(svc)
         sid = open_session(client, gds_bytes)
         svc.stop()
-        with pytest.raises(JobError):
+        with pytest.raises(ServiceError):
             client.request("fill", session=sid)
 
 
@@ -330,6 +337,6 @@ class TestObservability:
             with FillService() as svc:
                 client = ServiceClient(svc)
                 sid = open_session(client, gds_bytes)
-                with pytest.raises(JobError):
+                with pytest.raises(ServiceError):
                     client.request("eco_delta", session=sid, wires={})
         assert rec.record.metrics["service.errors"]["value"] == 1

@@ -6,6 +6,7 @@ and runs its ``main()`` inside a temp directory (some write files).
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +57,7 @@ def test_coupling_aware_fill(monkeypatch, tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "overlay-aware" in out
+    assert re.search(r"overlay-aware fill couples \d+% less metal to the bus", out)
 
 
 def test_gdsii_workflow(monkeypatch, tmp_path, capsys):

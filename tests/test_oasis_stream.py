@@ -14,6 +14,7 @@ from repro.oasis import (
     OasisStreamWriter,
     oasis_bytes,
     read_oasis,
+    write_uint,
 )
 
 
@@ -58,7 +59,7 @@ class TestRepetitions:
         single, _ = _roundtrip(rects[:1])
         assert len(data) < len(single) + 5 * 8
 
-    def test_grid_roundtrips(self):
+    def test_grid_roundtrips(self, monkeypatch):
         rects = [
             Rect(100 * a, 80 * b, 100 * a + 30, 80 * b + 30)
             for b in range(4)
@@ -66,6 +67,11 @@ class TestRepetitions:
         ]
         data, back = _roundtrip(rects)
         assert sorted(back) == sorted(rects)
+        # the writer splits rows and grids at the reader's cap
+        monkeypatch.setattr("repro.oasis._MAX_REPEAT", 3)
+        capped, back = _roundtrip(rects)
+        assert sorted(back) == sorted(rects)
+        assert len(capped) > len(data)
 
     def test_grid_beats_rows(self):
         grid_rects = [
@@ -142,6 +148,17 @@ class TestMalformedStreams:
         data = MAGIC + bytes([14, 50])
         with pytest.raises(ValueError, match="truncated OASIS string"):
             read_oasis(data)
+        # A count claiming more than any stream holds: a 10x10 square
+        # with a row repetition of 2^40 copies fails at its record's
+        # offset instead of expanding.
+        head = io.BytesIO()
+        OasisStreamWriter(head)  # magic, START and the cell name
+        record = bytearray([25, 0xDF])  # RECTANGLE: S W X Y R D L
+        for value in (1, 1, 10, 0, 0, 3, 2**40 - 2, 20):  # x, y sint 0
+            write_uint(record, value)
+        offset = len(head.getvalue())
+        with pytest.raises(ValueError, match=f"{2**40} copies .* at byte {offset} "):
+            read_oasis(head.getvalue() + bytes(record))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
