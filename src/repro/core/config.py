@@ -4,10 +4,9 @@ Collects every tunable the paper names — λ (Alg. 1 over-generation),
 γ (Eqn. (8) quality weight), η (Eqn. (9a) overlay weight) — plus the
 engineering knobs of the iterative sizing loop (§3.3.2): the number of
 alternating horizontal/vertical passes and which LP backend solves each
-pass.  The per-pass trust-region step, the window-edge inset and the
-sizing stage's wire reach are derived from the rule deck
-(:meth:`FillConfig.effective_step`, :meth:`FillConfig.effective_margin`,
-:meth:`FillConfig.sizing_reach`).  Case I steering into Region 3
+pass.  The per-pass trust-region step and the window-edge inset are
+derived from the rule deck (:meth:`FillConfig.effective_step`,
+:meth:`FillConfig.effective_margin`).  Case I steering into Region 3
 (Alg. 1), the interleaved even-layer grid (Fig. 4(b)) and the planner's
 td step (§3.1) are part of the method, not knobs.
 """
@@ -15,10 +14,7 @@ td step (§3.1) are part of the method, not knobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Mapping
-
-if TYPE_CHECKING:
-    from ..layout import DrcRules
+from typing import Any, Mapping
 
 __all__ = ["FillConfig"]
 
@@ -128,15 +124,6 @@ class FillConfig:
         are bounded to a certain range"): a quarter of the maximum fill
         size, at least 2."""
         return max(2, min(max_fill_width, max_fill_height) // 4)
-
-    def sizing_reach(self, rules: DrcRules) -> int:
-        """How far around a window sizing reads wires, in dbu: the
-        spacing rule plus one pass's trust-region step.  The streamed
-        flow gives each band the wires within this reach, so a band's
-        sizing sees the wires an in-memory run's does."""
-        return rules.min_spacing + self.effective_step(
-            rules.max_fill_width, rules.max_fill_height
-        )
 
     def effective_workers(self) -> int:
         """Resolved worker count: ``0`` maps to one per available core.

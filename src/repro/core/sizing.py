@@ -42,7 +42,7 @@ sizing it alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,15 +57,12 @@ from ..netflow import (
     solve_dual_mcf,
     solve_linprog,
 )
-from .candidates import CandidatePlan, _wire_indexes_for
+from .candidates import CandidatePlan, _key_join, _wire_indexes_for
 from .config import FillConfig
 
 __all__ = ["SizingStats", "size_window", "size_fills"]
 
 WindowKey = Tuple[int, int]
-
-#: most index pairs one :func:`_key_join` chunk materialises
-_JOIN_CHUNK = 1 << 12
 
 
 @dataclass
@@ -99,32 +96,6 @@ def _min_width(rules: DrcRules, height: np.ndarray) -> np.ndarray:
     if (height <= 0).any():
         raise ValueError("height must be positive")
     return np.maximum(rules.min_width, -(-rules.min_area // height))
-
-
-def _key_join(
-    left: np.ndarray, right: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Every ``(i, j)`` with ``left[i] == right[j]``; ``right`` is sorted.
-
-    The pairs come ordered by ``i``, then ``j``, in chunks of at most
-    ``_JOIN_CHUNK`` (more only when one ``i`` alone has more matches),
-    so a caller keeps each chunk's few useful pairs before the next
-    chunk is built.
-    """
-    start = np.searchsorted(right, left, "left")
-    count = np.searchsorted(right, left, "right") - start
-    before = np.zeros(len(left) + 1, np.int64)
-    np.cumsum(count, out=before[1:])
-    i0 = 0
-    while i0 < len(left):
-        i1 = int(np.searchsorted(before, before[i0] + _JOIN_CHUNK, "right")) - 1
-        i1 = min(len(left), max(i1, i0 + 1))
-        rows = np.repeat(np.arange(i0, i1), count[i0:i1])
-        cols = np.repeat(start[i0:i1] - before[i0:i1], count[i0:i1]) + np.arange(
-            before[i0], before[i1]
-        )
-        yield rows, cols
-        i0 = i1
 
 
 def _overlapping(
@@ -664,15 +635,17 @@ def size_fills(
     Windows are independent problems (the paper sizes per window); the
     windows of one grid column are sized as one batch, and the result
     is in grid order: a window whose candidates are all empty maps to
-    empty per-layer lists.  A window sees the wires within the sizing
-    margin of it; each column takes its wires with one query per layer
-    of the wire indexes (``wire_indexes`` supplies prebuilt ones, as
-    for :func:`repro.core.generate_candidates`).
+    empty per-layer lists.  A window sees the wires within the spacing
+    rule of it, the reach of analysis, candidates and DRC: sizing reads
+    only wires that overlap a fill, and fills lie inside their window
+    and only shrink.  Each column takes its wires with one query per
+    layer of the wire indexes (``wire_indexes`` supplies prebuilt ones,
+    as for :func:`repro.core.generate_candidates`).
     """
     if config is None:
         config = FillConfig()
     rules = check_drc_params(layout.rules, name="layout.rules")
-    margin = config.sizing_reach(rules)
+    margin = rules.min_spacing
     indexes = _wire_indexes_for(layout, wire_indexes)
     numbers = layout.layer_numbers
     total = SizingStats()

@@ -332,13 +332,13 @@ def stream_fill(
 
         # --------------------------------------------------------------
         # Pass 2 — bucket: route wires into band chunks with the widest
-        # query reach of any stage as halo (candidate generation looks
-        # ``min_spacing`` around a window, sizing ``config.sizing_reach``);
+        # query reach of any stage as halo (``min_spacing`` around a
+        # window: analysis, candidates, sizing and DRC alike);
         # decide each input fill's fate (all replaced by a whole-die
         # fill, ECO rip-up otherwise), route the kept ones for the DRC
         # and accumulate their area per window.
         with obs.span("bucket"):
-            halo = config.sizing_reach(rules)
+            halo = rules.min_spacing
             wires = ShapeSpill(plan, workdir, "wires", flush_records=flush)
             fills = ShapeSpill(plan, workdir, "fills", flush_records=flush)
             kept_spool = LayerSpool(workdir, "kept", flush_records=flush)

@@ -137,11 +137,12 @@ def rect_set_union(a: Sequence[Rect], b: Sequence[Rect]) -> List[Rect]:
 
 
 def rect_set_intersect(a: Sequence[Rect], b: Sequence[Rect]) -> List[Rect]:
-    """Disjoint rectangles covering ``union(a) ∩ union(b)``.
+    """Disjoint rectangles covering ``union(a) ∩ union(b)``, canonical.
 
-    Used by Alg. 1 line 10: ``intersect(fr(l), fr(l+1))`` — the region
-    free of wires on *both* of two adjacent layers (Region 3 of
-    Figs. 4/5).
+    Alg. 1 line 10's ``intersect(fr(l), fr(l+1))`` (Region 3 of
+    Figs. 4/5) does not need the canonical form:
+    :func:`repro.core.candidates._region3` keeps the pairwise
+    intersection pieces as they are.
     """
     return _sweep(a, b, iv_intersect)
 

@@ -203,12 +203,14 @@ class TestAlg1:
 
 
 class TestLargestClipPiece:
-    """`_largest_clip_piece` vs the canonical-sweep oracle.
+    """The oracle's `_largest_clip_piece` vs the canonical sweep.
 
-    The routine replaces ``max(rect_set_intersect(touching, [tile]))``
-    in `_best_piece`; the canonical decomposition is a geometric
-    invariant, so both must pick the *same* rectangle — same key
-    ``(area, xl, yl)``, same coordinates — for any clip set.
+    The scalar oracle of Alg. 1 (``candidates_oracle``) takes a tile's
+    piece with this routine instead of
+    ``max(rect_set_intersect(touching, [tile]))``; the canonical
+    decomposition is a geometric invariant, so both must pick the
+    *same* rectangle — same key ``(area, xl, yl)``, same coordinates —
+    for any clip set.
     """
 
     @staticmethod
@@ -222,7 +224,7 @@ class TestLargestClipPiece:
     def test_matches_sweep_on_random_clip_sets(self, seed):
         import random
 
-        from repro.core.candidates import _largest_clip_piece
+        from .candidates_oracle import _largest_clip_piece
 
         rng = random.Random(seed)
         tile = Rect(0, 0, 120, 120)
@@ -240,7 +242,7 @@ class TestLargestClipPiece:
             assert _largest_clip_piece(clips) == self._oracle(clips, tile), clips
 
     def test_tie_breaks_on_position(self):
-        from repro.core.candidates import _largest_clip_piece
+        from .candidates_oracle import _largest_clip_piece
 
         # Two disjoint equal-area pieces: the (area, xl, yl) key must
         # pick the same one the sweep's max() picks.
@@ -249,7 +251,7 @@ class TestLargestClipPiece:
         assert _largest_clip_piece(clips) == self._oracle(clips, tile)
 
     def test_abutting_spans_merge_into_one_piece(self):
-        from repro.core.candidates import _largest_clip_piece
+        from .candidates_oracle import _largest_clip_piece
 
         # Two clips sharing an edge form one canonical rect — the
         # interval normalisation must merge abutting spans, not just

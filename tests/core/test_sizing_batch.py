@@ -212,3 +212,30 @@ def test_cases_reach_every_route(monkeypatch):
         got = sizing.size_fills(layout, grid, plan, targets, config)
         assert got == sizing_oracle.size_fills(layout, grid, plan, targets, config)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_column_reads_only_the_wires_over_its_windows(seed):
+    """Sizing a column with every wire, or with only the wires that
+    overlap its windows, gives the same fills and SizingStats: fills lie
+    inside their windows and only shrink, so no other wire ever meets one
+    (the wire reach of sizing is the spacing rule, not a pass's step)."""
+    layout, grid, plan, targets = make_case(seed)
+    column = {
+        key: {n: [r for r in rects if grid.window(*key).contains(r)] for n, rects in cands.items()}
+        for key, cands in plan.items()
+        if key[0] == 1
+    }
+    windows = [grid.window(*key) for key in column]
+    bare = Layout(DIE, layout.num_layers, RULES, name="bare")
+    for n in layout.layer_numbers:
+        bare.layer(n).add_wires(
+            wire for wire in layout.layer(n).wires if any(wire.overlaps(w) for w in windows)
+        )
+    assert bare.num_wires < layout.num_wires
+    config = _config(seed, "mcf-ssp", 3)
+    full, full_stats = sizing.size_fills(layout, grid, column, targets, config)
+    only, only_stats = sizing.size_fills(bare, grid, column, targets, config)
+    assert _flatten(full) == _flatten(only)
+    assert full_stats == only_stats
+    assert full_stats.lp_solves > 0

@@ -159,6 +159,9 @@ FAMILIES = {
     "empty-layer": (_empty_layer, 10, 3),
     "one-window": (_spec(die_size=600, num_cell_rects=25, num_bus_bundles=1), 10, 1),
     "odd-die": (_odd_die, 13, 4),
+    # the only family with a middle odd layer (3), whose Region 3 is
+    # free on both layer 2 and layer 4
+    "five-layers": (_spec(num_layers=5, num_cell_rects=50, num_bus_bundles=2), 10, 3),
 }
 
 
@@ -179,13 +182,14 @@ class Case:
         return layout_from_gdsii(self.gds, self.rules)
 
 
-def _eco_steps(die, rng):
+def _eco_steps(layout, rng):
     """Two wire changes; the first always touches layer 2."""
+    die = layout.die
     steps = []
     for first in (True, False):
         wires = {}
         for _ in range(rng.randrange(1, 3)):
-            n = 2 if first and not wires else rng.randrange(1, 4)
+            n = 2 if first and not wires else rng.randrange(1, layout.num_layers + 1)
             w, h = rng.randrange(60, 250), rng.randrange(16, 40)
             w, h = (w, h) if n % 2 else (h, w)
             x, y = rng.randrange(die.xl, die.xh - w), rng.randrange(die.yl, die.yh - h)
@@ -201,7 +205,7 @@ def build_case(name, seed):
     made = build(seed)
     gds = made if isinstance(made, bytes) else gdsii_bytes(made)
     layout = layout_from_gdsii(gds, rules)
-    ecos = _eco_steps(layout.die, random.Random(f"{seed}-{name}"))
+    ecos = _eco_steps(layout, random.Random(f"{seed}-{name}"))
     grid = WindowGrid(layout.die, windows, windows)
     DummyFillEngine(CONFIG).run(layout, grid)
     fill_gds, fill_oas = gdsii_bytes(layout), oasis_bytes(layout)
