@@ -19,8 +19,8 @@ for the full catalogue and rationale):
   channel (no raw ``print()``/``logging.basicConfig``/
   ``signal.setitimer`` outside ``repro/obs`` and CLI modules).
 * :mod:`~repro.check.rules.vectorization` — REP015: no per-window
-  Python loops under ``repro/density/`` outside the rect oracle —
-  per-window quantities belong on the raster kernel.
+  Python loops under ``repro/density/`` without a waiver —
+  per-window quantities belong on the raster passes.
 
 Rules are registered in :data:`RULE_REGISTRY` via the
 :func:`register` decorator; adding a rule is writing a subclass of

@@ -1,13 +1,11 @@
 """Vectorization rule: REP015 — density hot paths stay on the numpy kernel.
 
-The raster kernel (:mod:`repro.density.raster`) computes the density
-analysis with coordinate-compressed occupancy grids, one array pass per
-window-column strip.  The rect-set scanline path in ``analysis.py`` is
-its byte-identity oracle and the kernel the analysis picks on layers
-where it is faster — but any *new* per-window Python loop added
-elsewhere under ``repro/density/`` quietly reintroduces the O(windows)
-interpreter overhead the raster kernel avoids, and nothing else would
-catch it (the parity tests only prove equality, not speed).
+Every per-window union area of :mod:`repro.density` is one
+:func:`~repro.density.raster.raster_area_map` call: a pass per
+window-column strip over one occupancy raster.  Any *new* per-window
+Python loop under ``repro/density/`` quietly reintroduces the
+O(windows) interpreter overhead the raster passes avoid, and nothing
+else would catch it (the parity tests only prove equality, not speed).
 
 The rule flags the two shapes the migration removed:
 
@@ -17,9 +15,10 @@ The rule flags the two shapes the migration removed:
 * nested ``range(grid.cols)`` x ``range(grid.rows)`` loops that
   accumulate per-window values.
 
-The oracle module is exempt wholesale; anything else that genuinely
-needs a per-window loop (k-bounded attribution reporting, for
-instance) documents the waiver with ``# repro: noqa[REP015]``.
+No module is exempt.  A loop that genuinely needs to run per window
+(the clipped-sum fill density, whose semantics the streamed fill
+shares, or k-bounded attribution reporting) documents the waiver with
+``# repro: noqa[REP015]`` on its line.
 """
 
 from __future__ import annotations
@@ -82,24 +81,16 @@ def _accumulates(body: ast.AST, skip: Optional[ast.AST] = None) -> bool:
 class PerWindowLoopRule(Rule):
     """Per-window Python loops in the density layer.
 
-    The raster kernel computes the per-window analysis quantities as
+    The raster passes compute the per-window density quantities as
     array passes; a scalar window-by-window loop under
-    ``repro/density/`` belongs either in the rect oracle
-    (``analysis.py``, exempt) or behind an explicit
-    ``# repro: noqa[REP015]`` waiver.
+    ``repro/density/`` needs an explicit ``# repro: noqa[REP015]``
+    waiver.
     """
 
     code = "REP015"
-    summary = "per-window Python loop in repro/density/ outside the rect oracle"
+    summary = "per-window Python loop in repro/density/"
     default_severity = Severity.WARNING
     scopes = ("repro/density/",)
-    #: the scanline rect-set path — the raster kernel's parity oracle
-    oracle_basenames = ("analysis.py",)
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        if not super().applies_to(ctx):
-            return False
-        return ctx.module_basename not in self.oracle_basenames
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -144,7 +135,7 @@ class PerWindowLoopRule(Rule):
             loop,
             "window-by-window iteration doing per-window geometry; "
             "compute the quantity as one raster pass "
-            "(repro.density.raster) or mark the oracle with noqa",
+            "(repro.density.raster) or waive the loop with noqa",
         )
 
     def _nested_axis_findings(

@@ -52,14 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..density.analysis import LayerDensity
-from ..geometry import GridIndex, Rect, bounding_box
+from ..geometry import GridIndex, Rect, bounding_box, boxes, rects_of
 from ..layout import DrcRules, Layout, WindowGrid
 from .config import FillConfig
 from .planner import DensityPlan
@@ -79,8 +78,6 @@ CandidatePlan = Dict[WindowKey, Dict[int, List[Rect]]]
 
 #: most index pairs one :func:`_key_join` chunk materialises
 _JOIN_CHUNK = 1 << 12
-
-_CORNERS = attrgetter("xl", "yl", "xh", "yh")
 
 
 def _key_join(
@@ -107,11 +104,6 @@ def _key_join(
         )
         yield rows, cols
         i0 = i1
-
-
-def _boxes(rects: Iterable[Rect], n: int) -> np.ndarray:
-    """The ``n`` rects as an ``(n, 4)`` int64 array of (xl, yl, xh, yh)."""
-    return np.fromiter(chain.from_iterable(map(_CORNERS, rects)), np.int64, 4 * n).reshape(n, 4)
 
 
 def _area(box: np.ndarray) -> np.ndarray:
@@ -297,12 +289,12 @@ def grid_candidates(
     if not rects:
         return []
     frame = anchor if anchor is not None else bounding_box(rects)
-    lattice = _Lattice(_boxes([frame], 1), np.array([stagger]), rules)
+    lattice = _Lattice(boxes([frame], 1), np.array([stagger]), rules)
     preferred = [r for r in prefer if not r.is_degenerate] if prefer else []
     _, box = lattice.candidates(
-        _boxes(rects, len(rects)),
+        boxes(rects, len(rects)),
         np.zeros(len(rects), np.int64),
-        (_boxes(preferred, len(preferred)), np.zeros(len(preferred), np.int64)),
+        (boxes(preferred, len(preferred)), np.zeros(len(preferred), np.int64)),
     )
     return [Rect(*b) for b in box.tolist()]
 
@@ -426,7 +418,7 @@ class _Column:
         self.shared = shared
         self.i, self.rows = i, rows
         self.layers = nl = len(numbers)
-        self.frames = _boxes((grid.window(i, j) for j in rows), len(rows))
+        self.frames = boxes((grid.window(i, j) for j in rows), len(rows))
         self.aw = [grid.window_area(i, j) for j in rows]
         self.targets = [shared.plan.target(n)[i, rows].tolist() for n in numbers]
         self.wire_density = [shared.analysis[n].lower[i, rows].tolist() for n in numbers]
@@ -434,7 +426,7 @@ class _Column:
             shared.analysis[n].fill_regions.get((i, j), []) for j in rows for n in numbers
         ]
         counts = [len(r) for r in regions]
-        box = _boxes(chain.from_iterable(regions), sum(counts))
+        box = boxes(chain.from_iterable(regions), sum(counts))
         slot = np.repeat(np.arange(len(rows) * nl), counts)
         self.region_area = _sums(slot, _area(box), len(rows) * nl).tolist()
         live = (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3])
@@ -537,19 +529,19 @@ class _Column:
         column = Rect(
             int(frames[0, 0]), int(frames[0, 1]), int(frames[-1, 2]), int(frames[-1, 3])
         )
-        boxes, slots = [odd_box], [odd_slot]
+        neighbours, slots = [odd_box], [odd_slot]
         adjacent = np.unique(np.concatenate((slot % nl - 1, slot % nl + 1)))
         for a in adjacent[(adjacent >= 0) & (adjacent < nl)].tolist():
             hits = self.shared.wire_indexes[numbers[a]].query(column)
-            wires = _boxes((r for r, _ in hits), len(hits))
+            wires = boxes((r for r, _ in hits), len(hits))
             first = np.searchsorted(frames[:, 3], wires[:, 1], "left")
             reach = np.searchsorted(frames[:, 1], wires[:, 3], "right") - first
             window, wire = _ranges(first, np.maximum(reach, 0))
-            boxes.append(wires[wire])
+            neighbours.append(wires[wire])
             slots.append(window * nl + a)
         nslot = np.concatenate(slots)
         order = np.argsort(nslot, kind="stable")
-        nbox, nslot = np.concatenate(boxes)[order], nslot[order]
+        nbox, nslot = np.concatenate(neighbours)[order], nslot[order]
         want = np.column_stack((_adjacent(slot, -1, nl), _adjacent(slot, 1, nl))).ravel()
         overlay = np.zeros(len(cand), np.int64)
         for a, b in _key_join(want, nslot):
@@ -569,13 +561,10 @@ class _Column:
         obs.metrics.counter("candidates.round.even").inc(len(even[0]))
         # The plan lives until sizing: a column's rects share one int
         # object per distinct coordinate.
-        values, index = np.unique(np.concatenate((odd[1], even[1])), return_inverse=True)
-        coord = values.tolist()
+        rects = rects_of(np.concatenate((odd[1], even[1])))
         slots = np.concatenate((odd[0], even[0])).tolist()
-        for s, (xl, yl, xh, yh) in zip(slots, index.reshape(-1, 4).tolist()):
-            out[(self.i, self.rows[s // nl])][numbers[s % nl]].append(
-                Rect(coord[xl], coord[yl], coord[xh], coord[yh])
-            )
+        for s, rect in zip(slots, rects):
+            out[(self.i, self.rows[s // nl])][numbers[s % nl]].append(rect)
         return out
 
 

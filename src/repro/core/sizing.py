@@ -48,7 +48,7 @@ import numpy as np
 
 from .. import obs
 from ..contracts import check_drc_params
-from ..geometry import GridIndex, Rect
+from ..geometry import GridIndex, Rect, boxes, rects_of
 from ..layout import DrcRules, Layout, WindowGrid
 from ..netflow import (
     DifferentialLP,
@@ -147,9 +147,7 @@ class _Batch:
                 wins.extend([w] * len(cands[layer]))
         n = len(rects)
         self._candidates = rects
-        self._start = np.fromiter(
-            (v for r in rects for v in (r.xl, r.yl, r.xh, r.yh)), np.int64, 4 * n
-        ).reshape(n, 4)
+        self._start = boxes(rects, n)
         self.xl, self.yl, self.xh, self.yh = (self._start[:, k].copy() for k in range(4))
         self.layer = np.array(layers, dtype=np.int64)
         self.win = np.array(wins, dtype=np.int64)
@@ -246,9 +244,7 @@ class _Batch:
             return
         m = len(rects)
         layer = np.repeat(np.array(used, dtype=np.int64), [len(wires[n]) for n in used])
-        box = np.fromiter(
-            (v for r in rects for v in (r.xl, r.yl, r.xh, r.yh)), np.int64, 4 * m
-        ).reshape(m, 4)
+        box = boxes(rects, m)
         first = np.searchsorted(highs, box[:, 1], "left")
         count = np.maximum(np.searchsorted(lows, box[:, 3], "right") - first, 0)
         wire = np.repeat(np.arange(m), count)
@@ -265,15 +261,15 @@ class _Batch:
                 self._key(self.win[live], self.layer[live] + 1),
             )
         )
-        fills, boxes = [], []
+        fills, wire_boxes = [], []
         for i, j in _key_join(want, keys):
             f, b = fill[i], box[wire[j]]
             keep = _overlapping(self._box(f), (b[:, 0], b[:, 1], b[:, 2], b[:, 3]))
             fills.append(f[keep])
-            boxes.append(b[keep])
+            wire_boxes.append(b[keep])
         if fills:
             self.wire_fill = np.concatenate(fills)
-            b = np.concatenate(boxes)
+            b = np.concatenate(wire_boxes)
             self.wire_box = (b[:, 0].copy(), b[:, 1].copy(), b[:, 2].copy(), b[:, 3].copy())
 
     def _fill_pairs(self) -> None:
@@ -573,10 +569,8 @@ class _Batch:
         rects = [self._candidates[k] for k in kept.tolist()]
         box = np.column_stack((self.xl, self.yl, self.xh, self.yh))[kept]
         shrunk = np.flatnonzero((box != self._start[kept]).any(axis=1))
-        values, index = np.unique(box[shrunk], return_inverse=True)
-        values = values.tolist()
-        for pos, (a, b, c, d) in zip(shrunk.tolist(), index.reshape(-1, 4).tolist()):
-            rects[pos] = Rect(values[a], values[b], values[c], values[d])
+        for pos, rect in zip(shrunk.tolist(), rects_of(box[shrunk])):
+            rects[pos] = rect
         for w, layer, rect in zip(
             self.win[kept].tolist(), self.layer[kept].tolist(), rects
         ):

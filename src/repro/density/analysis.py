@@ -19,9 +19,9 @@ import numpy as np
 
 from .. import obs
 from ..contracts import check_density
-from ..geometry import GridIndex, Rect, RectSet, rect_set_subtract
+from ..geometry import GridIndex, Rect, rect_set_subtract
 from ..layout import DrcRules, Layer, Layout, WindowGrid
-from .raster import raster_area_map
+from .raster import raster_area_map, raster_fill_regions
 
 __all__ = [
     "window_area_map",
@@ -53,14 +53,17 @@ def wire_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
 
 
 def fill_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
-    """Dummy-fill density per window.
+    """Dummy-fill density per window: the sum of each fill's clipped area.
 
-    Fills are disjoint by construction, so a plain clipped sum is their
-    covered area.
+    Fills are disjoint by construction, so on a legal layout the sum is
+    their covered area.  It stays a sum, not a union, because the
+    streamed fill accounts its kept fills the same way (the bucket pass
+    of :mod:`repro.core.stream`); a union would make in-memory and
+    streamed ECOs diverge on inputs whose fills overlap.
     """
     areas = np.zeros((grid.cols, grid.rows), dtype=np.int64)
     index = _shape_index(layer.fills, grid.die)
-    for i, j, win in grid:
+    for i, j, win in grid:  # repro: noqa[REP015] — a clipped sum, like the stream's kept fills
         hits = index.query_overlapping(win)
         if hits:
             areas[i, j] = sum(r.intersection_area(win) for r, _ in hits)
@@ -104,39 +107,32 @@ def usable_fill_area(region: Sequence[Rect], rules: DrcRules) -> int:
     )
 
 
-def _analyze_window(
-    index: GridIndex[int],
-    win: Rect,
-    win_area: int,
+def _scanline_fill_regions(
+    layer: Layer,
+    grid: WindowGrid,
     rules: DrcRules,
     window_margin: int,
-) -> Tuple[float, float, List[Rect]]:
-    """Density bounds and fill region for one window.
+    windows: Optional[Sequence[Tuple[int, int]]],
+) -> Dict[Tuple[int, int], List[Rect]]:
+    """Feasible fill region per window, one scanline subtraction each.
 
-    The single per-window analysis body: ``l`` (wire density), ``u``
-    (wire density plus usable free space) and the feasible fill region.
-    The full analysis, its window-restricted form (a band of the fill
-    engine) and the incremental path (:func:`refresh_analysis`) all
-    reach it through :func:`analyze_layer`, so they cannot drift; the
-    raster kernel replaces it wholesale with array passes that
-    reproduce its results bit for bit.
+    The region is the window, inset by the window margin, minus every
+    wire bloated by the minimum spacing: ``rect_set_subtract`` over
+    the wires a spatial-index query finds within spacing reach.
+    ``windows`` restricts the output to those windows.
     """
-    hits = index.query_overlapping(win)
-    if hits:
-        clipped = [r.intersection(win) for r, _ in hits]
-        wire_area = RectSet(c for c in clipped if c is not None).area
-    else:
-        wire_area = 0
-    lower = wire_area / win_area
-    inner = win.shrunk(window_margin) if window_margin else win
-    if inner is None:
-        region: List[Rect] = []
-    else:
+    index = _shape_index(layer.wires, grid.die)
+    regions: Dict[Tuple[int, int], List[Rect]] = {}
+    for i, j in windows if windows is not None else [(i, j) for i, j, _ in grid]:
+        win = grid.window(i, j)
+        inner = win.shrunk(window_margin) if window_margin else win
+        if inner is None:
+            regions[(i, j)] = []
+            continue
         nearby = index.query_within(inner, rules.min_spacing)
         bloated = [r.expanded(rules.min_spacing) for r, _ in nearby]
-        region = rect_set_subtract([inner], bloated)
-    upper = min(1.0, lower + usable_fill_area(region, rules) / win_area)
-    return lower, upper, region
+        regions[(i, j)] = rect_set_subtract([inner], bloated)
+    return regions
 
 
 @dataclass
@@ -175,25 +171,18 @@ class LayerDensity:
 def _choose_kernel(
     layer: Layer, grid: WindowGrid, windows: Optional[Sequence[Tuple[int, int]]]
 ) -> str:
-    """The density kernel :func:`analyze_layer` runs when none is named.
+    """The fill-region cutter :func:`analyze_layer` runs when none is named.
 
-    The raster kernel rasterizes whole window-column strips, so it is
-    chosen only when the requested windows are whole columns (the full
-    die or a band) and most of the layer's wires run along those
-    columns (taller than wide).  Everything else runs on rect: layers
-    routed across the columns, and every partial-column request such
-    as the ECO refresh of a few dirtied windows.  docs/PERFORMANCE.md
-    ("Raster kernel") has the measurements behind the rule.  The two
-    kernels are bit-identical, so the choice only moves the clock; it
-    reads nothing but the layer and the window set.
+    The raster cutter, whatever the layer and the window set: it was
+    measured no slower than the scanline cutter on every whole die,
+    every stream band and the partial-column ECO refresh, where the
+    scanline's per-call spatial index of every wire costs more than the
+    raster's column strips (docs/PERFORMANCE.md, "Raster kernel").  The
+    two cutters return the same rect lists, so the choice only moves
+    the clock; tests pin this function to run one cutter through whole
+    flows.
     """
-    if windows is not None:
-        columns = {i for i, _ in windows}
-        if len(set(windows)) != len(columns) * grid.rows:
-            return "rect"
-    wires = layer.wires
-    vertical = sum(1 for r in wires if r.height > r.width)
-    return "raster" if 2 * vertical > len(wires) else "rect"
+    return "raster"
 
 
 def analyze_layer(
@@ -207,12 +196,15 @@ def analyze_layer(
 ) -> LayerDensity:
     """Run density analysis for one layer.
 
-    Two kernels compute bit-identical results: ``"rect"`` is the
-    scanline rect-set oracle (one :func:`_analyze_window` call per
-    window), ``"raster"`` the vectorized occupancy-grid kernel
-    (:mod:`repro.density.raster`).  ``kernel=None`` lets
-    :func:`_choose_kernel` pick one from the layer's routing direction
-    and the window set; naming one is for parity tests and per-kernel
+    ``lower`` is the covered wire area of :func:`raster_area_map` over
+    the window area, and ``upper`` adds the usable part of the fill
+    region (:func:`usable_fill_area`), capped at 1.  ``kernel`` picks
+    only the fill-region cutter, and both cutters return the same rect
+    lists: ``"rect"`` is the scanline cutter (one ``rect_set_subtract``
+    per window), ``"raster"`` cuts every window of a column from one
+    occupancy raster (:func:`~repro.density.raster.raster_fill_regions`).
+    ``kernel=None`` runs the one :func:`_choose_kernel` picks, the
+    raster cutter; naming one is for parity tests and per-kernel
     measurements.  The span counters ``analysis.rect_layers`` and
     ``analysis.raster_layers`` record which one ran.
 
@@ -223,22 +215,16 @@ def analyze_layer(
     """
     if (kernel or _choose_kernel(layer, grid, windows)) == "raster":
         obs.count("analysis.raster_layers")
-        from .raster import raster_analyze_layer
-
-        return raster_analyze_layer(layer, grid, rules, window_margin, keys=windows)
-    obs.count("analysis.rect_layers")
-    index = _shape_index(layer.wires, grid.die)
-    lower = np.zeros((grid.cols, grid.rows), dtype=np.float64)
-    upper = np.zeros((grid.cols, grid.rows), dtype=np.float64)
-    regions: Dict[Tuple[int, int], List[Rect]] = {}
-    keys = windows if windows is not None else [(i, j) for i, j, _ in grid]
-    for i, j in keys:
-        lo, up, region = _analyze_window(
-            index, grid.window(i, j), grid.window_area(i, j), rules, window_margin
-        )
-        lower[i, j] = lo
-        upper[i, j] = up
-        regions[(i, j)] = region
+        regions = raster_fill_regions(layer, grid, rules, window_margin, windows)
+    else:
+        obs.count("analysis.rect_layers")
+        regions = _scanline_fill_regions(layer, grid, rules, window_margin, windows)
+    aw = window_area_map(grid)
+    lower = raster_area_map(layer.wires, grid, windows=windows) / aw
+    usable = np.zeros(aw.shape, dtype=np.int64)
+    for key, region in regions.items():
+        usable[key] = usable_fill_area(region, rules)
+    upper = np.minimum(1.0, lower + usable / aw)
     check_density(lower, name=f"layer {layer.number} lower density l(i,j)")
     check_density(upper, name=f"layer {layer.number} upper density u(i,j)")
     return LayerDensity(layer.number, lower, upper, regions)
@@ -254,8 +240,8 @@ def analyze_layout(
 ) -> Dict[int, LayerDensity]:
     """Density analysis for every layer of a layout, in layer order.
 
-    ``kernel`` is passed to every :func:`analyze_layer` call; the
-    default lets each layer pick its own.  ``windows`` restricts every
+    ``kernel`` is passed to every :func:`analyze_layer` call; it picks
+    only the fill-region cutter.  ``windows`` restricts every
     layer's analysis to those window keys (see :func:`analyze_layer`)
     — how the fill engine analyzes one part of a window-column band
     (:meth:`repro.core.DummyFillEngine.sweep`), which is also where
@@ -347,39 +333,28 @@ def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
 
     Splits :func:`overlay_area` over the fixed dissection: each window
     is charged the part of the overlay region it contains, so overlay
-    outside the grid's die is not counted.  The grid windows partition
-    the die and area is additive over a partition, so when every fill
-    lies inside the die, ``overlay_map(lo, hi, grid).sum() ==
-    overlay_area(lo, hi)`` exactly — which makes the map usable as an
-    *attribution*: the windows with the largest cells are the ones a
-    regressed Overlay* score points at.
+    outside the grid's die is not counted.  Each of the three terms is
+    ``|A ∩ B| = |A| + |B| - |A ∪ B|`` per window, three covered-area
+    maps (:func:`raster_area_map`) in exact int64; the four single-set
+    maps serve every term.  The grid windows partition the die and area
+    is additive over a partition, so when every fill lies inside the
+    die, ``overlay_map(lo, hi, grid).sum() == overlay_area(lo, hi)``
+    exactly — which makes the map usable as an *attribution*: the
+    windows with the largest cells are the ones a regressed Overlay*
+    score points at.
     """
-    from ..geometry import intersection_area
-
-    pairs = (
-        (lower.fills, upper.wires),
-        (lower.wires, upper.fills),
-        (lower.fills, upper.fills),
+    lo_wires, lo_fills, hi_wires, hi_fills = (
+        (shapes, raster_area_map(shapes, grid))
+        for shapes in (lower.wires, lower.fills, upper.wires, upper.fills)
     )
     out = np.zeros((grid.cols, grid.rows), dtype=np.int64)
-    for shapes_a, shapes_b in pairs:
-        if not shapes_a or not shapes_b:
-            continue
-        index_a = _shape_index(shapes_a, grid.die)
-        index_b = _shape_index(shapes_b, grid.die)
-        for i, j, win in grid:
-            hits_a = index_a.query_overlapping(win)
-            if not hits_a:
-                continue
-            hits_b = index_b.query_overlapping(win)
-            if not hits_b:
-                continue
-            clipped_a = [r.intersection(win) for r, _ in hits_a]
-            clipped_b = [r.intersection(win) for r, _ in hits_b]
-            out[i, j] += intersection_area(
-                [c for c in clipped_a if c is not None],
-                [c for c in clipped_b if c is not None],
-            )
+    for (a, area_a), (b, area_b) in (
+        (lo_fills, hi_wires),
+        (lo_wires, hi_fills),
+        (lo_fills, hi_fills),
+    ):
+        if a and b:
+            out += area_a + area_b - raster_area_map(a + b, grid)
     return out
 
 

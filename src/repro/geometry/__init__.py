@@ -25,7 +25,14 @@ from .grid import GridIndex
 from .interval import IntervalSet
 from .polygon import RectilinearPolygon
 from .poly2rect import gourley_green, polygon_to_rects, scanline_decompose
-from .raster import BoolArray, IntArray, Raster, merge_mask_runs
+from .raster import (
+    BoolArray,
+    IntArray,
+    boxes,
+    merge_mask_runs,
+    rects_of,
+    strip_occupancy,
+)
 from .rect import Rect, bounding_box
 
 __all__ = [
@@ -41,9 +48,11 @@ __all__ = [
     "rect_set_union",
     "union_area",
     "GridIndex",
-    "Raster",
     "IntArray",
     "BoolArray",
+    "boxes",
+    "rects_of",
+    "strip_occupancy",
     "merge_mask_runs",
     "RectilinearPolygon",
     "gourley_green",

@@ -1,145 +1,109 @@
-"""Coordinate-compressed occupancy rasters with exact free regions.
+"""Coordinate-compressed strip rasters and the Rect/int64 array boundary.
 
-The array core under :func:`repro.density.raster.raster_fill_regions`:
-a set of integer rectangles is rasterized **once** onto the non-uniform
-grid induced by its own edge coordinates (plus any caller-supplied cut
-lines, e.g. window boundaries).  On that grid every input rectangle is
-a union of whole cells, so the raster is *exact* — not an approximation
-at some fixed resolution:
+:func:`strip_occupancy` is the package's one rasterizer.  A set of
+integer rectangles is rasterized onto the non-uniform grid induced by
+its own edge coordinates plus the caller's cut lines (one window-column
+strip and its window rows).  On that grid every clipped rectangle is a
+union of whole cells, so the raster is *exact* — not an approximation
+at some fixed resolution.  :mod:`repro.density.raster` builds both of
+its passes on it: the per-window covered area behind every density map
+and the overlay, and the free fill regions, which :func:`merge_mask_runs`
+recovers as maximal runs merged vertically, the canonical form the
+scanline boolean of :mod:`repro.geometry.boolean` produces.
 
-* multiplicity per cell (``counts``) via a 2-D difference array and two
-  cumulative sums,
-* the union view as the boolean occupancy (``counts > 0``),
-* canonical free-region recovery via maximal-run extraction and
-  vertical merging, matching the scanline oracle's output rect list.
-
-Everything stays int64, which keeps the raster path bit-compatible with
-the rect-set oracle in :mod:`repro.geometry.boolean`.
+:func:`boxes` and :func:`rects_of` are the one boundary between
+:class:`~repro.geometry.rect.Rect` lists and ``(n, 4)`` int64 arrays of
+``(xl, yl, xh, yh)`` rows, which every array stage reads and writes.
+Everything stays int64 (the occupancy grid is int32 cell flags), which
+keeps the raster passes bit-compatible with the rect-set oracles.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Iterable, List, Tuple
 
 import numpy as np
 
 from .rect import Rect
 
-__all__ = ["IntArray", "BoolArray", "Raster", "merge_mask_runs"]
+__all__ = [
+    "IntArray",
+    "BoolArray",
+    "OccupancyArray",
+    "boxes",
+    "rects_of",
+    "strip_occupancy",
+    "merge_mask_runs",
+]
 
 IntArray = np.ndarray[Any, np.dtype[np.int64]]
 BoolArray = np.ndarray[Any, np.dtype[np.bool_]]
+OccupancyArray = np.ndarray[Any, np.dtype[np.int32]]
 
 _I64 = np.int64
+_CORNERS = attrgetter("xl", "yl", "xh", "yh")
 
 
-def _span(lo: IntArray, hi: IntArray, extra: Sequence[int]) -> Tuple[int, int]:
-    """Coordinate span of a raster axis.
+def boxes(rects: Iterable[Rect], n: int) -> IntArray:
+    """The ``n`` rects of ``rects`` as an ``(n, 4)`` int64 array of
+    ``(xl, yl, xh, yh)`` rows, in order."""
+    flat: IntArray = np.fromiter(chain.from_iterable(map(_CORNERS, rects)), _I64, 4 * n)
+    return flat.reshape(n, 4)
 
-    With ``extra`` cut lines the span is *their* extent — shapes are
-    clipped to the frame the caller laid out; without, it is the
-    shapes' own extent.
+
+def rects_of(box: IntArray) -> List[Rect]:
+    """The rows of an ``(n, 4)`` int64 box array as rects, in order.
+
+    The rects share one int object per distinct coordinate, so a list
+    that outlives its stage holds each value once.
     """
-    if len(extra):
-        return min(extra), max(extra)
-    if len(lo):
-        return int(np.asarray(lo).min()), int(np.asarray(hi).max())
-    return 0, 0
+    values, index = np.unique(box, return_inverse=True)
+    coord: List[int] = values.tolist()
+    return [
+        Rect(coord[a], coord[b], coord[c], coord[d])
+        for a, b, c, d in index.reshape(-1, 4).tolist()
+    ]
 
 
-class Raster:
-    """Multiplicity raster of a rectangle set on a compressed grid.
+def strip_occupancy(
+    box: IntArray, x_cuts: IntArray, y_cuts: IntArray
+) -> Tuple[IntArray, IntArray, OccupancyArray]:
+    """Occupancy raster of rects clipped to the frame of the cut lines.
 
-    ``xs``/``ys`` are the sorted distinct cut coordinates (cell
-    boundaries); cell ``(i, j)`` spans ``[xs[i], xs[i+1]) x
-    [ys[j], ys[j+1])`` and ``counts[i, j]`` is the number of input
-    rectangles covering it.  Rectangles are clipped to the edge span;
-    degenerate rectangles contribute nothing.
+    ``x_cuts``/``y_cuts`` are sorted cut coordinates; the frame spans
+    from the first to the last of each.  The rows of ``box`` are
+    clipped to the frame before they become edges, so shapes hanging
+    past it do not inflate the grid.  Returns ``(xs, ys, occupied)``:
+    the sorted distinct cell boundaries per axis (every cut and every
+    clipped edge), and the ``(len(xs) - 1, len(ys) - 1)`` int32 grid
+    whose cell ``[a, b]``, spanning ``[xs[a], xs[a+1]) x
+    [ys[b], ys[b+1])``, is 1 where some rect covers it and 0 elsewhere.
+
+    One int32 difference grid is cumulated in place into per-cell
+    multiplicities and clipped to 1 in place, so no int64 copy of the
+    grid is made.
     """
-
-    __slots__ = ("xs", "ys", "counts")
-
-    def __init__(self, xs: IntArray, ys: IntArray, counts: IntArray):
-        self.xs = xs
-        self.ys = ys
-        self.counts = counts
-
-    @classmethod
-    def from_arrays(
-        cls,
-        x0: IntArray,
-        y0: IntArray,
-        x1: IntArray,
-        y1: IntArray,
-        extra_x: Sequence[int] = (),
-        extra_y: Sequence[int] = (),
-    ) -> "Raster":
-        """Rasterize rectangles given as coordinate arrays.
-
-        Rectangle coordinates are *clipped to the span of the combined
-        edge set* before becoming edges themselves, so callers can pass
-        ``extra_*`` bounds (e.g. one window-column strip) and shapes
-        hanging past them without inflating the grid: only the clipped
-        part contributes edges and coverage.
-        """
-        lo_x, hi_x = _span(x0, x1, extra_x)
-        lo_y, hi_y = _span(y0, y1, extra_y)
-        cx0 = np.clip(np.asarray(x0, dtype=_I64), lo_x, hi_x)
-        cx1 = np.clip(np.asarray(x1, dtype=_I64), lo_x, hi_x)
-        cy0 = np.clip(np.asarray(y0, dtype=_I64), lo_y, hi_y)
-        cy1 = np.clip(np.asarray(y1, dtype=_I64), lo_y, hi_y)
-        keep = (cx1 > cx0) & (cy1 > cy0)
-        cx0, cx1, cy0, cy1 = cx0[keep], cx1[keep], cy0[keep], cy1[keep]
-        xs = np.unique(np.concatenate([cx0, cx1, np.asarray(list(extra_x), dtype=_I64)]))
-        ys = np.unique(np.concatenate([cy0, cy1, np.asarray(list(extra_y), dtype=_I64)]))
-        nx = max(0, len(xs) - 1)
-        ny = max(0, len(ys) - 1)
-        counts: IntArray = np.zeros((nx, ny), dtype=_I64)
-        if nx and ny and len(cx0):
-            i0 = np.searchsorted(xs, cx0)
-            i1 = np.searchsorted(xs, cx1)
-            j0 = np.searchsorted(ys, cy0)
-            j1 = np.searchsorted(ys, cy1)
-            diff: IntArray = np.zeros((nx + 1, ny + 1), dtype=_I64)
-            np.add.at(diff, (i0, j0), 1)
-            np.add.at(diff, (i1, j0), -1)
-            np.add.at(diff, (i0, j1), -1)
-            np.add.at(diff, (i1, j1), 1)
-            counts = diff.cumsum(axis=0).cumsum(axis=1)[:nx, :ny]
-        return cls(xs, ys, counts)
-
-    def occupancy(self) -> BoolArray:
-        """Boolean covered-per-cell (the union view of the rect set)."""
-        return self.counts > 0
-
-    # ------------------------------------------------------------------
-    def free_rects_in(self, i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> List[Rect]:
-        """Canonical maximal rects of the *uncovered* cells in a block.
-
-        The block is the cell-index range ``[i_lo, i_hi) x
-        [j_lo, j_hi)`` (e.g. one window's inner region, whose
-        boundaries must be raster edges).  The construction — maximal
-        horizontal runs per cell row, then merging vertically adjacent
-        runs with identical x-spans — reproduces exactly the canonical
-        form produced by the scanline oracle
-        (:func:`repro.geometry.boolean.rect_set_subtract`), which is
-        invariant under refinement of the slab edges.  Rects are
-        returned sorted by ``(xl, yl, xh, yh)``.
-        """
-        free = ~self.occupancy()[i_lo:i_hi, j_lo:j_hi]
-        s, e, r0, r1 = merge_mask_runs(free)
-        xs, ys = self.xs, self.ys
-        rects = [
-            Rect(
-                int(xs[i_lo + a]),
-                int(ys[j_lo + b]),
-                int(xs[i_lo + c]),
-                int(ys[j_lo + d]),
-            )
-            for a, b, c, d in zip(s, r0, e, r1)
-        ]
-        rects.sort()
-        return rects
+    cx0 = np.clip(box[:, 0], x_cuts[0], x_cuts[-1])
+    cx1 = np.clip(box[:, 2], x_cuts[0], x_cuts[-1])
+    cy0 = np.clip(box[:, 1], y_cuts[0], y_cuts[-1])
+    cy1 = np.clip(box[:, 3], y_cuts[0], y_cuts[-1])
+    keep = (cx1 > cx0) & (cy1 > cy0)
+    cx0, cx1, cy0, cy1 = cx0[keep], cx1[keep], cy0[keep], cy1[keep]
+    xs: IntArray = np.unique(np.concatenate((cx0, cx1, x_cuts)))
+    ys: IntArray = np.unique(np.concatenate((cy0, cy1, y_cuts)))
+    i0, i1 = np.searchsorted(xs, cx0), np.searchsorted(xs, cx1)
+    j0, j1 = np.searchsorted(ys, cy0), np.searchsorted(ys, cy1)
+    counts: OccupancyArray = np.zeros((len(xs), len(ys)), dtype=np.int32)
+    np.add.at(counts, (i0, j0), 1)
+    np.add.at(counts, (i1, j0), -1)
+    np.add.at(counts, (i0, j1), -1)
+    np.add.at(counts, (i1, j1), 1)
+    np.add.accumulate(counts, axis=0, out=counts)
+    np.add.accumulate(counts, axis=1, out=counts)
+    np.minimum(counts, 1, out=counts)  # multiplicity -> occupancy
+    return xs, ys, counts[:-1, :-1]
 
 
 def merge_mask_runs(mask: BoolArray) -> Tuple[IntArray, IntArray, IntArray, IntArray]:

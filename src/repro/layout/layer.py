@@ -109,17 +109,6 @@ class Layer:
         ]
         return RectSet(clipped).area
 
-    def fill_area_in(self, window: Rect) -> int:
-        """Exact fill area inside ``window``.
-
-        Fills are kept pairwise disjoint by construction, so this is a
-        plain clipped sum.
-        """
-        total = 0
-        for f in self._fills:
-            total += f.intersection_area(window)
-        return total
-
     def __repr__(self) -> str:
         return (
             f"Layer({self.number}, {self.name!r}, "

@@ -999,7 +999,7 @@ class TestRep015:
         )
         assert run("REP015", src, "src/repro/density/raster.py") == []
 
-    def test_oracle_module_exempt(self):
+    def test_analysis_module_not_exempt(self):
         src = (
             "def analyze(index, grid):\n"
             "    out = []\n"
@@ -1007,7 +1007,8 @@ class TestRep015:
             "        out.append(index.query(win))\n"
             "    return out\n"
         )
-        assert run("REP015", src, "src/repro/density/analysis.py") == []
+        findings = run("REP015", src, "src/repro/density/analysis.py")
+        assert [f.code for f in findings] == ["REP015"]
 
     def test_outside_density_exempt(self):
         src = (

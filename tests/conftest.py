@@ -45,11 +45,11 @@ def _no_silent_pool_fallback(monkeypatch):
 
 @pytest.fixture
 def force_kernel(monkeypatch):
-    """Pin the density kernel ``analyze_layer`` picks when none is named.
+    """Pin the fill-region cutter ``analyze_layer`` picks when none is named.
 
-    ``force_kernel("raster")`` (or ``"rect"``) replaces the per-layer
+    ``force_kernel("rect")`` (or ``"raster"``) replaces the analysis's
     choice for the rest of the test.  Process-pool workers fork from
-    the patched parent, so sharded analyses run the forced kernel too.
+    the patched parent, so sharded analyses run the forced cutter too.
     """
     from repro.density import analysis
 

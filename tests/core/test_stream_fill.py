@@ -67,12 +67,11 @@ class TestResolveBands:
 
 
 class TestFillParity:
-    """Streamed runs with each layer on the density kernel the analysis
-    picks for it here (raster on the vertically routed layer 2, rect on
-    layers 1 and 3), and with every layer forced onto the raster kernel
-    in :class:`TestFillParityRaster`."""
+    """Streamed runs with the fill-region cutter the analysis picks (the
+    raster cutter on every layer), and with every layer forced onto one
+    cutter in the subclasses."""
 
-    #: the kernel forced on every layer; ``None`` keeps the per-layer choice
+    #: the cutter forced on every layer; ``None`` keeps the analysis's choice
     kernel = None
 
     @pytest.fixture(autouse=True)
@@ -110,7 +109,7 @@ class TestFillParity:
     def test_analysis_runs_requested_kernel(self):
         # two bands of three layers: six layer analyses per run at one
         # worker; at two, each two-column band runs in two parts
-        per_part = {self.kernel: 6} if self.kernel else {"raster": 2, "rect": 4}
+        per_part = {self.kernel or "raster": 6}
         for workers in (1, 2):
             expected = {k: n * workers for k, n in per_part.items()}
             with obs.record_run(sample_rss=False) as recorder:
@@ -132,6 +131,10 @@ class TestFillParity:
 
 class TestFillParityRaster(TestFillParity):
     kernel = "raster"
+
+
+class TestFillParityRect(TestFillParity):
+    kernel = "rect"
 
 
 class TestDrc:

@@ -14,7 +14,7 @@ from repro.density import (
     usable_fill_area,
     wire_density_map,
 )
-from repro.density.analysis import _choose_kernel
+from repro.density.analysis import _choose_kernel, refresh_analysis
 from repro.geometry import Rect, union_area
 from repro.layout import DrcRules, Layout, WindowGrid
 
@@ -145,16 +145,18 @@ HORIZONTAL = [Rect(0, 10, 300, 20), Rect(0, 50, 300, 60), Rect(0, 0, 10, 100)]
 
 
 class TestKernelChoice:
-    """Which kernel ``analyze_layer`` runs when none is named."""
+    """Which fill-region cutter ``analyze_layer`` runs when none is
+    named: the raster cutter, for every routing direction and window
+    set (docs/PERFORMANCE.md, "Raster kernel", has the measurements)."""
 
     @pytest.mark.parametrize(
         "wires, windows, expected",
         [
             pytest.param(VERTICAL, None, "raster", id="vertical"),
             pytest.param(VERTICAL, [(1, 0), (1, 1)], "raster", id="vertical-band"),
-            pytest.param(HORIZONTAL, None, "rect", id="horizontal"),
-            pytest.param(VERTICAL, [(0, 0), (1, 1)], "rect", id="partial-columns"),
-            pytest.param([], None, "rect", id="empty"),
+            pytest.param(HORIZONTAL, None, "raster", id="horizontal"),
+            pytest.param(VERTICAL, [(0, 0), (1, 1)], "raster", id="partial-columns"),
+            pytest.param([], None, "raster", id="empty"),
         ],
     )
     def test_choice(self, wires, windows, expected):
@@ -162,23 +164,27 @@ class TestKernelChoice:
         layout.layer(1).add_wires(wires)
         assert _choose_kernel(layout.layer(1), grid, windows) == expected
 
-    def test_default_analysis_rasters_the_vertical_layer_only(self, monkeypatch):
-        from repro.density import raster
+    def test_default_analysis_rasters_every_layer(self, monkeypatch):
+        from repro.density import analysis
 
         calls = []
-        real = raster.raster_analyze_layer
+        real = analysis.raster_fill_regions
 
         def counting(layer, *args, **kwargs):
             calls.append(layer.number)
             return real(layer, *args, **kwargs)
 
-        monkeypatch.setattr(raster, "raster_analyze_layer", counting)
+        monkeypatch.setattr(analysis, "raster_fill_regions", counting)
         # the generator routes odd layers horizontally, even ones vertically
         spec = LayoutSpec(name="k", die_size=1600, seed=7, num_cell_rects=120, rules=RULES)
         layout = generate_layout(spec)
         assert layout.num_layers == 3
-        analyze_layout(layout, WindowGrid(layout.die, 4, 4))
-        assert calls == [2]
+        grid = WindowGrid(layout.die, 4, 4)
+        analyze_layout(layout, grid)
+        assert calls == [1, 2, 3]
+        # a partial-column request, as the ECO refresh makes
+        refresh_analysis(layout, grid, analyze_layout(layout, grid), [(1, 2), (2, 0)])
+        assert calls == [1, 2, 3] * 3
 
 
 class TestOverlay:

@@ -1,15 +1,18 @@
-"""Raster kernel vs rect oracle: exact-equality property tests.
+"""Raster passes vs independent oracles: exact-equality property tests.
 
-The density analysis runs the raster kernel on some layers and the
-rect-set scanline path on the others, so the raster kernel promises
-*bit identity* with the rect path, not approximation.  These tests pin
-the contract at the function level on randomized layouts: l/u bounds,
-fill regions, usable areas and the incremental refresh must all match
-the oracle exactly (``np.array_equal``, no tolerances);
-``tests/core/test_stream_fill.py`` forces each kernel alone through
-whole fills and compares GDSII bytes.  The covered-area map, the
-overlay map and the score's raw components are checked against
-independent oracles: a 1-dbu bitmap and the die-wide overlay sweep.
+Density analysis computes ``lower`` from one covered-area map,
+``raster_area_map``, whichever fill-region cutter runs; the cutter
+(``kernel="rect"``, one scanline subtraction per window, or
+``"raster"``, one occupancy raster per window column) is the only
+thing the kernel choice changes, and the two must return the same rect
+lists.  These tests pin the contract at the function level on
+randomized layouts, with ``np.array_equal`` and no tolerances: the
+area map, ``lower`` and the overlay map against a 1-dbu bitmap, the
+two cutters against each other (regions, usable areas, ``upper``, the
+incremental refresh), and the score's raw components against the
+die-wide overlay sweep.  ``tests/core/test_stream_fill.py`` and
+``tests/test_differential.py`` force each cutter alone through whole
+fills and compare GDSII bytes.
 """
 
 import random
@@ -27,12 +30,7 @@ from repro.density.analysis import (
     usable_fill_area,
     window_area_map,
 )
-from repro.density.raster import (
-    raster_analyze_layer,
-    raster_area_map,
-    raster_fill_regions,
-    window_cuts,
-)
+from repro.density.raster import raster_area_map, raster_fill_regions, window_cuts
 from repro.geometry import Rect
 from repro.layout import DrcRules, Layout, WindowGrid
 
@@ -126,21 +124,39 @@ class TestDensityMapParity:
         assert np.all(raster_area_map(top.shapes, grid) == 0)
 
 
+def _subsets(grid):
+    """Window subsets of the shapes an analysis is asked for."""
+    c, r = grid.cols - 1, grid.rows - 1
+    return {
+        "scattered": [(0, 0), (c - 1, r), (c, 1)],
+        "partial-columns": [(1, 1), (1, 2), (2, 0), (2, r)],
+        "duplicate-keys": [(c, r), (0, 2), (c, r), (0, 2), (0, 1)],
+        "whole-column": [(2, j) for j in range(grid.rows)],
+    }
+
+
+def _wanted(grid, windows):
+    mask = np.zeros((grid.cols, grid.rows), dtype=bool)
+    for key in windows:
+        mask[key] = True
+    return mask
+
+
 class TestAnalyzeParity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("margin", [0, 7])
     def test_layer_bounds_and_regions(self, seed, margin):
         layout, grid = random_layout(seed, odd=bool(seed % 2))
         for n in layout.layer_numbers:
-            oracle = analyze_layer(
-                layout.layer(n), grid, RULES, window_margin=margin
+            rect = analyze_layer(
+                layout.layer(n), grid, RULES, window_margin=margin, kernel="rect"
             )
-            got = raster_analyze_layer(
-                layout.layer(n), grid, RULES, window_margin=margin
+            ras = analyze_layer(
+                layout.layer(n), grid, RULES, window_margin=margin, kernel="raster"
             )
-            assert np.array_equal(oracle.lower, got.lower)
-            assert np.array_equal(oracle.upper, got.upper)
-            assert oracle.fill_regions == got.fill_regions
+            assert np.array_equal(rect.lower, ras.lower)
+            assert np.array_equal(rect.upper, ras.upper)
+            assert rect.fill_regions == ras.fill_regions
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_analyze_layout_kernel_switch(self, seed):
@@ -152,6 +168,38 @@ class TestAnalyzeParity:
             assert np.array_equal(rect[n].lower, ras[n].lower)
             assert np.array_equal(rect[n].upper, ras[n].upper)
             assert rect[n].fill_regions == ras[n].fill_regions
+
+
+class TestLowerOracle:
+    """``lower`` is the wires' covered area over the window area, counted
+    by the 1-dbu bitmap, for either cutter and any window subset."""
+
+    @pytest.mark.parametrize("kernel", ["rect", "raster"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_lower_is_bitmap_area(self, seed, kernel):
+        layout, grid = random_layout(seed, odd=bool(seed % 2))
+        aw = window_area_map(grid)
+        for layer in layout.layers:
+            expect = _bitmap_area_map(layer.wires, grid) / aw
+            whole = analyze_layer(layer, grid, RULES, 5, kernel=kernel)
+            assert np.array_equal(whole.lower, expect)
+            for name, windows in _subsets(grid).items():
+                wanted = _wanted(grid, windows)
+                got = analyze_layer(layer, grid, RULES, 5, kernel=kernel, windows=windows)
+                assert np.array_equal(got.lower, np.where(wanted, expect, 0.0)), name
+                assert np.array_equal(got.upper, np.where(wanted, whole.upper, 0.0)), name
+                assert got.fill_regions == {k: whole.fill_regions[k] for k in windows}, name
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_area_map_window_subsets(self, seed):
+        even, grid = random_layout(seed)
+        odd, odd_grid = random_layout(seed, odd=True)
+        for layout, g in ((even, grid), (even, _phase_grid(even)), (odd, odd_grid)):
+            for layer in layout.layers:
+                full = raster_area_map(layer.shapes, g)
+                for name, windows in _subsets(g).items():
+                    got = raster_area_map(layer.shapes, g, windows=windows)
+                    assert np.array_equal(got, np.where(_wanted(g, windows), full, 0)), name
 
 
 class TestFillRegionParity:
@@ -231,12 +279,16 @@ class TestOverlayParity:
     def test_overlay_map_bit_identical(self, seed, odd):
         layout, grid = random_layout(seed, odd=odd)
         numbers = layout.layer_numbers
-        for lo, hi in zip(numbers, numbers[1:]):
-            lower, upper = layout.layer(lo), layout.layer(hi)
-            got = overlay_map(lower, upper, grid)
-            assert np.array_equal(got, _bitmap_overlay_map(lower, upper, grid)), (lo, hi)
-            if hi != numbers[-1]:  # the top layer is empty on purpose
-                assert got.any()
+        # the phase grid's die is smaller than the layout's: shapes
+        # cross its edge and only their parts inside count (an odd die
+        # has no 2x2 phases)
+        for g in (grid,) if odd else (grid, _phase_grid(layout)):
+            for lo, hi in zip(numbers, numbers[1:]):
+                lower, upper = layout.layer(lo), layout.layer(hi)
+                got = overlay_map(lower, upper, g)
+                assert np.array_equal(got, _bitmap_overlay_map(lower, upper, g)), (lo, hi)
+                if hi != numbers[-1]:  # the top layer is empty on purpose
+                    assert got.any()
 
     def test_empty_side_zero(self):
         layout, grid = random_layout(7)

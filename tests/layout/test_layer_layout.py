@@ -64,12 +64,6 @@ class TestLayer:
         layer.add_wire(Rect(0, 0, 10, 10))
         assert layer.wire_area_in(Rect(5, 5, 20, 20)) == 25
 
-    def test_fill_area_in(self):
-        layer = Layer(1)
-        layer.add_fill(Rect(0, 0, 10, 10))
-        layer.add_fill(Rect(20, 0, 30, 10))
-        assert layer.fill_area_in(Rect(0, 0, 25, 10)) == 150
-
     def test_filter_wires(self):
         layer = Layer(1)
         layer.add_wires([Rect(0, 0, 5, 5), Rect(10, 10, 15, 15)])

@@ -2,8 +2,8 @@
 
 The engine promises one output, byte for byte, whichever way it runs:
 serial, in parts on a worker pool, streamed out of core at any band
-count, inside a service session, as an ECO patch, on either density
-kernel.  Each family below (``LayoutSpec`` presets plus small builders
+count, inside a service session, as an ECO patch, with either
+fill-region cutter.  Each family below (``LayoutSpec`` presets plus small builders
 for what the generator cannot draw) runs three checks:
 
 1. every mode writes the bytes of the serial in-memory run;
