@@ -120,14 +120,14 @@ def coupling_lp_fill(
         total_coupling = 0
         budget_limited = 0
 
-        wire_indexes: Dict[int, GridIndex[int]] = {}
+        indexes: Dict[int, GridIndex[int]] = {}
         for layer in layout.layers:
             idx: GridIndex[int] = GridIndex(
                 max(64, min(layout.die.width, layout.die.height) // 16)
             )
             for k, w in enumerate(layer.wires):
                 idx.insert(w, k)
-            wire_indexes[layer.number] = idx
+            indexes[layer.number] = idx
 
         for layer in layout.layers:
             density = wire_density_map(layer, grid)
@@ -146,8 +146,8 @@ def coupling_lp_fill(
                 for cand in cands:
                     coupling = 0
                     for adj in (layer.number - 1, layer.number + 1):
-                        if adj in wire_indexes:
-                            for rect, _ in wire_indexes[adj].query_overlapping(cand):
+                        if adj in indexes:
+                            for rect, _ in indexes[adj].query_overlapping(cand):
                                 coupling += cand.intersection_area(rect)
                     slots.append((cand.area, coupling))
                 budget = coupling_fraction * aw

@@ -16,8 +16,7 @@ The rule flags the two shapes the migration removed:
   accumulate per-window values.
 
 No module is exempt.  A loop that genuinely needs to run per window
-(the clipped-sum fill density, whose semantics the streamed fill
-shares, or k-bounded attribution reporting) documents the waiver with
+(k-bounded attribution reporting, say) documents the waiver with
 ``# repro: noqa[REP015]`` on its line.
 """
 

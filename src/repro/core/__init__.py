@@ -2,7 +2,6 @@
 
 from .candidates import (
     CandidatePlan,
-    build_wire_indexes,
     candidate_area_maps,
     generate_candidates,
     grid_candidates,
@@ -16,7 +15,6 @@ from .stream import resolve_bands, stream_fill
 
 __all__ = [
     "CandidatePlan",
-    "build_wire_indexes",
     "candidate_area_maps",
     "generate_candidates",
     "grid_candidates",

@@ -43,8 +43,9 @@ work:
   I's test, and a candidate's overlap sum with them its coverage;
 * **Eqn. (8)** — one candidates × neighbours overlap-area join per
   column, block-diagonal by window: the neighbours are the adjacent
-  layers' wires (one wire-index query per column and layer) and the
-  window's odd selections.  Scores are evaluated in the order of
+  layers' wires (one closed-box mask over the layer's wire boxes per
+  column, :func:`~repro.geometry.touching`) and the window's odd
+  selections.  Scores are evaluated in the order of
   :func:`quality_score` in float64, so they are the same floats.
 """
 
@@ -58,7 +59,7 @@ import numpy as np
 
 from .. import obs
 from ..density.analysis import LayerDensity
-from ..geometry import GridIndex, Rect, bounding_box, boxes, rects_of
+from ..geometry import IntArray, Rect, bounding_box, boxes, rects_of, touching
 from ..layout import DrcRules, Layout, WindowGrid
 from .config import FillConfig
 from .planner import DensityPlan
@@ -67,7 +68,6 @@ __all__ = [
     "grid_candidates",
     "quality_score",
     "CandidatePlan",
-    "build_wire_indexes",
     "generate_candidates",
     "candidate_area_maps",
 ]
@@ -393,7 +393,11 @@ def _take(call: np.ndarray, area: np.ndarray, need: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Shared:
-    """Read-only inputs every column of a generation run shares."""
+    """Read-only inputs every column of a generation run shares.
+
+    ``wires`` holds each layer's wires as an int64 box array, in layer
+    order.
+    """
 
     grid: WindowGrid
     plan: DensityPlan
@@ -401,7 +405,7 @@ class _Shared:
     rules: DrcRules
     config: FillConfig
     numbers: Tuple[int, ...]
-    wire_indexes: Dict[int, GridIndex[int]]
+    wires: Tuple[IntArray, ...]
 
 
 class _Column:
@@ -520,11 +524,10 @@ class _Column:
         """Each even candidate's overlap area with the metal of the layers
         above and below it in its window: their wires and odd selections.
 
-        The wires of a layer come from one wire-index query over the
+        The wires of a layer are those whose closed box touches the
         column, each kept for every window its closed box reaches in y.
         """
         nl = self.layers
-        numbers = self.shared.numbers
         frames = self.frames
         column = Rect(
             int(frames[0, 0]), int(frames[0, 1]), int(frames[-1, 2]), int(frames[-1, 3])
@@ -532,8 +535,8 @@ class _Column:
         neighbours, slots = [odd_box], [odd_slot]
         adjacent = np.unique(np.concatenate((slot % nl - 1, slot % nl + 1)))
         for a in adjacent[(adjacent >= 0) & (adjacent < nl)].tolist():
-            hits = self.shared.wire_indexes[numbers[a]].query(column)
-            wires = boxes((r for r, _ in hits), len(hits))
+            layer = self.shared.wires[a]
+            wires = layer[touching(layer, column)]
             first = np.searchsorted(frames[:, 3], wires[:, 1], "left")
             reach = np.searchsorted(frames[:, 1], wires[:, 3], "right") - first
             window, wire = _ranges(first, np.maximum(reach, 0))
@@ -568,45 +571,6 @@ class _Column:
         return out
 
 
-def build_wire_indexes(layout: Layout) -> Dict[int, GridIndex[int]]:
-    """One spatial index per layer over its wires, built up front.
-
-    Replaces the per-window full-layer wire scans; every part of a
-    band reads the band's indexes.  Also the cache a
-    :class:`repro.service` session keeps alive across requests — pass
-    it back into :func:`generate_candidates` (or
-    :meth:`repro.core.DummyFillEngine.run`) via ``wire_indexes`` to
-    skip the rebuild.  Insertion order is the layer's wire order, so a
-    cached index extended in wire-commit order stays identical to a
-    rebuild.
-    """
-    cell = max(64, min(layout.die.width, layout.die.height) // 16)
-    out: Dict[int, GridIndex[int]] = {}
-    for layer in layout.layers:
-        index: GridIndex[int] = GridIndex(cell)
-        for k, wire in enumerate(layer.wires):
-            index.insert(wire, k)
-        out[layer.number] = index
-    return out
-
-
-def _wire_indexes_for(
-    layout: Layout, wire_indexes: Optional[Dict[int, GridIndex[int]]]
-) -> Dict[int, GridIndex[int]]:
-    """Prebuilt wire indexes after a staleness check, or a fresh build."""
-    if wire_indexes is None:
-        return build_wire_indexes(layout)
-    for layer in layout.layers:
-        index = wire_indexes.get(layer.number)
-        if index is None or len(index) != layer.num_wires:
-            have = "missing" if index is None else f"{len(index)} wires"
-            raise ValueError(
-                f"stale wire index for layer {layer.number}: {have}, "
-                f"layer has {layer.num_wires}"
-            )
-    return wire_indexes
-
-
 def generate_candidates(
     layout: Layout,
     grid: WindowGrid,
@@ -614,8 +578,6 @@ def generate_candidates(
     analysis: Mapping[int, LayerDensity],
     config: Optional[FillConfig] = None,
     windows: Optional[Sequence[WindowKey]] = None,
-    *,
-    wire_indexes: Optional[Dict[int, GridIndex[int]]] = None,
 ) -> CandidatePlan:
     """Run Alg. 1 over every window of the layout.
 
@@ -627,9 +589,7 @@ def generate_candidates(
 
     ``windows`` restricts generation to the given window keys: one
     part of a band in the engine's sweep, and only the windows a
-    change touched in the ECO flow.  ``wire_indexes`` supplies prebuilt
-    per-layer wire indexes (see :func:`build_wire_indexes`); they must
-    cover exactly the layout's current wires.
+    change touched in the ECO flow.
     """
     if config is None:
         config = FillConfig()
@@ -640,7 +600,7 @@ def generate_candidates(
         rules=layout.rules,
         config=config,
         numbers=tuple(layout.layer_numbers),
-        wire_indexes=_wire_indexes_for(layout, wire_indexes),
+        wires=tuple(boxes(layer.wires, layer.num_wires) for layer in layout.layers),
     )
     chosen = set(windows) if windows is not None else None
     out: CandidatePlan = {}

@@ -54,14 +54,9 @@ from ..density.analysis import (
     window_area_map,
 )
 from ..density.scoring import ScoreWeights
-from ..geometry import GridIndex, Rect
+from ..geometry import Rect
 from ..layout import BandPlan, DrcViolation, Layout, WindowGrid
-from .candidates import (
-    CandidatePlan,
-    build_wire_indexes,
-    candidate_area_maps,
-    generate_candidates,
-)
+from .candidates import CandidatePlan, candidate_area_maps, generate_candidates
 from .config import FillConfig
 from .planner import DensityPlan, PlannerObjective, plan_targets
 from .sizing import SizingStats, size_fills
@@ -166,10 +161,6 @@ class BandSource:
     def layout(self, band: int) -> Layout:
         raise NotImplementedError
 
-    def wire_indexes(self, band: int) -> Dict[int, GridIndex[int]]:
-        """Per-layer wire indexes of :meth:`layout`, shared by the stages."""
-        raise NotImplementedError
-
     def fill_density(self) -> Dict[int, np.ndarray]:
         """Density of the fill already present, per layer that has any."""
         raise NotImplementedError
@@ -182,24 +173,13 @@ class BandSource:
 class _ResidentBand(BandSource):
     """A loaded layout: the whole die as one band."""
 
-    def __init__(
-        self,
-        layout: Layout,
-        grid: WindowGrid,
-        wire_indexes: Optional[Dict[int, GridIndex[int]]],
-    ):
+    def __init__(self, layout: Layout, grid: WindowGrid):
         super().__init__(BandPlan(grid, 1))
         self._layout = layout
-        self._indexes = wire_indexes
         self.sized: SizedFills = {}
 
     def layout(self, band: int) -> Layout:
         return self._layout
-
-    def wire_indexes(self, band: int) -> Dict[int, GridIndex[int]]:
-        if self._indexes is None:
-            self._indexes = build_wire_indexes(self._layout)
-        return self._indexes
 
     def fill_density(self) -> Dict[int, np.ndarray]:
         grid = self.plan.grid
@@ -232,7 +212,6 @@ class _CandidateStage:
     layout: Layout
     grid: WindowGrid
     config: FillConfig
-    wire_indexes: Dict[int, GridIndex[int]]
     plan: DensityPlan
     analysis: Mapping[int, LayerDensity]
     selected: Optional[Collection[WindowKey]]
@@ -247,7 +226,6 @@ class _CandidateStage:
             self.analysis,
             self.config,
             windows=keys,
-            wire_indexes=self.wire_indexes,
         )
 
 
@@ -258,20 +236,12 @@ class _SizingStage:
     layout: Layout
     grid: WindowGrid
     config: FillConfig
-    wire_indexes: Dict[int, GridIndex[int]]
     candidates: CandidatePlan
     targets: Mapping[int, np.ndarray]
 
     def run(self, keys: List[WindowKey]) -> Tuple[SizedFills, SizingStats]:
         candidates = {key: self.candidates[key] for key in keys if key in self.candidates}
-        return size_fills(
-            self.layout,
-            self.grid,
-            candidates,
-            self.targets,
-            self.config,
-            wire_indexes=self.wire_indexes,
-        )
+        return size_fills(self.layout, self.grid, candidates, self.targets, self.config)
 
 
 _Stage = Union[_AnalysisStage, _CandidateStage, _SizingStage]
@@ -416,7 +386,6 @@ class DummyFillEngine:
             source.layout(band),
             source.plan.grid,
             self.config,
-            source.wire_indexes(band),
             plan,
             source.take("analysis", band),
             selected,
@@ -437,7 +406,6 @@ class DummyFillEngine:
             source.layout(band),
             source.plan.grid,
             self.config,
-            source.wire_indexes(band),
             source.take("candidates", band),
             targets,
         )
@@ -457,7 +425,6 @@ class DummyFillEngine:
         windows: Optional[Sequence[WindowKey]] = None,
         *,
         analysis: Optional[Mapping[int, LayerDensity]] = None,
-        wire_indexes: Optional[Mapping[int, "GridIndex[int]"]] = None,
     ) -> FillReport:
         """Execute the Fig. 3 flow; fills are committed to ``layout``.
 
@@ -470,19 +437,15 @@ class DummyFillEngine:
 
         ``analysis`` supplies a precomputed global density analysis
         (one that matches the layout's wires and this config's
-        ``effective_margin``) and skips the analysis stage entirely;
-        ``wire_indexes`` supplies prebuilt per-layer wire indexes for
-        candidate generation and sizing.  Both are the session-reuse
-        hooks of :mod:`repro.service` — with valid caches the output
-        is bit-identical to a cold run.
+        ``effective_margin``) and skips the analysis stage entirely:
+        the session-reuse hook of :mod:`repro.service` — with a valid
+        cache the output is bit-identical to a cold run.
         """
         check_drc_params(layout.rules, name="layout.rules")
         if windows is None:
             layout.clear_fills()
         with engine_span() as run_span:
-            source = _ResidentBand(
-                layout, grid, dict(wire_indexes) if wire_indexes else None
-            )
+            source = _ResidentBand(layout, grid)
             report = self.sweep(source, windows=windows, analysis=analysis)
             with obs.span("insertion"):
                 for per_layer in source.sized.values():

@@ -48,7 +48,7 @@ import numpy as np
 
 from .. import obs
 from ..contracts import check_drc_params
-from ..geometry import GridIndex, Rect, boxes, rects_of
+from ..geometry import IntArray, Rect, boxes, rects_of, touching
 from ..layout import DrcRules, Layout, WindowGrid
 from ..netflow import (
     DifferentialLP,
@@ -57,7 +57,7 @@ from ..netflow import (
     solve_dual_mcf,
     solve_linprog,
 )
-from .candidates import CandidatePlan, _key_join, _wire_indexes_for
+from .candidates import CandidatePlan, _key_join
 from .config import FillConfig
 
 __all__ = ["SizingStats", "size_window", "size_fills"]
@@ -113,8 +113,8 @@ class _Batch:
 
     ``candidates`` and ``targets`` hold one mapping per window (layer
     to candidate rects, layer to target fill area).  ``wires`` maps a
-    layer to wire rects, of which window ``w`` sees those whose closed
-    box reaches ``reach[0][w] <= y <= reach[1][w]``.
+    layer to an int64 box array of wires, of which window ``w`` sees
+    those whose closed box reaches ``reach[0][w] <= y <= reach[1][w]``.
 
     Fills are numbered window by window, layers ascending, each layer
     in candidate order: the order in which one window's LP numbers its
@@ -128,7 +128,7 @@ class _Batch:
         self,
         candidates: Sequence[Mapping[int, Sequence[Rect]]],
         targets: Sequence[Mapping[int, float]],
-        wires: Mapping[int, Sequence[Rect]],
+        wires: Mapping[int, IntArray],
         reach: Tuple[np.ndarray, np.ndarray],
         rules: DrcRules,
         config: FillConfig,
@@ -224,7 +224,7 @@ class _Batch:
     # overlay neighbours
     # ------------------------------------------------------------------
     def _wire_pairs(
-        self, wires: Mapping[int, Sequence[Rect]], lows: np.ndarray, highs: np.ndarray
+        self, wires: Mapping[int, IntArray], lows: np.ndarray, highs: np.ndarray
     ) -> None:
         """Which live fills overlap which wires of the layers around them.
 
@@ -239,12 +239,11 @@ class _Batch:
         self.wire_box: Tuple[np.ndarray, ...] = (self.wire_fill,) * 4
         numbers = {layer for keys in self.layer_keys for layer in keys}
         used = [n for n in sorted(wires) if n - 1 in numbers or n + 1 in numbers]
-        rects = [r for n in used for r in wires[n]]
-        if not rects or not self.live.size:
+        m = sum(len(wires[n]) for n in used)
+        if not m or not self.live.size:
             return
-        m = len(rects)
         layer = np.repeat(np.array(used, dtype=np.int64), [len(wires[n]) for n in used])
-        box = boxes(rects, m)
+        box = np.concatenate([wires[n] for n in used])
         first = np.searchsorted(highs, box[:, 1], "left")
         count = np.maximum(np.searchsorted(lows, box[:, 3], "right") - first, 0)
         wire = np.repeat(np.arange(m), count)
@@ -605,7 +604,7 @@ def size_window(
     batch = _Batch(
         [candidates],
         [target_fill_area],
-        wires_nearby,
+        {n: boxes(rects, len(rects)) for n, rects in wires_nearby.items()},
         (np.array([everywhere.min]), np.array([everywhere.max])),
         rules,
         config,
@@ -619,8 +618,6 @@ def size_fills(
     candidates: CandidatePlan,
     target_fill_area: Mapping[int, np.ndarray],
     config: Optional[FillConfig] = None,
-    *,
-    wire_indexes: Optional[Dict[int, GridIndex[int]]] = None,
 ) -> Tuple[Dict[WindowKey, Dict[int, List[Rect]]], SizingStats]:
     """Size the candidates of every window in ``candidates``.
 
@@ -632,16 +629,15 @@ def size_fills(
     empty per-layer lists.  A window sees the wires within the spacing
     rule of it, the reach of analysis, candidates and DRC: sizing reads
     only wires that overlap a fill, and fills lie inside their window
-    and only shrink.  Each column takes its wires with one query per
-    layer of the wire indexes (``wire_indexes`` supplies prebuilt ones,
-    as for :func:`repro.core.generate_candidates`).
+    and only shrink.  Each layer's wires become one int64 box array,
+    and each column takes those whose closed box touches its windows
+    grown by the spacing rule (:func:`~repro.geometry.touching`).
     """
     if config is None:
         config = FillConfig()
     rules = check_drc_params(layout.rules, name="layout.rules")
     margin = rules.min_spacing
-    indexes = _wire_indexes_for(layout, wire_indexes)
-    numbers = layout.layer_numbers
+    wires = {layer.number: boxes(layer.wires, layer.num_wires) for layer in layout.layers}
     total = SizingStats()
     columns: Dict[int, List[Tuple[WindowKey, Rect, Mapping[int, Sequence[Rect]]]]] = {}
     for i, j, window in grid:
@@ -664,7 +660,7 @@ def size_fills(
                     {n: float(area[key]) for n, area in target_fill_area.items()}
                     for key, _, _ in busy
                 ],
-                {n: [r for r, _ in indexes[n].query(frame)] for n in numbers},
+                {n: box[touching(box, frame)] for n, box in wires.items()},
                 (
                     np.array([w.yl - margin for _, w, _ in busy], dtype=np.int64),
                     np.array([w.yh + margin for _, w, _ in busy], dtype=np.int64),

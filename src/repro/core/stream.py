@@ -29,7 +29,7 @@ import os
 import pickle
 import shutil
 import tempfile
-from itertools import chain
+from itertools import chain, islice
 from typing import (Any, BinaryIO, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple, Union)
 
@@ -38,9 +38,10 @@ import numpy as np
 from .. import obs
 from ..contracts import check_drc_params, check_rect
 from ..density.analysis import window_area_map
+from ..density.raster import clipped_area_map
 from ..density.scoring import ScoreWeights
 from ..gdsii import GdsiiStreamReader, GdsiiStreamWriter
-from ..geometry import GridIndex, Rect
+from ..geometry import Rect, boxes
 from ..layout import (
     FILL_DATATYPE,
     WIRE_DATATYPE,
@@ -56,7 +57,6 @@ from ..layout import (
     shape_groups,
 )
 from ..oasis import OasisStreamWriter
-from .candidates import build_wire_indexes
 from .config import FillConfig
 from .engine import BandSource, DummyFillEngine, FillReport, SizedFills, engine_span
 from .sizing import SizingStats
@@ -73,7 +73,7 @@ WindowKey = Tuple[int, int]
 #: default spill budget when the call names none
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 
-#: rough resident footprint of one shape across index + task state —
+#: rough resident footprint of one shape across layout + task state —
 #: deliberately pessimistic so the band estimate errs toward more,
 #: smaller bands rather than blowing the budget
 _BYTES_PER_SHAPE = 512
@@ -153,7 +153,6 @@ class SpillBands(BandSource):
         self._workdir = workdir
         self._flush = flush
         self._resident: Optional[Tuple[int, Layout]] = None
-        self._indexes: Optional[Dict[int, GridIndex[int]]] = None
         #: per-band spools of the new fills, in band order
         self.new_fills: List[LayerSpool] = []
         self.num_fills = 0
@@ -167,16 +166,9 @@ class SpillBands(BandSource):
             self._resident = (band, layout)
         return self._resident[1]
 
-    def wire_indexes(self, band: int) -> Dict[int, GridIndex[int]]:
-        layout = self.layout(band)
-        if self._indexes is None:
-            self._indexes = build_wire_indexes(layout)
-        return self._indexes
-
     def release(self) -> None:
         """Drop the resident band."""
         self._resident = None
-        self._indexes = None
 
     def _path(self, what: str, band: int) -> str:
         return os.path.join(self._workdir, f"{what}-band{band:04d}.pkl")
@@ -336,7 +328,8 @@ def stream_fill(
         # window: analysis, candidates, sizing and DRC alike);
         # decide each input fill's fate (all replaced by a whole-die
         # fill, ECO rip-up otherwise), route the kept ones for the DRC
-        # and accumulate their area per window.
+        # and accumulate their clipped area per window, as
+        # fill_density_map does, one spool buffer of them at a time.
         with obs.span("bucket"):
             halo = rules.min_spacing
             wires = ShapeSpill(plan, workdir, "wires", flush_records=flush)
@@ -348,18 +341,24 @@ def stream_fill(
             for n in numbers:
                 for rect in spool.read(n, WIRE_DATATYPE):
                     wires.route(n, WIRE_DATATYPE, rect, halo)
-                for rect in spool.read(n, FILL_DATATYPE):
-                    if affected is None or rips_up(grid, affected, rect):
-                        removed_fills += 1
+                stale = spool.read(n, FILL_DATATYPE)
+                while chunk := list(islice(stale, flush)):
+                    kept = [
+                        rect
+                        for rect in chunk
+                        if affected is not None and not rips_up(grid, affected, rect)
+                    ]
+                    removed_fills += len(chunk) - len(kept)
+                    if not kept:
                         continue
-                    kept_spool.add(n, FILL_DATATYPE, rect)
-                    fills.route(n, FILL_DATATYPE, rect, rules.min_spacing)
-                    kept_fills += 1
+                    for rect in kept:
+                        kept_spool.add(n, FILL_DATATYPE, rect)
+                        fills.route(n, FILL_DATATYPE, rect, rules.min_spacing)
+                    kept_fills += len(kept)
                     area = kept_area.setdefault(
                         n, np.zeros((grid.cols, grid.rows), dtype=np.int64)
                     )
-                    for i, j in grid.windows_touching(rect):
-                        area[i, j] += rect.intersection_area(grid.window(i, j))
+                    area += clipped_area_map(boxes(kept, len(kept)), grid)
             wires.finish()
             kept_spool.finish()
 

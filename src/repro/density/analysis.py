@@ -19,9 +19,9 @@ import numpy as np
 
 from .. import obs
 from ..contracts import check_density
-from ..geometry import GridIndex, Rect, rect_set_subtract
+from ..geometry import Rect, boxes, rect_set_subtract, touching
 from ..layout import DrcRules, Layer, Layout, WindowGrid
-from .raster import raster_area_map, raster_fill_regions
+from .raster import clipped_area_map, raster_area_map, raster_fill_regions
 
 __all__ = [
     "window_area_map",
@@ -39,14 +39,6 @@ __all__ = [
 ]
 
 
-def _shape_index(shapes: Sequence[Rect], die: Rect) -> GridIndex[int]:
-    cell = max(64, min(die.width, die.height) // 16)
-    index: GridIndex[int] = GridIndex(cell)
-    for k, s in enumerate(shapes):
-        index.insert(s, k)
-    return index
-
-
 def wire_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Wire density ``d_w(i, j)`` per window — the lower bound l(i, j)."""
     return _to_density(raster_area_map(layer.wires, grid), grid)
@@ -57,17 +49,12 @@ def fill_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
 
     Fills are disjoint by construction, so on a legal layout the sum is
     their covered area.  It stays a sum, not a union, because the
-    streamed fill accounts its kept fills the same way (the bucket pass
-    of :mod:`repro.core.stream`); a union would make in-memory and
+    streamed fill accounts its kept fills with the same
+    :func:`clipped_area_map` (the bucket pass of
+    :mod:`repro.core.stream`); a union would make in-memory and
     streamed ECOs diverge on inputs whose fills overlap.
     """
-    areas = np.zeros((grid.cols, grid.rows), dtype=np.int64)
-    index = _shape_index(layer.fills, grid.die)
-    for i, j, win in grid:  # repro: noqa[REP015] — a clipped sum, like the stream's kept fills
-        hits = index.query_overlapping(win)
-        if hits:
-            areas[i, j] = sum(r.intersection_area(win) for r, _ in hits)
-    return _to_density(areas, grid)
+    return _to_density(clipped_area_map(boxes(layer.fills, layer.num_fills), grid), grid)
 
 
 def metal_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
@@ -118,10 +105,12 @@ def _scanline_fill_regions(
 
     The region is the window, inset by the window margin, minus every
     wire bloated by the minimum spacing: ``rect_set_subtract`` over
-    the wires a spatial-index query finds within spacing reach.
+    the wires whose closed box touches the inset window grown by the
+    spacing (:func:`~repro.geometry.touching`), in wire order.
     ``windows`` restricts the output to those windows.
     """
-    index = _shape_index(layer.wires, grid.die)
+    wires = layer.wires
+    box = boxes(wires, len(wires))
     regions: Dict[Tuple[int, int], List[Rect]] = {}
     for i, j in windows if windows is not None else [(i, j) for i, j, _ in grid]:
         win = grid.window(i, j)
@@ -129,8 +118,8 @@ def _scanline_fill_regions(
         if inner is None:
             regions[(i, j)] = []
             continue
-        nearby = index.query_within(inner, rules.min_spacing)
-        bloated = [r.expanded(rules.min_spacing) for r, _ in nearby]
+        nearby = touching(box, inner.expanded(rules.min_spacing))
+        bloated = [wires[k].expanded(rules.min_spacing) for k in nearby.tolist()]
         regions[(i, j)] = rect_set_subtract([inner], bloated)
     return regions
 
@@ -176,7 +165,7 @@ def _choose_kernel(
     The raster cutter, whatever the layer and the window set: it was
     measured no slower than the scanline cutter on every whole die,
     every stream band and the partial-column ECO refresh, where the
-    scanline's per-call spatial index of every wire costs more than the
+    scanline's per-window scan of every wire costs more than the
     raster's column strips (docs/PERFORMANCE.md, "Raster kernel").  The
     two cutters return the same rect lists, so the choice only moves
     the clock; tests pin this function to run one cutter through whole

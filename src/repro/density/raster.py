@@ -1,15 +1,18 @@
-"""Raster passes of the §3.1 density analysis: covered areas and fill regions.
+"""Array passes of the §3.1 density analysis: window areas and fill regions.
 
-Both passes slice the die into window-column strips and rasterize each
-strip once with :func:`repro.geometry.strip_occupancy`, the one
-rasterizer.  :func:`raster_area_map` is the one covered-area map: the
-analysis's ``l(i, j)``, every wire and total-metal density map, and
-each term of the score's overlay (:func:`~repro.density.analysis.overlay_map`)
-run on it, so every per-window union area of the package is one call.
+The raster passes slice the die into window-column strips and
+rasterize each strip once with :func:`repro.geometry.strip_occupancy`,
+the one rasterizer.  :func:`raster_area_map` is the one covered-area
+map: the analysis's ``l(i, j)``, every wire and total-metal density
+map, and each term of the score's overlay
+(:func:`~repro.density.analysis.overlay_map`) run on it, so every
+per-window union area of the package is one call.
 :func:`raster_fill_regions` is the fill-region cutter
 :func:`~repro.density.analysis.analyze_layer` runs unless the scanline
 cutter is named; its output equals the scanline cutter's rect lists,
-in the same order.
+in the same order.  :func:`clipped_area_map` is the one per-window
+*sum* of clipped areas: the fill density the replanning round reads,
+in memory and streamed alike.
 
 Why this is exact and not an approximation: the raster grid is the
 coordinate grid *induced by the shapes themselves* (plus the window cut
@@ -28,11 +31,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..geometry import Rect, boxes, merge_mask_runs, rects_of, strip_occupancy
+from ..geometry import IntArray, Rect, boxes, merge_mask_runs, rects_of, strip_occupancy
 from ..layout import DrcRules, Layer, WindowGrid
 
 __all__ = [
     "window_cuts",
+    "clipped_area_map",
     "raster_area_map",
     "raster_fill_regions",
 ]
@@ -64,6 +68,35 @@ def _column_rows(
     for i, j in windows:
         rows.setdefault(i, set()).add(j)
     return {i: sorted(js) for i, js in rows.items()}
+
+
+def clipped_area_map(box: IntArray, grid: WindowGrid) -> np.ndarray:
+    """Per window, the int64 sum of each rect's area clipped to it.
+
+    ``box`` is an ``(n, 4)`` int64 box array.  A point covered by two
+    rects counts twice: this is a sum, not the union
+    :func:`raster_area_map` measures, and area outside the grid's die
+    is not counted.  A rect meets a range of window columns and rows,
+    found by ``searchsorted`` on the cut lines, and each (rect, window)
+    pair adds the rect's clipped width times its clipped height.
+    """
+    x_cuts, y_cuts = (np.asarray(c, dtype=_I64) for c in window_cuts(grid))
+    out = np.zeros((grid.cols, grid.rows), dtype=_I64)
+    i0 = np.maximum(np.searchsorted(x_cuts, box[:, 0], "right") - 1, 0)
+    i1 = np.minimum(np.searchsorted(x_cuts, box[:, 2], "left"), grid.cols)
+    j0 = np.maximum(np.searchsorted(y_cuts, box[:, 1], "right") - 1, 0)
+    j1 = np.minimum(np.searchsorted(y_cuts, box[:, 3], "left"), grid.rows)
+    span = np.maximum(j1 - j0, 0)
+    count = np.maximum(i1 - i0, 0) * span
+    rect = np.repeat(np.arange(len(box)), count)
+    local = np.arange(len(rect)) - np.repeat(np.cumsum(count) - count, count)
+    i = i0[rect] + local // span[rect]
+    j = j0[rect] + local % span[rect]
+    b = box[rect]
+    width = np.minimum(b[:, 2], x_cuts[i + 1]) - np.maximum(b[:, 0], x_cuts[i])
+    height = np.minimum(b[:, 3], y_cuts[j + 1]) - np.maximum(b[:, 1], y_cuts[j])
+    np.add.at(out, (i, j), width * height)
+    return out
 
 
 def raster_area_map(

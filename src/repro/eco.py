@@ -24,10 +24,10 @@ streamed shapes.
 
 For a one-shot call the function rescans the layout; a caller holding a
 loaded session (:mod:`repro.service`) instead passes its cached
-per-layer density ``analysis``, ``wire_indexes`` and ``fill_indexes``,
-and the flow touches only the dirtied windows end to end: rip-up
-becomes an index query instead of an all-fills scan, and density
-analysis is refreshed per dirtied window via
+per-layer density ``analysis`` and ``fill_indexes``, and the flow
+touches only the dirtied windows end to end: rip-up becomes an index
+query instead of an all-fills scan, and density analysis is refreshed
+per dirtied window via
 :func:`repro.density.analysis.refresh_analysis` instead of recomputed
 globally.  Both paths produce bit-identical layouts.
 """
@@ -62,10 +62,9 @@ WindowKey = Tuple[int, int]
 class EcoReport:
     """Outcome of an incremental re-fill.
 
-    ``analysis`` and ``wire_indexes`` carry the refreshed session
-    caches when the caller supplied cached state — valid for the
-    post-ECO layout, ready to be stored back on the session.  They are
-    ``None`` on the cold (cache-free) path.
+    ``analysis`` carries the refreshed session cache when the caller
+    supplied one — valid for the post-ECO layout, ready to be stored
+    back on the session.  It is ``None`` on the cold (cache-free) path.
     """
 
     new_wires: int
@@ -74,9 +73,6 @@ class EcoReport:
     new_fills: int
     seconds: float
     analysis: Optional[Dict[int, LayerDensity]] = field(default=None, repr=False)
-    wire_indexes: Optional[Dict[int, "GridIndex[int]"]] = field(
-        default=None, repr=False
-    )
 
     def summary(self) -> str:
         return (
@@ -93,7 +89,7 @@ def check_new_wires(
     holding a zero-area wire.
 
     Callers run it before committing anything, so a rejected change
-    leaves the layout and any cached wire index as they were.
+    leaves the layout as it was.
     """
     for number in sorted(new_wires, key=int):
         if number not in layer_numbers:
@@ -147,10 +143,8 @@ def affected_windows(
 def build_fill_indexes(layout: Layout) -> Dict[int, "GridIndex[int]"]:
     """One spatial index per layer over its *fills*.
 
-    The rip-up stage's counterpart to
-    :func:`repro.core.candidates.build_wire_indexes`: lets
-    :func:`apply_eco` find the fills touching the affected windows by
-    query instead of scanning every fill against every window.
+    Lets :func:`apply_eco` find the fills touching the affected windows
+    by query instead of scanning every fill against every window.
     Payloads are the fill's ordinal in ``layer.fills``, so order-
     preserving removal needs no rect comparisons.
     """
@@ -203,23 +197,16 @@ def wires_from_json(data: Mapping[str, Any]) -> Dict[int, List[Rect]]:
     return out
 
 
-def _checked_indexes(
-    layout: Layout,
-    indexes: Dict[int, "GridIndex[int]"],
-    *,
-    counts: Mapping[int, int],
-    what: str,
-) -> Dict[int, "GridIndex[int]"]:
-    """Validate that cached per-layer indexes match the layout's shapes."""
-    for number, expected in counts.items():
-        index = indexes.get(number)
-        if index is None or len(index) != expected:
+def _check_fill_indexes(layout: Layout, indexes: Dict[int, "GridIndex[int]"]) -> None:
+    """Reject cached fill indexes that do not match the layout's fills."""
+    for layer in layout.layers:
+        index = indexes.get(layer.number)
+        if index is None or len(index) != layer.num_fills:
             have = "missing" if index is None else f"{len(index)} items"
             raise ValueError(
-                f"stale {what} index for layer {number}: {have}, "
-                f"layer has {expected}"
+                f"stale fill index for layer {layer.number}: {have}, "
+                f"layer has {layer.num_fills}"
             )
-    return indexes
 
 
 def apply_eco(
@@ -230,7 +217,6 @@ def apply_eco(
     weights: Optional[ScoreWeights] = None,
     *,
     analysis: Optional[Dict[int, LayerDensity]] = None,
-    wire_indexes: Optional[Dict[int, "GridIndex[int]"]] = None,
     fill_indexes: Optional[Dict[int, "GridIndex[int]"]] = None,
 ) -> EcoReport:
     """Commit ``new_wires`` and incrementally repair the fill.
@@ -240,22 +226,19 @@ def apply_eco(
     fills outside the affected windows are left untouched.
 
     The keyword-only cache parameters come from a session holding the
-    layout loaded (all three optional, all validated against the
-    layout before use):
+    layout loaded (both optional):
 
     * ``analysis`` — the cached global density analysis of the
       pre-ECO layout (built with this config's ``effective_margin``).
       When given, only the affected windows of the changed layers are
       re-analyzed; the engine reuses everything else.
-    * ``wire_indexes`` — cached per-layer wire indexes.  Extended *in
-      place* with the new wires (matching a rebuild exactly, since
-      wire commits append) and passed to candidate generation.
     * ``fill_indexes`` — cached per-layer fill indexes for the rip-up
-      query; built fresh when omitted.  Always stale after this call
-      (fills change); rebuild via :func:`build_fill_indexes`.
+      query, checked against the layout's fill counts; built fresh when
+      omitted.  Always stale after this call (fills change); rebuild
+      via :func:`build_fill_indexes`.
 
-    The returned report carries the refreshed ``analysis`` and
-    ``wire_indexes`` when caches were supplied.
+    The returned report carries the refreshed ``analysis`` when one was
+    supplied.
     """
     with obs.span("eco.apply") as sp:
         if config is None:
@@ -263,22 +246,10 @@ def apply_eco(
         rules = layout.rules
         check_new_wires(layout.die, layout.layer_numbers, new_wires)
         changed_layers = sorted(n for n, rects in new_wires.items() if rects)
-        if wire_indexes is not None:
-            _checked_indexes(
-                layout,
-                wire_indexes,
-                counts={n: layout.layer(n).num_wires for n in changed_layers},
-                what="wire",
-            )
         num_new = 0
         for number in sorted(new_wires, key=int):
             rects = new_wires[number]
-            layer = layout.layer(number)
-            if wire_indexes is not None and rects:
-                index = wire_indexes[number]
-                for k, rect in enumerate(rects, start=layer.num_wires):
-                    index.insert(rect, k)
-            layer.add_wires(rects)
+            layout.layer(number).add_wires(rects)
             num_new += len(rects)
 
         affected = affected_windows(grid, new_wires, eco_halo(rules, config))
@@ -294,15 +265,7 @@ def apply_eco(
                 if fill_indexes is None:
                     fill_indexes = build_fill_indexes(layout)
                 else:
-                    _checked_indexes(
-                        layout,
-                        fill_indexes,
-                        counts={
-                            layer.number: layer.num_fills
-                            for layer in layout.layers
-                        },
-                        what="fill",
-                    )
+                    _check_fill_indexes(layout, fill_indexes)
                 affected_rects = [grid.window(i, j) for i, j in sorted(affected)]
                 for layer in layout.layers:
                     index = fill_indexes[layer.number]
@@ -343,7 +306,6 @@ def apply_eco(
                 grid,
                 windows=sorted(affected),
                 analysis=refreshed,
-                wire_indexes=wire_indexes,
             )
             new_fills = report.num_fills
     return EcoReport(
@@ -353,5 +315,4 @@ def apply_eco(
         new_fills=new_fills,
         seconds=sp.seconds,
         analysis=refreshed,
-        wire_indexes=wire_indexes,
     )

@@ -1,20 +1,18 @@
 """Rectilinear geometry kernel.
 
 Integer-grid Manhattan geometry used throughout the fill framework:
-rectangles (:mod:`~repro.geometry.rect`), 1-D interval sets
+rectangles (:mod:`~repro.geometry.rect`), 1-D interval arithmetic
 (:mod:`~repro.geometry.interval`), scanline boolean operations on
 rectangle sets (:mod:`~repro.geometry.boolean`), rectilinear polygons
 and their rectangle decompositions (:mod:`~repro.geometry.polygon`,
 :mod:`~repro.geometry.poly2rect`), a uniform-grid spatial index
 (:mod:`~repro.geometry.grid`), and coordinate-compressed occupancy
-rasters with exact free-region recovery
-(:mod:`~repro.geometry.raster`).
+rasters with exact free-region recovery, next to the int64 box arrays
+the array stages share (:mod:`~repro.geometry.raster`).
 """
 
 from .boolean import (
-    RectSet,
     canonicalize,
-    clip_rects,
     intersection_area,
     rect_set_intersect,
     rect_set_subtract,
@@ -22,7 +20,6 @@ from .boolean import (
     union_area,
 )
 from .grid import GridIndex
-from .interval import IntervalSet
 from .polygon import RectilinearPolygon
 from .poly2rect import gourley_green, polygon_to_rects, scanline_decompose
 from .raster import (
@@ -32,16 +29,14 @@ from .raster import (
     merge_mask_runs,
     rects_of,
     strip_occupancy,
+    touching,
 )
 from .rect import Rect, bounding_box
 
 __all__ = [
     "Rect",
     "bounding_box",
-    "IntervalSet",
-    "RectSet",
     "canonicalize",
-    "clip_rects",
     "intersection_area",
     "rect_set_intersect",
     "rect_set_subtract",
@@ -52,6 +47,7 @@ __all__ = [
     "BoolArray",
     "boxes",
     "rects_of",
+    "touching",
     "strip_occupancy",
     "merge_mask_runs",
     "RectilinearPolygon",

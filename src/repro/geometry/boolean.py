@@ -20,7 +20,7 @@ DESIGN.md §3), and exact over the integer grid.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import List, Sequence
 
 from .interval import Interval, intersect as iv_intersect
 from .interval import measure as iv_measure
@@ -34,9 +34,7 @@ __all__ = [
     "rect_set_union",
     "rect_set_intersect",
     "rect_set_subtract",
-    "clip_rects",
     "canonicalize",
-    "RectSet",
 ]
 
 
@@ -156,16 +154,6 @@ def rect_set_subtract(a: Sequence[Rect], b: Sequence[Rect]) -> List[Rect]:
     return _sweep(a, b, iv_subtract)
 
 
-def clip_rects(rects: Iterable[Rect], clip: Rect) -> List[Rect]:
-    """Clip every rectangle to ``clip``, dropping empty results."""
-    out = []
-    for r in rects:
-        c = r.intersection(clip)
-        if c is not None:
-            out.append(c)
-    return out
-
-
 def canonicalize(rects: Sequence[Rect]) -> List[Rect]:
     """Disjoint, vertically merged canonical form of an arbitrary set.
 
@@ -173,78 +161,3 @@ def canonicalize(rects: Sequence[Rect]) -> List[Rect]:
     are equal, which the property-based tests rely on.
     """
     return rect_set_union(list(rects), [])
-
-
-class RectSet:
-    """An immutable region of the plane stored as disjoint rectangles.
-
-    A convenience wrapper used wherever a *region* (rather than a list of
-    individual shapes) is the natural abstraction: fill regions, wire
-    coverage, windows.  All operations return new sets.
-    """
-
-    __slots__ = ("_rects",)
-
-    def __init__(self, rects: Iterable[Rect] = (), *, _canonical: bool = False):
-        rect_list = list(rects)
-        self._rects = rect_list if _canonical else canonicalize(rect_list)
-
-    @property
-    def rects(self) -> List[Rect]:
-        """The canonical disjoint rectangle list (a copy)."""
-        return list(self._rects)
-
-    @property
-    def area(self) -> int:
-        """Covered area (rectangles are disjoint, so a plain sum)."""
-        return sum(r.area for r in self._rects)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._rects
-
-    def union(self, other: "RectSet") -> "RectSet":
-        return RectSet(
-            rect_set_union(self._rects, other._rects), _canonical=True
-        )
-
-    def intersect(self, other: "RectSet") -> "RectSet":
-        return RectSet(
-            rect_set_intersect(self._rects, other._rects), _canonical=True
-        )
-
-    def subtract(self, other: "RectSet") -> "RectSet":
-        return RectSet(
-            rect_set_subtract(self._rects, other._rects), _canonical=True
-        )
-
-    def clip(self, window: Rect) -> "RectSet":
-        return RectSet(
-            rect_set_intersect(self._rects, [window]), _canonical=True
-        )
-
-    def intersection_area(self, other: "RectSet") -> int:
-        return intersection_area(self._rects, other._rects)
-
-    def contains_point(self, x: int, y: int) -> bool:
-        return any(r.contains_point(x, y) for r in self._rects)
-
-    def bloated(self, margin: int) -> "RectSet":
-        """Region grown by ``margin`` on all sides (min-spacing bloat)."""
-        if margin == 0:
-            return self
-        return RectSet(r.expanded(margin) for r in self._rects)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RectSet):
-            return NotImplemented
-        return self._rects == other._rects
-
-    def __len__(self) -> int:
-        return len(self._rects)
-
-    def __iter__(self) -> Iterator[Rect]:
-        return iter(self._rects)
-
-    def __repr__(self) -> str:
-        return f"RectSet({len(self._rects)} rects, area={self.area})"

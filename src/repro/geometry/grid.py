@@ -1,10 +1,15 @@
 """Uniform-grid spatial index for rectangles.
 
-Candidate-fill generation and spacing-rule extraction (Eqn. (9g)) need
-"which shapes are near this box?" queries over thousands of rectangles
-per window.  A uniform bucket grid is the right tool at this scale: the
-shapes are small relative to the window, near-uniformly distributed, and
-the index is rebuilt per window anyway.
+Spacing-rule checks (Eqn. (9g)) and the other per-shape neighbour
+searches — the fill DRC, the ECO rip-up, the litho hotspot scan and the
+coupling-LP baseline — ask "which shapes are near this box?" once per
+shape, over thousands of rectangles.  A uniform bucket grid is the
+right tool at this scale: the shapes are small relative to the window
+and near-uniformly distributed.  The fill engine's stages query wires
+once per window column instead, with one closed-box mask over the
+layer's int64 box array (:func:`repro.geometry.touching`); the scalar
+oracles in ``tests/core`` query this index, whose hits are the same
+rows in the same (insertion) order.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""One-dimensional integer interval sets.
+"""One-dimensional integer interval arithmetic.
 
 The scanline boolean engine (:mod:`repro.geometry.boolean`) reduces every
 two-dimensional rectilinear boolean operation to operations on sets of
@@ -16,10 +16,9 @@ covered region for density purposes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
-    "IntervalSet",
     "normalize",
     "union",
     "intersect",
@@ -95,93 +94,3 @@ def subtract(a: Sequence[Interval], b: Sequence[Interval]) -> List[Interval]:
 def complement(a: Sequence[Interval], lo: int, hi: int) -> List[Interval]:
     """The part of ``[lo, hi]`` not covered by normalised ``a``."""
     return subtract([(lo, hi)], a)
-
-
-class IntervalSet:
-    """A mutable set of disjoint integer intervals.
-
-    Thin object wrapper over the functional core above, convenient when a
-    scanline accumulates coverage slab by slab.
-    """
-
-    __slots__ = ("_intervals",)
-
-    def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        self._intervals = normalize(intervals)
-
-    @property
-    def intervals(self) -> List[Interval]:
-        """The normalised interval list (a copy)."""
-        return list(self._intervals)
-
-    @property
-    def measure(self) -> int:
-        """Total covered length."""
-        return measure(self._intervals)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._intervals
-
-    def add(self, lo: int, hi: int) -> None:
-        """Insert ``[lo, hi]`` into the set."""
-        self._intervals = union(self._intervals, [(lo, hi)] if lo < hi else [])
-
-    def remove(self, lo: int, hi: int) -> None:
-        """Erase ``[lo, hi]`` from the set."""
-        if lo < hi:
-            self._intervals = subtract(self._intervals, [(lo, hi)])
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        out = IntervalSet()
-        out._intervals = union(self._intervals, other._intervals)
-        return out
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = IntervalSet()
-        out._intervals = intersect(self._intervals, other._intervals)
-        return out
-
-    def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        out = IntervalSet()
-        out._intervals = subtract(self._intervals, other._intervals)
-        return out
-
-    def complement(self, lo: int, hi: int) -> "IntervalSet":
-        out = IntervalSet()
-        out._intervals = complement(self._intervals, lo, hi)
-        return out
-
-    def covers(self, lo: int, hi: int) -> bool:
-        """True when ``[lo, hi]`` lies entirely inside one stored interval."""
-        if lo >= hi:
-            return True
-        for ilo, ihi in self._intervals:
-            if ilo <= lo and hi <= ihi:
-                return True
-            if ilo > lo:
-                break
-        return False
-
-    def contains_point(self, x: int) -> bool:
-        """True when ``x`` lies in the closed cover of the set."""
-        for lo, hi in self._intervals:
-            if lo <= x <= hi:
-                return True
-            if lo > x:
-                break
-        return False
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        return self._intervals == other._intervals
-
-    def __len__(self) -> int:
-        return len(self._intervals)
-
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self._intervals)
-
-    def __repr__(self) -> str:
-        return f"IntervalSet({self._intervals!r})"

@@ -13,7 +13,8 @@ scanline boolean of :mod:`repro.geometry.boolean` produces.
 
 :func:`boxes` and :func:`rects_of` are the one boundary between
 :class:`~repro.geometry.rect.Rect` lists and ``(n, 4)`` int64 arrays of
-``(xl, yl, xh, yh)`` rows, which every array stage reads and writes.
+``(xl, yl, xh, yh)`` rows, which every array stage reads and writes;
+:func:`touching` is the range query over such an array.
 Everything stays int64 (the occupancy grid is int32 cell flags), which
 keeps the raster passes bit-compatible with the rect-set oracles.
 """
@@ -34,6 +35,7 @@ __all__ = [
     "OccupancyArray",
     "boxes",
     "rects_of",
+    "touching",
     "strip_occupancy",
     "merge_mask_runs",
 ]
@@ -65,6 +67,21 @@ def rects_of(box: IntArray) -> List[Rect]:
         Rect(coord[a], coord[b], coord[c], coord[d])
         for a, b, c, d in index.reshape(-1, 4).tolist()
     ]
+
+
+def touching(box: IntArray, frame: Rect) -> IntArray:
+    """Rows of ``box`` whose closed box touches ``frame``, ascending.
+
+    Shared edges and corners count, as in :meth:`Rect.touches`: these
+    are the ids :meth:`~repro.geometry.GridIndex.query` returns for the
+    rects inserted in row order, in the same order.
+    """
+    return np.flatnonzero(
+        (box[:, 0] <= frame.xh)
+        & (frame.xl <= box[:, 2])
+        & (box[:, 1] <= frame.yh)
+        & (frame.yl <= box[:, 3])
+    )
 
 
 def strip_occupancy(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional
 
-from ..geometry import Rect, RectSet, RectilinearPolygon, polygon_to_rects
+from ..geometry import Rect, RectilinearPolygon, polygon_to_rects, union_area
 
 __all__ = ["Layer"]
 
@@ -107,7 +107,7 @@ class Layer:
         clipped = [
             c for w in self._wires if (c := w.intersection(window)) is not None
         ]
-        return RectSet(clipped).area
+        return union_area(clipped)
 
     def __repr__(self) -> str:
         return (

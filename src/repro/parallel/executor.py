@@ -6,7 +6,7 @@ shard order.  Two backends:
 
 * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`;
   ``shared`` is handed to each worker **once** (pool initializer), so
-  large read-only state (a band's layout and wire indexes) is not
+  large read-only state (a band's layout and stage inputs) is not
   re-sent per shard.  Falls back to the serial backend when the pool cannot start
   (restricted sandboxes without working semaphores).
 * ``"serial"`` — runs shards inline, in order.  Same sharding, same

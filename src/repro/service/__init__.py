@@ -1,11 +1,12 @@
 """``repro.service`` — persistent fill sessions served over a socket.
 
 The production-facing layer over the one-shot engine: load a layout
-once into an indexed :class:`FillSession`, then serve many requests
-against it — full ``fill``, ``score``, ``drc_audit``, and ``eco_delta``
-patches that re-analyze and re-fill only the windows a wire change
-dirtied.  Each request runs on the thread that received it, one at a
-time per session, so results are byte-identical to serial CLI runs.
+once into a :class:`FillSession` that caches its density analysis,
+then serve many requests against it — full ``fill``, ``score``,
+``drc_audit``, and ``eco_delta`` patches that re-analyze and re-fill
+only the windows a wire change dirtied.  Each request runs on the
+thread that received it, one at a time per session, so results are
+byte-identical to serial CLI runs.
 
 Two front doors:
 

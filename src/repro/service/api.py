@@ -372,12 +372,7 @@ class FillService:
         session.ensure_caches()
         work = session.layout.copy_without_fills()
         engine = DummyFillEngine(session.config)
-        report = engine.run(
-            work,
-            session.grid,
-            analysis=session.analysis,
-            wire_indexes=session.wire_indexes,
-        )
+        report = engine.run(work, session.grid, analysis=session.analysis)
         violations = work.check_drc()
         data = gdsii_bytes(work)
         session.layout = work
@@ -423,7 +418,6 @@ class FillService:
             wires,
             session.config,
             analysis=session.analysis,
-            wire_indexes=session.wire_indexes,
             fill_indexes=build_fill_indexes(session.layout),
         )
         if report.analysis is not None:

@@ -2,11 +2,10 @@
 
 A :class:`FillSession` is the unit of state the service keeps between
 requests: the layout, its window grid and fill config, and the derived
-caches the one-shot CLI rebuilds on every invocation — the per-layer
-wire :class:`~repro.geometry.GridIndex` and the global density
-analysis.  Both caches depend only on the session's *wires* (analysis
-bounds and fill regions never read fills), so they survive any number
-of ``fill``/``score``/``drc_audit`` requests and are refreshed
+cache the one-shot CLI rebuilds on every invocation — the global
+density analysis.  It depends only on the session's *wires* (analysis
+bounds and fill regions never read fills), so it survives any number
+of ``fill``/``score``/``drc_audit`` requests and is refreshed
 incrementally — never recomputed — by ``eco_delta``.
 
 Concurrency model: a request runs on the thread that received it and
@@ -29,10 +28,9 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..core import DummyFillEngine, FillConfig, build_wire_indexes
+from ..core import DummyFillEngine, FillConfig
 from ..core.engine import FillReport
 from ..density.analysis import LayerDensity
-from ..geometry import GridIndex
 from ..layout import Layout, WindowGrid
 
 __all__ = [
@@ -57,9 +55,9 @@ class UnknownSessionError(KeyError):
 class FillSession:
     """One loaded layout plus everything derived from it.
 
-    Mutable state (``layout``, ``analysis``, ``wire_indexes``,
-    ``last_report``) must only be touched inside :meth:`serving`,
-    which holds the session's turn.
+    Mutable state (``layout``, ``analysis``, ``last_report``) must
+    only be touched inside :meth:`serving`, which holds the session's
+    turn.
     """
 
     def __init__(
@@ -74,7 +72,6 @@ class FillSession:
         self.grid = grid
         self.config = config
         self.analysis: Optional[Dict[int, LayerDensity]] = None
-        self.wire_indexes: Optional[Dict[int, GridIndex[int]]] = None
         self.last_report: Optional[FillReport] = None
         self.requests_served = 0
         self._turn = threading.Lock()
@@ -104,7 +101,7 @@ class FillSession:
 
     # -- caches --------------------------------------------------------
     def ensure_caches(self) -> None:
-        """Build the wire indexes and density analysis if absent.
+        """Build the density analysis if absent.
 
         Call inside :meth:`serving`.  The analysis is the engine's own
         (:meth:`~repro.core.DummyFillEngine.analyze`, on the session
@@ -112,8 +109,6 @@ class FillSession:
         :meth:`~repro.core.DummyFillEngine.run` is bit-identical to
         letting it analyze from scratch.
         """
-        if self.wire_indexes is None:
-            self.wire_indexes = build_wire_indexes(self.layout)
         if self.analysis is None:
             self.analysis = DummyFillEngine(self.config).analyze(self.layout, self.grid)
 

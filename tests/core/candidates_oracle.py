@@ -7,9 +7,12 @@ Region 3 is one ``rect_set_intersect`` fold per window and layer, Case
 I's coverage test is an exact union-area query (:func:`_covered`), and
 the even-layer quality score (Eqn. (8)) queries a per-window
 :class:`~repro.geometry.GridIndex` of the neighbour shapes once per
-candidate.  The tests hold the library's ``generate_candidates`` and
-``grid_candidates`` to this module's: the same rects, in the same
-order.
+candidate.  The adjacent layers' wires come from one
+:class:`~repro.geometry.GridIndex` per layer
+(:func:`build_wire_indexes`, which the sizing oracle shares), where the
+library masks int64 box arrays.  The tests hold the library's
+``generate_candidates`` and ``grid_candidates`` to this module's: the
+same rects, in the same order.
 
 :data:`ROUTES` counts the branches the oracle took, so a test can show
 that its inputs reach every route of the algorithm; a test that reads
@@ -22,7 +25,7 @@ from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import FillConfig, quality_score
-from repro.core.candidates import CandidatePlan, _wire_indexes_for
+from repro.core.candidates import CandidatePlan
 from repro.core.planner import DensityPlan
 from repro.density.analysis import LayerDensity
 from repro.geometry import GridIndex, Rect, bounding_box, intersection_area, rect_set_intersect
@@ -276,6 +279,18 @@ def _window_candidates(
     return selected
 
 
+def build_wire_indexes(layout: Layout) -> Dict[int, GridIndex[int]]:
+    """One spatial index per layer over its wires, in wire order."""
+    cell = max(64, min(layout.die.width, layout.die.height) // 16)
+    out: Dict[int, GridIndex[int]] = {}
+    for layer in layout.layers:
+        index: GridIndex[int] = GridIndex(cell)
+        for k, wire in enumerate(layer.wires):
+            index.insert(wire, k)
+        out[layer.number] = index
+    return out
+
+
 def generate_candidates(
     layout: Layout,
     grid: WindowGrid,
@@ -283,13 +298,11 @@ def generate_candidates(
     analysis: Mapping[int, LayerDensity],
     config: Optional[FillConfig] = None,
     windows: Optional[Sequence[WindowKey]] = None,
-    *,
-    wire_indexes: Optional[Dict[int, GridIndex[int]]] = None,
 ) -> CandidatePlan:
     """Alg. 1 over the windows of the grid (all, or ``windows``), in grid order."""
     config = config or FillConfig()
     numbers = tuple(layout.layer_numbers)
-    indexes = _wire_indexes_for(layout, wire_indexes)
+    indexes = build_wire_indexes(layout)
     chosen = set(windows) if windows is not None else None
     out: CandidatePlan = {}
     for i, j, window in grid:

@@ -20,12 +20,13 @@ import numpy as np
 from repro import obs
 from repro.contracts import check_drc_params
 from repro.core import FillConfig, SizingStats
-from repro.core.candidates import CandidatePlan, _wire_indexes_for
+from repro.core.candidates import CandidatePlan
 from repro.geometry import GridIndex, Rect
 from repro.layout import DrcRules, Layout, WindowGrid
 from repro.netflow import DifferentialLP, LPInfeasibleError, solve_linprog
 
 from ..netflow.pair_oracle import solve_components
+from .candidates_oracle import build_wire_indexes
 
 WindowKey = Tuple[int, int]
 
@@ -612,8 +613,6 @@ def size_fills(
     candidates: CandidatePlan,
     target_fill_area: Mapping[int, np.ndarray],
     config: Optional[FillConfig] = None,
-    *,
-    wire_indexes: Optional[Dict[int, GridIndex[int]]] = None,
 ) -> Tuple[Dict[WindowKey, Dict[int, List[Rect]]], SizingStats]:
     """Size the candidates of every window in ``candidates``.
 
@@ -622,9 +621,8 @@ def size_fills(
     Windows are independent problems (the paper sizes per window),
     processed in grid order, which is also the order of the result: a
     window whose candidates are all empty maps to empty per-layer lists.
-    The per-layer wire indexes answer each window's "wires near this
-    window" query; ``wire_indexes`` supplies prebuilt ones, as for
-    :func:`repro.core.generate_candidates`.
+    The per-layer wire indexes of the candidates oracle answer each
+    window's "wires near this window" query.
     """
     if config is None:
         config = FillConfig()
@@ -632,7 +630,7 @@ def size_fills(
     margin = rules.min_spacing + config.effective_step(
         rules.max_fill_width, rules.max_fill_height
     )
-    indexes = _wire_indexes_for(layout, wire_indexes)
+    indexes = build_wire_indexes(layout)
     numbers = layout.layer_numbers
     total = SizingStats()
     result: Dict[WindowKey, Dict[int, List[Rect]]] = {}

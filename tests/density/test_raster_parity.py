@@ -8,8 +8,9 @@ thing the kernel choice changes, and the two must return the same rect
 lists.  These tests pin the contract at the function level on
 randomized layouts, with ``np.array_equal`` and no tolerances: the
 area map, ``lower`` and the overlay map against a 1-dbu bitmap, the
-two cutters against each other (regions, usable areas, ``upper``, the
-incremental refresh), and the score's raw components against the
+clipped-area sum against per-window ``Rect.intersection_area`` sums,
+the two cutters against each other (regions, usable areas, ``upper``,
+the incremental refresh), and the score's raw components against the
 die-wide overlay sweep.  ``tests/core/test_stream_fill.py`` and
 ``tests/test_differential.py`` force each cutter alone through whole
 fills and compare GDSII bytes.
@@ -24,14 +25,20 @@ from repro.density import MultiWindowGrid, RawComponents, compute_metrics, measu
 from repro.density.analysis import (
     analyze_layer,
     analyze_layout,
+    fill_density_map,
     overlay_area,
     overlay_map,
     refresh_analysis,
     usable_fill_area,
     window_area_map,
 )
-from repro.density.raster import raster_area_map, raster_fill_regions, window_cuts
-from repro.geometry import Rect
+from repro.density.raster import (
+    clipped_area_map,
+    raster_area_map,
+    raster_fill_regions,
+    window_cuts,
+)
+from repro.geometry import Rect, boxes
 from repro.layout import DrcRules, Layout, WindowGrid
 
 RULES = DrcRules(
@@ -122,6 +129,67 @@ class TestDensityMapParity:
         top = layout.layer(max(layout.layer_numbers))
         assert not top.wires and not top.fills
         assert np.all(raster_area_map(top.shapes, grid) == 0)
+
+
+#: name -> (die, cols, rows): windows that divide the die, odd window
+#: counts, and an offset die whose last column and row absorb a remainder
+CLIP_GRIDS = {
+    "even": (Rect(0, 0, 1200, 1200), 4, 4),
+    "odd": (Rect(0, 0, 1215, 1215), 3, 5),
+    "remainder": (Rect(-40, 25, 1067, 1118), 4, 3),
+}
+
+
+def _clipped_sums(rects, grid):
+    """Per window, the sum of ``Rect.intersection_area`` over the rects."""
+    out = np.zeros((grid.cols, grid.rows), dtype=np.int64)
+    for i, j, win in grid:
+        out[i, j] = sum(r.intersection_area(win) for r in rects)
+    return out
+
+
+def _cut_crossers(seed, grid):
+    """Rects near the window cuts, some drawn twice, some past the die."""
+    rng = random.Random(seed)
+    xs, ys = window_cuts(grid)
+    rects = []
+    for _ in range(60):
+        x, y = rng.choice(xs) + rng.randrange(-90, 60), rng.choice(ys) + rng.randrange(-90, 60)
+        rects.append(Rect(x, y, x + rng.randrange(1, 150), y + rng.randrange(1, 150)))
+    return rects + rng.sample(rects, 15)
+
+
+class TestClippedAreaMap:
+    """``clipped_area_map`` is the per-window clipped-area *sum*: an
+    overlapped point counts once per rect, area past the die not at all."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", sorted(CLIP_GRIDS))
+    def test_matches_per_window_sums(self, name, seed):
+        grid = WindowGrid(*CLIP_GRIDS[name])
+        rects = _cut_crossers(seed, grid)
+        assert any(len(grid.windows_touching(r)) > 1 for r in rects)
+        assert any(r.intersection(grid.die) not in (None, r) for r in rects)
+        got = clipped_area_map(boxes(rects, len(rects)), grid)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _clipped_sums(rects, grid))
+        # overlaps count twice, so the sum exceeds the covered area
+        assert (got > raster_area_map(rects, grid)).any()
+
+    @pytest.mark.parametrize("name", sorted(CLIP_GRIDS))
+    def test_no_rects(self, name):
+        grid = WindowGrid(*CLIP_GRIDS[name])
+        got = clipped_area_map(boxes([], 0), grid)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.zeros((grid.cols, grid.rows), dtype=np.int64))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_fill_density_is_the_clipped_sum(self, seed, odd):
+        layout, grid = random_layout(seed, odd=odd)
+        for layer in layout.layers:
+            want = _clipped_sums(layer.fills, grid) / window_area_map(grid)
+            assert np.array_equal(fill_density_map(layer, grid), want)
 
 
 def _subsets(grid):

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import (
     Rect,
-    RectSet,
     canonicalize,
-    clip_rects,
     intersection_area,
     rect_set_intersect,
     rect_set_subtract,
@@ -104,11 +102,6 @@ class TestSetOperations:
             for b in result[i + 1 :]:
                 assert not a.overlaps(b)
 
-    def test_clip_rects(self):
-        clip = Rect(0, 0, 10, 10)
-        result = clip_rects([Rect(-5, -5, 5, 5), Rect(20, 20, 30, 30)], clip)
-        assert result == [Rect(0, 0, 5, 5)]
-
     def test_canonicalize_equivalence(self):
         a = [Rect(0, 0, 10, 5), Rect(0, 5, 10, 10)]
         b = [Rect(0, 0, 5, 10), Rect(5, 0, 10, 10)]
@@ -159,49 +152,3 @@ class TestPropertyBased:
         assert union_area(union) + union_area(inter) == union_area(
             canonicalize(a)
         ) + union_area(canonicalize(b))
-
-
-class TestRectSet:
-    def test_area_and_len(self):
-        s = RectSet([Rect(0, 0, 4, 4), Rect(2, 2, 6, 6)])
-        assert s.area == 28
-
-    def test_algebra(self):
-        a = RectSet([Rect(0, 0, 10, 10)])
-        b = RectSet([Rect(5, 0, 15, 10)])
-        assert a.union(b).area == 150
-        assert a.intersect(b).area == 50
-        assert a.subtract(b).area == 50
-
-    def test_clip(self):
-        s = RectSet([Rect(-5, -5, 5, 5)])
-        assert s.clip(Rect(0, 0, 10, 10)).area == 25
-
-    def test_bloated(self):
-        s = RectSet([Rect(5, 5, 10, 10)])
-        assert s.bloated(2).area == 81
-
-    def test_bloated_overlap_not_double_counted(self):
-        s = RectSet([Rect(0, 0, 4, 4), Rect(5, 0, 9, 4)])
-        grown = s.bloated(1)
-        # Grown boxes overlap in the band x in [4, 5]: counted once.
-        assert grown.area == 6 * 6 * 2 - 1 * 6
-
-    def test_contains_point(self):
-        s = RectSet([Rect(0, 0, 5, 5)])
-        assert s.contains_point(3, 3)
-        assert not s.contains_point(9, 9)
-
-    def test_empty(self):
-        assert RectSet().is_empty
-        assert RectSet().area == 0
-
-    def test_equality_by_region(self):
-        a = RectSet([Rect(0, 0, 10, 5), Rect(0, 5, 10, 10)])
-        b = RectSet([Rect(0, 0, 10, 10)])
-        assert a == b
-
-    def test_intersection_area_method(self):
-        a = RectSet([Rect(0, 0, 10, 10)])
-        b = RectSet([Rect(5, 5, 15, 15)])
-        assert a.intersection_area(b) == 25

@@ -1,10 +1,13 @@
-"""Tests for the uniform-grid spatial index."""
+"""Tests for the uniform-grid spatial index and the box-array query."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import GridIndex, Rect
+from repro.geometry import GridIndex, Rect, boxes, touching
 
 small_rects = st.builds(
     lambda x, y, w, h: Rect(x, y, x + w, y + h),
@@ -105,3 +108,67 @@ class TestPropertyBased:
         grown = probe.expanded(margin)
         expected = [(r, k) for k, r in enumerate(rects) if r.touches(grown)]
         assert idx.query_within(probe, margin) == expected
+
+
+def _index_ids(rects, frame):
+    """The ids ``GridIndex.query`` returns for rects inserted in order."""
+    index = GridIndex(16)
+    for k, rect in enumerate(rects):
+        index.insert(rect, k)
+    return [k for _, k in index.query(frame)]
+
+
+def _seeded_rects(seed):
+    """Rects with zero-width ones among them, some drawn twice."""
+    rng = random.Random(seed)
+    rects = []
+    for _ in range(rng.randint(5, 40)):
+        x, y = rng.randrange(-80, 80), rng.randrange(-80, 80)
+        rects.append(Rect(x, y, x + rng.randrange(0, 40), y + rng.randrange(0, 40)))
+    return rects + rng.choices(rects, k=rng.randint(1, 5))
+
+
+def _frames(rect):
+    """Frames meeting ``rect`` on one edge, at one corner, or clear of it."""
+    xl, yl, xh, yh = rect.xl, rect.yl, rect.xh, rect.yh
+    return {
+        "self": rect,
+        "left edge": Rect(xl - 7, yl, xl, yh),
+        "right edge": Rect(xh, yl, xh + 7, yh),
+        "bottom edge": Rect(xl, yl - 7, xh, yl),
+        "top edge": Rect(xl, yh, xh, yh + 7),
+        "low corner": Rect(xl - 5, yl - 5, xl, yl),
+        "high corner": Rect(xh, yh, xh + 5, yh + 5),
+        "clear right": Rect(xh + 1, yl, xh + 9, yh),
+        "clear above": Rect(xl, yh + 1, xh, yh + 9),
+        "far": Rect(500, 500, 520, 520),  # clear of every seeded rect
+    }
+
+
+class TestTouching:
+    """``touching`` over ``boxes(rects)`` is ``GridIndex.query``: the same
+    ids in the same order, with shared edges and corners counted."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_index_query(self, seed):
+        rects = _seeded_rects(seed)
+        box = boxes(rects, len(rects))
+        for probe in rects:
+            for kind, frame in _frames(probe).items():
+                want = _index_ids(rects, frame)
+                got = touching(box, frame)
+                assert got.tolist() == want, (kind, frame)
+                if kind == "far":
+                    assert want == [], frame
+                elif not kind.startswith("clear"):
+                    assert rects.index(probe) in want, (kind, frame)
+
+    def test_empty_set(self):
+        got = touching(boxes([], 0), Rect(0, 0, 10, 10))
+        assert got.tolist() == _index_ids([], Rect(0, 0, 10, 10)) == []
+        assert got.dtype.kind == "i"
+
+    @given(st.lists(small_rects, max_size=20), small_rects)
+    def test_matches_index_query_property(self, rects, probe):
+        got = touching(boxes(rects, len(rects)), probe)
+        assert np.array_equal(got, np.array(_index_ids(rects, probe), dtype=got.dtype))

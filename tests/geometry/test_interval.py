@@ -1,10 +1,9 @@
-"""Unit and property-based tests for 1-D interval sets."""
+"""Unit and property-based tests for 1-D interval arithmetic."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.interval import (
-    IntervalSet,
     complement,
     intersect,
     measure,
@@ -146,52 +145,3 @@ class TestPropertyBased:
     def test_subtract_then_intersect_empty(self, a, b):
         na, nb = normalize(a), normalize(b)
         assert intersect(subtract(na, nb), nb) == []
-
-
-class TestIntervalSet:
-    def test_add_remove_roundtrip(self):
-        s = IntervalSet()
-        s.add(0, 10)
-        s.remove(3, 7)
-        assert s.intervals == [(0, 3), (7, 10)]
-        assert s.measure == 6
-
-    def test_empty_flag(self):
-        s = IntervalSet()
-        assert s.is_empty
-        s.add(1, 2)
-        assert not s.is_empty
-
-    def test_add_degenerate_is_noop(self):
-        s = IntervalSet()
-        s.add(5, 5)
-        assert s.is_empty
-
-    def test_covers(self):
-        s = IntervalSet([(0, 10), (20, 30)])
-        assert s.covers(2, 8)
-        assert s.covers(0, 10)
-        assert not s.covers(8, 22)
-        assert s.covers(5, 5)  # empty span trivially covered
-
-    def test_contains_point(self):
-        s = IntervalSet([(0, 10)])
-        assert s.contains_point(0)
-        assert s.contains_point(10)
-        assert not s.contains_point(11)
-
-    def test_set_algebra(self):
-        a = IntervalSet([(0, 10)])
-        b = IntervalSet([(5, 15)])
-        assert a.union(b).intervals == [(0, 15)]
-        assert a.intersect(b).intervals == [(5, 10)]
-        assert a.subtract(b).intervals == [(0, 5)]
-        assert a.complement(-5, 20).intervals == [(-5, 0), (10, 20)]
-
-    def test_equality(self):
-        assert IntervalSet([(0, 5), (5, 9)]) == IntervalSet([(0, 9)])
-
-    def test_iteration_and_len(self):
-        s = IntervalSet([(0, 2), (4, 6)])
-        assert len(s) == 2
-        assert list(s) == [(0, 2), (4, 6)]

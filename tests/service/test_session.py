@@ -76,14 +76,13 @@ class TestSessionTurn:
 class TestCaches:
     def test_ensure_caches_builds_once(self):
         session = _session()
-        assert session.analysis is None and session.wire_indexes is None
+        assert session.analysis is None
         session.ensure_caches()
-        analysis, indexes = session.analysis, session.wire_indexes
-        assert analysis is not None and indexes is not None
-        assert set(indexes) == set(session.layout.layer_numbers)
+        analysis = session.analysis
+        assert analysis is not None
+        assert set(analysis) == set(session.layout.layer_numbers)
         session.ensure_caches()
         assert session.analysis is analysis  # not recomputed
-        assert session.wire_indexes is indexes
 
     def test_describe_is_json_ready(self):
         session = _session()

@@ -120,7 +120,7 @@ class TestApplyEco:
 
 
 # ----------------------------------------------------------------------
-# Session-cache path: cached analysis/indexes vs the cold rescan path
+# Session-cache path: cached analysis/fill indexes vs the cold rescan path
 # ----------------------------------------------------------------------
 
 
@@ -129,17 +129,14 @@ class TestCachedEco:
     WIRE2 = {1: [Rect(700, 700, 800, 760)], 2: [Rect(100, 700, 200, 760)]}
 
     @staticmethod
-    def _caches(layout, grid, config):
-        from repro.core import build_wire_indexes
+    def _analysis(layout, grid, config):
         from repro.density.analysis import analyze_layout
 
-        wire_indexes = build_wire_indexes(layout)
-        analysis = analyze_layout(
+        return analyze_layout(
             layout,
             grid,
             window_margin=config.effective_margin(layout.rules.min_spacing),
         )
-        return analysis, wire_indexes
 
     def test_cached_path_byte_identical_to_cold(self):
         from repro.eco import build_fill_indexes
@@ -150,19 +147,16 @@ class TestCachedEco:
         apply_eco(cold, cold_grid, self.WIRE, config)
 
         cached, grid = filled_layout()
-        analysis, wire_indexes = self._caches(cached, grid, config)
         report = apply_eco(
             cached,
             grid,
             self.WIRE,
             config,
-            analysis=analysis,
-            wire_indexes=wire_indexes,
+            analysis=self._analysis(cached, grid, config),
             fill_indexes=build_fill_indexes(cached),
         )
         assert gdsii_bytes(cached) == gdsii_bytes(cold)
         assert report.analysis is not None
-        assert report.wire_indexes is wire_indexes
 
     def test_refreshed_analysis_matches_global_reanalysis(self):
         import numpy as np
@@ -171,14 +165,8 @@ class TestCachedEco:
 
         config = FillConfig()
         layout, grid = filled_layout()
-        analysis, wire_indexes = self._caches(layout, grid, config)
         report = apply_eco(
-            layout,
-            grid,
-            self.WIRE,
-            config,
-            analysis=analysis,
-            wire_indexes=wire_indexes,
+            layout, grid, self.WIRE, config, analysis=self._analysis(layout, grid, config)
         )
         fresh = analyze_layout(
             layout,
@@ -201,62 +189,39 @@ class TestCachedEco:
         apply_eco(cold, cold_grid, self.WIRE2, config)
 
         cached, grid = filled_layout()
-        analysis, wire_indexes = self._caches(cached, grid, config)
         first = apply_eco(
             cached,
             grid,
             self.WIRE,
             config,
-            analysis=analysis,
-            wire_indexes=wire_indexes,
+            analysis=self._analysis(cached, grid, config),
             fill_indexes=build_fill_indexes(cached),
         )
-        # second patch runs entirely off the refreshed caches
+        # second patch runs entirely off the refreshed analysis
         apply_eco(
             cached,
             grid,
             self.WIRE2,
             config,
             analysis=first.analysis,
-            wire_indexes=first.wire_indexes,
             fill_indexes=build_fill_indexes(cached),
         )
         assert gdsii_bytes(cached) == gdsii_bytes(cold)
 
-    def test_wire_index_extended_in_place(self):
-        config = FillConfig()
-        layout, grid = filled_layout()
-        _, wire_indexes = self._caches(layout, grid, config)
-        before = len(wire_indexes[1])
-        apply_eco(layout, grid, self.WIRE, config, wire_indexes=wire_indexes)
-        assert len(wire_indexes[1]) == before + 1
-        assert len(wire_indexes[1]) == layout.layer(1).num_wires
-
-    def test_stale_wire_index_rejected(self):
-        config = FillConfig()
-        layout, grid = filled_layout()
-        _, wire_indexes = self._caches(layout, grid, config)
-        layout.layer(1).add_wire(Rect(400, 400, 480, 430))  # index not told
-        with pytest.raises(ValueError, match="stale wire index"):
-            apply_eco(layout, grid, self.WIRE, config, wire_indexes=wire_indexes)
-
     def test_zero_area_wire_rejected_before_commit(self):
         # a degenerate wire on a later layer must fail the change before
-        # the earlier layer's wire reaches the layout or the cached index
+        # the earlier layer's wire reaches the layout
         from repro.gdsii import gdsii_bytes
 
         config = FillConfig()
         layout, grid = filled_layout()
-        _, wire_indexes = self._caches(layout, grid, config)
         before = gdsii_bytes(layout)
         bad = {1: [Rect(100, 100, 400, 140)], 2: [Rect(500, 500, 500, 900)]}
         with pytest.raises(ValueError, match=r"\(500,500\)-\(500,900\) on layer 2 has zero area"):
-            apply_eco(layout, grid, bad, config, wire_indexes=wire_indexes)
+            apply_eco(layout, grid, bad, config)
         assert gdsii_bytes(layout) == before
-        for layer in layout.layers:
-            assert len(wire_indexes[layer.number]) == layer.num_wires
-        # the caches still pass the staleness check of the next change
-        apply_eco(layout, grid, self.WIRE, config, wire_indexes=wire_indexes)
+        # the layout still takes the next change
+        apply_eco(layout, grid, self.WIRE, config)
 
     def test_stale_fill_index_rejected(self):
         from repro.eco import build_fill_indexes
@@ -335,17 +300,10 @@ class TestRefreshMetrics:
 
         config = FillConfig()
         layout, grid = filled_layout()
-        analysis, wire_indexes = TestCachedEco._caches(layout, grid, config)
+        analysis = TestCachedEco._analysis(layout, grid, config)
         change = {1: [Rect(700, 700, 800, 760)], 2: [Rect(100, 700, 200, 760)]}
         with obs.record_run(label="eco metrics") as rec:
-            report = apply_eco(
-                layout,
-                grid,
-                change,
-                config,
-                analysis=analysis,
-                wire_indexes=wire_indexes,
-            )
+            report = apply_eco(layout, grid, change, config, analysis=analysis)
         totals = self._counters(rec.record)
         affected = len(report.affected_windows)
         assert affected > 0
