@@ -29,13 +29,15 @@ gap the paper's contribution closes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..core.candidates import grid_candidates
 from ..core.config import FillConfig
 from ..density.analysis import analyze_layer, wire_density_map
-from ..geometry import GridIndex, Rect
+from ..geometry import IntArray, Rect, boxes, near_pairs
 from ..layout import DrcRules, Layout, WindowGrid
 
 __all__ = ["CouplingLpReport", "coupling_lp_fill", "solve_slot_lp"]
@@ -100,6 +102,18 @@ def _shrink_to_fraction(rect: Rect, fraction: float, rules: DrcRules) -> Optiona
     return shrunk if rules.is_legal_fill(shrunk) else None
 
 
+def _slot_coupling(cands: Sequence[Rect], adjacent: List[IntArray]) -> List[int]:
+    """Each slot's overlap area with the adjacent layers' wires."""
+    slots = boxes(cands, len(cands))
+    coupling = np.zeros(len(slots), dtype=np.int64)
+    for wires in adjacent:
+        i, j = near_pairs(slots, wires, 0)
+        w = np.minimum(slots[i, 2], wires[j, 2]) - np.maximum(slots[i, 0], wires[j, 0])
+        h = np.minimum(slots[i, 3], wires[j, 3]) - np.maximum(slots[i, 1], wires[j, 1])
+        np.add.at(coupling, i, w * h)
+    return coupling.tolist()
+
+
 def coupling_lp_fill(
     layout: Layout,
     grid: WindowGrid,
@@ -120,36 +134,29 @@ def coupling_lp_fill(
         total_coupling = 0
         budget_limited = 0
 
-        indexes: Dict[int, GridIndex[int]] = {}
-        for layer in layout.layers:
-            idx: GridIndex[int] = GridIndex(
-                max(64, min(layout.die.width, layout.die.height) // 16)
-            )
-            for k, w in enumerate(layer.wires):
-                idx.insert(w, k)
-            indexes[layer.number] = idx
+        wires = {layer.number: boxes(layer.wires, len(layer.wires)) for layer in layout.layers}
 
         for layer in layout.layers:
             density = wire_density_map(layer, grid)
             target = float(density.max())
             regions = analyze_layer(layer, grid, rules, margin).fill_regions
+            windows: List[Tuple[int, float, List[Rect]]] = []
             for i, j, window in grid:
                 aw = grid.window_area(i, j)
                 need = max(0.0, (target - float(density[i, j])) * aw)
                 if need <= 0:
                     continue
                 cands = grid_candidates(regions[(i, j)], rules, anchor=window)
-                if not cands:
-                    continue
-                # Slot coupling: overlap with adjacent layers' wires.
-                slots: List[Tuple[int, int]] = []
-                for cand in cands:
-                    coupling = 0
-                    for adj in (layer.number - 1, layer.number + 1):
-                        if adj in indexes:
-                            for rect, _ in indexes[adj].query_overlapping(cand):
-                                coupling += cand.intersection_area(rect)
-                    slots.append((cand.area, coupling))
+                if cands:
+                    windows.append((aw, need, cands))
+            # Slot coupling: overlap with adjacent layers' wires, for
+            # every window's slots at once.
+            adjacent = [wires[n] for n in (layer.number - 1, layer.number + 1) if n in wires]
+            couplings = iter(
+                _slot_coupling([c for _, _, cands in windows for c in cands], adjacent)
+            )
+            for aw, need, cands in windows:
+                slots = [(cand.area, next(couplings)) for cand in cands]
                 budget = coupling_fraction * aw
                 x = solve_slot_lp(slots, need, budget)
                 spent = sum(frac * c for frac, (_, c) in zip(x, slots))

@@ -13,17 +13,19 @@ The rule flags the two shapes the migration removed:
   (``for i, j, win in grid`` / ``for ... in grid.windows()``) while
   using the window rect in the body, and
 * nested ``range(grid.cols)`` x ``range(grid.rows)`` loops that
-  accumulate per-window values.
+  accumulate per-window values, with the axis sizes read either off
+  the grid or from an unpacked ``cols, rows = density.shape`` in the
+  same function.
 
 No module is exempt.  A loop that genuinely needs to run per window
-(k-bounded attribution reporting, say) documents the waiver with
-``# repro: noqa[REP015]`` on its line.
+documents the waiver with a ``# repro: noqa`` marker naming this rule
+on its line.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set, Union
+from typing import FrozenSet, Iterator, Optional, Set, Tuple, Union
 
 from ..findings import Finding, Severity
 from .base import ModuleContext, Rule, _call_name, register
@@ -39,8 +41,9 @@ _AXIS_ATTRS = {"cols", "rows"}
 _WINDOW_ITER_METHODS = {"windows"}
 
 
-def _range_axis(node: ast.expr) -> Optional[str]:
-    """``"cols"``/``"rows"`` when ``node`` is ``range(<expr>.cols|rows)``."""
+def _range_axis(node: ast.expr, shape_names: FrozenSet[str]) -> Optional[str]:
+    """The axis when ``node`` is ``range(<expr>.cols|rows)``, or
+    ``range(name)`` with ``name`` unpacked from ``<expr>.shape``."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
         return None
     if node.func.id != "range" or len(node.args) != 1:
@@ -48,7 +51,35 @@ def _range_axis(node: ast.expr) -> Optional[str]:
     arg = node.args[0]
     if isinstance(arg, ast.Attribute) and arg.attr in _AXIS_ATTRS:
         return arg.attr
+    if isinstance(arg, ast.Name) and arg.id in shape_names:
+        return arg.id
     return None
+
+
+def _shape_names(scope: ast.AST) -> FrozenSet[str]:
+    """Names bound by ``a, b = <expr>.shape`` anywhere in ``scope``."""
+    names: Set[str] = set()
+    for node in ast.walk(scope):
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "shape"
+        ):
+            for target in node.targets:
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    names.update(_target_names(target))
+    return frozenset(names)
+
+
+def _loops(node: ast.AST, shape_names: FrozenSet[str]) -> Iterator[Tuple[_Loop, FrozenSet[str]]]:
+    """Every loop under ``node`` with the shape names of its function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _loops(child, _shape_names(child))
+            continue
+        if isinstance(child, (ast.For, ast.AsyncFor)):
+            yield child, shape_names
+        yield from _loops(child, shape_names)
 
 
 def _target_names(target: ast.expr) -> Set[str]:
@@ -82,8 +113,7 @@ class PerWindowLoopRule(Rule):
 
     The raster passes compute the per-window density quantities as
     array passes; a scalar window-by-window loop under
-    ``repro/density/`` needs an explicit ``# repro: noqa[REP015]``
-    waiver.
+    ``repro/density/`` needs an explicit ``# repro: noqa`` waiver.
     """
 
     code = "REP015"
@@ -92,10 +122,9 @@ class PerWindowLoopRule(Rule):
     scopes = ("repro/density/",)
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._window_iter_findings(ctx, node)
-                yield from self._nested_axis_findings(ctx, node)
+        for loop, shape_names in _loops(ctx.tree, frozenset()):
+            yield from self._window_iter_findings(ctx, loop)
+            yield from self._nested_axis_findings(ctx, loop, shape_names)
 
     def _window_iter_findings(
         self, ctx: ModuleContext, loop: _Loop
@@ -138,15 +167,15 @@ class PerWindowLoopRule(Rule):
         )
 
     def _nested_axis_findings(
-        self, ctx: ModuleContext, outer: _Loop
+        self, ctx: ModuleContext, outer: _Loop, shape_names: FrozenSet[str]
     ) -> Iterator[Finding]:
         """``for i in range(g.cols): for j in range(g.rows): ...`` folds."""
-        if _range_axis(outer.iter) is None:
+        if _range_axis(outer.iter, shape_names) is None:
             return
         for inner in ast.walk(outer):
             if inner is outer or not isinstance(inner, (ast.For, ast.AsyncFor)):
                 continue
-            axis = _range_axis(inner.iter)
+            axis = _range_axis(inner.iter, shape_names)
             if axis is None or not _accumulates(inner):
                 continue
             yield self.finding(

@@ -53,13 +53,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..density.analysis import LayerDensity
 from ..geometry import IntArray, Rect, bounding_box, boxes, rects_of, touching
+from ..geometry.raster import _key_join
 from ..layout import DrcRules, Layout, WindowGrid
 from .config import FillConfig
 from .planner import DensityPlan
@@ -75,35 +76,6 @@ __all__ = [
 WindowKey = Tuple[int, int]
 #: candidates[window][layer] -> list of candidate fill rects
 CandidatePlan = Dict[WindowKey, Dict[int, List[Rect]]]
-
-#: most index pairs one :func:`_key_join` chunk materialises
-_JOIN_CHUNK = 1 << 12
-
-
-def _key_join(
-    left: np.ndarray, right: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Every ``(i, j)`` with ``left[i] == right[j]``; ``right`` is sorted.
-
-    The pairs come ordered by ``i``, then ``j``, in chunks of at most
-    ``_JOIN_CHUNK`` (more only when one ``i`` alone has more matches),
-    so a caller keeps each chunk's few useful pairs before the next
-    chunk is built.
-    """
-    start = np.searchsorted(right, left, "left")
-    count = np.searchsorted(right, left, "right") - start
-    before = np.zeros(len(left) + 1, np.int64)
-    np.cumsum(count, out=before[1:])
-    i0 = 0
-    while i0 < len(left):
-        i1 = int(np.searchsorted(before, before[i0] + _JOIN_CHUNK, "right")) - 1
-        i1 = min(len(left), max(i1, i0 + 1))
-        rows = np.repeat(np.arange(i0, i1), count[i0:i1])
-        cols = np.repeat(start[i0:i1] - before[i0:i1], count[i0:i1]) + np.arange(
-            before[i0], before[i1]
-        )
-        yield rows, cols
-        i0 = i1
 
 
 def _area(box: np.ndarray) -> np.ndarray:

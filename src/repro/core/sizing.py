@@ -49,6 +49,7 @@ import numpy as np
 from .. import obs
 from ..contracts import check_drc_params
 from ..geometry import IntArray, Rect, boxes, rects_of, touching
+from ..geometry.raster import _key_join
 from ..layout import DrcRules, Layout, WindowGrid
 from ..netflow import (
     DifferentialLP,
@@ -57,7 +58,7 @@ from ..netflow import (
     solve_dual_mcf,
     solve_linprog,
 )
-from .candidates import CandidatePlan, _key_join
+from .candidates import CandidatePlan
 from .config import FillConfig
 
 __all__ = ["SizingStats", "size_window", "size_fills"]

@@ -278,7 +278,7 @@ def stream_fill(
     streaming on the output side.
     """
     # repro.eco imports repro.core, so its rules are imported at call time
-    from ..eco import affected_windows, check_new_wires, eco_halo, rips_up
+    from ..eco import affected_windows, check_new_wires, eco_halo, rip_up_mask
 
     if config is None:
         config = FillConfig()
@@ -343,11 +343,12 @@ def stream_fill(
                     wires.route(n, WIRE_DATATYPE, rect, halo)
                 stale = spool.read(n, FILL_DATATYPE)
                 while chunk := list(islice(stale, flush)):
-                    kept = [
-                        rect
-                        for rect in chunk
-                        if affected is not None and not rips_up(grid, affected, rect)
-                    ]
+                    if affected is None:
+                        removed_fills += len(chunk)
+                        continue
+                    box = boxes(chunk, len(chunk))
+                    keep = ~rip_up_mask(grid, affected, box)
+                    kept = [rect for rect, k in zip(chunk, keep.tolist()) if k]
                     removed_fills += len(chunk) - len(kept)
                     if not kept:
                         continue
@@ -358,7 +359,7 @@ def stream_fill(
                     area = kept_area.setdefault(
                         n, np.zeros((grid.cols, grid.rows), dtype=np.int64)
                     )
-                    area += clipped_area_map(boxes(kept, len(kept)), grid)
+                    area += clipped_area_map(box[keep], grid)
             wires.finish()
             kept_spool.finish()
 

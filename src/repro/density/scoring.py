@@ -28,7 +28,7 @@ the two right-most columns of Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -241,46 +241,47 @@ def worst_windows(maps: ScoreMaps, k: int = 5) -> Dict[str, List[Dict[str, Any]]
     """
     if k < 0:
         raise ValueError(f"worst_windows needs k >= 0, got {k}")
-    by_deviation: List[Dict[str, Any]] = []
-    for number, density in maps.density.items():
-        mean = float(density.mean())
-        cols, rows = density.shape
-        # k-bounded attribution reporting, not a hot path
-        for i in range(cols):  # repro: noqa[REP015]
-            for j in range(rows):
-                value = float(density[i, j])
-                by_deviation.append(
-                    {
-                        "layer": number,
-                        "window": [i, j],
-                        "density": value,
-                        "layer_mean": mean,
-                        "deviation": abs(value - mean),
-                    }
-                )
-    by_deviation.sort(key=lambda e: (-e["deviation"], e["layer"], e["window"]))
+    density = maps.density
+    means = {n: float(d.mean()) for n, d in density.items()}
+    deviation = {n: np.abs(d.astype(np.float64) - means[n]) for n, d in density.items()}
+    by_deviation = [
+        {
+            "layer": n,
+            "window": [i, j],
+            "density": float(density[n][i, j]),
+            "layer_mean": means[n],
+            "deviation": float(deviation[n][i, j]),
+        }
+        for n, i, j in _worst_cells(deviation, k)
+    ]
+    # overlay areas are never negative, so the positive ones rank first
+    overlay = maps.overlay
+    by_overlay = [
+        {
+            "layers": list(pair),
+            "window": [i, j],
+            "overlay_area": int(overlay[pair][i, j]),
+            "share": int(overlay[pair][i, j]) / int(overlay[pair].sum()),
+        }
+        for pair, i, j in _worst_cells(overlay, k)
+        if overlay[pair][i, j] > 0
+    ]
+    return {"by_deviation": by_deviation, "by_overlay": by_overlay}
 
-    by_overlay: List[Dict[str, Any]] = []
-    for (lo, hi), per_window in maps.overlay.items():
-        total = int(per_window.sum())
-        if total <= 0:
-            continue
-        cols, rows = per_window.shape
-        for i in range(cols):  # repro: noqa[REP015]
-            for j in range(rows):
-                area = int(per_window[i, j])
-                if area <= 0:
-                    continue
-                by_overlay.append(
-                    {
-                        "layers": [lo, hi],
-                        "window": [i, j],
-                        "overlay_area": area,
-                        "share": area / total,
-                    }
-                )
-    by_overlay.sort(key=lambda e: (-e["overlay_area"], e["layers"], e["window"]))
-    return {"by_deviation": by_deviation[:k], "by_overlay": by_overlay[:k]}
+
+def _worst_cells(scores: Mapping[Any, np.ndarray], k: int) -> List[Tuple[Any, int, int]]:
+    """The ``k`` cells ``(key, i, j)`` of same-shape maps with the
+    largest scores, ties broken by key, then window."""
+    keys = sorted(scores)
+    if not keys:
+        return []
+    stacked = np.stack([scores[key] for key in keys])
+    rank, i, j = (axis.ravel() for axis in np.indices(stacked.shape))
+    order = np.lexsort((j, i, rank, -stacked.ravel()))[:k]
+    return [
+        (keys[r], a, b)
+        for r, a, b in zip(rank[order].tolist(), i[order].tolist(), j[order].tolist())
+    ]
 
 
 def score_layout(

@@ -18,16 +18,15 @@ byte-identical before and after (the stability the tests assert).
 The ECO rules themselves — which new wires are legal
 (:func:`check_new_wires`), how far a change reaches (:func:`eco_halo`,
 :func:`affected_windows`) and which fills it rips up
-(:func:`rips_up`) — live here alone; the out-of-core driver
+(:func:`rip_up_mask`) — live here alone; the out-of-core fill
 (:func:`repro.core.stream_fill`) applies the same functions to its
 streamed shapes.
 
 For a one-shot call the function rescans the layout; a caller holding a
 loaded session (:mod:`repro.service`) instead passes its cached
-per-layer density ``analysis`` and ``fill_indexes``, and the flow
-touches only the dirtied windows end to end: rip-up becomes an index
-query instead of an all-fills scan, and density analysis is refreshed
-per dirtied window via
+per-layer density ``analysis`` and its ``fill_indexes`` (each layer's
+fill boxes), and the flow touches only the dirtied windows end to end:
+density analysis is refreshed per dirtied window via
 :func:`repro.density.analysis.refresh_analysis` instead of recomputed
 globally.  Both paths produce bit-identical layouts.
 """
@@ -37,11 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from . import obs
 from .core import DummyFillEngine, FillConfig
 from .density.analysis import LayerDensity, refresh_analysis
 from .density.scoring import ScoreWeights
-from .geometry import GridIndex, Rect
+from .geometry import BoolArray, IntArray, Rect, boxes, touching
 from .layout import DrcRules, Layout, WindowGrid
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
     "build_fill_indexes",
     "check_new_wires",
     "eco_halo",
-    "rips_up",
+    "rip_up_mask",
     "wires_from_json",
 ]
 
@@ -108,15 +109,14 @@ def eco_halo(rules: DrcRules, config: FillConfig) -> int:
     return rules.min_spacing + config.effective_margin(rules.min_spacing)
 
 
-def rips_up(grid: WindowGrid, affected: Set[WindowKey], fill: Rect) -> bool:
-    """The rip-up rule: a fill goes when it touches an affected window.
-
-    Touching is closed-box contact, as the fill-index query of
-    :func:`apply_eco` tests it; ``windows_touching`` asks for positive
-    overlap, which on integer coordinates is the same test once the
-    fill grows by one dbu.
-    """
-    return any(key in affected for key in grid.windows_touching(fill.expanded(1)))
+def rip_up_mask(grid: WindowGrid, affected: Set[WindowKey], box: IntArray) -> BoolArray:
+    """The rip-up rule over an ``(n, 4)`` int64 fill box array: row
+    ``k`` goes when its closed box touches an affected window (shared
+    edges and corners count)."""
+    doomed = np.zeros(len(box), dtype=bool)
+    for i, j in affected:
+        doomed[touching(box, grid.window(i, j))] = True
+    return doomed
 
 
 def affected_windows(
@@ -140,22 +140,14 @@ def affected_windows(
     return affected
 
 
-def build_fill_indexes(layout: Layout) -> Dict[int, "GridIndex[int]"]:
-    """One spatial index per layer over its *fills*.
+def build_fill_indexes(layout: Layout) -> Dict[int, IntArray]:
+    """Each layer's fills as an ``(n, 4)`` int64 box array.
 
-    Lets :func:`apply_eco` find the fills touching the affected windows
-    by query instead of scanning every fill against every window.
-    Payloads are the fill's ordinal in ``layer.fills``, so order-
-    preserving removal needs no rect comparisons.
+    Row ``k`` is ``layer.fills[k]``, so :func:`apply_eco` runs the
+    rip-up rule on the array and removes fills by row, with no rect
+    comparisons.
     """
-    cell = max(64, min(layout.die.width, layout.die.height) // 16)
-    out: Dict[int, GridIndex[int]] = {}
-    for layer in layout.layers:
-        index: GridIndex[int] = GridIndex(cell)
-        for k, rect in enumerate(layer.fills):
-            index.insert(rect, k)
-        out[layer.number] = index
-    return out
+    return {layer.number: boxes(layer.fills, layer.num_fills) for layer in layout.layers}
 
 
 def wires_from_json(data: Mapping[str, Any]) -> Dict[int, List[Rect]]:
@@ -197,12 +189,12 @@ def wires_from_json(data: Mapping[str, Any]) -> Dict[int, List[Rect]]:
     return out
 
 
-def _check_fill_indexes(layout: Layout, indexes: Dict[int, "GridIndex[int]"]) -> None:
-    """Reject cached fill indexes that do not match the layout's fills."""
+def _check_fill_indexes(layout: Layout, indexes: Dict[int, IntArray]) -> None:
+    """Reject cached fill boxes that do not match the layout's fills."""
     for layer in layout.layers:
         index = indexes.get(layer.number)
         if index is None or len(index) != layer.num_fills:
-            have = "missing" if index is None else f"{len(index)} items"
+            have = "missing" if index is None else f"{len(index)} rows"
             raise ValueError(
                 f"stale fill index for layer {layer.number}: {have}, "
                 f"layer has {layer.num_fills}"
@@ -217,7 +209,7 @@ def apply_eco(
     weights: Optional[ScoreWeights] = None,
     *,
     analysis: Optional[Dict[int, LayerDensity]] = None,
-    fill_indexes: Optional[Dict[int, "GridIndex[int]"]] = None,
+    fill_indexes: Optional[Dict[int, IntArray]] = None,
 ) -> EcoReport:
     """Commit ``new_wires`` and incrementally repair the fill.
 
@@ -232,10 +224,10 @@ def apply_eco(
       pre-ECO layout (built with this config's ``effective_margin``).
       When given, only the affected windows of the changed layers are
       re-analyzed; the engine reuses everything else.
-    * ``fill_indexes`` — cached per-layer fill indexes for the rip-up
-      query, checked against the layout's fill counts; built fresh when
-      omitted.  Always stale after this call (fills change); rebuild
-      via :func:`build_fill_indexes`.
+    * ``fill_indexes`` — each layer's fill boxes for the rip-up rule
+      (:func:`build_fill_indexes`), checked against the layout's fill
+      counts; built fresh when omitted.  Always stale after this call
+      (fills change).
 
     The returned report carries the refreshed ``analysis`` when one was
     supplied.
@@ -257,8 +249,7 @@ def apply_eco(
         sp.count("eco.changed_layers", len(changed_layers))
 
         # Rip up every fill whose footprint touches an affected window
-        # (the rips_up rule), located by index query rather than an
-        # all-fills × all-windows scan.
+        # (the rip_up_mask rule).
         removed = 0
         if affected:
             with obs.span("eco.ripup"):
@@ -266,20 +257,12 @@ def apply_eco(
                     fill_indexes = build_fill_indexes(layout)
                 else:
                     _check_fill_indexes(layout, fill_indexes)
-                affected_rects = [grid.window(i, j) for i, j in sorted(affected)]
                 for layer in layout.layers:
-                    index = fill_indexes[layer.number]
-                    doomed: Set[int] = set()
-                    for win in affected_rects:
-                        doomed.update(k for _, k in index.query(win))
-                    if not doomed:
+                    doomed = rip_up_mask(grid, affected, fill_indexes[layer.number])
+                    if not doomed.any():
                         continue
-                    keep = [
-                        f
-                        for k, f in enumerate(layer.fills)
-                        if k not in doomed
-                    ]
-                    removed += len(doomed)
+                    removed += int(doomed.sum())
+                    keep = [f for f, gone in zip(layer.fills, doomed.tolist()) if not gone]
                     layer.clear_fills()
                     layer.add_fills(keep)
         sp.count("eco.removed_fills", removed)

@@ -5,10 +5,10 @@ rectangles (:mod:`~repro.geometry.rect`), 1-D interval arithmetic
 (:mod:`~repro.geometry.interval`), scanline boolean operations on
 rectangle sets (:mod:`~repro.geometry.boolean`), rectilinear polygons
 and their rectangle decompositions (:mod:`~repro.geometry.polygon`,
-:mod:`~repro.geometry.poly2rect`), a uniform-grid spatial index
-(:mod:`~repro.geometry.grid`), and coordinate-compressed occupancy
+:mod:`~repro.geometry.poly2rect`), and coordinate-compressed occupancy
 rasters with exact free-region recovery, next to the int64 box arrays
-the array stages share (:mod:`~repro.geometry.raster`).
+every array stage and neighbour search shares
+(:mod:`~repro.geometry.raster`).
 """
 
 from .boolean import (
@@ -19,7 +19,6 @@ from .boolean import (
     rect_set_union,
     union_area,
 )
-from .grid import GridIndex
 from .polygon import RectilinearPolygon
 from .poly2rect import gourley_green, polygon_to_rects, scanline_decompose
 from .raster import (
@@ -27,6 +26,7 @@ from .raster import (
     IntArray,
     boxes,
     merge_mask_runs,
+    near_pairs,
     rects_of,
     strip_occupancy,
     touching,
@@ -42,12 +42,12 @@ __all__ = [
     "rect_set_subtract",
     "rect_set_union",
     "union_area",
-    "GridIndex",
     "IntArray",
     "BoolArray",
     "boxes",
     "rects_of",
     "touching",
+    "near_pairs",
     "strip_occupancy",
     "merge_mask_runs",
     "RectilinearPolygon",

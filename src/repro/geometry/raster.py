@@ -13,8 +13,10 @@ scanline boolean of :mod:`repro.geometry.boolean` produces.
 
 :func:`boxes` and :func:`rects_of` are the one boundary between
 :class:`~repro.geometry.rect.Rect` lists and ``(n, 4)`` int64 arrays of
-``(xl, yl, xh, yh)`` rows, which every array stage reads and writes;
-:func:`touching` is the range query over such an array.
+``(xl, yl, xh, yh)`` rows, which every array stage reads and writes.
+The program's neighbour searches run on such arrays: :func:`touching`
+is the range query over one, :func:`near_pairs` the join of every box
+of one with the boxes of another within a distance.
 Everything stays int64 (the occupancy grid is int32 cell flags), which
 keeps the raster passes bit-compatible with the rect-set oracles.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "boxes",
     "rects_of",
     "touching",
+    "near_pairs",
     "strip_occupancy",
     "merge_mask_runs",
 ]
@@ -72,9 +75,7 @@ def rects_of(box: IntArray) -> List[Rect]:
 def touching(box: IntArray, frame: Rect) -> IntArray:
     """Rows of ``box`` whose closed box touches ``frame``, ascending.
 
-    Shared edges and corners count, as in :meth:`Rect.touches`: these
-    are the ids :meth:`~repro.geometry.GridIndex.query` returns for the
-    rects inserted in row order, in the same order.
+    Shared edges and corners count, as in :meth:`Rect.touches`.
     """
     return np.flatnonzero(
         (box[:, 0] <= frame.xh)
@@ -82,6 +83,100 @@ def touching(box: IntArray, frame: Rect) -> IntArray:
         & (box[:, 1] <= frame.yh)
         & (frame.yl <= box[:, 3])
     )
+
+
+#: most index pairs one :func:`_key_join` chunk materialises
+_JOIN_CHUNK = 1 << 12
+
+
+def _key_join(left: IntArray, right: IntArray) -> Iterator[Tuple[IntArray, IntArray]]:
+    """Every ``(i, j)`` with ``left[i] == right[j]``; ``right`` is sorted.
+
+    The pairs come ordered by ``i``, then ``j``, in chunks of at most
+    ``_JOIN_CHUNK`` (more only when one ``i`` alone has more matches),
+    so a caller keeps each chunk's few useful pairs before the next
+    chunk is built.
+    """
+    start = np.searchsorted(right, left, "left")
+    count = np.searchsorted(right, left, "right") - start
+    before: IntArray = np.zeros(len(left) + 1, _I64)
+    np.cumsum(count, out=before[1:])
+    i0 = 0
+    while i0 < len(left):
+        i1 = int(np.searchsorted(before, before[i0] + _JOIN_CHUNK, "right")) - 1
+        i1 = min(len(left), max(i1, i0 + 1))
+        rows: IntArray = np.repeat(np.arange(i0, i1), count[i0:i1])
+        cols: IntArray = np.repeat(start[i0:i1] - before[i0:i1], count[i0:i1]) + np.arange(
+            before[i0], before[i1]
+        )
+        yield rows, cols
+        i0 = i1
+
+
+def _cell_keys(
+    box: IntArray, cell: int, origin: Tuple[int, int], rows: int
+) -> Tuple[IntArray, IntArray]:
+    """``(key, row)`` for every grid cell each closed box meets, ordered
+    by row, then key; a cell's key is ``x * rows + y`` in cells from
+    ``origin``."""
+    x0 = box[:, 0] // cell - origin[0]
+    y0 = box[:, 1] // cell - origin[1]
+    high = box[:, 3] // cell - origin[1] - y0 + 1
+    count = (box[:, 2] // cell - origin[0] - x0 + 1) * high
+    row: IntArray = np.repeat(np.arange(len(box)), count)
+    local = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    key: IntArray = (x0[row] + local // high[row]) * rows + y0[row] + local % high[row]
+    return key, row
+
+
+def near_pairs(a: IntArray, b: IntArray, d: int) -> Tuple[IntArray, IntArray]:
+    """Every ``(i, j)`` where ``a[i]`` grown by ``d`` touches ``b[j]``.
+
+    Boxes are closed, as in :meth:`Rect.touches`, so a gap of exactly
+    ``d`` on an edge or at a corner counts.  Returns the ``i`` and
+    ``j`` arrays sorted by ``(i, j)``; a call with ``b`` the same set as
+    ``a`` lists each pair both ways and every box with itself, and its
+    caller keeps ``i < j``.
+
+    Both sides are bucketed on a uniform grid of cells as wide as the
+    larger side's median box extent; cell keys are joined chunk by
+    chunk, and each chunk is cut down to its touching pairs before the
+    next is built.  A pair meets in every cell both boxes cover and is
+    kept in the one holding the low corner of their contact box.
+    """
+    if len(a) == 0 or len(b) == 0:
+        empty: IntArray = np.zeros(0, dtype=_I64)
+        return empty, empty
+    grown = a + np.array([-d, -d, d, d], dtype=_I64)
+    cell = max(
+        1,
+        int(np.median(np.maximum(grown[:, 2] - grown[:, 0], grown[:, 3] - grown[:, 1]))),
+        int(np.median(np.maximum(b[:, 2] - b[:, 0], b[:, 3] - b[:, 1]))),
+    )
+    x0 = int(min(grown[:, 0].min(), b[:, 0].min())) // cell
+    y0 = int(min(grown[:, 1].min(), b[:, 1].min())) // cell
+    rows = int(max(grown[:, 3].max(), b[:, 3].max())) // cell - y0 + 1
+    a_key, a_row = _cell_keys(grown, cell, (x0, y0), rows)
+    b_key, b_row = _cell_keys(b, cell, (x0, y0), rows)
+    order = np.argsort(b_key, kind="stable")
+    b_key, b_row = b_key[order], b_row[order]
+    hits_i: List[IntArray] = []
+    hits_j: List[IntArray] = []
+    for ea, eb in _key_join(a_key, b_key):
+        i, j = a_row[ea], b_row[eb]
+        lx = np.maximum(grown[i, 0], b[j, 0])
+        ly = np.maximum(grown[i, 1], b[j, 1])
+        hit = (
+            (lx <= np.minimum(grown[i, 2], b[j, 2]))
+            & (ly <= np.minimum(grown[i, 3], b[j, 3]))
+            & ((lx // cell - x0) * rows + ly // cell - y0 == a_key[ea])
+        )
+        hits_i.append(i[hit])
+        hits_j.append(j[hit])
+    i_all: IntArray = np.concatenate(hits_i)
+    j_all: IntArray = np.concatenate(hits_j)
+    order = np.lexsort((j_all, i_all))
+    return i_all[order], j_all[order]
 
 
 def strip_occupancy(

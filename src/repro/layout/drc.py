@@ -16,9 +16,11 @@ paper's "fix spacing rule violations" step (§3.3.1) guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from ..geometry import GridIndex, Rect
+import numpy as np
+
+from ..geometry import IntArray, Rect, boxes, near_pairs
 
 __all__ = ["DrcRules", "DrcViolation", "REQUEST_RULE_DEFAULTS", "check_fills"]
 
@@ -116,12 +118,28 @@ def check_fills(
 ) -> List[DrcViolation]:
     """Check a fill solution against the rule deck.
 
-    Returns the (possibly empty) list of violations.  Spacing is the
-    Euclidean gap between closed boxes, matching ``e(i, j)`` of Table 1;
-    overlapping same-layer shapes violate spacing with measure 0.
+    Returns the (possibly empty) list of violations: each fill's width,
+    area and size violations in fill order, then the fill-fill spacing
+    violations by ``(i, j)`` with ``i < j``, then the fill-wire ones by
+    ``(fill, wire)``.  Spacing is the Euclidean gap between closed
+    boxes, matching ``e(i, j)`` of Table 1, so a pair violates when
+    ``dx² + dy² < sm²``; overlapping same-layer shapes violate spacing
+    with measure 0.
     """
+    sm = rules.min_spacing
+    box = boxes(fills, len(fills))
+    width = box[:, 2] - box[:, 0]
+    height = box[:, 3] - box[:, 1]
+    bad = (
+        (width < rules.min_width)
+        | (height < rules.min_width)
+        | (width * height < rules.min_area)
+        | (width > rules.max_fill_width)
+        | (height > rules.max_fill_height)
+    )
     violations: List[DrcViolation] = []
-    for f in fills:
+    for k in np.flatnonzero(bad).tolist():
+        f = fills[k]
         if f.width < rules.min_width:
             violations.append(
                 DrcViolation("min_width", f, measured=f.width, required=rules.min_width)
@@ -143,45 +161,30 @@ def check_fills(
                     required=max(rules.max_fill_width, rules.max_fill_height),
                 )
             )
-
-    cell = max(rules.min_spacing * 4, rules.max_fill_width, 64)
-    index: GridIndex[int] = GridIndex(cell)
-    for i, f in enumerate(fills):
-        index.insert(f, i)
-    reported = set()
-    for i, f in enumerate(fills):
-        for rect, j in index.query_within(f, rules.min_spacing):
-            if j <= i:
-                continue
-            gap = f.euclidean_gap(rect)
-            if gap < rules.min_spacing:
-                key = (i, j)
-                if key not in reported:
-                    reported.add(key)
-                    violations.append(
-                        DrcViolation(
-                            "min_spacing",
-                            f,
-                            other=rect,
-                            measured=gap,
-                            required=rules.min_spacing,
-                        )
-                    )
-    if wires:
-        wire_index: GridIndex[int] = GridIndex(cell)
-        for j, w in enumerate(wires):
-            wire_index.insert(w, j)
-        for i, f in enumerate(fills):
-            for rect, j in wire_index.query_within(f, rules.min_spacing):
-                gap = f.euclidean_gap(rect)
-                if gap < rules.min_spacing:
-                    violations.append(
-                        DrcViolation(
-                            "min_spacing",
-                            f,
-                            other=rect,
-                            measured=gap,
-                            required=rules.min_spacing,
-                        )
-                    )
+    fill_i, fill_j = _too_close(box, box, sm)
+    same = fill_i < fill_j
+    wire_i, wire_j = _too_close(box, boxes(wires, len(wires)), sm)
+    spacing = ((fills, fill_i[same], fill_j[same]), (wires, wire_i, wire_j))
+    for others, i, j in spacing:
+        for a, b in zip(i.tolist(), j.tolist()):
+            f, other = fills[a], others[b]
+            violations.append(
+                DrcViolation(
+                    "min_spacing",
+                    f,
+                    other=other,
+                    measured=f.euclidean_gap(other),
+                    required=sm,
+                )
+            )
     return violations
+
+
+def _too_close(a: IntArray, b: IntArray, sm: int) -> Tuple[IntArray, IntArray]:
+    """The ``(i, j)`` of :func:`near_pairs` whose closed boxes lie less
+    than ``sm`` apart, Euclidean."""
+    i, j = near_pairs(a, b, sm)
+    dx = np.maximum(0, np.maximum(a[i, 0], b[j, 0]) - np.minimum(a[i, 2], b[j, 2]))
+    dy = np.maximum(0, np.maximum(a[i, 1], b[j, 1]) - np.minimum(a[i, 3], b[j, 3]))
+    close = dx * dx + dy * dy < sm * sm
+    return i[close], j[close]

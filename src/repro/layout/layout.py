@@ -112,7 +112,7 @@ class Layout:
         """A fresh, independent layout with the same shapes.
 
         Wires and fills keep their per-layer order, so derived state
-        (spatial indexes, density analyses, GDSII bytes) of the copy is
+        (box arrays, density analyses, GDSII bytes) of the copy is
         identical to the original's.  Rects are immutable; only the
         containers are duplicated.
         """

@@ -13,8 +13,8 @@ band by band as fixed-size binary records.
   band into the parts the engine's stages run in.
 * :class:`ShapeSpill` — halo-aware routing: a shape lands in every
   band whose x-range it touches within the query halo, so band-local
-  spatial indexes answer every in-band query exactly as a global
-  index would.
+  neighbour queries answer every in-band query exactly as global
+  ones would.
 * :class:`LayerSpool` — order-preserving per-(layer, datatype) spools
   for pass-through geometry (input wires and kept fills) that must
   re-emit in input order.

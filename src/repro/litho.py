@@ -21,10 +21,12 @@ paper positions litho-awareness as an add-on to the fill flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .geometry import GridIndex, Rect
-from .layout import DrcRules, Layout
+import numpy as np
+
+from .geometry import IntArray, Rect, boxes, near_pairs
+from .layout import DrcRules, Layer, Layout
 
 __all__ = [
     "LithoRules",
@@ -89,31 +91,52 @@ class LithoViolation:
         return f"{self.kind} on layer {self.layer}: {self.shape} (edge {self.measured})"
 
 
-def _lateral_pairs(
-    fills: Sequence[Rect], max_gap: int
-) -> List[Tuple[int, int, int, str]]:
-    """(i, j, gap, axis) for pairs facing each other within ``max_gap``.
+def _lateral_pairs(box: IntArray, max_gap: int) -> Tuple[IntArray, IntArray, IntArray]:
+    """``(i, j, gap)`` with ``i < j`` for boxes facing each other within
+    ``max_gap``, by ``(i, j)``.
 
     A pair is *lateral* when the shapes overlap in the orthogonal axis —
     the configuration where pitch-dependent printing effects apply.
     """
-    if not fills:
-        return []
-    cell = max(64, max(max(r.width, r.height) for r in fills) + max_gap)
-    index: GridIndex[int] = GridIndex(cell)
-    for k, f in enumerate(fills):
-        index.insert(f, k)
-    out = []
-    for i, f in enumerate(fills):
-        for rect, j in index.query_within(f, max_gap):
-            if j <= i:
-                continue
-            gx, gy = f.gap_x(rect), f.gap_y(rect)
-            if gy == 0 and 0 < gx <= max_gap:
-                out.append((i, j, gx, "x"))
-            elif gx == 0 and 0 < gy <= max_gap:
-                out.append((i, j, gy, "y"))
-    return out
+    i, j = near_pairs(box, box, max_gap)
+    keep = i < j
+    i, j = i[keep], j[keep]
+    gx = np.maximum(0, np.maximum(box[i, 0], box[j, 0]) - np.minimum(box[i, 2], box[j, 2]))
+    gy = np.maximum(0, np.maximum(box[i, 1], box[j, 1]) - np.minimum(box[i, 3], box[j, 3]))
+    gap = gx + gy
+    lateral = ((gx == 0) | (gy == 0)) & (gap > 0) & (gap <= max_gap)
+    return i[lateral], j[lateral], gap[lateral]
+
+
+def _check_layer(layer: Layer, rules: LithoRules) -> List[LithoViolation]:
+    """One layer's litho violations: short edges in fill order, then
+    forbidden-pitch pairs by ``(i, j)``."""
+    fills = layer.fills
+    violations: List[LithoViolation] = []
+    for f in fills:
+        if min(f.width, f.height) < rules.min_edge:
+            violations.append(
+                LithoViolation(
+                    "min_edge",
+                    layer.number,
+                    f,
+                    measured=min(f.width, f.height),
+                )
+            )
+    max_forbidden = max((hi for _, hi in rules.forbidden_pitches), default=0)
+    i, j, gap = _lateral_pairs(boxes(fills, len(fills)), max_forbidden)
+    for a, b, g in zip(i.tolist(), j.tolist(), gap.tolist()):
+        if rules.gap_is_forbidden(g):
+            violations.append(
+                LithoViolation(
+                    "forbidden_pitch",
+                    layer.number,
+                    fills[a],
+                    other=fills[b],
+                    measured=g,
+                )
+            )
+    return violations
 
 
 def check_litho(
@@ -122,32 +145,8 @@ def check_litho(
     """Scan every layer's fills for litho violations (fills only —
     signal wires are fixed geometry the fill tool must work around)."""
     violations: List[LithoViolation] = []
-    max_forbidden = max(
-        (hi for _, hi in rules.forbidden_pitches), default=0
-    )
     for layer in layout.layers:
-        fills = layer.fills
-        for f in fills:
-            if min(f.width, f.height) < rules.min_edge:
-                violations.append(
-                    LithoViolation(
-                        "min_edge",
-                        layer.number,
-                        f,
-                        measured=min(f.width, f.height),
-                    )
-                )
-        for i, j, gap, _axis in _lateral_pairs(fills, max_forbidden):
-            if rules.gap_is_forbidden(gap):
-                violations.append(
-                    LithoViolation(
-                        "forbidden_pitch",
-                        layer.number,
-                        fills[i],
-                        other=fills[j],
-                        measured=gap,
-                    )
-                )
+        violations.extend(_check_layer(layer, rules))
     return violations
 
 
@@ -174,11 +173,7 @@ def repair_litho(
     for layer in layout.layers:
         for _ in range(8):  # fixed-point sweeps
             fills = layer.fills
-            violations = [
-                v
-                for v in check_litho(layout, rules)
-                if v.layer == layer.number
-            ]
+            violations = _check_layer(layer, rules)
             if not violations:
                 break
             keep = {id(f): f for f in fills}

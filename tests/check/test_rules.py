@@ -956,6 +956,47 @@ class TestRep015:
         findings = run("REP015", src, "src/repro/density/metrics.py")
         assert [f.code for f in findings] == ["REP015"]
 
+    def test_nested_sweep_over_unpacked_shape(self):
+        src = (
+            "def worst(density):\n"
+            "    out = []\n"
+            "    cols, rows = density.shape\n"
+            "    for i in range(cols):\n"
+            "        for j in range(rows):\n"
+            "            out.append(density[i, j])\n"
+            "    return out\n"
+        )
+        findings = run("REP015", src, "src/repro/density/scoring.py")
+        assert [f.code for f in findings] == ["REP015"]
+        assert findings[0].line == 4
+
+    def test_shape_names_stay_in_their_function(self):
+        # ``cols, rows`` unpacked in another function are plain names here
+        src = (
+            "def shape(density):\n"
+            "    cols, rows = density.shape\n"
+            "    return cols * rows\n"
+            "\n"
+            "def pairs(cols, rows):\n"
+            "    out = []\n"
+            "    for i in range(cols):\n"
+            "        for j in range(rows):\n"
+            "            out.append((i, j))\n"
+            "    return out\n"
+        )
+        assert run("REP015", src, "src/repro/density/scoring.py") == []
+
+    def test_len_sweep_clean(self):
+        src = (
+            "def cross(xs, ys):\n"
+            "    out = []\n"
+            "    for i in range(len(xs)):\n"
+            "        for j in range(len(ys)):\n"
+            "            out.append(xs[i] * ys[j])\n"
+            "    return out\n"
+        )
+        assert run("REP015", src, "src/repro/density/metrics.py") == []
+
     def test_window_protocol_iteration_using_rect(self):
         src = (
             "def scan(index, grid):\n"

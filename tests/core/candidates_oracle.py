@@ -6,9 +6,9 @@ clips of the free region inside it (:func:`_largest_clip_piece`),
 Region 3 is one ``rect_set_intersect`` fold per window and layer, Case
 I's coverage test is an exact union-area query (:func:`_covered`), and
 the even-layer quality score (Eqn. (8)) queries a per-window
-:class:`~repro.geometry.GridIndex` of the neighbour shapes once per
+:class:`~tests.geometry.grid_index.GridIndex` of the neighbour shapes once per
 candidate.  The adjacent layers' wires come from one
-:class:`~repro.geometry.GridIndex` per layer
+:class:`~tests.geometry.grid_index.GridIndex` per layer
 (:func:`build_wire_indexes`, which the sizing oracle shares), where the
 library masks int64 box arrays.  The tests hold the library's
 ``generate_candidates`` and ``grid_candidates`` to this module's: the
@@ -28,9 +28,11 @@ from repro.core import FillConfig, quality_score
 from repro.core.candidates import CandidatePlan
 from repro.core.planner import DensityPlan
 from repro.density.analysis import LayerDensity
-from repro.geometry import GridIndex, Rect, bounding_box, intersection_area, rect_set_intersect
+from repro.geometry import Rect, bounding_box, intersection_area, rect_set_intersect
 from repro.geometry.interval import normalize as _iv_normalize
 from repro.layout import DrcRules, Layout, WindowGrid
+
+from ..geometry.grid_index import GridIndex
 
 WindowKey = Tuple[int, int]
 

@@ -21,10 +21,11 @@ from repro import obs
 from repro.contracts import check_drc_params
 from repro.core import FillConfig, SizingStats
 from repro.core.candidates import CandidatePlan
-from repro.geometry import GridIndex, Rect
+from repro.geometry import Rect
 from repro.layout import DrcRules, Layout, WindowGrid
 from repro.netflow import DifferentialLP, LPInfeasibleError, solve_linprog
 
+from ..geometry.grid_index import GridIndex
 from ..netflow.pair_oracle import solve_components
 from .candidates_oracle import build_wire_indexes
 

@@ -1,15 +1,19 @@
 """Tests for the contest scoring model (Eqns. (3) and (4), Tables 2/3)."""
 
+import numpy as np
 import pytest
 
 from repro.density import (
     RawComponents,
     ScoreCard,
+    ScoreMaps,
     ScoreWeights,
     component_score,
     measure_raw_components,
     overlay_area,
     score_layout,
+    score_maps,
+    worst_windows,
 )
 from repro.geometry import Rect
 from repro.layout import Layout, WindowGrid
@@ -187,3 +191,72 @@ class TestMeasureAndScore:
         layout2.layer(1).add_wire(Rect(0, 0, 100, 100))
         raw1 = measure_raw_components(layout2, grid)
         assert raw2.variation == pytest.approx(2 * raw1.variation)
+
+
+def _worst_windows_loops(maps, k):
+    """``worst_windows`` as window-by-window loops and one sort per
+    list: the reference the array ranking must equal."""
+    by_deviation = []
+    for number, density in maps.density.items():
+        mean = float(density.mean())
+        cols, rows = density.shape
+        for i in range(cols):
+            for j in range(rows):
+                value = float(density[i, j])
+                by_deviation.append(
+                    {
+                        "layer": number,
+                        "window": [i, j],
+                        "density": value,
+                        "layer_mean": mean,
+                        "deviation": abs(value - mean),
+                    }
+                )
+    by_deviation.sort(key=lambda e: (-e["deviation"], e["layer"], e["window"]))
+    by_overlay = []
+    for (lo, hi), per_window in maps.overlay.items():
+        total = int(per_window.sum())
+        if total <= 0:
+            continue
+        cols, rows = per_window.shape
+        for i in range(cols):
+            for j in range(rows):
+                area = int(per_window[i, j])
+                if area <= 0:
+                    continue
+                by_overlay.append(
+                    {"layers": [lo, hi], "window": [i, j], "overlay_area": area, "share": area / total}
+                )
+    by_overlay.sort(key=lambda e: (-e["overlay_area"], e["layers"], e["window"]))
+    return {"by_deviation": by_deviation[:k], "by_overlay": by_overlay[:k]}
+
+
+class TestWorstWindows:
+    @staticmethod
+    def _tied_maps(seed):
+        # few distinct values, so deviations and overlay areas tie across
+        # layers and windows; layers listed out of order, one pair empty
+        rng = np.random.default_rng(seed)
+        density = {n: rng.choice([0.1, 0.25, 0.4, 0.55], size=(5, 4)) for n in (3, 1, 2)}
+        overlay = {
+            (2, 3): rng.choice([0, 0, 7, 12, 12], size=(5, 4)).astype(np.int64),
+            (1, 2): rng.choice([0, 12, 7], size=(5, 4)).astype(np.int64),
+            (3, 4): np.zeros((5, 4), dtype=np.int64),
+        }
+        return ScoreMaps(density=density, overlay=overlay)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [0, 1, 5, 17, 200])
+    def test_equals_loop_reference(self, seed, k):
+        maps = self._tied_maps(seed)
+        got = worst_windows(maps, k)
+        assert got == _worst_windows_loops(maps, k)
+        assert repr(got) == repr(_worst_windows_loops(maps, k))
+
+    def test_filled_layout(self):
+        layout = Layout(Rect(0, 0, 400, 400), num_layers=3)
+        for n, (x, y) in zip(layout.layer_numbers, [(0, 0), (100, 0), (0, 100)]):
+            layout.layer(n).add_wire(Rect(x, y, x + 150, y + 150))
+            layout.layer(n).add_fill(Rect(x + 200, y + 200, x + 250, y + 260))
+        maps = score_maps(layout, WindowGrid(layout.die, 4, 4))
+        assert worst_windows(maps, 12) == _worst_windows_loops(maps, 12)

@@ -1,25 +1,19 @@
-"""Uniform-grid spatial index for rectangles.
+"""Uniform-grid spatial index for rectangles: the scalar neighbour query.
 
-Spacing-rule checks (Eqn. (9g)) and the other per-shape neighbour
-searches — the fill DRC, the ECO rip-up, the litho hotspot scan and the
-coupling-LP baseline — ask "which shapes are near this box?" once per
-shape, over thousands of rectangles.  A uniform bucket grid is the
-right tool at this scale: the shapes are small relative to the window
-and near-uniformly distributed.  The fill engine's stages query wires
-once per window column instead, with one closed-box mask over the
-layer's int64 box array (:func:`repro.geometry.touching`); the scalar
-oracles in ``tests/core`` query this index, whose hits are the same
-rows in the same (insertion) order.
+The program asks "which boxes are near this one?" with int64 box
+arrays (:func:`repro.geometry.touching`, :func:`repro.geometry.near_pairs`).
+This index answers the same question one query at a time by bucketing
+rectangles on a fixed grid; the scalar oracles under ``tests/`` query
+it, and the array forms are tested against it row for row: its hits
+come back in insertion order.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Generic, Iterable, Iterator, List, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, List, Tuple, TypeVar
 
-from .rect import Rect
-
-__all__ = ["GridIndex"]
+from repro.geometry import Rect
 
 T = TypeVar("T")
 
@@ -38,10 +32,6 @@ class GridIndex(Generic[T]):
         self._cell = cell_size
         self._buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         self._items: List[Tuple[Rect, T]] = []
-
-    @property
-    def cell_size(self) -> int:
-        return self._cell
 
     def __len__(self) -> int:
         return len(self._items)
@@ -62,10 +52,6 @@ class GridIndex(Generic[T]):
         for cell in self._cells(rect):
             self._buckets[cell].append(idx)
         return idx
-
-    def extend(self, pairs: Iterable[Tuple[Rect, T]]) -> None:
-        for rect, item in pairs:
-            self.insert(rect, item)
 
     def query(self, region: Rect) -> List[Tuple[Rect, T]]:
         """All items whose rectangle *touches* ``region`` (closed boxes).
@@ -98,7 +84,3 @@ class GridIndex(Generic[T]):
         """
         grown = region.expanded(margin)
         return self.query(grown)
-
-    def items(self) -> List[Tuple[Rect, T]]:
-        """All stored (rect, item) pairs in insertion order."""
-        return list(self._items)

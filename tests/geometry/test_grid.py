@@ -1,4 +1,4 @@
-"""Tests for the uniform-grid spatial index and the box-array query."""
+"""Tests for the box-array neighbour queries against the scalar grid index."""
 
 import random
 
@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import GridIndex, Rect, boxes, touching
+from repro.geometry import Rect, boxes, near_pairs, touching
+
+from .grid_index import GridIndex
 
 small_rects = st.builds(
     lambda x, y, w, h: Rect(x, y, x + w, y + h),
@@ -60,12 +62,6 @@ class TestBasics:
             idx.insert(Rect(k, 0, k + 2, 2), k)
         hits = idx.query(Rect(0, 0, 10, 2))
         assert [item for _, item in hits] == [0, 1, 2, 3, 4]
-
-    def test_extend_and_items(self):
-        idx = GridIndex(16)
-        pairs = [(Rect(0, 0, 1, 1), "a"), (Rect(5, 5, 6, 6), "b")]
-        idx.extend(pairs)
-        assert idx.items() == pairs
 
     def test_query_within_margin(self):
         idx = GridIndex(16)
@@ -172,3 +168,100 @@ class TestTouching:
     def test_matches_index_query_property(self, rects, probe):
         got = touching(boxes(rects, len(rects)), probe)
         assert np.array_equal(got, np.array(_index_ids(rects, probe), dtype=got.dtype))
+
+
+def _within_ids(a, b, d):
+    """``GridIndex.query_within(a[i], d)`` for every ``i``, as ``(i, j)``."""
+    index = GridIndex(16)
+    for k, rect in enumerate(b):
+        index.insert(rect, k)
+    return [(i, k) for i, rect in enumerate(a) for _, k in index.query_within(rect, d)]
+
+
+def _pairs(a, b, d):
+    i, j = near_pairs(boxes(a, len(a)), boxes(b, len(b)), d)
+    assert i.dtype == j.dtype == np.int64
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def _mixed_rects(rng, n):
+    """Small, zero-width and die-long boxes around the origin, with
+    some drawn twice."""
+    rects = []
+    for _ in range(n):
+        x, y = rng.randrange(-300, 300), rng.randrange(-300, 300)
+        kind = rng.random()
+        if kind < 0.1:  # die-long, spans many cells
+            rects.append(Rect(-400, y, 400, y + rng.randrange(0, 6)))
+        elif kind < 0.2:
+            rects.append(Rect(x, -400, x + rng.randrange(0, 6), 400))
+        elif kind < 0.3:  # zero width or height
+            rects.append(Rect(x, y, x, y + rng.randrange(0, 50)))
+        else:
+            rects.append(Rect(x, y, x + rng.randrange(0, 80), y + rng.randrange(0, 80)))
+    return rects + rng.choices(rects, k=rng.randint(0, 4)) if rects else rects
+
+
+class TestNearPairs:
+    """``near_pairs(a, b, d)`` is ``GridIndex.query_within(a[i], d)`` over
+    ``b`` for every ``i``: the same rows, sorted by ``(i, j)``."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_query_within(self, seed):
+        rng = random.Random(seed)
+        a = _mixed_rects(rng, rng.randint(0, 60))
+        b = a if seed % 4 == 0 else _mixed_rects(rng, rng.randint(0, 60))
+        for d in (0, 1, 5, 10, 37):
+            assert _pairs(a, b, d) == _within_ids(a, b, d), d
+
+    @pytest.mark.parametrize("d", [0, 3, 10])
+    def test_gap_of_exactly_d_counts(self, d):
+        # every neighbour sits exactly d away: on each edge, at each
+        # corner; one more dbu and none of them is near
+        box = Rect(100, 100, 140, 120)
+        ring = [
+            Rect(140 + d, 100, 160 + d, 120),  # right edge
+            Rect(70 - d, 105, 100 - d, 115),  # left edge
+            Rect(100, 120 + d, 140, 130 + d),  # top edge
+            Rect(110, 90 - d, 120, 100 - d),  # bottom edge
+            Rect(140 + d, 120 + d, 150 + d, 130 + d),  # high corner
+            Rect(90 - d, 90 - d, 100 - d, 100 - d),  # low corner
+            Rect(140 + d, 80 - d, 150 + d, 100 - d),  # low-right corner
+            Rect(80 - d, 120 + d, 100 - d, 140 + d),  # high-left corner
+        ]
+        away = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
+        far = [Rect(r.xl + x, r.yl + y, r.xh + x, r.yh + y) for r, (x, y) in zip(ring, away)]
+        want = [(0, k) for k in range(len(ring))]
+        assert _pairs([box], ring, d) == want == _within_ids([box], ring, d)
+        assert _pairs([box], far, d) == [] == _within_ids([box], far, d)
+
+    def test_negative_coordinates(self):
+        a = [Rect(-50, -50, -40, -40), Rect(-3, -3, 0, 0)]
+        b = [Rect(-38, -45, -30, -41), Rect(-1000, -2, -4, -1), Rect(2, 2, 9, 9)]
+        assert _pairs(a, b, 2) == [(0, 0), (1, 1), (1, 2)] == _within_ids(a, b, 2)
+
+    def test_duplicates_and_same_set(self):
+        a = [Rect(0, 0, 10, 10), Rect(0, 0, 10, 10), Rect(30, 0, 40, 10), Rect(0, 0, 0, 10)]
+        got = _pairs(a, a, 5)
+        assert got == _within_ids(a, a, 5)
+        assert (0, 1) in got and (1, 0) in got and (0, 0) in got
+        assert (0, 2) not in got
+
+    def test_many_cell_box(self):
+        # one die-long wire against a row of small boxes along it
+        a = [Rect(x, 20, x + 10, 30) for x in range(0, 5000, 50)]
+        b = [Rect(-10, 0, 5010, 12), Rect(2500, 100, 2510, 110)]
+        assert _pairs(a, b, 8) == [(i, 0) for i in range(len(a))] == _within_ids(a, b, 8)
+
+    def test_empty_sides(self):
+        some = [Rect(0, 0, 5, 5)]
+        for a, b in (([], some), (some, []), ([], [])):
+            assert _pairs(a, b, 3) == [] == _within_ids(a, b, 3)
+
+    @given(
+        st.lists(small_rects, max_size=15),
+        st.lists(small_rects, max_size=15),
+        st.integers(min_value=0, max_value=20),
+    )
+    def test_matches_query_within_property(self, a, b, d):
+        assert _pairs(a, b, d) == _within_ids(a, b, d)

@@ -1,9 +1,14 @@
 """Tests for the DRC rule deck and checker (Eqns. (9e)-(9g))."""
 
+import random
+from functools import lru_cache
+
 import pytest
 
 from repro.geometry import Rect
 from repro.layout import DrcRules, check_fills
+
+from . import drc_oracle as oracle
 
 
 RULES = DrcRules(
@@ -95,3 +100,103 @@ class TestChecker:
     def test_violation_str(self):
         v = check_fills([Rect(0, 0, 5, 50)], [], RULES)[0]
         assert "min_width" in str(v)
+
+
+def _shifted(rect, dx, dy, grow=0):
+    return Rect(rect.xl + dx, rect.yl + dy, rect.xh + dx + grow, rect.yh + dy + grow)
+
+
+def _seeded_fills(seed):
+    """Fills that hit every rule, as ``(fills, wires)``: overlaps,
+    corner gaps just under, at and over ``sm``, fill-wire gaps, narrow,
+    small and oversized fills, and duplicates."""
+    rng = random.Random(seed)
+    fills, wires = [], []
+    for _ in range(rng.randint(20, 60)):
+        x, y = rng.randrange(-200, 800), rng.randrange(-200, 800)
+        fills.append(Rect(x, y, x + rng.randrange(1, 130), y + rng.randrange(1, 130)))
+    for w, h in ((12, 13), (4, 60), (60, 7), (140, 30)):  # small, narrow, oversized
+        x, y = rng.randrange(-200, 800), rng.randrange(-200, 800)
+        fills.append(Rect(x, y, x + w, y + h))
+    for _ in range(rng.randint(0, 8)):  # corner neighbours: 6-8-10 is legal at sm 10
+        f = rng.choice(fills)
+        dx, dy = rng.choice([(6, 8), (8, 6), (6, 7), (7, 7), (6, 9), (10, 0), (9, 0), (0, 0)])
+        fills.append(Rect(f.xh + dx, f.yh + dy, f.xh + dx + 20, f.yh + dy + 20))
+    fills += rng.choices(fills, k=rng.randint(0, 4))  # duplicates: measured 0
+    for _ in range(rng.randint(0, 30)):
+        x, y = rng.randrange(-200, 800), rng.randrange(-200, 800)
+        if rng.random() < 0.2:  # die-long wire
+            wires.append(Rect(-300, y, 900, y + rng.randrange(1, 20)))
+        else:
+            wires.append(Rect(x, y, x + rng.randrange(1, 60), y + rng.randrange(1, 60)))
+    rng.shuffle(fills)
+    return fills, wires
+
+
+@lru_cache(maxsize=1)
+def _filled_suite_b():
+    from repro.bench.suite import SUITE_SPECS
+    from repro.bench.generator import generate_layout
+    from repro.core import DummyFillEngine, FillConfig
+    from repro.layout import WindowGrid
+
+    spec, (cols, rows), _, _ = SUITE_SPECS["b"]
+    layout = generate_layout(spec)
+    DummyFillEngine(FillConfig(eta=0.2)).run(layout, WindowGrid(layout.die, cols, rows))
+    return layout
+
+
+class TestMatchesScalarOracle:
+    """The array checker returns the scalar oracle's violations element
+    for element: same rules, shapes, measures and order."""
+
+    @staticmethod
+    def _same(fills, wires, rules=RULES):
+        got = check_fills(fills, wires, rules)
+        want = oracle.check_fills(fills, wires, rules)
+        assert got == want
+        assert [type(v.measured) for v in got] == [type(v.measured) for v in want]
+        return got
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded(self, seed):
+        fills, wires = _seeded_fills(seed)
+        got = self._same(fills, wires)
+        assert {v.rule for v in got} == {"min_width", "min_area", "max_size", "min_spacing"}
+
+    def test_corner_gaps_around_sm(self):
+        # 20x20 fills in pairs 500 dbu apart; shifting one by 26, 28
+        # leaves corner gaps of 6 and 8
+        shifts = [(26, 28), (28, 26), (26, 27), (27, 27), (30, 0), (29, 0), (0, 30), (0, 29)]
+        fills = []
+        for k, shift in enumerate(shifts):
+            base = Rect(500 * k, 0, 500 * k + 20, 20)
+            fills += [base, _shifted(base, *shift)]
+        got = self._same(fills, [])
+        # 6-8, 8-6 and straight gaps of 10 are exactly sm apart: legal
+        assert [fills.index(v.shape) // 2 for v in got] == [2, 3, 5, 7]
+        assert [v.measured for v in got] == [85 ** 0.5, 98 ** 0.5, 9.0, 9.0]
+
+    def test_overlaps_duplicates_and_wires(self):
+        fills = [Rect(0, 0, 20, 20), Rect(10, 10, 30, 30), Rect(0, 0, 20, 20), Rect(60, 0, 80, 20)]
+        wires = [Rect(85, 0, 200, 20), Rect(40, 40, 45, 45), Rect(-500, 39, 500, 41)]
+        got = self._same(fills, wires)
+        assert [(fills.index(v.shape), v.measured) for v in got[:3]] == [(0, 0.0), (0, 0.0), (1, 0.0)]
+        assert any(v.other == wires[0] and v.measured == 5.0 for v in got)
+
+    def test_no_fills_or_no_wires(self):
+        fills, wires = _seeded_fills(3)
+        assert self._same([], wires) == []
+        self._same(fills, [])
+        assert self._same([], []) == []
+
+    def test_filled_suite_b_with_perturbed_fills(self):
+        layout = _filled_suite_b()
+        rng = random.Random(5)
+        layer = layout.layers[1]
+        fills = list(layer.fills)
+        for _ in range(300):
+            f = rng.choice(layer.fills)
+            fills.append(_shifted(f, rng.randint(-15, 15), rng.randint(-15, 15), rng.randint(-6, 6)))
+        assert self._same(list(layer.fills), layer.wires, layout.rules) == []
+        assert len(self._same(fills, layer.wires, layout.rules)) > 300

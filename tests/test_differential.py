@@ -34,7 +34,7 @@ from repro.cli import main
 from repro.core import DummyFillEngine, FillConfig, stream_fill
 from repro.density import analyze_layout
 from repro.density.analysis import metal_density_map
-from repro.eco import affected_windows, apply_eco, eco_halo, rips_up
+from repro.eco import affected_windows, apply_eco, eco_halo
 from repro.gdsii import GdsiiStreamWriter, gdsii_bytes, iter_stream_records, layout_from_gdsii
 from repro.gdsii.records import DataType, RecordType, encode_int2, encode_int4, pack_record
 from repro.geometry import Rect
@@ -44,6 +44,7 @@ from repro.service import FillService, ServiceClient, ServiceServer, SocketClien
 from repro.service.protocol import encode_message
 
 from .conftest import TEST_BACKENDS
+from .eco_oracle import rips_up
 
 #: seeds of the generated families and of every corruption
 SEEDS = (1,)

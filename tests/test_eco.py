@@ -6,9 +6,11 @@ import re
 import pytest
 
 from repro.core import DummyFillEngine, FillConfig
-from repro.eco import affected_windows, apply_eco
-from repro.geometry import Rect
+from repro.eco import affected_windows, apply_eco, rip_up_mask
+from repro.geometry import Rect, boxes
 from repro.layout import DrcRules, Layout, WindowGrid
+
+from .eco_oracle import rips_up
 
 RULES = DrcRules(
     min_spacing=10, min_width=10, min_area=200, max_fill_width=100, max_fill_height=100
@@ -44,6 +46,61 @@ class TestAffectedWindows:
     def test_no_wires_no_windows(self):
         _, grid = filled_layout()
         assert affected_windows(grid, {1: []}, halo=15) == set()
+
+
+def _ripup_fills(grid, rng):
+    """Fills inside windows, on window edges and corners, on the die
+    edge, across it and wholly outside it, zero-width ones included."""
+    die = grid.die
+    xs = [die.xl + i * grid.window_width for i in range(grid.cols)] + [die.xh]
+    ys = [die.yl + j * grid.window_height for j in range(grid.rows)] + [die.yh]
+    fills = []
+    for _ in range(60):
+        x, y = rng.randrange(die.xl - 80, die.xh + 80), rng.randrange(die.yl - 80, die.yh + 80)
+        fills.append(Rect(x, y, x + rng.randrange(0, 60), y + rng.randrange(0, 60)))
+    for x in xs:
+        for y in ys:
+            w, h = rng.randrange(0, 20), rng.randrange(0, 20)
+            fills += [
+                Rect(x - w, y - h, x, y),  # corner from below-left
+                Rect(x, y, x + w, y + h),  # corner from above-right
+                Rect(x - w, y + 3, x, y + 3 + h),  # left of a vertical cut
+                Rect(x + 3, y, x + 3 + w, y + h),  # above a horizontal cut
+                Rect(x + 1, y + 1, x + 1 + w, y + 1 + h),  # clear of the corner
+            ]
+    fills += [
+        Rect(die.xl - 30, die.yl - 30, die.xl - 1, die.yl - 1),  # wholly outside
+        Rect(die.xh + 1, die.yl, die.xh + 40, die.yh),
+        Rect(die.xl - 40, die.yh, die.xh + 40, die.yh + 40),  # on the die's top edge
+    ]
+    return fills
+
+
+class TestRipUpRule:
+    """``rip_up_mask`` over a fill box array is the scalar rule
+    ``rips_up`` applied fill by fill."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_scalar_rule(self, seed):
+        rng = random.Random(seed)
+        x, y = rng.randrange(-500, 500), rng.randrange(-500, 500)
+        die = Rect(x, y, x + rng.randrange(400, 1300), y + rng.randrange(400, 1300))
+        grid = WindowGrid(die, rng.randint(1, 6), rng.randint(1, 6))
+        keys = [(i, j) for i in range(grid.cols) for j in range(grid.rows)]
+        fills = _ripup_fills(grid, rng)
+        box = boxes(fills, len(fills))
+        for affected in (set(), set(keys), set(rng.sample(keys, rng.randint(1, len(keys))))):
+            got = rip_up_mask(grid, affected, box).tolist()
+            assert got == [rips_up(grid, affected, f) for f in fills], affected
+            if not affected:
+                assert not any(got)
+
+    def test_closed_box_contact(self):
+        grid = WindowGrid(Rect(0, 0, 100, 100), 2, 2)
+        # window (1, 1) is [50, 100] x [50, 100]
+        fills = [Rect(40, 40, 50, 50), Rect(45, 50, 49, 60), Rect(50, 0, 60, 50), Rect(0, 60, 49, 70)]
+        got = rip_up_mask(grid, {(1, 1)}, boxes(fills, len(fills))).tolist()
+        assert got == [True, False, True, False]
 
 
 class TestApplyEco:
