@@ -21,7 +21,6 @@ overshoots its β.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -169,19 +168,13 @@ def plan_targets(
             if len(options[n]) > 2:
                 options[n] = options[n][::2]
 
-    best_combo: Optional[Tuple[Tuple[float, float, float, float], ...]] = None
-    best_score = -np.inf
-    combinations = 0
-    for combo in itertools.product(*(options[n] for n in numbers)):
-        combinations += 1
-        sigma_sum = sum(c[1] for c in combo)
-        line_sum = sum(c[2] for c in combo)
-        outlier_sum = sum(c[3] for c in combo)
-        score = objective.score(sigma_sum, line_sum, outlier_sum)
-        if score > best_score:
-            best_score = score
-            best_combo = combo
-    assert best_combo is not None
+    # Score every combination at once, in an array with one axis per
+    # layer; raveled, it is in ``itertools.product`` order, so argmax's
+    # first maximum is the choice of a loop keeping a strict ``>``.
+    columns = [np.array(options[n]) for n in numbers]
+    scores = np.ravel(objective.score(*(_grid_sum(columns, metric) for metric in (1, 2, 3))))
+    best = int(np.argmax(scores))
+    combinations = scores.size
     obs.metrics.counter("planner.combinations").inc(combinations)
     obs.metrics.counter("planner.case2_layers").inc(
         sum(1 for c in cases.values() if c == "II")
@@ -189,15 +182,31 @@ def plan_targets(
     obs.count("planner.combinations", combinations)
 
     layers = {}
-    for n, choice in zip(numbers, best_combo):
-        td = choice[0]
+    choices = np.unravel_index(best, [len(options[n]) for n in numbers])
+    for n, choice in zip(numbers, choices):
+        td = options[n][choice][0]
         layers[n] = LayerPlan(
             layer_number=n,
             td=td,
             target=_clamped_map(analysis[n], td),
             case=cases[n],
         )
-    return DensityPlan(layers=layers, score=float(best_score))
+    return DensityPlan(layers=layers, score=float(scores[best]))
+
+
+def _grid_sum(columns: Sequence[np.ndarray], metric: int) -> np.ndarray:
+    """``sum(option[metric] for option in combination)`` for every
+    combination of one option row per layer, one axis per layer.
+
+    The columns are added in layer order, as ``sum`` adds a
+    combination's options, so each float equals the loop's.
+    """
+    total = np.zeros([1] * len(columns))
+    for axis, column in enumerate(columns):
+        shape = [1] * len(columns)
+        shape[axis] = -1
+        total = total + column[:, metric].reshape(shape)
+    return total
 
 
 def _combination_count(options: Mapping[int, Sequence]) -> int:

@@ -41,7 +41,7 @@ from ..density.analysis import window_area_map
 from ..density.raster import clipped_area_map
 from ..density.scoring import ScoreWeights
 from ..gdsii import GdsiiStreamReader, GdsiiStreamWriter
-from ..geometry import Rect, boxes
+from ..geometry import IntArray, Rect, boxes
 from ..layout import (
     FILL_DATATYPE,
     WIRE_DATATYPE,
@@ -378,15 +378,15 @@ def stream_fill(
             report.violations = _band_drc(plan, wires, fills, numbers, rules)
 
         # --------------------------------------------------------------
-        # Write — stream the filled layout out in the shared file order:
-        # die outline, then per layer wires (input order, ECO wires
-        # appended) and fills: kept (input order), then new (grid order
-        # via ascending bands).
-        def layers() -> Iterator[Tuple[int, Iterable[Rect], Iterable[Rect]]]:
+        # Write — stream the filled layout out in the shared file order,
+        # as box chunks straight off the spools: die outline, then per
+        # layer wires (input order, ECO wires appended) and fills: kept
+        # (input order), then new (grid order via ascending bands).
+        def layers() -> Iterator[Tuple[int, Iterable[IntArray], Iterable[IntArray]]]:
             for n in numbers:
-                new_fills = (band.read(n, FILL_DATATYPE) for band in bands_source.new_fills)
-                fills = chain(kept_spool.read(n, FILL_DATATYPE), *new_fills)
-                yield n, spool.read(n, WIRE_DATATYPE), fills
+                new_fills = (band.read_boxes(n, FILL_DATATYPE) for band in bands_source.new_fills)
+                fills = chain(kept_spool.read_boxes(n, FILL_DATATYPE), *new_fills)
+                yield n, spool.read_boxes(n, WIRE_DATATYPE), fills
 
         with obs.span("io.write"), contextlib.ExitStack() as stack:
             stream: BinaryIO = (
@@ -397,8 +397,8 @@ def stream_fill(
             writer: Union[GdsiiStreamWriter, OasisStreamWriter] = (
                 GdsiiStreamWriter(stream) if output_format == "gdsii" else OasisStreamWriter(stream)
             )
-            for group in shape_groups(die, layers()):
-                writer.rectangles(*group)
+            for group in shape_groups(boxes((die,), 1), layers()):
+                writer.box_chunks(*group)
             report.bytes_written = writer.close()
 
     spills = [spool, wires, fills, kept_spool, *bands_source.new_fills]

@@ -262,9 +262,7 @@ def apply_eco(
                     if not doomed.any():
                         continue
                     removed += int(doomed.sum())
-                    keep = [f for f, gone in zip(layer.fills, doomed.tolist()) if not gone]
-                    layer.clear_fills()
-                    layer.add_fills(keep)
+                    layer.drop_fills(doomed.tolist())
         sp.count("eco.removed_fills", removed)
 
         # Re-analyze only what the wires dirtied (with a cache), then

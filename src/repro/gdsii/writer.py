@@ -10,25 +10,39 @@ file-size score s_fs (Eqn. (3)); the paper's observation that
 *fewer, larger* fills shrink the output file is directly visible here,
 since every fill costs one fixed-size BOUNDARY element.
 
+That element is the same 64 bytes for every rectangle but for its
+layer, datatype and coordinates, so :func:`encode_boundaries` encodes a
+whole shape group at once: an ``(n, 4)`` int64 box array becomes ``n``
+copies of one template row (framed once by
+:func:`~repro.gdsii.records.pack_record`) with the big-endian layer,
+datatype and ten XY words written in as array columns.
+
 :class:`GdsiiStreamWriter` is the incremental form: header on
-construction, one :meth:`~GdsiiStreamWriter.rectangles` call per shape
-group, trailer on :meth:`~GdsiiStreamWriter.close` — nothing is
-buffered, so the out-of-core pipeline can append fills as bands
-complete while staying byte-identical to :func:`write_gdsii` for the
-same shape sequence.
+construction, one :meth:`~GdsiiStreamWriter.rectangles` (rects) or
+:meth:`~GdsiiStreamWriter.box_chunks` (box arrays) call per shape
+group, trailer on :meth:`~GdsiiStreamWriter.close`.  It buffers at
+most one chunk of :data:`CHUNK_RECTS` rectangles, so the out-of-core
+pipeline can append fills as bands complete while staying
+byte-identical to :func:`write_gdsii` for the same shape sequence.
 """
 
 from __future__ import annotations
 
 import io
-from typing import BinaryIO, Iterable
+import struct
+from itertools import islice
+from typing import BinaryIO, Iterable, Iterator
 
-from ..geometry import Rect
+import numpy as np
+
+from ..geometry import IntArray, Rect, boxes
 from ..layout import Layout, shape_groups
 from .records import DataType, RecordType, encode_ascii, encode_int2, encode_int4, encode_real8, pack_record
 
 __all__ = [
+    "CHUNK_RECTS",
     "GdsiiStreamWriter",
+    "encode_boundaries",
     "write_gdsii",
     "gdsii_bytes",
 ]
@@ -37,37 +51,67 @@ __all__ = [
 # byte-identity round-trip tests are reproducible.
 _TIMESTAMP = (2014, 11, 1, 0, 0, 0)
 
+#: rectangles the writer encodes per array pass: 256 KB of rows
+CHUNK_RECTS = 4096
 
-def _boundary_bytes(layer: int, datatype: int, rect: Rect) -> bytes:
-    # A rectangle boundary: 5 points, closed loop, counter-clockwise.
-    xy = [
-        rect.xl, rect.yl,
-        rect.xh, rect.yl,
-        rect.xh, rect.yh,
-        rect.xl, rect.yh,
-        rect.xl, rect.yl,
-    ]
-    return b"".join(
-        (
-            pack_record(RecordType.BOUNDARY, DataType.NO_DATA),
-            pack_record(RecordType.LAYER, DataType.INT2, encode_int2([layer])),
-            pack_record(
-                RecordType.DATATYPE, DataType.INT2, encode_int2([datatype])
-            ),
-            pack_record(RecordType.XY, DataType.INT4, encode_int4(xy)),
-            pack_record(RecordType.ENDEL, DataType.NO_DATA),
-        )
-    )
+#: one rectangle's BOUNDARY element, record by record, zero-filled
+_RECORDS = (
+    pack_record(RecordType.BOUNDARY, DataType.NO_DATA),
+    pack_record(RecordType.LAYER, DataType.INT2, encode_int2([0])),
+    pack_record(RecordType.DATATYPE, DataType.INT2, encode_int2([0])),
+    pack_record(RecordType.XY, DataType.INT4, encode_int4([0] * 10)),
+    pack_record(RecordType.ENDEL, DataType.NO_DATA),
+)
+_TEMPLATE = np.frombuffer(b"".join(_RECORDS), np.uint8)
+
+
+def _payload_at(record: int) -> int:
+    """Byte offset of ``_RECORDS[record]``'s payload within an element."""
+    return sum(map(len, _RECORDS[:record])) + 4
+
+
+_LAYER_AT = _payload_at(1)
+_DATATYPE_AT = _payload_at(2)
+_XY_AT = _payload_at(3)
+#: the XY columns of an ``(xl, yl, xh, yh)`` row: a closed
+#: counter-clockwise loop of 5 points
+_LOOP = [0, 1, 2, 1, 2, 3, 0, 3, 0, 1]
+_INT2 = struct.Struct(">h")
+_INT4 = struct.Struct(">i")
+_INT4_MIN, _INT4_MAX = -(1 << 31), (1 << 31) - 1
+
+
+def encode_boundaries(layer: int, datatype: int, box: IntArray) -> bytes:
+    """The BOUNDARY elements of one ``(layer, datatype)`` group.
+
+    Row ``k`` of the ``(n, 4)`` box array becomes element ``k``: the
+    template row with the big-endian int16 layer and datatype and the
+    ten big-endian int32 XY words written in, ``n * 64`` bytes in all.
+    A layer or datatype outside int16, or a coordinate outside int32,
+    raises ``struct.error`` as packing the records one by one does.
+    """
+    row = _TEMPLATE.copy()
+    row[_LAYER_AT : _LAYER_AT + 2] = np.frombuffer(_INT2.pack(layer), np.uint8)
+    row[_DATATYPE_AT : _DATATYPE_AT + 2] = np.frombuffer(_INT2.pack(datatype), np.uint8)
+    if len(box) and (box.min() < _INT4_MIN or box.max() > _INT4_MAX):
+        # packing the first stray coordinate raises struct's own error
+        _INT4.pack(int(box[(box < _INT4_MIN) | (box > _INT4_MAX)][0]))
+    rows = np.empty((len(box), len(row)), np.uint8)
+    rows[:] = row
+    rows[:, _XY_AT : _XY_AT + 40].view(">i4")[:] = box[:, _LOOP]
+    return rows.tobytes()
 
 
 class GdsiiStreamWriter:
     """Incremental GDSII emitter.
 
-    Writes the library/structure header on construction, then one
-    BOUNDARY element per :meth:`boundary` call, and the
-    ENDSTR/ENDLIB trailer on :meth:`close`.  Emitting the same shapes
-    in the same order as :func:`write_gdsii` produces the same bytes
-    — the writer holds no state beyond the running byte count.
+    Writes the library/structure header on construction, then the
+    BOUNDARY elements of each shape group handed to
+    :meth:`rectangles` or :meth:`box_chunks`, and the ENDSTR/ENDLIB
+    trailer on :meth:`close`.  Emitting the same shapes in the same
+    order as :func:`write_gdsii` produces the same bytes — the writer
+    holds no state beyond the running byte count, and buffers at most
+    one chunk of :data:`CHUNK_RECTS` rectangles.
     """
 
     def __init__(self, stream: BinaryIO):
@@ -108,15 +152,31 @@ class GdsiiStreamWriter:
 
     def boundary(self, layer: int, datatype: int, rect: Rect) -> None:
         """Emit one rectangle BOUNDARY element."""
-        if self._closed:
-            raise ValueError("writer is closed")
-        self._write(_boundary_bytes(layer, datatype, rect))
+        self.rectangles(layer, datatype, (rect,))
 
     def rectangles(self, layer: int, datatype: int, rects: Iterable[Rect]) -> None:
         """One BOUNDARY per rectangle, in order — the call shape of
         :meth:`repro.oasis.OasisStreamWriter.rectangles`."""
-        for rect in rects:
-            self.boundary(layer, datatype, rect)
+        it = iter(rects)
+
+        def chunks() -> Iterator[IntArray]:
+            while chunk := list(islice(it, CHUNK_RECTS)):
+                try:
+                    box = boxes(chunk, len(chunk))
+                except OverflowError:  # beyond int64, so beyond int32 too
+                    raise struct.error(
+                        f"'i' format requires {_INT4_MIN} <= number <= {_INT4_MAX}"
+                    ) from None
+                yield box
+
+        self.box_chunks(layer, datatype, chunks())
+
+    def box_chunks(self, layer: int, datatype: int, chunks: Iterable[IntArray]) -> None:
+        """One BOUNDARY per row of each ``(n, 4)`` int64 box array, in order."""
+        if self._closed:
+            raise ValueError("writer is closed")
+        for box in chunks:
+            self._write(encode_boundaries(layer, datatype, box))
 
     def close(self) -> int:
         """Write the ENDSTR/ENDLIB trailer; returns total bytes written."""

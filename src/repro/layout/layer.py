@@ -9,7 +9,7 @@ kept separate so overlay and density can be attributed correctly
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..geometry import Rect, RectilinearPolygon, polygon_to_rects, union_area
 
@@ -90,6 +90,16 @@ class Layer:
     def clear_fills(self) -> None:
         """Remove all fills (re-running the engine on a fresh slate)."""
         self._fills.clear()
+
+    def drop_fills(self, mask: Sequence[bool]) -> None:
+        """Remove the fills whose entry in ``mask`` is true, keeping the
+        rest in order; ``mask`` has one entry per fill."""
+        if len(mask) != len(self._fills):
+            raise ValueError(
+                f"drop mask has {len(mask)} entries, layer {self.number} has "
+                f"{len(self._fills)} fills"
+            )
+        self._fills[:] = [f for f, gone in zip(self._fills, mask) if not gone]
 
     def filter_wires(self, predicate: Callable[[Rect], bool]) -> int:
         """Keep only wires where ``predicate(rect)`` is true.

@@ -15,7 +15,7 @@ layer count from a :class:`ShapeCensus`, and writing emits
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from .. import obs
 from ..geometry import Rect, bounding_box
@@ -37,7 +37,8 @@ FILL_DATATYPE = 1
 DIE_LAYER = 0
 
 Shape = Tuple[int, int, Rect]
-ShapeGroup = Tuple[int, int, Iterable[Rect]]
+#: what a shape group holds: rects, or chunks of them as box arrays
+Item = TypeVar("Item")
 
 
 class ShapeCensus:
@@ -131,12 +132,14 @@ def layout_from_shapes(
 
 
 def shape_groups(
-    die: Rect, layers: Iterable[Tuple[int, Iterable[Rect], Iterable[Rect]]]
-) -> Iterator[ShapeGroup]:
-    """``(layer, datatype, rects)`` groups in file order.
+    die: Item, layers: Iterable[Tuple[int, Iterable[Item], Iterable[Item]]]
+) -> Iterator[Tuple[int, int, Iterable[Item]]]:
+    """``(layer, datatype, items)`` groups in file order.
 
     ``layers`` gives ``(number, wires, fills)`` in stack order; the die
-    outline comes first, then each layer's wires and its fills.
+    outline comes first, then each layer's wires and its fills.  The
+    items are rects, or ``(n, 4)`` box-array chunks of them, with
+    ``die`` given in the same form.
     """
     yield DIE_LAYER, WIRE_DATATYPE, (die,)
     for number, wires, fills in layers:

@@ -33,7 +33,9 @@ import os
 import struct
 from typing import Any, BinaryIO, Dict, Hashable, Iterator, List, Tuple
 
-from ..geometry import Rect
+import numpy as np
+
+from ..geometry import IntArray, Rect
 from ..parallel.shard import shard_bounds
 from .window import WindowGrid
 
@@ -182,8 +184,9 @@ class _Spill:
         self._handles.clear()
         self._finished = True
 
-    def _read(self, key: Hashable) -> Iterator[Tuple[int, ...]]:
-        """Yield the key's records in the order they were added.
+    def _chunks(self, key: Hashable) -> Iterator[bytes]:
+        """Yield the key's records as byte chunks of whole records, at
+        most :data:`_READ_RECORDS` each, in the order they were added.
 
         A partial record at the end of the chunk file raises a
         ``ValueError`` naming the file.
@@ -193,22 +196,28 @@ class _Spill:
         if key not in self._counts:
             return
         path = self._path(key)
-        record = self._record
+        size = self._record.size
         with open(path, "rb") as handle:
             carry = b""
             while True:
-                data = handle.read(record.size * _READ_RECORDS)
+                data = handle.read(size * _READ_RECORDS - len(carry))
                 if not data:
                     break
                 data = carry + data
-                whole = len(data) - len(data) % record.size
-                yield from record.iter_unpack(data[:whole])
+                whole = len(data) - len(data) % size
+                if whole:
+                    yield data[:whole]
                 carry = data[whole:]
             if carry:
                 raise ValueError(
                     f"corrupt spill chunk {path}: {len(carry)} trailing bytes "
-                    f"(record size {record.size})"
+                    f"(record size {size})"
                 )
+
+    def _read(self, key: Hashable) -> Iterator[Tuple[int, ...]]:
+        """Yield the key's records, unpacked, in the order they were added."""
+        for chunk in self._chunks(key):
+            yield from self._record.iter_unpack(chunk)
 
 
 class ShapeSpill(_Spill):
@@ -280,3 +289,9 @@ class LayerSpool(_Spill):
         """Yield the key's rectangles in the order they were added."""
         for xl, yl, xh, yh in self._read((layer, datatype)):
             yield Rect(xl, yl, xh, yh)
+
+    def read_boxes(self, layer: int, datatype: int) -> Iterator[IntArray]:
+        """The key's rectangles as ``(n, 4)`` int64 box arrays of at most
+        :data:`_READ_RECORDS` rows, in the order they were added."""
+        for chunk in self._chunks((layer, datatype)):
+            yield np.frombuffer(chunk, ">i4").reshape(-1, 4).astype(np.int64)

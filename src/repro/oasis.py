@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .geometry import Rect
+from .geometry import IntArray, Rect, rects_of
 from .layout import DrcRules, Layout, layout_from_shapes, shape_groups
 
 __all__ = [
@@ -394,6 +395,13 @@ class OasisStreamWriter:
             for anchor, repeat in _repetitions(by_size[size]):
                 _emit_rectangle(out, self._modal, layer, datatype, anchor, repeat)
         self._write(out)
+
+    def box_chunks(
+        self, layer: int, datatype: int, chunks: Iterable[IntArray]
+    ) -> None:
+        """Emit one shape group given as ``(n, 4)`` int64 box arrays —
+        the call shape of :meth:`repro.gdsii.GdsiiStreamWriter.box_chunks`."""
+        self.rectangles(layer, datatype, chain.from_iterable(map(rects_of, chunks)))
 
     def close(self) -> int:
         """Write the padded END record; returns total bytes written."""

@@ -1,5 +1,7 @@
 """Tests for Layer and Layout containers."""
 
+import random
+
 import pytest
 
 from repro.geometry import Rect, RectilinearPolygon
@@ -52,6 +54,29 @@ class TestLayer:
         layer.add_fill(Rect(0, 0, 5, 5))
         layer.clear_fills()
         assert layer.num_fills == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drop_fills_matches_clear_and_add(self, seed):
+        rng = random.Random(seed)
+        fills = [Rect(x, x % 7, x + 4, x % 7 + 3) for x in range(0, 400, 5)]
+        mask = [rng.random() < 0.3 for _ in fills]
+        dropped, rebuilt = Layer(1), Layer(1)
+        dropped.add_fills(fills)
+        dropped.drop_fills(mask)
+        rebuilt.add_fills(fills)
+        keep = [f for f, gone in zip(rebuilt.fills, mask) if not gone]
+        rebuilt.clear_fills()
+        rebuilt.add_fills(keep)
+        assert dropped.fills == rebuilt.fills
+        assert 0 < dropped.num_fills < len(fills)
+
+    def test_drop_fills_rejects_wrong_length_mask(self):
+        layer = Layer(1)
+        layer.add_fills([Rect(0, 0, 5, 5), Rect(10, 0, 15, 5)])
+        for mask in ([True], [False, False, True]):
+            with pytest.raises(ValueError, match="drop mask"):
+                layer.drop_fills(mask)
+        assert layer.num_fills == 2
 
     def test_wire_area_in_window_deduplicates(self):
         layer = Layer(1)

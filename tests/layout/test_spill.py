@@ -1,5 +1,9 @@
 """Spill-to-disk bucketing: band plan, halo routing, spool ordering."""
 
+import random
+import re
+
+import numpy as np
 import pytest
 
 from repro.geometry import Rect
@@ -97,6 +101,23 @@ class TestLayerSpool:
         assert spool.keys() == [(1, 0), (2, 1)]
         assert list(spool.read(3, 0)) == []
 
+    @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 9000])
+    def test_box_read_equals_rect_read(self, tmp_path, count):
+        rng = random.Random(count)
+        rects = []
+        for _ in range(count):
+            x, y = rng.randint(-(1 << 31), (1 << 31) - 1000), rng.randint(-5000, 5000)
+            rects.append(Rect(x, y, x + rng.randint(0, 999), y + rng.randint(0, 999)))
+        spool = LayerSpool(str(tmp_path), "k", flush_records=1000)
+        for r in rects:
+            spool.add(3, 1, r)
+        spool.finish()
+        chunks = list(spool.read_boxes(3, 1))
+        assert all(c.dtype == np.int64 and 0 < len(c) <= 4096 for c in chunks)
+        rows = [tuple(row) for c in chunks for row in c.tolist()]
+        assert rows == [(r.xl, r.yl, r.xh, r.yh) for r in spool.read(3, 1)]
+        assert len(rows) == count
+
     def test_corrupt_chunk_detected(self, tmp_path):
         spool = LayerSpool(str(tmp_path), "k")
         spool.add(1, 0, Rect(0, 0, 10, 10))
@@ -105,3 +126,15 @@ class TestLayerSpool:
         path.write_bytes(path.read_bytes() + b"\x00" * (RECT_RECORD.size - 1))
         with pytest.raises(ValueError, match="corrupt spill chunk"):
             list(spool.read(1, 0))
+
+    @pytest.mark.parametrize("read", ["read", "read_boxes"])
+    @pytest.mark.parametrize("count", [1, 4096])
+    def test_truncated_chunk_raises_from_both_reads(self, tmp_path, read, count):
+        spool = LayerSpool(str(tmp_path), "k")
+        for k in range(count):
+            spool.add(1, 0, Rect(k, 0, k + 10, 10))
+        spool.finish()
+        path = tmp_path / "k-l0001-d00.bin"
+        path.write_bytes(path.read_bytes() + b"\x00" * (RECT_RECORD.size - 1))
+        with pytest.raises(ValueError, match=re.escape(f"corrupt spill chunk {path}: 15 trailing bytes")):
+            list(getattr(spool, read)(1, 0))
