@@ -134,7 +134,7 @@ def coupling_lp_fill(
         total_coupling = 0
         budget_limited = 0
 
-        wires = {layer.number: boxes(layer.wires, len(layer.wires)) for layer in layout.layers}
+        wires = {layer.number: layer.wire_boxes for layer in layout.layers}
 
         for layer in layout.layers:
             density = wire_density_map(layer, grid)

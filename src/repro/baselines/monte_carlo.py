@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..density.analysis import analyze_layer, wire_density_map
-from ..geometry import Rect
+from ..geometry import Rect, rects_of
 from ..layout import DrcRules, Layout, WindowGrid
 
 __all__ = ["MonteCarloReport", "monte_carlo_fill"]
@@ -103,7 +103,10 @@ def monte_carlo_fill(
                 if target_density is None
                 else target_density
             )
-            regions = analyze_layer(layer, grid, rules, margin).fill_regions
+            regions = {
+                key: rects_of(region)
+                for key, region in analyze_layer(layer, grid, rules, margin).fill_regions.items()
+            }
             # Deficit priority queue: (-deficit, window).
             deficit: Dict[Tuple[int, int], float] = {}
             heap: List[Tuple[float, Tuple[int, int]]] = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..density.analysis import analyze_layer
-from ..geometry import Rect, rect_set_intersect
+from ..geometry import Rect, rect_set_intersect, rects_of
 from ..layout import DrcRules, Layer, WindowGrid
 
 __all__ = ["Tile", "TileGrid", "build_tile_grid", "realize_tile_fill"]
@@ -71,7 +71,7 @@ def build_tile_grid(
     margin = -(-rules.min_spacing // 2)
     tiles: List[Tile] = []
     for i, j, window in grid:
-        region = regions[(i, j)]
+        region = rects_of(regions[(i, j)])
         for tile_rect in grid.tiles(i, j, r):
             # Inset each tile by half the spacing rule so fills realised
             # independently in adjacent tiles stay legal across tile

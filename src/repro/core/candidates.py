@@ -52,14 +52,14 @@ work:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..density.analysis import LayerDensity
-from ..geometry import IntArray, Rect, bounding_box, boxes, rects_of, touching
+from ..density.raster import NO_REGION
+from ..geometry import IntArray, Rect, boxes, rects_of, touching
 from ..geometry.raster import _key_join
 from ..layout import DrcRules, Layout, WindowGrid
 from .config import FillConfig
@@ -109,6 +109,11 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndar
     owner = np.repeat(np.arange(len(starts)), counts)
     offset = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     return offset + np.arange(len(owner)), owner
+
+
+def _live(box: np.ndarray) -> np.ndarray:
+    """Which rows have positive area."""
+    return (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3])
 
 
 def _legal(box: np.ndarray, rules: DrcRules) -> np.ndarray:
@@ -221,12 +226,12 @@ class _Lattice:
 
 
 def grid_candidates(
-    region: Sequence[Rect],
+    region: IntArray,
     rules: DrcRules,
     *,
     stagger: bool = False,
     anchor: Optional[Rect] = None,
-    prefer: Optional[Sequence[Rect]] = None,
+    prefer: Optional[IntArray] = None,
 ) -> List[Rect]:
     """Generate candidate fills on a global tile grid over a free region.
 
@@ -250,23 +255,26 @@ def grid_candidates(
       exists — candidates are *shaped* to dodge the neighbour layers'
       wires, not merely re-ordered.
 
-    ``region`` and ``prefer`` are rect lists whose rects are disjoint
-    and whose x-spans never abut at any y, as density analysis produces
-    them (zero-area rects are ignored); the rects of other lists still
-    give legal candidates inside the region, not always the largest.
-    This is :func:`generate_candidates`' tile kernel run on one batch
-    of one call.
+    ``region`` and ``prefer`` are ``(n, 4)`` int64 box arrays whose
+    rects are disjoint and whose x-spans never abut at any y, as density
+    analysis produces them (zero-area rows are ignored); the rects of
+    other arrays still give legal candidates inside the region, not
+    always the largest.  This is :func:`generate_candidates`' tile
+    kernel run on one batch of one call.
     """
-    rects = [r for r in region if not r.is_degenerate]
-    if not rects:
+    live = region[_live(region)]
+    if not len(live):
         return []
-    frame = anchor if anchor is not None else bounding_box(rects)
-    lattice = _Lattice(boxes([frame], 1), np.array([stagger]), rules)
-    preferred = [r for r in prefer if not r.is_degenerate] if prefer else []
+    if anchor is not None:
+        frame = boxes([anchor], 1)
+    else:
+        frame = np.concatenate((live[:, :2].min(axis=0), live[:, 2:].max(axis=0)))[None]
+    lattice = _Lattice(frame, np.array([stagger]), rules)
+    preferred = prefer[_live(prefer)] if prefer is not None else NO_REGION
     _, box = lattice.candidates(
-        boxes(rects, len(rects)),
-        np.zeros(len(rects), np.int64),
-        (boxes(preferred, len(preferred)), np.zeros(len(preferred), np.int64)),
+        live,
+        np.zeros(len(live), np.int64),
+        (preferred, np.zeros(len(preferred), np.int64)),
     )
     return [Rect(*b) for b in box.tolist()]
 
@@ -386,7 +394,8 @@ class _Column:
     A slot is one (window, layer) of the batch, numbered window by
     window with the layers ascending; a call is a slot whose layer
     needs fill.  ``box`` holds every non-degenerate free-region rect of
-    the batch, sorted by ``slot``.
+    the batch, sorted by ``slot``: the windows' region arrays, one
+    concatenation.
     """
 
     def __init__(self, shared: _Shared, i: int, rows: List[int]) -> None:
@@ -399,13 +408,12 @@ class _Column:
         self.targets = [shared.plan.target(n)[i, rows].tolist() for n in numbers]
         self.wire_density = [shared.analysis[n].lower[i, rows].tolist() for n in numbers]
         regions = [
-            shared.analysis[n].fill_regions.get((i, j), []) for j in rows for n in numbers
+            shared.analysis[n].fill_regions.get((i, j), NO_REGION) for j in rows for n in numbers
         ]
-        counts = [len(r) for r in regions]
-        box = boxes(chain.from_iterable(regions), sum(counts))
-        slot = np.repeat(np.arange(len(rows) * nl), counts)
+        box = np.concatenate(regions)
+        slot = np.repeat(np.arange(len(rows) * nl), [len(r) for r in regions])
         self.region_area = _sums(slot, _area(box), len(rows) * nl).tolist()
-        live = (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3])
+        live = _live(box)
         self.box, self.slot = box[live], slot[live]
 
     def _calls(self, parity: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -572,7 +580,7 @@ def generate_candidates(
         rules=layout.rules,
         config=config,
         numbers=tuple(layout.layer_numbers),
-        wires=tuple(boxes(layer.wires, layer.num_wires) for layer in layout.layers),
+        wires=tuple(layer.wire_boxes for layer in layout.layers),
     )
     chosen = set(windows) if windows is not None else None
     out: CandidatePlan = {}

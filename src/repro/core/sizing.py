@@ -630,15 +630,16 @@ def size_fills(
     empty per-layer lists.  A window sees the wires within the spacing
     rule of it, the reach of analysis, candidates and DRC: sizing reads
     only wires that overlap a fill, and fills lie inside their window
-    and only shrink.  Each layer's wires become one int64 box array,
-    and each column takes those whose closed box touches its windows
-    grown by the spacing rule (:func:`~repro.geometry.touching`).
+    and only shrink.  Each layer's wires are its cached box array
+    (:attr:`~repro.layout.Layer.wire_boxes`), and each column takes
+    those whose closed box touches its windows grown by the spacing
+    rule (:func:`~repro.geometry.touching`).
     """
     if config is None:
         config = FillConfig()
     rules = check_drc_params(layout.rules, name="layout.rules")
     margin = rules.min_spacing
-    wires = {layer.number: boxes(layer.wires, layer.num_wires) for layer in layout.layers}
+    wires = {layer.number: layer.wire_boxes for layer in layout.layers}
     total = SizingStats()
     columns: Dict[int, List[Tuple[WindowKey, Rect, Mapping[int, Sequence[Rect]]]]] = {}
     for i, j, window in grid:

@@ -13,15 +13,16 @@ with ``i`` the column, matching Eqn. (1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..contracts import check_density
-from ..geometry import Rect, boxes, rect_set_subtract, touching
+from ..geometry import IntArray, boxes, rect_set_subtract, touching
 from ..layout import DrcRules, Layer, Layout, WindowGrid
-from .raster import clipped_area_map, raster_area_map, raster_fill_regions
+from .raster import (NO_REGION, clipped_area_map, covered_area_map, raster_area_map,
+                     raster_fill_regions)
 
 __all__ = [
     "window_area_map",
@@ -41,7 +42,7 @@ __all__ = [
 
 def wire_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Wire density ``d_w(i, j)`` per window — the lower bound l(i, j)."""
-    return _to_density(raster_area_map(layer.wires, grid), grid)
+    return _to_density(covered_area_map(layer.wire_boxes, grid), grid)
 
 
 def fill_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
@@ -78,20 +79,36 @@ def _to_density(areas: np.ndarray, grid: WindowGrid) -> np.ndarray:
     return areas / window_area_map(grid)
 
 
-def usable_fill_area(region: Sequence[Rect], rules: DrcRules) -> int:
+def _usable_areas(box: IntArray, rules: DrcRules) -> IntArray:
+    """Each row's area, or 0 where the rect cannot host a legal fill."""
+    width = box[:, 2] - box[:, 0]
+    height = box[:, 3] - box[:, 1]
+    area = width * height
+    legal = (width >= rules.min_width) & (height >= rules.min_width) & (area >= rules.min_area)
+    return np.where(legal, area, 0)
+
+
+def usable_fill_area(region: IntArray, rules: DrcRules) -> int:
     """Area of the region pieces a legal fill could actually occupy.
 
-    Rectangles narrower than the minimum width in either dimension can
-    never host a DRC-clean fill, so the density upper bound must not
-    count them.
+    ``region`` is an ``(n, 4)`` int64 box array.  Rectangles narrower
+    than the minimum width in either dimension can never host a
+    DRC-clean fill, so the density upper bound must not count them.
     """
-    return sum(
-        r.area
-        for r in region
-        if r.width >= rules.min_width
-        and r.height >= rules.min_width
-        and r.area >= rules.min_area
-    )
+    return int(_usable_areas(region, rules).sum())
+
+
+def _usable_area_map(
+    regions: Dict[Tuple[int, int], IntArray], rules: DrcRules, shape: Tuple[int, int]
+) -> np.ndarray:
+    """:func:`usable_fill_area` of every window's region, as a ``shape`` int64 map."""
+    out = np.zeros(shape, dtype=np.int64)
+    if regions:
+        keys = np.array(list(regions), dtype=np.int64).reshape(-1, 2)
+        owner = np.repeat(keys, [len(region) for region in regions.values()], axis=0)
+        areas = _usable_areas(np.concatenate(list(regions.values())), rules)
+        np.add.at(out, (owner[:, 0], owner[:, 1]), areas)
+    return out
 
 
 def _scanline_fill_regions(
@@ -100,27 +117,30 @@ def _scanline_fill_regions(
     rules: DrcRules,
     window_margin: int,
     windows: Optional[Sequence[Tuple[int, int]]],
-) -> Dict[Tuple[int, int], List[Rect]]:
+) -> Dict[Tuple[int, int], IntArray]:
     """Feasible fill region per window, one scanline subtraction each.
 
     The region is the window, inset by the window margin, minus every
     wire bloated by the minimum spacing: ``rect_set_subtract`` over
     the wires whose closed box touches the inset window grown by the
-    spacing (:func:`~repro.geometry.touching`), in wire order.
-    ``windows`` restricts the output to those windows.
+    spacing (:func:`~repro.geometry.touching`), in wire order.  Each
+    rect list becomes a read-only box array, as the raster cutter
+    returns it.  ``windows`` restricts the output to those windows.
     """
-    wires = layer.wires
-    box = boxes(wires, len(wires))
-    regions: Dict[Tuple[int, int], List[Rect]] = {}
+    wires, box = layer.wires, layer.wire_boxes
+    regions: Dict[Tuple[int, int], IntArray] = {}
     for i, j in windows if windows is not None else [(i, j) for i, j, _ in grid]:
         win = grid.window(i, j)
         inner = win.shrunk(window_margin) if window_margin else win
         if inner is None:
-            regions[(i, j)] = []
+            regions[(i, j)] = NO_REGION
             continue
         nearby = touching(box, inner.expanded(rules.min_spacing))
         bloated = [wires[k].expanded(rules.min_spacing) for k in nearby.tolist()]
-        regions[(i, j)] = rect_set_subtract([inner], bloated)
+        rects = rect_set_subtract([inner], bloated)
+        region = boxes(rects, len(rects))
+        region.flags.writeable = False
+        regions[(i, j)] = region
     return regions
 
 
@@ -133,13 +153,15 @@ class LayerDensity:
     density planning (§3.1, Eqn. (5)).  ``fill_regions`` is fr(l) per
     window: the window, inset by the window margin, minus every wire
     bloated by the minimum spacing — the disjoint rectangles where a
-    fill may legally sit.
+    fill may legally sit, as a read-only ``(k, 4)`` int64 box array of
+    ``(xl, yl, xh, yh)`` rows in canonical order (``(0, 4)`` for a
+    window with no free space).
     """
 
     layer_number: int
     lower: np.ndarray
     upper: np.ndarray
-    fill_regions: Dict[Tuple[int, int], List[Rect]]
+    fill_regions: Dict[Tuple[int, int], IntArray]
 
     @property
     def max_lower(self) -> float:
@@ -167,7 +189,7 @@ def _choose_kernel(
     every stream band and the partial-column ECO refresh, where the
     scanline's per-window scan of every wire costs more than the
     raster's column strips (docs/PERFORMANCE.md, "Raster kernel").  The
-    two cutters return the same rect lists, so the choice only moves
+    two cutters return the same regions, so the choice only moves
     the clock; tests pin this function to run one cutter through whole
     flows.
     """
@@ -185,11 +207,13 @@ def analyze_layer(
 ) -> LayerDensity:
     """Run density analysis for one layer.
 
-    ``lower`` is the covered wire area of :func:`raster_area_map` over
-    the window area, and ``upper`` adds the usable part of the fill
-    region (:func:`usable_fill_area`), capped at 1.  ``kernel`` picks
-    only the fill-region cutter, and both cutters return the same rect
-    lists: ``"rect"`` is the scanline cutter (one ``rect_set_subtract``
+    ``lower`` is the covered wire area (:func:`covered_area_map` of the
+    layer's wire boxes) over the window area, and ``upper`` adds the
+    usable part of the fill
+    region (:func:`usable_fill_area`, one array pass over every
+    window's rects), capped at 1.  ``kernel`` picks only the
+    fill-region cutter, and both cutters return the same box arrays:
+    ``"rect"`` is the scanline cutter (one ``rect_set_subtract``
     per window), ``"raster"`` cuts every window of a column from one
     occupancy raster (:func:`~repro.density.raster.raster_fill_regions`).
     ``kernel=None`` runs the one :func:`_choose_kernel` picks, the
@@ -209,11 +233,8 @@ def analyze_layer(
         obs.count("analysis.rect_layers")
         regions = _scanline_fill_regions(layer, grid, rules, window_margin, windows)
     aw = window_area_map(grid)
-    lower = raster_area_map(layer.wires, grid, windows=windows) / aw
-    usable = np.zeros(aw.shape, dtype=np.int64)
-    for key, region in regions.items():
-        usable[key] = usable_fill_area(region, rules)
-    upper = np.minimum(1.0, lower + usable / aw)
+    lower = covered_area_map(layer.wire_boxes, grid, windows=windows) / aw
+    upper = np.minimum(1.0, lower + _usable_area_map(regions, rules, aw.shape) / aw)
     check_density(lower, name=f"layer {layer.number} lower density l(i,j)")
     check_density(upper, name=f"layer {layer.number} upper density u(i,j)")
     return LayerDensity(layer.number, lower, upper, regions)

@@ -25,7 +25,6 @@ from .raster import (
     BoolArray,
     IntArray,
     boxes,
-    merge_mask_runs,
     near_pairs,
     rects_of,
     strip_occupancy,
@@ -49,7 +48,6 @@ __all__ = [
     "touching",
     "near_pairs",
     "strip_occupancy",
-    "merge_mask_runs",
     "RectilinearPolygon",
     "gourley_green",
     "polygon_to_rects",

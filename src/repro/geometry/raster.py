@@ -7,9 +7,9 @@ strip and its window rows).  On that grid every clipped rectangle is a
 union of whole cells, so the raster is *exact* — not an approximation
 at some fixed resolution.  :mod:`repro.density.raster` builds both of
 its passes on it: the per-window covered area behind every density map
-and the overlay, and the free fill regions, which :func:`merge_mask_runs`
-recovers as maximal runs merged vertically, the canonical form the
-scanline boolean of :mod:`repro.geometry.boolean` produces.
+and the overlay, and the free fill regions, recovered per column strip
+as maximal runs merged vertically, the canonical form the scanline
+boolean of :mod:`repro.geometry.boolean` produces.
 
 :func:`boxes` and :func:`rects_of` are the one boundary between
 :class:`~repro.geometry.rect.Rect` lists and ``(n, 4)`` int64 arrays of
@@ -40,7 +40,6 @@ __all__ = [
     "touching",
     "near_pairs",
     "strip_occupancy",
-    "merge_mask_runs",
 ]
 
 IntArray = np.ndarray[Any, np.dtype[np.int64]]
@@ -216,38 +215,3 @@ def strip_occupancy(
     np.add.accumulate(counts, axis=1, out=counts)
     np.minimum(counts, 1, out=counts)  # multiplicity -> occupancy
     return xs, ys, counts[:-1, :-1]
-
-
-def merge_mask_runs(mask: BoolArray) -> Tuple[IntArray, IntArray, IntArray, IntArray]:
-    """Maximal-run extraction + vertical merge over a boolean cell mask.
-
-    ``mask[i, j]`` is True where cell ``(i, j)`` (column ``i``, row
-    ``j``) belongs to the region.  Returns ``(i0, i1, j0, j1)`` cell
-    index arrays of the canonical disjoint rectangles: maximal
-    horizontal runs per row, vertically merged whenever consecutive
-    rows carry an identical x-span — the same canonical form the
-    scanline boolean's vertical merge produces.  Order is unspecified;
-    callers sort the materialized rects.
-    """
-    empty: IntArray = np.zeros(0, dtype=_I64)
-    if mask.size == 0 or not bool(mask.any()):
-        return empty, empty, empty, empty
-    rows = mask.T.astype(np.int8)  # (ny, nx): runs go along axis 1
-    ny, nx = rows.shape
-    padded: np.ndarray[Any, np.dtype[np.int8]] = np.zeros((ny, nx + 2), dtype=np.int8)
-    padded[:, 1:-1] = rows
-    d = np.diff(padded, axis=1)
-    run_row, run_start = np.nonzero(d == 1)
-    _, run_end = np.nonzero(d == -1)
-    # np.nonzero is row-major, so starts and ends pair up elementwise
-    # per row; run k spans columns [run_start[k], run_end[k]).
-    order = np.lexsort((run_row, run_end, run_start))
-    s = run_start[order].astype(_I64)
-    e = run_end[order].astype(_I64)
-    r = run_row[order].astype(_I64)
-    new_group = np.ones(len(s), dtype=bool)
-    if len(s) > 1:
-        new_group[1:] = (s[1:] != s[:-1]) | (e[1:] != e[:-1]) | (r[1:] != r[:-1] + 1)
-    firsts = np.flatnonzero(new_group)
-    lasts = np.append(firsts[1:], len(s)) - 1
-    return s[firsts], e[firsts], r[firsts], r[lasts] + 1

@@ -4,14 +4,17 @@ Layers are numbered from 1 upward, as in Alg. 1 of the paper, where the
 odd/even distinction drives candidate generation order.  Wires are the
 immutable input geometry; fills are added by the insertion engine and
 kept separate so overlay and density can be attributed correctly
-(overlay counts fill-vs-anything, per §2.1).
+(overlay counts fill-vs-anything, per §2.1).  The wires are also held
+as one read-only int64 box array (:attr:`Layer.wire_boxes`), built on
+first use and dropped by every wire mutator, so the array stages read
+a layer's wires without converting them again.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..geometry import Rect, RectilinearPolygon, polygon_to_rects, union_area
+from ..geometry import IntArray, Rect, RectilinearPolygon, boxes, polygon_to_rects, union_area
 
 __all__ = ["Layer"]
 
@@ -26,12 +29,32 @@ class Layer:
         self.name = name if name is not None else f"metal{number}"
         self._wires: List[Rect] = []
         self._fills: List[Rect] = []
+        self._wire_boxes: Optional[IntArray] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The box cache is derived state: a pickle (a pool worker's
+        # copy, the shard sanitizer's digest) is the same whether or
+        # not some stage has built it.
+        return {**self.__dict__, "_wire_boxes": None}
 
     # ------------------------------------------------------------------
     @property
     def wires(self) -> List[Rect]:
         """Signal wire rectangles (a copy)."""
         return list(self._wires)
+
+    @property
+    def wire_boxes(self) -> IntArray:
+        """The wires as a read-only ``(n, 4)`` int64 box array, in order.
+
+        Equal to ``boxes(layer.wires)``; built once and kept until a
+        wire is added or filtered out.
+        """
+        if self._wire_boxes is None:
+            box = boxes(self._wires, len(self._wires))
+            box.flags.writeable = False
+            self._wire_boxes = box
+        return self._wire_boxes
 
     @property
     def fills(self) -> List[Rect]:
@@ -62,6 +85,7 @@ class Layer:
         if rect.is_degenerate:
             raise ValueError(f"degenerate wire rectangle {rect}")
         self._wires.append(rect)
+        self._wire_boxes = None
 
     def add_wires(self, rects: Iterable[Rect]) -> None:
         for r in rects:
@@ -109,6 +133,7 @@ class Layer:
         """
         before = len(self._wires)
         self._wires = [w for w in self._wires if predicate(w)]
+        self._wire_boxes = None
         return before - len(self._wires)
 
     # ------------------------------------------------------------------

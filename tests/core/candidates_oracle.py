@@ -28,7 +28,8 @@ from repro.core import FillConfig, quality_score
 from repro.core.candidates import CandidatePlan
 from repro.core.planner import DensityPlan
 from repro.density.analysis import LayerDensity
-from repro.geometry import Rect, bounding_box, intersection_area, rect_set_intersect
+from repro.density.raster import NO_REGION
+from repro.geometry import Rect, bounding_box, intersection_area, rect_set_intersect, rects_of
 from repro.geometry.interval import normalize as _iv_normalize
 from repro.layout import DrcRules, Layout, WindowGrid
 
@@ -314,7 +315,7 @@ def generate_candidates(
         out[key] = _window_candidates(
             window,
             grid.window_area(i, j),
-            {n: analysis[n].fill_regions.get(key, []) for n in numbers},
+            {n: rects_of(analysis[n].fill_regions.get(key, NO_REGION)) for n in numbers},
             {n: float(analysis[n].lower[i, j]) for n in numbers},
             {n: float(plan.target(n)[i, j]) for n in numbers},
             numbers,

@@ -7,7 +7,7 @@ from repro.core import FillConfig, grid_candidates, quality_score
 from repro.core.candidates import candidate_area_maps, generate_candidates
 from repro.core.planner import plan_targets
 from repro.density import analyze_layout
-from repro.geometry import Rect, intersection_area, union_area
+from repro.geometry import Rect, boxes, intersection_area, union_area
 from repro.layout import DrcRules, Layout, WindowGrid
 
 RULES = DrcRules(
@@ -17,16 +17,16 @@ RULES = DrcRules(
 
 class TestGridCandidates:
     def test_empty_region(self):
-        assert grid_candidates([], RULES) == []
+        assert grid_candidates(boxes([], 0), RULES) == []
 
     def test_free_tile_yields_max_cell(self):
         region = [Rect(0, 0, 100, 100)]
-        cands = grid_candidates(region, RULES, anchor=Rect(0, 0, 100, 100))
+        cands = grid_candidates(boxes(region, len(region)), RULES, anchor=Rect(0, 0, 100, 100))
         assert cands == [Rect(0, 0, 100, 100)]
 
     def test_large_region_tiled_at_pitch(self):
         region = [Rect(0, 0, 320, 100)]
-        cands = grid_candidates(region, RULES, anchor=Rect(0, 0, 320, 100))
+        cands = grid_candidates(boxes(region, len(region)), RULES, anchor=Rect(0, 0, 320, 100))
         # Tiles at x = 0, 110, 220: widths 100, 100, 100.
         assert len(cands) == 3
         xs = sorted(c.xl for c in cands)
@@ -34,12 +34,12 @@ class TestGridCandidates:
 
     def test_candidates_inside_region(self):
         region = [Rect(0, 0, 250, 250), Rect(300, 0, 340, 340)]
-        for c in grid_candidates(region, RULES):
+        for c in grid_candidates(boxes(region, len(region)), RULES):
             assert intersection_area([c], region) == c.area
 
     def test_candidates_respect_spacing(self):
         region = [Rect(0, 0, 500, 500)]
-        cands = grid_candidates(region, RULES)
+        cands = grid_candidates(boxes(region, len(region)), RULES)
         for i, a in enumerate(cands):
             for b in cands[i + 1 :]:
                 assert a.euclidean_gap(b) >= RULES.min_spacing
@@ -48,26 +48,26 @@ class TestGridCandidates:
         # Abutting fragments (typical slab-decomposition output) must
         # not produce candidate pairs closer than the spacing rule.
         region = [Rect(0, 0, 500, 250), Rect(0, 250, 500, 500)]
-        cands = grid_candidates(region, RULES)
+        cands = grid_candidates(boxes(region, len(region)), RULES)
         for i, a in enumerate(cands):
             for b in cands[i + 1 :]:
                 assert a.euclidean_gap(b) >= RULES.min_spacing
 
     def test_illegal_slivers_excluded(self):
         region = [Rect(0, 0, 8, 400)]  # narrower than min width
-        assert grid_candidates(region, RULES) == []
+        assert grid_candidates(boxes(region, len(region)), RULES) == []
 
     def test_stagger_shifts_grid(self):
         region = [Rect(0, 0, 400, 400)]
         anchor = Rect(0, 0, 400, 400)
-        plain = grid_candidates(region, RULES, anchor=anchor)
-        staggered = grid_candidates(region, RULES, stagger=True, anchor=anchor)
+        plain = grid_candidates(boxes(region, len(region)), RULES, anchor=anchor)
+        staggered = grid_candidates(boxes(region, len(region)), RULES, stagger=True, anchor=anchor)
         assert {c.xl for c in plain} != {c.xl for c in staggered}
 
     def test_one_candidate_per_tile(self):
         # A tile with two free fragments yields only the larger one.
         region = [Rect(0, 0, 100, 30), Rect(0, 60, 100, 100)]
-        cands = grid_candidates(region, RULES, anchor=Rect(0, 0, 100, 100))
+        cands = grid_candidates(boxes(region, len(region)), RULES, anchor=Rect(0, 0, 100, 100))
         assert len(cands) == 1
         assert cands[0] == Rect(0, 60, 100, 100)
 

@@ -22,7 +22,7 @@ import pytest
 from repro.core import FillConfig, generate_candidates, grid_candidates
 from repro.core.planner import DensityPlan, LayerPlan
 from repro.density import analyze_layout
-from repro.geometry import Rect, rect_set_intersect
+from repro.geometry import Rect, boxes, rect_set_intersect, rects_of
 from repro.layout import DrcRules, Layout, WindowGrid
 
 from . import candidates_oracle as oracle
@@ -63,11 +63,12 @@ def make_case(seed):
     )
     analysis = analyze_layout(layout, grid, config.effective_margin(rules.min_spacing))
     for ld in analysis.values():
-        for region in ld.fill_regions.values():
+        for key, region in ld.fill_regions.items():
             for _ in range(rng.choice((0, 0, 1, 2))):
                 x, y = rng.randrange(die.xh), rng.randrange(die.yh)
-                zero = Rect(x, y, x, y + 30) if rng.random() < 0.5 else Rect(x, y, x + 30, y)
-                region.insert(rng.randrange(len(region) + 1), zero)
+                zero = (x, y, x, y + 30) if rng.random() < 0.5 else (x, y, x + 30, y)
+                region = np.insert(region, rng.randrange(len(region) + 1), zero, axis=0)
+            ld.fill_regions[key] = region
     layer_plans = {}
     for n, ld in analysis.items():
         share = np.array(
@@ -105,8 +106,8 @@ def test_grid_candidates_matches_oracle(seed):
     numbers = layout.layer_numbers
     for i, j, window in grid:
         for n in numbers:
-            region = analysis[n].fill_regions.get((i, j), [])
-            above = analysis[numbers[n % len(numbers)]].fill_regions.get((i, j), [])
+            region = rects_of(analysis[n].fill_regions[(i, j)])
+            above = rects_of(analysis[numbers[n % len(numbers)]].fill_regions[(i, j)])
             prefer = rect_set_intersect(region, above) + [Rect(window.xl, 5, window.xl, 40)]
             for kwargs in (
                 {},
@@ -116,7 +117,11 @@ def test_grid_candidates_matches_oracle(seed):
                 {"anchor": window, "prefer": prefer},
                 {"prefer": prefer, "stagger": True},
             ):
-                got = grid_candidates(region, layout.rules, **kwargs)
+                got = grid_candidates(
+                    boxes(region, len(region)),
+                    layout.rules,
+                    **{k: boxes(v, len(v)) if k == "prefer" else v for k, v in kwargs.items()},
+                )
                 assert got == oracle.grid_candidates(region, layout.rules, **kwargs), kwargs
 
 

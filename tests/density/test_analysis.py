@@ -15,7 +15,7 @@ from repro.density import (
     wire_density_map,
 )
 from repro.density.analysis import _choose_kernel, refresh_analysis
-from repro.geometry import Rect, union_area
+from repro.geometry import Rect, boxes, rects_of, union_area
 from repro.layout import DrcRules, Layout, WindowGrid
 
 RULES = DrcRules(
@@ -72,39 +72,39 @@ class TestFillRegions:
     def test_empty_window_fully_free(self):
         layout, grid = make_layout()
         regions = analyze_layer(layout.layer(1), grid, RULES).fill_regions
-        assert union_area(regions[(0, 0)]) == 40000
+        assert union_area(rects_of(regions[(0, 0)])) == 40000
 
     def test_wire_bloated_by_spacing(self):
         layout, grid = make_layout()
         layout.layer(1).add_wire(Rect(50, 50, 150, 150))
         regions = analyze_layer(layout.layer(1), grid, RULES).fill_regions
-        free = union_area(regions[(0, 0)])
+        free = union_area(rects_of(regions[(0, 0)]))
         # Window minus wire grown by sm=10 on all sides.
         assert free == 40000 - 120 * 120
-        for r in regions[(0, 0)]:
+        for r in rects_of(regions[(0, 0)]):
             assert r.euclidean_gap(Rect(50, 50, 150, 150)) >= 10
 
     def test_window_margin_insets(self):
         layout, grid = make_layout()
         regions = analyze_layer(layout.layer(1), grid, RULES, 5).fill_regions
-        assert union_area(regions[(0, 0)]) == 190 * 190
+        assert union_area(rects_of(regions[(0, 0)])) == 190 * 190
 
     def test_wire_from_next_window_bloats_across(self):
         layout, grid = make_layout()
         layout.layer(1).add_wire(Rect(205, 0, 300, 200))  # window (1,0)
         regions = analyze_layer(layout.layer(1), grid, RULES).fill_regions
         # Its bloat reaches 5 dbu into window (0,0).
-        assert union_area(regions[(0, 0)]) == 40000 - 5 * 200
+        assert union_area(rects_of(regions[(0, 0)])) == 40000 - 5 * 200
 
 
 class TestUsableArea:
     def test_narrow_slivers_excluded(self):
         region = [Rect(0, 0, 5, 100), Rect(10, 0, 60, 100)]
-        assert usable_fill_area(region, RULES) == 5000
+        assert usable_fill_area(boxes(region, 2), RULES) == 5000
 
     def test_small_area_pieces_excluded(self):
         region = [Rect(0, 0, 12, 12)]  # 144 < min_area 200
-        assert usable_fill_area(region, RULES) == 0
+        assert usable_fill_area(boxes(region, 1), RULES) == 0
 
 
 class TestBounds:

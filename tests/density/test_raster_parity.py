@@ -4,9 +4,11 @@ Density analysis computes ``lower`` from one covered-area map,
 ``raster_area_map``, whichever fill-region cutter runs; the cutter
 (``kernel="rect"``, one scanline subtraction per window, or
 ``"raster"``, one occupancy raster per window column) is the only
-thing the kernel choice changes, and the two must return the same rect
-lists.  These tests pin the contract at the function level on
-randomized layouts, with ``np.array_equal`` and no tolerances: the
+thing the kernel choice changes, and the two must return the same
+regions: per window, the same int64 box rows in the same order.  The
+raster cutter's window edges get cases of their own.  These tests pin
+the contract at the function level on randomized layouts, with
+``np.array_equal`` and no tolerances: the
 area map, ``lower`` and the overlay map against a 1-dbu bitmap, the
 clipped-area sum against per-window ``Rect.intersection_area`` sums,
 the two cutters against each other (regions, usable areas, ``upper``,
@@ -38,7 +40,7 @@ from repro.density.raster import (
     raster_fill_regions,
     window_cuts,
 )
-from repro.geometry import Rect, boxes
+from repro.geometry import Rect, boxes, rects_of
 from repro.layout import DrcRules, Layout, WindowGrid
 
 RULES = DrcRules(
@@ -203,6 +205,13 @@ def _subsets(grid):
     }
 
 
+def _assert_same_regions(got, want):
+    """Same window keys and, per window, the same rows in the same order."""
+    assert got.keys() == want.keys()
+    for key, region in want.items():
+        assert np.array_equal(got[key], region), key
+
+
 def _wanted(grid, windows):
     mask = np.zeros((grid.cols, grid.rows), dtype=bool)
     for key in windows:
@@ -224,7 +233,7 @@ class TestAnalyzeParity:
             )
             assert np.array_equal(rect.lower, ras.lower)
             assert np.array_equal(rect.upper, ras.upper)
-            assert rect.fill_regions == ras.fill_regions
+            _assert_same_regions(rect.fill_regions, ras.fill_regions)
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_analyze_layout_kernel_switch(self, seed):
@@ -235,7 +244,7 @@ class TestAnalyzeParity:
         for n in rect:
             assert np.array_equal(rect[n].lower, ras[n].lower)
             assert np.array_equal(rect[n].upper, ras[n].upper)
-            assert rect[n].fill_regions == ras[n].fill_regions
+            _assert_same_regions(rect[n].fill_regions, ras[n].fill_regions)
 
 
 class TestLowerOracle:
@@ -256,7 +265,9 @@ class TestLowerOracle:
                 got = analyze_layer(layer, grid, RULES, 5, kernel=kernel, windows=windows)
                 assert np.array_equal(got.lower, np.where(wanted, expect, 0.0)), name
                 assert np.array_equal(got.upper, np.where(wanted, whole.upper, 0.0)), name
-                assert got.fill_regions == {k: whole.fill_regions[k] for k in windows}, name
+                _assert_same_regions(
+                    got.fill_regions, {k: whole.fill_regions[k] for k in windows}
+                )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_area_map_window_subsets(self, seed):
@@ -277,9 +288,9 @@ class TestFillRegionParity:
         layer = layout.layer(1)
         oracle = analyze_layer(layer, grid, RULES, 3, kernel="rect").fill_regions
         got = raster_fill_regions(layer, grid, RULES, window_margin=3)
-        # Not just equal areas: the same canonical rect lists in the
-        # same order, so candidate tiling downstream is identical.
-        assert oracle == got
+        # Not just equal areas: the same canonical rects in the same
+        # order, so candidate tiling downstream is identical.
+        _assert_same_regions(oracle, got)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_usable_area_identical(self, seed):
@@ -298,8 +309,148 @@ class TestFillRegionParity:
         # nothing (shrunk() underflows to None).
         got = raster_fill_regions(layout.layer(1), grid, RULES, window_margin=60)
         oracle = analyze_layer(layout.layer(1), grid, RULES, 60, kernel="rect").fill_regions
-        assert oracle == got
-        assert all(v == [] for v in got.values())
+        _assert_same_regions(oracle, got)
+        assert all(rects_of(v) == [] for v in got.values())
+
+
+#: a 3 x 3 grid over it has 202-dbu windows, and its last column and
+#: row are 203 dbu: they absorb the division remainder
+EDGE_DIE = Rect(0, 0, 607, 607)
+
+
+def _edge_layer(*wires):
+    layer = Layout(EDGE_DIE, 1, RULES).layer(1)
+    layer.add_wires(wires)
+    return layer, WindowGrid(EDGE_DIE, 3, 3)
+
+
+def _cut(layer, grid, margin, windows=None):
+    """The raster cutter's regions, asserted equal to the scanline's."""
+    got = raster_fill_regions(layer, grid, RULES, margin, windows)
+    want = analyze_layer(layer, grid, RULES, margin, kernel="rect", windows=windows)
+    _assert_same_regions(got, want.fill_regions)
+    return got
+
+
+def _inside(region, frame):
+    """Whether every row of ``region`` lies inside ``frame``."""
+    lo = (region[:, 0] >= frame.xl) & (region[:, 1] >= frame.yl)
+    return bool((lo & (region[:, 2] <= frame.xh) & (region[:, 3] <= frame.yh)).all())
+
+
+class TestCutterEdges:
+    """The window edges the column cutter must respect.
+
+    The raster cutter runs one run extraction and one vertical merge
+    over a whole column strip, so every window edge inside the strip is
+    a place where it could merge or attribute wrongly.  Each case
+    checks it against the scanline cutter and against values that fail
+    on a cutter that gets that edge wrong.
+    """
+
+    def test_equal_spans_across_a_window_edge_stay_two_rects(self):
+        # The bar crosses the cut y = 202 at margin 0: the y-cells on
+        # both sides of it have the same free x-spans, and the window
+        # edge must break the merge.
+        layer, grid = _edge_layer(Rect(60, 150, 80, 260))
+        got = _cut(layer, grid, 0)
+        assert rects_of(got[(0, 0)]) == [
+            Rect(0, 0, 202, 140),
+            Rect(0, 140, 50, 202),
+            Rect(90, 140, 202, 202),
+        ]
+        assert rects_of(got[(0, 1)]) == [
+            Rect(0, 202, 50, 270),
+            Rect(0, 270, 202, 404),
+            Rect(90, 202, 202, 270),
+        ]
+
+    @pytest.mark.parametrize("margin", [5, 7])
+    def test_margin_gap_rows_join_no_region(self, margin):
+        layer, grid = _edge_layer(Rect(60, 150, 80, 260), Rect(230, 380, 330, 420))
+        got = _cut(layer, grid, margin)
+        for (i, j), region in got.items():
+            inner = grid.window(i, j).shrunk(margin)
+            assert len(region) and _inside(region, inner), (i, j)
+        # the wire-free column: each window's region is its inset window
+        for j in range(3):
+            assert rects_of(got[(2, j)]) == [grid.window(2, j).shrunk(margin)]
+
+    def test_blocked_column_and_wire_free_column(self):
+        layer, grid = _edge_layer(Rect(0, 0, 202, 607))
+        got = _cut(layer, grid, 0)
+        for j in range(3):
+            assert got[(0, j)].shape == (0, 4)
+            # the bloated block reaches 10 dbu into column 1
+            window = grid.window(1, j)
+            assert rects_of(got[(1, j)]) == [Rect(212, window.yl, window.xh, window.yh)]
+            # column 2 is wire-free, and the last one: one rect per window
+            assert rects_of(got[(2, j)]) == [grid.window(2, j)]
+        assert grid.window(2, 2) == Rect(404, 404, 607, 607)
+
+    @pytest.mark.parametrize("margin", [0, 5])
+    def test_rows_between_requested_windows_stay_unattributed(self, margin):
+        layer, grid = _edge_layer(Rect(60, 0, 80, 607), Rect(100, 190, 190, 420))
+        whole = _cut(layer, grid, margin)
+        got = _cut(layer, grid, margin, windows=[(0, 2), (0, 0)])
+        assert sorted(got) == [(0, 0), (0, 2)]
+        for key in got:
+            assert np.array_equal(got[key], whole[key]), key
+        row = grid.window(0, 1)
+        for region in got.values():
+            assert not ((region[:, 1] < row.yh) & (region[:, 3] > row.yl)).any()
+
+    def test_remainder_column_and_row_cut_like_any_other(self):
+        # the same wire shape inside the first window and the last one,
+        # which is a dbu wider and taller
+        layer, grid = _edge_layer(Rect(30, 40, 60, 150), Rect(434, 444, 464, 554))
+        got = _cut(layer, grid, 0)
+        shift = 404
+        moved = got[(0, 0)] + shift
+        last = grid.window(2, 2)
+        # every rect ending on the first window's far edges ends one dbu
+        # further in the last window
+        moved[:, 2:] += (moved[:, 2:] == 202 + shift)
+        assert np.array_equal(got[(2, 2)], moved)
+        assert _inside(got[(2, 2)], last)
+
+
+class TestRegionArrays:
+    """``fill_regions`` values are read-only ``(k, 4)`` int64 box arrays."""
+
+    @pytest.mark.parametrize("kernel", ["rect", "raster"])
+    @pytest.mark.parametrize("margin", [0, 5, 120])
+    def test_read_only_int64_boxes(self, kernel, margin):
+        layer, grid = _edge_layer(Rect(0, 0, 202, 607), Rect(300, 100, 320, 500))
+        for windows in (None, [(1, 2), (0, 1)]):
+            regions = analyze_layer(
+                layer, grid, RULES, margin, kernel=kernel, windows=windows
+            ).fill_regions
+            assert any(len(region) == 0 for region in regions.values())
+            for key, region in regions.items():
+                assert region.dtype == np.int64 and region.shape[1:] == (4,), key
+                assert not region.flags.writeable, key
+                with pytest.raises(ValueError, match="read-only"):
+                    region[:1] = 0
+
+    def test_refresh_leaves_the_cached_arrays_bit_identical(self):
+        layout, grid = random_layout(3, odd=True)
+        cached = analyze_layout(layout, grid, window_margin=5)
+        before = {
+            n: (ld.lower.copy(), ld.upper.copy(), {k: v.copy() for k, v in ld.fill_regions.items()})
+            for n, ld in cached.items()
+        }
+        wire = Rect(300, 300, 520, 340)
+        layout.layer(1).add_wire(wire)
+        dirty = sorted(grid.windows_touching(wire.expanded(20)))
+        refreshed = refresh_analysis(layout, grid, cached, dirty, layers=[1], window_margin=5)
+        assert any(
+            not np.array_equal(refreshed[1].fill_regions[key], before[1][2][key]) for key in dirty
+        )
+        for n, (lower, upper, regions) in before.items():
+            assert np.array_equal(cached[n].lower, lower)
+            assert np.array_equal(cached[n].upper, upper)
+            _assert_same_regions(cached[n].fill_regions, regions)
 
 
 def _bitmap(rects, die):
@@ -415,6 +566,6 @@ class TestRefreshParity:
         for i, j in dirty:
             assert got.lower[i, j] == expect.lower[i, j]
             assert got.upper[i, j] == expect.upper[i, j]
-            assert got.fill_regions[(i, j)] == expect.fill_regions[(i, j)]
+            assert np.array_equal(got.fill_regions[(i, j)], expect.fill_regions[(i, j)])
         # untouched layers carried over by identity
         assert refreshed[2] is cached[2]

@@ -1,10 +1,12 @@
 """Tests for Layer and Layout containers."""
 
+import pickle
 import random
 
+import numpy as np
 import pytest
 
-from repro.geometry import Rect, RectilinearPolygon
+from repro.geometry import Rect, RectilinearPolygon, boxes
 from repro.layout import DrcRules, Layer, Layout
 
 
@@ -69,6 +71,42 @@ class TestLayer:
         rebuilt.add_fills(keep)
         assert dropped.fills == rebuilt.fills
         assert 0 < dropped.num_fills < len(fills)
+
+    @staticmethod
+    def _assert_boxes_current(layer):
+        box = layer.wire_boxes
+        assert box.dtype == np.int64 and box.shape == (layer.num_wires, 4)
+        assert np.array_equal(box, boxes(layer.wires, layer.num_wires))
+        with pytest.raises(ValueError, match="read-only"):
+            box[0:1] = 0
+        assert layer.wire_boxes is box  # cached until a wire changes
+
+    def test_wire_boxes_follow_every_wire_mutator(self):
+        layer = Layer(2)
+        self._assert_boxes_current(layer)
+        layer.add_wire(Rect(0, 0, 10, 4))
+        self._assert_boxes_current(layer)
+        layer.add_wires([Rect(5, 5, 9, 30), Rect(-3, 40, 2, 41)])
+        self._assert_boxes_current(layer)
+        layer.add_wire_polygon(
+            RectilinearPolygon([(0, 0), (10, 0), (10, 4), (4, 4), (4, 10), (0, 10)])
+        )
+        self._assert_boxes_current(layer)
+        assert layer.filter_wires(lambda r: r.xl >= 0) == 1
+        self._assert_boxes_current(layer)
+        layer.add_fill(Rect(100, 100, 120, 120))
+        layer.clear_fills()
+        self._assert_boxes_current(layer)
+
+    def test_wire_boxes_not_pickled(self):
+        # A stage that builds the cache must not change the layer's
+        # pickle: shard workers are checked by digesting it.
+        layer = Layer(1)
+        layer.add_wires([Rect(0, 0, 10, 10), Rect(20, 0, 30, 5)])
+        before = pickle.dumps(layer)
+        self._assert_boxes_current(layer)
+        assert pickle.dumps(layer) == before
+        self._assert_boxes_current(pickle.loads(before))
 
     def test_drop_fills_rejects_wrong_length_mask(self):
         layer = Layer(1)

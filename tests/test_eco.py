@@ -234,7 +234,9 @@ class TestCachedEco:
             got = report.analysis[number]
             assert np.array_equal(got.lower, expect.lower)
             assert np.array_equal(got.upper, expect.upper)
-            assert got.fill_regions == expect.fill_regions
+            assert got.fill_regions.keys() == expect.fill_regions.keys()
+            for key, region in expect.fill_regions.items():
+                assert np.array_equal(got.fill_regions[key], region)
 
     def test_chained_cached_ecos_stay_identical(self):
         from repro.eco import build_fill_indexes
