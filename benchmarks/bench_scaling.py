@@ -105,9 +105,8 @@ def test_scaling_report(benchmark, results_dir):
         f"MC {_rows[('mc', largest)][0]:.1f}s"
     )
     table.note(
-        "ours picks the density-analysis kernel per layer (raster on the "
-        "vertically routed even layers, rect on the others); serial fill "
-        "beats the Monte Carlo baseline at every die size."
+        "ours cuts every layer's fill regions with the raster kernel; "
+        "serial fill beats the Monte Carlo baseline at every die size."
     )
     table.note(
         f"ours-w2 shards the work over a 2-worker process pool, measured "

@@ -7,7 +7,9 @@ analysis, sizing.  They are deliberately O(1) or O(windows) so they can
 stay enabled in production runs:
 
 * :func:`check_rect` — rectangle well-formedness on the integer dbu
-  grid (``xl <= xh``, ``yl <= yh``, integral coordinates),
+  grid (``xl <= xh``, ``yl <= yh``, integral coordinates), and
+  :func:`check_boxes`/:func:`checked_boxes`, the same check over an
+  ``(n, 4)`` box array or a rect list in one array pass,
 * :func:`check_density` — window density maps stay within ``[0, 1]``
   (paper §2.2: densities are area ratios),
 * :func:`check_drc_params` — the rule deck is positive and
@@ -20,9 +22,11 @@ later.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Sequence, Union
 
 import numpy as np
+
+from .geometry.raster import IntArray, typed_boxes
 
 if TYPE_CHECKING:  # circular-import-free type-only imports
     from .geometry.rect import Rect
@@ -31,6 +35,8 @@ if TYPE_CHECKING:  # circular-import-free type-only imports
 __all__ = [
     "ContractViolation",
     "check_rect",
+    "check_boxes",
+    "checked_boxes",
     "check_density",
     "check_drc_params",
     "DENSITY_EPS",
@@ -64,6 +70,47 @@ def check_rect(rect: "Rect", *, name: str = "rect") -> "Rect":
             "requires xl <= xh and yl <= yh"
         )
     return rect
+
+
+def check_boxes(box: np.ndarray[Any, np.dtype[Any]], *, name: str = "rect") -> IntArray:
+    """:func:`check_rect` of every row of an ``(n, 4)`` box array.
+
+    A dtype that does not cast to int64 (floats, or an object array of
+    out-of-range ints) fails with :func:`check_rect`'s message, naming
+    the first coordinate with a fractional part (else the first that is
+    not an int); an inverted row fails likewise.  Returns the rows as
+    int64.
+    """
+    if not np.can_cast(box.dtype, np.int64):
+        stray = [
+            (attr, value)
+            for row in box.tolist()
+            for attr, value in zip(("xl", "yl", "xh", "yh"), row)
+            if not isinstance(value, (int, np.integer))
+        ]
+        if not stray:
+            raise ContractViolation(f"{name} has a coordinate beyond int64")
+        fractional = (s for s in stray if not (isinstance(s[1], float) and s[1].is_integer()))
+        attr, value = next(fractional, stray[0])
+        raise ContractViolation(f"{name}.{attr} = {value!r} is not an integer dbu coordinate")
+    inverted = (box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3])
+    if inverted.any():
+        xl, yl, xh, yh = box[int(np.argmax(inverted))].tolist()
+        raise ContractViolation(
+            f"{name} is malformed: ({xl},{yl},{xh},{yh}) "
+            "requires xl <= xh and yl <= yh"
+        )
+    return box.astype(np.int64, copy=False)
+
+
+def checked_boxes(rects: Sequence["Rect"], *, name: str = "rect") -> IntArray:
+    """The rects as one int64 box array, each checked as by
+    :func:`check_rect` (the first bad rect raises its message)."""
+    box = typed_boxes(rects)
+    if box.dtype != np.int64:
+        for rect in rects:
+            check_rect(rect, name=name)
+    return check_boxes(box, name=name)
 
 
 def check_density(

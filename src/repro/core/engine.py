@@ -46,7 +46,7 @@ from typing import (Any, Collection, Dict, Iterator, List, Mapping, Optional, Se
 import numpy as np
 
 from .. import obs, parallel
-from ..contracts import check_drc_params, check_rect
+from ..contracts import check_drc_params
 from ..density.analysis import (
     LayerDensity,
     analyze_layout,
@@ -450,10 +450,7 @@ class DummyFillEngine:
             with obs.span("insertion"):
                 for per_layer in source.sized.values():
                     for layer_number, rects in per_layer.items():
-                        layout.layer(layer_number).add_fills(
-                            check_rect(r, name=f"fill on layer {layer_number}")
-                            for r in rects
-                        )
+                        layout.layer(layer_number).add_fills(rects)
                         report.num_fills += len(rects)
                 obs.count("engine.fills", report.num_fills)
         report.stage_seconds = {c.name: c.seconds for c in run_span.children}

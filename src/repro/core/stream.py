@@ -3,12 +3,15 @@
 The in-memory engine (:mod:`repro.core.engine`) loads the whole layout,
 so peak RSS grows with die size.  This driver runs the same band sweep
 (:meth:`~repro.core.DummyFillEngine.sweep`) without ever materialising
-the layout: shapes stream from the GDSII record iterator
-(:mod:`repro.gdsii.stream`) into per-band spill files
-(:mod:`repro.layout.spill`), :class:`SpillBands` hands the sweep one
-band's geometry at a time and parks each band's analysis and
-candidates on disk between stages, and the output streams through the
-incremental writers (:class:`~repro.gdsii.GdsiiStreamWriter` /
+the layout.  Shapes move as int64 box arrays throughout: they stream
+from the GDSII reader's box chunks
+(:meth:`~repro.gdsii.GdsiiStreamReader.box_chunks`) into per-layer
+spools, are routed a chunk at a time into per-band spill files
+(:mod:`repro.layout.spill`), and :class:`SpillBands` builds each band's
+layout from the band's spilled arrays, parks each band's analysis and
+candidates on disk between stages, and spools and routes each band's
+sized fills as arrays.  The output streams through the incremental
+writers (:class:`~repro.gdsii.GdsiiStreamWriter` /
 :class:`~repro.oasis.OasisStreamWriter`).
 
 Output parity is exact, not approximate: bands carry a routing halo
@@ -29,14 +32,14 @@ import os
 import pickle
 import shutil
 import tempfile
-from itertools import chain, islice
+from itertools import chain
 from typing import (Any, BinaryIO, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple, Union)
 
 import numpy as np
 
 from .. import obs
-from ..contracts import check_drc_params, check_rect
+from ..contracts import check_drc_params, checked_boxes
 from ..density.analysis import window_area_map
 from ..density.raster import clipped_area_map
 from ..density.scoring import ScoreWeights
@@ -78,8 +81,9 @@ DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 #: smaller bands rather than blowing the budget
 _BYTES_PER_SHAPE = 512
 
-#: resident cost of one *buffered* (not yet flushed) spill record: the
-#: packed bytes object plus its list slot dwarf the 24-byte payload
+#: budgeted resident cost of one *buffered* (not yet flushed) spill
+#: record — a pessimistic bound: records buffer as packed box arrays,
+#: 16 or 24 bytes a row
 _BYTES_PER_BUFFERED_RECORD = 128
 
 _FORMATS = ("gdsii", "oasis")
@@ -126,11 +130,11 @@ def resolve_bands(
 class SpillBands(BandSource):
     """The spill band source: one band's geometry resident at a time.
 
-    A band's layout is rebuilt from the halo-routed wire spill when the
-    sweep first asks for it, and dropped when it moves to another band.
-    Whatever a stage keeps for the next one is pickled to the work
-    directory.  Each band's sized fills go to their own spool (grid
-    order, for the write) and into the DRC fill spill.
+    A band's layout is rebuilt from the halo-routed wire spill's box
+    arrays when the sweep first asks for it, and dropped when it moves
+    to another band.  Whatever a stage keeps for the next one is pickled
+    to the work directory.  Each band's sized fills go to their own
+    spool (grid order, for the write) and into the DRC fill spill.
     """
 
     def __init__(
@@ -161,8 +165,8 @@ class SpillBands(BandSource):
         if self._resident is None or self._resident[0] != band:
             self.release()
             layout = Layout(self.plan.grid.die, self._num_layers, self._rules)
-            for n, _datatype, rect in self._wires.read(band):
-                layout.layer(n).add_wire(rect)
+            for n, box in _by_layer(self._wires.read_boxes(band)).items():
+                layout.layer(n).add_wires(box)
             self._resident = (band, layout)
         return self._resident[1]
 
@@ -189,17 +193,37 @@ class SpillBands(BandSource):
         return {n: kept / area for n, kept in self._kept_area.items()}
 
     def commit(self, band: int, sized: SizedFills) -> None:
+        """Spool and route the band's sized fills, a layer at a time.
+
+        Each layer's fills, in grid order, become one checked box array
+        (:func:`~repro.contracts.checked_boxes`: a non-integer or
+        inverted fill raises as :func:`~repro.contracts.check_rect`
+        does).
+        """
         spool = LayerSpool(self._workdir, f"new-band{band:04d}", flush_records=self._flush)
-        before = self.num_fills
-        for per_layer in sized.values():
-            for n, rects in per_layer.items():
-                for rect in rects:
-                    spool.add(n, FILL_DATATYPE, check_rect(rect, name=f"fill on layer {n}"))
-                    self._fills.route(n, FILL_DATATYPE, rect, self._rules.min_spacing)
-                self.num_fills += len(rects)
+        per_layer: Dict[int, List[Rect]] = {}
+        for window_fills in sized.values():
+            for n, rects in window_fills.items():
+                per_layer.setdefault(n, []).extend(rects)
+        added = 0
+        for n, rects in per_layer.items():
+            box = checked_boxes(rects, name=f"fill on layer {n}")
+            spool.add_boxes(n, FILL_DATATYPE, box)
+            self._fills.route_boxes(n, FILL_DATATYPE, box, self._rules.min_spacing)
+            added += len(box)
         spool.finish()
         self.new_fills.append(spool)
-        obs.count("engine.fills", self.num_fills - before)
+        self.num_fills += added
+        obs.count("engine.fills", added)
+
+
+def _by_layer(chunks: Iterable[Tuple[int, int, IntArray]]) -> Dict[int, IntArray]:
+    """A band spill's ``(layer, datatype, box)`` chunks as one box array
+    per layer, rows in spill order."""
+    parts: Dict[int, List[IntArray]] = {}
+    for n, _datatype, box in chunks:
+        parts.setdefault(n, []).append(box)
+    return {n: np.concatenate(boxes) for n, boxes in parts.items()}
 
 
 def _band_drc(
@@ -222,17 +246,14 @@ def _band_drc(
     order, so each pair also keeps ``check_drc``'s orientation.
     """
     violations: List[DrcViolation] = []
+    no_wires = np.zeros((0, 4), dtype=np.int64)
     for band in range(plan.num_bands):
-        band_wires: Dict[int, List[Rect]] = {n: [] for n in numbers}
-        band_fills: Dict[int, List[Rect]] = {n: [] for n in numbers}
-        for n, _datatype, rect in wires.read(band):
-            band_wires[n].append(rect)
-        for n, _datatype, rect in fills.read(band):
-            band_fills[n].append(rect)
+        band_wires = _by_layer(wires.read_boxes(band))
+        band_fills = _by_layer(fills.read_boxes(band))
         for n in numbers:
-            if not band_fills[n]:
+            if n not in band_fills:
                 continue
-            for v in check_fills(band_fills[n], band_wires[n], rules):
+            for v in check_fills(band_fills[n], band_wires.get(n, no_wires), rules):
                 anchor = v.shape.xl if v.other is None else max(v.shape.xl, v.other.xl)
                 if plan.band_of_x(anchor) == band:
                     violations.append(v)
@@ -299,8 +320,8 @@ def stream_fill(
             spool = LayerSpool(workdir, "shapes", flush_records=flush)
             census = ShapeCensus("GDSII")
             with GdsiiStreamReader(source) as reader:
-                for layer, datatype, rect in census.scan(reader.shapes()):
-                    spool.add(layer, datatype, rect)
+                for layer, datatype, box in census.scan(reader.box_chunks()):
+                    spool.add_boxes(layer, datatype, box)
             die = census.die()
             num_layers = census.num_layers
             numbers = tuple(range(1, num_layers + 1))
@@ -313,8 +334,8 @@ def stream_fill(
             if eco_wires is not None:
                 check_new_wires(die, numbers, eco_wires)
                 for number in sorted(eco_wires, key=int):
-                    for rect in eco_wires[number]:
-                        spool.add(number, WIRE_DATATYPE, rect)
+                    new = eco_wires[number]
+                    spool.add_boxes(number, WIRE_DATATYPE, boxes(new, len(new)))
                 affected = affected_windows(grid, eco_wires, eco_halo(rules, config))
             spool.finish()
             obs.count("stream.shapes", census.num_shapes)
@@ -329,7 +350,7 @@ def stream_fill(
         # decide each input fill's fate (all replaced by a whole-die
         # fill, ECO rip-up otherwise), route the kept ones for the DRC
         # and accumulate their clipped area per window, as
-        # fill_density_map does, one spool buffer of them at a time.
+        # fill_density_map does, one spool read chunk of them at a time.
         with obs.span("bucket"):
             halo = rules.min_spacing
             wires = ShapeSpill(plan, workdir, "wires", flush_records=flush)
@@ -339,27 +360,27 @@ def stream_fill(
             kept_fills = 0
             removed_fills = 0
             for n in numbers:
-                for rect in spool.read(n, WIRE_DATATYPE):
-                    wires.route(n, WIRE_DATATYPE, rect, halo)
-                stale = spool.read(n, FILL_DATATYPE)
-                while chunk := list(islice(stale, flush)):
+                for box in spool.read_boxes(n, WIRE_DATATYPE):
+                    wires.route_boxes(n, WIRE_DATATYPE, box, halo)
+                for box in spool.read_boxes(n, FILL_DATATYPE):
                     if affected is None:
-                        removed_fills += len(chunk)
+                        removed_fills += len(box)
                         continue
-                    box = boxes(chunk, len(chunk))
                     keep = ~rip_up_mask(grid, affected, box)
-                    kept = [rect for rect, k in zip(chunk, keep.tolist()) if k]
-                    removed_fills += len(chunk) - len(kept)
-                    if not kept:
+                    kept = box[keep]
+                    removed_fills += len(box) - len(kept)
+                    if not len(kept):
                         continue
-                    for rect in kept:
-                        kept_spool.add(n, FILL_DATATYPE, rect)
-                        fills.route(n, FILL_DATATYPE, rect, rules.min_spacing)
+                    kept_spool.add_boxes(n, FILL_DATATYPE, kept)
+                    fills.route_boxes(n, FILL_DATATYPE, kept, rules.min_spacing)
                     kept_fills += len(kept)
                     area = kept_area.setdefault(
                         n, np.zeros((grid.cols, grid.rows), dtype=np.int64)
                     )
-                    area += clipped_area_map(box[keep], grid)
+                    area += clipped_area_map(kept, grid)
+            # the loop variables hold the last read chunk: let it go
+            # before the sweep, whose peak is the stream's bound
+            box = kept = np.zeros((0, 4), dtype=np.int64)
             wires.finish()
             kept_spool.finish()
 

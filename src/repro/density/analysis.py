@@ -21,7 +21,7 @@ from .. import obs
 from ..contracts import check_density
 from ..geometry import IntArray, boxes, rect_set_subtract, touching
 from ..layout import DrcRules, Layer, Layout, WindowGrid
-from .raster import (NO_REGION, clipped_area_map, covered_area_map, raster_area_map,
+from .raster import (NO_REGION, clipped_area_map, covered_area_map,
                      raster_fill_regions)
 
 __all__ = [
@@ -55,12 +55,17 @@ def fill_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     :mod:`repro.core.stream`); a union would make in-memory and
     streamed ECOs diverge on inputs whose fills overlap.
     """
-    return _to_density(clipped_area_map(boxes(layer.fills, layer.num_fills), grid), grid)
+    return _to_density(clipped_area_map(_fill_boxes(layer), grid), grid)
 
 
 def metal_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Total layout density d(i, j): wires plus fills, each point once."""
-    return _to_density(raster_area_map(layer.shapes, grid), grid)
+    shapes = np.concatenate((layer.wire_boxes, _fill_boxes(layer)))
+    return _to_density(covered_area_map(shapes, grid), grid)
+
+
+def _fill_boxes(layer: Layer) -> IntArray:
+    return boxes(layer.fills, layer.num_fills)
 
 
 def window_area_map(grid: WindowGrid) -> np.ndarray:
@@ -345,7 +350,7 @@ def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
     is charged the part of the overlay region it contains, so overlay
     outside the grid's die is not counted.  Each of the three terms is
     ``|A ∩ B| = |A| + |B| - |A ∪ B|`` per window, three covered-area
-    maps (:func:`raster_area_map`) in exact int64; the four single-set
+    maps (:func:`covered_area_map`) in exact int64; the four single-set
     maps serve every term.  The grid windows partition the die and area
     is additive over a partition, so when every fill lies inside the
     die, ``overlay_map(lo, hi, grid).sum() == overlay_area(lo, hi)``
@@ -354,8 +359,8 @@ def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
     score points at.
     """
     lo_wires, lo_fills, hi_wires, hi_fills = (
-        (shapes, raster_area_map(shapes, grid))
-        for shapes in (lower.wires, lower.fills, upper.wires, upper.fills)
+        (box, covered_area_map(box, grid))
+        for box in (lower.wire_boxes, _fill_boxes(lower), upper.wire_boxes, _fill_boxes(upper))
     )
     out = np.zeros((grid.cols, grid.rows), dtype=np.int64)
     for (a, area_a), (b, area_b) in (
@@ -363,8 +368,8 @@ def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
         (lo_wires, hi_fills),
         (lo_fills, hi_fills),
     ):
-        if a and b:
-            out += area_a + area_b - raster_area_map(a + b, grid)
+        if len(a) and len(b):
+            out += area_a + area_b - covered_area_map(np.concatenate((a, b)), grid)
     return out
 
 

@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import obs
+from .contracts import check_rect
 from .core import DummyFillEngine, FillConfig
 from .density.analysis import LayerDensity, refresh_analysis
 from .density.scoring import ScoreWeights
@@ -87,7 +88,7 @@ def check_new_wires(
     die: Rect, layer_numbers: Sequence[int], new_wires: Mapping[int, Sequence[Rect]]
 ) -> None:
     """Reject a wire change naming an unknown layer, leaving the die or
-    holding a zero-area wire.
+    holding a zero-area or non-integer wire.
 
     Callers run it before committing anything, so a rejected change
     leaves the layout as it was.
@@ -98,6 +99,7 @@ def check_new_wires(
                 f"layer {number} not in layout (has {list(layer_numbers)})"
             )
         for rect in new_wires[number]:
+            check_rect(rect, name=f"new wire on layer {number}")
             if rect.is_degenerate:
                 raise ValueError(f"new wire {rect} on layer {number} has zero area")
             if not die.contains(rect):

@@ -1,9 +1,11 @@
 """GDSII reader: rebuild a :class:`~repro.layout.Layout` from a stream.
 
-The shapes come from :class:`~repro.gdsii.stream.GdsiiStreamReader`,
-which recognises rectangle boundaries directly and decomposes other
-rectilinear boundaries through Gourley–Green, mirroring the "convert
-polygons to rectangles" front end of the paper's flow (Fig. 3).  The
+The shapes come from :meth:`~repro.gdsii.stream.GdsiiStreamReader.box_chunks`
+as int64 box arrays: the writer's rectangle rows are read a buffer of
+rows at a time, and other rectilinear boundaries are decomposed through
+Gourley–Green, mirroring the "convert polygons to rectangles" front end
+of the paper's flow (Fig. 3).  A layer's wires go into the layout as
+one box array.  The
 die, layer count and wire/fill split follow the shape-stream rules of
 :mod:`repro.layout.shapes`, the same ones the OASIS reader and the
 out-of-core :func:`~repro.core.stream_fill` scan apply.
@@ -30,6 +32,6 @@ def layout_from_gdsii(
     bounding box of all geometry.
     """
     reader = GdsiiStreamReader(data)
-    layout = layout_from_shapes(reader.shapes(), rules, source="GDSII")
+    layout = layout_from_shapes(reader.box_chunks(), rules, source="GDSII")
     layout.name = reader.name or "gdsii"
     return layout

@@ -15,12 +15,19 @@ where ``length`` includes the 4 header bytes.  Payload encodings used
 here: 2-byte integers, 4-byte integers, ASCII (padded to even length),
 and the 8-byte excess-64 base-16 floating-point format unique to GDSII.
 Records are read back by :func:`repro.gdsii.stream.iter_stream_records`.
+
+Every rectangle is written as one fixed 64-byte BOUNDARY element
+(:data:`BOUNDARY_ROW`); the writer encodes and the reader matches whole
+arrays of these rows through the field layout :data:`BOUNDARY_FIELDS`.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 from typing import List, Sequence
+
+import numpy as np
 
 __all__ = [
     "RecordType",
@@ -34,6 +41,9 @@ __all__ = [
     "decode_int4",
     "encode_ascii",
     "decode_ascii",
+    "BOUNDARY_FIELDS",
+    "BOUNDARY_LOOP",
+    "BOUNDARY_ROW",
 ]
 
 
@@ -158,3 +168,37 @@ def pack_record(rec_type: int, data_type: int, payload: bytes = b"") -> bytes:
     if length > 0xFFFF:
         raise ValueError("record payload too large for GDSII framing")
     return struct.pack(">HBB", length, rec_type, data_type) + payload
+
+
+# ----------------------------------------------------------------------
+# the rectangle element
+# ----------------------------------------------------------------------
+_BOUNDARY_RECORDS = (
+    pack_record(RecordType.BOUNDARY, DataType.NO_DATA),
+    pack_record(RecordType.LAYER, DataType.INT2, encode_int2([0])),
+    pack_record(RecordType.DATATYPE, DataType.INT2, encode_int2([0])),
+    pack_record(RecordType.XY, DataType.INT4, encode_int4([0] * 10)),
+    pack_record(RecordType.ENDEL, DataType.NO_DATA),
+)
+
+#: one rectangle's BOUNDARY element with zero layer, datatype and XY:
+#: BOUNDARY, LAYER, DATATYPE, a 5-point XY and ENDEL, 64 bytes in all
+BOUNDARY_ROW = b"".join(_BOUNDARY_RECORDS)
+
+_STARTS = list(accumulate(map(len, _BOUNDARY_RECORDS[:-1]), initial=0))
+
+#: :data:`BOUNDARY_ROW` field by field: the five record headers
+#: ``head0``..``head4`` as big-endian words, then the big-endian int16
+#: layer and datatype and the ten int32 XY words of the payloads
+BOUNDARY_FIELDS = np.dtype(
+    {
+        "names": ["head0", "head1", "head2", "head3", "head4", "layer", "datatype", "xy"],
+        "formats": [">u4"] * 5 + [">i2", ">i2", (">i4", (10,))],
+        "offsets": _STARTS + [_STARTS[1] + 4, _STARTS[2] + 4, _STARTS[3] + 4],
+        "itemsize": len(BOUNDARY_ROW),
+    }
+)
+
+#: the XY words of an ``(xl, yl, xh, yh)`` box row, by column: the
+#: closed counter-clockwise loop of 5 points the writer emits
+BOUNDARY_LOOP = [0, 1, 2, 1, 2, 3, 0, 3, 0, 1]

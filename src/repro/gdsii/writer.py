@@ -13,8 +13,8 @@ since every fill costs one fixed-size BOUNDARY element.
 That element is the same 64 bytes for every rectangle but for its
 layer, datatype and coordinates, so :func:`encode_boundaries` encodes a
 whole shape group at once: an ``(n, 4)`` int64 box array becomes ``n``
-copies of one template row (framed once by
-:func:`~repro.gdsii.records.pack_record`) with the big-endian layer,
+copies of one template row (:data:`~repro.gdsii.records.BOUNDARY_ROW`,
+which the reader's fast path matches) with the big-endian layer,
 datatype and ten XY words written in as array columns.
 
 :class:`GdsiiStreamWriter` is the incremental form: header on
@@ -35,9 +35,10 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from ..geometry import IntArray, Rect, boxes
+from ..geometry import IntArray, Rect, boxes, typed_boxes
 from ..layout import Layout, shape_groups
-from .records import DataType, RecordType, encode_ascii, encode_int2, encode_int4, encode_real8, pack_record
+from .records import (BOUNDARY_FIELDS, BOUNDARY_LOOP, BOUNDARY_ROW, DataType, RecordType,
+                      encode_ascii, encode_int2, encode_real8, pack_record)
 
 __all__ = [
     "CHUNK_RECTS",
@@ -54,28 +55,10 @@ _TIMESTAMP = (2014, 11, 1, 0, 0, 0)
 #: rectangles the writer encodes per array pass: 256 KB of rows
 CHUNK_RECTS = 4096
 
-#: one rectangle's BOUNDARY element, record by record, zero-filled
-_RECORDS = (
-    pack_record(RecordType.BOUNDARY, DataType.NO_DATA),
-    pack_record(RecordType.LAYER, DataType.INT2, encode_int2([0])),
-    pack_record(RecordType.DATATYPE, DataType.INT2, encode_int2([0])),
-    pack_record(RecordType.XY, DataType.INT4, encode_int4([0] * 10)),
-    pack_record(RecordType.ENDEL, DataType.NO_DATA),
-)
-_TEMPLATE = np.frombuffer(b"".join(_RECORDS), np.uint8)
-
-
-def _payload_at(record: int) -> int:
-    """Byte offset of ``_RECORDS[record]``'s payload within an element."""
-    return sum(map(len, _RECORDS[:record])) + 4
-
-
-_LAYER_AT = _payload_at(1)
-_DATATYPE_AT = _payload_at(2)
-_XY_AT = _payload_at(3)
-#: the XY columns of an ``(xl, yl, xh, yh)`` row: a closed
-#: counter-clockwise loop of 5 points
-_LOOP = [0, 1, 2, 1, 2, 3, 0, 3, 0, 1]
+_TEMPLATE = np.frombuffer(BOUNDARY_ROW, np.uint8)
+_LAYER_AT = BOUNDARY_FIELDS.fields["layer"][1]
+_DATATYPE_AT = BOUNDARY_FIELDS.fields["datatype"][1]
+_XY_AT = BOUNDARY_FIELDS.fields["xy"][1]
 _INT2 = struct.Struct(">h")
 _INT4 = struct.Struct(">i")
 _INT4_MIN, _INT4_MAX = -(1 << 31), (1 << 31) - 1
@@ -98,7 +81,7 @@ def encode_boundaries(layer: int, datatype: int, box: IntArray) -> bytes:
         _INT4.pack(int(box[(box < _INT4_MIN) | (box > _INT4_MAX)][0]))
     rows = np.empty((len(box), len(row)), np.uint8)
     rows[:] = row
-    rows[:, _XY_AT : _XY_AT + 40].view(">i4")[:] = box[:, _LOOP]
+    rows[:, _XY_AT : _XY_AT + 40].view(">i4")[:] = box[:, BOUNDARY_LOOP]
     return rows.tobytes()
 
 
@@ -156,17 +139,17 @@ class GdsiiStreamWriter:
 
     def rectangles(self, layer: int, datatype: int, rects: Iterable[Rect]) -> None:
         """One BOUNDARY per rectangle, in order — the call shape of
-        :meth:`repro.oasis.OasisStreamWriter.rectangles`."""
+        :meth:`repro.oasis.OasisStreamWriter.rectangles`.  A coordinate
+        that is not an int32 integer raises ``struct.error``, as packing
+        the records one by one does."""
         it = iter(rects)
 
         def chunks() -> Iterator[IntArray]:
             while chunk := list(islice(it, CHUNK_RECTS)):
-                try:
-                    box = boxes(chunk, len(chunk))
-                except OverflowError:  # beyond int64, so beyond int32 too
-                    raise struct.error(
-                        f"'i' format requires {_INT4_MIN} <= number <= {_INT4_MAX}"
-                    ) from None
+                box = typed_boxes(chunk)
+                if box.dtype != np.int64:  # a float, or an int beyond int64
+                    for value in box.reshape(-1).tolist():
+                        _INT4.pack(value)
                 yield box
 
         self.box_chunks(layer, datatype, chunks())
@@ -193,12 +176,24 @@ class GdsiiStreamWriter:
         self.close()
 
 
+def _slices(box: IntArray) -> Iterator[IntArray]:
+    """``box`` in slices of at most :data:`CHUNK_RECTS` rows."""
+    return (box[k : k + CHUNK_RECTS] for k in range(0, len(box), CHUNK_RECTS))
+
+
 def write_gdsii(layout: Layout, stream: BinaryIO) -> int:
-    """Serialise ``layout`` as GDSII; returns the number of bytes written."""
+    """Serialise ``layout`` as GDSII; returns the number of bytes written.
+
+    Each layer's wires go out as slices of :attr:`Layer.wire_boxes`,
+    its fills as box arrays of :data:`CHUNK_RECTS` rects at a time.
+    """
     writer = GdsiiStreamWriter(stream)
-    layers = ((layer.number, layer.wires, layer.fills) for layer in layout.layers)
-    for group in shape_groups(layout.die, layers):
-        writer.rectangles(*group)
+    layers = (
+        (layer.number, _slices(layer.wire_boxes), _slices(boxes(layer.fills, layer.num_fills)))
+        for layer in layout.layers
+    )
+    for group in shape_groups(boxes((layout.die,), 1), layers):
+        writer.box_chunks(*group)
     return writer.close()
 
 

@@ -29,6 +29,7 @@ from .raster import (
     rects_of,
     strip_occupancy,
     touching,
+    typed_boxes,
 )
 from .rect import Rect, bounding_box
 
@@ -44,6 +45,7 @@ __all__ = [
     "IntArray",
     "BoolArray",
     "boxes",
+    "typed_boxes",
     "rects_of",
     "touching",
     "near_pairs",

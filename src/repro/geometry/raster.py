@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, List, Tuple
+from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "BoolArray",
     "OccupancyArray",
     "boxes",
+    "typed_boxes",
     "rects_of",
     "touching",
     "near_pairs",
@@ -55,6 +56,20 @@ def boxes(rects: Iterable[Rect], n: int) -> IntArray:
     ``(xl, yl, xh, yh)`` rows, in order."""
     flat: IntArray = np.fromiter(chain.from_iterable(map(_CORNERS, rects)), _I64, 4 * n)
     return flat.reshape(n, 4)
+
+
+def typed_boxes(rects: Sequence[Rect]) -> np.ndarray[Any, np.dtype[Any]]:
+    """The rects as an ``(n, 4)`` array of ``(xl, yl, xh, yh)`` rows in
+    the dtype numpy infers from their coordinates.
+
+    That is int64 when every coordinate is an integer that fits, and
+    float64 or object when one is not.  :func:`boxes` is cheaper but
+    truncates a float and raises on an overflow, so the entry points
+    that must reject such a coordinate convert with this instead.
+    """
+    if not rects:
+        return np.zeros((0, 4), dtype=_I64)
+    return np.array(list(chain.from_iterable(map(_CORNERS, rects)))).reshape(-1, 4)
 
 
 def rects_of(box: IntArray) -> List[Rect]:

@@ -4,7 +4,7 @@ from .drc import DrcRules, DrcViolation, check_fills
 from .layer import Layer
 from .layout import Layout
 from .shapes import (DIE_LAYER, FILL_DATATYPE, WIRE_DATATYPE, ShapeCensus,
-                     layout_from_shapes, shape_groups)
+                     layout_from_shapes, shape_chunks, shape_groups, shape_runs)
 from .spill import BandPlan, LayerSpool, ShapeSpill
 from .window import WindowGrid
 
@@ -19,7 +19,9 @@ __all__ = [
     "WIRE_DATATYPE",
     "ShapeCensus",
     "layout_from_shapes",
+    "shape_chunks",
     "shape_groups",
+    "shape_runs",
     "BandPlan",
     "LayerSpool",
     "ShapeSpill",

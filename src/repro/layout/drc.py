@@ -16,11 +16,11 @@ paper's "fix spacing rule violations" step (§3.3.1) guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import IntArray, Rect, boxes, near_pairs
+from ..geometry import IntArray, Rect, near_pairs, rects_of
 
 __all__ = ["DrcRules", "DrcViolation", "REQUEST_RULE_DEFAULTS", "check_fills"]
 
@@ -112,22 +112,24 @@ class DrcViolation:
 
 
 def check_fills(
-    fills: Sequence[Rect],
-    wires: Sequence[Rect],
+    fill_box: IntArray,
+    wire_box: IntArray,
     rules: DrcRules,
 ) -> List[DrcViolation]:
     """Check a fill solution against the rule deck.
 
-    Returns the (possibly empty) list of violations: each fill's width,
-    area and size violations in fill order, then the fill-fill spacing
-    violations by ``(i, j)`` with ``i < j``, then the fill-wire ones by
-    ``(fill, wire)``.  Spacing is the Euclidean gap between closed
-    boxes, matching ``e(i, j)`` of Table 1, so a pair violates when
-    ``dx² + dy² < sm²``; overlapping same-layer shapes violate spacing
-    with measure 0.
+    ``fill_box`` and ``wire_box`` are ``(n, 4)`` int64 box arrays of a
+    layer's fills and wires.  Returns the (possibly empty) list of
+    violations: each fill's width, area and size violations in fill
+    order, then the fill-fill spacing violations by ``(i, j)`` with
+    ``i < j``, then the fill-wire ones by ``(fill, wire)``.  Spacing is
+    the Euclidean gap between closed boxes, matching ``e(i, j)`` of
+    Table 1, so a pair violates when ``dx² + dy² < sm²``; overlapping
+    same-layer shapes violate spacing with measure 0.  Only the rows a
+    violation names become :class:`Rect` objects.
     """
     sm = rules.min_spacing
-    box = boxes(fills, len(fills))
+    box = fill_box
     width = box[:, 2] - box[:, 0]
     height = box[:, 3] - box[:, 1]
     bad = (
@@ -138,8 +140,7 @@ def check_fills(
         | (height > rules.max_fill_height)
     )
     violations: List[DrcViolation] = []
-    for k in np.flatnonzero(bad).tolist():
-        f = fills[k]
+    for f in rects_of(box[bad]):
         if f.width < rules.min_width:
             violations.append(
                 DrcViolation("min_width", f, measured=f.width, required=rules.min_width)
@@ -163,11 +164,9 @@ def check_fills(
             )
     fill_i, fill_j = _too_close(box, box, sm)
     same = fill_i < fill_j
-    wire_i, wire_j = _too_close(box, boxes(wires, len(wires)), sm)
-    spacing = ((fills, fill_i[same], fill_j[same]), (wires, wire_i, wire_j))
-    for others, i, j in spacing:
-        for a, b in zip(i.tolist(), j.tolist()):
-            f, other = fills[a], others[b]
+    wire_i, wire_j = _too_close(box, wire_box, sm)
+    for others, i, j in ((box, fill_i[same], fill_j[same]), (wire_box, wire_i, wire_j)):
+        for f, other in zip(rects_of(box[i]), rects_of(others[j])):
             violations.append(
                 DrcViolation(
                     "min_spacing",

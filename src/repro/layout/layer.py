@@ -4,19 +4,37 @@ Layers are numbered from 1 upward, as in Alg. 1 of the paper, where the
 odd/even distinction drives candidate generation order.  Wires are the
 immutable input geometry; fills are added by the insertion engine and
 kept separate so overlay and density can be attributed correctly
-(overlay counts fill-vs-anything, per §2.1).  The wires are also held
-as one read-only int64 box array (:attr:`Layer.wire_boxes`), built on
-first use and dropped by every wire mutator, so the array stages read
-a layer's wires without converting them again.
+(overlay counts fill-vs-anything, per §2.1).
+
+The wires are held as one int64 box array, the form every array stage
+reads (:attr:`Layer.wire_boxes`); :attr:`Layer.wires` builds rects on
+demand.  The array is the leading rows of a growable buffer, so adding
+wires one at a time costs amortized constant time, and rows once added
+never change: a box array a stage holds stays valid.  Fills stay a
+:class:`Rect` list.  Every mutator checks its shapes as
+:func:`~repro.contracts.check_rect` does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
-from ..geometry import IntArray, Rect, RectilinearPolygon, boxes, polygon_to_rects, union_area
+import numpy as np
+
+from ..contracts import check_boxes, check_rect, checked_boxes
+from ..geometry import (IntArray, Rect, RectilinearPolygon, polygon_to_rects, rects_of,
+                        union_area)
 
 __all__ = ["Layer"]
+
+#: what the shape mutators take: rects, or an ``(n, 4)`` box array
+Shapes = Union[Iterable[Rect], np.ndarray[Any, np.dtype[Any]]]
+
+
+def _no_wires() -> IntArray:
+    box = np.zeros((0, 4), dtype=np.int64)
+    box.flags.writeable = False
+    return box
 
 
 class Layer:
@@ -27,34 +45,24 @@ class Layer:
             raise ValueError("layer numbers start at 1 (Alg. 1 convention)")
         self.number = number
         self.name = name if name is not None else f"metal{number}"
-        self._wires: List[Rect] = []
+        self._wires: IntArray = _no_wires()
         self._fills: List[Rect] = []
-        self._wire_boxes: Optional[IntArray] = None
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The box cache is derived state: a pickle (a pool worker's
-        # copy, the shard sanitizer's digest) is the same whether or
-        # not some stage has built it.
-        return {**self.__dict__, "_wire_boxes": None}
 
     # ------------------------------------------------------------------
     @property
     def wires(self) -> List[Rect]:
-        """Signal wire rectangles (a copy)."""
-        return list(self._wires)
+        """Signal wire rectangles, built from :attr:`wire_boxes`."""
+        return rects_of(self._wires)
 
     @property
     def wire_boxes(self) -> IntArray:
         """The wires as a read-only ``(n, 4)`` int64 box array, in order.
 
-        Equal to ``boxes(layer.wires)``; built once and kept until a
-        wire is added or filtered out.
+        The same array until a wire is added or filtered out.
         """
-        if self._wire_boxes is None:
-            box = boxes(self._wires, len(self._wires))
-            box.flags.writeable = False
-            self._wire_boxes = box
-        return self._wire_boxes
+        box = self._wires
+        box.flags.writeable = False
+        return box
 
     @property
     def fills(self) -> List[Rect]:
@@ -64,7 +72,7 @@ class Layer:
     @property
     def shapes(self) -> List[Rect]:
         """Wires and fills together — the full metal coverage."""
-        return self._wires + self._fills
+        return self.wires + self._fills
 
     @property
     def num_wires(self) -> int:
@@ -80,16 +88,50 @@ class Layer:
         return self.number % 2 == 1
 
     # ------------------------------------------------------------------
+    def _checked(self, shapes: Shapes, what: str) -> IntArray:
+        """``shapes`` as an int64 box array, every row checked."""
+        name = f"{what} on layer {self.number}"
+        if isinstance(shapes, np.ndarray):
+            box = check_boxes(shapes, name=name)
+        else:
+            box = checked_boxes(list(shapes), name=name)
+        flat = (box[:, 0] == box[:, 2]) | (box[:, 1] == box[:, 3])
+        if flat.any():
+            raise ValueError(f"degenerate {what} rectangle {rects_of(box[flat][:1])[0]}")
+        return box
+
     def add_wire(self, rect: Rect) -> None:
         """Add a signal wire rectangle."""
+        check_rect(rect, name=f"wire on layer {self.number}")
         if rect.is_degenerate:
             raise ValueError(f"degenerate wire rectangle {rect}")
-        self._wires.append(rect)
-        self._wire_boxes = None
+        self._append_wires(np.array([(rect.xl, rect.yl, rect.xh, rect.yh)], dtype=np.int64))
 
-    def add_wires(self, rects: Iterable[Rect]) -> None:
-        for r in rects:
-            self.add_wire(r)
+    def add_wires(self, shapes: Shapes) -> None:
+        """Append wires, given as rects or as an ``(n, 4)`` box array."""
+        self._append_wires(self._checked(shapes, "wire"))
+
+    def _append_wires(self, box: IntArray) -> None:
+        """Write the rows after the wires, into the buffer's spare rows
+        when it has enough, else into a new buffer of twice the rows."""
+        n, k = len(self._wires), len(box)
+        if not k:
+            return
+        store = self._wires.base  # the buffer, when the wires are its leading rows
+        if (
+            isinstance(store, np.ndarray)
+            and store.flags.writeable
+            and store.shape[1:] == (4,)
+            and len(store) >= n + k
+        ):
+            store[n : n + k] = box
+        else:
+            store = np.empty((max(n + k, 2 * n), 4), dtype=np.int64)
+            store[:n] = self._wires
+            store[n : n + k] = box
+        wires = store[: n + k]
+        wires.flags.writeable = False
+        self._wires = wires
 
     def add_wire_polygon(self, polygon: RectilinearPolygon) -> List[Rect]:
         """Decompose a wire polygon (Gourley–Green) and add the pieces.
@@ -103,13 +145,19 @@ class Layer:
 
     def add_fill(self, rect: Rect) -> None:
         """Add one dummy fill rectangle."""
-        if rect.is_degenerate:
-            raise ValueError(f"degenerate fill rectangle {rect}")
-        self._fills.append(rect)
+        self.add_fills((rect,))
 
-    def add_fills(self, rects: Iterable[Rect]) -> None:
-        for r in rects:
-            self.add_fill(r)
+    def add_fills(self, shapes: Shapes) -> None:
+        """Append fills, given as rects or as an ``(n, 4)`` box array."""
+        if isinstance(shapes, np.ndarray):
+            self._fills.extend(rects_of(self._checked(shapes, "fill")))
+            return
+        rects = list(shapes)
+        for rect in rects:
+            check_rect(rect, name=f"fill on layer {self.number}")
+            if rect.is_degenerate:
+                raise ValueError(f"degenerate fill rectangle {rect}")
+        self._fills.extend(rects)
 
     def clear_fills(self) -> None:
         """Remove all fills (re-running the engine on a fresh slate)."""
@@ -131,21 +179,30 @@ class Layer:
         Returns the number of wires removed.  Used by the benchmark
         generator to carve keep-out regions out of a wire population.
         """
+        keep = np.array([predicate(w) for w in self.wires], dtype=bool)
         before = len(self._wires)
-        self._wires = [w for w in self._wires if predicate(w)]
-        self._wire_boxes = None
-        return before - len(self._wires)
+        wires = self._wires[keep]
+        wires.flags.writeable = False
+        self._wires = wires
+        return before - len(wires)
 
     # ------------------------------------------------------------------
     def wire_area_in(self, window: Rect) -> int:
         """Exact wire area inside ``window`` (overlaps de-duplicated)."""
-        clipped = [
-            c for w in self._wires if (c := w.intersection(window)) is not None
-        ]
-        return union_area(clipped)
+        box = self._wires
+        clipped = np.column_stack(
+            (
+                np.maximum(box[:, 0], window.xl),
+                np.maximum(box[:, 1], window.yl),
+                np.minimum(box[:, 2], window.xh),
+                np.minimum(box[:, 3], window.yh),
+            )
+        )
+        inside = clipped[(clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])]
+        return union_area(rects_of(inside))
 
     def __repr__(self) -> str:
         return (
             f"Layer({self.number}, {self.name!r}, "
-            f"{len(self._wires)} wires, {len(self._fills)} fills)"
+            f"{self.num_wires} wires, {len(self._fills)} fills)"
         )

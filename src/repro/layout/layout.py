@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..geometry import Rect
+from ..geometry import Rect, boxes, rects_of
 from .drc import DrcRules, DrcViolation, check_fills
 from .layer import Layer
 
@@ -86,25 +86,29 @@ class Layout:
 
     def validate_wires_in_die(self) -> List[Rect]:
         """Wires escaping the die area (should be empty for sane input)."""
-        out = []
+        die = self.die
+        out: List[Rect] = []
         for layer in self._layers.values():
-            for w in layer.wires:
-                if not self.die.contains(w):
-                    out.append(w)
+            box = layer.wire_boxes
+            escapes = (
+                (box[:, 0] < die.xl) | (box[:, 1] < die.yl) | (box[:, 2] > die.xh) | (box[:, 3] > die.yh)
+            )
+            out.extend(rects_of(box[escapes]))
         return out
 
     def check_drc(self) -> List[DrcViolation]:
         """DRC-check the fills on every layer against the rule deck."""
         violations: List[DrcViolation] = []
         for layer in self.layers:
-            violations.extend(check_fills(layer.fills, layer.wires, self.rules))
+            fills = boxes(layer.fills, layer.num_fills)
+            violations.extend(check_fills(fills, layer.wire_boxes, self.rules))
         return violations
 
     def copy_without_fills(self) -> "Layout":
         """A fresh layout with the same die, rules and wires, no fills."""
         out = Layout(self.die, self.num_layers, self.rules, name=self.name)
         for n in self.layer_numbers:
-            out.layer(n).add_wires(self._layers[n].wires)
+            out.layer(n).add_wires(self._layers[n].wire_boxes)
             out.layer(n).name = self._layers[n].name
         return out
 

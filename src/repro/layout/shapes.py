@@ -1,4 +1,4 @@
-"""The ``(layer, datatype, Rect)`` shape stream behind every layout codec.
+"""The shape stream behind every layout codec, as int64 box chunks.
 
 GDSII and OASIS files, the out-of-core spill and a
 :class:`~repro.layout.Layout` all hold rectangles keyed by layer and
@@ -7,28 +7,37 @@ ICCAD 2014 contest's convention for separating signal geometry from
 inserted fill), and the die outline is a wire on the reserved layer 0,
 so a round trip through a file keeps the window dissection frame.
 
-Every codec shares two rules from here: reading takes the die and the
-layer count from a :class:`ShapeCensus`, and writing emits
-:func:`shape_groups` in their one file order.
+A reader hands its shapes over as ``(layer, datatype, box)`` chunks,
+each box an ``(n, 4)`` int64 array of one run of a single (layer,
+datatype) group, in stream order; :func:`shape_chunks` groups a
+reader's rects into such chunks.  Every codec shares two rules from
+here: reading takes the die and the layer count from a
+:class:`ShapeCensus`, and writing emits :func:`shape_groups` in their
+one file order.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+
+import numpy as np
 
 from .. import obs
-from ..geometry import Rect, bounding_box
+from ..geometry import IntArray, Rect, bounding_box, boxes, rects_of
 from .drc import DrcRules
 from .layout import Layout
 
 __all__ = [
+    "CHUNK_ROWS",
     "DIE_LAYER",
     "FILL_DATATYPE",
     "WIRE_DATATYPE",
     "ShapeCensus",
     "layout_from_shapes",
+    "shape_chunks",
     "shape_groups",
+    "shape_runs",
 ]
 
 WIRE_DATATYPE = 0
@@ -36,9 +45,49 @@ FILL_DATATYPE = 1
 #: the die outline is a wire on this reserved layer
 DIE_LAYER = 0
 
-Shape = Tuple[int, int, Rect]
+#: most rects :func:`shape_chunks` gathers into one chunk
+CHUNK_ROWS = 4096
+
+Chunk = Tuple[int, int, IntArray]
 #: what a shape group holds: rects, or chunks of them as box arrays
 Item = TypeVar("Item")
+
+
+def shape_runs(layer: IntArray, datatype: IntArray, box: IntArray) -> Iterator[Chunk]:
+    """Rows of ``box`` as ``(layer, datatype, box)`` chunks, one per run
+    of rows with equal ``layer`` and ``datatype`` entries, in order."""
+    if not len(box):
+        return
+    cuts = np.flatnonzero((layer[1:] != layer[:-1]) | (datatype[1:] != datatype[:-1])) + 1
+    starts = [0, *cuts.tolist()]
+    for a, b in zip(starts, starts[1:] + [len(box)]):
+        yield int(layer[a]), int(datatype[a]), box[a:b]
+
+
+def shape_chunks(shapes: Iterable[Tuple[int, int, Union[Rect, IntArray]]]) -> Iterator[Chunk]:
+    """Group a shape stream into ``(layer, datatype, box)`` chunks.
+
+    Consecutive rects of one (layer, datatype) gather into one
+    ``(n, 4)`` int64 box array of at most :data:`CHUNK_ROWS` rows; a
+    box array in the stream is a chunk of its own, passed through in
+    place.  Rows keep the stream's order.
+    """
+    run: List[Rect] = []
+    key = (0, 0)
+    for layer, datatype, shape in shapes:
+        if isinstance(shape, Rect):
+            if run and ((layer, datatype) != key or len(run) == CHUNK_ROWS):
+                yield (*key, boxes(run, len(run)))
+                run = []
+            key = (layer, datatype)
+            run.append(shape)
+            continue
+        if run:
+            yield (*key, boxes(run, len(run)))
+            run = []
+        yield layer, datatype, shape
+    if run:
+        yield (*key, boxes(run, len(run)))
 
 
 class ShapeCensus:
@@ -58,30 +107,27 @@ class ShapeCensus:
         self._outlines: List[Rect] = []
         self._bbox: Optional[Rect] = None
 
-    def scan(self, shapes: Iterable[Shape]) -> Iterator[Shape]:
-        """Yield the wires and fills of ``shapes``, in stream order."""
+    def scan(self, chunks: Iterable[Chunk]) -> Iterator[Chunk]:
+        """Yield the wire and fill chunks of ``chunks``, in stream order."""
         outlines = self._outlines
         count = max_layer = 0
         xl = yl = sys.maxsize
         xh = yh = -sys.maxsize
-        for layer, datatype, rect in shapes:
-            count += 1
-            if rect.xl < xl:
-                xl = rect.xl
-            if rect.yl < yl:
-                yl = rect.yl
-            if rect.xh > xh:
-                xh = rect.xh
-            if rect.yh > yh:
-                yh = rect.yh
+        for layer, datatype, box in chunks:
+            if not len(box):
+                continue
+            count += len(box)
+            lo = box.min(axis=0).tolist()
+            hi = box.max(axis=0).tolist()
+            xl, yl = min(xl, lo[0]), min(yl, lo[1])
+            xh, yh = max(xh, hi[2]), max(yh, hi[3])
             if layer == DIE_LAYER:
                 if datatype == WIRE_DATATYPE:
-                    outlines.append(rect)
+                    outlines.extend(rects_of(box))
                 continue
-            if layer > max_layer:
-                max_layer = layer
+            max_layer = max(max_layer, layer)
             if datatype == WIRE_DATATYPE or datatype == FILL_DATATYPE:
-                yield layer, datatype, rect
+                yield layer, datatype, box
         self.num_shapes = count
         self.num_layers = max_layer or 1
         if count:
@@ -115,19 +161,20 @@ class ShapeCensus:
 
 
 def layout_from_shapes(
-    shapes: Iterable[Shape], rules: Optional[DrcRules] = None, *, source: str
+    chunks: Iterable[Chunk], rules: Optional[DrcRules] = None, *, source: str
 ) -> Layout:
-    """Build a :class:`Layout` from a shape stream by the census rules."""
+    """Build a :class:`Layout` from a box-chunk stream by the census rules."""
     census = ShapeCensus(source)
-    groups: Dict[Tuple[int, int], List[Rect]] = {}
-    for layer, datatype, rect in census.scan(shapes):
-        groups.setdefault((layer, datatype), []).append(rect)
+    groups: Dict[Tuple[int, int], List[IntArray]] = {}
+    for layer, datatype, box in census.scan(chunks):
+        groups.setdefault((layer, datatype), []).append(box)
     layout = Layout(census.die(), census.num_layers, rules)
-    for (number, datatype), rects in groups.items():
+    for (number, datatype), parts in groups.items():
+        box = np.concatenate(parts)
         if datatype == WIRE_DATATYPE:
-            layout.layer(number).add_wires(rects)
+            layout.layer(number).add_wires(box)
         else:
-            layout.layer(number).add_fills(rects)
+            layout.layer(number).add_fills(box)
     return layout
 
 

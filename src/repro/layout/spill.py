@@ -1,12 +1,12 @@
 """Spill-to-disk spatial bucketing for the out-of-core fill pipeline.
 
-The streaming reader (:mod:`repro.gdsii.stream`) hands shapes over one
-at a time; the engine wants them grouped by locality so each
-window-band can be processed with only its own geometry resident.
-This module is the disk-backed middle: shapes are routed into
-per-band chunk files keyed by the :class:`~repro.layout.WindowGrid`'s
-column dissection, written through small append buffers, and read back
-band by band as fixed-size binary records.
+The streaming reader (:mod:`repro.gdsii.stream`) hands shapes over as
+``(layer, datatype, box)`` chunks of int64 box arrays; the engine wants
+them grouped by locality so each window-band can be processed with
+only its own geometry resident.  This module is the disk-backed
+middle: box arrays are routed into per-band chunk files keyed by the
+:class:`~repro.layout.WindowGrid`'s column dissection, written through
+small append buffers, and read back band by band as box arrays.
 
 * :class:`BandPlan` — contiguous window-column bands, partitioned by
   :func:`repro.parallel.shard_bounds`, the rule that also cuts each
@@ -14,17 +14,19 @@ band by band as fixed-size binary records.
 * :class:`ShapeSpill` — halo-aware routing: a shape lands in every
   band whose x-range it touches within the query halo, so band-local
   neighbour queries answer every in-band query exactly as global
-  ones would.
+  ones would.  One ``searchsorted`` routes a whole box array.
 * :class:`LayerSpool` — order-preserving per-(layer, datatype) spools
   for pass-through geometry (input wires and kept fills) that must
   re-emit in input order.
 
 Both keep one chunk file per key (a band, or a (layer, datatype)) and
 share one buffer/flush/finish/read implementation.  All record
-framing is fixed-size big-endian (:data:`SHAPE_RECORD`,
-:data:`RECT_RECORD`); a trailing partial record raises a
-``ValueError`` naming the file, mirroring the reader-side error
-discipline of the stream parsers.
+framing is fixed-size big-endian int32 (:data:`SHAPE_RECORD`,
+:data:`RECT_RECORD`), packed and unpacked a box array at a time; a
+coordinate beyond int32 raises ``struct.error`` as packing it alone
+would, and a trailing partial record raises a ``ValueError`` naming
+the file, mirroring the reader-side error discipline of the stream
+parsers.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 
 from ..geometry import IntArray, Rect
 from ..parallel.shard import shard_bounds
+from .shapes import shape_runs
 from .window import WindowGrid
 
 __all__ = ["BandPlan", "LayerSpool", "ShapeSpill"]
@@ -51,6 +54,20 @@ DEFAULT_FLUSH_RECORDS = 4096
 
 #: file-read granularity, in records
 _READ_RECORDS = 4096
+
+_INT4_MIN, _INT4_MAX = -(1 << 31), (1 << 31) - 1
+
+
+def _packed(box: IntArray, *lead: int) -> bytes:
+    """The rows of ``box``, each after the ``lead`` words, as big-endian
+    int32 records."""
+    if len(box) and (box.min() < _INT4_MIN or box.max() > _INT4_MAX):
+        # packing the first stray coordinate raises struct's own error
+        struct.pack(">i", int(box[(box < _INT4_MIN) | (box > _INT4_MAX)][0]))
+    out = np.empty((len(box), len(lead) + 4), dtype=">i4")
+    out[:, : len(lead)] = lead
+    out[:, len(lead) :] = box
+    return out.tobytes()
 
 
 class BandPlan:
@@ -90,20 +107,19 @@ class BandPlan:
         xl, xh = self._x_ranges[band]
         return Rect(xl, self.grid.die.yl, xh, self.grid.die.yh)
 
-    def bands_touching(self, rect: Rect, halo: int = 0) -> List[int]:
-        """Bands whose x-range the closed box of ``rect`` + ``halo`` meets.
+    def band_span(self, box: IntArray, halo: int = 0) -> Tuple[IntArray, IntArray]:
+        """Per row of ``box``, the first and last band whose x-range the
+        closed box of the row + ``halo`` meets (first > last: none).
 
         Closed-box contact (not positive overlap): a shape exactly
         ``halo`` away can still decide a spacing query, so routing
-        must over-approximate, never under.
+        must over-approximate, never under.  Bands are contiguous and
+        ascending, so each end is one ``searchsorted`` over the rows.
         """
-        lo = rect.xl - halo
-        hi = rect.xh + halo
-        return [
-            band
-            for band, (xl, xh) in enumerate(self._x_ranges)
-            if lo <= xh and hi >= xl
-        ]
+        lows, highs = np.array(self._x_ranges, dtype=np.int64).T
+        first = np.searchsorted(highs, box[:, 0] - halo, "left")
+        last = np.searchsorted(lows, box[:, 2] + halo, "right") - 1
+        return first, last
 
     def band_of_x(self, x: int) -> int:
         """The band owning coordinate ``x`` (clamped to the die)."""
@@ -138,6 +154,7 @@ class _Spill:
         self._name = name
         self._flush_records = flush_records
         self._buffers: Dict[Hashable, List[bytes]] = {}
+        self._buffered: Dict[Hashable, int] = {}
         self._handles: Dict[Hashable, BinaryIO] = {}
         self._counts: Dict[Hashable, int] = {}
         self._finished = False
@@ -151,13 +168,15 @@ class _Spill:
     def records(self) -> int:
         return sum(self._counts.values())
 
-    def _append(self, key: Hashable, record: bytes) -> None:
+    def _append(self, key: Hashable, records: bytes, count: int) -> None:
+        """Buffer ``count`` packed records; flush once the key's buffer
+        holds at least ``flush_records``."""
         if self._finished:
             raise ValueError("spill is finished")
-        buffer = self._buffers.setdefault(key, [])
-        buffer.append(record)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if len(buffer) >= self._flush_records:
+        self._buffers.setdefault(key, []).append(records)
+        self._counts[key] = self._counts.get(key, 0) + count
+        self._buffered[key] = self._buffered.get(key, 0) + count
+        if self._buffered[key] >= self._flush_records:
             self._flush(key)
 
     def _flush(self, key: Hashable) -> None:
@@ -170,6 +189,7 @@ class _Spill:
         data = b"".join(buffer)
         handle.write(data)
         buffer.clear()
+        self._buffered[key] = 0
         self.bytes_spilled += len(data)
         self.chunks += 1
 
@@ -214,10 +234,12 @@ class _Spill:
                     f"(record size {size})"
                 )
 
-    def _read(self, key: Hashable) -> Iterator[Tuple[int, ...]]:
-        """Yield the key's records, unpacked, in the order they were added."""
+    def _read_arrays(self, key: Hashable) -> Iterator[IntArray]:
+        """The key's records as int64 arrays of one row per record, at
+        most :data:`_READ_RECORDS` rows each, in the order they were added."""
+        width = self._record.size // 4
         for chunk in self._chunks(key):
-            yield from self._record.iter_unpack(chunk)
+            yield np.frombuffer(chunk, ">i4").reshape(-1, width).astype(np.int64)
 
 
 class ShapeSpill(_Spill):
@@ -239,23 +261,23 @@ class ShapeSpill(_Spill):
     def _path(self, band: int) -> str:
         return os.path.join(self._directory, f"{self._name}-band{band:04d}.bin")
 
-    def add(self, band: int, layer: int, datatype: int, rect: Rect) -> None:
-        """Append one shape to one band."""
-        self._append(band, SHAPE_RECORD.pack(layer, datatype, rect.xl, rect.yl, rect.xh, rect.yh))
+    def add_boxes(self, band: int, layer: int, datatype: int, box: IntArray) -> None:
+        """Append the rows of an ``(n, 4)`` box array to one band."""
+        if len(box):
+            self._append(band, _packed(box, layer, datatype), len(box))
 
-    def route(
-        self, layer: int, datatype: int, rect: Rect, halo: int
-    ) -> List[int]:
-        """Append the shape to every band it can influence within ``halo``."""
-        bands = self.plan.bands_touching(rect, halo)
-        for band in bands:
-            self.add(band, layer, datatype, rect)
-        return bands
+    def route_boxes(self, layer: int, datatype: int, box: IntArray, halo: int) -> None:
+        """Append each row to every band it can influence within ``halo``
+        (:meth:`BandPlan.band_span`), keeping the rows' order per band."""
+        first, last = self.plan.band_span(box, halo)
+        for band in range(self.plan.num_bands):
+            self.add_boxes(band, layer, datatype, box[(first <= band) & (band <= last)])
 
-    def read(self, band: int) -> Iterator[Tuple[int, int, Rect]]:
-        """Yield ``(layer, datatype, rect)`` of ``band`` in spill order."""
-        for layer, datatype, xl, yl, xh, yh in self._read(band):
-            yield layer, datatype, Rect(xl, yl, xh, yh)
+    def read_boxes(self, band: int) -> Iterator[Tuple[int, int, IntArray]]:
+        """Yield ``band``'s shapes as ``(layer, datatype, box)`` chunks,
+        one per run of a single (layer, datatype), in spill order."""
+        for rows in self._read_arrays(band):
+            yield from shape_runs(rows[:, 0], rows[:, 1], rows[:, 2:])
 
 
 class LayerSpool(_Spill):
@@ -275,8 +297,10 @@ class LayerSpool(_Spill):
             self._directory, f"{self._name}-l{layer:04d}-d{datatype:02d}.bin"
         )
 
-    def add(self, layer: int, datatype: int, rect: Rect) -> None:
-        self._append((layer, datatype), RECT_RECORD.pack(rect.xl, rect.yl, rect.xh, rect.yh))
+    def add_boxes(self, layer: int, datatype: int, box: IntArray) -> None:
+        """Append the rows of an ``(n, 4)`` box array to the key's spool."""
+        if len(box):
+            self._append((layer, datatype), _packed(box), len(box))
 
     def count(self, layer: int, datatype: int) -> int:
         return self._counts.get((layer, datatype), 0)
@@ -285,13 +309,7 @@ class LayerSpool(_Spill):
         """Spooled (layer, datatype) keys, sorted."""
         return sorted(self._counts)
 
-    def read(self, layer: int, datatype: int) -> Iterator[Rect]:
-        """Yield the key's rectangles in the order they were added."""
-        for xl, yl, xh, yh in self._read((layer, datatype)):
-            yield Rect(xl, yl, xh, yh)
-
     def read_boxes(self, layer: int, datatype: int) -> Iterator[IntArray]:
         """The key's rectangles as ``(n, 4)`` int64 box arrays of at most
         :data:`_READ_RECORDS` rows, in the order they were added."""
-        for chunk in self._chunks((layer, datatype)):
-            yield np.frombuffer(chunk, ">i4").reshape(-1, 4).astype(np.int64)
+        return self._read_arrays((layer, datatype))

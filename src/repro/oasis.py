@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .geometry import IntArray, Rect, rects_of
-from .layout import DrcRules, Layout, layout_from_shapes, shape_groups
+from .geometry import IntArray, Rect, boxes, rects_of
+from .layout import DrcRules, Layout, layout_from_shapes, shape_chunks, shape_groups
 
 __all__ = [
     "OasisStreamWriter",
@@ -427,9 +427,12 @@ def oasis_bytes(layout: Layout) -> bytes:
     """Serialise a layout as an OASIS-subset byte stream."""
     buf = io.BytesIO()
     writer = OasisStreamWriter(buf)
-    layers = ((layer.number, layer.wires, layer.fills) for layer in layout.layers)
-    for group in shape_groups(layout.die, layers):
-        writer.rectangles(*group)
+    layers = (
+        (layer.number, (layer.wire_boxes,), (boxes(layer.fills, layer.num_fills),))
+        for layer in layout.layers
+    )
+    for group in shape_groups(boxes((layout.die,), 1), layers):
+        writer.box_chunks(*group)
     writer.close()
     return buf.getvalue()
 
@@ -552,6 +555,6 @@ def layout_from_oasis(
     rules of :mod:`repro.layout.shapes`, exactly as for GDSII.
     """
     cell = OasisCell()
-    layout = layout_from_shapes(_shapes(data, cell), rules, source="OASIS")
+    layout = layout_from_shapes(shape_chunks(_shapes(data, cell)), rules, source="OASIS")
     layout.name = cell.name or "oasis"
     return layout

@@ -4,8 +4,14 @@ import pytest
 
 from repro.core import FillConfig
 from repro.core.sizing import SizingStats, size_window
-from repro.geometry import Rect
+from repro.geometry import Rect, boxes
 from repro.layout import DrcRules, check_fills
+
+
+def _box(rects):
+    """The rects as the int64 box array ``check_fills`` takes."""
+    return boxes(rects, len(rects))
+
 
 RULES = DrcRules(
     min_spacing=10, min_width=10, min_area=200, max_fill_width=100, max_fill_height=100
@@ -71,25 +77,25 @@ class TestLegality:
         }
         sized, _ = run_sizing(cands, {1: 15000.0, 2: 8000.0})
         for n, fills in sized.items():
-            assert check_fills(fills, [], RULES) == []
+            assert check_fills(_box(fills), _box([]), RULES) == []
 
     def test_overlapping_candidates_resolved(self):
         cands = {1: [Rect(0, 0, 100, 100), Rect(50, 50, 150, 150)]}
         sized, stats = run_sizing(cands, {1: 20000.0})
-        assert check_fills(sized[1], [], RULES) == []
+        assert check_fills(_box(sized[1]), _box([]), RULES) == []
         assert stats.dropped_fills >= 1
 
     def test_abutting_candidates_get_spacing(self):
         # Two candidates sharing an edge: Eqn. (13) must separate them.
         cands = {1: [Rect(0, 0, 100, 100), Rect(100, 0, 200, 100)]}
         sized, _ = run_sizing(cands, {1: 20000.0})
-        assert check_fills(sized[1], [], RULES) == []
+        assert check_fills(_box(sized[1]), _box([]), RULES) == []
         assert len(sized[1]) == 2  # resolved by shaving, not dropping
 
     def test_vertical_abutment_resolved_in_y(self):
         cands = {1: [Rect(0, 0, 100, 100), Rect(0, 100, 100, 200)]}
         sized, _ = run_sizing(cands, {1: 20000.0})
-        assert check_fills(sized[1], [], RULES) == []
+        assert check_fills(_box(sized[1]), _box([]), RULES) == []
         assert len(sized[1]) == 2
 
     def test_unrepairable_pair_dropped(self):
@@ -105,7 +111,7 @@ class TestLegality:
         sized, stats = size_window(
             WINDOW, cands, {1: []}, {1: 5000.0}, tight, FillConfig()
         )
-        assert check_fills(sized[1], [], tight) == []
+        assert check_fills(_box(sized[1]), _box([]), tight) == []
         assert stats.dropped_fills >= 1
 
 

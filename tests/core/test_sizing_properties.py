@@ -17,11 +17,17 @@ from hypothesis import strategies as st
 
 from repro.core import FillConfig, sizing
 from repro.core.sizing import size_window
-from repro.geometry import Rect
+from repro.geometry import Rect, boxes
 from repro.layout import DrcRules, check_fills
 from repro.netflow import LPInfeasibleError, PairLP, solve_dual_mcf, solve_linprog
 
 from ..netflow.pair_oracle import as_differential
+
+
+def _box(rects):
+    """The rects as the int64 box array ``check_fills`` takes."""
+    return boxes(rects, len(rects))
+
 
 RULES = DrcRules(
     min_spacing=10,
@@ -122,7 +128,7 @@ class TestSizingInvariants:
             WINDOW, candidates, wires, targets, RULES, FillConfig()
         )
         for layer, fills in sized.items():
-            assert check_fills(fills, [], RULES) == []
+            assert check_fills(_box(fills), _box([]), RULES) == []
 
     @given(window_instances())
     @settings(max_examples=30, deadline=None)

@@ -15,11 +15,12 @@ from repro import obs
 from repro.bench.generator import LayoutSpec, generate_layout
 from repro.bench.suite import SUITE_SPECS
 from repro.core import DummyFillEngine, FillConfig, resolve_bands, stream_fill
-from repro.core.stream import DEFAULT_MEMORY_BUDGET, _BYTES_PER_SHAPE
+from repro.contracts import ContractViolation
+from repro.core.stream import DEFAULT_MEMORY_BUDGET, _BYTES_PER_SHAPE, SpillBands
 from repro.eco import apply_eco
 from repro.gdsii import gdsii_bytes, layout_from_gdsii
 from repro.geometry import Rect
-from repro.layout import DrcRules, Layout, WindowGrid
+from repro.layout import BandPlan, DrcRules, Layout, ShapeSpill, WindowGrid
 
 RULES = DrcRules(
     min_spacing=10,
@@ -236,6 +237,17 @@ class TestEcoParity:
         names = {span["name"] for span in recorder.record.spans}
         assert "scan" in names and "bucket" not in names
 
+    def test_eco_non_integer_wire_rejected(self):
+        with pytest.raises(ContractViolation, match=r"new wire on layer 2\.xl = 10\.5"):
+            stream_fill(
+                _unfilled_bytes(),
+                io.BytesIO(),
+                RULES,
+                cols=4,
+                rows=4,
+                eco_wires={2: [Rect(10.5, 10, 100, 50)]},
+            )
+
     def test_eco_unknown_layer_rejected(self):
         raw = _unfilled_bytes()
         with pytest.raises(KeyError, match="not in layout"):
@@ -250,6 +262,16 @@ class TestEcoParity:
 
 
 class TestEngineEntryPoint:
+    @pytest.mark.parametrize("bad", [Rect(10.5, 10, 100.7, 50), Rect(10, 10, 100, 50.0)])
+    def test_non_integer_fill_rejected_at_commit(self, tmp_path, bad):
+        grid = WindowGrid(Rect(0, 0, 400, 400), 2, 2)
+        plan = BandPlan(grid, 2)
+        fills = ShapeSpill(plan, str(tmp_path), "fills")
+        bands = SpillBands(plan, fills, fills, RULES, 2, {}, str(tmp_path), 16)
+        sized = {(0, 0): {1: [Rect(20, 20, 60, 60)]}, (0, 1): {2: [Rect(20, 220, 60, 260), bad]}}
+        with pytest.raises(ContractViolation, match=r"^fill on layer 2\.(xl = 10\.5|yh = 50\.0) is not"):
+            bands.commit(0, sized)
+
     def test_bad_output_format_rejected(self):
         with pytest.raises(ValueError, match="output_format"):
             stream_fill(

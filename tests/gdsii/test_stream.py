@@ -18,7 +18,8 @@ from repro.gdsii import (
     layout_from_gdsii,
     path_to_loops,
 )
-from repro.gdsii.records import DataType, RecordType, encode_int2, encode_int4, pack_record
+from repro.gdsii.records import (DataType, RecordType, encode_ascii, encode_int2, encode_int4,
+                                 encode_real8, pack_record)
 from repro.gdsii.stream import GdsiiElement, element_points
 from repro.geometry import Rect
 from repro.layout import DrcRules
@@ -36,6 +37,20 @@ def _path_stream(layer=encode_int2([1]), datatype=encode_int2([0]), width=encode
                (RecordType.STRNAME, b"T\0"), (RecordType.PATH, b""), (RecordType.LAYER, layer),
                (RecordType.DATATYPE, datatype), (RecordType.WIDTH, width), (RecordType.XY, xy),
                (RecordType.ENDEL, b""), (RecordType.ENDSTR, b""), (RecordType.ENDLIB, b"")]
+    return b"".join(pack_record(kind, DataType.NO_DATA, payload) for kind, payload in records)
+
+
+def _boundary_stream(xy):
+    """A one-BOUNDARY stream on layer 1; the BOUNDARY record is at byte 40."""
+    return _path_stream(xy=encode_int4(xy)).replace(
+        pack_record(RecordType.PATH, DataType.NO_DATA), pack_record(RecordType.BOUNDARY, DataType.NO_DATA)
+    ).replace(pack_record(RecordType.WIDTH, DataType.NO_DATA, encode_int4([11])), b"")
+
+
+def _header_stream(libname=encode_ascii("LIB"), units=encode_real8(1e-3) + encode_real8(1e-9)):
+    """A stream whose LIBNAME record is at byte 6 and UNITS at byte 10 + len(libname)."""
+    records = [(RecordType.HEADER, encode_int2([600])), (RecordType.LIBNAME, libname),
+               (RecordType.UNITS, units), (RecordType.ENDLIB, b"")]
     return b"".join(pack_record(kind, DataType.NO_DATA, payload) for kind, payload in records)
 
 
@@ -123,6 +138,44 @@ class TestStreamReader:
     def test_negative_layer_names_element(self):
         with pytest.raises(ValueError, match="byte 40 has negative LAYER -3"):
             layout_from_gdsii(_path_stream(layer=encode_int2([-3])), DrcRules())
+
+    @pytest.mark.parametrize(
+        "xy, message",
+        [
+            ([0, 0, 10, 0, 20, 10, 0, 10, 0, 0], "edge (10, 0)->(20, 10) is neither horizontal nor vertical"),
+            ([0, 0, 10, 0, 10, 10, 5, 15, 0, 10, 0, 0], "rectilinear polygons have an even vertex count"),
+            ([0, 0, 10, 0, 10, 10], "a rectilinear polygon needs at least 4 vertices"),
+        ],
+    )
+    def test_polygon_errors_name_element(self, xy, message):
+        with pytest.raises(ValueError) as info:
+            _read_all(_boundary_stream(xy))
+        assert str(info.value) == f"BOUNDARY element at byte 40: {message}"
+
+    @pytest.mark.parametrize(
+        "width, xy, message",
+        [
+            (11, [0, 0, 10, 10], "non-Manhattan PATH segment (0,0)->(10,10)"),
+            (0, [0, 0, 100, 0], "PATH width 0 too small to expand"),
+        ],
+    )
+    def test_path_errors_name_element(self, width, xy, message):
+        data = _path_stream(width=encode_int4([width]), xy=encode_int4(xy))
+        with pytest.raises(ValueError) as info:
+            _read_all(data)
+        assert str(info.value) == f"PATH element at byte 40: {message}"
+
+    @pytest.mark.parametrize("size", [0, 8, 12, 24])
+    def test_units_payload_names_record(self, size):
+        data = _header_stream(units=(encode_real8(1e-3) * 3)[:size])
+        with pytest.raises(ValueError) as info:
+            _read_all(data)
+        assert str(info.value) == "UNITS record at byte 14: real8 payload must be exactly 8 bytes"
+
+    def test_non_ascii_libname_names_record(self):
+        with pytest.raises(ValueError, match="^LIBNAME record at byte 6: 'ascii' codec") as info:
+            _read_all(_header_stream(libname=b"\xc3\xa9"))
+        assert not isinstance(info.value, UnicodeDecodeError)
 
     def test_corrupt_record_length_names_offset(self):
         # A record claiming a 2-byte total length is structurally invalid.

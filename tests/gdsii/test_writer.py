@@ -110,6 +110,22 @@ def test_out_of_range_raises_struct_error_on_both_sides(layer, datatype, rect):
         _written([(layer, datatype, [Rect(0, 0, 1, 1), rect])])
 
 
+@pytest.mark.parametrize(
+    "rect", [Rect(10.5, 10, 100.7, 50), Rect(10, 10, 100, 50.0), Rect(0, 0, 5, 1 << 70)]
+)
+def test_non_int32_coordinate_raises_struct_error_like_oracle(rect):
+    with pytest.raises(struct.error) as want:
+        boundary_bytes(1, 0, rect)
+    for write in (
+        lambda w: w.rectangles(1, 0, [Rect(0, 0, 1, 1), rect]),
+        lambda w: w.boundary(1, 0, rect),
+    ):
+        writer = GdsiiStreamWriter(io.BytesIO())
+        with pytest.raises(struct.error) as got:
+            write(writer)
+        assert str(got.value).split()[0] == str(want.value).split()[0]
+
+
 def test_writing_after_close_raises():
     writer = GdsiiStreamWriter(io.BytesIO())
     writer.close()

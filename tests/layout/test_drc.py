@@ -5,10 +5,15 @@ from functools import lru_cache
 
 import pytest
 
-from repro.geometry import Rect
+from repro.geometry import Rect, boxes
 from repro.layout import DrcRules, check_fills
 
 from . import drc_oracle as oracle
+
+
+def _box(rects):
+    """The rects as the int64 box array ``check_fills`` takes."""
+    return boxes(rects, len(rects))
 
 
 RULES = DrcRules(
@@ -47,58 +52,58 @@ class TestRules:
 class TestChecker:
     def test_clean_solution(self):
         fills = [Rect(0, 0, 20, 20), Rect(40, 0, 60, 20)]
-        assert check_fills(fills, [], RULES) == []
+        assert check_fills(_box(fills), _box([]), RULES) == []
 
     def test_min_width_violation(self):
-        violations = check_fills([Rect(0, 0, 5, 50)], [], RULES)
+        violations = check_fills(_box([Rect(0, 0, 5, 50)]), _box([]), RULES)
         assert any(v.rule == "min_width" for v in violations)
 
     def test_min_area_violation(self):
-        violations = check_fills([Rect(0, 0, 13, 13)], [], RULES)
+        violations = check_fills(_box([Rect(0, 0, 13, 13)]), _box([]), RULES)
         assert any(v.rule == "min_area" for v in violations)
 
     def test_max_size_violation(self):
-        violations = check_fills([Rect(0, 0, 150, 50)], [], RULES)
+        violations = check_fills(_box([Rect(0, 0, 150, 50)]), _box([]), RULES)
         assert any(v.rule == "max_size" for v in violations)
 
     def test_spacing_violation_between_fills(self):
         fills = [Rect(0, 0, 20, 20), Rect(25, 0, 45, 20)]  # gap 5 < 10
-        violations = check_fills(fills, [], RULES)
+        violations = check_fills(_box(fills), _box([]), RULES)
         assert any(v.rule == "min_spacing" for v in violations)
 
     def test_spacing_exactly_at_rule_is_clean(self):
         fills = [Rect(0, 0, 20, 20), Rect(30, 0, 50, 20)]  # gap 10
-        assert check_fills(fills, [], RULES) == []
+        assert check_fills(_box(fills), _box([]), RULES) == []
 
     def test_diagonal_spacing_euclidean(self):
         # Corner gap 6-8-10: Euclidean distance exactly 10 — legal.
         fills = [Rect(0, 0, 20, 20), Rect(26, 28, 46, 48)]
-        assert check_fills(fills, [], RULES) == []
+        assert check_fills(_box(fills), _box([]), RULES) == []
         # Corner gap 5-5: distance ~7.07 < 10 — violation.
         fills = [Rect(0, 0, 20, 20), Rect(25, 25, 45, 45)]
-        violations = check_fills(fills, [], RULES)
+        violations = check_fills(_box(fills), _box([]), RULES)
         assert any(v.rule == "min_spacing" for v in violations)
 
     def test_overlapping_fills_flagged(self):
         fills = [Rect(0, 0, 20, 20), Rect(10, 10, 30, 30)]
-        violations = check_fills(fills, [], RULES)
+        violations = check_fills(_box(fills), _box([]), RULES)
         assert any(v.rule == "min_spacing" for v in violations)
 
     def test_fill_to_wire_spacing(self):
         fills = [Rect(0, 0, 20, 20)]
         wires = [Rect(25, 0, 60, 20)]  # gap 5 < 10
-        violations = check_fills(fills, wires, RULES)
+        violations = check_fills(_box(fills), _box(wires), RULES)
         assert any(v.rule == "min_spacing" for v in violations)
 
     def test_each_pair_reported_once(self):
         fills = [Rect(0, 0, 20, 20), Rect(25, 0, 45, 20)]
         violations = [
-            v for v in check_fills(fills, [], RULES) if v.rule == "min_spacing"
+            v for v in check_fills(_box(fills), _box([]), RULES) if v.rule == "min_spacing"
         ]
         assert len(violations) == 1
 
     def test_violation_str(self):
-        v = check_fills([Rect(0, 0, 5, 50)], [], RULES)[0]
+        v = check_fills(_box([Rect(0, 0, 5, 50)]), _box([]), RULES)[0]
         assert "min_width" in str(v)
 
 
@@ -152,7 +157,7 @@ class TestMatchesScalarOracle:
 
     @staticmethod
     def _same(fills, wires, rules=RULES):
-        got = check_fills(fills, wires, rules)
+        got = check_fills(_box(fills), _box(wires), rules)
         want = oracle.check_fills(fills, wires, rules)
         assert got == want
         assert [type(v.measured) for v in got] == [type(v.measured) for v in want]

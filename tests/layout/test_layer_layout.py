@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.contracts import ContractViolation
 from repro.geometry import Rect, RectilinearPolygon, boxes
 from repro.layout import DrcRules, Layer, Layout
 
@@ -107,6 +108,63 @@ class TestLayer:
         self._assert_boxes_current(layer)
         assert pickle.dumps(layer) == before
         self._assert_boxes_current(pickle.loads(before))
+
+    def test_wire_boxes_follow_array_and_grown_appends(self):
+        rng = random.Random(4)
+        layer, expect, held = Layer(3), [], []
+        for step in range(300):
+            x, y = rng.randrange(-100, 100), rng.randrange(-100, 100)
+            new = [Rect(x, y, x + rng.randrange(1, 50), y + rng.randrange(1, 50)) for _ in range(step % 4)]
+            if step % 3:
+                for rect in new:
+                    layer.add_wire(rect)
+            else:
+                layer.add_wires(boxes(new, len(new)))
+            expect += new
+            held.append((layer.wire_boxes, list(expect)))
+            assert layer.wires == expect
+            self._assert_boxes_current(layer)
+        # a box array once handed out keeps the wires it had
+        for box, wires in held:
+            assert box.tolist() == [[r.xl, r.yl, r.xh, r.yh] for r in wires]
+        assert layer.filter_wires(lambda r: r.xl % 2 == 0) == sum(r.xl % 2 for r in expect)
+        self._assert_boxes_current(layer)
+        assert layer.wires == [r for r in expect if r.xl % 2 == 0]
+
+    def test_pickle_equal_however_built(self):
+        rects = [Rect(k, 0, k + 5, 7) for k in range(0, 100, 9)]
+        one_by_one, at_once = Layer(1), Layer(1)
+        for rect in rects:
+            one_by_one.add_wire(rect)
+        at_once.add_wires(boxes(rects, len(rects)))
+        assert pickle.dumps(one_by_one) == pickle.dumps(at_once)
+        back = pickle.loads(pickle.dumps(one_by_one))
+        back.add_wire(Rect(0, 0, 1, 1))
+        assert back.wires == rects + [Rect(0, 0, 1, 1)] and one_by_one.wires == rects
+
+    @pytest.mark.parametrize(
+        "add",
+        [
+            lambda layer, r: layer.add_wire(r),
+            lambda layer, r: layer.add_wires([Rect(0, 0, 5, 5), r]),
+            lambda layer, r: layer.add_wires(np.array([[0, 0, 5, 5], [r.xl, r.yl, r.xh, r.yh]])),
+            lambda layer, r: layer.add_fill(r),
+            lambda layer, r: layer.add_fills([Rect(0, 0, 5, 5), r]),
+            lambda layer, r: layer.add_fills(np.array([[r.xl, r.yl, r.xh, r.yh]])),
+        ],
+        ids=["add_wire", "add_wires", "add_wires-array", "add_fill", "add_fills", "add_fills-array"],
+    )
+    def test_non_integer_coordinate_rejected(self, add):
+        layer = Layer(2)
+        with pytest.raises(ContractViolation, match=r"on layer 2\.xl = 10\.5 is not an integer"):
+            add(layer, Rect(10.5, 10, 100.7, 50))
+        assert layer.num_wires == 0 and layer.num_fills == 0
+
+    def test_inverted_box_rows_rejected(self):
+        with pytest.raises(ContractViolation, match=r"wire on layer 1 is malformed: \(9,0,5,5\)"):
+            Layer(1).add_wires(np.array([[0, 0, 5, 5], [9, 0, 5, 5]]))
+        with pytest.raises(ValueError, match="degenerate wire"):
+            Layer(1).add_wires(np.array([[0, 0, 0, 5]]))
 
     def test_drop_fills_rejects_wrong_length_mask(self):
         layer = Layer(1)

@@ -19,6 +19,7 @@ Every random choice derives from :data:`SEEDS`.
 import io
 import json
 import random
+import re
 import socket
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -404,8 +405,9 @@ def test_corrupt_input_raises_value_error(name):
             flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
             try:
                 read(bytes(flipped), case.rules)
-            except ValueError:
-                pass
+            except ValueError as exc:
+                # every GDSII read error names where the stream went wrong
+                assert read is layout_from_oasis or re.search(r"byte \d+", str(exc)), exc
 
 
 def test_malformed_lines_get_error_responses(tmp_path):

@@ -282,6 +282,17 @@ class TestCachedEco:
         # the layout still takes the next change
         apply_eco(layout, grid, self.WIRE, config)
 
+    def test_non_integer_wire_rejected_before_commit(self):
+        from repro.contracts import ContractViolation
+        from repro.gdsii import gdsii_bytes
+
+        layout, grid = filled_layout()
+        before = gdsii_bytes(layout)
+        bad = {1: [Rect(100, 100, 400, 140)], 2: [Rect(500, 500, 540.5, 900)]}
+        with pytest.raises(ContractViolation, match=r"new wire on layer 2\.xh = 540\.5"):
+            apply_eco(layout, grid, bad, FillConfig())
+        assert gdsii_bytes(layout) == before
+
     def test_stale_fill_index_rejected(self):
         from repro.eco import build_fill_indexes
 
