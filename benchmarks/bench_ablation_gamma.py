@@ -14,7 +14,7 @@ from repro.core import FillConfig
 from repro.core.candidates import generate_candidates
 from repro.core.planner import plan_targets, PlannerObjective
 from repro.density import analyze_layout
-from repro.geometry import intersection_area
+from repro.geometry import intersection_area, rects_of
 
 _GAMMAS = [0.0, 0.5, 1.0, 4.0]
 _rows = {}
@@ -30,7 +30,8 @@ def _candidate_stats(bench, gamma):
     overlay = 0
     count = 0
     area = 0
-    for key, per_layer in cands.items():
+    for key, boxes_per_layer in cands.items():
+        per_layer = {n: rects_of(box) for n, box in boxes_per_layer.items()}
         numbers = sorted(per_layer)
         for lo, hi in zip(numbers, numbers[1:]):
             overlay += intersection_area(per_layer[lo], per_layer[hi])

@@ -19,7 +19,7 @@ from repro.core import FillConfig
 from repro.core.candidates import generate_candidates
 from repro.core.planner import plan_targets
 from repro.density import analyze_layout
-from repro.geometry import Rect, intersection_area
+from repro.geometry import Rect, intersection_area, rects_of
 from repro.layout import DrcRules, Layout, WindowGrid
 
 RULES = DrcRules(
@@ -69,7 +69,8 @@ def _run_case(case, config=None):
     analysis = analyze_layout(layout, grid, window_margin=margin)
     plan = plan_targets(analysis)
     cands = generate_candidates(layout, grid, plan, analysis, config)
-    per_layer = cands[(1, 0)]  # the test window (window 0 is the driver)
+    # the test window (window 0 is the driver), its candidates as rects
+    per_layer = {n: rects_of(box) for n, box in cands[(1, 0)].items()}
     fill_fill = intersection_area(per_layer.get(1, []), per_layer.get(2, []))
     fill_wire = intersection_area(
         per_layer.get(1, []), layout.layer(2).wires

@@ -59,7 +59,7 @@ import numpy as np
 from .. import obs
 from ..density.analysis import LayerDensity
 from ..density.raster import NO_REGION
-from ..geometry import IntArray, Rect, boxes, rects_of, touching
+from ..geometry import IntArray, Rect, boxes, touching
 from ..geometry.raster import _key_join
 from ..layout import DrcRules, Layout, WindowGrid
 from .config import FillConfig
@@ -74,8 +74,9 @@ __all__ = [
 ]
 
 WindowKey = Tuple[int, int]
-#: candidates[window][layer] -> list of candidate fill rects
-CandidatePlan = Dict[WindowKey, Dict[int, List[Rect]]]
+#: candidates[window][layer] -> read-only ``(k, 4)`` int64 box array of
+#: candidate fills, in Alg. 1's order (``(0, 4)`` when there are none)
+CandidatePlan = Dict[WindowKey, Dict[int, IntArray]]
 
 
 def _area(box: np.ndarray) -> np.ndarray:
@@ -531,24 +532,30 @@ class _Column:
             np.add.at(overlay, a // 2, _overlap_area(cand[a // 2], nbox[b]))
         return overlay
 
-    def run(self) -> Dict[WindowKey, Dict[int, List[Rect]]]:
-        """Both rounds; each window's selected candidates per layer."""
+    def run(self) -> CandidatePlan:
+        """Both rounds; each window's selected candidates per layer.
+
+        Every entry is a read-only slice of one array per column: the
+        selections ordered by slot, each slot's in selection order.
+        """
         numbers = self.shared.numbers
         nl = self.layers
         odd = self.odd()
         even = self.even(*odd)
-        out: Dict[WindowKey, Dict[int, List[Rect]]] = {
-            (self.i, j): {n: [] for n in numbers} for j in self.rows
-        }
         obs.metrics.counter("candidates.round.odd").inc(len(odd[0]))
         obs.metrics.counter("candidates.round.even").inc(len(even[0]))
-        # The plan lives until sizing: a column's rects share one int
-        # object per distinct coordinate.
-        rects = rects_of(np.concatenate((odd[1], even[1])))
-        slots = np.concatenate((odd[0], even[0])).tolist()
-        for s, rect in zip(slots, rects):
-            out[(self.i, self.rows[s // nl])][numbers[s % nl]].append(rect)
-        return out
+        slot = np.concatenate((odd[0], even[0]))
+        order = np.argsort(slot, kind="stable")
+        box = np.concatenate((odd[1], even[1]))[order]
+        box.flags.writeable = False
+        bounds = np.searchsorted(slot[order], np.arange(len(self.rows) * nl + 1)).tolist()
+        return {
+            (self.i, j): {
+                n: box[bounds[w * nl + li] : bounds[w * nl + li + 1]]
+                for li, n in enumerate(numbers)
+            }
+            for w, j in enumerate(self.rows)
+        }
 
 
 def generate_candidates(
@@ -561,7 +568,7 @@ def generate_candidates(
 ) -> CandidatePlan:
     """Run Alg. 1 over every window of the layout.
 
-    Returns the candidate plan: per window, per layer, the list of
+    Returns the candidate plan: per window, per layer, the box array of
     candidate fill rectangles whose total density is at least
     ``λ · td`` (when the free space allows it), in grid order.  The
     windows of one grid column run as one batch (:class:`_Column`);
@@ -600,13 +607,21 @@ def candidate_area_maps(
 
     Feeds the second density-planning round (Fig. 3): after candidate
     generation the achievable upper bound of each window is the wire
-    density plus what the candidates can actually deliver.
+    density plus what the candidates can actually deliver.  The areas
+    of every entry are one int64 array; each entry's total is a
+    difference of its running sums.
     """
     maps = {
         n: np.zeros((grid.cols, grid.rows), dtype=np.float64)
         for n in layer_numbers
     }
-    for (i, j), per_layer in candidates.items():
-        for n, rects in per_layer.items():
-            maps[n][i, j] = float(sum(r.area for r in rects))
+    keys = [(i, j, n) for (i, j), per_layer in candidates.items() for n in per_layer]
+    parts = [box for per_layer in candidates.values() for box in per_layer.values()]
+    if not parts:
+        return maps
+    counts = np.array([len(box) for box in parts], dtype=np.int64)
+    running = np.concatenate(([0], np.cumsum(_area(np.concatenate(parts)))))
+    ends = np.cumsum(counts)
+    for (i, j, n), total in zip(keys, (running[ends] - running[ends - counts]).tolist()):
+        maps[n][i, j] = float(total)
     return maps

@@ -54,18 +54,19 @@ from ..density.analysis import (
     window_area_map,
 )
 from ..density.scoring import ScoreWeights
-from ..geometry import Rect
+from ..geometry import IntArray
 from ..layout import BandPlan, DrcViolation, Layout, WindowGrid
 from .candidates import CandidatePlan, candidate_area_maps, generate_candidates
 from .config import FillConfig
 from .planner import DensityPlan, PlannerObjective, plan_targets
-from .sizing import SizingStats, size_fills
+from .sizing import SizedFills, SizingStats, size_fills
 
 __all__ = [
     "BandSource",
     "FillReport",
     "DummyFillEngine",
     "engine_span",
+    "fills_by_layer",
     "insert_fills",
     "replan",
 ]
@@ -73,8 +74,15 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 WindowKey = Tuple[int, int]
-#: sized fills per window, per layer, in grid order
-SizedFills = Dict[WindowKey, Dict[int, List[Rect]]]
+
+
+def fills_by_layer(sized: SizedFills) -> Dict[int, IntArray]:
+    """Each layer's sized fills as one box array, windows in grid order."""
+    parts: Dict[int, List[IntArray]] = {}
+    for per_layer in sized.values():
+        for n, box in per_layer.items():
+            parts.setdefault(n, []).append(box)
+    return {n: np.concatenate(boxes) for n, boxes in parts.items()}
 
 
 @dataclass
@@ -448,10 +456,9 @@ class DummyFillEngine:
             source = _ResidentBand(layout, grid)
             report = self.sweep(source, windows=windows, analysis=analysis)
             with obs.span("insertion"):
-                for per_layer in source.sized.values():
-                    for layer_number, rects in per_layer.items():
-                        layout.layer(layer_number).add_fills(rects)
-                        report.num_fills += len(rects)
+                for layer_number, box in fills_by_layer(source.sized).items():
+                    layout.layer(layer_number).add_fills(box)
+                    report.num_fills += len(box)
                 obs.count("engine.fills", report.num_fills)
         report.stage_seconds = {c.name: c.seconds for c in run_span.children}
         return report

@@ -61,9 +61,16 @@ from ..netflow import (
 from .candidates import CandidatePlan
 from .config import FillConfig
 
-__all__ = ["SizingStats", "size_window", "size_fills"]
+__all__ = ["SizedFills", "SizingStats", "size_window", "size_fills"]
 
 WindowKey = Tuple[int, int]
+#: sized[window][layer] -> read-only ``(k, 4)`` int64 box array of the
+#: window's final fills, in candidate order
+SizedFills = Dict[WindowKey, Dict[int, IntArray]]
+
+#: the fills of a window layer that has none
+_NO_FILLS: IntArray = np.zeros((0, 4), dtype=np.int64)
+_NO_FILLS.flags.writeable = False
 
 
 @dataclass
@@ -113,9 +120,10 @@ class _Batch:
     """The candidate fills of some windows, sized together as arrays.
 
     ``candidates`` and ``targets`` hold one mapping per window (layer
-    to candidate rects, layer to target fill area).  ``wires`` maps a
-    layer to an int64 box array of wires, of which window ``w`` sees
-    those whose closed box reaches ``reach[0][w] <= y <= reach[1][w]``.
+    to an ``(k, 4)`` int64 box array of candidates, layer to target
+    fill area).  ``wires`` maps a layer to an int64 box array of wires,
+    of which window ``w`` sees those whose closed box reaches
+    ``reach[0][w] <= y <= reach[1][w]``.
 
     Fills are numbered window by window, layers ascending, each layer
     in candidate order: the order in which one window's LP numbers its
@@ -127,7 +135,7 @@ class _Batch:
 
     def __init__(
         self,
-        candidates: Sequence[Mapping[int, Sequence[Rect]]],
+        candidates: Sequence[Mapping[int, IntArray]],
         targets: Sequence[Mapping[int, float]],
         wires: Mapping[int, IntArray],
         reach: Tuple[np.ndarray, np.ndarray],
@@ -138,20 +146,18 @@ class _Batch:
         self.config = config
         self.layer_keys = [sorted(c) for c in candidates]
         self.nwin = len(candidates)
-        rects: List[Rect] = []
-        layers: List[int] = []
-        wins: List[int] = []
-        for w, (cands, keys) in enumerate(zip(candidates, self.layer_keys)):
-            for layer in keys:
-                rects.extend(cands[layer])
-                layers.extend([layer] * len(cands[layer]))
-                wins.extend([w] * len(cands[layer]))
-        n = len(rects)
-        self._candidates = rects
-        self._start = boxes(rects, n)
-        self.xl, self.yl, self.xh, self.yh = (self._start[:, k].copy() for k in range(4))
-        self.layer = np.array(layers, dtype=np.int64)
-        self.win = np.array(wins, dtype=np.int64)
+        #: (window, layer) of every group, in fill order
+        self._groups = np.array(
+            [(w, layer) for w, keys in enumerate(self.layer_keys) for layer in keys],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        parts = [candidates[w][layer] for w, layer in self._groups.tolist()]
+        start = np.concatenate(parts + [_NO_FILLS])
+        n = len(start)
+        self.xl, self.yl, self.xh, self.yh = (start[:, k].copy() for k in range(4))
+        counts = [len(box) for box in parts]
+        self.win = np.repeat(self._groups[:, 0], counts)
+        self.layer = np.repeat(self._groups[:, 1], counts)
         numbers = sorted({layer for keys in self.layer_keys for layer in keys})
         # Group keys leave room for the layers one above and below, the
         # overlay neighbours of every candidate layer.
@@ -507,8 +513,10 @@ class _Batch:
     # ------------------------------------------------------------------
     # the whole run
     # ------------------------------------------------------------------
-    def size(self, stats: SizingStats) -> List[Dict[int, List[Rect]]]:
-        """Run the passes and the cleanup; returns each window's fills."""
+    def size(self, stats: SizingStats) -> List[Dict[int, IntArray]]:
+        """Run the passes and the cleanup; returns each window's fills,
+        per layer a read-only slice of one box array of every kept fill
+        in fill order."""
         stats.dropped_fills += self.dropped
         active = np.bincount(self.win[self.live], minlength=self.nwin) > 0
         for _ in range(self.config.sizing_iterations):
@@ -560,21 +568,17 @@ class _Batch:
                 self.alive[a if ra.area <= rb.area else b] = False
                 stats.dropped_fills += 1
 
-        out: List[Dict[int, List[Rect]]] = [
-            {layer: [] for layer in keys} for keys in self.layer_keys
-        ]
+        # Fills are numbered group by group, so each group's kept fills
+        # are one run of the kept rows.
         kept = np.flatnonzero(self.alive)
-        # A fill that never moved is its candidate rect; the moved ones
-        # share one int object per distinct coordinate.
-        rects = [self._candidates[k] for k in kept.tolist()]
         box = np.column_stack((self.xl, self.yl, self.xh, self.yh))[kept]
-        shrunk = np.flatnonzero((box != self._start[kept]).any(axis=1))
-        for pos, rect in zip(shrunk.tolist(), rects_of(box[shrunk])):
-            rects[pos] = rect
-        for w, layer, rect in zip(
-            self.win[kept].tolist(), self.layer[kept].tolist(), rects
-        ):
-            out[w][layer].append(rect)
+        box.flags.writeable = False
+        grp, key = self.grp[kept], self._key(self._groups[:, 0], self._groups[:, 1])
+        lo = np.searchsorted(grp, key, "left").tolist()
+        hi = np.searchsorted(grp, key, "right").tolist()
+        out: List[Dict[int, IntArray]] = [{} for _ in self.layer_keys]
+        for (w, layer), a, b in zip(self._groups.tolist(), lo, hi):
+            out[w][layer] = box[a:b]
         return out
 
 
@@ -596,21 +600,24 @@ def size_window(
     priced against the wires of layers ``l ± 1``);
     ``target_fill_area`` maps each layer to the fill area (dbu²) the
     density plan asks of this window — ``dt(l) · aw`` of Eqn. (9b).
-    Returns the final fills per layer plus solver statistics.
+    Returns the final fills per layer plus solver statistics.  The
+    window's shapes come and go as rects: this is :func:`size_fills` of
+    one window, converted at its boundary.
     """
     if config is None:
         config = FillConfig()
     stats = SizingStats(windows=1)
     everywhere = np.iinfo(np.int64)
     batch = _Batch(
-        [candidates],
+        [{n: boxes(rects, len(rects)) for n, rects in candidates.items()}],
         [target_fill_area],
         {n: boxes(rects, len(rects)) for n, rects in wires_nearby.items()},
         (np.array([everywhere.min]), np.array([everywhere.max])),
         rules,
         config,
     )
-    return batch.size(stats)[0], stats
+    sized = batch.size(stats)[0]
+    return {n: rects_of(box) for n, box in sized.items()}, stats
 
 
 def size_fills(
@@ -619,15 +626,16 @@ def size_fills(
     candidates: CandidatePlan,
     target_fill_area: Mapping[int, np.ndarray],
     config: Optional[FillConfig] = None,
-) -> Tuple[Dict[WindowKey, Dict[int, List[Rect]]], SizingStats]:
+) -> Tuple[SizedFills, SizingStats]:
     """Size the candidates of every window in ``candidates``.
 
     ``target_fill_area`` maps each layer to a ``(cols, rows)`` array of
     the fill area each window should keep — ``dt(l)·aw`` of Eqn. (9b).
     Windows are independent problems (the paper sizes per window); the
     windows of one grid column are sized as one batch, and the result
-    is in grid order: a window whose candidates are all empty maps to
-    empty per-layer lists.  A window sees the wires within the spacing
+    is in grid order, per window and layer a read-only ``(k, 4)`` int64
+    box array: a window whose candidates are all empty maps to
+    ``(0, 4)`` arrays.  A window sees the wires within the spacing
     rule of it, the reach of analysis, candidates and DRC: sizing reads
     only wires that overlap a fill, and fills lie inside their window
     and only shrink.  Each layer's wires are its cached box array
@@ -641,15 +649,15 @@ def size_fills(
     margin = rules.min_spacing
     wires = {layer.number: layer.wire_boxes for layer in layout.layers}
     total = SizingStats()
-    columns: Dict[int, List[Tuple[WindowKey, Rect, Mapping[int, Sequence[Rect]]]]] = {}
+    columns: Dict[int, List[Tuple[WindowKey, Rect, Mapping[int, IntArray]]]] = {}
     for i, j, window in grid:
         cands = candidates.get((i, j))
         if cands is not None:
             columns.setdefault(i, []).append(((i, j), window, cands))
-    result: Dict[WindowKey, Dict[int, List[Rect]]] = {}
+    result: SizedFills = {}
     for column in columns.values():
-        busy = [entry for entry in column if any(entry[2].values())]
-        sized: Dict[WindowKey, Dict[int, List[Rect]]] = {}
+        busy = [entry for entry in column if any(len(box) for box in entry[2].values())]
+        sized: SizedFills = {}
         if busy:
             obs.metrics.counter("sizing.windows").inc(len(busy))
             total.windows += len(busy)
@@ -672,6 +680,6 @@ def size_fills(
             )
             sized = dict(zip((key for key, _, _ in busy), batch.size(total)))
         for key, _, cands in column:
-            result[key] = sized[key] if key in sized else {layer: [] for layer in cands}
+            result[key] = sized[key] if key in sized else {layer: _NO_FILLS for layer in cands}
     obs.metrics.counter("sizing.dropped_fills").inc(total.dropped_fills)
     return result, total

@@ -39,7 +39,7 @@ from typing import (Any, BinaryIO, Dict, Iterable, Iterator, List, Mapping, Opti
 import numpy as np
 
 from .. import obs
-from ..contracts import check_drc_params, checked_boxes
+from ..contracts import check_boxes, check_drc_params
 from ..density.analysis import window_area_map
 from ..density.raster import clipped_area_map
 from ..density.scoring import ScoreWeights
@@ -61,8 +61,8 @@ from ..layout import (
 )
 from ..oasis import OasisStreamWriter
 from .config import FillConfig
-from .engine import BandSource, DummyFillEngine, FillReport, SizedFills, engine_span
-from .sizing import SizingStats
+from .engine import BandSource, DummyFillEngine, FillReport, engine_span, fills_by_layer
+from .sizing import SizedFills, SizingStats
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
@@ -195,19 +195,15 @@ class SpillBands(BandSource):
     def commit(self, band: int, sized: SizedFills) -> None:
         """Spool and route the band's sized fills, a layer at a time.
 
-        Each layer's fills, in grid order, become one checked box array
-        (:func:`~repro.contracts.checked_boxes`: a non-integer or
-        inverted fill raises as :func:`~repro.contracts.check_rect`
+        Each layer's fills, in grid order, are one box array, checked
+        as a whole (:func:`~repro.contracts.check_boxes`: a non-integer
+        or inverted fill raises as :func:`~repro.contracts.check_rect`
         does).
         """
         spool = LayerSpool(self._workdir, f"new-band{band:04d}", flush_records=self._flush)
-        per_layer: Dict[int, List[Rect]] = {}
-        for window_fills in sized.values():
-            for n, rects in window_fills.items():
-                per_layer.setdefault(n, []).extend(rects)
         added = 0
-        for n, rects in per_layer.items():
-            box = checked_boxes(rects, name=f"fill on layer {n}")
+        for n, box in fills_by_layer(sized).items():
+            box = check_boxes(box, name=f"fill on layer {n}")
             spool.add_boxes(n, FILL_DATATYPE, box)
             self._fills.route_boxes(n, FILL_DATATYPE, box, self._rules.min_spacing)
             added += len(box)
@@ -322,7 +318,7 @@ def stream_fill(
             with GdsiiStreamReader(source) as reader:
                 for layer, datatype, box in census.scan(reader.box_chunks()):
                     spool.add_boxes(layer, datatype, box)
-            die = census.die()
+            die = census.die(reader.end)
             num_layers = census.num_layers
             numbers = tuple(range(1, num_layers + 1))
             grid = WindowGrid(die, cols, rows)

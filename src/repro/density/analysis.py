@@ -55,17 +55,13 @@ def fill_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     :mod:`repro.core.stream`); a union would make in-memory and
     streamed ECOs diverge on inputs whose fills overlap.
     """
-    return _to_density(clipped_area_map(_fill_boxes(layer), grid), grid)
+    return _to_density(clipped_area_map(layer.fill_boxes, grid), grid)
 
 
 def metal_density_map(layer: Layer, grid: WindowGrid) -> np.ndarray:
     """Total layout density d(i, j): wires plus fills, each point once."""
-    shapes = np.concatenate((layer.wire_boxes, _fill_boxes(layer)))
+    shapes = np.concatenate((layer.wire_boxes, layer.fill_boxes))
     return _to_density(covered_area_map(shapes, grid), grid)
-
-
-def _fill_boxes(layer: Layer) -> IntArray:
-    return boxes(layer.fills, layer.num_fills)
 
 
 def window_area_map(grid: WindowGrid) -> np.ndarray:
@@ -360,7 +356,7 @@ def overlay_map(lower: Layer, upper: Layer, grid: WindowGrid) -> np.ndarray:
     """
     lo_wires, lo_fills, hi_wires, hi_fills = (
         (box, covered_area_map(box, grid))
-        for box in (lower.wire_boxes, _fill_boxes(lower), upper.wire_boxes, _fill_boxes(upper))
+        for box in (lower.wire_boxes, lower.fill_boxes, upper.wire_boxes, upper.fill_boxes)
     )
     out = np.zeros((grid.cols, grid.rows), dtype=np.int64)
     for (a, area_a), (b, area_b) in (

@@ -24,11 +24,14 @@ streamed shapes.
 
 For a one-shot call the function rescans the layout; a caller holding a
 loaded session (:mod:`repro.service`) instead passes its cached
-per-layer density ``analysis`` and its ``fill_indexes`` (each layer's
-fill boxes), and the flow touches only the dirtied windows end to end:
-density analysis is refreshed per dirtied window via
-:func:`repro.density.analysis.refresh_analysis` instead of recomputed
-globally.  Both paths produce bit-identical layouts.
+per-layer density ``analysis``, and the flow touches only the dirtied
+windows end to end: density analysis is refreshed per dirtied window
+via :func:`repro.density.analysis.refresh_analysis` instead of
+recomputed globally.  Both paths produce bit-identical layouts.  The
+rip-up reads each layer's fill box array
+(:attr:`~repro.layout.Layer.fill_boxes`) as it is; ``fill_indexes``,
+the views :func:`build_fill_indexes` hands out, are only checked
+against it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .contracts import check_rect
 from .core import DummyFillEngine, FillConfig
 from .density.analysis import LayerDensity, refresh_analysis
 from .density.scoring import ScoreWeights
-from .geometry import BoolArray, IntArray, Rect, boxes, touching
+from .geometry import BoolArray, IntArray, Rect, touching
 from .layout import DrcRules, Layout, WindowGrid
 
 __all__ = [
@@ -143,13 +146,14 @@ def affected_windows(
 
 
 def build_fill_indexes(layout: Layout) -> Dict[int, IntArray]:
-    """Each layer's fills as an ``(n, 4)`` int64 box array.
+    """Each layer's fills as an ``(n, 4)`` int64 box array: the layers'
+    own read-only :attr:`~repro.layout.Layer.fill_boxes`, so building
+    them converts nothing.
 
     Row ``k`` is ``layer.fills[k]``, so :func:`apply_eco` runs the
-    rip-up rule on the array and removes fills by row, with no rect
-    comparisons.
+    rip-up rule on the array and removes fills by row.
     """
-    return {layer.number: boxes(layer.fills, layer.num_fills) for layer in layout.layers}
+    return {layer.number: layer.fill_boxes for layer in layout.layers}
 
 
 def wires_from_json(data: Mapping[str, Any]) -> Dict[int, List[Rect]]:
@@ -192,14 +196,20 @@ def wires_from_json(data: Mapping[str, Any]) -> Dict[int, List[Rect]]:
 
 
 def _check_fill_indexes(layout: Layout, indexes: Dict[int, IntArray]) -> None:
-    """Reject cached fill boxes that do not match the layout's fills."""
+    """Reject cached fill boxes whose rows are not the layout's fills.
+
+    The views :func:`build_fill_indexes` hands out pass by identity
+    until the fills change; any other array must equal them row for row.
+    """
     for layer in layout.layers:
-        index = indexes.get(layer.number)
-        if index is None or len(index) != layer.num_fills:
+        index, fills = indexes.get(layer.number), layer.fill_boxes
+        if index is fills:
+            continue
+        if index is None or not np.array_equal(index, fills):
             have = "missing" if index is None else f"{len(index)} rows"
             raise ValueError(
-                f"stale fill index for layer {layer.number}: {have}, "
-                f"layer has {layer.num_fills}"
+                f"stale fill index for layer {layer.number}: {have} that are not "
+                f"the layer's {layer.num_fills} fills"
             )
 
 
@@ -226,9 +236,10 @@ def apply_eco(
       pre-ECO layout (built with this config's ``effective_margin``).
       When given, only the affected windows of the changed layers are
       re-analyzed; the engine reuses everything else.
-    * ``fill_indexes`` — each layer's fill boxes for the rip-up rule
-      (:func:`build_fill_indexes`), checked against the layout's fill
-      counts; built fresh when omitted.  Always stale after this call
+    * ``fill_indexes`` — each layer's fill boxes
+      (:func:`build_fill_indexes`), checked row for row against the
+      layout's fills before anything is committed, so a stale index
+      leaves the layout as it was.  Always stale after this call
       (fills change).
 
     The returned report carries the refreshed ``analysis`` when one was
@@ -239,6 +250,8 @@ def apply_eco(
             config = FillConfig()
         rules = layout.rules
         check_new_wires(layout.die, layout.layer_numbers, new_wires)
+        if fill_indexes is not None:
+            _check_fill_indexes(layout, fill_indexes)
         changed_layers = sorted(n for n, rects in new_wires.items() if rects)
         num_new = 0
         for number in sorted(new_wires, key=int):
@@ -255,16 +268,12 @@ def apply_eco(
         removed = 0
         if affected:
             with obs.span("eco.ripup"):
-                if fill_indexes is None:
-                    fill_indexes = build_fill_indexes(layout)
-                else:
-                    _check_fill_indexes(layout, fill_indexes)
                 for layer in layout.layers:
-                    doomed = rip_up_mask(grid, affected, fill_indexes[layer.number])
+                    doomed = rip_up_mask(grid, affected, layer.fill_boxes)
                     if not doomed.any():
                         continue
                     removed += int(doomed.sum())
-                    layer.drop_fills(doomed.tolist())
+                    layer.drop_fills(doomed)
         sp.count("eco.removed_fills", removed)
 
         # Re-analyze only what the wires dirtied (with a cache), then

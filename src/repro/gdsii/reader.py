@@ -32,6 +32,8 @@ def layout_from_gdsii(
     bounding box of all geometry.
     """
     reader = GdsiiStreamReader(data)
-    layout = layout_from_shapes(reader.box_chunks(), rules, source="GDSII")
+    layout = layout_from_shapes(
+        reader.box_chunks(), rules, source="GDSII", end=lambda: reader.end
+    )
     layout.name = reader.name or "gdsii"
     return layout

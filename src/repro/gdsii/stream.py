@@ -361,6 +361,8 @@ class GdsiiStreamReader:
         self.user_unit = 1e-3
         self.db_unit_meters = 1e-9
         self.structure_names: List[str] = []
+        #: byte offset of the ENDLIB record, once iteration has reached it
+        self.end: Optional[int] = None
 
     def close(self) -> None:
         if self._owns_stream:
@@ -453,6 +455,7 @@ class GdsiiStreamReader:
                     )
                     element_kind = None
                 elif rec_type == RecordType.ENDLIB:
+                    self.end = offset
                     return
         except (struct.error, IndexError):
             # an integer payload that is empty or not whole fields

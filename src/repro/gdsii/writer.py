@@ -184,12 +184,13 @@ def _slices(box: IntArray) -> Iterator[IntArray]:
 def write_gdsii(layout: Layout, stream: BinaryIO) -> int:
     """Serialise ``layout`` as GDSII; returns the number of bytes written.
 
-    Each layer's wires go out as slices of :attr:`Layer.wire_boxes`,
-    its fills as box arrays of :data:`CHUNK_RECTS` rects at a time.
+    Each layer's wires and fills go out as slices of
+    :attr:`Layer.wire_boxes` and :attr:`Layer.fill_boxes`,
+    :data:`CHUNK_RECTS` rects at a time.
     """
     writer = GdsiiStreamWriter(stream)
     layers = (
-        (layer.number, _slices(layer.wire_boxes), _slices(boxes(layer.fills, layer.num_fills)))
+        (layer.number, _slices(layer.wire_boxes), _slices(layer.fill_boxes))
         for layer in layout.layers
     )
     for group in shape_groups(boxes((layout.die,), 1), layers):

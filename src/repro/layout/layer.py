@@ -6,12 +6,13 @@ immutable input geometry; fills are added by the insertion engine and
 kept separate so overlay and density can be attributed correctly
 (overlay counts fill-vs-anything, per §2.1).
 
-The wires are held as one int64 box array, the form every array stage
-reads (:attr:`Layer.wire_boxes`); :attr:`Layer.wires` builds rects on
-demand.  The array is the leading rows of a growable buffer, so adding
-wires one at a time costs amortized constant time, and rows once added
-never change: a box array a stage holds stays valid.  Fills stay a
-:class:`Rect` list.  Every mutator checks its shapes as
+Wires and fills are each held as one int64 box array, the form every
+array stage reads (:attr:`Layer.wire_boxes`, :attr:`Layer.fill_boxes`);
+:attr:`Layer.wires` and :attr:`Layer.fills` build rects on demand.  Each
+array is the leading rows of a growable buffer, so adding shapes one at
+a time costs amortized constant time, and rows once added never change:
+dropping or clearing fills makes a new array, so a box array a stage
+holds stays valid.  Every mutator checks its shapes as
 :func:`~repro.contracts.check_rect` does.
 """
 
@@ -22,8 +23,8 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from ..contracts import check_boxes, check_rect, checked_boxes
-from ..geometry import (IntArray, Rect, RectilinearPolygon, polygon_to_rects, rects_of,
-                        union_area)
+from ..geometry import (BoolArray, IntArray, Rect, RectilinearPolygon, polygon_to_rects,
+                        rects_of, union_area)
 
 __all__ = ["Layer"]
 
@@ -31,10 +32,43 @@ __all__ = ["Layer"]
 Shapes = Union[Iterable[Rect], np.ndarray[Any, np.dtype[Any]]]
 
 
-def _no_wires() -> IntArray:
+def _no_shapes() -> IntArray:
+    """A fresh read-only ``(0, 4)`` box array, backed by no buffer."""
     box = np.zeros((0, 4), dtype=np.int64)
     box.flags.writeable = False
     return box
+
+
+def _appended(rows: IntArray, box: IntArray) -> IntArray:
+    """``rows`` followed by ``box``, as a read-only view.
+
+    ``rows`` is a layer's box array.  When it is the leading rows of a
+    buffer with enough spare rows, ``box`` is written into them;
+    otherwise both go into a new buffer of at least twice the rows.
+    Rows already handed out are never written.
+    """
+    n, k = len(rows), len(box)
+    if not k:
+        return rows
+    store = rows.base  # the buffer, when the rows are its leading rows
+    if (
+        isinstance(store, np.ndarray)
+        and store.flags.writeable
+        and store.shape[1:] == (4,)
+        and len(store) >= n + k
+    ):
+        store[n : n + k] = box
+    else:
+        store = np.empty((max(n + k, 2 * n), 4), dtype=np.int64)
+        store[:n] = rows
+        store[n : n + k] = box
+    out = store[: n + k]
+    out.flags.writeable = False
+    return out
+
+
+def _row(rect: Rect) -> IntArray:
+    return np.array([(rect.xl, rect.yl, rect.xh, rect.yh)], dtype=np.int64)
 
 
 class Layer:
@@ -45,8 +79,8 @@ class Layer:
             raise ValueError("layer numbers start at 1 (Alg. 1 convention)")
         self.number = number
         self.name = name if name is not None else f"metal{number}"
-        self._wires: IntArray = _no_wires()
-        self._fills: List[Rect] = []
+        self._wires: IntArray = _no_shapes()
+        self._fills: IntArray = _no_shapes()
 
     # ------------------------------------------------------------------
     @property
@@ -61,18 +95,28 @@ class Layer:
         The same array until a wire is added or filtered out.
         """
         box = self._wires
-        box.flags.writeable = False
+        box.flags.writeable = False  # an unpickled layer's arrays come back writeable
         return box
 
     @property
     def fills(self) -> List[Rect]:
-        """Dummy fill rectangles inserted so far (a copy)."""
-        return list(self._fills)
+        """Dummy fill rectangles inserted so far, built from :attr:`fill_boxes`."""
+        return rects_of(self._fills)
+
+    @property
+    def fill_boxes(self) -> IntArray:
+        """The fills as a read-only ``(n, 4)`` int64 box array, in order.
+
+        The same array until a fill is added, dropped or cleared.
+        """
+        box = self._fills
+        box.flags.writeable = False
+        return box
 
     @property
     def shapes(self) -> List[Rect]:
         """Wires and fills together — the full metal coverage."""
-        return self.wires + self._fills
+        return self.wires + self.fills
 
     @property
     def num_wires(self) -> int:
@@ -105,33 +149,11 @@ class Layer:
         check_rect(rect, name=f"wire on layer {self.number}")
         if rect.is_degenerate:
             raise ValueError(f"degenerate wire rectangle {rect}")
-        self._append_wires(np.array([(rect.xl, rect.yl, rect.xh, rect.yh)], dtype=np.int64))
+        self._wires = _appended(self._wires, _row(rect))
 
     def add_wires(self, shapes: Shapes) -> None:
         """Append wires, given as rects or as an ``(n, 4)`` box array."""
-        self._append_wires(self._checked(shapes, "wire"))
-
-    def _append_wires(self, box: IntArray) -> None:
-        """Write the rows after the wires, into the buffer's spare rows
-        when it has enough, else into a new buffer of twice the rows."""
-        n, k = len(self._wires), len(box)
-        if not k:
-            return
-        store = self._wires.base  # the buffer, when the wires are its leading rows
-        if (
-            isinstance(store, np.ndarray)
-            and store.flags.writeable
-            and store.shape[1:] == (4,)
-            and len(store) >= n + k
-        ):
-            store[n : n + k] = box
-        else:
-            store = np.empty((max(n + k, 2 * n), 4), dtype=np.int64)
-            store[:n] = self._wires
-            store[n : n + k] = box
-        wires = store[: n + k]
-        wires.flags.writeable = False
-        self._wires = wires
+        self._wires = _appended(self._wires, self._checked(shapes, "wire"))
 
     def add_wire_polygon(self, polygon: RectilinearPolygon) -> List[Rect]:
         """Decompose a wire polygon (Gourley–Green) and add the pieces.
@@ -145,25 +167,20 @@ class Layer:
 
     def add_fill(self, rect: Rect) -> None:
         """Add one dummy fill rectangle."""
-        self.add_fills((rect,))
+        check_rect(rect, name=f"fill on layer {self.number}")
+        if rect.is_degenerate:
+            raise ValueError(f"degenerate fill rectangle {rect}")
+        self._fills = _appended(self._fills, _row(rect))
 
     def add_fills(self, shapes: Shapes) -> None:
         """Append fills, given as rects or as an ``(n, 4)`` box array."""
-        if isinstance(shapes, np.ndarray):
-            self._fills.extend(rects_of(self._checked(shapes, "fill")))
-            return
-        rects = list(shapes)
-        for rect in rects:
-            check_rect(rect, name=f"fill on layer {self.number}")
-            if rect.is_degenerate:
-                raise ValueError(f"degenerate fill rectangle {rect}")
-        self._fills.extend(rects)
+        self._fills = _appended(self._fills, self._checked(shapes, "fill"))
 
     def clear_fills(self) -> None:
         """Remove all fills (re-running the engine on a fresh slate)."""
-        self._fills.clear()
+        self._fills = _no_shapes()
 
-    def drop_fills(self, mask: Sequence[bool]) -> None:
+    def drop_fills(self, mask: Union[Sequence[bool], BoolArray]) -> None:
         """Remove the fills whose entry in ``mask`` is true, keeping the
         rest in order; ``mask`` has one entry per fill."""
         if len(mask) != len(self._fills):
@@ -171,7 +188,9 @@ class Layer:
                 f"drop mask has {len(mask)} entries, layer {self.number} has "
                 f"{len(self._fills)} fills"
             )
-        self._fills[:] = [f for f, gone in zip(self._fills, mask) if not gone]
+        fills = self._fills[~np.asarray(mask, dtype=bool)]
+        fills.flags.writeable = False
+        self._fills = fills
 
     def filter_wires(self, predicate: Callable[[Rect], bool]) -> int:
         """Keep only wires where ``predicate(rect)`` is true.

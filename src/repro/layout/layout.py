@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..geometry import Rect, boxes, rects_of
+from ..geometry import Rect, rects_of
 from .drc import DrcRules, DrcViolation, check_fills
 from .layer import Layer
 
@@ -100,8 +100,7 @@ class Layout:
         """DRC-check the fills on every layer against the rule deck."""
         violations: List[DrcViolation] = []
         for layer in self.layers:
-            fills = boxes(layer.fills, layer.num_fills)
-            violations.extend(check_fills(fills, layer.wire_boxes, self.rules))
+            violations.extend(check_fills(layer.fill_boxes, layer.wire_boxes, self.rules))
         return violations
 
     def copy_without_fills(self) -> "Layout":
@@ -117,12 +116,11 @@ class Layout:
 
         Wires and fills keep their per-layer order, so derived state
         (box arrays, density analyses, GDSII bytes) of the copy is
-        identical to the original's.  Rects are immutable; only the
-        containers are duplicated.
+        identical to the original's.  The copy's box arrays are its own.
         """
         out = self.copy_without_fills()
         for n in self.layer_numbers:
-            out.layer(n).add_fills(self._layers[n].fills)
+            out.layer(n).add_fills(self._layers[n].fill_boxes)
         return out
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ one file order.
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -133,14 +133,15 @@ class ShapeCensus:
         if count:
             self._bbox = Rect(xl, yl, xh, yh)
 
-    def die(self) -> Rect:
+    def die(self, end: Optional[int] = None) -> Rect:
         """The die: the layer-0 wire outline, else the geometry's extent.
 
         Several outlines (abutted partition frames, doubled-up exports)
         merge into their bounding box — picking the first would make the
         die depend on element order — and the merge is reported on the
         events channel, since it usually signals a malformed export.  A
-        stream with no geometry at all has no die.
+        stream with no geometry at all has no die; the error names
+        ``end``, the byte offset of the record that ended the stream.
         """
         outlines = self._outlines
         if len(outlines) == 1:
@@ -156,19 +157,28 @@ class ShapeCensus:
             )
             return die
         if self._bbox is None:
-            raise ValueError(f"{self.source} stream contains no geometry")
+            where = "" if end is None else f" before its end record at byte {end}"
+            raise ValueError(f"{self.source} stream contains no geometry{where}")
         return self._bbox
 
 
 def layout_from_shapes(
-    chunks: Iterable[Chunk], rules: Optional[DrcRules] = None, *, source: str
+    chunks: Iterable[Chunk],
+    rules: Optional[DrcRules] = None,
+    *,
+    source: str,
+    end: Callable[[], Optional[int]] = lambda: None,
 ) -> Layout:
-    """Build a :class:`Layout` from a box-chunk stream by the census rules."""
+    """Build a :class:`Layout` from a box-chunk stream by the census rules.
+
+    ``end()`` gives, once the chunks are exhausted, the byte offset of
+    the stream's end record (for :meth:`ShapeCensus.die`'s error).
+    """
     census = ShapeCensus(source)
     groups: Dict[Tuple[int, int], List[IntArray]] = {}
     for layer, datatype, box in census.scan(chunks):
         groups.setdefault((layer, datatype), []).append(box)
-    layout = Layout(census.die(), census.num_layers, rules)
+    layout = Layout(census.die(end()), census.num_layers, rules)
     for (number, datatype), parts in groups.items():
         box = np.concatenate(parts)
         if datatype == WIRE_DATATYPE:

@@ -21,11 +21,11 @@ paper positions litho-awareness as an add-on to the fill flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import IntArray, Rect, boxes, near_pairs
+from .geometry import IntArray, Rect, near_pairs
 from .layout import DrcRules, Layer, Layout
 
 __all__ = [
@@ -108,10 +108,12 @@ def _lateral_pairs(box: IntArray, max_gap: int) -> Tuple[IntArray, IntArray, Int
     return i[lateral], j[lateral], gap[lateral]
 
 
-def _check_layer(layer: Layer, rules: LithoRules) -> List[LithoViolation]:
+def _check_layer(
+    layer: Layer, fills: Sequence[Rect], rules: LithoRules
+) -> List[LithoViolation]:
     """One layer's litho violations: short edges in fill order, then
-    forbidden-pitch pairs by ``(i, j)``."""
-    fills = layer.fills
+    forbidden-pitch pairs by ``(i, j)``.  ``fills`` is ``layer.fills``;
+    the violations hold its rects."""
     violations: List[LithoViolation] = []
     for f in fills:
         if min(f.width, f.height) < rules.min_edge:
@@ -124,7 +126,7 @@ def _check_layer(layer: Layer, rules: LithoRules) -> List[LithoViolation]:
                 )
             )
     max_forbidden = max((hi for _, hi in rules.forbidden_pitches), default=0)
-    i, j, gap = _lateral_pairs(boxes(fills, len(fills)), max_forbidden)
+    i, j, gap = _lateral_pairs(layer.fill_boxes, max_forbidden)
     for a, b, g in zip(i.tolist(), j.tolist(), gap.tolist()):
         if rules.gap_is_forbidden(g):
             violations.append(
@@ -146,7 +148,7 @@ def check_litho(
     signal wires are fixed geometry the fill tool must work around)."""
     violations: List[LithoViolation] = []
     for layer in layout.layers:
-        violations.extend(_check_layer(layer, rules))
+        violations.extend(_check_layer(layer, layer.fills, rules))
     return violations
 
 
@@ -173,7 +175,7 @@ def repair_litho(
     for layer in layout.layers:
         for _ in range(8):  # fixed-point sweeps
             fills = layer.fills
-            violations = _check_layer(layer, rules)
+            violations = _check_layer(layer, fills, rules)
             if not violations:
                 break
             keep = {id(f): f for f in fills}

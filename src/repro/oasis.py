@@ -428,7 +428,7 @@ def oasis_bytes(layout: Layout) -> bytes:
     buf = io.BytesIO()
     writer = OasisStreamWriter(buf)
     layers = (
-        (layer.number, (layer.wire_boxes,), (boxes(layer.fills, layer.num_fills),))
+        (layer.number, (layer.wire_boxes,), (layer.fill_boxes,))
         for layer in layout.layers
     )
     for group in shape_groups(boxes((layout.die,), 1), layers):
@@ -447,6 +447,8 @@ class OasisCell:
     name: str = ""
     unit: int = 1000
     rects: Dict[Tuple[int, int], List[Rect]] = field(default_factory=dict)
+    #: byte offset of the END record, once the reader has reached it
+    end: Optional[int] = None
 
 
 def _repetition_positions(
@@ -533,6 +535,7 @@ def _shapes(data: bytes, cell: OasisCell) -> Iterator[Tuple[int, int, Rect]]:
         elif record == _END:
             if len(data) - cur.pos < _END_RECORD - 1:
                 raise ValueError(f"truncated OASIS END record at byte {cur.pos - 1}")
+            cell.end = start
             return
         else:
             raise ValueError(f"unsupported OASIS record {record}")
@@ -555,6 +558,8 @@ def layout_from_oasis(
     rules of :mod:`repro.layout.shapes`, exactly as for GDSII.
     """
     cell = OasisCell()
-    layout = layout_from_shapes(shape_chunks(_shapes(data, cell)), rules, source="OASIS")
+    layout = layout_from_shapes(
+        shape_chunks(_shapes(data, cell)), rules, source="OASIS", end=lambda: cell.end
+    )
     layout.name = cell.name or "oasis"
     return layout

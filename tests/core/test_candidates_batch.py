@@ -8,9 +8,10 @@ uneven windows at the die edge, free regions salted with zero-area
 rects and targets drawn from the whole
 ``[l, u]`` band of every window (so both Case I and Case II, aligned
 and staggered even layers all occur), both must return the same rects
-in the same order — for the whole grid and for window subsets — and
-``grid_candidates`` must equal the oracle's with and without
-``anchor``, ``stagger`` and ``prefer``.
+in the same order — for the whole grid and for window subsets, the
+library's box arrays read as rects — and ``grid_candidates`` must
+equal the oracle's with and without ``anchor``, ``stagger`` and
+``prefer``.
 """
 
 import random
@@ -26,6 +27,7 @@ from repro.geometry import Rect, boxes, rect_set_intersect, rects_of
 from repro.layout import DrcRules, Layout, WindowGrid
 
 from . import candidates_oracle as oracle
+from .plans import assert_box_entries, rect_plan
 
 #: square, wide and tall fill cells, so no axis can stand in for the other
 DECKS = (
@@ -85,7 +87,8 @@ def test_whole_grid_matches_oracle(seed):
     layout, grid, analysis, plan, config = make_case(seed)
     got = generate_candidates(layout, grid, plan, analysis, config)
     want = oracle.generate_candidates(layout, grid, plan, analysis, config)
-    assert list(got.items()) == list(want.items())
+    assert_box_entries(got)
+    assert list(rect_plan(got).items()) == list(want.items())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -97,7 +100,7 @@ def test_window_subsets_match_oracle(seed):
         windows = rng.sample(keys, size)
         got = generate_candidates(layout, grid, plan, analysis, config, windows)
         want = oracle.generate_candidates(layout, grid, plan, analysis, config, windows)
-        assert list(got.items()) == list(want.items())
+        assert list(rect_plan(got).items()) == list(want.items())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -131,7 +134,7 @@ def test_single_layer_has_no_region3():
     one.layer(1).add_wires(layout.layer(1).wires)
     analysis = {1: analysis[1]}
     plan = DensityPlan({1: plan.layers[1]}, 0.0)
-    got = generate_candidates(one, grid, plan, analysis, config)
+    got = rect_plan(generate_candidates(one, grid, plan, analysis, config))
     assert got == oracle.generate_candidates(one, grid, plan, analysis, config)
     assert any(rects for per_layer in got.values() for rects in per_layer.values())
 

@@ -7,8 +7,9 @@ columns mix clean windows with coupled ones (close same-layer pairs:
 overlapping, abutting, diagonal, stacked, unrepairable), windows with an
 infeasible width pair, fills under adjacent-layer wires and fills,
 empty layers and one-fill windows, both must return the same fills in
-the same order and the same :class:`~repro.core.SizingStats`, for
-``sizing_iterations`` 0-3 under both solvers.
+the same order (the library's box arrays read as rects) and the same
+:class:`~repro.core.SizingStats`, for ``sizing_iterations`` 0-3 under
+both solvers.
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.layout import DrcRules, Layout, WindowGrid
 from repro.netflow import DifferentialLP, PairLP, solve_dual_mcf
 
 from . import sizing_oracle
+from .plans import assert_box_entries, box_plan, rect_plan
 
 RULES = DrcRules(
     min_spacing=10, min_width=10, min_area=200, max_fill_width=90, max_fill_height=90
@@ -155,9 +157,10 @@ CASES = [(seed, "mcf-ssp") for seed in SEEDS] + [(seed, "lp") for seed in SEEDS[
 def test_size_fills_matches_oracle(seed, solver, iterations):
     layout, grid, plan, targets = make_case(seed)
     config = _config(seed, solver, iterations)
-    got, got_stats = sizing.size_fills(layout, grid, plan, targets, config)
+    got, got_stats = sizing.size_fills(layout, grid, box_plan(plan), targets, config)
     want, want_stats = sizing_oracle.size_fills(layout, grid, plan, targets, config)
-    assert _flatten(got) == _flatten(want)
+    assert_box_entries(got)
+    assert _flatten(rect_plan(got)) == _flatten(want)
     assert got_stats == want_stats
 
 
@@ -209,8 +212,10 @@ def test_cases_reach_every_route(monkeypatch):
     for seed in SEEDS:
         layout, grid, plan, targets = make_case(seed)
         config = _config(seed, "mcf-ssp", 3)
-        got = sizing.size_fills(layout, grid, plan, targets, config)
-        assert got == sizing_oracle.size_fills(layout, grid, plan, targets, config)
+        got, got_stats = sizing.size_fills(layout, grid, box_plan(plan), targets, config)
+        assert (rect_plan(got), got_stats) == sizing_oracle.size_fills(
+            layout, grid, plan, targets, config
+        )
     assert all(seen.values()), seen
 
 
@@ -234,8 +239,8 @@ def test_column_reads_only_the_wires_over_its_windows(seed):
         )
     assert bare.num_wires < layout.num_wires
     config = _config(seed, "mcf-ssp", 3)
-    full, full_stats = sizing.size_fills(layout, grid, column, targets, config)
-    only, only_stats = sizing.size_fills(bare, grid, column, targets, config)
-    assert _flatten(full) == _flatten(only)
+    full, full_stats = sizing.size_fills(layout, grid, box_plan(column), targets, config)
+    only, only_stats = sizing.size_fills(bare, grid, box_plan(column), targets, config)
+    assert _flatten(rect_plan(full)) == _flatten(rect_plan(only))
     assert full_stats == only_stats
     assert full_stats.lp_solves > 0

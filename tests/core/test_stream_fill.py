@@ -9,6 +9,7 @@ import hashlib
 import io
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -268,7 +269,10 @@ class TestEngineEntryPoint:
         plan = BandPlan(grid, 2)
         fills = ShapeSpill(plan, str(tmp_path), "fills")
         bands = SpillBands(plan, fills, fills, RULES, 2, {}, str(tmp_path), 16)
-        sized = {(0, 0): {1: [Rect(20, 20, 60, 60)]}, (0, 1): {2: [Rect(20, 220, 60, 260), bad]}}
+        # a sized entry with a non-integer coordinate: an object array
+        # keeps each coordinate's Python type
+        bad_rows = np.array([[20, 220, 60, 260], [bad.xl, bad.yl, bad.xh, bad.yh]], dtype=object)
+        sized = {(0, 0): {1: np.array([[20, 20, 60, 60]])}, (0, 1): {2: bad_rows}}
         with pytest.raises(ContractViolation, match=r"^fill on layer 2\.(xl = 10\.5|yh = 50\.0) is not"):
             bands.commit(0, sized)
 

@@ -51,13 +51,13 @@ CANDIDATE_PINS = {
 def plan_digest(plans):
     """sha256 over candidate plans in order: per window and layer, the
     row ``(i, j, layer, count)`` and then one ``(xl, yl, xh, yh)`` row
-    per rect, as int64."""
+    per candidate (a row of the entry's box array), as int64."""
     rows = []
     for plan in plans:
         for (i, j), per_layer in plan.items():
-            for layer, rects in per_layer.items():
-                rows.append((i, j, layer, len(rects)))
-                rows.extend((r.xl, r.yl, r.xh, r.yh) for r in rects)
+            for layer, box in per_layer.items():
+                rows.append((i, j, layer, len(box)))
+                rows.extend(map(tuple, box.tolist()))
     return hashlib.sha256(np.array(rows, dtype=np.int64).tobytes()).hexdigest()
 
 

@@ -193,6 +193,161 @@ class TestLayer:
         assert layer.num_wires == 1
 
 
+def _inverted(xl, yl, xh, yh):
+    """A rect with ``xl > xh`` or ``yl > yh``, which ``Rect()`` refuses."""
+    rect = object.__new__(Rect)
+    for name, value in zip(("xl", "yl", "xh", "yh"), (xl, yl, xh, yh)):
+        object.__setattr__(rect, name, value)
+    return rect
+
+
+class TestFillBoxes:
+    """A layer's fills are the leading rows of a growable int64 buffer.
+
+    Each check holds the layer to a plain rect list kept beside it, so
+    an append that writes the wrong rows fails even though
+    ``layer.fills`` is built from the same array.
+    """
+
+    @staticmethod
+    def _assert_fills(layer, expect):
+        box = layer.fill_boxes
+        assert box.dtype == np.int64 and box.shape == (len(expect), 4)
+        assert box.tolist() == [[r.xl, r.yl, r.xh, r.yh] for r in expect]
+        assert np.array_equal(box, boxes(layer.fills, layer.num_fills))
+        assert layer.fills == expect and layer.num_fills == len(expect)
+        with pytest.raises(ValueError, match="read-only"):
+            box[0:1] = 0
+        assert layer.fill_boxes is box  # the same array until the fills change
+
+    def test_fill_boxes_follow_every_fill_mutator(self):
+        layer, expect = Layer(2), []
+        self._assert_fills(layer, expect)
+        layer.add_fill(Rect(0, 0, 10, 4))
+        expect.append(Rect(0, 0, 10, 4))
+        self._assert_fills(layer, expect)
+        new = [Rect(5, 5, 9, 30), Rect(-3, 40, 2, 41), Rect(0, 0, 10, 4)]
+        layer.add_fills(new)
+        expect += new
+        self._assert_fills(layer, expect)
+        new = [Rect(70, 0, 80, 9), Rect(90, 3, 95, 8)]
+        layer.add_fills(boxes(new, len(new)))
+        expect += new
+        self._assert_fills(layer, expect)
+        layer.add_fills([])
+        layer.add_fills(np.zeros((0, 4), dtype=np.int64))
+        self._assert_fills(layer, expect)
+        for mask in ([False, True, False, True, False, False], np.array([True, False, False, True])):
+            layer.drop_fills(mask)
+            expect = [f for f, gone in zip(expect, mask) if not gone]
+            self._assert_fills(layer, expect)
+        layer.clear_fills()
+        self._assert_fills(layer, [])
+        layer.add_fill(Rect(1, 1, 2, 2))
+        self._assert_fills(layer, [Rect(1, 1, 2, 2)])
+
+    def test_held_fill_boxes_keep_their_rows(self):
+        rng = random.Random(7)
+        layer, expect, held = Layer(1), [], []
+        for step in range(400):
+            op = rng.randrange(10)
+            if op < 6:
+                new = []
+                for _ in range(rng.randrange(0, 5)):
+                    x, y = rng.randrange(-100, 100), rng.randrange(-100, 100)
+                    new.append(Rect(x, y, x + rng.randrange(1, 50), y + rng.randrange(1, 50)))
+                if op < 2:
+                    for rect in new:
+                        layer.add_fill(rect)
+                elif op < 4:
+                    layer.add_fills(new)
+                else:
+                    layer.add_fills(boxes(new, len(new)))
+                expect += new
+            elif op < 9:
+                mask = [rng.random() < 0.2 for _ in expect]
+                layer.drop_fills(mask)
+                expect = [f for f, gone in zip(expect, mask) if not gone]
+            else:
+                layer.clear_fills()
+                expect = []
+            held.append((layer.fill_boxes, list(expect)))
+            self._assert_fills(layer, expect)
+        # a box array once handed out keeps the fills it had
+        for box, fills in held:
+            assert box.tolist() == [[r.xl, r.yl, r.xh, r.yh] for r in fills]
+
+    def test_layout_copy_and_prefilled_stream(self):
+        from repro.gdsii import gdsii_bytes, layout_from_gdsii
+
+        layout = Layout(Rect(0, 0, 1000, 1000), num_layers=2)
+        fills = {1: [Rect(10, 10, 50, 50), Rect(60, 10, 90, 40)], 2: [Rect(500, 500, 600, 520)]}
+        for n, rects in fills.items():
+            layout.layer(n).add_wire(Rect(0, 900, 1000, 950))
+            layout.layer(n).add_fills(rects)
+        copy = layout.copy()
+        read = layout_from_gdsii(gdsii_bytes(layout))
+        for n, rects in fills.items():
+            self._assert_fills(copy.layer(n), rects)
+            self._assert_fills(read.layer(n), rects)
+        # the copy's arrays are its own
+        copy.layer(1).add_fill(Rect(200, 200, 220, 220))
+        copy.layer(2).clear_fills()
+        for n, rects in fills.items():
+            self._assert_fills(layout.layer(n), rects)
+
+    def test_repair_litho(self):
+        from repro.litho import LithoRules, repair_litho
+
+        from ..litho_oracle import repair_litho as oracle_repair
+
+        layout = Layout(Rect(0, 0, 1000, 1000), num_layers=1)
+        # a forbidden-pitch pair, a short-edge fill and a clean one
+        layout.layer(1).add_fills(
+            [Rect(0, 0, 100, 100), Rect(125, 0, 200, 100), Rect(400, 400, 405, 500), Rect(700, 0, 800, 100)]
+        )
+        want = layout.copy()
+        rules = LithoRules(forbidden_pitches=((20, 30),), min_edge=10)
+        assert repair_litho(layout, rules) == oracle_repair(want, rules) > 0
+        self._assert_fills(layout.layer(1), want.layer(1).fills)
+
+    def test_pickle_equal_however_built(self):
+        rects = [Rect(k, 0, k + 5, 7) for k in range(0, 100, 9)]
+        one_by_one, at_once = Layer(1), Layer(1)
+        for rect in rects:
+            one_by_one.add_fill(rect)
+        at_once.add_fills(boxes(rects, len(rects)))
+        assert pickle.dumps(one_by_one) == pickle.dumps(at_once)
+        back = pickle.loads(pickle.dumps(one_by_one))
+        back.add_fill(Rect(0, 0, 1, 1))
+        self._assert_fills(back, rects + [Rect(0, 0, 1, 1)])
+        self._assert_fills(one_by_one, rects)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ((10.5, 10, 100.7, 50), ContractViolation, r"fill on layer 3\.xl = 10\.5 is not an integer"),
+            ((10, 10, 100, 50.5), ContractViolation, r"fill on layer 3\.yh = 50\.5 is not an integer"),
+            ((9, 0, 5, 5), ContractViolation, r"fill on layer 3 is malformed: \(9,0,5,5\)"),
+            ((0, 0, 0, 5), ValueError, r"degenerate fill rectangle \(0,0\)-\(0,5\)"),
+        ],
+        ids=["float-xl", "float-yh", "inverted", "zero-area"],
+    )
+    def test_bad_fill_rejected_alike(self, bad, error, message):
+        rect = _inverted(*bad)
+        adds = [
+            lambda layer: layer.add_fill(rect),
+            lambda layer: layer.add_fills([Rect(0, 0, 5, 5), rect]),
+            lambda layer: layer.add_fills(np.array([[0, 0, 5, 5], list(bad)])),
+        ]
+        for add in adds:
+            layer = Layer(3)
+            layer.add_fill(Rect(50, 50, 60, 60))
+            with pytest.raises(error, match=message):
+                add(layer)
+            self._assert_fills(layer, [Rect(50, 50, 60, 60)])
+
+
 class TestLayout:
     def make(self):
         return Layout(Rect(0, 0, 1000, 1000), num_layers=3)

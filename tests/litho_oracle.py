@@ -3,7 +3,7 @@
 :func:`_lateral_pairs` asks a :class:`GridIndex` once per fill for the
 fills facing it within the largest forbidden pitch;
 :func:`check_litho` is the layout scan built on it, and
-:func:`repair_litho` repairs each layer from that whole-layout scan.
+:func:`repair_litho` repairs each layer from its own layer's scan.
 The array scan of :mod:`repro.litho`, one
 :func:`repro.geometry.near_pairs` join per layer, must return the same
 violations in the same order, and its repair the same fills.
@@ -45,37 +45,45 @@ def _lateral_pairs(
     return out
 
 
+def _check_fills(
+    number: int, fills: Sequence[Rect], rules: LithoRules
+) -> List[LithoViolation]:
+    """The litho violations of one layer's ``fills``, holding its rects."""
+    violations: List[LithoViolation] = []
+    max_forbidden = max(
+        (hi for _, hi in rules.forbidden_pitches), default=0
+    )
+    for f in fills:
+        if min(f.width, f.height) < rules.min_edge:
+            violations.append(
+                LithoViolation(
+                    "min_edge",
+                    number,
+                    f,
+                    measured=min(f.width, f.height),
+                )
+            )
+    for i, j, gap, _axis in _lateral_pairs(fills, max_forbidden):
+        if rules.gap_is_forbidden(gap):
+            violations.append(
+                LithoViolation(
+                    "forbidden_pitch",
+                    number,
+                    fills[i],
+                    other=fills[j],
+                    measured=gap,
+                )
+            )
+    return violations
+
+
 def check_litho(
     layout: Layout, rules: LithoRules
 ) -> List[LithoViolation]:
     """Every layer's litho violations, one index query per fill."""
     violations: List[LithoViolation] = []
-    max_forbidden = max(
-        (hi for _, hi in rules.forbidden_pitches), default=0
-    )
     for layer in layout.layers:
-        fills = layer.fills
-        for f in fills:
-            if min(f.width, f.height) < rules.min_edge:
-                violations.append(
-                    LithoViolation(
-                        "min_edge",
-                        layer.number,
-                        f,
-                        measured=min(f.width, f.height),
-                    )
-                )
-        for i, j, gap, _axis in _lateral_pairs(fills, max_forbidden):
-            if rules.gap_is_forbidden(gap):
-                violations.append(
-                    LithoViolation(
-                        "forbidden_pitch",
-                        layer.number,
-                        fills[i],
-                        other=fills[j],
-                        measured=gap,
-                    )
-                )
+        violations.extend(_check_fills(layer.number, layer.fills, rules))
     return violations
 
 
@@ -85,19 +93,16 @@ def repair_litho(
     drc: Optional[DrcRules] = None,
 ) -> int:
     """:func:`repro.litho.repair_litho` with every sweep scanning the
-    whole layout through the scalar :func:`check_litho` and keeping the
-    repaired layer's violations."""
+    repaired layer's fills through the scalar scan.  The violations hold
+    the sweep's own rect list, since the repair tells fills apart by
+    identity (``layer.fills`` builds new rects on every read)."""
     if drc is None:
         drc = layout.rules
     touched = 0
     for layer in layout.layers:
         for _ in range(8):  # fixed-point sweeps
             fills = layer.fills
-            violations = [
-                v
-                for v in check_litho(layout, rules)
-                if v.layer == layer.number
-            ]
+            violations = _check_fills(layer.number, fills, rules)
             if not violations:
                 break
             keep = {id(f): f for f in fills}

@@ -410,6 +410,28 @@ def test_corrupt_input_raises_value_error(name):
                 assert read is layout_from_oasis or re.search(r"byte \d+", str(exc)), exc
 
 
+@pytest.mark.parametrize(
+    "end, corrupt",
+    [
+        # the BGNSTR record at byte 62 replaced by ENDLIB
+        (62, lambda gds: gds[:62] + pack_record(RecordType.ENDLIB, DataType.NO_DATA)),
+        # one bit flip turns the STRNAME record at byte 90 into ENDLIB
+        (90, lambda gds: gds[:92] + bytes([gds[92] ^ 0x02]) + gds[93:]),
+    ],
+    ids=["bgnstr-as-endlib", "flip-byte-92"],
+)
+def test_stream_without_geometry_names_its_end(end, corrupt):
+    """A stream that ends before its first element is rejected with the
+    offset of the ENDLIB that ended it, in memory and streamed."""
+    case = build_case("prefilled", SEEDS[0])
+    data = corrupt(case.gds)
+    message = rf"^GDSII stream contains no geometry before its end record at byte {end}$"
+    with pytest.raises(ValueError, match=message):
+        layout_from_gdsii(data, case.rules)
+    with pytest.raises(ValueError, match=message):
+        stream_fill(data, io.BytesIO(), case.rules, cols=2, rows=2)
+
+
 def test_malformed_lines_get_error_responses(tmp_path):
     gds = build_case("buses", SEEDS[0]).gds
     rng = random.Random(SEEDS[0])

@@ -295,13 +295,26 @@ class TestCachedEco:
 
     def test_stale_fill_index_rejected(self):
         from repro.eco import build_fill_indexes
+        from repro.gdsii import gdsii_bytes
 
         config = FillConfig()
         layout, grid = filled_layout()
         fill_indexes = build_fill_indexes(layout)
         layout.layer(1).clear_fills()  # index now lies about the fills
-        with pytest.raises(ValueError, match="stale fill index"):
+        before = gdsii_bytes(layout)
+        with pytest.raises(ValueError, match="stale fill index for layer 1"):
             apply_eco(layout, grid, self.WIRE, config, fill_indexes=fill_indexes)
+        assert gdsii_bytes(layout) == before  # no wire committed
+        # the right row count in the wrong order: the rip-up would drop
+        # fills by position, so the rows themselves are compared
+        fresh = build_fill_indexes(layout)
+        assert len(fresh[2]) > 1
+        stale = {**fresh, 2: fresh[2][::-1]}
+        with pytest.raises(ValueError, match="stale fill index for layer 2"):
+            apply_eco(layout, grid, self.WIRE, config, fill_indexes=stale)
+        assert gdsii_bytes(layout) == before
+        # an equal copy is not stale, and neither are the views as built
+        apply_eco(layout, grid, self.WIRE, config, fill_indexes={**fresh, 2: fresh[2].copy()})
 
 
 class TestWiresFromJson:
