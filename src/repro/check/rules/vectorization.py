@@ -1,8 +1,8 @@
 """Vectorization rule: REP015 — density hot paths stay on the numpy kernel.
 
 Every per-window union area of :mod:`repro.density` is one
-:func:`~repro.density.raster.raster_area_map` call: a pass per
-window-column strip over one occupancy raster.  Any *new* per-window
+:func:`~repro.density.raster.raster_area_map` call: one tile pass per
+window column, each window on its own compressed grid.  Any *new* per-window
 Python loop under ``repro/density/`` quietly reintroduces the
 O(windows) interpreter overhead the raster passes avoid, and nothing
 else would catch it (the parity tests only prove equality, not speed).

@@ -75,24 +75,29 @@ def check_rect(rect: "Rect", *, name: str = "rect") -> "Rect":
 def check_boxes(box: np.ndarray[Any, np.dtype[Any]], *, name: str = "rect") -> IntArray:
     """:func:`check_rect` of every row of an ``(n, 4)`` box array.
 
-    A dtype that does not cast to int64 (floats, or an object array of
-    out-of-range ints) fails with :func:`check_rect`'s message, naming
-    the first coordinate with a fractional part (else the first that is
-    not an int); an inverted row fails likewise.  Returns the rows as
-    int64.
+    A dtype that does not cast to int64 safely (floats, or an object
+    array) holding a value that is not an int fails with
+    :func:`check_rect`'s message, naming the first coordinate with a
+    fractional part (else the first that is not an int); ints are
+    converted, and one beyond int64 fails.  An inverted row fails
+    likewise.  Returns the rows as int64.
     """
     if not np.can_cast(box.dtype, np.int64):
+        rows = box.tolist()
         stray = [
             (attr, value)
-            for row in box.tolist()
+            for row in rows
             for attr, value in zip(("xl", "yl", "xh", "yh"), row)
             if not isinstance(value, (int, np.integer))
         ]
-        if not stray:
-            raise ContractViolation(f"{name} has a coordinate beyond int64")
-        fractional = (s for s in stray if not (isinstance(s[1], float) and s[1].is_integer()))
-        attr, value = next(fractional, stray[0])
-        raise ContractViolation(f"{name}.{attr} = {value!r} is not an integer dbu coordinate")
+        if stray:
+            fractional = (s for s in stray if not (isinstance(s[1], float) and s[1].is_integer()))
+            attr, value = next(fractional, stray[0])
+            raise ContractViolation(f"{name}.{attr} = {value!r} is not an integer dbu coordinate")
+        try:
+            box = np.array(rows, dtype=np.int64).reshape(box.shape)
+        except OverflowError:
+            raise ContractViolation(f"{name} has a coordinate beyond int64") from None
     inverted = (box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3])
     if inverted.any():
         xl, yl, xh, yh = box[int(np.argmax(inverted))].tolist()

@@ -189,7 +189,7 @@ def _choose_kernel(
     measured no slower than the scanline cutter on every whole die,
     every stream band and the partial-column ECO refresh, where the
     scanline's per-window scan of every wire costs more than the
-    raster's column strips (docs/PERFORMANCE.md, "Raster kernel").  The
+    raster's window tiles (docs/PERFORMANCE.md, "Raster kernel").  The
     two cutters return the same regions, so the choice only moves
     the clock; tests pin this function to run one cutter through whole
     flows.
@@ -215,8 +215,8 @@ def analyze_layer(
     window's rects), capped at 1.  ``kernel`` picks only the
     fill-region cutter, and both cutters return the same box arrays:
     ``"rect"`` is the scanline cutter (one ``rect_set_subtract``
-    per window), ``"raster"`` cuts every window of a column from one
-    occupancy raster (:func:`~repro.density.raster.raster_fill_regions`).
+    per window), ``"raster"`` cuts every window of a column in one
+    tile pass (:func:`~repro.density.raster.raster_fill_regions`).
     ``kernel=None`` runs the one :func:`_choose_kernel` picks, the
     raster cutter; naming one is for parity tests and per-kernel
     measurements.  The span counters ``analysis.rect_layers`` and

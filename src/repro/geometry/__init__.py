@@ -5,8 +5,8 @@ rectangles (:mod:`~repro.geometry.rect`), 1-D interval arithmetic
 (:mod:`~repro.geometry.interval`), scanline boolean operations on
 rectangle sets (:mod:`~repro.geometry.boolean`), rectilinear polygons
 and their rectangle decompositions (:mod:`~repro.geometry.polygon`,
-:mod:`~repro.geometry.poly2rect`), and coordinate-compressed occupancy
-rasters with exact free-region recovery, next to the int64 box arrays
+:mod:`~repro.geometry.poly2rect`), and per-window coordinate-compressed
+tile rasters with exact run recovery, next to the int64 box arrays
 every array stage and neighbour search shares
 (:mod:`~repro.geometry.raster`).
 """
@@ -27,7 +27,7 @@ from .raster import (
     boxes,
     near_pairs,
     rects_of,
-    strip_occupancy,
+    tile_runs,
     touching,
     typed_boxes,
 )
@@ -49,7 +49,7 @@ __all__ = [
     "rects_of",
     "touching",
     "near_pairs",
-    "strip_occupancy",
+    "tile_runs",
     "RectilinearPolygon",
     "gourley_green",
     "polygon_to_rects",

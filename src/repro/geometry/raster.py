@@ -1,13 +1,14 @@
-"""Coordinate-compressed strip rasters and the Rect/int64 array boundary.
+"""Per-window tile rasters and the Rect/int64 array boundary.
 
-:func:`strip_occupancy` is the package's one rasterizer.  A set of
-integer rectangles is rasterized onto the non-uniform grid induced by
-its own edge coordinates plus the caller's cut lines (one window-column
-strip and its window rows).  On that grid every clipped rectangle is a
-union of whole cells, so the raster is *exact* — not an approximation
-at some fixed resolution.  :mod:`repro.density.raster` builds both of
-its passes on it: the per-window covered area behind every density map
-and the overlay, and the free fill regions, recovered per column strip
+:func:`tile_runs` is the package's one rasterizer.  Each window (a
+*frame*) is rasterized on its own coordinate-compressed grid: the
+frame's edges plus the edges of the rects clipped to it.  On that grid
+every clipped rectangle is a union of whole cells, so the raster is
+*exact* — not an approximation at some fixed resolution — and a
+window's grid grows only with the shapes inside it.
+:mod:`repro.density.raster` builds both of its passes on it, one call
+per window column: the per-window covered area behind every density
+map and the overlay, and the free fill regions, recovered per window
 as maximal runs merged vertically, the canonical form the scanline
 boolean of :mod:`repro.geometry.boolean` produces.
 
@@ -17,8 +18,8 @@ boolean of :mod:`repro.geometry.boolean` produces.
 The program's neighbour searches run on such arrays: :func:`touching`
 is the range query over one, :func:`near_pairs` the join of every box
 of one with the boxes of another within a distance.
-Everything stays int64 (the occupancy grid is int32 cell flags), which
-keeps the raster passes bit-compatible with the rect-set oracles.
+Everything stays int64, which keeps the raster passes bit-compatible
+with the rect-set oracles.
 """
 
 from __future__ import annotations
@@ -34,18 +35,16 @@ from .rect import Rect
 __all__ = [
     "IntArray",
     "BoolArray",
-    "OccupancyArray",
     "boxes",
     "typed_boxes",
     "rects_of",
     "touching",
     "near_pairs",
-    "strip_occupancy",
+    "tile_runs",
 ]
 
 IntArray = np.ndarray[Any, np.dtype[np.int64]]
 BoolArray = np.ndarray[Any, np.dtype[np.bool_]]
-OccupancyArray = np.ndarray[Any, np.dtype[np.int32]]
 
 _I64 = np.int64
 _CORNERS = attrgetter("xl", "yl", "xh", "yh")
@@ -193,40 +192,85 @@ def near_pairs(a: IntArray, b: IntArray, d: int) -> Tuple[IntArray, IntArray]:
     return i_all[order], j_all[order]
 
 
-def strip_occupancy(
-    box: IntArray, x_cuts: IntArray, y_cuts: IntArray
-) -> Tuple[IntArray, IntArray, OccupancyArray]:
-    """Occupancy raster of rects clipped to the frame of the cut lines.
+def _frame_lines(
+    edges: IntArray, where: IntArray, frames: IntArray
+) -> Tuple[IntArray, IntArray, IntArray]:
+    """One axis of the frames' compressed grids.
 
-    ``x_cuts``/``y_cuts`` are sorted cut coordinates; the frame spans
-    from the first to the last of each.  The rows of ``box`` are
-    clipped to the frame before they become edges, so shapes hanging
-    past it do not inflate the grid.  Returns ``(xs, ys, occupied)``:
-    the sorted distinct cell boundaries per axis (every cut and every
-    clipped edge), and the ``(len(xs) - 1, len(ys) - 1)`` int32 grid
-    whose cell ``[a, b]``, spanning ``[xs[a], xs[a+1]) x
-    [ys[b], ys[b+1])``, is 1 where some rect covers it and 0 elsewhere.
-
-    One int32 difference grid is cumulated in place into per-cell
-    multiplicities and clipped to 1 in place, so no int64 copy of the
-    grid is made.
+    ``frames`` holds each frame's low and high edge on the axis,
+    ``edges`` those of the rects, each inside frame ``where``.  Every
+    (frame, coordinate) pair becomes one key, ``frame * span +
+    offset``, and one sort of the keys lists each frame's lines in
+    order, frame after frame.  Returns ``(coord, first, line)``: each
+    line's coordinate, the index of each frame's first line with the
+    line count appended, and the line of every rect edge.
     """
-    cx0 = np.clip(box[:, 0], x_cuts[0], x_cuts[-1])
-    cx1 = np.clip(box[:, 2], x_cuts[0], x_cuts[-1])
-    cy0 = np.clip(box[:, 1], y_cuts[0], y_cuts[-1])
-    cy1 = np.clip(box[:, 3], y_cuts[0], y_cuts[-1])
-    keep = (cx1 > cx0) & (cy1 > cy0)
-    cx0, cx1, cy0, cy1 = cx0[keep], cx1[keep], cy0[keep], cy1[keep]
-    xs: IntArray = np.unique(np.concatenate((cx0, cx1, x_cuts)))
-    ys: IntArray = np.unique(np.concatenate((cy0, cy1, y_cuts)))
-    i0, i1 = np.searchsorted(xs, cx0), np.searchsorted(xs, cx1)
-    j0, j1 = np.searchsorted(ys, cy0), np.searchsorted(ys, cy1)
-    counts: OccupancyArray = np.zeros((len(xs), len(ys)), dtype=np.int32)
-    np.add.at(counts, (i0, j0), 1)
-    np.add.at(counts, (i1, j0), -1)
-    np.add.at(counts, (i0, j1), -1)
-    np.add.at(counts, (i1, j1), 1)
-    np.add.accumulate(counts, axis=0, out=counts)
-    np.add.accumulate(counts, axis=1, out=counts)
-    np.minimum(counts, 1, out=counts)  # multiplicity -> occupancy
-    return xs, ys, counts[:-1, :-1]
+    base = int(frames[:, 0].min())
+    span = int(frames[:, 1].max()) - base + 1
+    origin = np.arange(len(frames) + 1) * span  # frame w's keys lie in [origin[w], origin[w + 1])
+    shift = origin[:-1] - base
+    keys = edges + shift[where, None]
+    # a sort and a mask: np.unique is several times slower on a column's few keys
+    lines: IntArray = np.sort(np.concatenate((frames + shift[:, None], keys), axis=None))
+    new = np.empty(len(lines), dtype=bool)
+    new[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=new[1:])
+    lines = lines[new]
+    return lines % span + base, np.searchsorted(lines, origin), np.searchsorted(lines, keys)
+
+
+def tile_runs(
+    box: IntArray, where: IntArray, frames: IntArray, *, free: bool = False
+) -> Tuple[IntArray, IntArray]:
+    """Every covered x-run of every y-cell of each frame's own grid.
+
+    ``frames`` is an ``(n, 4)`` int64 array of frames; each row of
+    ``box`` is a rect of positive area inside frame ``where``.  A
+    frame's grid has its own edges and its rects' edges as cut lines,
+    so a window's raster holds only the shapes that meet it.  Every
+    (frame, y-cell) is one row of the frame's x-lines, the last one a
+    separator no run covers, and all rows of all frames lie end to end
+    in one array: each rect adds +1 at its low and -1 at its high
+    x-line in every row it spans, one cumulative sum gives each cell's
+    cover count, and one transition pass finds the runs.  With
+    ``free=True`` the runs are those of uncovered cells instead, and
+    the separators count as covered so that no run crosses a row.
+
+    Returns ``(runs, frame)``: the ``(k, 4)`` int64 box of each run,
+    one y-cell tall, and its frame's index, ordered by frame, then
+    ``yl``, then ``xl``.
+    """
+    xs, fx, gx = _frame_lines(box[:, 0::2], where, frames[:, 0::2])
+    ys, fy, gy = _frame_lines(box[:, 1::2], where, frames[:, 1::2])
+    # frame w's rows are its y-cells: y-lines fy[w] .. fy[w + 1] - 2,
+    # numbered from fy[w] - w, each as long as the frame's x-line count
+    row_frame = np.repeat(np.arange(len(frames)), fy[1:] - fy[:-1] - 1)
+    row_len = (fx[1:] - fx[:-1])[row_frame]
+    row_end = np.cumsum(row_len)
+    row_start = row_end - row_len
+    size = int(row_end[-1])
+    count = gy[:, 1] - gy[:, 0]
+    first_row = gy[:, 0] - where
+    row = np.arange(int(count.sum())) + np.repeat(first_row - np.cumsum(count) + count, count)
+    at = row_start[row]
+    offset = gx - fx[where, None]
+    lo = at + np.repeat(offset[:, 0], count)
+    hi = at + np.repeat(offset[:, 1], count)
+    depth = np.cumsum(np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size))
+    if free:
+        mask = depth == 0
+        mask[row_end - 1] = False
+    else:
+        mask = depth > 0
+    # flip[k]: mask changes at k; the last entry is a separator, so
+    # every run ends inside the array
+    flip = mask.copy()
+    flip[1:] ^= mask[:-1]
+    edge = np.flatnonzero(flip)
+    start, end = edge[0::2], edge[1::2]
+    run_row = np.searchsorted(row_start, start, "right") - 1
+    frame = row_frame[run_row]
+    line = fx[frame] - row_start[run_row]
+    y = run_row + frame
+    runs: IntArray = np.column_stack((xs[start + line], ys[y], xs[end + line], ys[y + 1]))
+    return runs, frame

@@ -3,7 +3,8 @@
 Density analysis computes ``lower`` from one covered-area map,
 ``raster_area_map``, whichever fill-region cutter runs; the cutter
 (``kernel="rect"``, one scanline subtraction per window, or
-``"raster"``, one occupancy raster per window column) is the only
+``"raster"``, one tile pass per window column, each window on its own
+compressed grid) is the only
 thing the kernel choice changes, and the two must return the same
 regions: per window, the same int64 box rows in the same order.  The
 raster cutter's window edges get cases of their own.  These tests pin
@@ -342,8 +343,8 @@ class TestCutterEdges:
     """The window edges the column cutter must respect.
 
     The raster cutter runs one run extraction and one vertical merge
-    over a whole column strip, so every window edge inside the strip is
-    a place where it could merge or attribute wrongly.  Each case
+    over every window of a column at once, so every window edge inside
+    the column is a place where it could merge or attribute wrongly.  Each case
     checks it against the scanline cutter and against values that fail
     on a cutter that gets that edge wrong.
     """

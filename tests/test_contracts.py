@@ -11,6 +11,8 @@ from repro import (
     check_drc_params,
     check_rect,
 )
+from repro.contracts import check_boxes
+from repro.layout import Layer
 
 
 class TestCheckRect:
@@ -32,6 +34,31 @@ class TestCheckRect:
     def test_name_appears_in_message(self):
         with pytest.raises(ContractViolation, match="fill.xl"):
             check_rect(Rect(1.5, 0, 2.5, 1), name="fill")
+
+
+class TestCheckBoxes:
+    """Box arrays whose dtype does not cast to int64 safely."""
+
+    def test_object_ints_convert(self):
+        got = check_boxes(np.array([[0, 0, 5, 5], [9, 0, 12, 5]], dtype=object))
+        assert got.dtype == np.int64
+        assert got.tolist() == [[0, 0, 5, 5], [9, 0, 12, 5]]
+
+    def test_inverted_object_row_named(self):
+        bad = np.array([[0, 0, 5, 5], [9, 0, 5, 5]], dtype=object)
+        with pytest.raises(ContractViolation, match=r"malformed: \(9,0,5,5\)"):
+            Layer(3).add_fills(bad)
+
+    def test_object_row_beyond_int64(self):
+        bad = np.array([[0, 0, 5, 5], [0, 0, 2**70, 5]], dtype=object)
+        with pytest.raises(ContractViolation, match="beyond int64"):
+            Layer(3).add_fills(bad)
+
+    def test_float_row_message_unchanged(self):
+        bad = np.array([[0, 0, 5, 5], [0, 0, 5.5, 5]])
+        message = r"^fill on layer 3\.xh = 5\.5 is not an integer dbu coordinate$"
+        with pytest.raises(ContractViolation, match=message):
+            Layer(3).add_fills(bad)
 
 
 class TestCheckDensity:
